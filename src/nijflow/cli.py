@@ -55,9 +55,23 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number; strings, booleans and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got "
+                          f"{json.dumps(value)}")
+    return float(value)
+
+
 def build_model(cfg: dict) -> CompanionModel:
     n = cfg.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError("config field 'n' must be a positive integer")
     sigma = cfg.get("sigma")
     if not isinstance(sigma, list) or len(sigma) != n or \
@@ -75,12 +89,12 @@ def _axis_from(spec: dict, name: str) -> AxisSpec:
         raise ConfigError(f"axis {name!r} must be an object with "
                           "start/stop/count")
     try:
-        start = float(spec["start"])
-        stop = float(spec["stop"])
+        start = _number(spec["start"], f"axis {name!r} start")
+        stop = _number(spec["stop"], f"axis {name!r} stop")
         count = spec["count"]
     except KeyError as exc:
         raise ConfigError(f"axis {name!r} is missing field {exc}") from exc
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ConfigError(f"axis {name!r} count must be a positive integer")
     try:
         return AxisSpec(name, start, stop, count)
@@ -113,11 +127,8 @@ def config_point(cfg: dict, n: int) -> CotangentPoint:
     if not isinstance(u, list) or not isinstance(p, list) or \
             len(u) != n or len(p) != n:
         raise ConfigError(f"'initial.u' and 'initial.p' must list {n} numbers")
-    try:
-        return CotangentPoint(tuple(float(v) for v in u),
-                              tuple(float(v) for v in p))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad initial point: {exc}") from exc
+    return CotangentPoint(tuple(_number(v, "'initial.u' entry") for v in u),
+                          tuple(_number(v, "'initial.p' entry") for v in p))
 
 
 def config_settings(cfg: dict, axes: Sequence[AxisSpec] = (),
@@ -129,10 +140,10 @@ def config_settings(cfg: dict, axes: Sequence[AxisSpec] = (),
     for a in axes:
         needed = max(needed, abs(a.start), abs(a.stop), abs(a.stop - a.start))
     kwargs = {"method": integ.get("method", "rk45"),
-              "horizon": float(integ.get("horizon", needed * (1 + 1e-9) + 1e-9))}
-    for key in ("step", "abs_tol", "rel_tol"):
+              "horizon": needed * (1 + 1e-9) + 1e-9}
+    for key in ("horizon", "step", "abs_tol", "rel_tol"):
         if key in integ:
-            kwargs[key] = float(integ[key])
+            kwargs[key] = _number(integ[key], f"'integrator.{key}'")
     try:
         return FlowSettings(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -366,8 +377,8 @@ def verification_report(cfg: dict) -> dict:
     model = build_model(cfg)
     n = model.n
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config field 'seed' must be an integer")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError("config field 'seed' must be a non-negative integer")
     checks = []
 
     def record(name, ok, residual, detail=None):
@@ -485,11 +496,10 @@ def _pde_options(cfg: dict, axes: Sequence[AxisSpec]) -> dict:
     if t_end is None:
         raise ConfigError("give 'pde.t_end' or a first time axis to bound "
                           "the direct solve")
-    options = {"t_end": float(t_end)}
-    if "cfl" in pde:
-        options["cfl"] = float(pde["cfl"])
-    if "dt" in pde:
-        options["dt"] = float(pde["dt"])
+    options = {"t_end": _number(t_end, "'pde.t_end'")}
+    for key in ("cfl", "dt"):
+        if key in pde:
+            options[key] = _number(pde[key], f"'pde.{key}'")
     return options
 
 

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, Fraction]
+FloatForm = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 
 
 class PolynomialError(ValueError):
@@ -63,7 +64,7 @@ class ExactPolynomial:
     combined and zero coefficients dropped, so the stored form is canonical.
     """
 
-    __slots__ = ("nvars", "_terms", "_horner")
+    __slots__ = ("nvars", "_terms", "_float_form")
 
     def __init__(
         self,
@@ -89,7 +90,7 @@ class ExactPolynomial:
                 data.pop(exps, None)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_horner", None)
+        object.__setattr__(self, "_float_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
@@ -130,11 +131,6 @@ class ExactPolynomial:
         if not self._terms:
             return -1
         return max(sum(e) for e in self._terms)
-
-    def degree_in(self, index: int) -> int:
-        if not self._terms:
-            return -1
-        return max(e[index] for e in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if any variable occurs."""
@@ -234,7 +230,7 @@ class ExactPolynomial:
         obj = cls.__new__(cls)
         object.__setattr__(obj, "nvars", nvars)
         object.__setattr__(obj, "_terms", data)
-        object.__setattr__(obj, "_horner", None)
+        object.__setattr__(obj, "_float_form", None)
         return obj
 
     # -- calculus ---------------------------------------------------------
@@ -268,16 +264,23 @@ class ExactPolynomial:
 
     # -- evaluation -------------------------------------------------------
 
+    def float_form(self) -> FloatForm:
+        """The cached float form: one ``(coefficient, ((var, exp), ...))``
+        pair per term in ``terms()`` order, zero exponents left out.  Every
+        float evaluation of a polynomial reads this form."""
+        form = self._float_form
+        if form is None:
+            form = tuple((float(c), tuple((i, e) for i, e in enumerate(exps) if e))
+                         for exps, c in self.terms())
+            object.__setattr__(self, "_float_form", form)
+        return form
+
     def evaluate(self, point: Sequence[float]) -> float:
-        """Evaluate at a float point using a cached Horner-style scheme."""
+        """Evaluate at a float point through the cached float form."""
         if len(point) != self.nvars:
             raise PolynomialError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        node = self._horner
-        if node is None:
-            node = _build_horner(self, 0)
-            object.__setattr__(self, "_horner", node)
-        return _eval_horner(node, point)
+        return evaluate_float_form(self.float_form(), point)
 
     def evaluate_exact(self, point: Sequence[RationalLike]) -> Fraction:
         """Evaluate at a rational point with exact arithmetic."""
@@ -303,43 +306,21 @@ class ExactPolynomial:
         return f"ExactPolynomial({self.nvars}, {self!s})"
 
 
-# Horner nodes: either a float leaf, or a list of (exponent, subnode) pairs
-# in descending exponent order for one variable.
-_HornerNode = Union[float, list]
-
-
-def _build_horner(poly: ExactPolynomial, var: int) -> _HornerNode:
-    if var == poly.nvars:
-        return float(sum(poly._terms.values(), Fraction(0)))
-    # group terms by the exponent of `var`, recurse on the remaining variables
-    groups: dict[int, dict[Exponents, Fraction]] = {}
-    for exps, c in poly._terms.items():
-        groups.setdefault(exps[var], {})[exps] = c
-    node = []
-    for e in sorted(groups, reverse=True):
-        sub = ExactPolynomial._raw(poly.nvars, groups[e])
-        node.append((e, _build_horner(sub, var + 1)))
-    return node
-
-
-def _eval_horner(node: _HornerNode, point: Sequence[float]) -> float:
-    return _eval_node(node, point, 0)
-
-
-def _eval_node(node: _HornerNode, point: Sequence[float], var: int) -> float:
-    if isinstance(node, float):
-        return node
-    x = float(point[var])
-    acc = 0.0
-    prev = None
-    for e, sub in node:
-        if prev is not None:
-            acc *= x ** (prev - e)
-        acc += _eval_node(sub, point, var + 1)
-        prev = e
-    if prev:
-        acc *= x ** prev
-    return acc
+def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:
+    """Sum the terms of a float form at a point, left to right."""
+    total = 0.0
+    for coeff, powers in form:
+        v = coeff
+        for i, e in powers:
+            x = point[i]
+            if e == 1:
+                v *= x
+            elif e == 2:
+                v *= x * x
+            else:
+                v *= x ** e
+        total += v
+    return total
 
 
 # -- canonical printing ---------------------------------------------------

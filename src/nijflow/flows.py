@@ -4,9 +4,9 @@ States are points (u, p).  Each integral F yields the canonical vector field
 
     du^i/dt = dF/dp_i,      dp_i/dt = -dF/du^i,
 
-whose right-hand side is compiled once from the exact polynomials into flat
-coefficient tables and then evaluated in plain floating point, so repeated
-trajectories are deterministic bit for bit.
+whose right-hand side is evaluated in plain floating point from the cached
+float forms of the exact partial derivatives, so repeated trajectories are
+deterministic bit for bit.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an embedded adaptive pair of orders four and five with proportional step
@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, evaluate_float_form
 from .metric import GramMatrix, PhaseFunction
 
 State = list[float]
@@ -93,34 +93,10 @@ class FlowSettings:
             raise ValueError("tolerances must be positive")
 
 
-def _compile_polynomial(poly: ExactPolynomial):
-    terms = []
-    for exps, coeff in poly.terms():
-        powers = tuple((i, e) for i, e in enumerate(exps) if e)
-        terms.append((float(coeff), powers))
-    return tuple(terms)
-
-
-def _eval_compiled(terms, state: Sequence[float]) -> float:
-    total = 0.0
-    for coeff, powers in terms:
-        v = coeff
-        for i, e in powers:
-            x = state[i]
-            if e == 1:
-                v *= x
-            elif e == 2:
-                v *= x * x
-            else:
-                v *= x ** e
-        total += v
-    return total
-
-
 class HamiltonianField:
     """Compiled canonical vector field of one phase function."""
 
-    __slots__ = ("n", "hamiltonian", "du_dt", "dp_dt", "_compiled")
+    __slots__ = ("n", "hamiltonian", "du_dt", "dp_dt", "_forms")
 
     def __init__(self, hamiltonian: PhaseFunction):
         n = hamiltonian.n
@@ -130,14 +106,14 @@ class HamiltonianField:
         object.__setattr__(self, "hamiltonian", hamiltonian)
         object.__setattr__(self, "du_dt", du_dt)
         object.__setattr__(self, "dp_dt", dp_dt)
-        object.__setattr__(self, "_compiled",
-                           tuple(_compile_polynomial(c) for c in (*du_dt, *dp_dt)))
+        object.__setattr__(self, "_forms",
+                           tuple(c.float_form() for c in (*du_dt, *dp_dt)))
 
     def __setattr__(self, name, value):
         raise AttributeError("HamiltonianField is immutable")
 
     def __call__(self, state: Sequence[float]) -> State:
-        return [_eval_compiled(terms, state) for terms in self._compiled]
+        return [evaluate_float_form(form, state) for form in self._forms]
 
     def divergence(self) -> ExactPolynomial:
         """Symbolic divergence; identically zero for canonical fields."""

@@ -31,11 +31,8 @@ from .metric import (
     MetricError,
     PhaseFunction,
     PoissonPairReport,
-    poisson_bracket,
 )
 from .operators import OperatorField, char_coefficients, companion_second
-
-phase_poisson_bracket = poisson_bracket
 
 
 def killing_operators(source: Union[OperatorField, Sequence[ExactPolynomial]]

@@ -35,21 +35,13 @@ class PDEError(RuntimeError):
 # vectorized polynomial evaluation
 
 
-def _compile_poly(poly: ExactPolynomial):
-    terms = []
-    for exps, coeff in poly.terms():
-        powers = tuple((i, e) for i, e in enumerate(exps) if e)
-        terms.append((float(coeff), powers))
-    return tuple(terms)
-
-
-def evaluate_poly_array(terms, U: np.ndarray) -> np.ndarray:
-    """Evaluate one compiled polynomial at a batch of points.
+def evaluate_poly_array(poly: ExactPolynomial, U: np.ndarray) -> np.ndarray:
+    """Evaluate a polynomial at a batch of points from its float form.
 
     ``U`` has shape (..., nvars); the result drops the last axis.
     """
     out = np.zeros(U.shape[:-1])
-    for coeff, powers in terms:
+    for coeff, powers in poly.float_form():
         v = np.full(U.shape[:-1], coeff)
         for i, e in powers:
             v = v * U[..., i] ** e
@@ -57,19 +49,13 @@ def evaluate_poly_array(terms, U: np.ndarray) -> np.ndarray:
     return out
 
 
-def compile_operator(A: OperatorField):
-    """Per-entry compiled form of an operator field, for batch evaluation."""
-    return tuple(tuple(_compile_poly(A.entry(i, j)) for j in range(A.n))
-                 for i in range(A.n))
-
-
-def evaluate_operator_array(compiled, U: np.ndarray) -> np.ndarray:
+def evaluate_operator_array(A: OperatorField, U: np.ndarray) -> np.ndarray:
     """Operator values at a batch of points, shape (..., n, n)."""
-    n = len(compiled)
+    n = A.n
     out = np.empty(U.shape[:-1] + (n, n))
     for i in range(n):
         for j in range(n):
-            out[..., i, j] = evaluate_poly_array(compiled[i][j], U)
+            out[..., i, j] = evaluate_poly_array(A.entry(i, j), U)
     return out
 
 
@@ -89,10 +75,10 @@ def _check_uniform(x_values: np.ndarray) -> float:
     return dx
 
 
-def _interior_rhs(y: np.ndarray, compiled, dx: float) -> np.ndarray:
+def _interior_rhs(y: np.ndarray, A: OperatorField, dx: float) -> np.ndarray:
     """A(u) u_x on the two-node-shrunk interior of the segment ``y``."""
     ux = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dx)
-    Aval = evaluate_operator_array(compiled, y[2:-2])
+    Aval = evaluate_operator_array(A, y[2:-2])
     return np.einsum("xij,xj->xi", Aval, ux)
 
 
@@ -133,19 +119,18 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
             f"nodes, leaving {width} < {min_width}; widen the initial "
             f"interval or refine the lattice")
 
-    compiled = compile_operator(A)
     layers = [u0]
     y = u0
     # overflow is detected by the finiteness check, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            k1 = _interior_rhs(y, compiled, dx)
+            k1 = _interior_rhs(y, A, dx)
             y2 = y[2:-2] + 0.5 * dt * k1
-            k2 = _interior_rhs(y2, compiled, dx)
+            k2 = _interior_rhs(y2, A, dx)
             y3 = y[4:-4] + 0.5 * dt * k2
-            k3 = _interior_rhs(y3, compiled, dx)
+            k3 = _interior_rhs(y3, A, dx)
             y4 = y[6:-6] + dt * k3
-            k4 = _interior_rhs(y4, compiled, dx)
+            k4 = _interior_rhs(y4, A, dx)
             y = y[8:-8] + (dt / 6.0) * (k1[6:-6] + 2.0 * k2[4:-4]
                                         + 2.0 * k3[2:-2] + k4)
             if not np.isfinite(y).all():
@@ -204,7 +189,6 @@ def grid_residual(grid: SolutionGrid,
     u = grid.u
     per_axis = []
     for k, A in enumerate(operators, start=1):
-        compiled = compile_operator(A)
         ut = _central(u, k, axes[k].delta)
         ux = _central(u, 0, axes[0].delta)
         # restrict both to the common interior (x and t_k)
@@ -218,7 +202,7 @@ def grid_residual(grid: SolutionGrid,
         inner[0] = slice(1, -1)
         inner[k] = slice(1, -1)
         u_i = u[tuple(inner)]
-        Aval = evaluate_operator_array(compiled, u_i)
+        Aval = evaluate_operator_array(A, u_i)
         residual = ut_i - np.einsum("...ij,...j->...i", Aval, ux_i)
         per_axis.append(float(np.abs(residual).max()))
     return ResidualReport(tuple(per_axis))

@@ -98,6 +98,45 @@ def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# (command, {dotted field path in nijenhuis2.json: replacement value})
+BAD_NUMBERS = {
+    "abs_tol-string": ("evolve", {"integrator.abs_tol": "abc"}),
+    "horizon-numeric-string": ("evolve", {"integrator.horizon": "1.5"}),
+    "start-string": ("evolve", {"grid.x.start": "abc"}),
+    "stop-infinite": ("evolve", {"grid.x.stop": float("inf")}),
+    "initial-p-bool": ("evolve", {"initial.p": [0.8, True]}),
+    "t_end-string": ("solve-direct", {"pde.t_end": "abc"}),
+    "cfl-null": ("solve-direct", {"pde.cfl": None}),
+    # JSON booleans are not integers
+    "n-bool": ("verify", {"n": True, "sigma": ["u1"]}),
+    "seed-bool": ("verify", {"seed": True}),
+    "count-bool": ("evolve", {"grid.x": {"start": 0.0, "stop": 0.0,
+                                         "count": True}}),
+    "seed-negative": ("verify", {"seed": -1}),
+}
+
+
+@pytest.mark.parametrize("command, fields", BAD_NUMBERS.values(),
+                         ids=BAD_NUMBERS.keys())
+def test_bad_config_numbers_exit_2(tmp_path, capsys, command, fields):
+    cfg = json.loads((CONFIGS / "nijenhuis2.json").read_text())
+    for dotted, value in fields.items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    argv = [command, str(config)]
+    if command != "verify":
+        argv += ["--output", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nijflow {command}: ")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # printed summaries
 

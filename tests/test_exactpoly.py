@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nijflow.exactpoly import (
@@ -13,6 +14,11 @@ from nijflow.exactpoly import (
     grlex_key,
     parse_expression,
 )
+from nijflow.flows import HamiltonianField
+from nijflow.metric import PhaseFunction
+from nijflow.pde import evaluate_poly_array
+
+from support import random_polynomial
 
 U2 = ["u1", "u2"]
 UP2 = ["u1", "u2", "p1", "p2"]
@@ -20,16 +26,6 @@ UP2 = ["u1", "u2", "p1", "p2"]
 
 def poly2(text):
     return parse_expression(text, U2)
-
-
-def random_polynomial(rng, nvars, max_terms=6, max_degree=3, max_coeff=9):
-    terms = []
-    for _ in range(rng.randrange(max_terms + 1)):
-        exps = tuple(rng.randrange(max_degree + 1) for _ in range(nvars))
-        coeff = Fraction(rng.randint(-max_coeff, max_coeff),
-                         rng.randint(1, max_coeff))
-        terms.append((exps, coeff))
-    return ExactPolynomial(nvars, terms)
 
 
 class TestConstruction:
@@ -134,14 +130,24 @@ class TestEvaluation:
         assert p.evaluate([3.0, 2.0]) == pytest.approx(17.5)
 
     def test_matches_exact_evaluation(self):
+        # every float evaluator: scalar, the pde batch loop over the stacked
+        # points, and a Hamiltonian field whose entry du1/dt = dF/dp1 is p
         rng = random.Random(99)
+        momentum = ExactPolynomial.variable(6, 3)
         for _ in range(40):
             p = random_polynomial(rng, 3)
-            point = [Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-                     for _ in range(3)]
-            exact = p.evaluate_exact(point)
-            approx = p.evaluate([float(x) for x in point])
-            assert approx == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+            points = [[Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+                       for _ in range(3)] for _ in range(4)]
+            floats = [[float(x) for x in point] for point in points]
+            batch = evaluate_poly_array(p, np.array(floats))
+            field = HamiltonianField(
+                PhaseFunction(3, p.with_appended_vars(3) * momentum, 1))
+            for point, x, in_batch in zip(points, floats, batch):
+                exact = float(p.evaluate_exact(point))
+                for approx in (p.evaluate(x), in_batch,
+                               field(x + [1.0, 0.0, 0.0])[0]):
+                    assert approx == pytest.approx(exact, rel=1e-12,
+                                                   abs=1e-12)
 
     def test_evaluation_is_deterministic(self):
         p = poly2("u1^3 - 2*u1*u2 + 7/3")

@@ -19,10 +19,10 @@ from nijflow.hierarchy import (
     first_integrals,
     generating_identity_residuals,
     killing_operators,
-    phase_poisson_bracket,
     verify_commuting_integrals,
 )
-from nijflow.metric import PhaseFunction, build_h_family, gram_matrix
+from nijflow.metric import (PhaseFunction, build_h_family, gram_matrix,
+                            poisson_bracket)
 from nijflow.operators import OperatorField, commutator, companion_second
 
 
@@ -128,8 +128,8 @@ class TestFirstIntegrals:
         assert report.residuals[0][2].poly == parse_expression(
             "1/2*u1*p2^3", upnames(2))
 
-    def test_bracket_alias(self):
+    def test_poisson_bracket_of_canonical_pair(self):
         f = PhaseFunction(1, parse_expression("p1", ["u1", "p1"]))
         g = PhaseFunction(1, parse_expression("u1", ["u1", "p1"]))
-        assert phase_poisson_bracket(f, g).poly == \
+        assert poisson_bracket(f, g).poly == \
             parse_expression("1", ["u1", "p1"])

@@ -11,8 +11,7 @@ from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import build_h_family, gram_matrix
 from nijflow.operators import companion_second
 from nijflow.pde import (PDEError, compare_grids, convergence_orders,
-                         direct_solve, evaluate_poly_array, compile_operator,
-                         evaluate_operator_array, grid_residual)
+                         direct_solve, evaluate_operator_array, grid_residual)
 
 from support import sigma_constant
 
@@ -42,10 +41,9 @@ def test_batch_evaluation_matches_pointwise():
     sigma = [parse_expression("u1", U2),
              parse_expression("u2 - 1/2*u1^2", U2)]
     L = companion_second(sigma)
-    compiled = compile_operator(L)
     rng = np.random.default_rng(7)
     U = rng.uniform(-2, 2, size=(4, 3, 2))
-    batch = evaluate_operator_array(compiled, U)
+    batch = evaluate_operator_array(L, U)
     for i in range(4):
         for j in range(3):
             expected = L.evaluate_at(list(U[i, j]))
@@ -54,11 +52,10 @@ def test_batch_evaluation_matches_pointwise():
 
 def test_poly_array_constant_and_powers():
     poly = parse_expression("3*u1^2 - 1/2*u2", U2)
-    terms = compile_operator(companion_second(
-        [poly, parse_expression("0", U2)]))[1][1]
+    L = companion_second([poly, parse_expression("0", U2)])
     # entry (1,1) of the companion matrix is sigma_1 itself
     U = np.array([[1.0, 2.0], [0.5, -4.0]])
-    got = evaluate_poly_array(terms, U)
+    got = evaluate_operator_array(L, U)[:, 1, 1]
     assert np.allclose(got, [3 - 1.0, 0.75 + 2.0])
 
 
