@@ -31,7 +31,7 @@ from .metric import (MetricError, check_gram_normal_form, covariant_at,
                      differential_shift_residuals, pairwise_poisson)
 from .model import CompanionModel
 from .operators import OperatorError, nijenhuis_torsion
-from .pde import PDEError, direct_solve, grid_residual
+from .pde import UNIFORM_RTOL, PDEError, direct_solve, grid_residual
 
 
 class ConfigError(ValueError):
@@ -181,28 +181,23 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
 # CSV lattices
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     """One row per lattice node, lexicographic in the lattice index;
     17-significant-digit floats round-trip bit for bit.  Momentum columns
     appear only when the lattice carries momenta."""
     n = grid.n
     names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
+    index = np.indices(grid.u.shape[:-1]).reshape(len(grid.axes), -1)
+    columns = [a.values()[i] for a, i in zip(grid.axes, index)]
+    columns += list(grid.u.reshape(-1, n).T)
     if grid.p is not None:
         names += [f"p{i + 1}" for i in range(n)]
-    values = [a.values() for a in grid.axes]
-    shape = tuple(a.count for a in grid.axes)
+        columns += list(grid.p.reshape(-1, n).T)
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        for idx in np.ndindex(*shape):
-            row = [_fmt(values[a][idx[a]]) for a in range(len(shape))]
-            row += [_fmt(grid.u[idx + (c,)]) for c in range(n)]
-            if grid.p is not None:
-                row += [_fmt(grid.p[idx + (c,)]) for c in range(n)]
-            f.write(",".join(row) + "\n")
+        f.writelines(row % tuple(values)
+                     for values in np.column_stack(columns).tolist())
 
 
 def read_grid_csv(path: str) -> SolutionGrid:
@@ -243,6 +238,10 @@ def read_grid_csv(path: str) -> SolutionGrid:
         raise ConfigError("lattice rows do not fill a full rectangle")
     axes = tuple(AxisSpec(name, vals[0], vals[-1], len(vals))
                  for name, vals in zip(axis_names, axis_values))
+    for axis, vals in zip(axes, axis_values):
+        if (np.abs(axis.values() - vals).max()
+                > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
+            raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
     # verify lexicographic row order by reconstructing the axis columns
     for a in range(k):
         expected = np.array(axis_values[a])[
@@ -656,6 +655,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"nijflow {args.command}: floating-point overflow: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -22,9 +22,12 @@ grammar admits exactly polynomial expressions with rational coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 Exponents = tuple[int, ...]
 RationalLike = Union[int, Fraction]
@@ -321,6 +324,43 @@ def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:
                 v *= x ** e
         total += v
     return total
+
+
+def evaluate_poly_array(poly: ExactPolynomial, points: np.ndarray) -> np.ndarray:
+    """Batch twin of ``evaluate_float_form``: the polynomial at every point
+    of ``points`` (shape (..., nvars); the result drops the last axis).
+
+    The operations are the scalar loop's, in its order, so every value is
+    bit-identical to ``poly.evaluate`` at that point.  Overflow gives inf
+    where the scalar loop raises ``OverflowError``.
+    """
+    total = np.zeros(points.shape[:-1])
+    for coeff, powers in poly.float_form():
+        v = coeff
+        for i, e in powers:
+            x = points[..., i]
+            if e == 1:
+                v = v * x
+            elif e == 2:
+                v = v * (x * x)
+            else:
+                v = v * _float_power(x, e)
+        total = total + v
+    return total
+
+
+def _float_power(x: np.ndarray, e: int) -> np.ndarray:
+    """``x ** e`` element by element through Python's float power (the C
+    library ``pow``).  numpy's vectorized power is not bit-identical to it
+    on every host (it differs in the last bit for a few percent of inputs
+    where SIMD builds of ``pow`` are used)."""
+    def power(v: float) -> float:
+        try:
+            return v ** e
+        except OverflowError:
+            return math.copysign(math.inf, v) if e % 2 else math.inf
+
+    return np.array([power(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 # -- canonical printing ---------------------------------------------------

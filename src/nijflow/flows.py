@@ -11,8 +11,11 @@ deterministic bit for bit.
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an embedded adaptive pair of orders four and five with proportional step
 control.  Orbit grids are filled by composing the commuting flows: the time
-lattice is generated by prefix flows in the higher times, and each line is
-swept in the x-parameter by the flow of the first integral.
+lattice is generated by prefix flows in the higher times, and its lines are
+swept in the x-parameter by the flow of the first integral.  Two or more
+lines are swept in lockstep as one (lines, 2n) array, each line keeping its
+own adaptive step, with results bit-identical to sweeping them one by one;
+a single line takes the scalar path.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, evaluate_float_form
+from .exactpoly import ExactPolynomial, evaluate_float_form, evaluate_poly_array
 from .metric import GramMatrix, PhaseFunction
 
 State = list[float]
@@ -114,6 +117,12 @@ class HamiltonianField:
 
     def __call__(self, state: Sequence[float]) -> State:
         return [evaluate_float_form(form, state) for form in self._forms]
+
+    def batch(self, states: np.ndarray) -> np.ndarray:
+        """The field at every row of a (lines, 2n) array; each row is
+        bit-identical to ``self(row)``."""
+        return np.stack([evaluate_poly_array(c, states)
+                         for c in (*self.du_dt, *self.dp_dt)], axis=-1)
 
     def divergence(self) -> ExactPolynomial:
         """Symbolic divergence; identically zero for canonical fields."""
@@ -225,6 +234,8 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
 
 def _advance(f: HamiltonianField, y: State, t_span: float,
              settings: FlowSettings) -> State:
+    # plain floats throughout: numpy scalars would warn on overflow
+    t_span = float(t_span)
     if t_span == 0.0:
         return list(y)
     if settings.method == "rk4":
@@ -233,6 +244,146 @@ def _advance(f: HamiltonianField, y: State, t_span: float,
             raise FlowError("state became non-finite")
         return y
     return _rk45_segment(f, y, t_span, settings)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches of lines
+#
+# The batch integrators advance the rows of a (lines, 2n) array through one
+# segment with the scalar segment code's arithmetic, operation by operation,
+# so each row ends bit-identical to a scalar integration of that row.  A row
+# that meets a non-finite value is finished by the scalar segment code from
+# its segment start: that reproduces the scalar outcome exactly, a recovery
+# by step rejection or the FlowError with its message and last state.  As in
+# a scalar sweep of the rows in order, the error raised is the one of the
+# first failing row; rows after it are dropped.
+
+
+class _Lines:
+    """The states of a batch of lines and the first failure among them."""
+
+    def __init__(self, states: np.ndarray):
+        self.y = states
+        self.start = states         # the states at the segment start
+        self.live = len(states)     # rows from here on are dropped
+        self.error: FlowError | None = None
+
+    def fail(self, row: int, error: FlowError) -> None:
+        if row < self.live:
+            self.live, self.error = row, error
+
+    def finish_scalar(self, row: int, segment) -> None:
+        """Redo one row's segment with the scalar code; ``segment`` maps a
+        start state to an end state."""
+        try:
+            self.y[row] = segment(self.start[row].tolist())
+        except FlowError as exc:
+            self.fail(row, exc)
+
+
+def _rk4_lines(f: HamiltonianField, lines: _Lines, t_span: float,
+               step: float) -> None:
+    nsteps = max(1, math.ceil(abs(t_span) / step - 1e-12))
+    h = t_span / nsteps
+    half = 0.5 * h
+    sixth = h / 6.0
+    y = lines.y[:lines.live]
+    for _ in range(nsteps):
+        k1 = f.batch(y)
+        k2 = f.batch(y + half * k1)
+        k3 = f.batch(y + half * k2)
+        k4 = f.batch(y + h * k3)
+        ynew = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        bad = np.flatnonzero(~np.isfinite(ynew).all(axis=1))
+        if bad.size:
+            # the scalar code repeats this step bit for bit, so it raises
+            # here, with the message and last state of a scalar run
+            lines.finish_scalar(int(bad[0]),
+                                lambda s: _rk4_segment(f, s, t_span, step))
+            ynew = ynew[:lines.live]
+        y = ynew
+    lines.y[:len(y)] = y
+
+
+def _rk45_lines(f: HamiltonianField, lines: _Lines, t_span: float,
+                settings: FlowSettings) -> None:
+    direction = 1.0 if t_span > 0 else -1.0
+    count = lines.live
+    remaining = np.full(count, abs(t_span))
+    h = np.full(count, min(0.05, abs(t_span)))
+    atol, rtol = settings.abs_tol, settings.rel_tol
+    rows = np.arange(count)
+    steps = 0
+    while rows.size:
+        steps += 1
+        if steps > settings.max_steps:
+            row = int(rows[0])
+            lines.fail(row, FlowError("step budget exhausted",
+                                      CotangentPoint.from_state(lines.y[row])))
+            return
+        y = lines.y[rows]
+        hr = np.minimum(h[rows], remaining[rows])
+        dh = (direction * hr)[:, None]
+        ks = []
+        for a_row in _RK45_A:
+            z = y
+            for a, k in zip(a_row, ks):
+                if a:
+                    z = z + (dh * a) * k
+            ks.append(f.batch(z))
+        acc = 0.0
+        for b, k in zip(_RK45_B5, ks):
+            if b:
+                acc = acc + b * k
+        y5 = y + dh * acc
+        e4 = 0.0
+        for b5, b4, k in zip(_RK45_B5, _RK45_B4, ks):
+            e4 = e4 + (b5 - b4) * k
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = (np.abs(dh * e4) / scale).max(axis=1)
+        finite = np.isfinite(y5).all(axis=1) & np.isfinite(err)
+        for row in rows[~finite]:
+            if row < lines.live:
+                lines.finish_scalar(
+                    int(row), lambda s: _rk45_segment(f, s, t_span, settings))
+        rows, hr, y5, err = rows[finite], hr[finite], y5[finite], err[finite]
+        accepted = err <= 1.0
+        lines.y[rows[accepted]] = y5[accepted]
+        remaining[rows[accepted]] -= hr[accepted]
+        # the factors in Python floats: numpy's vectorized power may differ
+        # in the last bit from the scalar code's
+        h[rows] = hr * [5.0 if e == 0.0
+                        else min(5.0, max(0.2, 0.9 * e ** -0.2))
+                        for e in err.tolist()]
+        for row in rows[(h[rows] < settings.min_step)
+                        & (remaining[rows] > 0.0)]:
+            lines.fail(int(row), FlowError(
+                "step size underflow", CotangentPoint.from_state(lines.y[row])))
+        rows = rows[(remaining[rows] > 0.0) & (rows < lines.live)]
+
+
+def _sweep_lines(f: HamiltonianField, states: np.ndarray,
+                 times: Sequence[float], settings: FlowSettings) -> np.ndarray:
+    """Every line of ``states`` (lines, 2n) at every time, shape
+    (len(times), lines, 2n): ``integrate_flow_path`` over all lines in
+    lockstep, with bit-identical results."""
+    out = np.empty((len(times),) + states.shape)
+    lines = _Lines(states.copy())
+    prev = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times):
+            t_span = t - prev
+            prev = t
+            if t_span != 0.0 and lines.live:
+                lines.start = lines.y.copy()
+                if settings.method == "rk4":
+                    _rk4_lines(f, lines, t_span, settings.step)
+                else:
+                    _rk45_lines(f, lines, t_span, settings)
+            out[k] = lines.y
+    if lines.error is not None:
+        raise lines.error
+    return out
 
 
 def integrate_flow(F: Union[PhaseFunction, HamiltonianField],
@@ -331,7 +482,9 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
     ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The time lattice in
     the higher axes is produced once by prefix composition, then every line
-    is swept in x from its lattice node.
+    is swept in x from its lattice node: all lines in lockstep when there
+    are two or more, a single line by ``integrate_flow_path``.  Both ways
+    give the same bits.
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
@@ -361,14 +514,17 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
         states[idx] = integrate_flow(fields[k + 1], states[prev], dt, settings)
 
     x_axis = axes[0]
-    u = np.empty((x_axis.count,) + t_shape + (n,))
-    p = np.empty_like(u)
-    x_values = list(x_axis.values())
-    for idx in np.ndindex(*t_shape):
-        points = integrate_flow_path(fields[0], states[idx], x_values, settings)
-        for ix, pt in enumerate(points):
-            u[(ix,) + idx] = pt.u
-            p[(ix,) + idx] = pt.p
+    x_values = x_axis.values().tolist()
+    lines = [states[idx] for idx in np.ndindex(*t_shape)]
+    if len(lines) == 1:
+        path = np.array([[pt.state()] for pt in
+                         integrate_flow_path(fields[0], lines[0], x_values,
+                                             settings)])
+    else:
+        path = _sweep_lines(fields[0], np.array([pt.state() for pt in lines]),
+                            x_values, settings)
+    path = path.reshape((x_axis.count,) + t_shape + (2 * n,))
+    u, p = path[..., :n], path[..., n:]
     grid_meta = {"generator": "orbit", "settings": settings}
     if meta:
         grid_meta.update(meta)

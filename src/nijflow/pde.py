@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import evaluate_poly_array
 from .flows import AxisSpec, SolutionGrid
 from .operators import OperatorField
 
@@ -32,21 +32,7 @@ class PDEError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# vectorized polynomial evaluation
-
-
-def evaluate_poly_array(poly: ExactPolynomial, U: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial at a batch of points from its float form.
-
-    ``U`` has shape (..., nvars); the result drops the last axis.
-    """
-    out = np.zeros(U.shape[:-1])
-    for coeff, powers in poly.float_form():
-        v = np.full(U.shape[:-1], coeff)
-        for i, e in powers:
-            v = v * U[..., i] ** e
-        out += v
-    return out
+# vectorized operator evaluation
 
 
 def evaluate_operator_array(A: OperatorField, U: np.ndarray) -> np.ndarray:
@@ -63,6 +49,11 @@ def evaluate_operator_array(A: OperatorField, U: np.ndarray) -> np.ndarray:
 # the direct solver
 
 
+# how far, as a fraction of max(1, |spacing|), a lattice may stray from
+# uniform: in its spacings here, in its node positions when a CSV is read
+UNIFORM_RTOL = 1e-12
+
+
 def _check_uniform(x_values: np.ndarray) -> float:
     if x_values.ndim != 1 or len(x_values) < 2:
         raise PDEError("the spatial lattice needs at least two nodes")
@@ -70,7 +61,7 @@ def _check_uniform(x_values: np.ndarray) -> float:
     dx = float(diffs[0])
     if dx <= 0:
         raise PDEError("spatial nodes must be strictly increasing")
-    if np.abs(diffs - dx).max() > 1e-12 * max(1.0, abs(dx)):
+    if np.abs(diffs - dx).max() > UNIFORM_RTOL * max(1.0, abs(dx)):
         raise PDEError("spatial lattice must be uniform")
     return dx
 

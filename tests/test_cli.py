@@ -113,6 +113,8 @@ BAD_NUMBERS = {
     "count-bool": ("evolve", {"grid.x": {"start": 0.0, "stop": 0.0,
                                          "count": True}}),
     "seed-negative": ("verify", {"seed": -1}),
+    # exact arithmetic copes; the float checks overflow
+    "sigma-overflow": ("verify", {"sigma": ["u1", "u2^999999"]}),
 }
 
 
@@ -202,6 +204,33 @@ def test_read_grid_csv_rejects_malformed_input(tmp_path):
     path.write_text("x,t1,u1\n0,0,one\n")
     with pytest.raises(ConfigError):
         read_grid_csv(str(path))
+
+
+# (x values, t1 values) of lattices whose axes are not uniform
+NON_UNIFORM = {
+    "x-stretched": ([0.0, 0.5, 2.0], [0.0, 0.1]),
+    "t-stretched": ([0.0, 0.5, 1.0], [0.0, 0.1, 0.5]),
+    "x-unsorted": ([0.0, 1.0, 0.5], [0.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("command", ["residual", "plot"])
+@pytest.mark.parametrize("xs, ts", NON_UNIFORM.values(),
+                         ids=NON_UNIFORM.keys())
+def test_non_uniform_lattice_axes_exit_2(tmp_path, capsys, command, xs, ts):
+    path = tmp_path / "lattice.csv"
+    path.write_text("x,t1,u1,u2\n" + "".join(
+        f"{x!r},{t!r},0.5,-0.25\n" for x in xs for t in ts))
+    with pytest.raises(ConfigError):
+        read_grid_csv(str(path))
+    if command == "residual":
+        argv = [command, str(CONFIGS / "nijenhuis2.json"), "--input", str(path)]
+    else:
+        argv = [command, str(path), "--output", str(tmp_path / "plot.svg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nijflow {command}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_solve_direct_csv_has_no_momentum_columns(tmp_path, capsys):

@@ -10,13 +10,13 @@ from nijflow.exactpoly import (
     ExactPolynomial,
     ParseError,
     PolynomialError,
+    evaluate_poly_array,
     format_polynomial,
     grlex_key,
     parse_expression,
 )
 from nijflow.flows import HamiltonianField
 from nijflow.metric import PhaseFunction
-from nijflow.pde import evaluate_poly_array
 
 from support import random_polynomial
 
@@ -130,7 +130,7 @@ class TestEvaluation:
         assert p.evaluate([3.0, 2.0]) == pytest.approx(17.5)
 
     def test_matches_exact_evaluation(self):
-        # every float evaluator: scalar, the pde batch loop over the stacked
+        # every float evaluator: scalar, the batch loop over the stacked
         # points, and a Hamiltonian field whose entry du1/dt = dF/dp1 is p
         rng = random.Random(99)
         momentum = ExactPolynomial.variable(6, 3)
@@ -148,6 +148,20 @@ class TestEvaluation:
                                field(x + [1.0, 0.0, 0.0])[0]):
                     assert approx == pytest.approx(exact, rel=1e-12,
                                                    abs=1e-12)
+
+    def test_batch_is_bit_identical_to_scalar(self):
+        # powers up to 5 take the float-power path of the batch loop
+        rng = random.Random(17)
+        points = np.random.default_rng(17).normal(scale=3.0, size=(50, 3))
+        for _ in range(40):
+            p = random_polynomial(rng, 3, max_degree=5)
+            scalar = [p.evaluate(x) for x in points.tolist()]
+            assert np.array_equal(evaluate_poly_array(p, points), scalar)
+        # overflow is inf in the batch (the scalar loop raises)
+        big = parse_expression("x1^400 - x1^3", ["x1"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate_poly_array(big, np.array([[-10.0], [2.0]]))
+        assert not np.isfinite(values[0]) and values[1] == 2.0 ** 400 - 8.0
 
     def test_evaluation_is_deterministic(self):
         p = poly2("u1^3 - 2*u1*u2 + 7/3")

@@ -295,6 +295,72 @@ def test_orbit_grid_x_derivative_matches_metric_times_momenta():
     assert worst < 2e-3  # second-order finite-difference error
 
 
+def nijenhuis2_pair():
+    return nijenhuis2_setup()[2][:2]
+
+
+def curved3_pair():
+    # the second integral's field has the cubic term u1^3*p3, so sweeping
+    # in x with it runs the float-power path of the batch loop
+    names = ["u1", "u2", "u3"]
+    sigma = [parse_expression(e, names)
+             for e in ("u1", "u2 - 1/2*u1^2", "u3 - u1*u2 + 1/6*u1^3")]
+    h1 = gram_matrix(build_h_family(sigma)[0])
+    integrals = first_integrals(h1, killing_operators(sigma))
+    return [integrals[1], integrals[0]]
+
+
+def line_by_line(integrals, start, axes, settings):
+    """The orbit lattice of one time axis from scalar flows alone: prefix
+    states on the time axis, then one integrate_flow_path per line."""
+    states = [start]
+    t = axes[1].values()
+    if t[0] != 0.0:
+        states[0] = integrate_flow(integrals[1], start, t[0], settings)
+    for k in range(1, len(t)):
+        states.append(integrate_flow(integrals[1], states[-1], t[k] - t[k - 1],
+                                     settings))
+    x = list(axes[0].values())
+    return [integrate_flow_path(integrals[0], z, x, settings) for z in states]
+
+
+@pytest.mark.parametrize("pair, start", [
+    (nijenhuis2_pair, CotangentPoint((0.1, -0.2), (0.8, 0.5))),
+    (curved3_pair, CotangentPoint((0.4, -0.2, 0.05), (0.8, 0.5, 0.3))),
+])
+@pytest.mark.parametrize("settings", [FlowSettings(method="rk4", step=0.01),
+                                      FlowSettings(method="rk45")])
+def test_batch_sweep_is_bit_identical_to_scalar_lines(pair, start, settings):
+    integrals = pair()
+    axes = (AxisSpec("x", -0.3, 0.4, 8), AxisSpec("t1", -0.1, 0.3, 5))
+    grid = orbit_grid(integrals, start, axes, settings)
+    for it, points in enumerate(line_by_line(integrals, start, axes,
+                                             settings)):
+        assert np.array_equal(grid.u[:, it], [z.u for z in points])
+        assert np.array_equal(grid.p[:, it], [z.p for z in points])
+
+
+@pytest.mark.parametrize("settings", [
+    FlowSettings(method="rk4", step=1e-3, horizon=4.0),
+    FlowSettings(method="rk45", horizon=4.0)])
+def test_batch_blow_up_raises_the_first_failing_line(settings):
+    # du1/dx = u1^2 blows up at x = 1/u1(0); the t-flow of p1 shifts u1, so
+    # the lines start at u1 = -1/2 ... 2 and only the positive ones blow up
+    F = PhaseFunction(1, parse_expression("u1^2*p1", upnames(1)))
+    G = PhaseFunction(1, parse_expression("p1", upnames(1)))
+    start = CotangentPoint((-0.5,), (1.0,))
+    axes = (AxisSpec("x", 0.0, 1.5, 4), AxisSpec("t1", 0.0, 2.5, 6))
+    with pytest.raises(FlowError) as err:
+        orbit_grid([F, G], start, axes, settings)
+    with pytest.raises(FlowError) as scalar:
+        line_by_line([F, G], start, axes, settings)
+    last = err.value.last_state
+    assert last is not None
+    assert all(math.isfinite(v) for v in last.state())
+    assert str(err.value) == str(scalar.value)
+    assert last == scalar.value.last_state
+
+
 # ---------------------------------------------------------------------------
 # geodesic initial data
 
