@@ -1,8 +1,9 @@
 """From characteristic coefficients to a geodesically compatible metric.
 
-The quadratic integrals h_1..h_n come from squaring the momentum pencil
-S = sum_k p_k L^(k-1); the Gram matrix of h_1 is the contravariant metric.
-An independent recursion through reduced power coefficients must produce
+The quadratic integrals h_1..h_n are the first row of the square of the
+momentum pencil S = sum_k p_k L^(k-1); the Gram matrix of h_1 is the
+contravariant metric.  build_h_family reads them off the reduced power
+coefficients of L; squaring the pencil (h_family_from_pencil) must produce
 the same family, and the Gram matrix must land in unit anti-triangular
 normal form.  Finally the covariant metric and its derivatives are obtained
 at a sample point by exact-then-float inversion.
@@ -12,7 +13,7 @@ import numpy as np
 
 from nijflow import (base_names, build_h_family, check_gram_normal_form,
                      covariant_at, format_polynomial, gram_matrix,
-                     h_family_from_powers, parse_expression)
+                     h_family_from_pencil, parse_expression)
 
 names = base_names(2)
 sigma = [parse_expression(s, names) for s in ("u1", "u2 - 1/2*u1^2")]
@@ -23,8 +24,8 @@ for i, h in enumerate(family, start=1):
     print(f"  h_{i} = {h}")
 
 print("\n== the independent route agrees exactly ==")
-other = h_family_from_powers(sigma)
-print(f"  pencil-square route == power-recursion route: {family == other}")
+other = h_family_from_pencil(sigma)
+print(f"  power-recursion route == pencil-square route: {family == other}")
 
 print("\n== Gram matrix of h_1 (contravariant metric) ==")
 gram = gram_matrix(family[0])

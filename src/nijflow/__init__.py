@@ -56,7 +56,7 @@ from .metric import (
     covariant_at,
     differential_shift_residuals,
     gram_matrix,
-    h_family_from_powers,
+    h_family_from_pencil,
     pairwise_poisson,
     poisson_bracket,
 )
@@ -127,7 +127,7 @@ __all__ = [
     "gram_matrix",
     "grid_residual",
     "guiding_bracket",
-    "h_family_from_powers",
+    "h_family_from_pencil",
     "hamiltonian_rhs",
     "integrate_flow",
     "integrate_flow_path",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -169,27 +170,31 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
         point = g_at.point
     elif tuple(float(x) for x in point) != g_at.point:
         raise CompatError("point differs from the one the metric was built at")
-    g = g_at.g
-    dg = g_at.dg  # dg[a, i, j] = d g_ij / d u^a
-    Lv = L.evaluate_at(point)
-    dL = np.array([[[L.entry(a, b).partial(i).evaluate(point)
-                     for b in range(n)] for a in range(n)] for i in range(n)])
-    # dL[i, a, b] = d_i L^a_b
+    # Python floats, not numpy scalars, for speed; every product and sum is
+    # the array form's, in its order (left to right from 0, never the
+    # compensated sum() of newer Pythons), so the residual is bit-identical
+    g = g_at.g.tolist()
+    dg = g_at.dg.tolist()  # dg[a][i][j] = d g_ij / d u^a
+    Lv = L.evaluate_at(point).tolist()
+    dL = [[[L.entry(a, b).partial(i).evaluate(point)
+            for b in range(n)] for a in range(n)] for i in range(n)]
+    # dL[i][a][b] = d_i L^a_b
     trace = L.trace()
-    dtr = np.array([trace.partial(j).evaluate(point) for j in range(n)])
+    dtr = [trace.partial(j).evaluate(point) for j in range(n)]
 
-    def half(i, j, k):
-        t1 = sum(g[k, a] * dL[i, a, j] for a in range(n))
-        t2 = sum((dg[a, i, k] - dg[k, i, a]) * Lv[a, j] for a in range(n))
-        return t1 + t2
+    half = {}  # (i, j, k) -> the bracketed sum over a with j and k in place
+    for i, j, k in product(range(n), repeat=3):
+        t1 = t2 = 0
+        for a in range(n):
+            t1 += g[k][a] * dL[i][a][j]
+            t2 += (dg[a][i][k] - dg[k][i][a]) * Lv[a][j]
+        half[i, j, k] = t1 + t2
 
     worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = half(i, j, k) + half(i, k, j)
-                rhs = g[i, k] * dtr[j] + g[i, j] * dtr[k]
-                worst = max(worst, abs(lhs - rhs))
+    for i, j, k in product(range(n), repeat=3):
+        lhs = half[i, j, k] + half[i, k, j]
+        rhs = g[i][k] * dtr[j] + g[i][j] * dtr[k]
+        worst = max(worst, abs(lhs - rhs))
     return worst
 
 

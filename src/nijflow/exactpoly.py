@@ -67,7 +67,7 @@ class ExactPolynomial:
     combined and zero coefficients dropped, so the stored form is canonical.
     """
 
-    __slots__ = ("nvars", "_terms", "_float_form")
+    __slots__ = ("nvars", "_terms", "_float_form", "_partials")
 
     def __init__(
         self,
@@ -94,6 +94,7 @@ class ExactPolynomial:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_float_form", None)
+        object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
@@ -234,14 +235,22 @@ class ExactPolynomial:
         object.__setattr__(obj, "nvars", nvars)
         object.__setattr__(obj, "_terms", data)
         object.__setattr__(obj, "_float_form", None)
+        object.__setattr__(obj, "_partials", None)
         return obj
 
     # -- calculus ---------------------------------------------------------
 
     def partial(self, index: int) -> "ExactPolynomial":
-        """Partial derivative with respect to variable ``index`` (0-based)."""
+        """Partial derivative with respect to variable ``index`` (0-based),
+        built once per instance and cached (polynomials are immutable)."""
         if not 0 <= index < self.nvars:
             raise PolynomialError(f"variable index {index} out of range")
+        cache = self._partials
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_partials", cache)
+        elif index in cache:
+            return cache[index]
         data: dict[Exponents, Fraction] = {}
         for exps, c in self._terms.items():
             e = exps[index]
@@ -253,7 +262,8 @@ class ExactPolynomial:
                 data[lowered] = s
             else:
                 data.pop(lowered, None)
-        return self._raw(self.nvars, data)
+        derivative = cache[index] = self._raw(self.nvars, data)
+        return derivative
 
     # -- variable embedding ----------------------------------------------
 

@@ -12,10 +12,9 @@ namely h_i = (S^2)[first row, column n+1-i].  Each h_i is a quadratic form in
 p whose Gram matrix has polynomial entries in u; the Gram matrix of h_1 is
 the contravariant metric of the construction.
 
-An independent construction of the same family expands powers of L in the
-basis Id, L, ..., L^(n-1) via the characteristic relation and collects
-coefficients; the two routes must agree exactly and are cross-checked in the
-test suite and the verification pipeline.
+``build_h_family`` reads the Gram entries off the powers of L expanded in
+the basis Id, L, ..., L^(n-1); ``h_family_from_pencil`` squares the pencil
+(first row only) and is the oracle the tests compare it to.
 
 The canonical Poisson bracket used throughout is
 
@@ -33,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactpoly import ExactPolynomial, format_polynomial, phase_names
-from .operators import OperatorField, companion_second
+from .operators import companion_second
 
 
 class MetricError(ValueError):
@@ -231,43 +230,6 @@ def _det(rows) -> ExactPolynomial:
     return acc
 
 
-def _phase_matrix_product(a, b, nvars):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ExactPolynomial.zero(nvars)
-            for s in range(n):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
-    """The family h_1, ..., h_n from the square of the momentum pencil.
-
-    Returns quadratic phase functions; the Gram matrix of h_1 is the
-    contravariant metric.
-    """
-    n = len(sigma)
-    L = companion_second(sigma)
-    powers = [OperatorField.identity(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ L)
-    nv = 2 * n
-    pencil = [[ExactPolynomial.zero(nv) for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        pk = ExactPolynomial.variable(nv, n + k)
-        lifted = powers[k].phase_entries()
-        for i in range(n):
-            for j in range(n):
-                pencil[i][j] = pencil[i][j] + pk * lifted[i][j]
-    square = _phase_matrix_product(pencil, pencil, nv)
-    return [PhaseFunction(n, square[0][n - i], 2) for i in range(1, n + 1)]
-
-
 def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
                                max_power: int) -> list[list[ExactPolynomial]]:
     """Coefficients of L^k, k = 0..max_power, in the basis Id, L, ...,
@@ -287,9 +249,13 @@ def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
     return coeffs
 
 
-def h_family_from_powers(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
-    """Independent route to the same family: the Gram entry of h_m at (i, j)
-    is the coefficient of L^(n-m) in the expansion of L^(i+j-2)."""
+def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
+    """The family h_1, ..., h_n: the Gram entry of h_m at (i, j) is the
+    coefficient of L^(n-m) in the expansion of L^(i+j-2).
+
+    Returns quadratic phase functions; the Gram matrix of h_1 is the
+    contravariant metric.
+    """
     n = len(sigma)
     coeffs = reduced_power_coefficients(sigma, 2 * n - 2)
     nv = 2 * n
@@ -304,6 +270,28 @@ def h_family_from_powers(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
                 pi = ExactPolynomial.variable(nv, n + i)
                 pj = ExactPolynomial.variable(nv, n + j)
                 acc = acc + c.with_appended_vars(n) * pi * pj
+        out.append(PhaseFunction(n, acc, 2))
+    return out
+
+
+def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
+    """Oracle for ``build_h_family``: h_i = (S^2)[0, n-i] for the momentum
+    pencil S; only the first row of the square is formed."""
+    n = len(sigma)
+    L = companion_second(sigma)
+    nv = 2 * n
+    pencil = [[ExactPolynomial.zero(nv) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        pk = ExactPolynomial.variable(nv, n + k)
+        lifted = L.power(k).phase_entries()
+        for i in range(n):
+            for j in range(n):
+                pencil[i][j] = pencil[i][j] + pk * lifted[i][j]
+    out = []
+    for i in range(1, n + 1):
+        acc = ExactPolynomial.zero(nv)
+        for s in range(n):
+            acc = acc + pencil[0][s] * pencil[s][n - i]
         out.append(PhaseFunction(n, acc, 2))
     return out
 

@@ -290,9 +290,6 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
     """
     n = L.n
     E = L.entries
-    dE = [[[E[a][b].partial(s) for s in range(n)] for b in range(n)]
-          for a in range(n)]
-    # dE[a][b][s] = d_s L^a_b
     comps = []
     for k in range(n):
         layer = []
@@ -301,10 +298,10 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
             for j in range(n):
                 acc = ExactPolynomial.zero(n)
                 for s in range(n):
-                    acc = acc + E[s][i] * dE[k][j][s]
-                    acc = acc - E[s][j] * dE[k][i][s]
-                    acc = acc - E[k][s] * dE[s][j][i]
-                    acc = acc + E[k][s] * dE[s][i][j]
+                    acc = acc + E[s][i] * E[k][j].partial(s)
+                    acc = acc - E[s][j] * E[k][i].partial(s)
+                    acc = acc - E[k][s] * E[s][j].partial(i)
+                    acc = acc + E[k][s] * E[s][i].partial(j)
                 row.append(acc)
             layer.append(row)
         comps.append(layer)

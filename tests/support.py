@@ -81,3 +81,23 @@ def sigma_constant(n, values=None):
     if values is None:
         values = [Fraction(2 - k, 2) for k in range(n)]
     return [ExactPolynomial.constant(n, v) for v in values]
+
+
+# The torsion-free curved family (weight of u_i = i): sigma_1..sigma_(n-1)
+# do not depend on n.
+CURVED = ("u1",
+          "u2 - 1/2*u1^2",
+          "u3 - u1*u2 + 1/6*u1^3",
+          "u4 - u1*u3 - 1/2*u2^2 + 1/2*u1^2*u2 - 1/24*u1^4")
+
+
+def sigma_curved(n):
+    """The curved torsion-free family, n = 1..4."""
+    return [upoly(text, n) for text in CURVED[:n]]
+
+
+def sigma_obstructed(n):
+    """sigma_i = u_i + u1*u_(i-1): an operator with nonzero torsion, so
+    the compatibility sweep has a residual to report."""
+    return [upoly("u1", n)] + [upoly(f"u{i} + u1*u{i - 1}", n)
+                               for i in range(2, n + 1)]

@@ -24,7 +24,7 @@ from nijflow.hierarchy import generating_identity_residuals, \
     verify_commuting_integrals
 from nijflow.metric import (build_h_family, check_gram_normal_form,
                             covariant_at, differential_shift_residuals,
-                            gram_matrix, h_family_from_powers,
+                            gram_matrix, h_family_from_pencil,
                             pairwise_poisson)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second, \
@@ -281,7 +281,7 @@ def test_criterion_7_randomized_algebra():
         n = checked % 4 + 1
         sigma = random_sigma(rng, n)
         family = build_h_family(sigma)
-        oracle = h_family_from_powers(sigma)
+        oracle = h_family_from_pencil(sigma)
         if [h.poly for h in family] != [h.poly for h in oracle]:
             problems.append(f"family mismatch at case {checked} (n={n})")
             break

@@ -9,6 +9,8 @@ from support import (
     random_polynomial,
     sigma_constant,
     sigma_coordinates2,
+    sigma_curved,
+    sigma_obstructed,
     sigma_torsion_free2,
     upnames,
     upoly,
@@ -128,6 +130,47 @@ class TestCoordinateForm:
         cov = covariant_at(h1, [0.1, 0.2])
         with pytest.raises(CompatError):
             coordinate_form_residual_at(cov, L, point=[0.3, 0.2])
+
+    @pytest.mark.parametrize("sigma", [
+        sigma_curved(3), sigma_curved(4), sigma_obstructed(5),
+        sigma_torsion_free2()],
+        ids=["curved3", "curved4", "obstructed5", "nijenhuis2"])
+    def test_sweep_is_bit_identical_to_array_form(self, sigma):
+        _, h1, L = metric_setup(sigma)
+        rng = np.random.default_rng(4417)
+        for _ in range(50):
+            point = [float(v) for v in rng.uniform(-2.0, 2.0, size=len(sigma))]
+            cov = covariant_at(h1, point)
+            assert (coordinate_form_residual_at(cov, L)
+                    == _coordinate_form_array_reference(cov, L))
+
+
+def _coordinate_form_array_reference(g_at, L):
+    """The numpy-array form of ``coordinate_form_residual_at``: the same
+    residual with every product and sum taken on numpy scalars."""
+    n = L.n
+    point = g_at.point
+    g = g_at.g
+    dg = g_at.dg
+    Lv = L.evaluate_at(point)
+    dL = np.array([[[L.entry(a, b).partial(i).evaluate(point)
+                     for b in range(n)] for a in range(n)] for i in range(n)])
+    trace = L.trace()
+    dtr = np.array([trace.partial(j).evaluate(point) for j in range(n)])
+
+    def half(i, j, k):
+        t1 = sum(g[k, a] * dL[i, a, j] for a in range(n))
+        t2 = sum((dg[a, i, k] - dg[k, i, a]) * Lv[a, j] for a in range(n))
+        return t1 + t2
+
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = half(i, j, k) + half(i, k, j)
+                rhs = g[i, k] * dtr[j] + g[i, j] * dtr[k]
+                worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 class TestLieForm:

@@ -124,6 +124,38 @@ class TestCalculus:
             assert (a * b).partial(0) == a.partial(0) * b + a * b.partial(0)
 
 
+class TestDerivativeCache:
+    def test_derivative_is_built_once(self):
+        p = poly2("u1^2*u2 + u2")
+        d = p.partial(0)
+        assert p.partial(0) is d
+        assert p.partial(0).float_form() is d.float_form()
+
+    def test_cached_matches_fresh_copy(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            p = random_polynomial(rng, 3)
+            first = [p.partial(i) for i in range(p.nvars)]
+            fresh = ExactPolynomial(p.nvars, dict(p.terms()))
+            for i in range(p.nvars):
+                assert p.partial(i) is first[i]
+                assert p.partial(i) == fresh.partial(i)
+
+    def test_out_of_range_index_still_rejected(self):
+        p = poly2("u1*u2")
+        p.partial(0)
+        for index in (-1, 2):
+            with pytest.raises(PolynomialError):
+                p.partial(index)
+
+    def test_still_immutable(self):
+        p = poly2("u1*u2")
+        p.partial(1)
+        for name in ("nvars", "_partials", "_float_form"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+
+
 class TestEvaluation:
     def test_example_value(self):
         p = poly2("u1^2*u2 - 1/2")

@@ -12,6 +12,8 @@ from support import (
     random_sigma,
     sigma_constant,
     sigma_coordinates2,
+    sigma_curved,
+    sigma_obstructed,
     sigma_torsion_free2,
     upnames,
     upoly,
@@ -28,7 +30,7 @@ from nijflow.metric import (
     covariant_at,
     differential_shift_residuals,
     gram_matrix,
-    h_family_from_powers,
+    h_family_from_pencil,
     pairwise_poisson,
     poisson_bracket,
     reduced_power_coefficients,
@@ -124,7 +126,14 @@ class TestHFamily:
         rng = random.Random(314)
         for n in (1, 2, 3, 4):
             sig = random_sigma(rng, n)
-            assert build_h_family(sig) == h_family_from_powers(sig)
+            assert build_h_family(sig) == h_family_from_pencil(sig)
+
+    @pytest.mark.parametrize("sigma", [
+        sigma_curved(2), sigma_curved(3), sigma_curved(4),
+        sigma_obstructed(5), sigma_obstructed(6)],
+        ids=["curved2", "curved3", "curved4", "obstructed5", "obstructed6"])
+    def test_pencil_oracle_beyond_small_n(self, sigma):
+        assert h_family_from_pencil(sigma) == build_h_family(sigma)
 
     def test_power_coefficients_satisfy_char_relation(self):
         # the n-th power must expand as (sigma_n, sigma_(n-1), ..., sigma_1)
