@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -186,27 +187,35 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     17-significant-digit floats round-trip bit for bit.  Momentum columns
     appear only when the lattice carries momenta."""
     n = grid.n
+    k = len(grid.axes)
     names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
-    index = np.indices(grid.u.shape[:-1]).reshape(len(grid.axes), -1)
-    columns = [a.values()[i] for a, i in zip(grid.axes, index)]
-    columns += list(grid.u.reshape(-1, n).T)
+    # each axis value is formatted once and its string repeated by index
+    index = np.indices(grid.u.shape[:-1]).reshape(k, -1)
+    columns = [np.array(["%.17g" % v for v in a.values().tolist()],
+                        dtype=object)[i].tolist()
+               for a, i in zip(grid.axes, index)]
+    columns += grid.u.reshape(-1, n).T.tolist()
     if grid.p is not None:
         names += [f"p{i + 1}" for i in range(n)]
-        columns += list(grid.p.reshape(-1, n).T)
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+        columns += grid.p.reshape(-1, n).T.tolist()
+    row = ",".join(["%s"] * k + ["%.17g"] * (len(names) - k)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
-        f.writelines(row % tuple(values)
-                     for values in np.column_stack(columns).tolist())
+        f.writelines(map(row.__mod__, zip(*columns)))
 
 
 def read_grid_csv(path: str) -> SolutionGrid:
-    """Rebuild a lattice written by ``write_grid_csv``."""
+    """Rebuild a lattice written by ``write_grid_csv``.
+
+    Blank lines are skipped; every other row must have the header's width
+    and hold finite decimal numbers.  An axis column repeats each of its
+    values many times, so each distinct axis string is parsed once.
+    """
     try:
         with open(path) as f:
             header = f.readline().strip()
-            rows = [line.split(",") for line in f if line.strip()]
-    except OSError as exc:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
     names = header.split(",")
     axis_names = [c for c in names if c == "x" or c.startswith("t")]
@@ -217,24 +226,48 @@ def read_grid_csv(path: str) -> SolutionGrid:
     n = len(u_names)
     if p_names and len(p_names) != n:
         raise ConfigError("momentum columns must match component count")
+    width = len(names)
+    # a line without the header's width of cells must be blank
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp,
+                         len(lines))
+    full = commas == width - 1
+    for i in np.flatnonzero(~full):
+        if lines[i].strip():
+            raise ConfigError(
+                f"lattice rows do not match the header: line {i + 2} has "
+                f"{commas[i] + 1} cells, the header has {width}")
+    rows = int(np.count_nonzero(full))
+    if not rows:
+        raise ConfigError("lattice rows do not match the header")
+    # one copy of the cell text at a time: lines, then the joined text
+    text = ",".join(filter(str.strip, lines))
+    del lines
+    cells = text.split(",")
+    del text
+    k = len(axis_names)
+    data = np.empty((rows, width))
+    axis_values = []
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        for a in range(width):
+            column = cells[a::width]
+            if a < k:
+                parsed = {s: float(s) for s in dict.fromkeys(column)}
+                data[:, a] = np.fromiter(map(parsed.__getitem__, column),
+                                         np.float64, rows)
+                axis_values.append(list(dict.fromkeys(parsed.values())))
+            else:
+                data[:, a] = np.fromiter(map(float, column), np.float64,
+                                         rows)
     except ValueError as exc:
         raise ConfigError(f"bad number in lattice file: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(names):
-        raise ConfigError("lattice rows do not match the header")
-    k = len(axis_names)
-    axis_values = []
-    for a in range(k):
-        seen = []
-        for v in data[:, a]:
-            if not seen or v != seen[-1]:
-                if v in seen:
-                    continue
-                seen.append(v)
-        axis_values.append(seen)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, a = divmod(int(np.argmin(finite)), width)
+        line = np.flatnonzero(full)[r] + 2
+        raise ConfigError(f"non-finite number {cells[r * width + a].strip()!r}"
+                          f" on line {line} of the lattice file")
     shape = tuple(len(vals) for vals in axis_values)
-    if int(np.prod(shape)) != len(data):
+    if int(np.prod(shape)) != rows:
         raise ConfigError("lattice rows do not fill a full rectangle")
     axes = tuple(AxisSpec(name, vals[0], vals[-1], len(vals))
                  for name, vals in zip(axis_names, axis_values))
@@ -242,12 +275,12 @@ def read_grid_csv(path: str) -> SolutionGrid:
         if (np.abs(axis.values() - vals).max()
                 > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
             raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
-    # verify lexicographic row order by reconstructing the axis columns
-    for a in range(k):
-        expected = np.array(axis_values[a])[
-            np.array(list(np.ndindex(*shape)))[:, a]]
-        if not np.array_equal(expected, data[:, a]):
-            raise ConfigError("lattice rows are not in lexicographic order")
+    # the axis columns must be the lattice index mapped to axis values
+    index = np.indices(shape).reshape(k, -1)
+    expected = np.column_stack([np.asarray(vals)[i]
+                                for vals, i in zip(axis_values, index)])
+    if not np.array_equal(expected, data[:, :k]):
+        raise ConfigError("lattice rows are not in lexicographic order")
     u = data[:, k:k + n].reshape(shape + (n,))
     p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})

@@ -2,7 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
+
+from nijflow.cli import ConfigError
 from nijflow.exactpoly import ExactPolynomial, parse_expression
+from nijflow.flows import AxisSpec, SolutionGrid
+from nijflow.pde import UNIFORM_RTOL
 
 
 def unames(n):
@@ -101,3 +106,74 @@ def sigma_obstructed(n):
     the compatibility sweep has a residual to report."""
     return [upoly("u1", n)] + [upoly(f"u{i} + u1*u{i - 1}", n)
                                for i in range(2, n + 1)]
+
+
+# The row-by-row CSV reader and writer that ``nijflow.cli`` used before it
+# parsed and formatted whole columns; kept only as oracles for the tests.
+
+def reference_write_grid_csv(grid, path):
+    n = grid.n
+    names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
+    index = np.indices(grid.u.shape[:-1]).reshape(len(grid.axes), -1)
+    columns = [a.values()[i] for a, i in zip(grid.axes, index)]
+    columns += list(grid.u.reshape(-1, n).T)
+    if grid.p is not None:
+        names += [f"p{i + 1}" for i in range(n)]
+        columns += list(grid.p.reshape(-1, n).T)
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(names) + "\n")
+        f.writelines(row % tuple(values)
+                     for values in np.column_stack(columns).tolist())
+
+
+def reference_read_grid_csv(path):
+    try:
+        with open(path) as f:
+            header = f.readline().strip()
+            rows = [line.split(",") for line in f if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
+    names = header.split(",")
+    axis_names = [c for c in names if c == "x" or c.startswith("t")]
+    u_names = [c for c in names if c.startswith("u")]
+    p_names = [c for c in names if c.startswith("p")]
+    if names != axis_names + u_names + p_names or not axis_names or not u_names:
+        raise ConfigError(f"unrecognized lattice header {header!r}")
+    n = len(u_names)
+    if p_names and len(p_names) != n:
+        raise ConfigError("momentum columns must match component count")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ConfigError(f"bad number in lattice file: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != len(names):
+        raise ConfigError("lattice rows do not match the header")
+    k = len(axis_names)
+    axis_values = []
+    for a in range(k):
+        seen = []
+        for v in data[:, a]:
+            if not seen or v != seen[-1]:
+                if v in seen:
+                    continue
+                seen.append(v)
+        axis_values.append(seen)
+    shape = tuple(len(vals) for vals in axis_values)
+    if int(np.prod(shape)) != len(data):
+        raise ConfigError("lattice rows do not fill a full rectangle")
+    axes = tuple(AxisSpec(name, vals[0], vals[-1], len(vals))
+                 for name, vals in zip(axis_names, axis_values))
+    for axis, vals in zip(axes, axis_values):
+        if (np.abs(axis.values() - vals).max()
+                > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
+            raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
+    # verify lexicographic row order by reconstructing the axis columns
+    for a in range(k):
+        expected = np.array(axis_values[a])[
+            np.array(list(np.ndindex(*shape)))[:, a]]
+        if not np.array_equal(expected, data[:, a]):
+            raise ConfigError("lattice rows are not in lexicographic order")
+    u = data[:, k:k + n].reshape(shape + (n,))
+    p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
+    return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})

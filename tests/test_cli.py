@@ -4,10 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from support import reference_read_grid_csv, reference_write_grid_csv
 
 from nijflow.cli import (ConfigError, main, read_grid_csv, write_grid_csv,
                          write_svg_plot)
@@ -209,17 +212,31 @@ def test_evolve_csv_layout_and_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+# cells whose 17-digit form must come back bit for bit: signed zeros,
+# subnormals, the extremes, and values printed with an exponent
+EXTREME_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1e-310, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-05, 1e22,
+                  -1.2345678901234567e-100, 1.0 / 3.0, 123456789012345680.0]
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     axes = (AxisSpec("x", -1.0 / 3.0, 2.0 / 7.0, 4),
             AxisSpec("t1", 0.0, 0.1, 3))
     rng = np.random.default_rng(99)
     grid = SolutionGrid(axes, rng.standard_normal((4, 3, 2)),
                         rng.standard_normal((4, 3, 2)))
+    grid.u.flat[:len(EXTREME_VALUES)] = EXTREME_VALUES
+    grid.p.flat[-len(EXTREME_VALUES):] = EXTREME_VALUES[::-1]
     path = tmp_path / "g.csv"
     write_grid_csv(grid, str(path))
+    assert "e-05" in path.read_text() and "e+308" in path.read_text()
+    oracle = tmp_path / "oracle.csv"
+    reference_write_grid_csv(grid, str(oracle))
+    assert path.read_bytes() == oracle.read_bytes()
     back = read_grid_csv(str(path))
-    assert np.array_equal(back.u, grid.u)
-    assert np.array_equal(back.p, grid.p)
+    assert_same_outcome(back, grid)
+    assert_same_outcome(back, reference_read_grid_csv(str(path)))
 
 
 def test_read_grid_csv_rejects_malformed_input(tmp_path):
@@ -235,21 +252,191 @@ def test_read_grid_csv_rejects_malformed_input(tmp_path):
         read_grid_csv(str(path))
 
 
-# (x values, t1 values) of lattices whose axes are not uniform
-NON_UNIFORM = {
-    "x-stretched": ([0.0, 0.5, 2.0], [0.0, 0.1]),
-    "t-stretched": ([0.0, 0.5, 1.0], [0.0, 0.1, 0.5]),
-    "x-unsorted": ([0.0, 1.0, 0.5], [0.0, 0.1]),
+# ---------------------------------------------------------------------------
+# the column-wise CSV reader and writer against the row-by-row oracles
+
+
+def _lattice_text(xs, ts):
+    return "x,t1,u1,u2\n" + "".join(f"{x!r},{t!r},0.5,-0.25\n"
+                                   for x in xs for t in ts)
+
+
+def _load_bench_cases():
+    # compiled in memory, so no bytecode cache is written under bench/; the
+    # module is registered while it runs because dataclasses look it up
+    path = REPO / "bench" / "cases.py"
+    module = types.ModuleType("bench_cases")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+# (config, command) of every lattice the shipped configs produce
+SHIPPED_LATTICES = [(name, "evolve") for name in (
+    "constant2", "constant3", "coordinates2", "nijenhuis2",
+    "nijenhuis2_direct", "nijenhuis3", "nijenhuis4")] + [
+    ("constant2", "solve-direct"), ("nijenhuis2_direct", "solve-direct")]
+BENCH_SEED = 7
+BENCH_RUNGS = ("direct241", "direct481", "direct961", "direct1921")
+LATTICES = [f"{name}-{command}" for name, command in SHIPPED_LATTICES] + [
+    f"crosscheck-{rung}" for rung in BENCH_RUNGS]
+
+
+@pytest.fixture(scope="module")
+def lattice_files(tmp_path_factory):
+    """The CSV of every lattice a shipped config gives, and of the
+    crosscheck rungs of one benchmark seed, keyed as in LATTICES."""
+    out = tmp_path_factory.mktemp("lattices")
+    runs = [(f"{name}-{command}", command, CONFIGS / f"{name}.json")
+            for name, command in SHIPPED_LATTICES]
+    cases = _load_bench_cases()
+    workload = cases.make_workload("crosscheck", BENCH_SEED)
+    assert sorted(workload.configs) == sorted(BENCH_RUNGS)
+    cases.write_configs(workload, out)
+    runs += [(f"crosscheck-{rung}", "solve-direct", out / f"{rung}.json")
+             for rung in BENCH_RUNGS]
+    files = {}
+    for key, command, config in runs:
+        files[key] = out / f"{key}.csv"
+        assert main([command, str(config), "--output", str(files[key])]) == 0
+    return files
+
+
+def _read_outcome(reader, path):
+    """The lattice a reader returns, or the class and message it raises."""
+    try:
+        return reader(str(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(array):
+    return None if array is None else (array.shape, array.tobytes())
+
+
+def assert_same_outcome(new, old):
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        assert new == old
+        return
+    assert [(a.name, float(a.start).hex(), float(a.stop).hex(), a.count)
+            for a in new.axes] == [
+        (a.name, float(a.start).hex(), float(a.stop).hex(), a.count)
+        for a in old.axes]
+    assert _bits(new.u) == _bits(old.u)
+    assert _bits(new.p) == _bits(old.p)
+
+
+@pytest.mark.parametrize("key", LATTICES)
+def test_csv_reader_and_writer_match_row_by_row_oracles(tmp_path,
+                                                        lattice_files, key):
+    path = lattice_files[key]
+    grid = read_grid_csv(str(path))
+    assert_same_outcome(grid, reference_read_grid_csv(str(path)))
+    # the command wrote the file with the column writer
+    oracle = tmp_path / "oracle.csv"
+    reference_write_grid_csv(grid, str(oracle))
+    assert oracle.read_bytes() == path.read_bytes()
+    again = tmp_path / "again.csv"
+    write_grid_csv(grid, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+# files on which the column reader must agree with the row-by-row oracle:
+# the same lattice, or the same error class and message
+ORACLE_FILES = {
+    "blank-lines": "x,t1,u1\n\n0,0,1\n \t\n0,1,2\n1,0,3\n1,1,4\n\n\n",
+    "crlf": "x,t1,u1\r\n0,0,1\r\n0,1,2\r\n1,0,3\r\n1,1,4\r\n",
+    "no-final-newline": "x,t1,u1\n0,0,1\n0,1,2\n1,0,3\n1,1,4",
+    "padded-cells": "x,t1,u1\n 0,0 ,1\n0,1, 2\n1 ,0,3\n1,1,4 \n",
+    "two-spellings": "x,t1,u1\n0,0,1\n0,1,2\n1,0.0,3\n1.0,1e0,4\n",
+    "signed-zero": "x,t1,u1\n-0,0,-0\n-0,1,5e-324\n1,-0,1e-5\n1,1,-1e308\n",
+    "momenta": "x,u1,p1\n0,1,2\n0.5,3,4\n1,5,6\n",
+    "single-node": "x,u1\n0.25,1\n",
+    "bad-number": "x,t1,u1,u2\n0,0,one,1\n",
+    "bad-axis-number": "x,t1,u1\n0,0,1\n0,zero,1\n",
+    "empty-cell": "x,t1,u1\n0,,1\n",
+    "missing-node": "x,t1,u1\n0,0,1\n0,1,2\n1,0,3\n",
+    "repeated-rows": "x,t1,u1\n0,0,1\n0,0,1\n1,0,2\n1,0,2\n",
+    "unsorted-axis": _lattice_text([0.0, 1.0, 0.5], [0.0, 0.1]),
+    "non-uniform-axis": _lattice_text([0.0, 0.5, 2.0], [0.0, 0.1]),
+    "column-major": "x,t1,u1\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n",
+    "bad-header": "a,b,c\n1,2,3\n",
+    "no-axis": "u1,u2\n1,2\n",
+    "momentum-count": "x,u1,u2,p1\n0,1,2,3\n",
+    "header-only": "x,u1\n",
+    "empty-file": "",
+}
+
+
+@pytest.mark.parametrize("text", ORACLE_FILES.values(),
+                         ids=ORACLE_FILES.keys())
+def test_csv_reader_matches_row_by_row_oracle(tmp_path, text):
+    path = tmp_path / "lattice.csv"
+    path.write_bytes(text.encode())
+    assert_same_outcome(_read_outcome(read_grid_csv, path),
+                        _read_outcome(reference_read_grid_csv, path))
+
+
+# files on which the column reader changes the row-by-row outcome on
+# purpose, and the error it gives instead
+CHANGED_FILES = {
+    # the oracle reported numpy's inhomogeneous-shape error
+    "ragged": ("x,t1,u1\n0,0,1\n0,1\n",
+               "lattice rows do not match the header: line 3 has 2 cells, "
+               "the header has 3"),
+    "ragged-after-blank": ("x,t1,u1\n\n0,0,1\n0,1,2,3\n",
+                           "lattice rows do not match the header: line 4 has "
+                           "4 cells, the header has 3"),
+    # the oracle did not say which line
+    "short-rows": ("x,t1,u1\n0,0\n0,1\n",
+                   "lattice rows do not match the header: line 2 has 2 "
+                   "cells, the header has 3"),
+    # the oracle accepted these
+    "nan-value": ("x,t1,u1\n0,0,1\n\n0,1,nan\n",
+                  "non-finite number 'nan' on line 4 of the lattice file"),
+    "inf-axis": ("x,u1\n0,1\n-inf,2\n",
+                 "non-finite number '-inf' on line 3 of the lattice file"),
+    # the oracle quoted the cell with the line's newline, 'one\\n'
+    "bad-last-number": ("x,t1,u1\n0,0,one\n",
+                        "bad number in lattice file: could not convert "
+                        "string to float: 'one'"),
+}
+
+
+@pytest.mark.parametrize("text, message", CHANGED_FILES.values(),
+                         ids=CHANGED_FILES.keys())
+def test_csv_reader_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "lattice.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ConfigError) as info:
+        read_grid_csv(str(path))
+    assert str(info.value) == message
+
+
+# lattice files the reader refuses: axes that are not uniform (x values,
+# t1 values), a ragged row, non-finite cells, bytes that are not UTF-8 text
+BAD_LATTICES = {
+    "x-stretched": _lattice_text([0.0, 0.5, 2.0], [0.0, 0.1]),
+    "t-stretched": _lattice_text([0.0, 0.5, 1.0], [0.0, 0.1, 0.5]),
+    "x-unsorted": _lattice_text([0.0, 1.0, 0.5], [0.0, 0.1]),
+    "ragged": "x,t1,u1\n0,0,1\n0,1\n",
+    "nan-value": _lattice_text([0.0, 0.5], [0.0, 0.1]).replace("-0.25",
+                                                                "nan", 1),
+    "inf-axis": _lattice_text([0.0, 0.5, float("inf")], [0.0, 0.1]),
+    "undecodable": "\xff\xfe\x00x,u1\n0,1\n",
 }
 
 
 @pytest.mark.parametrize("command", ["residual", "plot"])
-@pytest.mark.parametrize("xs, ts", NON_UNIFORM.values(),
-                         ids=NON_UNIFORM.keys())
-def test_non_uniform_lattice_axes_exit_2(tmp_path, capsys, command, xs, ts):
+@pytest.mark.parametrize("text", BAD_LATTICES.values(),
+                         ids=BAD_LATTICES.keys())
+def test_non_uniform_lattice_axes_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "lattice.csv"
-    path.write_text("x,t1,u1,u2\n" + "".join(
-        f"{x!r},{t!r},0.5,-0.25\n" for x in xs for t in ts))
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(ConfigError):
         read_grid_csv(str(path))
     if command == "residual":
