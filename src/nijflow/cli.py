@@ -24,7 +24,8 @@ import numpy as np
 
 from .compat import CompatError, benenti_residual, coordinate_form_residual_at
 from .exactpoly import (ParseError, PolynomialError, base_names,
-                        format_polynomial, parse_expression)
+                        evaluate_poly_array, format_polynomial,
+                        parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
 from .hierarchy import verify_commuting_integrals
@@ -155,7 +156,8 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
                          x_axis: AxisSpec,
                          settings: FlowSettings) -> np.ndarray:
     """Initial data on the x-lattice: sampled curve expressions, or the
-    geodesic line generated from an initial point by the first flow."""
+    geodesic line generated from an initial point by the first flow (exact
+    up to evaluation when its Lie series terminates, see ``orbit_grid``)."""
     initial = cfg.get("initial")
     if not isinstance(initial, dict):
         raise ConfigError("config field 'initial' is required")
@@ -170,9 +172,13 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
             polys = [parse_expression(c, ["x"]) for c in curve]
         except (ParseError, PolynomialError) as exc:
             raise ConfigError(f"bad curve expression: {exc}") from exc
-        xs = x_axis.values()
-        return np.array([[float(poly.evaluate([x])) for poly in polys]
-                         for x in xs])
+        xs = x_axis.values()[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0 = np.stack([evaluate_poly_array(poly, xs) for poly in polys],
+                          axis=-1)
+        if not np.isfinite(u0).all():
+            raise ConfigError("'initial.curve' is not finite on the x-axis")
+        return u0
     point = config_point(cfg, n)
     line = orbit_grid([model.integrals[0]], point, [x_axis], settings)
     return line.u
@@ -204,19 +210,37 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
         f.writelines(map(row.__mod__, zip(*columns)))
 
 
+def _check_plain_text(text: str, first_line: int) -> None:
+    """Refuse ``_`` and non-ASCII characters in lattice text starting at
+    line ``first_line``: ``float`` would read ``1_0`` as 10.0 and a
+    full-width ``１`` as 1.0.  The whole text is scanned at C level; the
+    line is looked for only when the scan fails."""
+    if text.isascii() and "_" not in text:
+        return
+    for k, line in enumerate(text.split("\n"), start=first_line):
+        for ch in line:
+            if ch == "_" or not ch.isascii():
+                raise ConfigError(f"unexpected character {ch!r} on line {k} "
+                                  "of the lattice file")
+
+
 def read_grid_csv(path: str) -> SolutionGrid:
     """Rebuild a lattice written by ``write_grid_csv``.
 
     Blank lines are skipped; every other row must have the header's width
-    and hold finite decimal numbers.  An axis column repeats each of its
-    values many times, so each distinct axis string is parsed once.
+    and hold finite decimal numbers in ASCII.  An axis column repeats each
+    of its values many times, so each distinct axis string is parsed once.
     """
     try:
         with open(path) as f:
             header = f.readline().strip()
-            lines = f.read().split("\n")
+            body = f.read()
+            lines = body.split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
+    _check_plain_text(header, 1)
+    _check_plain_text(body, 2)
+    del body
     names = header.split(",")
     axis_names = [c for c in names if c == "x" or c.startswith("t")]
     u_names = [c for c in names if c.startswith("u")]

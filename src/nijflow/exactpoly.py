@@ -18,11 +18,14 @@ where ``rational`` is an unsigned integer literal optionally followed by
 ``'/'`` and a positive integer, and ``variable`` is an identifier drawn from
 the caller-supplied name list.  There is no general division operator; the
 grammar admits exactly polynomial expressions with rational coefficients.
+Expressions are ASCII: digits are 0-9, names are letters, digits and ``_``,
+and any other character is refused.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -495,25 +498,34 @@ class _Token:
     position: int
 
 
+_SPACES = frozenset(string.whitespace)
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+
 def _tokenize(text: str) -> list[_Token]:
+    # ASCII only: str.isdigit and str.isalnum would let superscripts,
+    # full-width and Arabic-Indic digits through, which int() either
+    # rejects or silently reads as plain digits
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SPACES:
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j

@@ -10,11 +10,16 @@ deterministic bit for bit.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an embedded adaptive pair of orders four and five with proportional step
-control.  Orbit grids are filled by composing the commuting flows: the time
-lattice is generated by prefix flows in the higher times, and its lines are
-swept in the x-parameter by the flow of the first integral.  Two or more
-lines are swept in lockstep as one (lines, 2n) array, each line keeping its
-own adaptive step, with results bit-identical to sweeping them one by one;
+control.  A flow whose Lie series sum_k t^k/k! {F, .}^k terminates on every
+coordinate is a polynomial in its time; ``polynomial_flow`` finds it with
+exact brackets, and then no integrator is needed.  Orbit grids are filled by
+composing the commuting flows: the time lattice is generated by prefix flows
+in the higher times, and its lines are swept in the x-parameter by the flow
+of the first integral.  The sweep evaluates that flow's series at every line
+start and x-value at once when the series terminates (it does for the first
+integral of every shipped model).  Otherwise two or more lines are
+integrated in lockstep as one (lines, 2n) array, each line keeping its own
+adaptive step, with results bit-identical to integrating them one by one;
 a single line takes the scalar path.
 """
 
@@ -22,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .exactpoly import ExactPolynomial, evaluate_float_form, evaluate_poly_array
-from .metric import GramMatrix, PhaseFunction
+from .metric import GramMatrix, PhaseFunction, poisson_bracket
 
 State = list[float]
 
@@ -386,6 +392,68 @@ def _sweep_lines(f: HamiltonianField, states: np.ndarray,
     return out
 
 
+# ---------------------------------------------------------------------------
+# flows that are polynomials in their time
+
+Series = tuple[tuple[ExactPolynomial, ...], ...]
+
+
+def polynomial_flow(F: PhaseFunction, cap: int) -> Series | None:
+    """The flow of ``F`` as a polynomial in its time, if it is one.
+
+    The flow dz/dt = {F, z} moves each phase coordinate z along its Lie
+    series z(t) = sum_k t^k/k! ad_F^k(z), ad_F = {F, .}.  The brackets are
+    formed exactly until they vanish.  The result holds, for each coordinate
+    in the order u then p, the coefficients ad_F^k(z)/k! for k = 0 up to
+    the last nonzero order, as polynomials on the chart.  It is None as soon
+    as one coordinate has a nonzero bracket of order above ``cap``.  Built
+    once per (F, cap) and kept on ``F``.
+    """
+    cache = F._flows
+    if cache is None:
+        cache = {}
+        object.__setattr__(F, "_flows", cache)
+    elif cap in cache:
+        return cache[cap]
+    nvars = 2 * F.n
+    series = []
+    for i in range(nvars):
+        z = PhaseFunction(F.n, ExactPolynomial.variable(nvars, i))
+        coeffs = [z.poly]
+        for k in range(1, cap + 2):
+            z = poisson_bracket(F, z)
+            if z.is_zero():
+                break
+            coeffs.append(z.poly * Fraction(1, math.factorial(k)))
+        if len(coeffs) > cap + 1:
+            cache[cap] = None
+            return None
+        series.append(tuple(coeffs))
+    result = cache[cap] = tuple(series)
+    return result
+
+
+def _series_lines(series: Series, states: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """Every line of ``states`` (lines, 2n) at every time, shape
+    (len(times), lines, 2n), from the flow's terminating series: the
+    coefficients at each line start, then Horner's rule in the time."""
+    t = times[:, None]
+    out = np.empty((len(t),) + states.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, coeffs in enumerate(series):
+            values = [evaluate_poly_array(c, states) for c in coeffs]
+            # in place in the output, so no lattice-sized temporaries
+            acc = out[..., i]
+            acc[...] = values[-1]
+            for c in reversed(values[:-1]):
+                acc *= t
+                acc += c
+    if not np.isfinite(out).all():
+        raise FlowError("the x-flow overflowed on the lattice")
+    return out
+
+
 def integrate_flow(F: Union[PhaseFunction, HamiltonianField],
                    start: CotangentPoint, t: float,
                    settings: FlowSettings = FlowSettings()) -> CotangentPoint:
@@ -482,9 +550,11 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
     ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The time lattice in
     the higher axes is produced once by prefix composition, then every line
-    is swept in x from its lattice node: all lines in lockstep when there
-    are two or more, a single line by ``integrate_flow_path``.  Both ways
-    give the same bits.
+    is swept in x from its lattice node.  When the x-flow's Lie series ends
+    by order 2n (``polynomial_flow``), all lines are evaluated from it at
+    once, and a value that overflows raises ``FlowError``.  Otherwise the
+    lines are integrated: all in lockstep when there are two or more, a
+    single line by ``integrate_flow_path``.  Both ways give the same bits.
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
@@ -514,15 +584,19 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
         states[idx] = integrate_flow(fields[k + 1], states[prev], dt, settings)
 
     x_axis = axes[0]
-    x_values = x_axis.values().tolist()
     lines = [states[idx] for idx in np.ndindex(*t_shape)]
-    if len(lines) == 1:
+    series = polynomial_flow(fields[0].hamiltonian, 2 * n)
+    if series is not None:
+        path = _series_lines(series, np.array([pt.state() for pt in lines]),
+                             x_axis.values())
+    elif len(lines) == 1:
         path = np.array([[pt.state()] for pt in
-                         integrate_flow_path(fields[0], lines[0], x_values,
+                         integrate_flow_path(fields[0], lines[0],
+                                             x_axis.values().tolist(),
                                              settings)])
     else:
         path = _sweep_lines(fields[0], np.array([pt.state() for pt in lines]),
-                            x_values, settings)
+                            x_axis.values().tolist(), settings)
     path = path.reshape((x_axis.count,) + t_shape + (2 * n,))
     u, p = path[..., :n], path[..., n:]
     grid_meta = {"generator": "orbit", "settings": settings}

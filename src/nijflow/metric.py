@@ -48,10 +48,11 @@ class PhaseFunction:
 
     ``poly`` has 2n variables ordered (u, p); ``p_degree`` is the common
     momentum degree of all terms.  The zero polynomial is accepted at any
-    declared degree.
+    declared degree.  ``_flows`` holds the Lie series of its flow by
+    order cap, built on first use by ``flows.polynomial_flow``.
     """
 
-    __slots__ = ("n", "poly", "p_degree")
+    __slots__ = ("n", "poly", "p_degree", "_flows")
 
     def __init__(self, n: int, poly: ExactPolynomial, p_degree: int | None = None):
         if poly.nvars != 2 * n:
@@ -72,6 +73,7 @@ class PhaseFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "p_degree", p_degree)
+        object.__setattr__(self, "_flows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")

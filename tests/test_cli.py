@@ -12,9 +12,10 @@ import pytest
 
 from support import reference_read_grid_csv, reference_write_grid_csv
 
-from nijflow.cli import (ConfigError, main, read_grid_csv, write_grid_csv,
-                         write_svg_plot)
-from nijflow.flows import AxisSpec, SolutionGrid
+from nijflow.cli import (ConfigError, build_model, config_initial_curve, main,
+                         read_grid_csv, write_grid_csv, write_svg_plot)
+from nijflow.exactpoly import parse_expression
+from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -147,6 +148,20 @@ BAD_NUMBERS = {
     "seed-negative": ("verify", {"seed": -1}),
     # exact arithmetic copes; the float checks overflow
     "sigma-overflow": ("verify", {"sigma": ["u1", "u2^999999"]}),
+    # the x-line's series overflows; RK45 used to run on without end
+    "stop-huge": ("evolve", {"grid.x.stop": 1e200}),
+    "stop-max": ("evolve", {"grid.x.stop": 1e308}),
+    "stop-huge-direct": ("solve-direct", {"grid.x.stop": 1e200}),
+    "curve-overflow": ("solve-direct", {"initial": {"curve": ["x^3", "x"]},
+                                        "grid.x.stop": 1e200}),
+    # expressions are ASCII: int() refused the superscript with a
+    # traceback, and read the full-width and Arabic-Indic digits as 1 and 3
+    "sigma-superscript": ("verify", {"sigma": ["u1 + \u00b2", "u2"]}),
+    "sigma-full-width": ("verify", {"sigma": ["u1 + \uff11", "u2"]}),
+    "sigma-arabic-indic": ("verify", {"sigma": ["u1 + \u0663", "u2"]}),
+    "sigma-non-ascii-name": ("verify", {"sigma": ["\u00fc1", "u2"]}),
+    "curve-full-width": ("solve-direct",
+                         {"initial": {"curve": ["x + \uff11", "x"]}}),
 }
 
 
@@ -404,6 +419,19 @@ CHANGED_FILES = {
     "bad-last-number": ("x,t1,u1\n0,0,one\n",
                         "bad number in lattice file: could not convert "
                         "string to float: 'one'"),
+    # the oracle read these as 10.0, 1.0 and 3.0
+    "underscore": ("x,u1\n0,1\n\n1,1_0\n",
+                   "unexpected character '_' on line 4 of the lattice file"),
+    "full-width-digit": ("x,u1\n0,\uff11\n",
+                         "unexpected character '\uff11' on line 2 of the "
+                         "lattice file"),
+    "arabic-indic-axis": ("x,u1\n0,1\n\u0663,2\n",
+                          "unexpected character '\u0663' on line 3 of the "
+                          "lattice file"),
+    # the oracle took u_1 for a component column
+    "underscore-header": ("x,u_1\n0,1\n",
+                          "unexpected character '_' on line 1 of the "
+                          "lattice file"),
 }
 
 
@@ -428,6 +456,7 @@ BAD_LATTICES = {
                                                                 "nan", 1),
     "inf-axis": _lattice_text([0.0, 0.5, float("inf")], [0.0, 0.1]),
     "undecodable": "\xff\xfe\x00x,u1\n0,1\n",
+    "underscore": "x,u1\n0,1_0\n",
 }
 
 
@@ -474,6 +503,19 @@ def test_solve_direct_accepts_curve_initial(tmp_path, capsys):
     assert np.abs(grid.u[:, 0, 0] - (0.1 + 0.5 * xs)).max() < 1e-12
     assert np.abs(grid.u[:, 0, 1] - (-0.2 + xs ** 2)).max() < 1e-12
     capsys.readouterr()
+
+
+def test_initial_curve_samples_match_pointwise_evaluation():
+    cfg = {"n": 2, "sigma": ["u1", "u2 - 1/2*u1^2"],
+           "initial": {"curve": ["1/10 + 1/2*x - 3/7*x^3 + x^5",
+                                 "-1/5 + x^2 - 2/3*x^4"]}}
+    model = build_model(cfg)
+    axis = AxisSpec("x", -1.5, 1.5, 1921)
+    u0 = config_initial_curve(cfg, model, axis, FlowSettings())
+    polys = [parse_expression(c, ["x"]) for c in cfg["initial"]["curve"]]
+    expected = [[poly.evaluate([x]) for poly in polys]
+                for x in axis.values().tolist()]
+    assert np.array_equal(u0, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,31 @@
 """Tests for the Hamiltonian flow integrators and orbit grids."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nijflow.cli import build_model, config_axes, config_point, config_settings
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
-                           HamiltonianField, SolutionGrid, geodesic_from,
-                           hamiltonian_rhs, integrate_flow,
-                           integrate_flow_path, orbit_grid,
+                           HamiltonianField, SolutionGrid, _sweep_lines,
+                           geodesic_from, hamiltonian_rhs, integrate_flow,
+                           integrate_flow_path, orbit_grid, polynomial_flow,
                            verify_commutation, verify_conservation)
 from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import PhaseFunction, build_h_family, gram_matrix
+from nijflow.model import CompanionModel
 
-from support import random_phase_function, sigma_constant, upnames
+from support import (random_phase_function, sigma_constant,
+                     sigma_coordinates2, sigma_curved, sigma_obstructed,
+                     upnames)
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 
 U2 = ["u1", "u2"]
 
@@ -310,9 +319,9 @@ def curved3_pair():
     return [integrals[1], integrals[0]]
 
 
-def line_by_line(integrals, start, axes, settings):
-    """The orbit lattice of one time axis from scalar flows alone: prefix
-    states on the time axis, then one integrate_flow_path per line."""
+def time_nodes(integrals, start, axes, settings):
+    """The line starts of a lattice with one time axis, by scalar prefix
+    flows along it."""
     states = [start]
     t = axes[1].values()
     if t[0] != 0.0:
@@ -320,8 +329,15 @@ def line_by_line(integrals, start, axes, settings):
     for k in range(1, len(t)):
         states.append(integrate_flow(integrals[1], states[-1], t[k] - t[k - 1],
                                      settings))
+    return states
+
+
+def line_by_line(integrals, start, axes, settings):
+    """The orbit lattice of one time axis from scalar flows alone: prefix
+    states on the time axis, then one integrate_flow_path per line."""
     x = list(axes[0].values())
-    return [integrate_flow_path(integrals[0], z, x, settings) for z in states]
+    return [integrate_flow_path(integrals[0], z, x, settings)
+            for z in time_nodes(integrals, start, axes, settings)]
 
 
 @pytest.mark.parametrize("pair, start", [
@@ -331,7 +347,27 @@ def line_by_line(integrals, start, axes, settings):
 @pytest.mark.parametrize("settings", [FlowSettings(method="rk4", step=0.01),
                                       FlowSettings(method="rk45")])
 def test_batch_sweep_is_bit_identical_to_scalar_lines(pair, start, settings):
+    # the batch integrator itself: orbit_grid sweeps nijenhuis2's first
+    # integral by its terminating series and would not reach it
     integrals = pair()
+    axes = (AxisSpec("x", -0.3, 0.4, 8), AxisSpec("t1", -0.1, 0.3, 5))
+    nodes = time_nodes(integrals, start, axes, settings)
+    batch = _sweep_lines(hamiltonian_rhs(integrals[0]),
+                         np.array([z.state() for z in nodes]),
+                         list(axes[0].values()), settings)
+    for it, points in enumerate(line_by_line(integrals, start, axes,
+                                             settings)):
+        assert np.array_equal(batch[:, it], [z.state() for z in points])
+
+
+@pytest.mark.parametrize("settings", [FlowSettings(method="rk4", step=0.01),
+                                      FlowSettings(method="rk45")])
+def test_orbit_grid_integrates_a_non_terminating_x_flow(settings):
+    # curved n = 3: the second integral's series does not end by order 6,
+    # so orbit_grid falls back to the batch sweep, bit for bit
+    integrals = curved3_pair()
+    start = CotangentPoint((0.4, -0.2, 0.05), (0.8, 0.5, 0.3))
+    assert polynomial_flow(integrals[0], 6) is None
     axes = (AxisSpec("x", -0.3, 0.4, 8), AxisSpec("t1", -0.1, 0.3, 5))
     grid = orbit_grid(integrals, start, axes, settings)
     for it, points in enumerate(line_by_line(integrals, start, axes,
@@ -359,6 +395,140 @@ def test_batch_blow_up_raises_the_first_failing_line(settings):
     assert all(math.isfinite(v) for v in last.state())
     assert str(err.value) == str(scalar.value)
     assert last == scalar.value.last_state
+
+
+# ---------------------------------------------------------------------------
+# the x-flow as a terminating Lie series
+
+# sigma lists whose first integral's series must end within the cap: the
+# curved, obstructed and constant families and the coordinate control
+SERIES_FAMILIES = {
+    **{f"curved{n}": (sigma_curved, n) for n in range(1, 5)},
+    **{f"obstructed{n}": (sigma_obstructed, n) for n in range(2, 6)},
+    **{f"constant{n}": (sigma_constant, n) for n in range(1, 5)},
+    "coordinates2": (lambda n: sigma_coordinates2(), 2),
+}
+
+
+def _family_model(name):
+    make, n = SERIES_FAMILIES[name]
+    return CompanionModel.from_sigma(make(n))
+
+
+def _config_model(path):
+    return build_model(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("name", SERIES_FAMILIES)
+def test_first_integral_series_ends_by_order_n(name):
+    model = _family_model(name)
+    series = polynomial_flow(model.integrals[0], 2 * model.n)
+    assert series is not None
+    assert len(series) == 2 * model.n
+    assert max(len(coeffs) for coeffs in series) - 1 <= model.n
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_shipped_first_integrals_have_terminating_series(config):
+    model = _config_model(config)
+    series = polynomial_flow(model.integrals[0], 2 * model.n)
+    assert series is not None
+    assert max(len(coeffs) for coeffs in series) - 1 <= model.n
+
+
+@pytest.mark.parametrize("name", ["curved2", "curved3", "curved4",
+                                  "obstructed3", "constant3"])
+def test_series_solves_the_flow_exactly(name):
+    # at rational points and times, the exactly evaluated series z(x)
+    # satisfies Hamilton's equations dz/dx = {F0, z} at z(x)
+    model = _family_model(name)
+    F, n = model.integrals[0], model.n
+    series = polynomial_flow(F, 2 * n)
+    field = [F.dp(i) for i in range(n)] + [-F.du(i) for i in range(n)]
+    rng = random.Random(name)
+    for _ in range(3):
+        z0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for _ in range(2 * n)]
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        coeffs = [[c.evaluate_exact(z0) for c in cs] for cs in series]
+        z = [sum(c * x ** k for k, c in enumerate(cs)) for cs in coeffs]
+        dz = [sum(k * c * x ** (k - 1) for k, c in enumerate(cs) if k)
+              for cs in coeffs]
+        assert [cs[0] for cs in coeffs] == z0
+        assert dz == [g.evaluate_exact(z) for g in field]
+
+
+def test_series_is_built_once_per_integral():
+    # orbit_grid leaves the series on the integral for the next caller
+    F = _family_model("curved3").integrals[0]
+    start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
+    orbit_grid([HamiltonianField(F)], start, [AxisSpec("x", 0.0, 0.5, 3)])
+    cached = F._flows[6]
+    assert cached is not None
+    assert polynomial_flow(F, 6) is cached
+
+
+def test_series_gives_up_past_the_cap():
+    # du1/dt = u1^2 has the solution u1/(1 - t u1): no polynomial
+    F = PhaseFunction(1, parse_expression("u1^2*p1", upnames(1)))
+    assert polynomial_flow(F, 2) is None
+    assert polynomial_flow(F, 12) is None
+    # dp1/dt = -2 u1 p1 grows the momentum's series too
+    G = PhaseFunction(1, parse_expression("u1*p1^2", upnames(1)))
+    assert polynomial_flow(G, 8) is None
+    # a quadratic Hamiltonian in p alone moves u linearly
+    H = PhaseFunction(1, parse_expression("p1^2", upnames(1)))
+    assert polynomial_flow(H, 2) is not None
+
+
+# Largest deviation of the series sweep from the RK45/RK4 lines it
+# replaces, on the lattice each shipped config evolves; measured 2.2e-14
+# (constant2, RK45 at abs_tol 1e-12, rel_tol 1e-10).
+SERIES_VS_INTEGRATOR = 1e-13
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_series_sweep_matches_the_integrator(config):
+    cfg = json.loads(config.read_text())
+    model = build_model(cfg)
+    n = model.n
+    axes = config_axes(cfg, n)
+    start = config_point(cfg, n)
+    settings = config_settings(cfg, axes)
+    integrals = model.integrals[:len(axes)]
+    grid = orbit_grid(integrals, start, axes, settings)
+    # the line starts: the same lattice at the single node x = 0
+    nodes = orbit_grid(integrals, start,
+                       (AxisSpec("x", 0.0, 0.0, 1),) + axes[1:], settings)
+    starts = np.concatenate([nodes.u, nodes.p], axis=-1).reshape(-1, 2 * n)
+    lines = _sweep_lines(hamiltonian_rhs(integrals[0]), starts,
+                         list(axes[0].values()), settings)
+    lines = lines.reshape(grid.u.shape[:-1] + (2 * n,))
+    assert np.abs(grid.u - lines[..., :n]).max() <= SERIES_VS_INTEGRATOR
+    assert np.abs(grid.p - lines[..., n:]).max() <= SERIES_VS_INTEGRATOR
+
+
+@pytest.mark.parametrize("stop", [1e200, 1e308])
+def test_series_overflow_raises_flow_error(stop):
+    _, _, integrals = nijenhuis2_setup()
+    start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
+    axes = (AxisSpec("x", -0.5, stop, 11), AxisSpec("t1", 0.0, 0.2, 3))
+    with pytest.raises(FlowError, match="overflowed"):
+        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.5 * stop))
+
+
+# ---------------------------------------------------------------------------
+# curved n = 3: the three integrals of the nijenhuis3 fixture
+
+
+def test_nijenhuis3_flows_commute_and_conserve_the_integrals():
+    cfg = json.loads(CONFIGS_DIR.joinpath("nijenhuis3.json").read_text())
+    model = build_model(cfg)
+    start = config_point(cfg, model.n)
+    settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
+    assert verify_commutation(model.integrals, start, 0.2, 0.2,
+                              settings) < 1e-11
+    assert verify_conservation(model.integrals, start, 0.3, settings) < 1e-11
 
 
 # ---------------------------------------------------------------------------

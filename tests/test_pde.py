@@ -1,10 +1,13 @@
 """Tests for the direct quasilinear solver and residual measurements."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nijflow.cli import build_model, config_point
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import AxisSpec, CotangentPoint, FlowSettings, orbit_grid
 from nijflow.hierarchy import first_integrals, killing_operators
@@ -179,6 +182,28 @@ def test_orbit_grid_residual_is_second_order():
     assert 5e-5 < residuals[0] < 3e-4
     orders = convergence_orders(residuals)
     assert orders[0] > 1.7
+
+
+def test_curved3_orbit_residual_is_second_order_on_both_time_axes():
+    # nijenhuis3: x in [-0.5, 0.5], t1 and t2 in [0, 0.2], one spacing on
+    # all three axes, halved three times
+    config = Path(__file__).resolve().parent.parent / "configs" / \
+        "nijenhuis3.json"
+    cfg = json.loads(config.read_text())
+    model = build_model(cfg)
+    start = config_point(cfg, model.n)
+    settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
+    residuals = []
+    for delta in (0.05, 0.025, 0.0125, 0.00625):
+        nx, nt = round(1.0 / delta) + 1, round(0.2 / delta) + 1
+        axes = (AxisSpec("x", -0.5, 0.5, nx), AxisSpec("t1", 0.0, 0.2, nt),
+                AxisSpec("t2", 0.0, 0.2, nt))
+        grid = orbit_grid(model.integrals, start, axes, settings)
+        residuals.append(grid_residual(grid, model.killing[1:]).per_axis)
+    for k in range(2):
+        axis = [r[k] for r in residuals]
+        assert 1e-5 < axis[0] < 1e-3
+        assert min(convergence_orders(axis)) > 1.8
 
 
 def test_convergence_orders_helper():
