@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -38,6 +39,12 @@ from .pde import UNIFORM_RTOL, PDEError, direct_solve, grid_residual
 
 class ConfigError(ValueError):
     """A config file is missing, malformed, or inconsistent."""
+
+
+# Largest lattice a config may ask for, as the product of its axis counts:
+# every config does bounded work, and the axes are allocated before any
+# flow runs.  About 50 times the largest benchmark lattice (201 x 101).
+MAX_LATTICE_NODES = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +124,10 @@ def config_axes(cfg: dict, n: int) -> tuple[AxisSpec, ...]:
                           f"n = {n}")
     for k, spec in enumerate(t_specs, start=1):
         axes.append(_axis_from(spec, f"t{k}"))
+    nodes = math.prod(a.count for a in axes)
+    if nodes > MAX_LATTICE_NODES:
+        raise ConfigError(f"the lattice has {nodes} nodes, more than the "
+                          f"limit of {MAX_LATTICE_NODES}")
     return tuple(axes)
 
 

@@ -17,10 +17,8 @@ composing the commuting flows: the time lattice is generated by prefix flows
 in the higher times, and its lines are swept in the x-parameter by the flow
 of the first integral.  The sweep evaluates that flow's series at every line
 start and x-value at once when the series terminates (it does for the first
-integral of every shipped model).  Otherwise two or more lines are
-integrated in lockstep as one (lines, 2n) array, each line keeping its own
-adaptive step, with results bit-identical to integrating them one by one;
-a single line takes the scalar path.
+integral of every shipped model); otherwise each line is integrated on its
+own.
 """
 
 from __future__ import annotations
@@ -124,12 +122,6 @@ class HamiltonianField:
     def __call__(self, state: Sequence[float]) -> State:
         return [evaluate_float_form(form, state) for form in self._forms]
 
-    def batch(self, states: np.ndarray) -> np.ndarray:
-        """The field at every row of a (lines, 2n) array; each row is
-        bit-identical to ``self(row)``."""
-        return np.stack([evaluate_poly_array(c, states)
-                         for c in (*self.du_dt, *self.dp_dt)], axis=-1)
-
     def divergence(self) -> ExactPolynomial:
         """Symbolic divergence; identically zero for canonical fields."""
         acc = ExactPolynomial.zero(2 * self.n)
@@ -148,8 +140,11 @@ def hamiltonian_rhs(F: Union[PhaseFunction, HamiltonianField]) -> HamiltonianFie
 
 
 def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
-                 step: float) -> State:
-    nsteps = max(1, math.ceil(abs(t_span) / step - 1e-12))
+                 settings: FlowSettings) -> State:
+    steps = abs(t_span) / settings.step - 1e-12
+    if steps > settings.max_steps:
+        raise FlowError("step budget exhausted", CotangentPoint.from_state(y))
+    nsteps = max(1, math.ceil(steps))
     h = t_span / nsteps
     half = 0.5 * h
     sixth = h / 6.0
@@ -245,151 +240,11 @@ def _advance(f: HamiltonianField, y: State, t_span: float,
     if t_span == 0.0:
         return list(y)
     if settings.method == "rk4":
-        y = _rk4_segment(f, y, t_span, settings.step)
+        y = _rk4_segment(f, y, t_span, settings)
         if not all(math.isfinite(v) for v in y):
             raise FlowError("state became non-finite")
         return y
     return _rk45_segment(f, y, t_span, settings)
-
-
-# ---------------------------------------------------------------------------
-# lockstep batches of lines
-#
-# The batch integrators advance the rows of a (lines, 2n) array through one
-# segment with the scalar segment code's arithmetic, operation by operation,
-# so each row ends bit-identical to a scalar integration of that row.  A row
-# that meets a non-finite value is finished by the scalar segment code from
-# its segment start: that reproduces the scalar outcome exactly, a recovery
-# by step rejection or the FlowError with its message and last state.  As in
-# a scalar sweep of the rows in order, the error raised is the one of the
-# first failing row; rows after it are dropped.
-
-
-class _Lines:
-    """The states of a batch of lines and the first failure among them."""
-
-    def __init__(self, states: np.ndarray):
-        self.y = states
-        self.start = states         # the states at the segment start
-        self.live = len(states)     # rows from here on are dropped
-        self.error: FlowError | None = None
-
-    def fail(self, row: int, error: FlowError) -> None:
-        if row < self.live:
-            self.live, self.error = row, error
-
-    def finish_scalar(self, row: int, segment) -> None:
-        """Redo one row's segment with the scalar code; ``segment`` maps a
-        start state to an end state."""
-        try:
-            self.y[row] = segment(self.start[row].tolist())
-        except FlowError as exc:
-            self.fail(row, exc)
-
-
-def _rk4_lines(f: HamiltonianField, lines: _Lines, t_span: float,
-               step: float) -> None:
-    nsteps = max(1, math.ceil(abs(t_span) / step - 1e-12))
-    h = t_span / nsteps
-    half = 0.5 * h
-    sixth = h / 6.0
-    y = lines.y[:lines.live]
-    for _ in range(nsteps):
-        k1 = f.batch(y)
-        k2 = f.batch(y + half * k1)
-        k3 = f.batch(y + half * k2)
-        k4 = f.batch(y + h * k3)
-        ynew = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        bad = np.flatnonzero(~np.isfinite(ynew).all(axis=1))
-        if bad.size:
-            # the scalar code repeats this step bit for bit, so it raises
-            # here, with the message and last state of a scalar run
-            lines.finish_scalar(int(bad[0]),
-                                lambda s: _rk4_segment(f, s, t_span, step))
-            ynew = ynew[:lines.live]
-        y = ynew
-    lines.y[:len(y)] = y
-
-
-def _rk45_lines(f: HamiltonianField, lines: _Lines, t_span: float,
-                settings: FlowSettings) -> None:
-    direction = 1.0 if t_span > 0 else -1.0
-    count = lines.live
-    remaining = np.full(count, abs(t_span))
-    h = np.full(count, min(0.05, abs(t_span)))
-    atol, rtol = settings.abs_tol, settings.rel_tol
-    rows = np.arange(count)
-    steps = 0
-    while rows.size:
-        steps += 1
-        if steps > settings.max_steps:
-            row = int(rows[0])
-            lines.fail(row, FlowError("step budget exhausted",
-                                      CotangentPoint.from_state(lines.y[row])))
-            return
-        y = lines.y[rows]
-        hr = np.minimum(h[rows], remaining[rows])
-        dh = (direction * hr)[:, None]
-        ks = []
-        for a_row in _RK45_A:
-            z = y
-            for a, k in zip(a_row, ks):
-                if a:
-                    z = z + (dh * a) * k
-            ks.append(f.batch(z))
-        acc = 0.0
-        for b, k in zip(_RK45_B5, ks):
-            if b:
-                acc = acc + b * k
-        y5 = y + dh * acc
-        e4 = 0.0
-        for b5, b4, k in zip(_RK45_B5, _RK45_B4, ks):
-            e4 = e4 + (b5 - b4) * k
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = (np.abs(dh * e4) / scale).max(axis=1)
-        finite = np.isfinite(y5).all(axis=1) & np.isfinite(err)
-        for row in rows[~finite]:
-            if row < lines.live:
-                lines.finish_scalar(
-                    int(row), lambda s: _rk45_segment(f, s, t_span, settings))
-        rows, hr, y5, err = rows[finite], hr[finite], y5[finite], err[finite]
-        accepted = err <= 1.0
-        lines.y[rows[accepted]] = y5[accepted]
-        remaining[rows[accepted]] -= hr[accepted]
-        # the factors in Python floats: numpy's vectorized power may differ
-        # in the last bit from the scalar code's
-        h[rows] = hr * [5.0 if e == 0.0
-                        else min(5.0, max(0.2, 0.9 * e ** -0.2))
-                        for e in err.tolist()]
-        for row in rows[(h[rows] < settings.min_step)
-                        & (remaining[rows] > 0.0)]:
-            lines.fail(int(row), FlowError(
-                "step size underflow", CotangentPoint.from_state(lines.y[row])))
-        rows = rows[(remaining[rows] > 0.0) & (rows < lines.live)]
-
-
-def _sweep_lines(f: HamiltonianField, states: np.ndarray,
-                 times: Sequence[float], settings: FlowSettings) -> np.ndarray:
-    """Every line of ``states`` (lines, 2n) at every time, shape
-    (len(times), lines, 2n): ``integrate_flow_path`` over all lines in
-    lockstep, with bit-identical results."""
-    out = np.empty((len(times),) + states.shape)
-    lines = _Lines(states.copy())
-    prev = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times):
-            t_span = t - prev
-            prev = t
-            if t_span != 0.0 and lines.live:
-                lines.start = lines.y.copy()
-                if settings.method == "rk4":
-                    _rk4_lines(f, lines, t_span, settings.step)
-                else:
-                    _rk45_lines(f, lines, t_span, settings)
-            out[k] = lines.y
-    if lines.error is not None:
-        raise lines.error
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +407,9 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     the higher axes is produced once by prefix composition, then every line
     is swept in x from its lattice node.  When the x-flow's Lie series ends
     by order 2n (``polynomial_flow``), all lines are evaluated from it at
-    once, and a value that overflows raises ``FlowError``.  Otherwise the
-    lines are integrated: all in lockstep when there are two or more, a
-    single line by ``integrate_flow_path``.  Both ways give the same bits.
+    once, and a value that overflows raises ``FlowError``.  Otherwise each
+    line is integrated by ``integrate_flow_path``, in order, and the first
+    line that fails raises its ``FlowError``.
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
@@ -589,14 +444,11 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     if series is not None:
         path = _series_lines(series, np.array([pt.state() for pt in lines]),
                              x_axis.values())
-    elif len(lines) == 1:
-        path = np.array([[pt.state()] for pt in
-                         integrate_flow_path(fields[0], lines[0],
-                                             x_axis.values().tolist(),
-                                             settings)])
     else:
-        path = _sweep_lines(fields[0], np.array([pt.state() for pt in lines]),
-                            x_axis.values().tolist(), settings)
+        x = x_axis.values().tolist()
+        path = np.array([[pt.state() for pt in
+                          integrate_flow_path(fields[0], line, x, settings)]
+                         for line in lines]).swapaxes(0, 1)
     path = path.reshape((x_axis.count,) + t_shape + (2 * n,))
     u, p = path[..., :n], path[..., n:]
     grid_meta = {"generator": "orbit", "settings": settings}

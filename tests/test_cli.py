@@ -162,6 +162,15 @@ BAD_NUMBERS = {
     "sigma-non-ascii-name": ("verify", {"sigma": ["\u00fc1", "u2"]}),
     "curve-full-width": ("solve-direct",
                          {"initial": {"curve": ["x + \uff11", "x"]}}),
+    # RK4 would need ~1e298 steps on the time axis: over the step budget
+    "rk4-step-tiny": ("evolve", {"integrator.method": "rk4",
+                                 "integrator.step": 1e-300}),
+    # lattices above MAX_LATTICE_NODES are refused before allocation
+    "x-count-huge": ("evolve", {"grid.x.count": 1_000_000_000}),
+    "t-count-product": ("evolve", {"grid.x.count": 1001,
+                                   "grid.t": [{"start": 0.0, "stop": 0.5,
+                                               "count": 1000}]}),
+    "x-count-huge-direct": ("solve-direct", {"grid.x.count": 1_000_000_000}),
 }
 
 

@@ -184,25 +184,40 @@ def test_orbit_grid_residual_is_second_order():
     assert orders[0] > 1.7
 
 
-def test_curved3_orbit_residual_is_second_order_on_both_time_axes():
-    # nijenhuis3: x in [-0.5, 0.5], t1 and t2 in [0, 0.2], one spacing on
-    # all three axes, halved three times
+def curved_residual_ladder(name, deltas):
+    """Per-axis orbit residuals of a shipped curved config over lattices
+    x in [-0.5, 0.5], every t in [0, 0.2], one spacing on all axes."""
     config = Path(__file__).resolve().parent.parent / "configs" / \
-        "nijenhuis3.json"
+        f"{name}.json"
     cfg = json.loads(config.read_text())
     model = build_model(cfg)
     start = config_point(cfg, model.n)
     settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
     residuals = []
-    for delta in (0.05, 0.025, 0.0125, 0.00625):
+    for delta in deltas:
         nx, nt = round(1.0 / delta) + 1, round(0.2 / delta) + 1
-        axes = (AxisSpec("x", -0.5, 0.5, nx), AxisSpec("t1", 0.0, 0.2, nt),
-                AxisSpec("t2", 0.0, 0.2, nt))
+        axes = (AxisSpec("x", -0.5, 0.5, nx),) + tuple(
+            AxisSpec(f"t{k}", 0.0, 0.2, nt) for k in range(1, model.n))
         grid = orbit_grid(model.integrals, start, axes, settings)
         residuals.append(grid_residual(grid, model.killing[1:]).per_axis)
-    for k in range(2):
-        axis = [r[k] for r in residuals]
+    return [list(axis) for axis in zip(*residuals)]
+
+
+def test_curved3_orbit_residual_is_second_order_on_both_time_axes():
+    # nijenhuis3: one spacing on all three axes, halved three times
+    for axis in curved_residual_ladder("nijenhuis3",
+                                       (0.05, 0.025, 0.0125, 0.00625)):
         assert 1e-5 < axis[0] < 1e-3
+        assert min(convergence_orders(axis)) > 1.8
+
+
+def test_curved4_orbit_residual_is_second_order_on_all_time_axes():
+    # nijenhuis4: measured orders 1.88-1.99; a fourth rung (0.0125) would
+    # take about 4 s
+    axes = curved_residual_ladder("nijenhuis4", (0.1, 0.05, 0.025))
+    assert len(axes) == 3
+    for axis in axes:
+        assert 1e-5 < axis[0] < 1e-2
         assert min(convergence_orders(axis)) > 1.8
 
 
