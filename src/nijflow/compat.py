@@ -36,6 +36,7 @@ from .metric import (
     PhaseFunction,
     gram_matrix,
     poisson_bracket,
+    quadratic_phase,
 )
 from .operators import (
     OperatorField,
@@ -82,18 +83,9 @@ class SelfAdjointReport:
     closure: tuple[tuple[ExactPolynomial, ...], ...] | None
 
 
-def _h1_LT(h1: GramMatrix, L: OperatorField) -> list[list[ExactPolynomial]]:
-    n = h1.n
-    out = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            acc = ExactPolynomial.zero(n)
-            for s in range(n):
-                acc = acc + h1.entry(k, s) * L.entry(j, s)
-            row.append(acc)
-        out.append(row)
-    return out
+def _h1_LT(h1: GramMatrix, L: OperatorField):
+    """The entries (h1 L^T)^(kj) = h1^(ks) L^j_s."""
+    return (OperatorField(h1.entries) @ L.transpose()).entries
 
 
 def self_adjoint_residual(h1: GramMatrix, L: OperatorField,
@@ -102,20 +94,14 @@ def self_adjoint_residual(h1: GramMatrix, L: OperatorField,
     """L is h1-self-adjoint iff the matrix (h1 L^T)^(kj) is symmetric."""
     if h1.n != L.n:
         raise CompatError("metric and operator sizes differ")
-    n = h1.n
-    W = _h1_LT(h1, L)
-    antisym = tuple(tuple(W[k][j] - W[j][k] for j in range(n)) for k in range(n))
+    W = OperatorField(_h1_LT(h1, L))
+    antisym = (W - W.transpose()).entries
     closure = None
     if family is not None:
-        sigma1 = L.trace()
-        expected = [[sigma1 * h1.entry(k, j) for j in range(n)] for k in range(n)]
-        if n >= 2:
-            h2g = gram_matrix(family[1])
-            for k in range(n):
-                for j in range(n):
-                    expected[k][j] = expected[k][j] + h2g.entry(k, j)
-        closure = tuple(tuple(W[k][j] - expected[k][j] for j in range(n))
-                        for k in range(n))
+        expected = OperatorField(h1.entries) * L.trace()
+        if h1.n >= 2:
+            expected = expected + OperatorField(gram_matrix(family[1]).entries)
+        closure = (W - expected).entries
     ok = all(e.is_zero() for row in antisym for e in row)
     if closure is not None:
         ok = ok and all(e.is_zero() for row in closure for e in row)
@@ -132,16 +118,7 @@ def benenti_residual(family: Sequence[PhaseFunction],
     L = companion_second(sigma)
     h1 = gram_matrix(family[0])
     nv = 2 * n
-    W = _h1_LT(h1, L)
-    F_poly = ExactPolynomial.zero(nv)
-    for k in range(n):
-        for j in range(n):
-            if W[k][j].is_zero():
-                continue
-            pk = ExactPolynomial.variable(nv, n + k)
-            pj = ExactPolynomial.variable(nv, n + j)
-            F_poly = F_poly + W[k][j].with_appended_vars(n) * pk * pj
-    F = PhaseFunction(n, F_poly, 2)
+    F = quadratic_phase(_h1_LT(h1, L))
     H = family[0] * Fraction(1, 2)
     trace = L.trace()
     G_poly = ExactPolynomial.zero(nv)

@@ -240,10 +240,7 @@ def _advance(f: HamiltonianField, y: State, t_span: float,
     if t_span == 0.0:
         return list(y)
     if settings.method == "rk4":
-        y = _rk4_segment(f, y, t_span, settings)
-        if not all(math.isfinite(v) for v in y):
-            raise FlowError("state became non-finite")
-        return y
+        return _rk4_segment(f, y, t_span, settings)
     return _rk45_segment(f, y, t_span, settings)
 
 

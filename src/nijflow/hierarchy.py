@@ -17,7 +17,8 @@ functions
     F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b,      F_0 = 1/2 h1,
 
 which Poisson-commute pairwise whenever the companion operator is
-torsion-free.
+torsion-free.  Each F_i is one exact matrix product, A_i h1, lifted to the
+momenta by ``metric.quadratic_phase`` and halved.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .metric import (
     MetricError,
     PhaseFunction,
     PoissonPairReport,
+    quadratic_phase,
 )
 from .operators import OperatorField, char_coefficients, companion_second
 
@@ -81,25 +83,13 @@ def generating_identity_residuals(L: OperatorField,
 
 def first_integrals(h1: GramMatrix,
                     family: Sequence[OperatorField]) -> list[PhaseFunction]:
-    """Quadratic integrals F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b."""
+    """Quadratic integrals F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b: the lift of
+    the matrix product A_i h1 to the momenta."""
     n = h1.n
     if any(A.n != n for A in family):
         raise MetricError("hierarchy and metric sizes differ")
-    nv = 2 * n
-    momenta = [ExactPolynomial.variable(nv, n + k) for k in range(n)]
-    out = []
-    for A in family:
-        acc = ExactPolynomial.zero(nv)
-        for s in range(n):
-            for b in range(n):
-                w = ExactPolynomial.zero(n)
-                for a in range(n):
-                    w = w + h1.entry(a, b) * A.entry(s, a)
-                if w.is_zero():
-                    continue
-                acc = acc + w.with_appended_vars(n) * momenta[s] * momenta[b]
-        out.append(PhaseFunction(n, acc * Fraction(1, 2), 2))
-    return out
+    H = OperatorField(h1.entries)
+    return [quadratic_phase((A @ H).entries) * Fraction(1, 2) for A in family]
 
 
 def verify_commuting_integrals(

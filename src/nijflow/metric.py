@@ -159,6 +159,26 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     return PhaseFunction(n, acc, degree)
 
 
+def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunction:
+    """The phase function sum_ab M_ab p_a p_b of an n-by-n matrix of base
+    polynomials, symmetric or not.
+
+    Each term of M_ab becomes one chart term, its u-exponents followed by
+    the exponents of p_a p_b; the polynomial constructor merges the terms
+    that meet and drops those that cancel.
+    """
+    n = len(matrix)
+    terms = []
+    for a, row in enumerate(matrix):
+        for b, entry in enumerate(row):
+            p_exps = [0] * n
+            p_exps[a] += 1
+            p_exps[b] += 1
+            p_exps = tuple(p_exps)
+            terms += [(u_exps + p_exps, c) for u_exps, c in entry.terms()]
+    return PhaseFunction(n, ExactPolynomial(2 * n, terms), 2)
+
+
 class GramMatrix:
     """Symmetric matrix of base polynomials: coefficients of a quadratic
     form in the momenta, h = sum_ab G^ab p_a p_b."""
@@ -207,14 +227,7 @@ class GramMatrix:
 
     def quadratic_form(self) -> PhaseFunction:
         """The phase function sum_ab G^ab p_a p_b."""
-        n = self.n
-        acc = ExactPolynomial.zero(2 * n)
-        for a in range(n):
-            for b in range(n):
-                pa = ExactPolynomial.variable(2 * n, n + a)
-                pb = ExactPolynomial.variable(2 * n, n + b)
-                acc = acc + self.entries[a][b].with_appended_vars(n) * pa * pb
-        return PhaseFunction(n, acc, 2)
+        return quadratic_phase(self.entries)
 
 
 def _det(rows) -> ExactPolynomial:
@@ -260,20 +273,9 @@ def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
     """
     n = len(sigma)
     coeffs = reduced_power_coefficients(sigma, 2 * n - 2)
-    nv = 2 * n
-    out = []
-    for m in range(1, n + 1):
-        acc = ExactPolynomial.zero(nv)
-        for i in range(n):
-            for j in range(n):
-                c = coeffs[i + j][n - m]
-                if c.is_zero():
-                    continue
-                pi = ExactPolynomial.variable(nv, n + i)
-                pj = ExactPolynomial.variable(nv, n + j)
-                acc = acc + c.with_appended_vars(n) * pi * pj
-        out.append(PhaseFunction(n, acc, 2))
-    return out
+    return [quadratic_phase([[coeffs[i + j][n - m] for j in range(n)]
+                             for i in range(n)])
+            for m in range(1, n + 1)]
 
 
 def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:

@@ -2,9 +2,10 @@
 
 An operator field is an n-by-n matrix of :class:`ExactPolynomial` entries in
 the n base variables.  The module provides the two companion normal forms,
-the Nijenhuis torsion, the compatibility bracket <L, M> for commuting pairs,
-symmetry and strong-symmetry tests, characteristic polynomial coefficients by
-the trace recursion, and a numeric cyclicity (gl-regularity) probe.
+the compatibility bracket <L, M> for commuting pairs, the Nijenhuis torsion
+as -<L, L>, symmetry and strong-symmetry tests, characteristic polynomial
+coefficients by the trace recursion, and a numeric cyclicity (gl-regularity)
+probe.
 
 Index convention: entry(i, j) is the matrix element with upper index i and
 lower index j, so a vector transforms as (L xi)^i = sum_j L^i_j xi^j.
@@ -292,26 +293,11 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
     """Torsion components N^k_{ij}; the operator is Nijenhuis iff all vanish.
 
     N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
-             - L^k_s d_i L^s_j + L^k_s d_j L^s_i.
+             - L^k_s d_i L^s_j + L^k_s d_j L^s_i,
+
+    which is exactly -<L, L>, so it is computed as ``-torsion_of_pair(L, L)``.
     """
-    n = L.n
-    E = L.entries
-    comps = []
-    for k in range(n):
-        layer = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ExactPolynomial.zero(n)
-                for s in range(n):
-                    acc = acc + E[s][i] * E[k][j].partial(s)
-                    acc = acc - E[s][j] * E[k][i].partial(s)
-                    acc = acc - E[k][s] * E[s][j].partial(i)
-                    acc = acc + E[k][s] * E[s][i].partial(j)
-                row.append(acc)
-            layer.append(row)
-        comps.append(layer)
-    return OneTwoTensorField(comps)
+    return -torsion_of_pair(L, L)
 
 
 def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
@@ -320,7 +306,8 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
     <L, M>^k_{ij} = -(d_j L^s_i) M^k_s + (d_i M^s_j) L^k_s
                     - L^s_i d_s M^k_j + M^s_j d_s L^k_i.
 
-    With M = L this equals minus the Nijenhuis torsion.
+    With M = L this is exactly minus the Nijenhuis torsion, term by term,
+    and ``nijenhuis_torsion`` is computed that way.
     """
     n = L.n
     A, B = L.entries, M.entries

@@ -49,6 +49,10 @@ def evaluate_operator_array(A: OperatorField, U: np.ndarray) -> np.ndarray:
 # the direct solver
 
 
+# the most input x-nodes times time steps one direct solve may take; the
+# stored layers hold at most n floats per node-step (160 MB for n = 2)
+MAX_NODE_STEPS = 10**7
+
 # how far, as a fraction of max(1, |spacing|), a lattice may stray from
 # uniform: in its spacings here, in its node positions when a CSV is read
 UNIFORM_RTOL = 1e-12
@@ -109,6 +113,11 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
             f"window exhausted: {steps} steps strip {16 * steps} of {m} "
             f"nodes, leaving {width} < {min_width}; widen the initial "
             f"interval or refine the lattice")
+    if m * steps > MAX_NODE_STEPS:
+        raise PDEError(
+            f"{steps} steps on {m} nodes make {m * steps} node-steps, more "
+            f"than the limit of {MAX_NODE_STEPS}; coarsen the lattice or "
+            f"shorten t_end")
 
     layers = [u0]
     y = u0

@@ -67,6 +67,21 @@ def random_phase_function(rng, n, p_degree, max_terms=4, max_degree=2):
     return PhaseFunction(n, ExactPolynomial(2 * n, terms), p_degree)
 
 
+def reference_quadratic_phase(matrix):
+    """Oracle for ``metric.quadratic_phase``: the generic construction it
+    replaced, each entry lifted to the chart and multiplied by p_a and p_b."""
+    from nijflow.metric import PhaseFunction
+
+    n = len(matrix)
+    acc = ExactPolynomial.zero(2 * n)
+    for a in range(n):
+        for b in range(n):
+            pa = ExactPolynomial.variable(2 * n, n + a)
+            pb = ExactPolynomial.variable(2 * n, n + b)
+            acc = acc + matrix[a][b].with_appended_vars(n) * pa * pb
+    return PhaseFunction(n, acc, 2)
+
+
 # Named coefficient lists used throughout the suite.
 
 def sigma_torsion_free2():

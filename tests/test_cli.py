@@ -75,32 +75,62 @@ def test_verify_report_is_deterministic(tmp_path, capsys):
     assert out1.read_text() == stdout1
 
 
-# SHA-256 of the stdout of (verify, build-metric), recorded with the
-# pencil-square construction of the h family: whatever route builds it, the
-# reports must not change by a byte.
-CURVED_DIGESTS = {
+# SHA-256 of the stdout of verify, build-metric and hierarchy for every
+# shipped config, recorded with the generic-product construction of the
+# quadratic integrals (and, for nijenhuis3/4, with the pencil square of the
+# h family): whatever route builds the exact objects, the reports must not
+# change by a byte.  coordinates2 is the obstructed control: verify exits 1.
+REPORT_COMMANDS = ("verify", "build-metric", "hierarchy")
+REPORT_DIGESTS = {
+    "constant2": (
+        "e7bed5e0d37a23f565df52c3f58ae06d35368a02a4f68d5fa61dbdbc5523d888",
+        "3cc82075b0caec78bda4fda4487645c150250a09539b27150d5fff417426af49",
+        "9b187394458633565b8318ea3ff7d185797816435ca46fd3b9a500dd713249bb"),
+    "constant3": (
+        "33bde2c13089dfc75aea420154998bdb08dea3736281c6125dadd5f4dd8b25a2",
+        "005db6b3d547d7f20fb4545bf8cb0ba7908734329a590970d63e8dfef8eb5e42",
+        "c4027dea6fc1ff8861fb68d2ad6b1ac249bb4d22c9991a0d7e5750dc53c3e573"),
+    "coordinates2": (
+        "697eab40c1aebcb55e26c83949d670863091dd4159b83e27a813d788b0901849",
+        "7416a8213800306125af30ddef3a594a49e633a1f79c0cae49ec34731f579d3a",
+        "21f357e434c83d1b42647484695116319059140e8cf3d2b73b418a46435449ed"),
+    "nijenhuis2": (
+        "e1f852a9c0b9d2fb3f79cc33cf337536148e7ae2aa2498ba8a9c589aa5d23083",
+        "73db7a787a413932c8e8c24f40693a6cd3012f8cf2f379d6e1af212773c165a2",
+        "64499134867604b6b449860796c9bb4e2ff8c62d7ae36324bd8550b4bbc208a0"),
+    "nijenhuis2_direct": (
+        "4bb4a5df0b0cd51d43fcbbb77c5b839315d8aa9c7b8253e7361f6c828cc7d797",
+        "73db7a787a413932c8e8c24f40693a6cd3012f8cf2f379d6e1af212773c165a2",
+        "64499134867604b6b449860796c9bb4e2ff8c62d7ae36324bd8550b4bbc208a0"),
     "nijenhuis3": (
         "0a64f8b47dd11a66af4b505bcadcdb8f35c472717bfc361c0b4492de7552d8b3",
-        "19eba0704a491973de35652432322ec630ab4bc881a3d20587daf6e084922085"),
+        "19eba0704a491973de35652432322ec630ab4bc881a3d20587daf6e084922085",
+        "e0e77abe95256b2afe12f6d2d778680df087a779719dceb9520db6b6180ed1a0"),
     "nijenhuis4": (
         "5cf9eaebaa59a410fc41c562737327e4c8596d91bc662b14da4e67ce6d35eb2b",
-        "0a3b38b90661fa6080ccd8d171e9197964c3757ae1fc05eec28fd181b8c5d18b"),
+        "0a3b38b90661fa6080ccd8d171e9197964c3757ae1fc05eec28fd181b8c5d18b",
+        "55dfe149bf01335330614a9fbc140648b9b924df7ca0f3098f84f4bf86421fad"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CURVED_DIGESTS))
-def test_curved_fixtures_verify_and_reports_are_pinned(name, capsys):
+def test_every_shipped_config_has_pinned_reports():
+    assert sorted(REPORT_DIGESTS) == sorted(p.stem
+                                            for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_shipped_reports_are_pinned(name, capsys):
     config = str(CONFIGS / f"{name}.json")
-    assert main(["verify", config]) == 0
-    verify_out = capsys.readouterr().out
-    report = json.loads(verify_out)
+    outputs = []
+    for command in REPORT_COMMANDS:
+        expected = 1 if (name, command) == ("coordinates2", "verify") else 0
+        assert main([command, config]) == expected
+        outputs.append(capsys.readouterr().out)
+    report = json.loads(outputs[0])
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
-    assert all(c["verdict"] == "pass" for c in report["checks"])
-    assert main(["build-metric", config]) == 0
-    metric_out = capsys.readouterr().out
     digests = tuple(hashlib.sha256(out.encode()).hexdigest()
-                    for out in (verify_out, metric_out))
-    assert digests == CURVED_DIGESTS[name]
+                    for out in outputs)
+    assert digests == REPORT_DIGESTS[name]
 
 
 def test_malformed_configs_exit_2(tmp_path, capsys):
@@ -130,6 +160,10 @@ def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
     assert main(["evolve", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
 
+
+NODE_STEPS_OVER_CAP = {
+    "grid": {"x": {"start": -1.5, "stop": 1.5, "count": 20001}},
+    "pde": {"t_end": 0.05, "dt": 0.00008}}
 
 # (command, {dotted field path in nijenhuis2.json: replacement value})
 BAD_NUMBERS = {
@@ -171,6 +205,10 @@ BAD_NUMBERS = {
                                    "grid.t": [{"start": 0.0, "stop": 0.5,
                                                "count": 1000}]}),
     "x-count-huge-direct": ("solve-direct", {"grid.x.count": 1_000_000_000}),
+    # over pde.MAX_NODE_STEPS: 625 steps on 20001 nodes, which the window
+    # allows; refused before any layer is computed
+    "node-steps-direct": ("solve-direct", NODE_STEPS_OVER_CAP),
+    "node-steps-compare": ("compare", NODE_STEPS_OVER_CAP),
 }
 
 

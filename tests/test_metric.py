@@ -10,6 +10,7 @@ from support import (
     random_phase_function,
     random_polynomial,
     random_sigma,
+    reference_quadratic_phase,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -33,6 +34,7 @@ from nijflow.metric import (
     h_family_from_pencil,
     pairwise_poisson,
     poisson_bracket,
+    quadratic_phase,
     reduced_power_coefficients,
 )
 
@@ -103,6 +105,47 @@ class TestPoissonBracket:
                  + poisson_bracket(g, poisson_bracket(h, f)).poly
                  + poisson_bracket(h, poisson_bracket(f, g)).poly)
             assert s.is_zero()
+
+
+class TestQuadraticPhase:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_generic_products_on_random_matrices(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(12):
+            M = [[random_polynomial(rng, n) for _ in range(n)]
+                 for _ in range(n)]
+            F = quadratic_phase(M)
+            assert F == reference_quadratic_phase(M)
+            assert F.p_degree == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_generic_products_with_zero_entries(self, n):
+        rng = random.Random(600 + n)
+        for _ in range(12):
+            M = [[random_polynomial(rng, n) if rng.random() < 0.4
+                  else ExactPolynomial.zero(n) for _ in range(n)]
+                 for _ in range(n)]
+            assert quadratic_phase(M) == reference_quadratic_phase(M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_matrix(self, n):
+        zero = [[ExactPolynomial.zero(n)] * n for _ in range(n)]
+        F = quadratic_phase(zero)
+        assert F.is_zero() and F.p_degree == 2
+        assert F == reference_quadratic_phase(zero)
+
+    def test_only_the_symmetric_part_survives(self):
+        rng = random.Random(700)
+        n = 3
+        M = [[random_polynomial(rng, n) for _ in range(n)] for _ in range(n)]
+        # the antisymmetric part cancels term by term across (a, b), (b, a)
+        skew = [[M[a][b] - M[b][a] for b in range(n)] for a in range(n)]
+        assert quadratic_phase(skew).is_zero()
+        half = Fraction(1, 2)
+        sym = [[(M[a][b] + M[b][a]) * half for b in range(n)]
+               for a in range(n)]
+        assert quadratic_phase(M) == quadratic_phase(sym)
+        assert gram_matrix(quadratic_phase(M)) == GramMatrix(sym)
 
 
 class TestHFamily:

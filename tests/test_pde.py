@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nijflow import pde
 from nijflow.cli import build_model, config_point
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import AxisSpec, CotangentPoint, FlowSettings, orbit_grid
@@ -123,6 +124,26 @@ def test_window_exhaustion_is_reported():
     with pytest.raises(PDEError) as err:
         direct_solve(A[1], xs, np.zeros((41, 2)), 1.0, dt=0.01)
     assert "window exhausted" in str(err.value)
+
+
+def test_node_step_cap_is_checked_before_any_layer(monkeypatch):
+    _, A, _ = nijenhuis2_setup()
+    xs = np.linspace(-1.0, 1.0, 101)
+    u0 = np.zeros((101, 2))
+    # 2 steps on 101 nodes: 202 node-steps, allowed exactly at the cap
+    monkeypatch.setattr(pde, "MAX_NODE_STEPS", 202)
+    assert direct_solve(A[1], xs, u0, 0.01, dt=0.005).meta["steps"] == 2
+
+    def no_layer(*args):
+        raise AssertionError("a layer was computed")
+
+    monkeypatch.setattr(pde, "_interior_rhs", no_layer)
+    monkeypatch.setattr(pde, "MAX_NODE_STEPS", 201)
+    with pytest.raises(PDEError) as err:
+        direct_solve(A[1], xs, u0, 0.01, dt=0.005)
+    assert str(err.value) == ("2 steps on 101 nodes make 202 node-steps, "
+                              "more than the limit of 201; coarsen the "
+                              "lattice or shorten t_end")
 
 
 def test_lattice_validation():
