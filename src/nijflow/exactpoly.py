@@ -62,6 +62,18 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise PolynomialError(f"not an exact rational coefficient: {value!r}")
 
 
+def _accumulate(data: dict[Exponents, Fraction],
+                terms: Mapping[Exponents, Fraction], sign: int) -> None:
+    """Add ``sign`` (+1 or -1) times ``terms`` into the canonical term map
+    ``data`` in place, dropping the terms that cancel."""
+    for exps, c in terms.items():
+        s = data.get(exps, 0) + c if sign > 0 else data.get(exps, 0) - c
+        if s:
+            data[exps] = s
+        else:
+            data.pop(exps, None)
+
+
 class ExactPolynomial:
     """Immutable multivariate polynomial with Fraction coefficients.
 
@@ -166,20 +178,18 @@ class ExactPolynomial:
             raise PolynomialError(
                 f"variable counts differ: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other) -> "ExactPolynomial":
+    def _combined(self, other, sign: int) -> "ExactPolynomial":
         if isinstance(other, (int, Fraction)):
             other = ExactPolynomial.constant(self.nvars, other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         self._check_compatible(other)
         data = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = data.get(exps, Fraction(0)) + c
-            if s:
-                data[exps] = s
-            else:
-                data.pop(exps, None)
+        _accumulate(data, other._terms, sign)
         return self._raw(self.nvars, data)
+
+    def __add__(self, other) -> "ExactPolynomial":
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
@@ -187,11 +197,7 @@ class ExactPolynomial:
         return self._raw(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial.constant(self.nvars, other)
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __rsub__(self, other) -> "ExactPolynomial":
         return (-self) + other
@@ -320,6 +326,20 @@ class ExactPolynomial:
 
     def __repr__(self) -> str:
         return f"ExactPolynomial({self.nvars}, {self!s})"
+
+
+def signed_sum(nvars: int, parts: Iterable[tuple[int, ExactPolynomial]]
+               ) -> ExactPolynomial:
+    """The sum of ``sign * poly`` over ``parts`` (sign +1 or -1), gathered
+    in one term map: a chain of ``+`` and ``-`` would copy its accumulator
+    at every step."""
+    data: dict[Exponents, Fraction] = {}
+    for sign, poly in parts:
+        if poly.nvars != nvars:
+            raise PolynomialError(
+                f"variable counts differ: {nvars} vs {poly.nvars}")
+        _accumulate(data, poly._terms, sign)
+    return ExactPolynomial._raw(nvars, data)
 
 
 def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, format_polynomial, phase_names
+from .exactpoly import (ExactPolynomial, format_polynomial, phase_names,
+                        signed_sum)
 from .operators import companion_second
 
 
@@ -394,18 +395,15 @@ def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
         u_row = []
         p_row = []
         for j in range(n):
-            acc_u = ExactPolynomial.zero(2 * n)
-            acc_p = ExactPolynomial.zero(2 * n)
-            for s in range(n):
-                acc_u = acc_u + hi.du(s) * L[s][j]
-                acc_p = acc_p + hi.dp(s) * L[j][s]
-            acc_u = acc_u - sig[i] * h1.du(j)
-            acc_p = acc_p - sig[i] * h1.dp(j)
+            u_parts = [(1, hi.du(s) * L[s][j]) for s in range(n)]
+            p_parts = [(1, hi.dp(s) * L[j][s]) for s in range(n)]
+            u_parts.append((-1, sig[i] * h1.du(j)))
+            p_parts.append((-1, sig[i] * h1.dp(j)))
             if nxt is not None:
-                acc_u = acc_u - nxt.du(j)
-                acc_p = acc_p - nxt.dp(j)
-            u_row.append(acc_u)
-            p_row.append(acc_p)
+                u_parts.append((-1, nxt.du(j)))
+                p_parts.append((-1, nxt.dp(j)))
+            u_row.append(signed_sum(2 * n, u_parts))
+            p_row.append(signed_sum(2 * n, p_parts))
         u_rows.append(tuple(u_row))
         p_rows.append(tuple(p_row))
     ok = all(r.is_zero() for rows in (u_rows, p_rows) for row in rows for r in row)

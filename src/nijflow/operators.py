@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, signed_sum
 
 VectorField = tuple[ExactPolynomial, ...]
 
@@ -311,22 +311,17 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
     """
     n = L.n
     A, B = L.entries, M.entries
-    comps = []
-    for k in range(n):
-        layer = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ExactPolynomial.zero(n)
-                for s in range(n):
-                    acc = acc - A[s][i].partial(j) * B[k][s]
-                    acc = acc + B[s][j].partial(i) * A[k][s]
-                    acc = acc - A[s][i] * B[k][j].partial(s)
-                    acc = acc + B[s][j] * A[k][i].partial(s)
-                row.append(acc)
-            layer.append(row)
-        comps.append(layer)
-    return OneTwoTensorField(comps)
+
+    def component(k, i, j):
+        for s in range(n):
+            yield -1, A[s][i].partial(j) * B[k][s]
+            yield 1, B[s][j].partial(i) * A[k][s]
+            yield -1, A[s][i] * B[k][j].partial(s)
+            yield 1, B[s][j] * A[k][i].partial(s)
+
+    return OneTwoTensorField([[[signed_sum(n, component(k, i, j))
+                                for j in range(n)] for i in range(n)]
+                              for k in range(n)])
 
 
 def guiding_bracket(L: OperatorField, M: OperatorField) -> OneTwoTensorField:

@@ -12,8 +12,9 @@ import pytest
 
 from support import reference_read_grid_csv, reference_write_grid_csv
 
-from nijflow.cli import (ConfigError, build_model, config_initial_curve, main,
-                         read_grid_csv, write_grid_csv, write_svg_plot)
+from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
+                         config_initial_curve, main, read_grid_csv,
+                         write_grid_csv, write_svg_plot)
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
 
@@ -299,6 +300,124 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     back = read_grid_csv(str(path))
     assert_same_outcome(back, grid)
     assert_same_outcome(back, reference_read_grid_csv(str(path)))
+
+
+def _pow10_neighbours():
+    """10**j and the two doubles on each side, j = -323..308, both signs."""
+    values = []
+    for j in range(-323, 309):
+        v = float(f"1e{j}")
+        below = above = v
+        for _ in range(2):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, np.inf)
+            values += [below, above]
+        values.append(v)
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def _random_bit_patterns(count=120_000):
+    bits = np.random.default_rng(2024).integers(0, 2**64, count,
+                                                dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+# doubles whose 17-digit form ends in an exact tie: (2**m + 1) / 2**m has
+# m + 1 significant digits past the point, the last a 5
+TIES = [(2**m + 1) / 2**m * scale for m in range(14, 54)
+        for scale in (1.0, 2.0**10, 2.0**-10, 1e10, -1.0)]
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e-250, 1e250, 0.1, 0.09999999999999999,
+            9.999999999999999e-05, 1e16, 1e17, 99999999999999984.0]
+FORMAT_CASES = {
+    "powers-of-ten": _pow10_neighbours,
+    "ties": lambda: np.array(TIES),
+    "specials": lambda: np.array(SPECIALS),
+    "random-bits": _random_bit_patterns,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_csv_cells_are_python_percent_17g(tmp_path, case):
+    values = FORMAT_CASES[case]()
+    assert np.isfinite(values).all()
+    grid = SolutionGrid((AxisSpec("x", 0.0, 1.0, len(values)),),
+                        values.reshape(-1, 1), -values.reshape(-1, 1))
+    path = tmp_path / "cells.csv"
+    write_grid_csv(grid, str(path))
+    rows = path.read_text().splitlines()[1:]
+    cells = [row.split(",") for row in rows]
+    assert [c[1] for c in cells] == ["%.17g" % v for v in values.tolist()]
+    assert [c[2] for c in cells] == ["%.17g" % -v for v in values.tolist()]
+    assert [c[0] for c in cells] == [
+        "%.17g" % v for v in grid.axes[0].values().tolist()]
+
+
+def _lattice_of(rows, axes, momenta):
+    """A lattice of ``rows`` nodes on ``axes`` axes, its values spread over
+    every notation "%.17g" uses."""
+    shape = []
+    left = rows
+    for _ in range(axes - 1):
+        factor = next((f for f in range(2, 50) if left % f == 0), 1)
+        shape.append(factor)
+        left //= factor
+    shape = [left] + shape
+    specs = tuple(AxisSpec(name, start, stop if count > 1 else start, count)
+                  for name, start, stop, count in zip(
+                      ("x", "t1", "t2"), (-1.5, 0.0, -0.25), (2.5, 0.7, 30.0),
+                      shape))
+    rng = np.random.default_rng(rows * 10 + axes)
+
+    def block():
+        values = rng.standard_normal(tuple(shape) + (2,))
+        values *= 10.0 ** rng.integers(-9, 21, values.shape)
+        values.flat[::7] = 0.0
+        return values
+
+    return SolutionGrid(specs, block(), block() if momenta else None)
+
+
+SEAM_ROWS = [1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+             2 * _CSV_CHUNK_ROWS + 1]
+
+
+@pytest.mark.parametrize("rows", SEAM_ROWS)
+@pytest.mark.parametrize("axes", [1, 2, 3])
+@pytest.mark.parametrize("momenta", [False, True])
+def test_csv_chunk_seams_match_row_by_row_oracle(tmp_path, rows, axes,
+                                                 momenta):
+    grid = _lattice_of(rows, axes, momenta)
+    assert grid.u.shape[:-1] == tuple(a.count for a in grid.axes)
+    path = tmp_path / "g.csv"
+    write_grid_csv(grid, str(path))
+    oracle = tmp_path / "oracle.csv"
+    reference_write_grid_csv(grid, str(oracle))
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("where,bad,message", [
+    ("u", np.nan, "u2 is nan at node (2, 1)"),
+    ("p", -np.inf, "p2 is -inf at node (2, 1)"),
+    ("axis", np.nan, "t1 is nan at node (0, 0)"),
+])
+def test_write_grid_csv_refuses_non_finite_values(tmp_path, where, bad,
+                                                  message):
+    t_stop = bad if where == "axis" else 0.2
+    grid = SolutionGrid((AxisSpec("x", 0.0, 1.0, 4),
+                         AxisSpec("t1", 0.0, t_stop, 3)),
+                        np.zeros((4, 3, 2)), np.zeros((4, 3, 2)))
+    if where != "axis":
+        getattr(grid, where)[2, 1, 1] = bad
+        getattr(grid, where)[3, 0, 0] = bad  # a later node is not named
+    path = tmp_path / "g.csv"
+    with pytest.raises(ConfigError) as err:
+        write_grid_csv(grid, str(path))
+    assert message in str(err.value)
+    assert not path.exists()
 
 
 def test_read_grid_csv_rejects_malformed_input(tmp_path):

@@ -14,6 +14,7 @@ from nijflow.exactpoly import (
     format_polynomial,
     grlex_key,
     parse_expression,
+    signed_sum,
 )
 from nijflow.flows import HamiltonianField
 from nijflow.metric import PhaseFunction
@@ -92,6 +93,32 @@ class TestRingOperations:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert (a + b) + c == a + (b + c)
+
+    def test_subtraction_is_adding_the_negation(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            a = random_polynomial(rng, 3)
+            b = random_polynomial(rng, 3)
+            assert a - b == a + (-b)
+            assert (a - b) + b == a
+        with pytest.raises(PolynomialError):
+            poly2("u1") - ExactPolynomial.variable(3, 0)
+
+    def test_signed_sum_matches_the_chain(self):
+        rng = random.Random(515)
+        for _ in range(30):
+            parts = [(rng.choice((1, -1)), random_polynomial(rng, 3))
+                     for _ in range(rng.randrange(0, 7))]
+            chain = ExactPolynomial.zero(3)
+            for sign, poly in parts:
+                chain = chain + poly if sign > 0 else chain - poly
+            total = signed_sum(3, parts)
+            assert total == chain
+            assert all(c != 0 for _, c in total.terms())
+        a = random_polynomial(rng, 3)
+        assert signed_sum(3, [(1, a), (-1, a)]).is_zero()
+        with pytest.raises(PolynomialError):
+            signed_sum(2, [(1, a)])
 
     def test_no_zero_coefficients_after_arithmetic(self):
         rng = random.Random(77)
