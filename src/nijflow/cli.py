@@ -60,6 +60,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw

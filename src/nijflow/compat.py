@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, signed_sum
 from .metric import (
     CovariantMetricAt,
     GramMatrix,
@@ -120,16 +120,12 @@ def benenti_residual(family: Sequence[PhaseFunction],
     nv = 2 * n
     F = quadratic_phase(_h1_LT(h1, L))
     H = family[0] * Fraction(1, 2)
-    trace = L.trace()
-    G_poly = ExactPolynomial.zero(nv)
-    for q in range(n):
-        dtr = trace.partial(q)
-        if dtr.is_zero():
-            continue
-        for a in range(n):
-            pa = ExactPolynomial.variable(nv, n + a)
-            G_poly = G_poly + (dtr * h1.entry(a, q)).with_appended_vars(n) * pa
-    G = PhaseFunction(n, G_poly, 1)
+    dtr = [L.trace().partial(q) for q in range(n)]
+    G = PhaseFunction(n, signed_sum(nv, [
+        (1, ExactPolynomial.variable(nv, n + a),
+         signed_sum(n, [(1, dtr[q], h1.entry(a, q)) for q in range(n)])
+         .with_appended_vars(n))
+        for a in range(n)]), 1)
     return poisson_bracket(H, F) - 2 * (H * G)
 
 

@@ -19,7 +19,13 @@ where ``rational`` is an unsigned integer literal optionally followed by
 the caller-supplied name list.  There is no general division operator; the
 grammar admits exactly polynomial expressions with rational coefficients.
 Expressions are ASCII: digits are 0-9, names are letters, digits and ``_``,
-and any other character is refused.
+and any other character is refused.  The parser builds the polynomial as it
+reads, with no syntax tree; parentheses and unary minus nest at most
+``MAX_NESTING`` deep, and a power whose result could exceed
+``MAX_POWER_BITS`` is refused before it is formed.
+
+Every product of polynomials, and every sum of such products, is formed by
+one kernel, ``signed_sum``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -35,6 +42,14 @@ import numpy as np
 Exponents = tuple[int, ...]
 RationalLike = Union[int, Fraction]
 FloatForm = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+
+# Deepest nesting of parentheses and unary minus the parser accepts; each
+# level costs a few frames of Python's recursion limit.
+MAX_NESTING = 100
+# Largest size, in coefficient bits summed over the terms, that a power may
+# reach; ``ExactPolynomial.__pow__`` refuses larger ones before forming them.
+# Powers at this bound took at most 0.35 s (Python 3.11, 2-vCPU x86-64).
+MAX_POWER_BITS = 1 << 16
 
 
 class PolynomialError(ValueError):
@@ -60,18 +75,6 @@ def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise PolynomialError(f"not an exact rational coefficient: {value!r}")
-
-
-def _accumulate(data: dict[Exponents, Fraction],
-                terms: Mapping[Exponents, Fraction], sign: int) -> None:
-    """Add ``sign`` (+1 or -1) times ``terms`` into the canonical term map
-    ``data`` in place, dropping the terms that cancel."""
-    for exps, c in terms.items():
-        s = data.get(exps, 0) + c if sign > 0 else data.get(exps, 0) - c
-        if s:
-            data[exps] = s
-        else:
-            data.pop(exps, None)
 
 
 class ExactPolynomial:
@@ -185,7 +188,12 @@ class ExactPolynomial:
             return NotImplemented
         self._check_compatible(other)
         data = dict(self._terms)
-        _accumulate(data, other._terms, sign)
+        for exps, c in other._terms.items():
+            s = data.get(exps, 0) + c if sign > 0 else data.get(exps, 0) - c
+            if s:
+                data[exps] = s
+            else:
+                del data[exps]
         return self._raw(self.nvars, data)
 
     def __add__(self, other) -> "ExactPolynomial":
@@ -204,29 +212,20 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> "ExactPolynomial":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return ExactPolynomial.zero(self.nvars)
-            return self._raw(self.nvars, {e: c * v for e, v in self._terms.items()})
+            other = ExactPolynomial.constant(self.nvars, other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        self._check_compatible(other)
-        data: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                s = data.get(exps, Fraction(0)) + ca * cb
-                if s:
-                    data[exps] = s
-                else:
-                    data.pop(exps, None)
-        return self._raw(self.nvars, data)
+        return signed_sum(self.nvars, [(1, self, other)])
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolynomialError("polynomial powers must be non-negative integers")
+        if exponent > 1 and self._power_bits(exponent) > MAX_POWER_BITS:
+            raise PolynomialError(
+                f"power {exponent} of a {len(self)}-term polynomial is too "
+                "large to form")
         result = ExactPolynomial.constant(self.nvars, 1)
         base = self
         e = exponent
@@ -236,6 +235,22 @@ class ExactPolynomial:
             base = base * base if e > 1 else base
             e >>= 1
         return result
+
+    def _power_bits(self, e: int) -> int:
+        """About the most bits ``self ** e`` could take: a bound on its
+        terms (the monomials of degree e in its t terms, or of degree at
+        most e times its degree in its variables) times the bits of one
+        coefficient, 1 plus e times those of the largest coefficient and of
+        the multinomial count t.  Unit coefficients count no bits, so a
+        power of a monomial has size 1."""
+        t = len(self._terms)
+        if not t:
+            return 0
+        terms = min(math.comb(t - 1 + e, t - 1),
+                    math.comb(self.nvars + e * self.total_degree(), self.nvars))
+        bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
+                   for c in self._terms.values()) - 2
+        return terms * (1 + e * (bits + (t - 1).bit_length()))
 
     @classmethod
     def _raw(cls, nvars: int, data: dict[Exponents, Fraction]) -> "ExactPolynomial":
@@ -328,17 +343,31 @@ class ExactPolynomial:
         return f"ExactPolynomial({self.nvars}, {self!s})"
 
 
-def signed_sum(nvars: int, parts: Iterable[tuple[int, ExactPolynomial]]
+def signed_sum(nvars: int,
+               parts: Iterable[tuple[int, ExactPolynomial, ExactPolynomial]]
                ) -> ExactPolynomial:
-    """The sum of ``sign * poly`` over ``parts`` (sign +1 or -1), gathered
-    in one term map: a chain of ``+`` and ``-`` would copy its accumulator
-    at every step."""
+    """The sum of ``sign * a * b`` over ``parts`` (sign +1 or -1): every
+    product of polynomials is formed here.  Each term product is added
+    straight into one term map, so neither the products nor partial sums
+    are built as polynomials of their own."""
     data: dict[Exponents, Fraction] = {}
-    for sign, poly in parts:
-        if poly.nvars != nvars:
-            raise PolynomialError(
-                f"variable counts differ: {nvars} vs {poly.nvars}")
-        _accumulate(data, poly._terms, sign)
+    get = data.get
+    for sign, a, b in parts:
+        for poly in (a, b):
+            if poly.nvars != nvars:
+                raise PolynomialError(
+                    f"variable counts differ: {nvars} vs {poly.nvars}")
+        b_terms = b._terms.items()
+        for ea, ca in a._terms.items():
+            if sign < 0:
+                ca = -ca
+            for eb, cb in b_terms:
+                exps = tuple(map(add, ea, eb))
+                s = get(exps, 0) + ca * cb
+                if s:
+                    data[exps] = s
+                else:
+                    del data[exps]
     return ExactPolynomial._raw(nvars, data)
 
 
@@ -453,61 +482,6 @@ def format_polynomial(poly: ExactPolynomial, names: Sequence[str]) -> str:
     return " ".join(pieces)
 
 
-# -- expression AST -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Variable:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Expression"
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str  # '+', '-' or '*'
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expression"
-    exponent: int
-
-
-Expression = Union[Literal, Variable, Negate, BinaryOp, Power]
-
-
-def expression_to_polynomial(node: Expression, nvars: int) -> ExactPolynomial:
-    if isinstance(node, Literal):
-        return ExactPolynomial.constant(nvars, node.value)
-    if isinstance(node, Variable):
-        return ExactPolynomial.variable(nvars, node.index)
-    if isinstance(node, Negate):
-        return -expression_to_polynomial(node.operand, nvars)
-    if isinstance(node, Power):
-        return expression_to_polynomial(node.base, nvars) ** node.exponent
-    if isinstance(node, BinaryOp):
-        left = expression_to_polynomial(node.left, nvars)
-        right = expression_to_polynomial(node.right, nvars)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise PolynomialError(f"unknown expression node: {node!r}")
-
-
 # -- tokenizer and parser -------------------------------------------------
 
 
@@ -560,11 +534,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the token list, building the polynomial of
+    each rule as it returns."""
+
     def __init__(self, tokens: list[_Token], names: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
-        self.names = list(names)
-        self.index_of = {name: i for i, name in enumerate(self.names)}
+        self.depth = 0
+        self.nvars = len(names)
+        self.one = ExactPolynomial.constant(self.nvars, 1)
+        self.index_of = {name: i for i, name in enumerate(names)}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -574,84 +553,85 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, symbol: str) -> _Token:
+    def at_op(self, symbols: str) -> bool:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != symbol:
-            raise ParseError(f"expected {symbol!r}", tok.position)
+        return tok.kind == "op" and tok.text in symbols
+
+    def expect_op(self, symbol: str) -> _Token:
+        if not self.at_op(symbol):
+            raise ParseError(f"expected {symbol!r}", self.peek().position)
         return self.advance()
 
-    def parse(self) -> Expression:
-        node = self.expr()
+    def parse(self) -> ExactPolynomial:
+        poly = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.position)
-        return node
+        return poly
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                node = BinaryOp(tok.text, node, self.term())
-            else:
-                return node
+    def expr(self) -> ExactPolynomial:
+        parts = [(1, self.term(), self.one)]
+        while self.at_op("+-"):
+            sign = 1 if self.advance().text == "+" else -1
+            parts.append((sign, self.term(), self.one))
+        return parts[0][1] if len(parts) == 1 else signed_sum(self.nvars, parts)
 
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                node = BinaryOp("*", node, self.factor())
-            else:
-                return node
+    def term(self) -> ExactPolynomial:
+        poly = self.factor()
+        while self.at_op("*"):
+            self.advance()
+            poly = poly * self.factor()
+        return poly
 
-    def factor(self) -> Expression:
-        node = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+    def factor(self) -> ExactPolynomial:
+        poly = self.base()
+        if self.at_op("^"):
             self.advance()
             exp_tok = self.peek()
             if exp_tok.kind != "int":
                 raise ParseError("exponent must be an unsigned integer",
                                  exp_tok.position)
             self.advance()
-            return Power(node, int(exp_tok.text))
-        return node
+            return poly ** int(exp_tok.text)
+        return poly
 
-    def base(self) -> Expression:
+    def base(self) -> ExactPolynomial:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("parentheses and unary minus nest deeper "
+                                 f"than {MAX_NESTING}", tok.position)
             self.advance()
-            return Negate(self.base())
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            if tok.text == "-":
+                poly = -self.base()
+            else:
+                poly = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
+            return poly
         if tok.kind == "int":
             self.advance()
             numerator = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    raise ParseError("expected an integer denominator",
-                                     den_tok.position)
-                self.advance()
-                if int(den_tok.text) == 0:
-                    raise ParseError("zero denominator", den_tok.position)
-                return Literal(Fraction(numerator, int(den_tok.text)))
-            return Literal(Fraction(numerator))
+            if not self.at_op("/"):
+                return ExactPolynomial.constant(self.nvars, numerator)
+            self.advance()
+            den_tok = self.peek()
+            if den_tok.kind != "int":
+                raise ParseError("expected an integer denominator",
+                                 den_tok.position)
+            self.advance()
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.position)
+            return ExactPolynomial.constant(
+                self.nvars, Fraction(numerator, int(den_tok.text)))
         if tok.kind == "name":
             index = self.index_of.get(tok.text)
             if index is None:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.position)
             self.advance()
-            return Variable(index, tok.text)
-        if tok.kind == "op" and tok.text == "/":
+            return ExactPolynomial.variable(self.nvars, index)
+        if self.at_op("/"):
             raise ParseError("division is only allowed inside rational literals",
                              tok.position)
         if tok.kind == "end":
@@ -660,17 +640,11 @@ class _Parser:
                          f"expression, found {tok.text!r}", tok.position)
 
 
-def parse_ast(text: str, variable_names: Sequence[str]) -> Expression:
-    """Parse an expression string into its AST."""
+def parse_expression(text: str, variable_names: Sequence[str]) -> ExactPolynomial:
+    """Parse an expression string into a canonical polynomial."""
     seen = set()
     for name in variable_names:
         if name in seen:
             raise PolynomialError(f"duplicate variable name {name!r}")
         seen.add(name)
     return _Parser(_tokenize(text), variable_names).parse()
-
-
-def parse_expression(text: str, variable_names: Sequence[str]) -> ExactPolynomial:
-    """Parse an expression string into a canonical polynomial."""
-    node = parse_ast(text, variable_names)
-    return expression_to_polynomial(node, len(variable_names))

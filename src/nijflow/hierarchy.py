@@ -32,6 +32,7 @@ from .metric import (
     MetricError,
     PhaseFunction,
     PoissonPairReport,
+    pairwise_poisson,
     quadratic_phase,
 )
 from .operators import OperatorField, char_coefficients, companion_second
@@ -95,5 +96,4 @@ def first_integrals(h1: GramMatrix,
 def verify_commuting_integrals(
         integrals: Sequence[PhaseFunction]) -> PoissonPairReport:
     """Pairwise Poisson brackets of the integrals; exact."""
-    from .metric import pairwise_poisson
     return pairwise_poisson(integrals)

@@ -153,11 +153,11 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k."""
     f._check(g)
     n = f.n
-    acc = ExactPolynomial.zero(2 * n)
+    parts = []
     for k in range(n):
-        acc = acc + f.dp(k) * g.du(k) - f.du(k) * g.dp(k)
+        parts += [(1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k))]
     degree = max(f.p_degree + g.p_degree - 1, 0)
-    return PhaseFunction(n, acc, degree)
+    return PhaseFunction(n, signed_sum(2 * n, parts), degree)
 
 
 def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunction:
@@ -233,17 +233,12 @@ class GramMatrix:
 
 def _det(rows) -> ExactPolynomial:
     n = len(rows)
-    nv = rows[0][0].nvars
     if n == 1:
         return rows[0][0]
-    acc = ExactPolynomial.zero(nv)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cofactor = rows[0][j] * _det(minor)
-        acc = acc + cofactor if j % 2 == 0 else acc - cofactor
-    return acc
+    return signed_sum(rows[0][0].nvars, [
+        (-1 if j % 2 else 1, rows[0][j],
+         _det([[row[k] for k in range(n) if k != j] for row in rows[1:]]))
+        for j in range(n) if not rows[0][j].is_zero()])
 
 
 def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
@@ -285,20 +280,13 @@ def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
     n = len(sigma)
     L = companion_second(sigma)
     nv = 2 * n
-    pencil = [[ExactPolynomial.zero(nv) for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        pk = ExactPolynomial.variable(nv, n + k)
-        lifted = L.power(k).phase_entries()
-        for i in range(n):
-            for j in range(n):
-                pencil[i][j] = pencil[i][j] + pk * lifted[i][j]
-    out = []
-    for i in range(1, n + 1):
-        acc = ExactPolynomial.zero(nv)
-        for s in range(n):
-            acc = acc + pencil[0][s] * pencil[s][n - i]
-        out.append(PhaseFunction(n, acc, 2))
-    return out
+    p = [ExactPolynomial.variable(nv, n + k) for k in range(n)]
+    lifted = [L.power(k).phase_entries() for k in range(n)]
+    pencil = [[signed_sum(nv, [(1, p[k], lifted[k][i][j]) for k in range(n)])
+               for j in range(n)] for i in range(n)]
+    return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
+                                             for s in range(n)]), 2)
+            for i in range(1, n + 1)]
 
 
 def gram_matrix(h: PhaseFunction) -> GramMatrix:
@@ -386,6 +374,7 @@ def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
         raise MetricError("family length must match the coefficient list")
     L = companion_second(sigma).phase_entries()
     sig = [s.with_appended_vars(n) for s in sigma]
+    one = ExactPolynomial.constant(2 * n, 1)
     h1 = family[0]
     u_rows = []
     p_rows = []
@@ -395,13 +384,13 @@ def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
         u_row = []
         p_row = []
         for j in range(n):
-            u_parts = [(1, hi.du(s) * L[s][j]) for s in range(n)]
-            p_parts = [(1, hi.dp(s) * L[j][s]) for s in range(n)]
-            u_parts.append((-1, sig[i] * h1.du(j)))
-            p_parts.append((-1, sig[i] * h1.dp(j)))
+            u_parts = [(1, hi.du(s), L[s][j]) for s in range(n)]
+            p_parts = [(1, hi.dp(s), L[j][s]) for s in range(n)]
+            u_parts.append((-1, sig[i], h1.du(j)))
+            p_parts.append((-1, sig[i], h1.dp(j)))
             if nxt is not None:
-                u_parts.append((-1, nxt.du(j)))
-                p_parts.append((-1, nxt.dp(j)))
+                u_parts.append((-1, nxt.du(j), one))
+                p_parts.append((-1, nxt.dp(j), one))
             u_row.append(signed_sum(2 * n, u_parts))
             p_row.append(signed_sum(2 * n, p_parts))
         u_rows.append(tuple(u_row))

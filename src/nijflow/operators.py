@@ -99,16 +99,10 @@ class OperatorField:
     def __matmul__(self, other: "OperatorField") -> "OperatorField":
         self._check(other)
         n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ExactPolynomial.zero(n)
-                for s in range(n):
-                    acc = acc + self.entries[i][s] * other.entries[s][j]
-                row.append(acc)
-            rows.append(row)
-        return OperatorField(rows)
+        A, B = self.entries, other.entries
+        return OperatorField([[signed_sum(n, [(1, A[i][s], B[s][j])
+                                              for s in range(n)])
+                               for j in range(n)] for i in range(n)])
 
     def _check(self, other: "OperatorField") -> None:
         if self.n != other.n:
@@ -155,13 +149,8 @@ class OperatorField:
         """The vector field with components (L xi)^i = L^i_j xi^j."""
         if len(xi) != self.n:
             raise OperatorError("vector field arity does not match operator size")
-        out = []
-        for i in range(self.n):
-            acc = ExactPolynomial.zero(self.n)
-            for j in range(self.n):
-                acc = acc + self.entries[i][j] * xi[j]
-            out.append(acc)
-        return tuple(out)
+        return tuple(signed_sum(self.n, [(1, e, x) for e, x in zip(row, xi)])
+                     for row in self.entries)
 
     def __str__(self) -> str:
         from .exactpoly import base_names, format_polynomial
@@ -184,13 +173,13 @@ def lie_bracket_fields(x: Sequence[ExactPolynomial],
     n = len(x)
     if len(y) != n:
         raise OperatorError("vector fields must have equal arity")
-    out = []
-    for i in range(n):
-        acc = ExactPolynomial.zero(x[0].nvars)
+
+    def component(i):
         for a in range(n):
-            acc = acc + x[a] * y[i].partial(a) - y[a] * x[i].partial(a)
-        out.append(acc)
-    return tuple(out)
+            yield 1, x[a], y[i].partial(a)
+            yield -1, y[a], x[i].partial(a)
+
+    return tuple(signed_sum(x[0].nvars, component(i)) for i in range(n))
 
 
 def _sigma_list(sigma: Sequence) -> list[ExactPolynomial]:
@@ -279,14 +268,10 @@ class OneTwoTensorField:
                  eta: Sequence[ExactPolynomial]) -> VectorField:
         """The vector field T(xi, eta)^k = T^k_{ij} xi^i eta^j."""
         n = self.n
-        out = []
-        for k in range(n):
-            acc = ExactPolynomial.zero(xi[0].nvars)
-            for i in range(n):
-                for j in range(n):
-                    acc = acc + self.components[k][i][j] * xi[i] * eta[j]
-            out.append(acc)
-        return tuple(out)
+        pairs = [(i, j, xi[i] * eta[j]) for i in range(n) for j in range(n)]
+        return tuple(signed_sum(xi[0].nvars, [(1, layer[i][j], x)
+                                              for i, j, x in pairs])
+                     for layer in self.components)
 
 
 def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
@@ -314,10 +299,10 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
 
     def component(k, i, j):
         for s in range(n):
-            yield -1, A[s][i].partial(j) * B[k][s]
-            yield 1, B[s][j].partial(i) * A[k][s]
-            yield -1, A[s][i] * B[k][j].partial(s)
-            yield 1, B[s][j] * A[k][i].partial(s)
+            yield -1, A[s][i].partial(j), B[k][s]
+            yield 1, B[s][j].partial(i), A[k][s]
+            yield -1, A[s][i], B[k][j].partial(s)
+            yield 1, B[s][j], A[k][i].partial(s)
 
     return OneTwoTensorField([[[signed_sum(n, component(k, i, j))
                                 for j in range(n)] for i in range(n)]

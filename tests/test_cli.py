@@ -146,6 +146,10 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # the JSON decoder used to overflow Python's stack with a traceback
+    bad.write_text("[" * 100_000)
+    assert main(["verify", str(bad)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
@@ -197,6 +201,19 @@ BAD_NUMBERS = {
     "sigma-non-ascii-name": ("verify", {"sigma": ["\u00fc1", "u2"]}),
     "curve-full-width": ("solve-direct",
                          {"initial": {"curve": ["x + \uff11", "x"]}}),
+    # nesting deeper than exactpoly.MAX_NESTING overflowed Python's stack
+    "sigma-deep-parens": ("verify",
+                          {"sigma": ["(" * 5000 + "u1" + ")" * 5000, "u2"]}),
+    "sigma-deep-minus": ("verify", {"sigma": ["-" * 5000 + "u1", "u2"]}),
+    "curve-deep-parens": ("solve-direct", {"initial": {
+        "curve": ["(" * 5000 + "x" + ")" * 5000, "x"]}}),
+    "curve-deep-minus": ("solve-direct",
+                         {"initial": {"curve": ["-" * 5000 + "x", "x"]}}),
+    # a power past exactpoly.MAX_POWER_BITS is refused before it is formed;
+    # without the bound this one still ran after 35 s
+    "sigma-power-huge": ("build-metric", {"sigma": ["(1 + u1)^300000", "u2"]}),
+    "sigma-power-nested": ("build-metric",
+                           {"sigma": ["(((1 + u1)^64)^64)^64", "u2"]}),
     # RK4 would need ~1e298 steps on the time axis: over the step budget
     "rk4-step-tiny": ("evolve", {"integrator.method": "rk4",
                                  "integrator.step": 1e-300}),

@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic, calculus, printing and parsing."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nijflow.exactpoly import (
+    MAX_NESTING,
     ExactPolynomial,
     ParseError,
     PolynomialError,
@@ -105,27 +107,37 @@ class TestRingOperations:
             poly2("u1") - ExactPolynomial.variable(3, 0)
 
     def test_signed_sum_matches_the_chain(self):
+        # oracle outside the kernel: sum of sign * a(x) * b(x) at rational
+        # points, evaluated term by term with exact arithmetic
         rng = random.Random(515)
         for _ in range(30):
-            parts = [(rng.choice((1, -1)), random_polynomial(rng, 3))
+            parts = [(rng.choice((1, -1)), random_polynomial(rng, 3),
+                      random_polynomial(rng, 3))
                      for _ in range(rng.randrange(0, 7))]
-            chain = ExactPolynomial.zero(3)
-            for sign, poly in parts:
-                chain = chain + poly if sign > 0 else chain - poly
             total = signed_sum(3, parts)
-            assert total == chain
             assert all(c != 0 for _, c in total.terms())
+            for _ in range(4):
+                x = [Fraction(rng.randint(-50, 50), rng.randint(1, 13))
+                     for _ in range(3)]
+                assert total.evaluate_exact(x) == sum(
+                    sign * a.evaluate_exact(x) * b.evaluate_exact(x)
+                    for sign, a, b in parts)
         a = random_polynomial(rng, 3)
-        assert signed_sum(3, [(1, a), (-1, a)]).is_zero()
-        with pytest.raises(PolynomialError):
-            signed_sum(2, [(1, a)])
+        b = random_polynomial(rng, 3)
+        assert signed_sum(3, [(1, a, b), (-1, b, a)]).is_zero()
+        for bad in ([(1, a, poly2("u1"))], [(1, poly2("u1"), a)]):
+            with pytest.raises(PolynomialError):
+                signed_sum(3, bad)
 
     def test_no_zero_coefficients_after_arithmetic(self):
         rng = random.Random(77)
         for _ in range(40):
             a = random_polynomial(rng, 2)
             b = random_polynomial(rng, 2)
-            for p in (a + b, a - b, a * b):
+            # the last two cancel terms on the way: the cross terms of
+            # (a + b)(a - b), and ab - ba
+            cancelling = signed_sum(2, [(1, a, b), (-1, b, a), (1, a, a)])
+            for p in (a + b, a - b, a * b, (a + b) * (a - b), cancelling):
                 assert all(c != 0 for _, c in p.terms())
 
 
@@ -285,10 +297,38 @@ class TestParser:
         "1/0",           # zero denominator
         "u1 u2",         # missing operator
         "2.5",           # no float literals
+        # nesting past MAX_NESTING overflowed Python's stack
+        pytest.param("(" * 5000 + "u1" + ")" * 5000, id="deep-parens"),
+        pytest.param("-" * 5000 + "u1", id="deep-minus"),
     ])
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(ParseError):
             parse_expression(text, U2)
+
+    def test_nesting_limit(self):
+        d = MAX_NESTING
+        assert parse_expression("(" * d + "u1" + ")" * d, U2) == poly2("u1")
+        assert parse_expression("-" * d + "u1", U2) == poly2("u1")
+        for text in ("(" * (d + 1) + "u1" + ")" * (d + 1), "-" * (d + 1) + "u1"):
+            with pytest.raises(ParseError) as err:
+                parse_expression(text, U2)
+            assert err.value.position == d
+
+    def test_flat_chains_parse(self):
+        # the parser used to build a left-deep tree and convert it
+        # recursively: RecursionError on long flat sums and products
+        assert parse_expression("+".join(["u1"] * 3000), U2) == poly2("3000*u1")
+        assert parse_expression("1*" * 3000 + "u1", U2) == poly2("u1")
+
+    def test_oversized_powers_refused_before_forming(self):
+        for text in ("(1 + u1)^300000", "(((1 + u1)^64)^64)^64", "2^99999999"):
+            start = time.perf_counter()
+            with pytest.raises(PolynomialError):
+                parse_expression(text, U2)
+            assert time.perf_counter() - start < 1.0
+        # one term: the size grows with the exponent alone
+        assert parse_expression("u2^999999", U2).coefficient((0, 999999)) == 1
+        assert parse_expression("(1 + u1)^40", U2) == poly2("1 + u1") ** 40
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
