@@ -21,11 +21,14 @@ grammar admits exactly polynomial expressions with rational coefficients.
 Expressions are ASCII: digits are 0-9, names are letters, digits and ``_``,
 and any other character is refused.  The parser builds the polynomial as it
 reads, with no syntax tree; parentheses and unary minus nest at most
-``MAX_NESTING`` deep, and a power whose result could exceed
-``MAX_POWER_BITS`` is refused before it is formed.
+``MAX_NESTING`` deep, and a power or a written-out product whose result
+could exceed ``MAX_POWER_BITS`` is refused before it is formed.
 
 Every product of polynomials, and every sum of such products, is formed by
-one kernel, ``signed_sum``.
+one kernel, ``signed_sum``.  It works on integers: each polynomial keeps a
+cached integer view, its numerators over the lcm of its denominators, and
+the kernel sums the products of numerators over one common denominator,
+so ``Fraction`` is built only for the coefficients of the result.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ FloatForm = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 # Deepest nesting of parentheses and unary minus the parser accepts; each
 # level costs a few frames of Python's recursion limit.
 MAX_NESTING = 100
-# Largest size, in coefficient bits summed over the terms, that a power may
-# reach; ``ExactPolynomial.__pow__`` refuses larger ones before forming them.
-# Powers at this bound took at most 0.35 s (Python 3.11, 2-vCPU x86-64).
+# Largest size, in coefficient bits summed over the terms, that a power, or
+# a product written out in an expression, may reach; ``__pow__`` and the
+# parser refuse larger ones before forming them.  Powers at this bound took
+# at most 0.35 s (Python 3.11, 2-vCPU x86-64).
 MAX_POWER_BITS = 1 << 16
 
 
@@ -85,7 +89,7 @@ class ExactPolynomial:
     combined and zero coefficients dropped, so the stored form is canonical.
     """
 
-    __slots__ = ("nvars", "_terms", "_float_form", "_partials")
+    __slots__ = ("nvars", "_terms", "_float_form", "_partials", "_ints")
 
     def __init__(
         self,
@@ -113,6 +117,7 @@ class ExactPolynomial:
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_float_form", None)
         object.__setattr__(self, "_partials", None)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
@@ -222,11 +227,12 @@ class ExactPolynomial:
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolynomialError("polynomial powers must be non-negative integers")
-        if exponent > 1 and self._power_bits(exponent) > MAX_POWER_BITS:
+        one = ExactPolynomial.constant(self.nvars, 1)
+        if exponent > 1 and self._product_bits(one, exponent) > MAX_POWER_BITS:
             raise PolynomialError(
                 f"power {exponent} of a {len(self)}-term polynomial is too "
                 "large to form")
-        result = ExactPolynomial.constant(self.nvars, 1)
+        result = one
         base = self
         e = exponent
         while e:
@@ -236,21 +242,25 @@ class ExactPolynomial:
             e >>= 1
         return result
 
-    def _power_bits(self, e: int) -> int:
-        """About the most bits ``self ** e`` could take: a bound on its
-        terms (the monomials of degree e in its t terms, or of degree at
-        most e times its degree in its variables) times the bits of one
-        coefficient, 1 plus e times those of the largest coefficient and of
-        the multinomial count t.  Unit coefficients count no bits, so a
-        power of a monomial has size 1."""
-        t = len(self._terms)
-        if not t:
+    def _product_bits(self, other: "ExactPolynomial", e: int = 1) -> int:
+        """About the most bits ``self ** e * other`` could take: a bound on
+        its terms (the monomials of degree e in the t terms of ``self``
+        times the terms of ``other``, or those of its degree in its
+        variables) times the bits of one coefficient, 1 plus those of the
+        largest coefficient and of the term count of each factor.  Unit
+        coefficients count no bits, so a power of a monomial has size 1."""
+        t, u = len(self._terms), len(other._terms)
+        if not t or not u:
             return 0
-        terms = min(math.comb(t - 1 + e, t - 1),
-                    math.comb(self.nvars + e * self.total_degree(), self.nvars))
-        bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
+        terms = min(math.comb(t - 1 + e, t - 1) * u,
+                    math.comb(self.nvars + e * self.total_degree()
+                              + other.total_degree(), self.nvars))
+        return terms * (1 + e * (self._coefficient_bits() + (t - 1).bit_length())
+                        + other._coefficient_bits() + (u - 1).bit_length())
+
+    def _coefficient_bits(self) -> int:
+        return max(abs(c.numerator).bit_length() + c.denominator.bit_length()
                    for c in self._terms.values()) - 2
-        return terms * (1 + e * (bits + (t - 1).bit_length()))
 
     @classmethod
     def _raw(cls, nvars: int, data: dict[Exponents, Fraction]) -> "ExactPolynomial":
@@ -260,7 +270,20 @@ class ExactPolynomial:
         object.__setattr__(obj, "_terms", data)
         object.__setattr__(obj, "_float_form", None)
         object.__setattr__(obj, "_partials", None)
+        object.__setattr__(obj, "_ints", None)
         return obj
+
+    def _int_view(self) -> tuple[int, list[tuple[Exponents, int]]]:
+        """The cached integer view ``(den, [(exps, num), ...])``: ``den`` is
+        the lcm of the coefficient denominators, each ``num`` a coefficient
+        times ``den``."""
+        view = self._ints
+        if view is None:
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            view = (den, [(e, c.numerator * (den // c.denominator))
+                          for e, c in self._terms.items()])
+            object.__setattr__(self, "_ints", view)
+        return view
 
     # -- calculus ---------------------------------------------------------
 
@@ -347,28 +370,30 @@ def signed_sum(nvars: int,
                parts: Iterable[tuple[int, ExactPolynomial, ExactPolynomial]]
                ) -> ExactPolynomial:
     """The sum of ``sign * a * b`` over ``parts`` (sign +1 or -1): every
-    product of polynomials is formed here.  Each term product is added
-    straight into one term map, so neither the products nor partial sums
-    are built as polynomials of their own."""
-    data: dict[Exponents, Fraction] = {}
-    get = data.get
+    product of polynomials is formed here.  The arithmetic is on integers:
+    over D, the lcm of the parts' ``den_a * den_b``, each term product adds
+    ``sign * D // (den_a * den_b) * num_a * num_b`` straight into one term
+    map, so neither the products nor partial sums are built as polynomials
+    of their own.  Only the surviving sums become (reduced) ``Fraction``s."""
+    views = []
     for sign, a, b in parts:
         for poly in (a, b):
             if poly.nvars != nvars:
                 raise PolynomialError(
                     f"variable counts differ: {nvars} vs {poly.nvars}")
-        b_terms = b._terms.items()
-        for ea, ca in a._terms.items():
-            if sign < 0:
-                ca = -ca
-            for eb, cb in b_terms:
+        views.append((sign, a._int_view(), b._int_view()))
+    den = math.lcm(*(da * db for _, (da, _), (db, _) in views))
+    data: dict[Exponents, int] = {}
+    get = data.get
+    for sign, (da, a_terms), (db, b_terms) in views:
+        scale = sign * (den // (da * db))
+        for ea, na in a_terms:
+            na *= scale
+            for eb, nb in b_terms:
                 exps = tuple(map(add, ea, eb))
-                s = get(exps, 0) + ca * cb
-                if s:
-                    data[exps] = s
-                else:
-                    del data[exps]
-    return ExactPolynomial._raw(nvars, data)
+                data[exps] = get(exps, 0) + na * nb
+    return ExactPolynomial._raw(
+        nvars, {e: Fraction(c, den) for e, c in data.items() if c})
 
 
 def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:
@@ -579,8 +604,11 @@ class _Parser:
     def term(self) -> ExactPolynomial:
         poly = self.factor()
         while self.at_op("*"):
-            self.advance()
-            poly = poly * self.factor()
+            position = self.advance().position
+            factor = self.factor()
+            if poly._product_bits(factor) > MAX_POWER_BITS:
+                raise ParseError("product is too large to form", position)
+            poly = poly * factor
         return poly
 
     def factor(self) -> ExactPolynomial:

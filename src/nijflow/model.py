@@ -11,10 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactpoly import ExactPolynomial, base_names, parse_expression
+from .exactpoly import (ExactPolynomial, PolynomialError, base_names,
+                        parse_expression)
 from .hierarchy import first_integrals, killing_operators
 from .metric import GramMatrix, PhaseFunction, build_h_family, gram_matrix
 from .operators import OperatorField, companion_second
+
+# Largest sigma ``from_expressions`` accepts, in terms times total degree
+# summed over its entries: the curved torsion-free sigma of n = 7 has size
+# 240.  The work of the exact layers also grows fast with n and with how far
+# sigma is from weighted-homogeneous, which this size does not see.
+MAX_SIGMA_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -45,4 +52,10 @@ class CompanionModel:
     def from_expressions(cls, expressions: Sequence[str]) -> "CompanionModel":
         n = len(expressions)
         names = base_names(n)
-        return cls.from_sigma([parse_expression(e, names) for e in expressions])
+        sigma = [parse_expression(e, names) for e in expressions]
+        size = sum(len(s) * s.total_degree() for s in sigma)
+        if size > MAX_SIGMA_SIZE:
+            raise PolynomialError(
+                f"sigma has size {size} (terms times degree, summed over its "
+                f"entries), more than the limit of {MAX_SIGMA_SIZE}")
+        return cls.from_sigma(sigma)

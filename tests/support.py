@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from nijflow.cli import ConfigError
-from nijflow.exactpoly import ExactPolynomial, parse_expression
+from nijflow.exactpoly import ExactPolynomial, parse_expression, signed_sum
 from nijflow.flows import AxisSpec, SolutionGrid
 from nijflow.pde import UNIFORM_RTOL
 
@@ -103,17 +103,17 @@ def sigma_constant(n, values=None):
     return [ExactPolynomial.constant(n, v) for v in values]
 
 
-# The torsion-free curved family (weight of u_i = i): sigma_1..sigma_(n-1)
-# do not depend on n.
-CURVED = ("u1",
-          "u2 - 1/2*u1^2",
-          "u3 - u1*u2 + 1/6*u1^3",
-          "u4 - u1*u3 - 1/2*u2^2 + 1/2*u1^2*u2 - 1/24*u1^4")
-
-
 def sigma_curved(n):
-    """The curved torsion-free family, n = 1..4."""
-    return [upoly(text, n) for text in CURVED[:n]]
+    """The curved torsion-free family: sigma_1..sigma_n are the coefficients
+    of t^1..t^n in 1 - exp(-U(t)), U(t) = sum_i u_i t^i (weight of u_i = i,
+    so sigma_1..sigma_(n-1) do not depend on n).  With E(t) = exp(-U(t)),
+    E' = -U'E gives E_0 = 1 and k E_k = -sum_j j u_j E_(k-j)."""
+    e = [ExactPolynomial.constant(n, 1)]
+    for k in range(1, n + 1):
+        e.append(signed_sum(n, [(-1, ExactPolynomial.variable(n, j - 1),
+                                 e[k - j] * Fraction(j, k))
+                                for j in range(1, k + 1)]))
+    return [-c for c in e[1:]]
 
 
 def sigma_obstructed(n):

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import reference_read_grid_csv, reference_write_grid_csv
+from support import (reference_read_grid_csv, reference_write_grid_csv,
+                     sigma_curved)
 
 from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
                          config_initial_curve, main, read_grid_csv,
-                         write_grid_csv, write_svg_plot)
-from nijflow.exactpoly import parse_expression
+                         verification_report, write_grid_csv, write_svg_plot)
+from nijflow.exactpoly import base_names, format_polynomial, parse_expression
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,6 +62,15 @@ def test_verify_fails_on_coordinate_config(capsys):
     failing = {c["name"] for c in report["checks"] if c["verdict"] == "fail"}
     assert {"torsion", "differential_shift", "benenti"} <= failing
     assert report["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_verify_passes_on_curved_family(n):
+    # n = 7 passes too, in about 1 s
+    sigma = [format_polynomial(s, base_names(n)) for s in sigma_curved(n)]
+    report = verification_report({"n": n, "sigma": sigma})
+    assert [c["name"] for c in report["checks"]] == CHECK_NAMES
+    assert all(c["verdict"] == "pass" for c in report["checks"])
 
 
 def test_verify_report_is_deterministic(tmp_path, capsys):
@@ -214,6 +224,13 @@ BAD_NUMBERS = {
     "sigma-power-huge": ("build-metric", {"sigma": ["(1 + u1)^300000", "u2"]}),
     "sigma-power-nested": ("build-metric",
                            {"sigma": ["(((1 + u1)^64)^64)^64", "u2"]}),
+    # the same bound on a product written out: it took 6 s to parse
+    "sigma-product-chain": ("verify", {"sigma": ["(1 + u1)*" * 1000 + "1",
+                                                 "u2"]}),
+    "curve-product-chain": ("solve-direct", {"initial": {
+        "curve": ["(1 + x)*" * 1000 + "1", "x"]}}),
+    # sigma over model.MAX_SIGMA_SIZE: the exact layers took 4 s on it
+    "sigma-too-large": ("verify", {"sigma": ["(1 + u1)^255", "u2"]}),
     # RK4 would need ~1e298 steps on the time axis: over the step budget
     "rk4-step-tiny": ("evolve", {"integrator.method": "rk4",
                                  "integrator.step": 1e-300}),

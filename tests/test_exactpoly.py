@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic, calculus, printing and parsing."""
 
+import math
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -139,6 +141,77 @@ class TestRingOperations:
             cancelling = signed_sum(2, [(1, a, b), (-1, b, a), (1, a, a)])
             for p in (a + b, a - b, a * b, (a + b) * (a - b), cancelling):
                 assert all(c != 0 for _, c in p.terms())
+
+
+def check_signed_sum(nvars, parts, rng):
+    """``signed_sum`` against two oracles outside the kernel: the Fraction
+    term products merged by the constructor, and exact evaluation at
+    rational points."""
+    total = signed_sum(nvars, parts)
+    expected = ExactPolynomial(nvars, [
+        (tuple(map(add, ea, eb)), sign * ca * cb)
+        for sign, a, b in parts for ea, ca in a.terms() for eb, cb in b.terms()])
+    assert total == expected
+    assert hash(total) == hash(expected)
+    for _, c in total.terms():
+        assert type(c) is Fraction and c != 0
+        assert math.gcd(c.numerator, c.denominator) == 1 and c.denominator > 0
+    for _ in range(3):
+        x = [Fraction(rng.randint(-40, 40), rng.randint(1, 11))
+             for _ in range(nvars)]
+        assert total.evaluate_exact(x) == sum(
+            (sign * a.evaluate_exact(x) * b.evaluate_exact(x)
+             for sign, a, b in parts), Fraction(0))
+    return total
+
+
+def polynomial_over(rng, nvars, denominators, max_terms=5):
+    return ExactPolynomial(nvars, [
+        (tuple(rng.randrange(3) for _ in range(nvars)),
+         Fraction(rng.randint(-10**6, 10**6), rng.choice(denominators)))
+        for _ in range(rng.randint(1, max_terms))])
+
+
+class TestSignedSumIntegerPath:
+    def test_mixed_and_large_denominators(self):
+        rng = random.Random(2024)
+        dens = (1, 7, 5040, 2**64)
+        for _ in range(40):
+            parts = [(rng.choice((1, -1)), polynomial_over(rng, 3, dens),
+                      polynomial_over(rng, 3, dens))
+                     for _ in range(rng.randint(1, 5))]
+            check_signed_sum(3, parts, rng)
+
+    def test_integer_parts_give_integer_coefficients(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            parts = [(rng.choice((1, -1)), polynomial_over(rng, 2, (1,)),
+                      polynomial_over(rng, 2, (1,)))
+                     for _ in range(rng.randint(1, 4))]
+            total = check_signed_sum(2, parts, rng)
+            assert all(c.denominator == 1 for _, c in total.terms())
+
+    def test_cancellation_across_denominators(self):
+        rng = random.Random(99)
+        for _ in range(20):
+            a = polynomial_over(rng, 2, (7, 5040))
+            b = polynomial_over(rng, 2, (1, 2**64))
+            c = polynomial_over(rng, 2, (3, 11))
+            # a * b again, with the factor 7/2^64 moved from b to a
+            k = Fraction(7, 2**64)
+            a_k = ExactPolynomial(2, [(e, v * k) for e, v in a.terms()])
+            b_k = ExactPolynomial(2, [(e, v / k) for e, v in b.terms()])
+            assert check_signed_sum(2, [(1, a, b), (-1, a_k, b_k)], rng).is_zero()
+            assert check_signed_sum(
+                2, [(1, a, b), (1, c, c), (-1, a_k, b_k)], rng) == c * c
+
+    def test_empty_parts(self):
+        zero = ExactPolynomial.zero(3)
+        assert signed_sum(3, []) == zero
+        assert signed_sum(3, iter(())) == zero
+        one_seventh = ExactPolynomial.constant(3, Fraction(1, 7))
+        assert signed_sum(3, [(1, zero, one_seventh)]) == zero
+        assert hash(signed_sum(3, [])) == hash(zero)
 
 
 class TestCalculus:
@@ -329,6 +402,14 @@ class TestParser:
         # one term: the size grows with the exponent alone
         assert parse_expression("u2^999999", U2).coefficient((0, 999999)) == 1
         assert parse_expression("(1 + u1)^40", U2) == poly2("1 + u1") ** 40
+
+    def test_oversized_products_refused_before_forming(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_expression("(1 + u1)*" * 1000 + "1", U2)
+        assert time.perf_counter() - start < 1.0
+        assert parse_expression("(1 + u1)*" * 40 + "1", U2) == \
+            poly2("1 + u1") ** 40
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -1,12 +1,15 @@
 """Operator fields: companion forms, torsion, bracket, symmetries."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from support import random_polynomial, sigma_coordinates2, sigma_torsion_free2
+from support import (random_polynomial, sigma_coordinates2, sigma_curved,
+                     sigma_torsion_free2)
 
 from nijflow.exactpoly import ExactPolynomial, parse_expression
 from nijflow.operators import (
@@ -130,6 +133,17 @@ class TestTorsion:
 
     def test_torsion_free_pair(self):
         assert nijenhuis_torsion(companion_second(sigma_torsion_free2())).is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_curved_generator_reproduces_shipped_sigma(self, n):
+        config = Path(__file__).resolve().parent.parent / "configs" / \
+            f"nijenhuis{n}.json"
+        sigma = json.loads(config.read_text())["sigma"]
+        assert sigma_curved(n) == [upoly(text, n) for text in sigma]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_curved_family_torsion_free(self, n):
+        assert nijenhuis_torsion(companion_second(sigma_curved(n))).is_zero()
 
     def test_constant_operator_torsion_free(self):
         sig = [ExactPolynomial.constant(3, Fraction(k, 2)) for k in (1, 2, 3)]
