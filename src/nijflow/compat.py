@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, signed_sum
+from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
 from .metric import (
     CovariantMetricAt,
     GramMatrix,
@@ -130,54 +129,50 @@ def benenti_residual(family: Sequence[PhaseFunction],
 
 
 def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
-                                point: Sequence[float] | None = None) -> float:
+                                point: Sequence[float] | None = None
+                                ) -> float | np.ndarray:
     """Max-abs residual of the first-order compatibility system
 
         R_ijk = [g_ka d_i L^a_j + (d_a g_ik - d_k g_ia) L^a_j + (j <-> k)]
-                - [g_ik d_j tr L + (j <-> k)].
-    """
+                - [g_ik d_j tr L + (j <-> k)]
+
+    at the point of ``g_at`` (a float), or at each point of its stack (an
+    array over the stack's axes)."""
     n = L.n
     if g_at.n != n:
         raise CompatError("metric and operator sizes differ")
-    if point is None:
-        point = g_at.point
-    elif tuple(float(x) for x in point) != g_at.point:
+    if point is not None and not np.array_equal(
+            np.asarray(point, dtype=float), g_at.point):
         raise CompatError("point differs from the one the metric was built at")
-    # Python floats, not numpy scalars, for speed; every product and sum is
-    # the array form's, in its order (left to right from 0, never the
-    # compensated sum() of newer Pythons), so the residual is bit-identical
-    g = g_at.g.tolist()
-    dg = g_at.dg.tolist()  # dg[a][i][j] = d g_ij / d u^a
-    Lv = L.evaluate_at(point).tolist()
-    dL = [[[L.entry(a, b).partial(i).evaluate(point)
-            for b in range(n)] for a in range(n)] for i in range(n)]
-    # dL[i][a][b] = d_i L^a_b
-    trace = L.trace()
-    dtr = [trace.partial(j).evaluate(point) for j in range(n)]
-
-    half = {}  # (i, j, k) -> the bracketed sum over a with j and k in place
-    for i, j, k in product(range(n), repeat=3):
-        t1 = t2 = 0
-        for a in range(n):
-            t1 += g[k][a] * dL[i][a][j]
-            t2 += (dg[a][i][k] - dg[k][i][a]) * Lv[a][j]
-        half[i, j, k] = t1 + t2
-
-    worst = 0.0
-    for i, j, k in product(range(n), repeat=3):
-        lhs = half[i, j, k] + half[i, k, j]
-        rhs = g[i][k] * dtr[j] + g[i][j] * dtr[k]
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def _field_values(fields, point):
-    return np.array([f.evaluate(point) for f in fields])
+    points = np.asarray(g_at.point)
+    g, dg = g_at.g, g_at.dg  # dg[..., a, i, j] = d g_ij / d u^a
+    dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
+    Lv = L.evaluate_at(points)
+    dL = evaluate_table_array([[[L.entry(a, b).partial(i) for b in range(n)]
+                                for a in range(n)] for i in range(n)], points)
+    dtr = evaluate_table_array([L.trace().partial(j) for j in range(n)],
+                               points)
+    # on axes (..., i, j, k), dL[..., i, a, b] = d_i L^a_b: each product and
+    # sum is one point's scalar loop's in its order (t1, t2 add up from zero
+    # over a; no einsum or sum()), summed in place to keep temporaries few
+    t1, t2 = np.zeros((2,) + g.shape[:-2] + (n, n, n))
+    for a in range(n):
+        t1 += g[..., None, None, :, a] * dL[..., :, a, :, None]
+        t2 += ((dg[..., a, :, None, :] - dgT[..., :, None, :, a])
+               * Lv[..., None, a, :, None])
+    half = np.add(t1, t2, out=t1)
+    lhs = half + np.swapaxes(half, -1, -2)
+    lhs -= (g[..., :, None, :] * dtr[..., None, :, None]
+            + g[..., :, :, None] * dtr[..., None, None, :])
+    # fmax from 0.0 is the loop's max() chain: a nan residual is passed over
+    worst = np.fmax.reduce(np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (-1,)),
+                           axis=-1, initial=0.0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def _field_jacobian(fields, point, n):
-    return np.array([[f.partial(a).evaluate(point) for a in range(n)]
-                     for f in fields])  # [i, a] = d_a f^i
+    return evaluate_table_array([[f.partial(a) for a in range(n)]
+                                 for f in fields], point)  # [i, a] = d_a f^i
 
 
 def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
@@ -188,6 +183,8 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     polynomial vector fields; brackets and field derivatives are expanded
     exactly, the metric enters through ``g_at``."""
     n = L.n
+    if g_at.g.ndim != 2:
+        raise CompatError("the metric must be taken at a single point")
     if len(xi) != n or len(eta) != n:
         raise CompatError("vector fields must have one component per coordinate")
     if point is None:
@@ -199,9 +196,9 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     b_eta_Lxi = lie_bracket_fields(eta, Lxi)
     b_eta_xi = lie_bracket_fields(eta, xi)
 
-    xi_v = _field_values(xi, point)
-    eta_v = _field_values(eta, point)
-    Lxi_v = _field_values(Lxi, point)
+    xi_v = evaluate_table_array(xi, point)
+    eta_v = evaluate_table_array(eta, point)
+    Lxi_v = evaluate_table_array(Lxi, point)
     dxi = _field_jacobian(xi, point, n)
     deta = _field_jacobian(eta, point, n)
     dLxi = _field_jacobian(Lxi, point, n)
@@ -218,9 +215,9 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
 
     t1 = lie_of_pairing(Lxi_v, eta_v, deta, xi_v, dxi)
     t2 = lie_of_pairing(xi_v, eta_v, deta, Lxi_v, dLxi)
-    t3 = eta_v @ g @ _field_values(b_Lxi_xi, point)
-    t4 = _field_values(b_eta_Lxi, point) @ g @ xi_v
-    t5 = _field_values(b_eta_xi, point) @ g @ Lxi_v
+    t3 = eta_v @ g @ evaluate_table_array(b_Lxi_xi, point)
+    t4 = evaluate_table_array(b_eta_Lxi, point) @ g @ xi_v
+    t5 = evaluate_table_array(b_eta_xi, point) @ g @ Lxi_v
     trace = L.trace()
     lie_tr = sum(xi_v[a] * trace.partial(a).evaluate(point) for a in range(n))
     rhs = (eta_v @ g @ xi_v) * lie_tr
@@ -239,6 +236,8 @@ def symmetry_metric(g_at: CovariantMetricAt, M: OperatorField,
     gM symmetric there, and g~ must be invertible.
     """
     n = M.n
+    if g_at.g.ndim != 2:
+        raise CompatError("the metric must be taken at a single point")
     if g_at.n != n:
         raise CompatError("metric and operator sizes differ")
     if check_against is not None and not is_symmetry(check_against, M).ok:
@@ -250,8 +249,8 @@ def symmetry_metric(g_at: CovariantMetricAt, M: OperatorField,
         raise CompatError("M is not metric-self-adjoint at the point")
     if abs(np.linalg.det(gt)) < singular_tol:
         raise CompatError("transformed metric is singular at the point")
-    dM = np.array([[[M.entry(a, b).partial(i).evaluate(point)
-                     for b in range(n)] for a in range(n)] for i in range(n)])
+    dM = evaluate_table_array([[[M.entry(a, b).partial(i) for b in range(n)]
+                                for a in range(n)] for i in range(n)], point)
     dgt = np.array([g_at.dg[a] @ Mv + g_at.g @ dM[a] for a in range(n)])
     # symmetrize away inversion round-off so downstream checks see an exactly
     # symmetric metric value

@@ -436,6 +436,24 @@ def evaluate_poly_array(poly: ExactPolynomial, points: np.ndarray) -> np.ndarray
     return total
 
 
+def evaluate_table_array(table, points) -> np.ndarray:
+    """``evaluate_poly_array`` of each polynomial in a nested sequence,
+    written into one C-contiguous array, so a stacked matmul sees each
+    matrix as alone: the points' leading axes first, the table's last."""
+    points = np.asarray(points, dtype=float)
+    polys, shape = [table], ()
+    while polys and not isinstance(polys[0], ExactPolynomial):
+        shape += (len(polys[0]),)
+        polys = [entry for row in polys for entry in row]
+    out = np.empty(points.shape[:-1] + (len(polys),))
+    for k, poly in enumerate(polys):
+        if poly.nvars != points.shape[-1]:
+            raise PolynomialError(f"point has {points.shape[-1]} "
+                                  f"coordinates, expected {poly.nvars}")
+        out[..., k] = evaluate_poly_array(poly, points)
+    return out.reshape(points.shape[:-1] + shape)
+
+
 def _float_power(x: np.ndarray, e: int) -> np.ndarray:
     """``x ** e`` element by element through Python's float power (the C
     library ``pow``).  numpy's vectorized power is not bit-identical to it

@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import (ExactPolynomial, format_polynomial, phase_names,
-                        signed_sum)
+from .exactpoly import (ExactPolynomial, evaluate_table_array,
+                        format_polynomial, phase_names, signed_sum)
 from .operators import companion_second
 
 
@@ -216,7 +216,8 @@ class GramMatrix:
         return self.entries == other.entries
 
     def evaluate_at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([[e.evaluate(point) for e in row] for row in self.entries])
+        """The matrix at a point, or at each point of a stack (..., n)."""
+        return evaluate_table_array(self.entries, point)
 
     def derivative(self, a: int) -> tuple[tuple[ExactPolynomial, ...], ...]:
         """Entrywise partial derivative in u^a."""
@@ -353,11 +354,8 @@ class ShiftReport:
     p_residuals: tuple[tuple[ExactPolynomial, ...], ...]
 
     def max_abs_at(self, u, p) -> float:
-        point = list(u) + list(p)
-        vals = [abs(r.evaluate(point))
-                for group in (self.u_residuals, self.p_residuals)
-                for row in group for r in row]
-        return max(vals)
+        return float(np.abs(evaluate_table_array(
+            (self.u_residuals, self.p_residuals), list(u) + list(p))).max())
 
 
 def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
@@ -420,31 +418,45 @@ def pairwise_poisson(family: Sequence[PhaseFunction]) -> PoissonPairReport:
 
 @dataclass(frozen=True)
 class CovariantMetricAt:
-    """The covariant metric and its first derivatives at a point.
+    """The covariant metric and its first derivatives at a point, or at
+    each point of a stack.
 
-    ``g`` is the inverse of the Gram matrix value; ``dg[a]`` is the matrix
-    of d g_ij / d u^a obtained from the inverse-derivative rule
-    dg = -g (dG) g, where G is the contravariant Gram matrix.
-    """
-    point: tuple[float, ...]
-    g: np.ndarray
-    dg: np.ndarray  # shape (n, n, n), first index is the derivative direction
+    ``g`` is the inverse of the Gram matrix value; ``dg[..., a, :, :]`` is
+    the matrix of d g_ij / d u^a obtained from the inverse-derivative rule
+    dg = -g (dG) g, where G is the contravariant Gram matrix.  ``point`` is
+    ``tolist()`` of the points, so a tuple of floats for a single point."""
+    point: tuple
+    g: np.ndarray  # shape (..., n, n)
+    dg: np.ndarray  # shape (..., n, n, n), the derivative direction first
 
     @property
     def n(self) -> int:
-        return len(self.point)
+        return self.g.shape[-1]
+
+
+class SingularMetricError(MetricError):
+    """Singular metric at the point ``index`` of the flattened stack."""
+
+    def __init__(self, point: Sequence[float], index: int):
+        super().__init__(
+            f"contravariant metric is singular at {tuple(point)}")
+        self.index = index
 
 
 def covariant_at(gram: GramMatrix, point: Sequence[float],
                  singular_tol: float = 1e-12) -> CovariantMetricAt:
-    """Invert the contravariant metric at a point and push the derivative
-    through the inversion."""
+    """Invert the contravariant metric at a point, or at each point of a
+    stack (..., n), and push the derivative through the inversion.  Every
+    value is bit-identical to the call on its point alone; the first point
+    with |det G| < ``singular_tol`` raises ``SingularMetricError``."""
     n = gram.n
-    G = gram.evaluate_at(point)
-    if abs(np.linalg.det(G)) < singular_tol:
-        raise MetricError(f"contravariant metric is singular at {tuple(point)}")
+    points = np.asarray(point, dtype=float)
+    G = gram.evaluate_at(points)
+    singular = np.flatnonzero(np.abs(np.linalg.det(G)) < singular_tol)
+    if len(singular):
+        first = int(singular[0])
+        raise SingularMetricError(points.reshape(-1, n)[first].tolist(), first)
     g = np.linalg.inv(G)
-    dG = np.array([[[e.evaluate(point) for e in row]
-                    for row in gram.derivative(a)] for a in range(n)])
-    dg = np.array([-g @ dG[a] @ g for a in range(n)])
-    return CovariantMetricAt(tuple(float(x) for x in point), g, dg)
+    dG = evaluate_table_array([gram.derivative(a) for a in range(n)], points)
+    each = g[..., None, :, :]  # one copy of g for each direction a
+    return CovariantMetricAt(tuple(points.tolist()), g, -each @ dG @ each)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, signed_sum
+from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
 
 VectorField = tuple[ExactPolynomial, ...]
 
@@ -138,7 +138,8 @@ class OperatorField:
         return result
 
     def evaluate_at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([[e.evaluate(point) for e in row] for row in self.entries])
+        """The matrix at a point, or at each point of a stack (..., n)."""
+        return evaluate_table_array(self.entries, point)
 
     def phase_entries(self) -> tuple[tuple[ExactPolynomial, ...], ...]:
         """Entries embedded into the cotangent chart variables (u, p)."""

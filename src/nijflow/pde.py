@@ -22,27 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import evaluate_poly_array
 from .flows import AxisSpec, SolutionGrid
 from .operators import OperatorField
 
 
 class PDEError(RuntimeError):
     """Direct solver failure: bad lattice, exhausted window, or blow-up."""
-
-
-# ---------------------------------------------------------------------------
-# vectorized operator evaluation
-
-
-def evaluate_operator_array(A: OperatorField, U: np.ndarray) -> np.ndarray:
-    """Operator values at a batch of points, shape (..., n, n)."""
-    n = A.n
-    out = np.empty(U.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(n):
-            out[..., i, j] = evaluate_poly_array(A.entry(i, j), U)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +58,7 @@ def _check_uniform(x_values: np.ndarray) -> float:
 def _interior_rhs(y: np.ndarray, A: OperatorField, dx: float) -> np.ndarray:
     """A(u) u_x on the two-node-shrunk interior of the segment ``y``."""
     ux = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dx)
-    Aval = evaluate_operator_array(A, y[2:-2])
+    Aval = A.evaluate_at(y[2:-2])
     return np.einsum("xij,xj->xi", Aval, ux)
 
 
@@ -202,7 +187,7 @@ def grid_residual(grid: SolutionGrid,
         inner[0] = slice(1, -1)
         inner[k] = slice(1, -1)
         u_i = u[tuple(inner)]
-        Aval = evaluate_operator_array(A, u_i)
+        Aval = A.evaluate_at(u_i)
         residual = ut_i - np.einsum("...ij,...j->...i", Aval, ux_i)
         per_axis.append(float(np.abs(residual).max()))
     return ResidualReport(tuple(per_axis))

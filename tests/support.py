@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -121,6 +122,51 @@ def sigma_obstructed(n):
     the compatibility sweep has a residual to report."""
     return [upoly("u1", n)] + [upoly(f"u{i} + u1*u{i - 1}", n)
                                for i in range(2, n + 1)]
+
+
+# The covariant metric and the coordinate-form residual as they were computed
+# one point at a time, before both took stacks of points; kept only as
+# oracles for the tests.
+
+def reference_covariant_at(gram, point):
+    from nijflow.metric import CovariantMetricAt
+
+    n = gram.n
+    G = np.array([[e.evaluate(point) for e in row] for row in gram.entries])
+    g = np.linalg.inv(G)
+    dG = np.array([[[e.evaluate(point) for e in row]
+                    for row in gram.derivative(a)] for a in range(n)])
+    dg = np.array([-g @ dG[a] @ g for a in range(n)])
+    return CovariantMetricAt(tuple(float(x) for x in point), g, dg)
+
+
+def reference_coordinate_form_residual_at(g_at, L):
+    """Python floats, every product and sum taken left to right from 0."""
+    n = L.n
+    point = g_at.point
+    g = g_at.g.tolist()
+    dg = g_at.dg.tolist()  # dg[a][i][j] = d g_ij / d u^a
+    Lv = [[e.evaluate(point) for e in row] for row in L.entries]
+    dL = [[[L.entry(a, b).partial(i).evaluate(point)
+            for b in range(n)] for a in range(n)] for i in range(n)]
+    # dL[i][a][b] = d_i L^a_b
+    trace = L.trace()
+    dtr = [trace.partial(j).evaluate(point) for j in range(n)]
+
+    half = {}  # (i, j, k) -> the bracketed sum over a with j and k in place
+    for i, j, k in product(range(n), repeat=3):
+        t1 = t2 = 0
+        for a in range(n):
+            t1 += g[k][a] * dL[i][a][j]
+            t2 += (dg[a][i][k] - dg[k][i][a]) * Lv[a][j]
+        half[i, j, k] = t1 + t2
+
+    worst = 0.0
+    for i, j, k in product(range(n), repeat=3):
+        lhs = half[i, j, k] + half[i, k, j]
+        rhs = g[i][k] * dtr[j] + g[i][j] * dtr[k]
+        worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 # The row-by-row CSV reader and writer that ``nijflow.cli`` used before it

@@ -10,14 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import (reference_read_grid_csv, reference_write_grid_csv,
-                     sigma_curved)
+from support import (reference_coordinate_form_residual_at,
+                     reference_covariant_at, reference_read_grid_csv,
+                     reference_write_grid_csv, sigma_curved, upoly)
+
+import nijflow.cli as cli
 
 from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
                          config_initial_curve, main, read_grid_csv,
                          verification_report, write_grid_csv, write_svg_plot)
 from nijflow.exactpoly import base_names, format_polynomial, parse_expression
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
+from nijflow.metric import GramMatrix, MetricError, covariant_at
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -84,6 +88,53 @@ def test_verify_report_is_deterministic(tmp_path, capsys):
     assert stdout1 == stdout2
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text() == stdout1
+
+
+@pytest.mark.parametrize("name", ["nijenhuis3", "coordinates2"])
+def test_verify_sweeps_in_one_call_of_each(monkeypatch, capsys, name):
+    # the benchmark times the sweep through these two names as the CLI
+    # imports them, so one verify must call each of them exactly once
+    calls = {}
+    for attr in ("covariant_at", "coordinate_form_residual_at"):
+        def counted(*args, _real=getattr(cli, attr), _attr=attr):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(cli, attr, counted)
+    main(["verify", str(CONFIGS / f"{name}.json")])
+    capsys.readouterr()
+    assert calls == {"covariant_at": 1, "coordinate_form_residual_at": 1}
+
+
+def test_sweep_singular_point_fails_with_the_residual_before_it(monkeypatch):
+    # no companion Gram matrix is singular, so a singular one is swapped in
+    # and made singular at points 20 and 35 of the 50
+    G = GramMatrix([[upoly("u1", 2), upoly("0", 2)],
+                    [upoly("0", 2), upoly("1", 2)]])
+    stacks = []
+
+    def singular_mid_stack(gram, points):
+        points = np.array(points)
+        if len(points) == 50:
+            points[[20, 35], 0] = 0.0
+        stacks.append(points)
+        return covariant_at(G, points)
+
+    monkeypatch.setattr(cli, "covariant_at", singular_mid_stack)
+    report = verification_report({"n": 2, "sigma": ["u1", "u2 - 1/2*u1^2"],
+                                  "seed": 5})
+    check = report["checks"][CHECK_NAMES.index("compatibility_sweep")]
+    points = stacks[0]
+    assert [len(s) for s in stacks] == [50, 20]
+    with pytest.raises(MetricError) as err:
+        covariant_at(G, points[20].tolist())
+    L = build_model({"n": 2, "sigma": ["u1", "u2 - 1/2*u1^2"]}).operator
+    worst = 0.0
+    for point in points[:20].tolist():
+        worst = max(worst, reference_coordinate_form_residual_at(
+            reference_covariant_at(G, point), L))
+    assert check == {"name": "compatibility_sweep", "verdict": "fail",
+                     "residual": worst, "detail": str(err.value)}
+    assert worst > 0.0
 
 
 # SHA-256 of the stdout of verify, build-metric and hierarchy for every
@@ -431,6 +482,50 @@ def test_csv_chunk_seams_match_row_by_row_oracle(tmp_path, rows, axes,
     oracle = tmp_path / "oracle.csv"
     reference_write_grid_csv(grid, str(oracle))
     assert path.read_bytes() == oracle.read_bytes()
+
+
+def _extreme_lattice(kind):
+    """A lattice of 41 x 101 nodes (three write blocks) with u and p near
+    1e-300 or 1e300, where "%.17g" is Python's alone; "mixed" makes the
+    first block extreme and spreads normal values and zeros over the rest."""
+    rng = np.random.default_rng(len(kind))
+    shape = (41, 101, 2)
+
+    def block():
+        mantissa = rng.uniform(1.0, 10.0, shape) * rng.choice([-1.0, 1.0],
+                                                             shape)
+        scale = 10.0 ** rng.integers(-320, -290, shape)
+        if kind == "huge":
+            scale = 10.0 ** rng.integers(290, 308, shape)
+        values = mantissa * scale
+        if kind == "mixed":
+            rest = values.reshape(-1, 2)[_CSV_CHUNK_ROWS:]
+            rest[::3] = rng.standard_normal(rest[::3].shape)
+            rest[1::5] = 0.0
+        return values
+
+    axes = (AxisSpec("x", -0.5, 0.5, 41), AxisSpec("t1", 0.0, 0.5, 101))
+    return SolutionGrid(axes, block(), block())
+
+
+@pytest.mark.parametrize("kind", ["tiny", "huge", "mixed"])
+def test_csv_extreme_magnitudes_match_row_by_row_oracle(tmp_path, kind):
+    grid = _extreme_lattice(kind)
+    path = tmp_path / "g.csv"
+    write_grid_csv(grid, str(path))
+    oracle = tmp_path / "oracle.csv"
+    reference_write_grid_csv(grid, str(oracle))
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_block_with_no_cell_to_decide_skips_the_vector_path(monkeypatch):
+    values = np.array([[1e-300, -3.5e300], [5e-324, -2.5e-280]])
+    out = np.zeros(values.shape, cli._CELL)
+    out["sep"] = ord(",")
+    monkeypatch.setattr(cli, "_scaled", None)  # the vector path's first step
+    cli._format_cells(values, out)
+    assert out.tobytes().translate(None, b"\0").decode() == "".join(
+        "%.17g," % v for v in values.ravel().tolist())
 
 
 @pytest.mark.parametrize("where,bad,message", [

@@ -7,6 +7,8 @@ import pytest
 
 from support import (
     random_polynomial,
+    reference_coordinate_form_residual_at,
+    reference_covariant_at,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -173,6 +175,82 @@ def _coordinate_form_array_reference(g_at, L):
     return worst
 
 
+STACK_CASES = {f"curved{n}": (lambda n=n: sigma_curved(n)) for n in range(2, 7)}
+STACK_CASES["obstructed5"] = lambda: sigma_obstructed(5)
+STACK_CASES["coordinates2"] = sigma_coordinates2
+
+
+@pytest.fixture(scope="module", params=sorted(STACK_CASES))
+def stacked_case(request):
+    """A metric setup with 50 seeded points, drawn as the verify sweep
+    draws them."""
+    sigma = STACK_CASES[request.param]()
+    _, h1, L = metric_setup(sigma)
+    points = np.random.default_rng(len(sigma) + 40).uniform(
+        -2.0, 2.0, size=(50, len(sigma)))
+    return h1, L, points
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackedCoordinateForm:
+    def test_stacked_metric_is_bit_identical_to_single_points(
+            self, stacked_case):
+        h1, _, points = stacked_case
+        stacked = covariant_at(h1, points)
+        assert stacked.g.shape == (50, h1.n, h1.n)
+        assert stacked.dg.shape == (50, h1.n, h1.n, h1.n)
+        assert stacked.n == h1.n
+        for i, point in enumerate(points.tolist()):
+            single = covariant_at(h1, point)
+            assert _bits(stacked.g[i]) == _bits(single.g)
+            assert _bits(stacked.dg[i]) == _bits(single.dg)
+
+    def test_single_point_results_are_unchanged(self, stacked_case):
+        h1, L, points = stacked_case
+        for point in points[:10].tolist():
+            cov = covariant_at(h1, point)
+            ref = reference_covariant_at(h1, point)
+            assert cov.point == ref.point == tuple(point)
+            assert _bits(cov.g) == _bits(ref.g)
+            assert _bits(cov.dg) == _bits(ref.dg)
+            residual = coordinate_form_residual_at(cov, L)
+            assert type(residual) is float
+            assert (residual.hex()
+                    == reference_coordinate_form_residual_at(ref, L).hex())
+
+    def test_stacked_residual_matches_the_oracle_point_by_point(
+            self, stacked_case):
+        h1, L, points = stacked_case
+        residuals = coordinate_form_residual_at(covariant_at(h1, points), L)
+        assert residuals.shape == (50,)
+        expected = [reference_coordinate_form_residual_at(
+            reference_covariant_at(h1, point), L) for point in points.tolist()]
+        assert [r.hex() for r in residuals.tolist()] == [
+            r.hex() for r in expected]
+
+    def test_leading_axes_of_any_shape(self, stacked_case):
+        h1, L, points = stacked_case
+        grid = points.reshape(5, 10, -1)
+        residuals = coordinate_form_residual_at(covariant_at(h1, grid), L,
+                                                point=grid)
+        assert residuals.shape == (5, 10)
+        flat = coordinate_form_residual_at(covariant_at(h1, points), L)
+        assert _bits(residuals) == _bits(flat.reshape(5, 10))
+
+    def test_stacked_point_checked(self):
+        _, h1, L = metric_setup(sigma_torsion_free2())
+        points = np.array([[0.1, 0.2], [0.3, -0.4]])
+        cov = covariant_at(h1, points)
+        coordinate_form_residual_at(cov, L, point=points)
+        with pytest.raises(CompatError):
+            coordinate_form_residual_at(cov, L, point=points[::-1])
+        with pytest.raises(CompatError):
+            coordinate_form_residual_at(cov, L, point=[0.1, 0.2])
+
+
 class TestLieForm:
     def test_constant_coordinate_fields(self):
         _, h1, L = metric_setup(sigma_torsion_free2())
@@ -205,6 +283,13 @@ class TestLieForm:
         with pytest.raises(CompatError):
             lie_form_residual_at(cov, L, (ExactPolynomial.zero(2),),
                                  (ExactPolynomial.zero(2),) * 2)
+
+    def test_stacked_metric_refused(self):
+        _, h1, L = metric_setup(sigma_torsion_free2())
+        cov = covariant_at(h1, [[0.3, -0.7], [0.5, 0.5]])
+        e1 = (ExactPolynomial.constant(2, 1), ExactPolynomial.zero(2))
+        with pytest.raises(CompatError, match="single point"):
+            lie_form_residual_at(cov, L, e1, e1)
 
 
 class TestSymmetryTransform:
@@ -248,6 +333,12 @@ class TestSymmetryTransform:
         cov = covariant_at(h1, [0.3, 0.6])
         with pytest.raises(CompatError):
             symmetry_metric(cov, M, check_against=L)
+
+    def test_stacked_metric_refused(self):
+        _, h1, L = metric_setup(sigma_torsion_free2())
+        cov = covariant_at(h1, [[0.4, 0.9], [0.1, -0.3]])
+        with pytest.raises(CompatError, match="single point"):
+            symmetry_metric(cov, OperatorField.identity(2), check_against=L)
 
     def test_singular_transform_rejected(self):
         _, h1, L = metric_setup(sigma_torsion_free2())

@@ -26,6 +26,7 @@ from nijflow.metric import (
     GramMatrix,
     MetricError,
     PhaseFunction,
+    SingularMetricError,
     build_h_family,
     check_gram_normal_form,
     covariant_at,
@@ -332,6 +333,24 @@ class TestCovariantMetric:
                         [upoly("0", 2), upoly("1", 2)]])
         with pytest.raises(MetricError):
             covariant_at(G, [0.0, 1.0])
+
+    def test_singular_point_mid_stack_names_the_first(self):
+        G = GramMatrix([[upoly("u1", 2), upoly("0", 2)],
+                        [upoly("0", 2), upoly("1", 2)]])
+        points = np.array([[1.0, 1.0], [-0.5, 2.0], [0.0, 1.0],
+                           [1.5, -0.3], [0.0, -2.0]])
+        with pytest.raises(MetricError) as single:
+            covariant_at(G, [0.0, 1.0])
+        for stack in (points, points.reshape(1, 5, 2)):
+            with pytest.raises(SingularMetricError) as err:
+                covariant_at(G, stack)
+            assert err.value.index == 2
+            assert str(err.value) == str(single.value)
+            assert str(err.value) == ("contravariant metric is singular "
+                                      "at (0.0, 1.0)")
+        before = covariant_at(G, points[:2])
+        assert before.g.shape == (2, 2, 2) and before.n == 2
+        assert covariant_at(G, points[:0]).g.shape == (0, 2, 2)
 
     def test_companion_metric_never_singular(self):
         g = gram_matrix(build_h_family(sigma_coordinates2())[0])

@@ -15,7 +15,7 @@ from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import build_h_family, gram_matrix
 from nijflow.operators import companion_second
 from nijflow.pde import (PDEError, compare_grids, convergence_orders,
-                         direct_solve, evaluate_operator_array, grid_residual)
+                         direct_solve, grid_residual)
 
 from support import sigma_constant
 
@@ -47,7 +47,7 @@ def test_batch_evaluation_matches_pointwise():
     L = companion_second(sigma)
     rng = np.random.default_rng(7)
     U = rng.uniform(-2, 2, size=(4, 3, 2))
-    batch = evaluate_operator_array(L, U)
+    batch = L.evaluate_at(U)
     for i in range(4):
         for j in range(3):
             expected = L.evaluate_at(list(U[i, j]))
@@ -59,7 +59,7 @@ def test_poly_array_constant_and_powers():
     L = companion_second([poly, parse_expression("0", U2)])
     # entry (1,1) of the companion matrix is sigma_1 itself
     U = np.array([[1.0, 2.0], [0.5, -4.0]])
-    got = evaluate_operator_array(L, U)[:, 1, 1]
+    got = L.evaluate_at(U)[:, 1, 1]
     assert np.allclose(got, [3 - 1.0, 0.75 + 2.0])
 
 
