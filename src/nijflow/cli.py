@@ -291,14 +291,10 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
     The 17 digits are |v| * 10**(16 - k), k the decimal exponent, formed
     as a double-double and rounded half to even.  Where that cannot decide
     them (a fraction within 1e-9 of one half, |v| outside [1e-250, 1e250])
-    Python formats the cell instead, and a block with no cell to decide
-    skips the vector path."""
+    Python formats the cell instead."""
     with np.errstate(all="ignore"):
         a = np.abs(values)
         vector = (a >= 1e-250) & (a <= 1e250)
-        zero = values == 0
-        if not (vector.any() or zero.any()):
-            return _format_in_python(values, np.nonzero(~vector), out)
         a[~vector] = 1.0
         k = np.floor(np.log10(a)).astype(np.int64)
         p, r = _scaled(a, k)
@@ -318,6 +314,7 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
         carry = d == 10**17
         d[carry] = 10**16
         k += carry
+        zero = values == 0
         d[zero] = 0
         k[zero] = 0
         lead = d // 10**16
@@ -364,19 +361,15 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
             end[sci] |= ((ord("e") | (sign << 8) | (digits << 16))
                          << 8).view(_U64)
         out["end"] = end
-    _format_in_python(values, np.nonzero(~(vector | zero)), out)
-
-
-def _format_in_python(values: np.ndarray, at: tuple, out: np.ndarray) -> None:
-    """Python's ``"%.17g"`` of the cells ``at`` (index arrays), in one call."""
-    if len(at[0]):
+    slow = np.nonzero(~(vector | zero))
+    if len(slow[0]):
         width = _CELL.itemsize - 1
-        texts = ((b"%%-%d.17g" % width * len(at[0]))
-                 % tuple(values[at].tolist())).replace(b" ", b"\0")
-        cells = out[at]
+        texts = b"".join((b"%.17g" % v).ljust(width, b"\0")
+                         for v in values[slow].tolist())
+        cells = out[slow]
         cells.view(np.uint8).reshape(-1, width + 1)[:, :width] = \
             np.frombuffer(texts, np.uint8).reshape(-1, width)
-        out[at] = cells
+        out[slow] = cells
 
 
 def _refuse_non_finite(grid: SolutionGrid, names: Sequence[str]) -> None:
@@ -659,8 +652,12 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
 
 
 def _peak(polys) -> float:
-    return float(max((abs(c) for poly in polys for _, c in poly.terms()),
-                     default=Fraction(0)))
+    worst = Fraction(0)
+    for poly in polys:
+        for _, coeff in poly.terms():
+            if abs(coeff) > worst:
+                worst = abs(coeff)
+    return float(worst)
 
 
 def verification_report(cfg: dict) -> dict:
@@ -762,16 +759,14 @@ def _cmd_hierarchy(args) -> int:
     return 0
 
 
-def _config_orbit(cfg: dict, model: CompanionModel) -> SolutionGrid:
-    """The lattice of the config's grid, filled by the commuting flows."""
-    axes = config_axes(cfg, model.n)
-    return orbit_grid(model.integrals[:len(axes)], config_point(cfg, model.n),
-                      axes, config_settings(cfg, axes))
-
-
 def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
-    write_grid_csv(_config_orbit(cfg, build_model(cfg)), args.output)
+    model = build_model(cfg)
+    axes = config_axes(cfg, model.n)
+    point = config_point(cfg, model.n)
+    settings = config_settings(cfg, axes)
+    grid = orbit_grid(model.integrals[:len(axes)], point, axes, settings)
+    write_grid_csv(grid, args.output)
     return 0
 
 
@@ -817,8 +812,13 @@ def _cmd_solve_direct(args) -> int:
 def _cmd_residual(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
-    grid = (read_grid_csv(args.input) if args.input
-            else _config_orbit(cfg, model))
+    if args.input:
+        grid = read_grid_csv(args.input)
+    else:
+        axes = config_axes(cfg, model.n)
+        point = config_point(cfg, model.n)
+        settings = config_settings(cfg, axes)
+        grid = orbit_grid(model.integrals[:len(axes)], point, axes, settings)
     if len(grid.axes) < 2:
         raise ConfigError("residuals need a lattice with at least one "
                           "time axis")
@@ -838,9 +838,10 @@ def _cmd_compare(args) -> int:
     orbit = orbit_grid(model.integrals[:len(direct.axes)], point,
                        direct.axes, settings)
     t_values = direct.axes[1].values()
-    layers = [{"t": float(t), "deviation": float(
-                   np.abs(direct.u[:, j] - orbit.u[:, j]).max())}
-              for j, t in enumerate(t_values)]
+    layers = []
+    for j, t in enumerate(t_values):
+        deviation = float(np.abs(direct.u[:, j] - orbit.u[:, j]).max())
+        layers.append({"t": float(t), "deviation": deviation})
     payload = {"layers": layers,
                "max_deviation": max(l["deviation"] for l in layers),
                "window": {"start": direct.axes[0].start,
@@ -879,9 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasilinear solving.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(name, run, help_text, output=False):
+    def with_config(name, help_text, output=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
         p.add_argument("config", help="problem config (JSON)")
         if output:
             p.add_argument("--output", required=True,
@@ -891,31 +891,39 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write the report here")
         return p
 
-    with_config("verify", _cmd_verify,
-                "check the defining identities; report JSON")
-    with_config("build-metric", _cmd_build_metric,
-                "print the integral family and Gram matrix")
-    with_config("hierarchy", _cmd_hierarchy,
-                "print the operator hierarchy and integrals")
-    with_config("evolve", _cmd_evolve,
-                "fill a lattice by the commuting flows (CSV)", output=True)
-    with_config("solve-direct", _cmd_solve_direct,
-                "direct quasilinear solve (CSV)", output=True)
-    residual = with_config("residual", _cmd_residual,
-                           "discrete residual report for a lattice")
+    with_config("verify", "check the defining identities; report JSON")
+    with_config("build-metric", "print the integral family and Gram matrix")
+    with_config("hierarchy", "print the operator hierarchy and integrals")
+    with_config("evolve", "fill a lattice by the commuting flows (CSV)",
+                output=True)
+    with_config("solve-direct", "direct quasilinear solve (CSV)",
+                output=True)
+    residual = with_config("residual", "discrete residual report for a "
+                                       "lattice")
     residual.add_argument("--input", default=None,
                           help="CSV lattice to measure (default: evolve "
                                "from the config)")
-    with_config("compare", _cmd_compare,
-                "deviation table: direct solve vs flow composition")
+    with_config("compare", "deviation table: direct solve vs flow "
+                           "composition")
     plot = sub.add_parser("plot", help="SVG polylines of a lattice CSV")
-    plot.set_defaults(run=_cmd_plot)
     plot.add_argument("input", help="CSV lattice file")
     plot.add_argument("--output", required=True, help="SVG file path")
     plot.add_argument("--slices", default=None,
                       help="comma-separated time-slice indices (empty "
                            "string: axes only)")
     return parser
+
+
+_DISPATCH = {
+    "verify": _cmd_verify,
+    "build-metric": _cmd_build_metric,
+    "hierarchy": _cmd_hierarchy,
+    "evolve": _cmd_evolve,
+    "solve-direct": _cmd_solve_direct,
+    "residual": _cmd_residual,
+    "compare": _cmd_compare,
+    "plot": _cmd_plot,
+}
 
 
 @functools.cache
@@ -934,9 +942,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        return _DISPATCH[args.command](args)
     except (ConfigError, ParseError, PolynomialError, MetricError,
-            OperatorError, CompatError, FlowError, PDEError, OSError) as exc:
+            OperatorError, CompatError, FlowError, PDEError) as exc:
+        print(f"nijflow {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

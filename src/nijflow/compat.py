@@ -141,11 +141,12 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     n = L.n
     if g_at.n != n:
         raise CompatError("metric and operator sizes differ")
-    if point is not None and not np.array_equal(
-            np.asarray(point, dtype=float), g_at.point):
-        raise CompatError("point differs from the one the metric was built at")
-    points = np.asarray(g_at.point)
     g, dg = g_at.g, g_at.dg  # dg[..., a, i, j] = d g_ij / d u^a
+    # shaped from g, as an empty stack's point () has lost its (0, n)
+    points = np.reshape(np.asarray(g_at.point, dtype=float), g.shape[:-1])
+    if point is not None and not np.array_equal(
+            np.asarray(point, dtype=float), points):
+        raise CompatError("point differs from the one the metric was built at")
     dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
     Lv = L.evaluate_at(points)
     dL = evaluate_table_array([[[L.entry(a, b).partial(i) for b in range(n)]
@@ -165,8 +166,9 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     lhs -= (g[..., :, None, :] * dtr[..., None, :, None]
             + g[..., :, :, None] * dtr[..., None, None, :])
     # fmax from 0.0 is the loop's max() chain: a nan residual is passed over
-    worst = np.fmax.reduce(np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (-1,)),
-                           axis=-1, initial=0.0)
+    worst = np.fmax.reduce(
+        np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (n**3,)), axis=-1,
+        initial=0.0)
     return float(worst) if worst.ndim == 0 else worst
 
 

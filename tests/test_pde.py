@@ -50,8 +50,10 @@ def test_batch_evaluation_matches_pointwise():
     batch = L.evaluate_at(U)
     for i in range(4):
         for j in range(3):
-            expected = L.evaluate_at(list(U[i, j]))
-            assert np.abs(batch[i, j] - expected).max() < 1e-14
+            # the scalar evaluator is the oracle; the two are bit-identical
+            expected = np.array([[e.evaluate(list(U[i, j])) for e in row]
+                                 for row in L.entries])
+            assert np.array_equal(batch[i, j], expected)
 
 
 def test_poly_array_constant_and_powers():
