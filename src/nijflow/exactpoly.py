@@ -1,11 +1,16 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is stored as a map from exponent tuples to nonzero
-``fractions.Fraction`` coefficients.  The zero polynomial is the empty map, so
-every value has exactly one representation and equality is plain dictionary
-equality.  Terms are ordered by graded lexicographic order (total degree
-first, then lexicographic on the exponent tuple), descending; printing and
-iteration both follow that order, which makes the printed form canonical.
+A polynomial is stored once, as integer numerators over one common
+denominator: a map from exponent tuples to nonzero ``int`` numerators, and a
+positive ``int`` denominator, the lcm of the reduced coefficients'
+denominators, so that no prime divides it and all the numerators.  The zero
+polynomial is the empty map over 1, so every value has exactly one
+representation and equality is plain comparison of the two.  Terms are
+ordered by graded lexicographic order (total degree first, then
+lexicographic on the exponent tuple), descending; printing and iteration
+both follow that order, which makes the printed form canonical.
+``Fraction`` appears only at the edges: the constructor's coefficients and
+what ``terms``, ``coefficient`` and ``evaluate_exact`` return.
 
 Expressions are parsed with a small recursive-descent parser for the grammar
 
@@ -25,10 +30,10 @@ reads, with no syntax tree; parentheses and unary minus nest at most
 could exceed ``MAX_POWER_BITS`` is refused before it is formed.
 
 Every product of polynomials, and every sum of such products, is formed by
-one kernel, ``signed_sum``.  It works on integers: each polynomial keeps a
-cached integer view, its numerators over the lcm of its denominators, and
-the kernel sums the products of numerators over one common denominator,
-so ``Fraction`` is built only for the coefficients of the result.
+one kernel, ``signed_sum``, which sums the products of numerators over one
+common denominator.  Every float evaluation goes through one interpreter,
+``evaluate_float_form``, at a point of floats or over the columns of a
+stack of points.
 """
 
 from __future__ import annotations
@@ -82,14 +87,14 @@ def _as_fraction(value: RationalLike) -> Fraction:
 
 
 class ExactPolynomial:
-    """Immutable multivariate polynomial with Fraction coefficients.
+    """Immutable multivariate polynomial with rational coefficients.
 
     Instances are created from a variable count and any iterable or mapping
     of ``(exponent_tuple, coefficient)`` pairs; duplicate exponent tuples are
     combined and zero coefficients dropped, so the stored form is canonical.
     """
 
-    __slots__ = ("nvars", "_terms", "_float_form", "_partials", "_ints")
+    __slots__ = ("nvars", "_nums", "_den", "_float_form", "_partials")
 
     def __init__(
         self,
@@ -113,11 +118,29 @@ class ExactPolynomial:
                 data[exps] = c
             else:
                 data.pop(exps, None)
+        den = math.lcm(*(c.denominator for c in data.values()))
+        self._store(nvars, {e: c.numerator * (den // c.denominator)
+                            for e, c in data.items()}, den)
+
+    def _store(self, nvars: int, nums: dict[Exponents, int], den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_float_form", None)
         object.__setattr__(self, "_partials", None)
-        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _raw(cls, nvars: int, nums: dict[Exponents, int],
+             den: int) -> "ExactPolynomial":
+        """The polynomial of nonzero numerators ``nums`` over ``den > 0``,
+        reduced by their common factor to the canonical store."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+        obj = cls.__new__(cls)
+        obj._store(nvars, nums, den)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
@@ -138,26 +161,30 @@ class ExactPolynomial:
         if not 0 <= index < nvars:
             raise PolynomialError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._raw(nvars, {exps: 1}, 1)
 
     # -- inspection -------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Yield (exponents, coefficient) pairs in descending graded-lex order."""
-        for exps in sorted(self._terms, key=grlex_key, reverse=True):
-            yield exps, self._terms[exps]
+        for exps in sorted(self._nums, key=grlex_key, reverse=True):
+            yield exps, Fraction(self._nums[exps], self._den)
+
+    def exponents(self) -> Iterable[Exponents]:
+        """The exponent tuples of the terms, in no particular order."""
+        return self._nums.keys()
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def total_degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if any variable occurs."""
@@ -166,40 +193,41 @@ class ExactPolynomial:
         return self.coefficient((0,) * self.nvars)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     # -- ring operations --------------------------------------------------
-
-    def _check_compatible(self, other: "ExactPolynomial") -> None:
-        if self.nvars != other.nvars:
-            raise PolynomialError(
-                f"variable counts differ: {self.nvars} vs {other.nvars}")
 
     def _combined(self, other, sign: int) -> "ExactPolynomial":
         if isinstance(other, (int, Fraction)):
             other = ExactPolynomial.constant(self.nvars, other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        self._check_compatible(other)
-        data = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = data.get(exps, 0) + c if sign > 0 else data.get(exps, 0) - c
+        if self.nvars != other.nvars:
+            raise PolynomialError(
+                f"variable counts differ: {self.nvars} vs {other.nvars}")
+        den = math.lcm(self._den, other._den)
+        scale = den // self._den
+        nums = {e: c * scale for e, c in self._nums.items()}
+        scale = sign * (den // other._den)
+        for exps, c in other._nums.items():
+            s = nums.get(exps, 0) + c * scale
             if s:
-                data[exps] = s
+                nums[exps] = s
             else:
-                del data[exps]
-        return self._raw(self.nvars, data)
+                del nums[exps]
+        return self._raw(self.nvars, nums, den)
 
     def __add__(self, other) -> "ExactPolynomial":
         return self._combined(other, 1)
@@ -207,7 +235,8 @@ class ExactPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
-        return self._raw(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self._raw(self.nvars, {e: -c for e, c in self._nums.items()},
+                         self._den)
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self._combined(other, -1)
@@ -249,7 +278,7 @@ class ExactPolynomial:
         variables) times the bits of one coefficient, 1 plus those of the
         largest coefficient and of the term count of each factor.  Unit
         coefficients count no bits, so a power of a monomial has size 1."""
-        t, u = len(self._terms), len(other._terms)
+        t, u = len(self._nums), len(other._nums)
         if not t or not u:
             return 0
         terms = min(math.comb(t - 1 + e, t - 1) * u,
@@ -259,31 +288,10 @@ class ExactPolynomial:
                         + other._coefficient_bits() + (u - 1).bit_length())
 
     def _coefficient_bits(self) -> int:
+        # of the reduced coefficients, whose size the other terms do not move
+        coeffs = (Fraction(c, self._den) for c in self._nums.values())
         return max(abs(c.numerator).bit_length() + c.denominator.bit_length()
-                   for c in self._terms.values()) - 2
-
-    @classmethod
-    def _raw(cls, nvars: int, data: dict[Exponents, Fraction]) -> "ExactPolynomial":
-        # internal constructor for already-canonical term dictionaries
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "_terms", data)
-        object.__setattr__(obj, "_float_form", None)
-        object.__setattr__(obj, "_partials", None)
-        object.__setattr__(obj, "_ints", None)
-        return obj
-
-    def _int_view(self) -> tuple[int, list[tuple[Exponents, int]]]:
-        """The cached integer view ``(den, [(exps, num), ...])``: ``den`` is
-        the lcm of the coefficient denominators, each ``num`` a coefficient
-        times ``den``."""
-        view = self._ints
-        if view is None:
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            view = (den, [(e, c.numerator * (den // c.denominator))
-                          for e, c in self._terms.items()])
-            object.__setattr__(self, "_ints", view)
-        return view
+                   for c in coeffs) - 2
 
     # -- calculus ---------------------------------------------------------
 
@@ -298,18 +306,10 @@ class ExactPolynomial:
             object.__setattr__(self, "_partials", cache)
         elif index in cache:
             return cache[index]
-        data: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-            s = data.get(lowered, Fraction(0)) + c * e
-            if s:
-                data[lowered] = s
-            else:
-                data.pop(lowered, None)
-        derivative = cache[index] = self._raw(self.nvars, data)
+        # lowering one exponent is one-to-one, so no two terms meet
+        nums = {exps[:index] + (e - 1,) + exps[index + 1:]: c * e
+                for exps, c in self._nums.items() if (e := exps[index])}
+        derivative = cache[index] = self._raw(self.nvars, nums, self._den)
         return derivative
 
     # -- variable embedding ----------------------------------------------
@@ -319,19 +319,22 @@ class ExactPolynomial:
         if extra < 0:
             raise PolynomialError("cannot append a negative number of variables")
         pad = (0,) * extra
-        data = {exps + pad: c for exps, c in self._terms.items()}
-        return self._raw(self.nvars + extra, data)
+        nums = {exps + pad: c for exps, c in self._nums.items()}
+        return self._raw(self.nvars + extra, nums, self._den)
 
     # -- evaluation -------------------------------------------------------
 
     def float_form(self) -> FloatForm:
         """The cached float form: one ``(coefficient, ((var, exp), ...))``
         pair per term in ``terms()`` order, zero exponents left out.  Every
-        float evaluation of a polynomial reads this form."""
+        float evaluation of a polynomial reads this form.  Int division
+        rounds ``num / den`` correctly, as ``float(Fraction)`` does."""
         form = self._float_form
         if form is None:
-            form = tuple((float(c), tuple((i, e) for i, e in enumerate(exps) if e))
-                         for exps, c in self.terms())
+            den = self._den
+            form = tuple((self._nums[exps] / den,
+                          tuple((i, e) for i, e in enumerate(exps) if e))
+                         for exps in sorted(self._nums, key=grlex_key, reverse=True))
             object.__setattr__(self, "_float_form", form)
         return form
 
@@ -349,13 +352,13 @@ class ExactPolynomial:
                 f"point has {len(point)} coordinates, expected {self.nvars}")
         coords = [_as_fraction(x) for x in point]
         total = Fraction(0)
-        for exps, c in self._terms.items():
+        for exps, c in self._nums.items():
             v = c
             for x, e in zip(coords, exps):
                 if e:
                     v *= x ** e
             total += v
-        return total
+        return total / self._den
 
     # -- printing ---------------------------------------------------------
 
@@ -370,34 +373,41 @@ def signed_sum(nvars: int,
                parts: Iterable[tuple[int, ExactPolynomial, ExactPolynomial]]
                ) -> ExactPolynomial:
     """The sum of ``sign * a * b`` over ``parts`` (sign +1 or -1): every
-    product of polynomials is formed here.  The arithmetic is on integers:
-    over D, the lcm of the parts' ``den_a * den_b``, each term product adds
-    ``sign * D // (den_a * den_b) * num_a * num_b`` straight into one term
-    map, so neither the products nor partial sums are built as polynomials
-    of their own.  Only the surviving sums become (reduced) ``Fraction``s."""
-    views = []
-    for sign, a, b in parts:
+    product of polynomials is formed here.  Over D, the lcm of the parts'
+    ``den_a * den_b``, each term product adds
+    ``sign * D // (den_a * den_b) * num_a * num_b`` straight into one map of
+    numerators, so neither the products nor partial sums are built as
+    polynomials of their own."""
+    parts = list(parts)
+    for _, a, b in parts:
         for poly in (a, b):
             if poly.nvars != nvars:
                 raise PolynomialError(
                     f"variable counts differ: {nvars} vs {poly.nvars}")
-        views.append((sign, a._int_view(), b._int_view()))
-    den = math.lcm(*(da * db for _, (da, _), (db, _) in views))
+    den = math.lcm(*(a._den * b._den for _, a, b in parts))
     data: dict[Exponents, int] = {}
     get = data.get
-    for sign, (da, a_terms), (db, b_terms) in views:
-        scale = sign * (den // (da * db))
-        for ea, na in a_terms:
+    for sign, a, b in parts:
+        scale = sign * (den // (a._den * b._den))
+        b_terms = b._nums.items()
+        for ea, na in a._nums.items():
             na *= scale
             for eb, nb in b_terms:
                 exps = tuple(map(add, ea, eb))
                 data[exps] = get(exps, 0) + na * nb
     return ExactPolynomial._raw(
-        nvars, {e: Fraction(c, den) for e, c in data.items() if c})
+        nvars, {e: c for e, c in data.items() if c}, den)
 
 
-def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:
-    """Sum the terms of a float form at a point, left to right."""
+def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
+    """Sum the terms of a float form, left to right, at a point given as
+    one float per variable, or at every point of a stack given as one array
+    per variable (its columns; a form without variables then gives a float).
+    Both take the same operations in the same order, with powers e >= 3
+    through Python's float power (``_float_power`` on a column), so a
+    stack's values are bit-identical to its points' alone.  Where a power
+    overflows, a point of floats raises ``OverflowError``; a stack gives inf.
+    """
     total = 0.0
     for coeff, powers in form:
         v = coeff
@@ -407,50 +417,34 @@ def evaluate_float_form(form: FloatForm, point: Sequence[float]) -> float:
                 v *= x
             elif e == 2:
                 v *= x * x
+            elif isinstance(x, np.ndarray):
+                v *= _float_power(x, e)
             else:
                 v *= x ** e
         total += v
     return total
 
 
-def evaluate_poly_array(poly: ExactPolynomial, points: np.ndarray) -> np.ndarray:
-    """Batch twin of ``evaluate_float_form``: the polynomial at every point
-    of ``points`` (shape (..., nvars); the result drops the last axis).
-
-    The operations are the scalar loop's, in its order, so every value is
-    bit-identical to ``poly.evaluate`` at that point.  Overflow gives inf
-    where the scalar loop raises ``OverflowError``.
-    """
-    total = np.zeros(points.shape[:-1])
-    for coeff, powers in poly.float_form():
-        v = coeff
-        for i, e in powers:
-            x = points[..., i]
-            if e == 1:
-                v = v * x
-            elif e == 2:
-                v = v * (x * x)
-            else:
-                v = v * _float_power(x, e)
-        total = total + v
-    return total
-
-
 def evaluate_table_array(table, points) -> np.ndarray:
-    """``evaluate_poly_array`` of each polynomial in a nested sequence,
-    written into one C-contiguous array, so a stacked matmul sees each
-    matrix as alone: the points' leading axes first, the table's last."""
+    """Each polynomial of a nested sequence at a point, or at every point
+    of a stack (..., nvars), written into one C-contiguous array, so a
+    stacked matmul sees each matrix as alone: the points' leading axes
+    first, the table's last.  A single point is evaluated on plain floats,
+    so an overflowing power raises ``OverflowError`` as in
+    ``ExactPolynomial.evaluate``; a stack gives inf there."""
     points = np.asarray(points, dtype=float)
     polys, shape = [table], ()
     while polys and not isinstance(polys[0], ExactPolynomial):
         shape += (len(polys[0]),)
         polys = [entry for row in polys for entry in row]
+    coords = (points.tolist() if points.ndim == 1 else
+              [points[..., i] for i in range(points.shape[-1])])
     out = np.empty(points.shape[:-1] + (len(polys),))
     for k, poly in enumerate(polys):
         if poly.nvars != points.shape[-1]:
             raise PolynomialError(f"point has {points.shape[-1]} "
                                   f"coordinates, expected {poly.nvars}")
-        out[..., k] = evaluate_poly_array(poly, points)
+        out[..., k] = evaluate_float_form(poly.float_form(), coords)
     return out.reshape(points.shape[:-1] + shape)
 
 

@@ -30,10 +30,13 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, evaluate_float_form, evaluate_poly_array
+from .exactpoly import ExactPolynomial, evaluate_float_form
 from .metric import GramMatrix, PhaseFunction, poisson_bracket
 
 State = list[float]
+
+MAX_STEPS = 2_000_000  # the most steps one integrator segment may take
+MIN_STEP = 1e-13  # the adaptive integrator's smallest step before it gives up
 
 
 class FlowError(RuntimeError):
@@ -88,8 +91,6 @@ class FlowSettings:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     horizon: float = 1.0
-    max_steps: int = 2_000_000
-    min_step: float = 1e-13
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
@@ -142,7 +143,7 @@ def hamiltonian_rhs(F: Union[PhaseFunction, HamiltonianField]) -> HamiltonianFie
 def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
                  settings: FlowSettings) -> State:
     steps = abs(t_span) / settings.step - 1e-12
-    if steps > settings.max_steps:
+    if steps > MAX_STEPS:
         raise FlowError("step budget exhausted", CotangentPoint.from_state(y))
     nsteps = max(1, math.ceil(steps))
     h = t_span / nsteps
@@ -193,7 +194,7 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
     steps = 0
     while remaining > 0.0:
         steps += 1
-        if steps > settings.max_steps:
+        if steps > MAX_STEPS:
             raise FlowError("step budget exhausted",
                             CotangentPoint.from_state(y))
         h = min(h, remaining)
@@ -227,7 +228,7 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
         if not math.isfinite(factor):
             factor = 0.2
         h *= factor
-        if h < settings.min_step and remaining > 0.0:
+        if h < MIN_STEP and remaining > 0.0:
             raise FlowError("step size underflow",
                             CotangentPoint.from_state(y))
     return y
@@ -292,9 +293,11 @@ def _series_lines(series: Series, states: np.ndarray,
     coefficients at each line start, then Horner's rule in the time."""
     t = times[:, None]
     out = np.empty((len(t),) + states.shape)
+    columns = states.T
     with np.errstate(over="ignore", invalid="ignore"):
         for i, coeffs in enumerate(series):
-            values = [evaluate_poly_array(c, states) for c in coeffs]
+            values = [evaluate_float_form(c.float_form(), columns)
+                      for c in coeffs]
             # in place in the output, so no lattice-sized temporaries
             acc = out[..., i]
             acc[...] = values[-1]

@@ -59,7 +59,7 @@ class PhaseFunction:
         if poly.nvars != 2 * n:
             raise MetricError(
                 f"phase polynomial must have {2 * n} variables, got {poly.nvars}")
-        degrees = {_p_degree_of_term(e, n) for e, _ in poly.terms()}
+        degrees = {_p_degree_of_term(e, n) for e in poly.exponents()}
         if len(degrees) > 1:
             raise MetricError(
                 f"polynomial is not homogeneous in the momenta: degrees {sorted(degrees)}")
@@ -127,7 +127,7 @@ class PhaseFunction:
                 other = other.with_appended_vars(self.n)
             if other.nvars != 2 * self.n:
                 raise MetricError("scalar factor must live on the base or the chart")
-            if any(_p_degree_of_term(e, self.n) for e, _ in other.terms()):
+            if any(_p_degree_of_term(e, self.n) for e in other.exponents()):
                 raise MetricError("scalar factor must not involve the momenta")
             return PhaseFunction(self.n, self.poly * other, self.p_degree)
         if isinstance(other, PhaseFunction):

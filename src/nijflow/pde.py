@@ -37,6 +37,7 @@ class PDEError(RuntimeError):
 # the most input x-nodes times time steps one direct solve may take; the
 # stored layers hold at most n floats per node-step (160 MB for n = 2)
 MAX_NODE_STEPS = 10**7
+MIN_WIDTH = 5  # the fewest x-nodes the final window of a direct solve keeps
 
 # how far, as a fraction of max(1, |spacing|), a lattice may stray from
 # uniform: in its spacings here, in its node positions when a CSV is read
@@ -64,8 +65,7 @@ def _interior_rhs(y: np.ndarray, A: OperatorField, dx: float) -> np.ndarray:
 
 def direct_solve(A: OperatorField, x_values: Sequence[float],
                  u0: np.ndarray, t_end: float, *, cfl: float = 0.4,
-                 dt: float | None = None, axis_name: str = "t1",
-                 min_width: int = 5) -> SolutionGrid:
+                 dt: float | None = None) -> SolutionGrid:
     """March u_t = A(u) u_x forward from initial data on a uniform lattice.
 
     ``u0`` holds the initial values, shape (len(x_values), n).  The step is
@@ -93,10 +93,10 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
     dt = t_end / steps
     m = len(x_values)
     width = m - 16 * steps
-    if width < min_width:
+    if width < MIN_WIDTH:
         raise PDEError(
             f"window exhausted: {steps} steps strip {16 * steps} of {m} "
-            f"nodes, leaving {width} < {min_width}; widen the initial "
+            f"nodes, leaving {width} < {MIN_WIDTH}; widen the initial "
             f"interval or refine the lattice")
     if m * steps > MAX_NODE_STEPS:
         raise PDEError(
@@ -130,7 +130,7 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
         u[:, j] = layer[crop:crop + width] if crop else layer
     x_axis = AxisSpec("x", float(x_values[lo]), float(x_values[lo + width - 1]),
                       width)
-    t_axis = AxisSpec(axis_name, 0.0, float(t_end), steps + 1)
+    t_axis = AxisSpec("t1", 0.0, float(t_end), steps + 1)
     meta = {"generator": "direct", "dx": dx, "dt": dt, "steps": steps}
     return SolutionGrid((x_axis, t_axis), u, None, meta)
 

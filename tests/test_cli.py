@@ -177,6 +177,63 @@ REPORT_DIGESTS = {
 }
 
 
+# SHA-256 of the float outputs, recorded while polynomials kept Fraction
+# coefficients and a scalar and an array float interpreter: every shipped
+# config's evolve CSV, and for two configs the solve-direct CSV, the compare
+# report and the residual report of that CSV.  However the coefficients are
+# stored and the float forms evaluated, these must not change by a byte.
+FLOAT_DIGESTS = {
+    ("evolve", "constant2"):
+        "f28bd2ebb34f2f397523071ab0ca95ac4b965b5dcb8ebbc5ccb68350c69cb6cf",
+    ("evolve", "constant3"):
+        "15e30f37c89e1fd0a2063092d2bc99a719fcf130f892ac7545bc0b77c09ed5e3",
+    ("evolve", "coordinates2"):
+        "be161c2b728233401b0133911ddc97d30ae47e25d145f6bd3d9e404b4ad9ad24",
+    ("evolve", "nijenhuis2"):
+        "8665f84023b7944aac06e6d9cb78947671ef193966767e336d56a3ed0d7fd64c",
+    ("evolve", "nijenhuis2_direct"):
+        "d57d5eb18f8350b8c8c1c482727a2c86c0accf64eb6fb67b9787769d7da5cae9",
+    ("evolve", "nijenhuis3"):
+        "f0ed01a973d9c36bf74d7ee2fb3f480768138ab33a44d389fbc1923ad95822ae",
+    ("evolve", "nijenhuis4"):
+        "a91332eb057aeb6609b6e159f940c31b1191bec284e66d1df15449ed14038611",
+    ("solve-direct", "constant2"):
+        "cbb58362c7d4e4bb2de59961e2351e739b95b7bd130ccf4cf0e297d26b327300",
+    ("compare", "constant2"):
+        "d2b3e9b9c472ca8897ebe31733ef844d6cd8bb08ecf0a17fbdbb1d3907927b7e",
+    ("residual", "constant2"):
+        "ba787f5d62ee4170f616b06f32c3d0bbc9af09131599441dc8938ffcdd42d77c",
+    ("solve-direct", "nijenhuis2_direct"):
+        "dc928220263c46d7406d5ee1ccfc85c3eb228315e6d3be673ff999a9df6ba4f4",
+    ("compare", "nijenhuis2_direct"):
+        "fa5ca23dd00816e3a9c29086316aa4c9bf176b65743b0898949fe57017903b4c",
+    ("residual", "nijenhuis2_direct"):
+        "21c7433480fab0fbf70d2fbdde73b9b700f0e72cbbeb0945e7a4ee1391c40d41",
+}
+
+
+def test_float_outputs_are_pinned(tmp_path, capsys):
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    got = {}
+    for name in sorted(REPORT_DIGESTS):
+        path = tmp_path / f"{name}.csv"
+        assert main(["evolve", str(CONFIGS / f"{name}.json"),
+                     "--output", str(path)]) == 0
+        got["evolve", name] = digest(path.read_bytes())
+    for name in ("constant2", "nijenhuis2_direct"):
+        config = str(CONFIGS / f"{name}.json")
+        path = tmp_path / f"{name}.direct.csv"
+        assert main(["solve-direct", config, "--output", str(path)]) == 0
+        got["solve-direct", name] = digest(path.read_bytes())
+        capsys.readouterr()
+        for command in (["compare"], ["residual", "--input", str(path)]):
+            assert main([command[0], config, *command[1:]]) == 0
+            got[command[0], name] = digest(capsys.readouterr().out.encode())
+    assert got == FLOAT_DIGESTS
+
+
 def test_every_shipped_config_has_pinned_reports():
     assert sorted(REPORT_DIGESTS) == sorted(p.stem
                                             for p in CONFIGS.glob("*.json"))

@@ -14,7 +14,7 @@ from nijflow.exactpoly import (
     ExactPolynomial,
     ParseError,
     PolynomialError,
-    evaluate_poly_array,
+    evaluate_table_array,
     format_polynomial,
     grlex_key,
     parse_expression,
@@ -214,6 +214,76 @@ class TestSignedSumIntegerPath:
         assert hash(signed_sum(3, [])) == hash(zero)
 
 
+class TestCanonicalIntegerForm:
+    """Equal polynomials are stored alike, so they compare and hash equal
+    whichever operation built them."""
+
+    def assert_same(self, *polys):
+        first = polys[0]
+        for p in polys[1:]:
+            assert p == first and hash(p) == hash(first)
+
+    def test_every_construction_gives_one_form(self):
+        x = ExactPolynomial.variable(1, 0)
+        half_x = ExactPolynomial(1, {(1,): Fraction(1, 2)})
+        self.assert_same(
+            x,
+            ExactPolynomial(1, {(1,): Fraction(6, 6)}),
+            half_x + half_x,  # the denominators cancel
+            half_x * 2,
+            signed_sum(1, [(1, half_x, ExactPolynomial.constant(1, 2))]),
+            ExactPolynomial(1, {(2,): Fraction(1, 2)}).partial(0),
+            -(-x),
+            x - half_x + half_x,
+            parse_expression("2/3*x1*3/2", ["x1"]))
+        self.assert_same(half_x, -(-half_x), x - half_x, x * Fraction(1, 2),
+                         parse_expression("1/4*x1^2", ["x1"]).partial(0),
+                         parse_expression("1/2*x1", ["x1"]))
+        half_x2 = half_x.with_appended_vars(1)
+        self.assert_same(ExactPolynomial.zero(2), half_x2 - half_x2,
+                         -ExactPolynomial.zero(2), poly2("u1").partial(1))
+
+    def test_randomized_routes_agree(self):
+        rng = random.Random(3101)
+        dens = (1, 2, 3, 6, 5040)
+        for _ in range(40):
+            a = polynomial_over(rng, 2, dens)
+            b = polynomial_over(rng, 2, dens)
+            k = Fraction(rng.randint(1, 9), rng.choice(dens))
+            self.assert_same(a * b, ExactPolynomial(2, [
+                (tuple(map(add, ea, eb)), ca * cb)
+                for ea, ca in a.terms() for eb, cb in b.terms()]))
+            self.assert_same(a + b, ExactPolynomial(2, [*a.terms(), *b.terms()]))
+            self.assert_same(a, (a * k) * (1 / k), (a + b) - b, -(-a))
+            self.assert_same(a.partial(0), ExactPolynomial(2, [
+                ((e[0] - 1, e[1]), c * e[0]) for e, c in a.terms() if e[0]]))
+
+    def test_coefficients_come_back_reduced(self):
+        p = parse_expression("1/2*u1 + 2/6*u2 + 3/3 + 4/8*u1*u2", U2)
+        assert p.coefficient((1, 0)) == Fraction(1, 2)
+        assert p.coefficient((0, 1)) == Fraction(1, 3)
+        assert p.coefficient((2, 2)) == 0
+        for _, c in p.terms():
+            assert type(c) is Fraction
+            assert math.gcd(c.numerator, c.denominator) == 1
+        assert [c for _, c in p.terms()] == [
+            Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(1)]
+        assert type(p.coefficient((0, 0))) is Fraction
+
+    def test_mixed_denominator_power_bound_is_pinned(self):
+        # recorded with Fraction coefficients: the size bound reads the
+        # reduced coefficients, so the refusals do not depend on the store
+        p = parse_expression("1/3*u1 + 2/5*u2 + 1", U2)
+        assert len(p ** 28) == 435
+        assert (p ** 28).coefficient((0, 28)) == Fraction(2**28, 5**28)
+        with pytest.raises(PolynomialError, match="power 29 of a 3-term"):
+            p ** 29
+        factor = "(1/3*u1 + 2/5*u2 + 1)"
+        parse_expression("*".join([factor] * 31), U2)
+        with pytest.raises(ParseError, match="at position 681"):
+            parse_expression("*".join([factor] * 32), U2)
+
+
 class TestCalculus:
     def test_partial_example(self):
         # d/du1 (u1^2*u2 + u2) = 2*u1*u2
@@ -283,7 +353,7 @@ class TestEvaluation:
             points = [[Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                        for _ in range(3)] for _ in range(4)]
             floats = [[float(x) for x in point] for point in points]
-            batch = evaluate_poly_array(p, np.array(floats))
+            batch = evaluate_table_array(p, np.array(floats))
             field = HamiltonianField(
                 PhaseFunction(3, p.with_appended_vars(3) * momentum, 1))
             for point, x, in_batch in zip(points, floats, batch):
@@ -300,12 +370,38 @@ class TestEvaluation:
         for _ in range(40):
             p = random_polynomial(rng, 3, max_degree=5)
             scalar = [p.evaluate(x) for x in points.tolist()]
-            assert np.array_equal(evaluate_poly_array(p, points), scalar)
+            assert np.array_equal(evaluate_table_array(p, points), scalar)
         # overflow is inf in the batch (the scalar loop raises)
         big = parse_expression("x1^400 - x1^3", ["x1"])
         with np.errstate(over="ignore", invalid="ignore"):
-            values = evaluate_poly_array(big, np.array([[-10.0], [2.0]]))
+            values = evaluate_table_array(big, np.array([[-10.0], [2.0]]))
         assert not np.isfinite(values[0]) and values[1] == 2.0 ** 400 - 8.0
+
+    def test_single_point_table_is_bit_identical_to_the_stack(self):
+        # a single point runs on plain floats, a stack on its columns
+        rng = random.Random(23)
+        points = np.random.default_rng(23).normal(scale=3.0, size=(20, 3))
+        table = [[random_polynomial(rng, 3, max_degree=5) for _ in range(3)]
+                 for _ in range(2)]
+        stacked = evaluate_table_array(table, points)
+        assert stacked.shape == (20, 2, 3)
+        for point, values in zip(points, stacked):
+            for single in (point, point.tolist()):
+                assert np.array_equal(evaluate_table_array(table, single),
+                                      values)
+
+    def test_overflow_raises_at_a_point_and_is_inf_in_a_stack(self):
+        big = parse_expression("x1^400 - x1^3", ["x1"])
+        with pytest.raises(OverflowError):
+            big.evaluate([-10.0])
+        for point in ([-10.0], np.array([-10.0])):
+            with pytest.raises(OverflowError):
+                evaluate_table_array([big], point)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate_table_array([big], [[-10.0], [2.0]])
+        assert values.shape == (2, 1) and not np.isfinite(values[0, 0])
+        assert values[1, 0] == evaluate_table_array([big], [2.0])[0]
+        assert values[1, 0] == 2.0 ** 400 - 8.0
 
     def test_evaluation_is_deterministic(self):
         p = poly2("u1^3 - 2*u1*u2 + 7/3")
