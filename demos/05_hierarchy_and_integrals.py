@@ -3,11 +3,16 @@
 The adjugate recursion A_0 = Id, A_i = L A_(i-1) - sigma_i Id terminates in
 the characteristic identity for *any* operator field; combined with the
 metric it produces quadratic integrals F_i that Poisson-commute exactly
-when the operator is torsion-free.  This demo runs both halves on a
-three-component example and shows the torsion-free hypothesis doing real
-work: the obstructed coefficients keep the characteristic identity but lose
-the commutation.
+when the operator is torsion-free.  For a companion operator A_i h1 is the
+Gram matrix of h_(i+1), so F_i = 1/2 h_(i+1): the package's models take the
+family halved, and ``first_integrals`` is the route they are checked
+against.  This demo runs both halves on a three-component example and shows
+the torsion-free hypothesis doing real work: the obstructed coefficients
+keep the characteristic identity and F_i = 1/2 h_(i+1), but lose the
+commutation.
 """
+
+from fractions import Fraction
 
 from nijflow import (base_names, build_h_family, companion_second,
                      first_integrals, generating_identity_residuals,
@@ -37,6 +42,8 @@ gram = gram_matrix(family[0])
 integrals = first_integrals(gram, hierarchy)
 for i, F in enumerate(integrals):
     print(f"  F_{i} = {F}")
+print(f"  F_i = 1/2 h_(i+1) for every i: "
+      f"{all(F == h * Fraction(1, 2) for F, h in zip(integrals, family))}")
 report = verify_commuting_integrals(integrals)
 print(f"  pairwise Poisson brackets vanish exactly: {report.ok}")
 
@@ -54,7 +61,10 @@ bad_hier = killing_operators(bad_L)
 bad_res = generating_identity_residuals(bad_L, bad_hier)
 print(f"  obstructed (u1, u2, u3): characteristic identity still exact: "
       f"{all(r.is_zero() for r in bad_res)}")
-bad_F = first_integrals(gram_matrix(build_h_family(bad_sigma)[0]), bad_hier)
+bad_family = build_h_family(bad_sigma)
+bad_F = first_integrals(gram_matrix(bad_family[0]), bad_hier)
+print(f"  and so is F_i = 1/2 h_(i+1): "
+      f"{all(F == h * Fraction(1, 2) for F, h in zip(bad_F, bad_family))}")
 bad_report = verify_commuting_integrals(bad_F)
 first_bad = next((i, j, b) for i, j, b in bad_report.residuals
                  if not b.is_zero())

@@ -565,14 +565,15 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
 
     ``slices`` indexes the first time axis; None selects up to six evenly
     spaced slices; an empty list draws the axes only.  A lattice with no
-    time axis is drawn as a single set of lines.
+    time axis is drawn as a single set of lines and takes no slice index.
     """
     width, height = 720, 480
     left, right, top, bottom = 64.0, 700.0, 24.0, 440.0
     xs = grid.axes[0].values()
-    has_time = len(grid.axes) > 1
-    if not has_time:
-        chosen: list[int | None] = [None]
+    if len(grid.axes) == 1:
+        if slices:
+            raise ConfigError("the lattice has no time axis to slice")
+        chosen: list[int | None] = [None] if slices is None else []
     else:
         nt = grid.axes[1].count
         if slices is None:
@@ -652,12 +653,7 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
 
 
 def _peak(polys) -> float:
-    worst = Fraction(0)
-    for poly in polys:
-        for _, coeff in poly.terms():
-            if abs(coeff) > worst:
-                worst = abs(coeff)
-    return float(worst)
+    return float(max((p.max_abs_coefficient() for p in polys), default=0))
 
 
 def verification_report(cfg: dict) -> dict:
@@ -759,14 +755,17 @@ def _cmd_hierarchy(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    model = build_model(cfg)
+def _config_orbit(cfg: dict, model: CompanionModel) -> SolutionGrid:
+    """The orbit lattice the config's axes, point and settings describe."""
     axes = config_axes(cfg, model.n)
     point = config_point(cfg, model.n)
     settings = config_settings(cfg, axes)
-    grid = orbit_grid(model.integrals[:len(axes)], point, axes, settings)
-    write_grid_csv(grid, args.output)
+    return orbit_grid(model.integrals[:len(axes)], point, axes, settings)
+
+
+def _cmd_evolve(args) -> int:
+    cfg = load_config(args.config)
+    write_grid_csv(_config_orbit(cfg, build_model(cfg)), args.output)
     return 0
 
 
@@ -812,13 +811,8 @@ def _cmd_solve_direct(args) -> int:
 def _cmd_residual(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
-    if args.input:
-        grid = read_grid_csv(args.input)
-    else:
-        axes = config_axes(cfg, model.n)
-        point = config_point(cfg, model.n)
-        settings = config_settings(cfg, axes)
-        grid = orbit_grid(model.integrals[:len(axes)], point, axes, settings)
+    grid = (read_grid_csv(args.input) if args.input
+            else _config_orbit(cfg, model))
     if len(grid.axes) < 2:
         raise ConfigError("residuals need a lattice with at least one "
                           "time axis")

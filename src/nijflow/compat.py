@@ -65,8 +65,8 @@ class CompatReport:
 
     @classmethod
     def symbolic(cls, residual: PhaseFunction) -> "CompatReport":
-        size = max((abs(c) for _, c in residual.poly.terms()), default=Fraction(0))
-        return cls("symbolic", residual.is_zero(), float(size), residual)
+        return cls("symbolic", residual.is_zero(),
+                   float(residual.poly.max_abs_coefficient()), residual)
 
     @classmethod
     def pointwise(cls, max_abs: float, tol: float) -> "CompatReport":

@@ -177,6 +177,11 @@ class ExactPolynomial:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
+    def max_abs_coefficient(self) -> Fraction:
+        """The largest |coefficient|; 0 for the zero polynomial."""
+        return Fraction(max(map(abs, self._nums.values()), default=0),
+                        self._den)
+
     def is_zero(self) -> bool:
         return not self._nums
 

@@ -14,11 +14,12 @@ holds for every L and is certified coefficient by coefficient.  Combined
 with the contravariant metric h1 the hierarchy yields the quadratic phase
 functions
 
-    F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b,      F_0 = 1/2 h1,
+    F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b = 1/2 h_(i+1),
 
 which Poisson-commute pairwise whenever the companion operator is
-torsion-free.  Each F_i is one exact matrix product, A_i h1, lifted to the
-momenta by ``metric.quadratic_phase`` and halved.
+torsion-free.  A_i h1 is the Gram matrix of h_(i+1) for every sigma, so
+``CompanionModel`` takes the family halved; ``first_integrals`` forms the
+products A_i h1 and is kept as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -43,20 +44,18 @@ def killing_operators(source: Union[OperatorField, Sequence[ExactPolynomial]]
     """The operators A_0, ..., A_(n-1) of the adjugate recursion.
 
     ``source`` is either an operator field, whose characteristic
-    coefficients are computed on the fly, or a coefficient list, which is
-    interpreted through its second companion operator.
+    coefficients are computed on the fly by the trace recursion of
+    ``char_coefficients``, or a coefficient list, which is interpreted
+    through its second companion operator.
     """
-    if isinstance(source, OperatorField):
-        L = source
-        sigma = char_coefficients(L)
-    else:
-        sigma = list(source)
-        L = companion_second(sigma)
-    n = L.n
-    ident = OperatorField.identity(n)
+    sigma = None if isinstance(source, OperatorField) else list(source)
+    L = source if sigma is None else companion_second(sigma)
+    ident = OperatorField.identity(L.n)
     family = [ident]
-    for i in range(1, n):
-        family.append(L @ family[-1] - ident * sigma[i - 1])
+    for i in range(1, L.n):
+        M = L @ family[-1]
+        s = M.trace() * Fraction(1, i) if sigma is None else sigma[i - 1]
+        family.append(M - ident * s)
     return family
 
 

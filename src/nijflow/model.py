@@ -2,18 +2,20 @@
 
 Given the characteristic coefficients sigma the bundle derives everything
 the rest of the package consumes: the companion operator, the quadratic
-first-integral family and its Gram matrix, the operator hierarchy and the
-phase-space integrals.  Construction is eager; all members are exact.
+family h_i and its Gram matrix, the operator hierarchy and the phase-space
+integrals F_i = 1/2 h_(i+1).  Construction is eager; all members are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .exactpoly import (ExactPolynomial, PolynomialError, base_names,
                         parse_expression)
-from .hierarchy import first_integrals, killing_operators
+# first_integrals is unused here; bench/spans.py patches it by this name
+from .hierarchy import first_integrals, killing_operators  # noqa: F401
 from .metric import GramMatrix, PhaseFunction, build_h_family, gram_matrix
 from .operators import OperatorField, companion_second
 
@@ -45,7 +47,7 @@ class CompanionModel:
         family = tuple(build_h_family(sigma))
         gram = gram_matrix(family[0])
         killing = tuple(killing_operators(sigma))
-        integrals = tuple(first_integrals(gram, killing))
+        integrals = tuple(h * Fraction(1, 2) for h in family)
         return cls(sigma, operator, family, gram, killing, integrals)
 
     @classmethod

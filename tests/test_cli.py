@@ -916,6 +916,18 @@ def test_plot_empty_slices_gives_axes_only(tmp_path, capsys):
     assert main(["plot", str(out), "--output", str(svg),
                  "--slices", "17"]) == 2
     capsys.readouterr()
+    # a lattice with no time axis: "" still draws the axes only, and any
+    # index is refused
+    cfg = small_e2_config(tmp_path, grid={
+        "x": {"start": -0.3, "stop": 0.3, "count": 11}})
+    assert main(["evolve", str(cfg), "--output", str(out)]) == 0
+    assert main(["plot", str(out), "--output", str(svg), "--slices", ""]) == 0
+    assert "<polyline" not in svg.read_text()
+    capsys.readouterr()
+    assert main(["plot", str(out), "--output", str(svg),
+                 "--slices", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no time axis" in err
 
 
 def test_plot_is_deterministic(tmp_path, capsys):

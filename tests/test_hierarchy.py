@@ -1,7 +1,9 @@
 """Killing operators, the generating identity and commuting integrals."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +11,13 @@ from support import (
     random_sigma,
     sigma_constant,
     sigma_coordinates2,
+    sigma_obstructed,
     sigma_torsion_free2,
     upnames,
     upoly,
 )
 
-from nijflow.exactpoly import parse_expression
+from nijflow.exactpoly import ExactPolynomial, parse_expression
 from nijflow.hierarchy import (
     first_integrals,
     generating_identity_residuals,
@@ -23,7 +26,11 @@ from nijflow.hierarchy import (
 )
 from nijflow.metric import (PhaseFunction, build_h_family, gram_matrix,
                             poisson_bracket)
+from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, commutator, companion_second
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                 .glob("*.json"))
 
 
 class TestKillingOperators:
@@ -94,17 +101,27 @@ class TestGeneratingIdentity:
 
 
 class TestFirstIntegrals:
-    def test_first_integral_is_half_h1(self):
-        sig = sigma_torsion_free2()
+    @pytest.mark.parametrize("sig", [
+        *[[ExactPolynomial.variable(n, k) for k in range(n)]
+          for n in range(1, 9)],
+        sigma_obstructed(5)],
+        ids=[*(f"generic{n}" for n in range(1, 9)), "obstructed5"])
+    def test_integrals_are_the_family_halved(self, sig):
+        # A_i h1 = h_(i+1) is companion algebra with no derivative in it, so
+        # the generic sigma_k = u_k proves it for every sigma of that size
         hfam = build_h_family(sig)
         F = first_integrals(gram_matrix(hfam[0]), killing_operators(sig))
-        assert F[0] == hfam[0] * Fraction(1, 2)
+        assert F == [h * Fraction(1, 2) for h in hfam]
 
-    def test_second_integral_is_half_h2(self):
-        sig = sigma_torsion_free2()
-        hfam = build_h_family(sig)
-        F = first_integrals(gram_matrix(hfam[0]), killing_operators(sig))
-        assert F[1] == hfam[1] * Fraction(1, 2)
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+    def test_model_builds_without_the_oracle(self, monkeypatch, config):
+        def refuse(*args):
+            raise AssertionError("first_integrals is only the test oracle")
+        monkeypatch.setattr("nijflow.model.first_integrals", refuse)
+        sig = json.loads(config.read_text())["sigma"]
+        model = CompanionModel.from_expressions(sig)
+        assert model.integrals == tuple(h * Fraction(1, 2)
+                                        for h in model.family)
 
     def test_integrals_commute_torsion_free(self):
         sig = sigma_torsion_free2()
