@@ -9,8 +9,13 @@ representation and equality is plain comparison of the two.  Terms are
 ordered by graded lexicographic order (total degree first, then
 lexicographic on the exponent tuple), descending; printing and iteration
 both follow that order, which makes the printed form canonical.
-``Fraction`` appears only at the edges: the constructor's coefficients and
-what ``terms``, ``coefficient`` and ``evaluate_exact`` return.
+Every internal path works on that store: sums, products, scalar multiples,
+derivatives, ``constant``/``zero``, the printer and the size bound of
+``__pow__`` and the parser.  ``Fraction`` appears only at the edges: the
+constructor's coefficients, the parser's rational literals, and what
+``terms``, ``coefficient``, ``constant_value``, ``max_abs_coefficient`` and
+``evaluate_exact`` return.  No command-line path goes through the
+constructor or ``terms``.
 
 Expressions are parsed with a small recursive-descent parser for the grammar
 
@@ -31,9 +36,11 @@ could exceed ``MAX_POWER_BITS`` is refused before it is formed.
 
 Every product of polynomials, and every sum of such products, is formed by
 one kernel, ``signed_sum``, which sums the products of numerators over one
-common denominator.  Every float evaluation goes through one interpreter,
-``evaluate_float_form``, at a point of floats or over the columns of a
-stack of points.
+common denominator.  ``suffixed_sum`` lifts polynomials onto appended
+variables, each times a monomial there, and sums them; ``split_suffixes``
+splits a polynomial back by the monomials in its last variables.  Every
+float evaluation goes through one interpreter, ``evaluate_float_form``, at a
+point of floats or over the columns of a stack of points.
 """
 
 from __future__ import annotations
@@ -78,12 +85,17 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """The reduced numerator and the positive denominator of an exact
+    rational (an ``int`` is over 1)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise PolynomialError(f"not an exact rational coefficient: {value!r}")
+
+
+def _check_nvars(nvars: int) -> None:
+    if nvars < 0:
+        raise PolynomialError("variable count must be non-negative")
 
 
 class ExactPolynomial:
@@ -102,8 +114,7 @@ class ExactPolynomial:
         terms: Union[Mapping[Exponents, RationalLike],
                      Iterable[tuple[Exponents, RationalLike]]] = (),
     ):
-        if nvars < 0:
-            raise PolynomialError("variable count must be non-negative")
+        _check_nvars(nvars)
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[Exponents, Fraction] = {}
         for exps, coeff in items:
@@ -113,7 +124,7 @@ class ExactPolynomial:
                     f"exponent tuple {exps} does not match {nvars} variables")
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise PolynomialError(f"exponents must be non-negative integers: {exps}")
-            c = data.get(exps, Fraction(0)) + _as_fraction(coeff)
+            c = data.get(exps, Fraction(0)) + Fraction(*_ratio(coeff))
             if c:
                 data[exps] = c
             else:
@@ -149,11 +160,14 @@ class ExactPolynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "ExactPolynomial":
-        return cls(nvars)
+        _check_nvars(nvars)
+        return cls._raw(nvars, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "ExactPolynomial":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        _check_nvars(nvars)
+        num, den = _ratio(value)
+        return cls._raw(nvars, {(0,) * nvars: num} if num else {}, den)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "ExactPolynomial":
@@ -251,7 +265,10 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> "ExactPolynomial":
         if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial.constant(self.nvars, other)
+            # a scalar scales the numerators and the denominator
+            num, den = other.numerator, other.denominator
+            nums = {e: c * num for e, c in self._nums.items()} if num else {}
+            return self._raw(self.nvars, nums, self._den * den)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         return signed_sum(self.nvars, [(1, self, other)])
@@ -294,9 +311,12 @@ class ExactPolynomial:
 
     def _coefficient_bits(self) -> int:
         # of the reduced coefficients, whose size the other terms do not move
-        coeffs = (Fraction(c, self._den) for c in self._nums.values())
-        return max(abs(c.numerator).bit_length() + c.denominator.bit_length()
-                   for c in coeffs) - 2
+        den = self._den
+        bits = 0
+        for c in self._nums.values():
+            g = math.gcd(c, den)
+            bits = max(bits, (abs(c) // g).bit_length() + (den // g).bit_length())
+        return bits - 2
 
     # -- calculus ---------------------------------------------------------
 
@@ -355,7 +375,7 @@ class ExactPolynomial:
         if len(point) != self.nvars:
             raise PolynomialError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        coords = [_as_fraction(x) for x in point]
+        coords = [Fraction(*_ratio(x)) for x in point]
         total = Fraction(0)
         for exps, c in self._nums.items():
             v = c
@@ -402,6 +422,44 @@ def signed_sum(nvars: int,
                 data[exps] = get(exps, 0) + na * nb
     return ExactPolynomial._raw(
         nvars, {e: c for e, c in data.items() if c}, den)
+
+
+def suffixed_sum(nvars: int,
+                 parts: Iterable[tuple[ExactPolynomial, Exponents]]
+                 ) -> ExactPolynomial:
+    """The sum of ``poly * y^suffix`` over ``parts``: each polynomial's
+    variables followed by those of the monomial ``y^suffix``, ``nvars`` in
+    all.  Over the lcm of the parts' denominators each term adds its scaled
+    numerator to one term of the sum; ``split_suffixes`` inverts it."""
+    parts = list(parts)
+    for poly, suffix in parts:
+        if poly.nvars + len(suffix) != nvars:
+            raise PolynomialError(
+                f"variable counts differ: {nvars} vs {poly.nvars} + "
+                f"{len(suffix)}")
+    den = math.lcm(*(poly._den for poly, _ in parts))
+    data: dict[Exponents, int] = {}
+    get = data.get
+    for poly, suffix in parts:
+        scale = den // poly._den
+        for exps, c in poly._nums.items():
+            exps += suffix
+            data[exps] = get(exps, 0) + c * scale
+    return ExactPolynomial._raw(
+        nvars, {e: c for e, c in data.items() if c}, den)
+
+
+def split_suffixes(poly: ExactPolynomial,
+                   extra: int) -> dict[Exponents, ExactPolynomial]:
+    """``poly`` as a sum of polynomials in its first ``nvars - extra``
+    variables times monomials in its last ``extra``: a map from each such
+    monomial's exponents to its nonzero coefficient polynomial."""
+    m = poly.nvars - extra
+    groups: dict[Exponents, dict[Exponents, int]] = {}
+    for exps, c in poly._nums.items():
+        groups.setdefault(exps[m:], {})[exps[:m]] = c
+    return {suffix: ExactPolynomial._raw(m, nums, poly._den)
+            for suffix, nums in groups.items()}
 
 
 def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
@@ -504,23 +562,26 @@ def format_polynomial(poly: ExactPolynomial, names: Sequence[str]) -> str:
         raise PolynomialError("one name per variable is required")
     if poly.is_zero():
         return "0"
+    nums, den = poly._nums, poly._den
     pieces: list[str] = []
-    for i, (exps, coeff) in enumerate(poly.terms()):
-        mag = abs(coeff)
+    for i, exps in enumerate(sorted(nums, key=grlex_key, reverse=True)):
+        num = nums[exps]
+        g = math.gcd(num, den)
+        mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         parts = _monomial_parts(exps, names)
         if not parts:
-            body = str(mag)
-        elif mag == 1:
-            if i == 0 and coeff < 0 and "^" in parts[0]:
+            body = mag
+        elif mag == "1":
+            if i == 0 and num < 0 and "^" in parts[0]:
                 body = "1*" + "*".join(parts)
             else:
                 body = "*".join(parts)
         else:
             body = f"{mag}*" + "*".join(parts)
         if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if num < 0 else body)
         else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
     return " ".join(pieces)
 
 

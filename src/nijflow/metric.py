@@ -32,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .exactpoly import (ExactPolynomial, evaluate_table_array,
-                        format_polynomial, phase_names, signed_sum)
+                        format_polynomial, phase_names, signed_sum,
+                        split_suffixes, suffixed_sum)
 from .operators import companion_second
 
 
@@ -164,20 +165,19 @@ def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunctio
     """The phase function sum_ab M_ab p_a p_b of an n-by-n matrix of base
     polynomials, symmetric or not.
 
-    Each term of M_ab becomes one chart term, its u-exponents followed by
-    the exponents of p_a p_b; the polynomial constructor merges the terms
-    that meet and drops those that cancel.
+    Each entry M_ab is lifted to the chart times the monomial p_a p_b;
+    the terms of (a, b) and (b, a) meet there, and those that cancel are
+    dropped.
     """
     n = len(matrix)
-    terms = []
+    parts = []
     for a, row in enumerate(matrix):
         for b, entry in enumerate(row):
             p_exps = [0] * n
             p_exps[a] += 1
             p_exps[b] += 1
-            p_exps = tuple(p_exps)
-            terms += [(u_exps + p_exps, c) for u_exps, c in entry.terms()]
-    return PhaseFunction(n, ExactPolynomial(2 * n, terms), 2)
+            parts.append((entry, tuple(p_exps)))
+    return PhaseFunction(n, suffixed_sum(2 * n, parts), 2)
 
 
 class GramMatrix:
@@ -296,24 +296,15 @@ def gram_matrix(h: PhaseFunction) -> GramMatrix:
     if h.p_degree != 2 and not h.is_zero():
         raise MetricError("Gram extraction requires a momentum-quadratic function")
     n = h.n
-    acc = [[dict() for _ in range(n)] for _ in range(n)]
-
-    def add(i, j, exps, coeff):
-        d = acc[i][j]
-        d[exps] = d.get(exps, Fraction(0)) + coeff
-
-    for exps, coeff in h.poly.terms():
-        u_part = exps[:n]
-        p_part = exps[n:]
-        support = [k for k, e in enumerate(p_part) if e]
-        if len(support) == 1:
-            a = support[0]
-            add(a, a, u_part, coeff)
+    zero = ExactPolynomial.zero(n)
+    rows = [[zero] * n for _ in range(n)]
+    for p_exps, coeff in split_suffixes(h.poly, n).items():
+        # the momentum indices of the term, with multiplicity
+        a, b = [k for k, e in enumerate(p_exps) for _ in range(e)]
+        if a == b:
+            rows[a][a] = coeff
         else:
-            a, b = support
-            add(a, b, u_part, coeff / 2)
-            add(b, a, u_part, coeff / 2)
-    rows = [[ExactPolynomial(n, acc[i][j]) for j in range(n)] for i in range(n)]
+            rows[a][b] = rows[b][a] = coeff * Fraction(1, 2)
     return GramMatrix(rows)
 
 

@@ -83,6 +83,77 @@ def reference_quadratic_phase(matrix):
     return PhaseFunction(n, acc, 2)
 
 
+# The momentum lift, the Gram extraction and the printer as they were
+# written on Fraction coefficients, through terms() and the constructor,
+# before they moved onto the integer store; kept only as oracles.
+
+def reference_quadratic_phase_by_terms(matrix):
+    from nijflow.metric import PhaseFunction
+
+    n = len(matrix)
+    terms = []
+    for a, row in enumerate(matrix):
+        for b, entry in enumerate(row):
+            p_exps = [0] * n
+            p_exps[a] += 1
+            p_exps[b] += 1
+            p_exps = tuple(p_exps)
+            terms += [(u_exps + p_exps, c) for u_exps, c in entry.terms()]
+    return PhaseFunction(n, ExactPolynomial(2 * n, terms), 2)
+
+
+def reference_gram_matrix(h):
+    from nijflow.metric import GramMatrix, MetricError
+
+    if h.p_degree != 2 and not h.is_zero():
+        raise MetricError("Gram extraction requires a momentum-quadratic function")
+    n = h.n
+    acc = [[dict() for _ in range(n)] for _ in range(n)]
+
+    def add(i, j, exps, coeff):
+        d = acc[i][j]
+        d[exps] = d.get(exps, Fraction(0)) + coeff
+
+    for exps, coeff in h.poly.terms():
+        u_part = exps[:n]
+        p_part = exps[n:]
+        support = [k for k, e in enumerate(p_part) if e]
+        if len(support) == 1:
+            a = support[0]
+            add(a, a, u_part, coeff)
+        else:
+            a, b = support
+            add(a, b, u_part, coeff / 2)
+            add(b, a, u_part, coeff / 2)
+    rows = [[ExactPolynomial(n, acc[i][j]) for j in range(n)] for i in range(n)]
+    return GramMatrix(rows)
+
+
+def reference_format_polynomial(poly, names):
+    from nijflow.exactpoly import _monomial_parts
+
+    if poly.is_zero():
+        return "0"
+    pieces = []
+    for i, (exps, coeff) in enumerate(poly.terms()):
+        mag = abs(coeff)
+        parts = _monomial_parts(exps, names)
+        if not parts:
+            body = str(mag)
+        elif mag == 1:
+            if i == 0 and coeff < 0 and "^" in parts[0]:
+                body = "1*" + "*".join(parts)
+            else:
+                body = "*".join(parts)
+        else:
+            body = f"{mag}*" + "*".join(parts)
+        if i == 0:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
 # Named coefficient lists used throughout the suite.
 
 def sigma_torsion_free2():

@@ -19,7 +19,8 @@ import nijflow.cli as cli
 from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
                          config_initial_curve, main, read_grid_csv,
                          verification_report, write_grid_csv, write_svg_plot)
-from nijflow.exactpoly import base_names, format_polynomial, parse_expression
+from nijflow.exactpoly import (ExactPolynomial, base_names, format_polynomial,
+                               parse_expression)
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
 from nijflow.metric import GramMatrix, MetricError, covariant_at
 
@@ -239,8 +240,7 @@ def test_every_shipped_config_has_pinned_reports():
                                             for p in CONFIGS.glob("*.json"))
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_shipped_reports_are_pinned(name, capsys):
+def _report_digests(name, capsys):
     config = str(CONFIGS / f"{name}.json")
     outputs = []
     for command in REPORT_COMMANDS:
@@ -249,9 +249,24 @@ def test_shipped_reports_are_pinned(name, capsys):
         outputs.append(capsys.readouterr().out)
     report = json.loads(outputs[0])
     assert [c["name"] for c in report["checks"]] == CHECK_NAMES
-    digests = tuple(hashlib.sha256(out.encode()).hexdigest()
-                    for out in outputs)
-    assert digests == REPORT_DIGESTS[name]
+    return tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_shipped_reports_are_pinned(name, capsys):
+    assert _report_digests(name, capsys) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_reports_stay_on_the_integer_store(name, monkeypatch, capsys):
+    # the constructor and terms() are Fraction edges of ExactPolynomial;
+    # every report must come out of the integer store alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report path left the integer store")
+
+    monkeypatch.setattr(ExactPolynomial, "__init__", refuse)
+    monkeypatch.setattr(ExactPolynomial, "terms", refuse)
+    assert _report_digests(name, capsys) == REPORT_DIGESTS[name]
 
 
 def test_malformed_configs_exit_2(tmp_path, capsys):

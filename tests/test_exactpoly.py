@@ -19,11 +19,13 @@ from nijflow.exactpoly import (
     grlex_key,
     parse_expression,
     signed_sum,
+    split_suffixes,
+    suffixed_sum,
 )
 from nijflow.flows import HamiltonianField
 from nijflow.metric import PhaseFunction
 
-from support import random_polynomial
+from support import random_polynomial, reference_format_polynomial
 
 U2 = ["u1", "u2"]
 UP2 = ["u1", "u2", "p1", "p2"]
@@ -255,6 +257,15 @@ class TestCanonicalIntegerForm:
                 for ea, ca in a.terms() for eb, cb in b.terms()]))
             self.assert_same(a + b, ExactPolynomial(2, [*a.terms(), *b.terms()]))
             self.assert_same(a, (a * k) * (1 / k), (a + b) - b, -(-a))
+            # a scalar operand scales the store as the product kernel would
+            for s in (k, -k, rng.randint(-9, 9), 0):
+                self.assert_same(a * s, s * a, signed_sum(
+                    2, [(1, a, ExactPolynomial.constant(2, s))]))
+            if a:
+                # the size bound reads the reduced coefficients
+                assert a._coefficient_bits() == max(
+                    abs(c.numerator).bit_length() + c.denominator.bit_length()
+                    for _, c in a.terms()) - 2
             self.assert_same(a.partial(0), ExactPolynomial(2, [
                 ((e[0] - 1, e[1]), c * e[0]) for e, c in a.terms() if e[0]]))
 
@@ -431,11 +442,32 @@ class TestOrderingAndPrinting:
         assert format_polynomial(poly2("u2 - u1^2"), U2) == "-1*u1^2 + u2"
 
     def test_parse_print_round_trip(self):
+        # and the Fraction printer agrees: unit, negative and fractional
+        # coefficients, constant terms, the zero polynomial and a leading
+        # negative unit term with a power
         rng = random.Random(2024)
+        polys = [random_polynomial(rng, 4, max_terms=8) for _ in range(200)]
+        polys.append(ExactPolynomial.zero(4))
+        units = [1, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(-9, 8), 6]
         for _ in range(200):
-            p = random_polynomial(rng, 4, max_terms=8)
+            terms = []
+            for _ in range(rng.randrange(1, 7)):
+                exps = ((0,) * 4 if rng.random() < 0.2 else
+                        tuple(rng.randrange(4) for _ in range(4)))
+                coeff = (rng.choice(units) if rng.random() < 0.5 else
+                         Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+                terms.append((exps, coeff))
+            polys.append(ExactPolynomial(4, terms))
+        texts = []
+        for p in polys:
             text = format_polynomial(p, UP2)
+            assert text == reference_format_polynomial(p, UP2)
             assert parse_expression(text, UP2) == p
+            texts.append(text)
+        assert "0" in texts
+        assert any(t.startswith("-1*") for t in texts)
+        assert any(p.coefficient((0,) * 4) for p in polys)
+        assert any(c.denominator > 1 for p in polys for _, c in p.terms())
 
     def test_round_trip_on_negative_unit_leading_power(self):
         p = ExactPolynomial(2, [((3, 0), -1), ((0, 1), 1)])
@@ -534,3 +566,22 @@ class TestEmbedding:
             b = random_polynomial(rng, 2)
             assert (a * b).with_appended_vars(1) == \
                 a.with_appended_vars(1) * b.with_appended_vars(1)
+
+    def test_suffixed_sum_and_split_invert_each_other(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            suffixes = [tuple(rng.randrange(3) for _ in range(2))
+                        for _ in range(rng.randrange(5))]
+            parts = [(random_polynomial(rng, 2), s) for s in suffixes]
+            total = suffixed_sum(4, parts)
+            # the same sum through the product kernel
+            assert total == signed_sum(4, [
+                (1, p.with_appended_vars(2),
+                 ExactPolynomial(4, {(0, 0) + s: 1})) for p, s in parts])
+            pieces = split_suffixes(total, 2)
+            assert all(piece for piece in pieces.values())
+            assert suffixed_sum(4, [(p, s) for s, p in pieces.items()]) == total
+
+    def test_suffixed_sum_checks_variable_counts(self):
+        with pytest.raises(PolynomialError, match="variable counts differ"):
+            suffixed_sum(4, [(poly2("u1"), (1,))])

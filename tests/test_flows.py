@@ -19,6 +19,7 @@ from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
 from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import PhaseFunction, build_h_family, gram_matrix
 from nijflow.model import CompanionModel
+from nijflow.pde import convergence_orders, grid_residual
 
 from support import (random_phase_function, sigma_constant,
                      sigma_coordinates2, sigma_curved, sigma_obstructed,
@@ -513,6 +514,39 @@ def test_nijenhuis4_flows_commute_and_conserve_the_integrals():
     commutation, drift = commutation_and_drift("nijenhuis4")
     assert commutation < 1e-11
     assert drift < 1e-11
+
+
+# curved n = 5: the integrals of sigma_curved(5), the first rung above the
+# shipped fixtures; measured 1.0e-13 and 2.2e-13, orders 1.99 and 2.00
+
+
+def curved5_setup():
+    model = CompanionModel.from_sigma(sigma_curved(5))
+    start = CotangentPoint((0.1, -0.2, 0.05, 0.02, 0.01),
+                           (0.8, 0.5, 0.3, 0.2, 0.1))
+    settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
+    return model, start, settings
+
+
+def test_curved5_flows_commute_and_conserve_the_integrals():
+    model, start, settings = curved5_setup()
+    assert verify_commutation(model.integrals, start, 0.2, 0.2,
+                              settings) < 1e-11
+    assert verify_conservation(model.integrals, start, 0.3, settings) < 1e-11
+
+
+def test_curved5_orbit_residual_is_second_order():
+    # x in [-0.5, 0.5] on 11, 21 and 41 nodes, t1 in [0, 0.2] at the same
+    # spacing
+    model, start, settings = curved5_setup()
+    residuals = []
+    for nx in (11, 21, 41):
+        nt = (nx - 1) // 5 + 1
+        axes = (AxisSpec("x", -0.5, 0.5, nx), AxisSpec("t1", 0.0, 0.2, nt))
+        grid = orbit_grid(model.integrals[:2], start, axes, settings)
+        residuals.append(grid_residual(grid, model.killing[1:2]).max_abs)
+    assert 1e-5 < residuals[0] < 1e-3
+    assert min(convergence_orders(residuals)) >= 1.9
 
 
 # ---------------------------------------------------------------------------

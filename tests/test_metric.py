@@ -10,7 +10,10 @@ from support import (
     random_phase_function,
     random_polynomial,
     random_sigma,
+    reference_format_polynomial,
+    reference_gram_matrix,
     reference_quadratic_phase,
+    reference_quadratic_phase_by_terms,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -20,7 +23,7 @@ from support import (
     upoly,
 )
 
-from nijflow.exactpoly import ExactPolynomial, parse_expression
+from nijflow.exactpoly import ExactPolynomial, format_polynomial, parse_expression
 from nijflow.metric import (
     CovariantMetricAt,
     GramMatrix,
@@ -117,6 +120,7 @@ class TestQuadraticPhase:
                  for _ in range(n)]
             F = quadratic_phase(M)
             assert F == reference_quadratic_phase(M)
+            assert F == reference_quadratic_phase_by_terms(M)
             assert F.p_degree == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -127,6 +131,7 @@ class TestQuadraticPhase:
                   else ExactPolynomial.zero(n) for _ in range(n)]
                  for _ in range(n)]
             assert quadratic_phase(M) == reference_quadratic_phase(M)
+            assert quadratic_phase(M) == reference_quadratic_phase_by_terms(M)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_matrix(self, n):
@@ -134,6 +139,7 @@ class TestQuadraticPhase:
         F = quadratic_phase(zero)
         assert F.is_zero() and F.p_degree == 2
         assert F == reference_quadratic_phase(zero)
+        assert gram_matrix(F) == reference_gram_matrix(F)
 
     def test_only_the_symmetric_part_survives(self):
         rng = random.Random(700)
@@ -218,6 +224,7 @@ class TestGramMatrix:
                     entries[j][i] = e
             G = GramMatrix(entries)
             assert gram_matrix(G.quadratic_form()) == G
+            assert reference_gram_matrix(G.quadratic_form()) == G
 
     def test_non_quadratic_rejected(self):
         with pytest.raises(MetricError):
@@ -227,6 +234,40 @@ class TestGramMatrix:
         with pytest.raises(MetricError):
             GramMatrix([[upoly("u1", 2), upoly("u2", 2)],
                         [upoly("u1", 2), upoly("u1", 2)]])
+
+
+def assert_matches_fraction_oracles(family):
+    """The integer-store lift, extraction and printer against their
+    Fraction bodies, on every member of an h family."""
+    for h in family:
+        G = reference_gram_matrix(h)
+        assert gram_matrix(h) == G
+        assert quadratic_phase(G.entries) == h
+        assert reference_quadratic_phase_by_terms(G.entries) == h
+        names = upnames(h.n)
+        assert (format_polynomial(h.poly, names)
+                == reference_format_polynomial(h.poly, names))
+
+
+class TestFractionOracles:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generic_family(self, n):
+        assert_matches_fraction_oracles(
+            build_h_family([upoly(f"u{k + 1}", n) for k in range(n)]))
+
+    def test_obstructed_n5(self):
+        assert_matches_fraction_oracles(build_h_family(sigma_obstructed(5)))
+
+    def test_curved_n5(self):
+        # fractional coefficients, so the Gram halving reduces
+        assert_matches_fraction_oracles(build_h_family(sigma_curved(5)))
+
+    def test_random_functions(self):
+        rng = random.Random(903)
+        for n in (1, 2, 3):
+            for _ in range(40):
+                h = random_phase_function(rng, n, 2)
+                assert gram_matrix(h) == reference_gram_matrix(h)
 
 
 class TestGramNormalForm:
