@@ -219,15 +219,16 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
             e4 = sum((b5 - b4) * ks[s][i]
                      for s, (b5, b4) in enumerate(zip(_RK45_B5, _RK45_B4)))
             scale = atol + rtol * max(abs(y[i]), abs(y5[i]))
-            err = max(err, abs(direction * h * e4) / scale)
-        accepted = err <= 1.0 and all(math.isfinite(v) for v in y5)
+            e = abs(direction * h * e4) / scale
+            # max() drops a nan: a non-finite trial is an infinite error,
+            # which rejects it and shrinks the step by 0.2
+            finite = math.isfinite(e) and math.isfinite(y5[i])
+            err = max(err, e if finite else math.inf)
+        accepted = err <= 1.0
         if accepted:
             y = y5
             remaining -= h
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if not math.isfinite(factor):
-            factor = 0.2
-        h *= factor
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if h < MIN_STEP and remaining > 0.0:
             raise FlowError("step size underflow",
                             CotangentPoint.from_state(y))
@@ -354,6 +355,8 @@ class AxisSpec:
             raise ValueError("axis needs at least one node")
         if self.count == 1 and self.stop != self.start:
             raise ValueError("single-node axis must have stop == start")
+        if math.isinf(self.stop - self.start):  # numpy warns on it
+            raise ValueError("span stop - start is infinite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

@@ -1,15 +1,17 @@
 """One-stop bundle for a companion-form problem.
 
-Given the characteristic coefficients sigma the bundle derives everything
-the rest of the package consumes: the companion operator, the quadratic
-family h_i and its Gram matrix, the operator hierarchy and the phase-space
-integrals F_i = 1/2 h_(i+1).  Construction is eager; all members are exact.
+The characteristic coefficients sigma are the bundle's only state.  The rest
+of the package consumes what it derives from them: the companion operator,
+the quadratic family h_i and its Gram matrix, the operator hierarchy and the
+phase-space integrals F_i = 1/2 h_(i+1).  Each member is built on its first
+read and kept, so a command builds only what it uses; all members are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exactpoly import (ExactPolynomial, PolynomialError, base_names,
@@ -30,25 +32,33 @@ MAX_SIGMA_SIZE = 256
 class CompanionModel:
     """A companion operator with its derived metric and hierarchy."""
     sigma: tuple[ExactPolynomial, ...]
-    operator: OperatorField
-    family: tuple[PhaseFunction, ...]
-    gram: GramMatrix
-    killing: tuple[OperatorField, ...]
-    integrals: tuple[PhaseFunction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", tuple(self.sigma))
 
     @property
     def n(self) -> int:
         return len(self.sigma)
 
-    @classmethod
-    def from_sigma(cls, sigma: Sequence[ExactPolynomial]) -> "CompanionModel":
-        sigma = tuple(sigma)
-        operator = companion_second(sigma)
-        family = tuple(build_h_family(sigma))
-        gram = gram_matrix(family[0])
-        killing = tuple(killing_operators(sigma))
-        integrals = tuple(h * Fraction(1, 2) for h in family)
-        return cls(sigma, operator, family, gram, killing, integrals)
+    @cached_property
+    def operator(self) -> OperatorField:
+        return companion_second(self.sigma)
+
+    @cached_property
+    def family(self) -> tuple[PhaseFunction, ...]:
+        return tuple(build_h_family(self.sigma))
+
+    @cached_property
+    def gram(self) -> GramMatrix:
+        return gram_matrix(self.family[0])
+
+    @cached_property
+    def killing(self) -> tuple[OperatorField, ...]:
+        return tuple(killing_operators(self.sigma))
+
+    @cached_property
+    def integrals(self) -> tuple[PhaseFunction, ...]:
+        return tuple(h * Fraction(1, 2) for h in self.family)
 
     @classmethod
     def from_expressions(cls, expressions: Sequence[str]) -> "CompanionModel":
@@ -60,4 +70,4 @@ class CompanionModel:
             raise PolynomialError(
                 f"sigma has size {size} (terms times degree, summed over its "
                 f"entries), more than the limit of {MAX_SIGMA_SIZE}")
-        return cls.from_sigma(sigma)
+        return cls(sigma)

@@ -180,12 +180,24 @@ def sigma_curved(n):
     of t^1..t^n in 1 - exp(-U(t)), U(t) = sum_i u_i t^i (weight of u_i = i,
     so sigma_1..sigma_(n-1) do not depend on n).  With E(t) = exp(-U(t)),
     E' = -U'E gives E_0 = 1 and k E_k = -sum_j j u_j E_(k-j)."""
+    # At u_k = (sum_i lambda_i^k)/k (``u_from_eigenvalues``), U(t) is
+    # -sum_i log(1 - lambda_i t) mod t^(n+1), so
+    #     1 - sum_k sigma_k t^k = prod_i (1 - lambda_i t)
+    # and the companion operator has the eigenvalues lambda_i.  This is why
+    # the torsion vanishes at every n tested; it is not a proof of that.
     e = [ExactPolynomial.constant(n, 1)]
     for k in range(1, n + 1):
         e.append(signed_sum(n, [(-1, ExactPolynomial.variable(n, j - 1),
                                  e[k - j] * Fraction(j, k))
                                 for j in range(1, k + 1)]))
     return [-c for c in e[1:]]
+
+
+def u_from_eigenvalues(lams):
+    """The point u_k = (sum_i lambda_i^k)/k, k = 1..n, at which the
+    operator of ``sigma_curved(n)`` has the eigenvalues ``lams``."""
+    lams = np.asarray(lams, dtype=float)
+    return [float(np.sum(lams ** k)) / k for k in range(1, len(lams) + 1)]
 
 
 def sigma_obstructed(n):

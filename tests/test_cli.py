@@ -22,7 +22,8 @@ from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
 from nijflow.exactpoly import (ExactPolynomial, base_names, format_polynomial,
                                parse_expression)
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
-from nijflow.metric import GramMatrix, MetricError, covariant_at
+from nijflow.metric import (GramMatrix, MetricError, covariant_at,
+                            pairwise_poisson)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -269,6 +270,43 @@ def test_reports_stay_on_the_integer_store(name, monkeypatch, capsys):
     assert _report_digests(name, capsys) == REPORT_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_commands_build_only_what_they_read(name, monkeypatch, tmp_path,
+                                            capsys):
+    # verify, build-metric and evolve never read the Killing hierarchy
+    def refuse(*args):
+        raise AssertionError("the Killing hierarchy was built")
+
+    monkeypatch.setattr("nijflow.model.killing_operators", refuse)
+    config = str(CONFIGS / f"{name}.json")
+    for command, digest in zip(REPORT_COMMANDS[:2], REPORT_DIGESTS[name]):
+        expected = 1 if (name, command) == ("coordinates2", "verify") else 0
+        assert main([command, config]) == expected
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / "grid.csv"
+    assert main(["evolve", config, "--output", str(path)]) == 0
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == FLOAT_DIGESTS["evolve", name])
+
+
+def test_verify_brackets_each_h_pair_once(monkeypatch, capsys):
+    # verify_commuting_integrals brackets through nijflow.hierarchy's name
+    calls = []
+
+    def counted(module):
+        def wrapper(*args):
+            calls.append(module)
+            return pairwise_poisson(*args)
+        return wrapper
+
+    for module in ("nijflow.cli", "nijflow.hierarchy"):
+        monkeypatch.setattr(f"{module}.pairwise_poisson", counted(module))
+    assert main(["verify", str(CONFIGS / "nijenhuis4.json")]) == 0
+    capsys.readouterr()
+    assert calls == ["nijflow.cli"]
+
+
 def test_malformed_configs_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -369,6 +407,14 @@ BAD_NUMBERS = {
     # allows; refused before any layer is computed
     "node-steps-direct": ("solve-direct", NODE_STEPS_OVER_CAP),
     "node-steps-compare": ("compare", NODE_STEPS_OVER_CAP),
+    # RK45 grew its step after each non-finite trial, so every segment ran
+    # to the step budget: still running after 60 s
+    "p-overflow-rk45": ("evolve", {"initial.p": [1e308, 1e308]}),
+    # stop - start overflows: numpy warned, or raised under -W error
+    "x-span-overflow": ("evolve", {"grid.x": {"start": -1e308,
+                                              "stop": 1e308, "count": 3}}),
+    "t-span-overflow": ("evolve", {"grid.t": [{"start": -1e308,
+                                               "stop": 1e308, "count": 3}]}),
 }
 
 

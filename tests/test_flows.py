@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nijflow.flows as flows
 from nijflow.cli import build_model, config_axes, config_point, config_settings
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
@@ -233,6 +234,23 @@ def test_blow_up_before_horizon_with_adaptive_steps():
                                                    horizon=1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rk45_rejects_a_non_finite_trial(monkeypatch, value):
+    # max() dropped the nan error estimate, so each rejected trial grew the
+    # step by 5 and the segment ran on to its step budget
+    monkeypatch.setattr(flows, "MAX_STEPS", 10_000)
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        return [value] * len(y)
+
+    with pytest.raises(FlowError, match="step size underflow"):
+        flows._rk45_segment(rhs, [0.1, 0.2], 0.5, FlowSettings(method="rk45"))
+    assert calls <= 300
+
+
 # ---------------------------------------------------------------------------
 # lattice plumbing
 
@@ -247,6 +265,8 @@ def test_axis_spec_values_and_delta():
         AxisSpec("x", 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         AxisSpec("x", 0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="infinite"):
+        AxisSpec("x", -1e308, 1e308, 3)
 
 
 def test_solution_grid_validation():
@@ -383,7 +403,7 @@ SERIES_FAMILIES = {
 
 def _family_model(name):
     make, n = SERIES_FAMILIES[name]
-    return CompanionModel.from_sigma(make(n))
+    return CompanionModel(make(n))
 
 
 def _config_model(path):
@@ -521,7 +541,7 @@ def test_nijenhuis4_flows_commute_and_conserve_the_integrals():
 
 
 def curved5_setup():
-    model = CompanionModel.from_sigma(sigma_curved(5))
+    model = CompanionModel(sigma_curved(5))
     start = CotangentPoint((0.1, -0.2, 0.05, 0.02, 0.01),
                            (0.8, 0.5, 0.3, 0.2, 0.1))
     settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)

@@ -1,5 +1,6 @@
 """Killing operators, the generating identity and commuting integrals."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from support import (
     random_sigma,
     sigma_constant,
     sigma_coordinates2,
+    sigma_curved,
     sigma_obstructed,
     sigma_torsion_free2,
     upnames,
@@ -25,7 +27,7 @@ from nijflow.hierarchy import (
     verify_commuting_integrals,
 )
 from nijflow.metric import (PhaseFunction, build_h_family, gram_matrix,
-                            poisson_bracket)
+                            pairwise_poisson, poisson_bracket)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, commutator, companion_second
 
@@ -150,3 +152,43 @@ class TestFirstIntegrals:
         g = PhaseFunction(1, parse_expression("u1", ["u1", "p1"]))
         assert poisson_bracket(f, g).poly == \
             parse_expression("1", ["u1", "p1"])
+
+
+GENERIC = [[ExactPolynomial.variable(n, k) for k in range(n)]
+           for n in range(1, 9)]
+
+
+class TestCompanionModel:
+    def test_sigma_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(CompanionModel)] == [
+            "sigma"]
+
+    @pytest.mark.parametrize("sig", [*GENERIC, sigma_obstructed(5)],
+                             ids=[*(f"generic{n}" for n in range(1, 9)),
+                                  "obstructed5"])
+    def test_members_match_the_eager_construction(self, sig):
+        model = CompanionModel(sig)
+        family = tuple(build_h_family(sig))
+        assert model.sigma == tuple(sig)
+        assert model.operator == companion_second(sig)
+        assert model.family == family
+        assert model.gram == gram_matrix(family[0])
+        assert model.killing == tuple(killing_operators(sig))
+        assert model.integrals == tuple(h * Fraction(1, 2) for h in family)
+        # each member is built on its first read and then kept
+        for name in ("operator", "family", "gram", "killing", "integrals"):
+            assert getattr(model, name) is getattr(model, name)
+
+    @pytest.mark.parametrize("sig", [sigma_curved(4), sigma_curved(7),
+                                     sigma_obstructed(5), sigma_obstructed(7)],
+                             ids=["curved4", "curved7", "obstructed5",
+                                  "obstructed7"])
+    def test_integral_brackets_are_the_h_brackets_quartered(self, sig):
+        # verify reports integral_commutation as 1/4 of the h-pair brackets;
+        # the brackets of the integrals themselves are the oracle
+        model = CompanionModel(sig)
+        integral_pairs = verify_commuting_integrals(model.integrals)
+        h_pairs = pairwise_poisson(model.family)
+        assert integral_pairs.ok == h_pairs.ok
+        assert [(i, j, b.poly) for i, j, b in integral_pairs.residuals] == [
+            (i, j, b.poly * Fraction(1, 4)) for i, j, b in h_pairs.residuals]

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from support import (random_polynomial, sigma_coordinates2, sigma_curved,
-                     sigma_torsion_free2)
+                     sigma_torsion_free2, u_from_eigenvalues)
 
 from nijflow.exactpoly import ExactPolynomial, parse_expression
 from nijflow.operators import (
@@ -144,6 +145,15 @@ class TestTorsion:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_curved_family_torsion_free(self, n):
         assert nijenhuis_torsion(companion_second(sigma_curved(n))).is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_curved_coordinates_are_scaled_power_sums(self, n):
+        # 1 - sum_k sigma_k t^k = prod_i (1 - lambda_i t) at u_k = p_k/k
+        lams = np.sort(np.random.default_rng(n).uniform(-1.5, 1.5, n))
+        L = companion_second(sigma_curved(n))
+        got = np.linalg.eigvals(L.evaluate_at(u_from_eigenvalues(lams)))
+        assert np.max(np.abs(got.imag)) <= 1e-12
+        assert np.max(np.abs(np.sort(got.real) - lams)) <= 1e-12
 
     def test_constant_operator_torsion_free(self):
         sig = [ExactPolynomial.constant(3, Fraction(k, 2)) for k in (1, 2, 3)]
