@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .exactpoly import (ParseError, PolynomialError, base_names,
                         parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
-# verify_commuting_integrals is unused here; bench/spans.py patches it by
-# this name
+# unused here; bench/spans.py patches it by this name
 from .hierarchy import verify_commuting_integrals  # noqa: F401
 from .metric import (MetricError, SingularMetricError, check_gram_normal_form,
                      covariant_at, differential_shift_residuals,
@@ -526,7 +525,8 @@ def read_grid_csv(path: str) -> SolutionGrid:
     shape = tuple(len(vals) for vals in axis_values)
     if int(np.prod(shape)) != rows:
         raise ConfigError("lattice rows do not fill a full rectangle")
-    axes = tuple(AxisSpec(name, vals[0], vals[-1], len(vals))
+    axes = tuple(_axis_from({"start": vals[0], "stop": vals[-1],
+                             "count": len(vals)}, name)
                  for name, vals in zip(axis_names, axis_values))
     for axis, vals in zip(axes, axis_values):
         if (np.abs(axis.values() - vals).max()
@@ -741,10 +741,9 @@ def _cmd_build_metric(args) -> int:
         print(f"sigma_{i} = {format_polynomial(s, names)}")
     for i, h in enumerate(model.family, start=1):
         print(f"h_{i} = {h}")
-    for i in range(model.n):
-        for j in range(model.n):
-            print(f"gram[{i + 1},{j + 1}] = "
-                  f"{format_polynomial(model.gram.entry(i, j), names)}")
+    for i, j in product(range(model.n), repeat=2):
+        print(f"gram[{i + 1},{j + 1}] = "
+              f"{format_polynomial(model.gram.entry(i, j), names)}")
     return 0
 
 
@@ -796,16 +795,13 @@ def _direct_grid(cfg: dict, model: CompanionModel):
     options = _pde_options(cfg, axes)
     settings = config_settings(cfg, axes, extra_time=options["t_end"])
     u0 = config_initial_curve(cfg, model, axes[0], settings)
-    t_end = options.pop("t_end")
-    grid = direct_solve(model.killing[1], axes[0].values(), u0, t_end,
-                        **options)
+    grid = direct_solve(model.killing[1], axes[0].values(), u0, **options)
     return grid, settings
 
 
 def _cmd_solve_direct(args) -> int:
     cfg = load_config(args.config)
-    model = build_model(cfg)
-    grid, _ = _direct_grid(cfg, model)
+    grid, _ = _direct_grid(cfg, build_model(cfg))
     write_grid_csv(grid, args.output)
     return 0
 
@@ -830,14 +826,11 @@ def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     model = build_model(cfg)
     direct, settings = _direct_grid(cfg, model)
-    point = config_point(cfg, model.n)
-    orbit = orbit_grid(model.integrals[:len(direct.axes)], point,
-                       direct.axes, settings)
-    t_values = direct.axes[1].values()
-    layers = []
-    for j, t in enumerate(t_values):
-        deviation = float(np.abs(direct.u[:, j] - orbit.u[:, j]).max())
-        layers.append({"t": float(t), "deviation": deviation})
+    orbit = orbit_grid(model.integrals[:len(direct.axes)],
+                       config_point(cfg, model.n), direct.axes, settings)
+    layers = [{"t": float(t), "deviation":
+               float(np.abs(direct.u[:, j] - orbit.u[:, j]).max())}
+              for j, t in enumerate(direct.axes[1].values())]
     payload = {"layers": layers,
                "max_deviation": max(l["deviation"] for l in layers),
                "window": {"start": direct.axes[0].start,
@@ -940,10 +933,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (ConfigError, ParseError, PolynomialError, MetricError,
-            OperatorError, CompatError, FlowError, PDEError) as exc:
-        print(f"nijflow {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            OperatorError, CompatError, FlowError, PDEError, OSError) as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -1,10 +1,9 @@
 """One-stop bundle for a companion-form problem.
 
-The characteristic coefficients sigma are the bundle's only state.  The rest
-of the package consumes what it derives from them: the companion operator,
-the quadratic family h_i and its Gram matrix, the operator hierarchy and the
-phase-space integrals F_i = 1/2 h_(i+1).  Each member is built on its first
-read and kept, so a command builds only what it uses; all members are exact.
+The characteristic coefficients sigma are the bundle's one field.  The
+companion operator, the quadratic family h_i and its Gram matrix, the
+operator hierarchy and the integrals F_i = 1/2 h_(i+1) are derived from it,
+exactly, each on its first read, so a command builds only what it uses.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ class CompanionModel:
 
     @classmethod
     def from_expressions(cls, expressions: Sequence[str]) -> "CompanionModel":
-        n = len(expressions)
-        names = base_names(n)
+        names = base_names(len(expressions))
         sigma = [parse_expression(e, names) for e in expressions]
         size = sum(len(s) * s.total_degree() for s in sigma)
         if size > MAX_SIGMA_SIZE:

@@ -670,6 +670,10 @@ def test_read_grid_csv_rejects_malformed_input(tmp_path):
     path.write_text("x,t1,u1\n0,0,one\n")
     with pytest.raises(ConfigError):
         read_grid_csv(str(path))
+    # an axis span that overflows: numpy warned, and AxisSpec refuses it
+    path.write_text("x,t1,u1\n-1e308,0,1\n0,0,2\n1e308,0,3\n")
+    with pytest.raises(ConfigError, match="span"):
+        read_grid_csv(str(path))
 
 
 # ---------------------------------------------------------------------------
