@@ -221,7 +221,7 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
             scale = atol + rtol * max(abs(y[i]), abs(y5[i]))
             e = abs(direction * h * e4) / scale
             # max() drops a nan: a non-finite trial is an infinite error,
-            # which rejects it and shrinks the step by 0.2
+            # which rejects it and cuts the step to a fifth
             finite = math.isfinite(e) and math.isfinite(y5[i])
             err = max(err, e if finite else math.inf)
         accepted = err <= 1.0
@@ -355,7 +355,7 @@ class AxisSpec:
             raise ValueError("axis needs at least one node")
         if self.count == 1 and self.stop != self.start:
             raise ValueError("single-node axis must have stop == start")
-        if math.isinf(self.stop - self.start):  # numpy warns on it
+        if math.isinf(self.stop - self.start):  # np.linspace warns on it
             raise ValueError("span stop - start is infinite")
 
     def values(self) -> np.ndarray:

@@ -102,12 +102,14 @@ class TestGeneratingIdentity:
                                           killing_operators(sig)[:1])
 
 
+GENERIC = [[ExactPolynomial.variable(n, k) for k in range(n)]
+           for n in range(1, 9)]
+GENERIC_IDS = [f"generic{n}" for n in range(1, 9)]
+
+
 class TestFirstIntegrals:
-    @pytest.mark.parametrize("sig", [
-        *[[ExactPolynomial.variable(n, k) for k in range(n)]
-          for n in range(1, 9)],
-        sigma_obstructed(5)],
-        ids=[*(f"generic{n}" for n in range(1, 9)), "obstructed5"])
+    @pytest.mark.parametrize("sig", [*GENERIC, sigma_obstructed(5)],
+                             ids=[*GENERIC_IDS, "obstructed5"])
     def test_integrals_are_the_family_halved(self, sig):
         # A_i h1 = h_(i+1) is companion algebra with no derivative in it, so
         # the generic sigma_k = u_k proves it for every sigma of that size
@@ -154,18 +156,13 @@ class TestFirstIntegrals:
             parse_expression("1", ["u1", "p1"])
 
 
-GENERIC = [[ExactPolynomial.variable(n, k) for k in range(n)]
-           for n in range(1, 9)]
-
-
 class TestCompanionModel:
     def test_sigma_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(CompanionModel)] == [
             "sigma"]
 
     @pytest.mark.parametrize("sig", [*GENERIC, sigma_obstructed(5)],
-                             ids=[*(f"generic{n}" for n in range(1, 9)),
-                                  "obstructed5"])
+                             ids=[*GENERIC_IDS, "obstructed5"])
     def test_members_match_the_eager_construction(self, sig):
         model = CompanionModel(sig)
         family = tuple(build_h_family(sig))
