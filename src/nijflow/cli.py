@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -32,22 +32,14 @@ from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
 # unused here; bench/spans.py patches it by this name
 from .hierarchy import verify_commuting_integrals  # noqa: F401
+from .lattice_io import (MAX_LATTICE_NODES, ConfigError, make_axis,
+                         read_grid_csv, write_grid_csv)
 from .metric import (MetricError, SingularMetricError, check_gram_normal_form,
                      covariant_at, differential_shift_residuals,
                      pairwise_poisson)
 from .model import CompanionModel
 from .operators import OperatorError, nijenhuis_torsion
-from .pde import UNIFORM_RTOL, PDEError, direct_solve, grid_residual
-
-
-class ConfigError(ValueError):
-    """A config file is missing, malformed, or inconsistent."""
-
-
-# Largest lattice a config may ask for, as the product of its axis counts:
-# every config does bounded work, and the axes are allocated before any
-# flow runs.  About 50 times the largest benchmark lattice (201 x 101).
-MAX_LATTICE_NODES = 10**6
+from .pde import PDEError, direct_solve, grid_residual
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +102,7 @@ def _axis_from(spec: dict, name: str) -> AxisSpec:
         raise ConfigError(f"axis {name!r} is missing field {exc}") from exc
     if not _is_int(count) or count < 1:
         raise ConfigError(f"axis {name!r} count must be a positive integer")
-    try:
-        return AxisSpec(name, start, stop, count)
-    except ValueError as exc:
-        raise ConfigError(f"axis {name!r}: {exc}") from exc
+    return make_axis(name, start, stop, count)
 
 
 def config_axes(cfg: dict, n: int) -> tuple[AxisSpec, ...]:
@@ -196,351 +185,6 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
     point = config_point(cfg, n)
     line = orbit_grid([model.integrals[0]], point, [x_axis], settings)
     return line.u
-
-
-# ---------------------------------------------------------------------------
-# CSV lattices
-
-
-# Rows formatted and written at a time: one cell buffer of this many rows is
-# reused, so memory does not grow with the lattice.
-_CSV_CHUNK_ROWS = 2048
-
-# One CSV cell in fixed byte columns, zero bytes being filler: the sign,
-# "0.000" prefix, leading digit and the dot after it; digits 1-8 and a byte
-# for one pushed out by a dot; digits 9-16; that digit's pushed-out byte and
-# the exponent; the separator.
-_CELL = np.dtype([("head", "<u8"), ("mid", "<u8"), ("mid_last", "u1"),
-                  ("tail", "<u8"), ("end", "<u8"), ("sep", "u1")])
-_U64 = np.uint64
-_ASCII_ZEROS = _U64(0x3030303030303030)
-_POINT_ZEROS = _U64(0x3030302E30)               # "0.000", first byte lowest
-_TEN_POWERS = 10 ** np.arange(18, dtype=np.int64)
-
-
-@functools.cache
-def _pow10(q: int) -> tuple[float, float]:
-    """10**q as a double-double: the nearest double and the nearest double
-    to the rest."""
-    exact = Fraction(10) ** q
-    hi = float(exact)
-    return hi, float(exact - Fraction(hi))
-
-
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """a * 10**(16 - k) as a double-double (p, r), p integer-valued and |r|
-    at most half its ulp: Dekker's product of a and the leading double of
-    10**(16 - k), by Veltkamp splits, plus a times the trailing double.  The
-    error is below 1e-13 while the product is below 1e18 and every factor
-    is a normal double."""
-    q0 = 16 - int(k.max())
-    hi, lo = np.array([_pow10(q) for q in range(q0, 17 - int(k.min()))]).T
-    q = 16 - q0 - k
-    hi = hi.take(q)
-    split = 134217729.0 * a
-    ah = split - (split - a)
-    al = a - ah
-    split = 134217729.0 * hi
-    hh = split - (split - hi)
-    hl = hi - hh
-    p = a * hi
-    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo.take(q)
-    s = p + t
-    return s, t - (s - p)
-
-
-def _low_bytes(count: np.ndarray) -> np.ndarray:
-    """Masks of the low ``count`` (0..8) bytes of a word; each shift stays
-    below the word width."""
-    half = count.astype(_U64) * _U64(4)
-    return ((_U64(1) << half) << half) - _U64(1)
-
-
-def _digit_bytes(n: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each n < 10**8 (uint64), one per byte with
-    the first digit lowest: halves, quarters and eighths by exact
-    multiply-shift division within the word."""
-    x = (n // _U64(10000)) | ((n % _U64(10000)) << _U64(32))
-    y = ((x * _U64(10486)) >> _U64(20)) & _U64(0x7F0000007F)
-    x = y | ((x - y * _U64(100)) << _U64(16))
-    y = ((x * _U64(103)) >> _U64(10)) & _U64(0xF000F000F000F)
-    return y | ((x - y * _U64(10)) << _U64(8))
-
-
-def _significant(w: np.ndarray) -> np.ndarray:
-    """0xFF in each byte of w that is nonzero or lies below a nonzero one:
-    the digits of a word that are not trailing zeros."""
-    w = w | (w >> _U64(8))
-    w = w | (w >> _U64(16))
-    w = w | (w >> _U64(32))
-    w = (w + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
-    return (w >> _U64(7)) * _U64(0xFF)
-
-
-def _with_dot(w: np.ndarray, at: np.ndarray, dot: np.ndarray):
-    """Insert the byte ``dot`` (a dot or filler) at byte ``at`` (0..7) of w:
-    the new word and the byte pushed out at the top."""
-    low = _low_bytes(at)
-    return ((w & low) | (dot << (at.astype(_U64) * _U64(8)))
-            | ((w & ~low) << _U64(8))), w >> _U64(56)
-
-
-def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"%.17g" % v`` for each finite v of ``values`` into the cells
-    ``out`` of the same shape, leaving their separators alone.
-
-    The 17 digits are |v| * 10**(16 - k), k the decimal exponent, formed
-    as a double-double and rounded half to even.  Where that cannot decide
-    them (a fraction within 1e-9 of one half, |v| outside [1e-250, 1e250])
-    Python formats the cell instead."""
-    with np.errstate(all="ignore"):
-        a = np.abs(values)
-        vector = (a >= 1e-250) & (a <= 1e250)
-        a[~vector] = 1.0
-        k = np.floor(np.log10(a)).astype(np.int64)
-        p, r = _scaled(a, k)
-        # log10 can be one off next to a power of ten: test the exact value
-        for attempt in range(3):
-            below = (p - 1e16) + r < 0
-            above = (p - 1e17) + r >= 0
-            off = below | above
-            if attempt == 2 or not off.any():
-                break
-            k += above
-            k -= below
-            p[off], r[off] = _scaled(a[off], k[off])
-        whole = np.rint(r)
-        vector &= ~off & (np.abs(np.abs(r - whole) - 0.5) > 1e-9)
-        d = p.astype(np.int64) + whole.astype(np.int64)
-        carry = d == 10**17
-        d[carry] = 10**16
-        k += carry
-        zero = values == 0
-        d[zero] = 0
-        k[zero] = 0
-        lead = d // 10**16
-        rest = d - lead * 10**16
-        mid = rest // 10**8
-        tail = _digit_bytes((rest - mid * 10**8).view(_U64))
-        mid = _digit_bytes(mid.view(_U64))
-        fixed = (k >= -4) & (k <= 16)
-        small = fixed & (k < 0)
-        # digits past the last nonzero one become filler
-        mid = (mid + _ASCII_ZEROS) & _significant(
-            mid | ((tail != 0) * _U64(1 << 56)))
-        tail = (tail + _ASCII_ZEROS) & _significant(tail)
-        mid_last = np.zeros_like(mid)
-        end = np.zeros_like(tail)
-        # with k >= 1 digits before the dot: keep them all, place the dot
-        wide = fixed & (k >= 1)
-        if wide.any():
-            kw = k[wide]
-            mid_w = mid[wide] | (_ASCII_ZEROS & _low_bytes(np.minimum(kw, 8)))
-            tail_w = tail[wide] | (_ASCII_ZEROS
-                                   & _low_bytes(np.clip(kw - 8, 0, 8)))
-            dot = (d[wide] % _TEN_POWERS[16 - kw] != 0) * _U64(ord("."))
-            mid[wide], mid_last[wide] = _with_dot(
-                mid_w, np.minimum(kw, 7), dot * (kw <= 7))
-            tail[wide], end[wide] = _with_dot(
-                tail_w, np.clip(kw - 8, 0, 7), dot * (kw >= 8))
-        lead_dot = (rest != 0) & ~(small | wide)
-        out["head"] = (np.signbit(values) * _U64(ord("-"))
-                       | ((_POINT_ZEROS & _low_bytes((1 - k) * small))
-                          << _U64(8))
-                       | ((lead.view(_U64) + _U64(ord("0"))) << _U64(48))
-                       | (lead_dot * _U64(ord(".") << 56)))
-        out["mid"] = mid
-        out["mid_last"] = mid_last
-        out["tail"] = tail
-        sci = ~fixed
-        if sci.any():
-            e = np.abs(k[sci])
-            h, t, o = e // 100, e // 10 % 10, e % 10
-            digits = (((h + 48) | ((t + 48) << 8) | ((o + 48) << 16))
-                      >> (8 * (h == 0)))
-            sign = np.where(k[sci] < 0, ord("-"), ord("+"))
-            end[sci] |= ((ord("e") | (sign << 8) | (digits << 16))
-                         << 8).view(_U64)
-        out["end"] = end
-    slow = np.nonzero(~(vector | zero))
-    if len(slow[0]):
-        width = _CELL.itemsize - 1
-        texts = b"".join((b"%.17g" % v).ljust(width, b"\0")
-                         for v in values[slow].tolist())
-        cells = out[slow]
-        cells.view(np.uint8).reshape(-1, width + 1)[:, :width] = \
-            np.frombuffer(texts, np.uint8).reshape(-1, width)
-        out[slow] = cells
-
-
-def _refuse_non_finite(grid: SolutionGrid, names: Sequence[str]) -> None:
-    """Raise ConfigError naming the first lattice node, in row order, with a
-    non-finite value: ``read_grid_csv`` would refuse the file."""
-    k = len(grid.axes)
-    bad = ~np.isfinite(grid.u).all(axis=-1)
-    if grid.p is not None:
-        bad |= ~np.isfinite(grid.p).all(axis=-1)
-    with np.errstate(all="ignore"):
-        axis_values = [a.values() for a in grid.axes]
-    for i, values in enumerate(axis_values):
-        bad |= ~np.isfinite(values).reshape(
-            [-1 if j == i else 1 for j in range(k)])
-    if not bad.any():
-        return
-    node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    row = [values[i] for values, i in zip(axis_values, node)]
-    row += list(grid.u[node])
-    if grid.p is not None:
-        row += list(grid.p[node])
-    name, value = next((c, v) for c, v in zip(names, row)
-                       if not math.isfinite(v))
-    raise ConfigError(f"cannot write a non-finite lattice: {name} is {value} "
-                      f"at node {tuple(int(i) for i in node)}")
-
-
-def write_grid_csv(grid: SolutionGrid, path: str) -> None:
-    """One row per lattice node, lexicographic in the lattice index; each
-    cell is Python's ``"%.17g"`` of its float, which reads back bit for bit.
-    Momentum columns appear only when the lattice carries momenta.  A
-    lattice with a non-finite value is refused before anything is written.
-
-    Rows are formatted a chunk at a time into one reused buffer of
-    fixed-width cells, and each axis value is formatted once."""
-    n = grid.n
-    k = len(grid.axes)
-    names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
-    blocks = [grid.u.reshape(-1, n)]
-    if grid.p is not None:
-        names += [f"p{i + 1}" for i in range(n)]
-        blocks.append(grid.p.reshape(-1, n))
-    _refuse_non_finite(grid, names)
-    # whole cells are moved as opaque records, which numpy copies flat
-    record = f"V{_CELL.itemsize}"
-    axis_cells = []
-    for axis in grid.axes:
-        formatted = np.zeros(axis.count, _CELL)
-        formatted["sep"] = ord(",")
-        _format_cells(axis.values(), formatted)
-        axis_cells.append(formatted.view(record))
-    shape = grid.u.shape[:-1]
-    rows = len(blocks[0])
-    cells = np.zeros((min(rows, _CSV_CHUNK_ROWS), len(names)), _CELL)
-    cells["sep"] = ord(",")
-    cells["sep"][:, -1] = ord("\n")
-    values = np.empty((len(cells), len(names) - k))
-    with open(path, "wb") as f:
-        f.write((",".join(names) + "\n").encode())
-        for start in range(0, rows, _CSV_CHUNK_ROWS):
-            stop = min(rows, start + _CSV_CHUNK_ROWS)
-            chunk = cells[:stop - start]
-            index = np.unravel_index(np.arange(start, stop), shape)
-            for a, (formatted, i) in enumerate(zip(axis_cells, index)):
-                chunk.view(record)[:, a] = formatted.take(i)
-            for b, block in enumerate(blocks):
-                values[:stop - start, b * n:(b + 1) * n] = block[start:stop]
-            _format_cells(values[:stop - start], chunk[:, k:])
-            f.write(chunk.tobytes().translate(None, b"\0"))
-
-
-def _check_plain_text(text: str, first_line: int) -> None:
-    """Refuse ``_`` and non-ASCII characters in lattice text starting at
-    line ``first_line``: ``float`` would read ``1_0`` as 10.0 and a
-    full-width ``１`` as 1.0.  The whole text is scanned at C level; the
-    line is looked for only when the scan fails."""
-    if text.isascii() and "_" not in text:
-        return
-    for k, line in enumerate(text.split("\n"), start=first_line):
-        for ch in line:
-            if ch == "_" or not ch.isascii():
-                raise ConfigError(f"unexpected character {ch!r} on line {k} "
-                                  "of the lattice file")
-
-
-def read_grid_csv(path: str) -> SolutionGrid:
-    """Rebuild a lattice written by ``write_grid_csv``.
-
-    Blank lines are skipped; every other row must have the header's width
-    and hold finite decimal numbers in ASCII.  An axis column repeats each
-    of its values many times, so each distinct axis string is parsed once.
-    """
-    try:
-        with open(path) as f:
-            header = f.readline().strip()
-            body = f.read()
-            lines = body.split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
-    _check_plain_text(header, 1)
-    _check_plain_text(body, 2)
-    del body
-    names = header.split(",")
-    axis_names = [c for c in names if c == "x" or c.startswith("t")]
-    u_names = [c for c in names if c.startswith("u")]
-    p_names = [c for c in names if c.startswith("p")]
-    if names != axis_names + u_names + p_names or not axis_names or not u_names:
-        raise ConfigError(f"unrecognized lattice header {header!r}")
-    n = len(u_names)
-    if p_names and len(p_names) != n:
-        raise ConfigError("momentum columns must match component count")
-    width = len(names)
-    # a line without the header's width of cells must be blank
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp,
-                         len(lines))
-    full = commas == width - 1
-    for i in np.flatnonzero(~full):
-        if lines[i].strip():
-            raise ConfigError(
-                f"lattice rows do not match the header: line {i + 2} has "
-                f"{commas[i] + 1} cells, the header has {width}")
-    rows = int(np.count_nonzero(full))
-    if not rows:
-        raise ConfigError("lattice rows do not match the header")
-    # one copy of the cell text at a time: lines, then the joined text
-    text = ",".join(filter(str.strip, lines))
-    del lines
-    cells = text.split(",")
-    del text
-    k = len(axis_names)
-    data = np.empty((rows, width))
-    axis_values = []
-    try:
-        for a in range(width):
-            column = cells[a::width]
-            if a < k:
-                parsed = {s: float(s) for s in dict.fromkeys(column)}
-                data[:, a] = np.fromiter(map(parsed.__getitem__, column),
-                                         np.float64, rows)
-                axis_values.append(list(dict.fromkeys(parsed.values())))
-            else:
-                data[:, a] = np.fromiter(map(float, column), np.float64,
-                                         rows)
-    except ValueError as exc:
-        raise ConfigError(f"bad number in lattice file: {exc}") from exc
-    finite = np.isfinite(data)
-    if not finite.all():
-        r, a = divmod(int(np.argmin(finite)), width)
-        line = np.flatnonzero(full)[r] + 2
-        raise ConfigError(f"non-finite number {cells[r * width + a].strip()!r}"
-                          f" on line {line} of the lattice file")
-    shape = tuple(len(vals) for vals in axis_values)
-    if int(np.prod(shape)) != rows:
-        raise ConfigError("lattice rows do not fill a full rectangle")
-    axes = tuple(_axis_from({"start": vals[0], "stop": vals[-1],
-                             "count": len(vals)}, name)
-                 for name, vals in zip(axis_names, axis_values))
-    for axis, vals in zip(axes, axis_values):
-        if (np.abs(axis.values() - vals).max()
-                > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
-            raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
-    # the axis columns must be the lattice index mapped to axis values
-    index = np.indices(shape).reshape(k, -1)
-    expected = np.column_stack([np.asarray(vals)[i]
-                                for vals, i in zip(axis_values, index)])
-    if not np.array_equal(expected, data[:, :k]):
-        raise ConfigError("lattice rows are not in lexicographic order")
-    u = data[:, k:k + n].reshape(shape + (n,))
-    p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
-    return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
 
 
 # ---------------------------------------------------------------------------

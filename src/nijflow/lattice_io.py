@@ -1,0 +1,493 @@
+"""Lattice CSV files: the ``"%.17g"`` writer and the reader, both working
+on cells a word of bytes at a time in numpy, with Python's ``"%.17g"`` and
+``float`` for the rare cells the vector paths cannot decide."""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from .flows import AxisSpec, SolutionGrid
+from .pde import UNIFORM_RTOL
+
+
+class ConfigError(ValueError):
+    """A config or lattice file is missing, malformed, or inconsistent."""
+
+
+# Largest lattice a config may ask for, as the product of its axis counts,
+# and most data rows a lattice file may hold: every input does bounded
+# work.  About 50 times the largest benchmark lattice (201 x 101).
+MAX_LATTICE_NODES = 10**6
+
+
+def make_axis(name: str, start: float, stop: float, count: int) -> AxisSpec:
+    try:
+        return AxisSpec(name, start, stop, count)
+    except ValueError as exc:
+        raise ConfigError(f"axis {name!r}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# double-doubles and words of bytes
+
+
+@functools.cache
+def _pow10(q: int) -> tuple[float, float]:
+    """10**q as a double-double: the nearest double and the nearest double
+    to the rest."""
+    exact = Fraction(10) ** q
+    hi = float(exact)
+    return hi, float(exact - Fraction(hi))
+
+
+def _product(a: np.ndarray, b: np.ndarray, extra: np.ndarray):
+    """a * b + extra as a double-double (s, r), |r| at most half the ulp of
+    s: Dekker's exact product of a and b by Veltkamp splits, with the small
+    term ``extra`` added to its rounding error."""
+    split = 134217729.0 * a
+    ah = split - (split - a)
+    al = a - ah
+    split = 134217729.0 * b
+    bh = split - (split - b)
+    bl = b - bh
+    p = a * b
+    t = (((ah * bh - p) + ah * bl + al * bh) + al * bl) + extra
+    s = p + t
+    return s, t - (s - p)
+
+
+_U64 = np.uint64
+
+
+def _bytes_of(byte: int) -> np.uint64:
+    """A word holding ``byte`` in each of its 8 bytes."""
+    return _U64(byte * 0x0101010101010101)
+
+
+def _low_bytes(count: np.ndarray) -> np.ndarray:
+    """Masks of the low ``count`` (0..8) bytes of a word; each shift stays
+    below the word width."""
+    half = count.astype(_U64) * _U64(4)
+    return ((_U64(1) << half) << half) - _U64(1)
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+# Rows formatted and written at a time: one cell buffer of this many rows is
+# reused, so memory does not grow with the lattice.
+_CSV_CHUNK_ROWS = 2048
+
+# One CSV cell in fixed byte columns, zero bytes being filler: the sign,
+# "0.000" prefix, leading digit and the dot after it; digits 1-8 and a byte
+# for one pushed out by a dot; digits 9-16; that digit's pushed-out byte and
+# the exponent; the separator.
+_CELL = np.dtype([("head", "<u8"), ("mid", "<u8"), ("mid_last", "u1"),
+                  ("tail", "<u8"), ("end", "<u8"), ("sep", "u1")])
+_ASCII_ZEROS = _U64(0x3030303030303030)
+_POINT_ZEROS = _U64(0x3030302E30)               # "0.000", first byte lowest
+_TEN_POWERS = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """a * 10**(16 - k) as a double-double (p, r), p integer-valued: the
+    error is below 1e-13 while the product is below 1e18 and every factor
+    is a normal double."""
+    q0 = 16 - int(k.max())
+    hi, lo = np.array([_pow10(q) for q in range(q0, 17 - int(k.min()))]).T
+    q = 16 - q0 - k
+    return _product(a, hi.take(q), a * lo.take(q))
+
+
+def _digit_bytes(n: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each n < 10**8 (uint64), one per byte with
+    the first digit lowest: halves, quarters and eighths by exact
+    multiply-shift division within the word."""
+    x = (n // _U64(10000)) | ((n % _U64(10000)) << _U64(32))
+    y = ((x * _U64(10486)) >> _U64(20)) & _U64(0x7F0000007F)
+    x = y | ((x - y * _U64(100)) << _U64(16))
+    y = ((x * _U64(103)) >> _U64(10)) & _U64(0xF000F000F000F)
+    return y | ((x - y * _U64(10)) << _U64(8))
+
+
+def _significant(w: np.ndarray) -> np.ndarray:
+    """0xFF in each byte of w that is nonzero or lies below a nonzero one:
+    the digits of a word that are not trailing zeros."""
+    w = w | (w >> _U64(8))
+    w = w | (w >> _U64(16))
+    w = w | (w >> _U64(32))
+    w = (w + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
+    return (w >> _U64(7)) * _U64(0xFF)
+
+
+def _with_dot(w: np.ndarray, at: np.ndarray, dot: np.ndarray):
+    """Insert the byte ``dot`` (a dot or filler) at byte ``at`` (0..7) of w:
+    the new word and the byte pushed out at the top."""
+    low = _low_bytes(at)
+    return ((w & low) | (dot << (at.astype(_U64) * _U64(8)))
+            | ((w & ~low) << _U64(8))), w >> _U64(56)
+
+
+def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` for each finite v of ``values`` into the cells
+    ``out`` of the same shape, leaving their separators alone.
+
+    The 17 digits are |v| * 10**(16 - k), k the decimal exponent, formed
+    as a double-double and rounded half to even.  Where that cannot decide
+    them (a fraction within 1e-9 of one half, |v| outside [1e-250, 1e250])
+    Python formats the cell instead."""
+    with np.errstate(all="ignore"):
+        a = np.abs(values)
+        vector = (a >= 1e-250) & (a <= 1e250)
+        a[~vector] = 1.0
+        k = np.floor(np.log10(a)).astype(np.int64)
+        p, r = _scaled(a, k)
+        # log10 can be one off next to a power of ten: test the exact value
+        for attempt in range(3):
+            below = (p - 1e16) + r < 0
+            above = (p - 1e17) + r >= 0
+            off = below | above
+            if attempt == 2 or not off.any():
+                break
+            k += above
+            k -= below
+            p[off], r[off] = _scaled(a[off], k[off])
+        whole = np.rint(r)
+        vector &= ~off & (np.abs(np.abs(r - whole) - 0.5) > 1e-9)
+        d = p.astype(np.int64) + whole.astype(np.int64)
+        carry = d == 10**17
+        d[carry] = 10**16
+        k += carry
+        zero = values == 0
+        d[zero] = 0
+        k[zero] = 0
+        lead = d // 10**16
+        rest = d - lead * 10**16
+        mid = rest // 10**8
+        tail = _digit_bytes((rest - mid * 10**8).view(_U64))
+        mid = _digit_bytes(mid.view(_U64))
+        fixed = (k >= -4) & (k <= 16)
+        small = fixed & (k < 0)
+        # digits past the last nonzero one become filler
+        mid = (mid + _ASCII_ZEROS) & _significant(
+            mid | ((tail != 0) * _U64(1 << 56)))
+        tail = (tail + _ASCII_ZEROS) & _significant(tail)
+        mid_last = np.zeros_like(mid)
+        end = np.zeros_like(tail)
+        # with k >= 1 digits before the dot: keep them all, place the dot
+        wide = fixed & (k >= 1)
+        if wide.any():
+            kw = k[wide]
+            mid_w = mid[wide] | (_ASCII_ZEROS & _low_bytes(np.minimum(kw, 8)))
+            tail_w = tail[wide] | (_ASCII_ZEROS
+                                   & _low_bytes(np.clip(kw - 8, 0, 8)))
+            dot = (d[wide] % _TEN_POWERS[16 - kw] != 0) * _U64(ord("."))
+            mid[wide], mid_last[wide] = _with_dot(
+                mid_w, np.minimum(kw, 7), dot * (kw <= 7))
+            tail[wide], end[wide] = _with_dot(
+                tail_w, np.clip(kw - 8, 0, 7), dot * (kw >= 8))
+        lead_dot = (rest != 0) & ~(small | wide)
+        out["head"] = (np.signbit(values) * _U64(ord("-"))
+                       | ((_POINT_ZEROS & _low_bytes((1 - k) * small))
+                          << _U64(8))
+                       | ((lead.view(_U64) + _U64(ord("0"))) << _U64(48))
+                       | (lead_dot * _U64(ord(".") << 56)))
+        out["mid"] = mid
+        out["mid_last"] = mid_last
+        out["tail"] = tail
+        sci = ~fixed
+        if sci.any():
+            e = np.abs(k[sci])
+            h, t, o = e // 100, e // 10 % 10, e % 10
+            digits = (((h + 48) | ((t + 48) << 8) | ((o + 48) << 16))
+                      >> (8 * (h == 0)))
+            sign = np.where(k[sci] < 0, ord("-"), ord("+"))
+            end[sci] |= ((ord("e") | (sign << 8) | (digits << 16))
+                         << 8).view(_U64)
+        out["end"] = end
+    slow = np.nonzero(~(vector | zero))
+    if len(slow[0]):
+        width = _CELL.itemsize - 1
+        texts = b"".join((b"%.17g" % v).ljust(width, b"\0")
+                         for v in values[slow].tolist())
+        cells = out[slow]
+        cells.view(np.uint8).reshape(-1, width + 1)[:, :width] = \
+            np.frombuffer(texts, np.uint8).reshape(-1, width)
+        out[slow] = cells
+
+
+def _refuse_non_finite(grid: SolutionGrid, names: Sequence[str]) -> None:
+    """Raise ConfigError naming the first lattice node, in row order, with a
+    non-finite value: ``read_grid_csv`` would refuse the file."""
+    k = len(grid.axes)
+    bad = ~np.isfinite(grid.u).all(axis=-1)
+    if grid.p is not None:
+        bad |= ~np.isfinite(grid.p).all(axis=-1)
+    with np.errstate(all="ignore"):
+        axis_values = [a.values() for a in grid.axes]
+    for i, values in enumerate(axis_values):
+        bad |= ~np.isfinite(values).reshape(
+            [-1 if j == i else 1 for j in range(k)])
+    if not bad.any():
+        return
+    node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    row = [values[i] for values, i in zip(axis_values, node)]
+    row += list(grid.u[node])
+    if grid.p is not None:
+        row += list(grid.p[node])
+    name, value = next((c, v) for c, v in zip(names, row)
+                       if not math.isfinite(v))
+    raise ConfigError(f"cannot write a non-finite lattice: {name} is {value} "
+                      f"at node {tuple(int(i) for i in node)}")
+
+
+def write_grid_csv(grid: SolutionGrid, path: str) -> None:
+    """One row per lattice node, lexicographic in the lattice index; each
+    cell is Python's ``"%.17g"`` of its float, which reads back bit for bit.
+    Momentum columns appear only when the lattice carries momenta.  A
+    lattice with a non-finite value is refused before anything is written.
+
+    Rows are formatted a chunk at a time into one reused buffer of
+    fixed-width cells, and each axis value is formatted once."""
+    n = grid.n
+    k = len(grid.axes)
+    names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
+    blocks = [grid.u.reshape(-1, n)]
+    if grid.p is not None:
+        names += [f"p{i + 1}" for i in range(n)]
+        blocks.append(grid.p.reshape(-1, n))
+    _refuse_non_finite(grid, names)
+    # whole cells are moved as opaque records, which numpy copies flat
+    record = f"V{_CELL.itemsize}"
+    axis_cells = []
+    for axis in grid.axes:
+        formatted = np.zeros(axis.count, _CELL)
+        formatted["sep"] = ord(",")
+        _format_cells(axis.values(), formatted)
+        axis_cells.append(formatted.view(record))
+    shape = grid.u.shape[:-1]
+    rows = len(blocks[0])
+    cells = np.zeros((min(rows, _CSV_CHUNK_ROWS), len(names)), _CELL)
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")
+    values = np.empty((len(cells), len(names) - k))
+    with open(path, "wb") as f:
+        f.write((",".join(names) + "\n").encode())
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            stop = min(rows, start + _CSV_CHUNK_ROWS)
+            chunk = cells[:stop - start]
+            index = np.unravel_index(np.arange(start, stop), shape)
+            for a, (formatted, i) in enumerate(zip(axis_cells, index)):
+                chunk.view(record)[:, a] = formatted.take(i)
+            for b, block in enumerate(blocks):
+                values[:stop - start, b * n:(b + 1) * n] = block[start:stop]
+            _format_cells(values[:stop - start], chunk[:, k:])
+            f.write(chunk.tobytes().translate(None, b"\0"))
+
+
+# ---------------------------------------------------------------------------
+# the reader
+
+
+# Cells parsed at a time, so the reader's scratch arrays stay small.
+_READ_CHUNK_CELLS = 2**13
+# Byte offsets, from a cell's end, of the three words that hold its last 24
+# bytes: a cell parsed in numpy has at most 24 after its sign.
+_WORDS = np.arange(-24, 0, 8)[:, None]
+
+
+@functools.cache
+def _read_scales():
+    """For f = 0..23: 10**-f as a double-double, and 10**f rounded, which
+    is exact for f <= 22 (Clinger's fast path)."""
+    hi, lo = np.array([_pow10(-f) for f in range(24)]).T
+    return hi, lo, np.array([_pow10(f)[0] for f in range(24)])
+
+
+def _parse_plain(raw: bytes, s: np.ndarray, e: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Parse each cell raw[s:e] of the form -?digits[.digits], with at most
+    24 bytes after its sign and 19 digits from its first nonzero one, into
+    ``out``, and return the mask of the cells parsed; the rest, and any cell
+    within 1e-6 ulp of a tie, are left to ``float``.  The bytes before the
+    dot move into its place, the digits combine 8 at a time by
+    multiply-shift into m < 10**19, and m / 10**f is one exact division
+    when m <= 2**53 and f <= 22, else m times the double-double of 10**-f."""
+    negative = np.frombuffer(raw, np.uint8)[np.minimum(s, len(raw) - 1)] == 45
+    size = e - s - negative
+    ok = (size >= 1) & (size <= 24) & (e >= 24)
+    if not ok.any():
+        return ok
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, 0, (1,))
+    w = words[np.where(ok, e, 24) + _WORDS]
+    high = _bytes_of(0x80)
+    keep = _bytes_of(0xFF) << (np.clip(-_WORDS - size, 0, 8) * 8).astype(_U64)
+    w &= keep
+    digit = ((w | high) - _bytes_of(0x30)) & ~(w + _bytes_of(0x46)) & high
+    dot = w ^ _bytes_of(ord("."))               # zero bytes are the dots
+    dot = ~(((dot & ~high) + ~high) | dot) & high
+    stray = (digit | dot) ^ (keep & high)
+    dots = np.bitwise_count(dot)
+    dots = dots[0] + dots[1] + dots[2]
+    ok &= ((stray[0] | stray[1] | stray[2]) == 0) & (dots <= 1) & (size > dots)
+    # the digits' values, then the bytes before the dot one byte up
+    w &= (digit >> _U64(7)) * _U64(0x0F)
+    dotted = dot != 0                   # a dot in this word or a later one
+    dotted[1] |= dotted[2]
+    dotted[0] |= dotted[1]
+    before = ((dot >> _U64(7)) - _U64(1)) & (dotted * _bytes_of(0xFF))
+    moved = w & before
+    w ^= moved ^ (moved << _U64(8))
+    w[1:] |= moved[:-1] >> _U64(56)
+    w = w * _U64(10) + (w >> _U64(8))
+    w = (((w & _U64(0xFF000000FF)) * _U64(100 + (1000000 << 32))
+          + ((w >> _U64(16)) & _U64(0xFF000000FF)) * _U64(1 + (10000 << 32)))
+         >> _U64(32))
+    ok &= w[0] < 1000
+    m = w[0] * _U64(10**16) + w[1] * _U64(10**8) + w[2]
+    f = np.bitwise_count(before)
+    f = np.minimum(23 - (f[0] + f[1] + f[2]) // 8, 23) * dotted[0]
+    hi_scale, lo_scale, exact = _read_scales()
+    with np.errstate(all="ignore"):
+        hi = m.astype(np.float64)
+        lo = (m - hi.astype(_U64)).view(np.int64).astype(np.float64)
+        scale = hi_scale[f]
+        v, r = _product(hi, scale, hi * lo_scale[f] + lo * scale)
+        # the gap to the neighbour of v on the side of r
+        gap = np.abs((v.view(np.int64) + 1 - 2 * (r < 0)).view(np.float64)
+                     - v)
+        fast = (m <= 2**53) & (f <= 22)
+        ok &= fast | (np.abs(np.abs(r) - 0.5 * gap) > 1e-6 * gap)
+        np.copyto(v, hi / exact[f], where=fast)
+    np.copysign(v, 0.5 - negative, out=v)
+    np.copyto(out, v, where=ok)
+    return ok
+
+
+def _lattice_bytes(path: str) -> tuple[str, bytes, int]:
+    """The stripped header, the file's bytes with ``\\n`` line ends, and
+    where the body starts in them.  A file with ``_`` or a byte that is not
+    ASCII is read as text and refused, naming the line or the decoder's
+    complaint: ``float`` would read ``1_0`` as 10.0 and ``１`` as 1.0."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+        if not raw.isascii() or b"_" in raw:
+            with open(path) as f:
+                header, body = f.readline().strip(), f.read()
+            for k, line in enumerate([header] + body.split("\n"), start=1):
+                for ch in line:
+                    if ch == "_" or not ch.isascii():
+                        raise ConfigError(f"unexpected character {ch!r} on "
+                                          f"line {k} of the lattice file")
+            # only whitespace that strip took off the header was not ASCII
+            return header, b"\n" + body.encode(), 1
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = raw.find(b"\n") + 1 or len(raw)
+    return raw[:start].decode().strip(), raw, start
+
+
+def read_grid_csv(path: str) -> SolutionGrid:
+    """Rebuild a lattice written by ``write_grid_csv``.
+
+    Blank lines are skipped; every other row, at most ``MAX_LATTICE_NODES``
+    of them, must have the header's width and hold finite decimal numbers.
+    Cells are parsed a chunk at a time by ``_parse_plain``, then ``float``.
+    """
+    header, raw, start = _lattice_bytes(path)
+    names = header.split(",")
+    axis_names = [c for c in names if c == "x" or c.startswith("t")]
+    u_names = [c for c in names if c.startswith("u")]
+    p_names = [c for c in names if c.startswith("p")]
+    if names != axis_names + u_names + p_names or not axis_names or not u_names:
+        raise ConfigError(f"unrecognized lattice header {header!r}")
+    n = len(u_names)
+    if p_names and len(p_names) != n:
+        raise ConfigError("momentum columns must match component count")
+    width = len(names)
+    body = np.frombuffer(raw, np.uint8)[start:]
+    seps = np.flatnonzero(body == ord(",")) + start
+    ends = np.append(np.flatnonzero(body == ord("\n")) + start, len(raw))
+    starts = np.append(start, ends[:-1] + 1)
+    seps_before = np.searchsorted(seps, ends)
+    counts = np.diff(seps_before, prepend=0)
+    # a line without the header's width of cells must be blank
+    for i in np.flatnonzero((counts != width - 1) & (ends > starts)).tolist():
+        if raw[starts[i]:ends[i]].decode().strip():
+            raise ConfigError(
+                f"lattice rows do not match the header: line {i + 2} has "
+                f"{counts[i] + 1} cells, the header has {width}")
+    lines = np.flatnonzero(counts == width - 1)
+    rows = len(lines)
+    if not rows:
+        raise ConfigError("lattice rows do not match the header")
+    if rows > MAX_LATTICE_NODES:
+        raise ConfigError(f"the lattice file has {rows} rows, more than the "
+                          f"limit of {MAX_LATTICE_NODES}")
+    # cell a of row r is raw[bounds[r, a] + 1:bounds[r, a + 1]]
+    bounds = np.column_stack([
+        starts[lines] - 1,
+        seps[seps_before[lines, None] + np.arange(1 - width, 0)], ends[lines]])
+    del body, seps, ends, starts, seps_before, counts
+    data = np.empty((rows, width))
+    bad = None      # (column, row, error) of the first bad cell
+    step = max(1, _READ_CHUNK_CELLS // width)
+    for r0 in range(0, rows, step):
+        s = (bounds[r0:r0 + step, :-1] + 1).ravel()
+        e = bounds[r0:r0 + step, 1:].ravel()
+        values = data[r0:r0 + step].reshape(-1)
+        slow = np.flatnonzero(~_parse_plain(raw, s, e, values))
+        text = raw[s[0]:e[-1]].decode()
+        cells = [text[i:j] for i, j in zip((s[slow] - s[0]).tolist(),
+                                           (e[slow] - s[0]).tolist())]
+        try:
+            values[slow] = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            for i, cell in zip(slow.tolist(), cells):
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    # the first bad cell in column order is reported
+                    fault = (i % width, r0 + i // width, exc)
+                    bad = min(bad or fault, fault)
+    if bad:
+        raise ConfigError(f"bad number in lattice file: {bad[2]}") from bad[2]
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, a = divmod(int(np.argmin(finite)), width)
+        text = raw[bounds[r, a] + 1:bounds[r, a + 1]].decode().strip()
+        raise ConfigError(f"non-finite number {text!r} on line "
+                          f"{lines[r] + 2} of the lattice file")
+    k = len(axis_names)
+    axis_values = []
+    for column in data[:, :k].T:
+        # distinct values in order of first appearance
+        first = np.unique(column, return_index=True)[1]
+        axis_values.append(column[np.sort(first)].tolist())
+    shape = tuple(len(vals) for vals in axis_values)
+    if int(np.prod(shape)) != rows:
+        raise ConfigError("lattice rows do not fill a full rectangle")
+    axes = tuple(make_axis(name, vals[0], vals[-1], len(vals))
+                 for name, vals in zip(axis_names, axis_values))
+    for axis, vals in zip(axes, axis_values):
+        if (np.abs(axis.values() - vals).max()
+                > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
+            raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
+    # the axis columns must be the lattice index mapped to axis values
+    index = np.indices(shape).reshape(k, -1)
+    expected = np.column_stack([np.asarray(vals)[i]
+                                for vals, i in zip(axis_values, index)])
+    if not np.array_equal(expected, data[:, :k]):
+        raise ConfigError("lattice rows are not in lexicographic order")
+    u = data[:, k:k + n].reshape(shape + (n,))
+    p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
+    return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})

@@ -1,9 +1,13 @@
 """Tests for the command-line front end: configs, reports, CSV, SVG."""
 
+import decimal
+import functools
 import hashlib
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -16,12 +20,14 @@ from support import (reference_coordinate_form_residual_at,
 
 import nijflow.cli as cli
 
-from nijflow.cli import (_CSV_CHUNK_ROWS, ConfigError, build_model,
-                         config_initial_curve, main, read_grid_csv,
-                         verification_report, write_grid_csv, write_svg_plot)
+from nijflow.cli import (ConfigError, build_model, config_initial_curve,
+                         main, read_grid_csv, verification_report,
+                         write_grid_csv, write_svg_plot)
 from nijflow.exactpoly import (ExactPolynomial, base_names, format_polynomial,
                                parse_expression)
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
+from nijflow import lattice_io
+from nijflow.lattice_io import _CSV_CHUNK_ROWS
 from nijflow.metric import (GramMatrix, MetricError, covariant_at,
                             pairwise_poisson)
 
@@ -885,6 +891,139 @@ def test_non_uniform_lattice_axes_exit_2(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith(f"nijflow {command}: ")
     assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the numpy cell parser against float, cell by cell
+
+
+def _cells_lattice(cells, width=4):
+    """The text of a one-axis lattice whose u columns hold ``cells`` row by
+    row (padded with "0"), and float's values of them in that shape."""
+    cells = list(cells) + ["0"] * (-len(cells) % width)
+    rows = [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    header = ",".join(["x"] + [f"u{j + 1}" for j in range(width)])
+    text = header + "\n" + "".join(f"{r},{row}\n" for r, row in enumerate(rows))
+    return text, np.array([float(c) for c in cells]).reshape(-1, width)
+
+
+def _random_doubles(seed, count=4000):
+    """Magnitudes spread over 1e-25 .. 1e25, and random bit patterns."""
+    rng = np.random.default_rng(seed)
+    spread = 10.0 ** rng.uniform(-25, 25, count) * rng.choice([-1, 1], count)
+    bits = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    return np.concatenate([spread, bits[np.isfinite(bits)]]).tolist()
+
+
+def _midpoints():
+    """Decimals next to the midpoint of two neighbouring doubles, written
+    with 20 to 25 digits, and exact midpoints 2**k + 2**(k - 53)."""
+    rng = np.random.default_rng(5)
+    cells = []
+    with decimal.localcontext(prec=800):
+        for v in np.concatenate([rng.uniform(1e-3, 1e6, 300),
+                                 10.0 ** rng.uniform(-8, 20, 300)]).tolist():
+            mid = (decimal.Decimal(v)
+                   + decimal.Decimal(float(np.nextafter(v, np.inf)))) / 2
+            cells += [f"{mid:.{digits}g}" for digits in range(20, 26)]
+    exact = [str(2**k + 2**(k - 53)) for k in range(53, 83)]
+    return cells + exact + ["-" + c for c in exact]
+
+
+def _mantissas():
+    """19- and 20-digit mantissas with the dot anywhere, and 2**53 +- 1."""
+    rng = random.Random(19)
+    cells = []
+    for digits in (19, 20):
+        for _ in range(1000):
+            text = str(rng.randrange(10 ** (digits - 1), 10 ** digits))
+            k = rng.randrange(digits + 1)
+            cells.append(rng.choice(["", "-"]) + text[:k] + "." + text[k:])
+    return cells + [str(2**53 + d) for d in (-1, 0, 1)] + [
+        "-9007199254740993", "900719925474099.3", "0.9007199254740993"]
+
+
+def _widths():
+    """Cells of 23 to 26 bytes, with and without a sign."""
+    cells = []
+    for v in np.random.default_rng(24).uniform(0, 1e6, 300).tolist():
+        for text in ("%.40f" % v, "%.40f" % (v * 1e-10)):
+            cells += [sign + text[:size] for size in (23, 24, 25, 26)
+                      for sign in ("", "-")]
+    return cells
+
+
+READ_CASES = {f"format {fmt}": functools.partial(
+    lambda fmt, seed: [fmt % v for v in _random_doubles(seed)], fmt, seed)
+    for seed, fmt in enumerate(["%.17g", "%r", "%.5g", "%.12g", "%.20f",
+                                "%.3f", "%.0f", "%+.3e"])}
+READ_CASES.update({
+    "midpoints": _midpoints,
+    "mantissas": _mantissas,
+    "widths": _widths,
+    "specials": lambda: ["1.", ".5", "-.5", "-0", "5e-324", "-1e308", "0",
+                         "-0.0", "007", "1.e5", "0.30000000000000004"],
+})
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_csv_reader_matches_float_bit_for_bit(tmp_path, case):
+    text, expected = _cells_lattice(READ_CASES[case]())
+    path = tmp_path / "cells.csv"
+    path.write_text(text)
+    grid = read_grid_csv(str(path))
+    assert grid.u.tobytes() == expected.tobytes()
+
+
+def test_csv_reader_reports_the_first_bad_cell_column_by_column(tmp_path):
+    # bad cells in an early row of column u2 and a late row of column u1,
+    # in different read chunks: the first one in column order is reported
+    rows = [f"{i},{i}.5,-{i}.25" for i in range(3 * 2**13)]
+    rows[1] = "1,1.5,1.5e"
+    rows[-2] = f"{len(rows) - 2},12.5.,3"
+    path = tmp_path / "bad.csv"
+    path.write_text("x,u1,u2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError) as info:
+        read_grid_csv(str(path))
+    assert str(info.value) == ("bad number in lattice file: could not "
+                               "convert string to float: '12.5.'")
+
+
+def test_csv_reader_peak_memory_is_at_most_four_times_the_file(tmp_path):
+    # a lattice the size of the finest crosscheck rung: 1921 x 27 nodes,
+    # two components, 4 MB
+    axes = (AxisSpec("x", -0.5, 0.5, 1921), AxisSpec("t1", 0.0, 0.01625, 27))
+    u = np.random.default_rng(1921).uniform(-2, 2, (1921, 27, 2))
+    path = tmp_path / "rung.csv"
+    write_grid_csv(SolutionGrid(axes, u, None, {}), str(path))
+    tracemalloc.start()
+    try:
+        grid = read_grid_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.u.tobytes() == u.tobytes()
+    assert peak <= 4 * path.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["residual", "plot"])
+def test_lattice_files_over_the_row_limit_exit_2(tmp_path, capsys,
+                                                 monkeypatch, command):
+    path = tmp_path / "lattice.csv"
+    path.write_text(_lattice_text([0.0, 0.5, 1.0], [0.0, 0.1]))
+    monkeypatch.setattr(lattice_io, "MAX_LATTICE_NODES", 5)
+
+    def parse(*args):
+        raise AssertionError("a number was parsed")
+    monkeypatch.setattr(lattice_io, "_parse_plain", parse)
+    if command == "residual":
+        argv = [command, str(CONFIGS / "nijenhuis2.json"), "--input", str(path)]
+    else:
+        argv = [command, str(path), "--output", str(tmp_path / "plot.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"nijflow {command}: the lattice file has 6 rows, more than the "
+        "limit of 5\n")
 
 
 def test_solve_direct_csv_has_no_momentum_columns(tmp_path, capsys):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from nijflow import pde
-from nijflow.cli import build_model, config_point
+from nijflow.cli import build_model, config_point, main
+from nijflow.exactpoly import base_names, format_polynomial
 from nijflow.exactpoly import parse_expression
 from nijflow.flows import AxisSpec, CotangentPoint, FlowSettings, orbit_grid
 from nijflow.hierarchy import first_integrals, killing_operators
@@ -17,7 +18,7 @@ from nijflow.operators import companion_second
 from nijflow.pde import (PDEError, compare_grids, convergence_orders,
                          direct_solve, grid_residual)
 
-from support import sigma_constant
+from support import sigma_constant, sigma_curved, u_from_eigenvalues
 
 U2 = ["u1", "u2"]
 
@@ -284,3 +285,29 @@ def test_direct_solution_matches_reduction():
     direct = direct_solve(A[1], xs, curve.u, 0.05)
     orbit = orbit_grid(F, start, direct.axes, settings)
     assert compare_grids(direct, orbit) < 1e-7
+
+
+def test_direct_matches_reduction_at_second_order_for_curved_n3(tmp_path,
+                                                              capsys):
+    # a hyperbolic start of the curved family: distinct real eigenvalues
+    # (-0.8, 0.3, 1.2) of L; the coarse rung is well above roundoff
+    cfg = {"n": 3,
+           "sigma": [format_polynomial(s, base_names(3))
+                     for s in sigma_curved(3)],
+           "initial": {"u": u_from_eigenvalues((-0.8, 0.3, 1.2)),
+                       "p": [1.5, -2.0, 3.0]},
+           "integrator": {"method": "rk45", "abs_tol": 1e-13,
+                          "rel_tol": 1e-12},
+           "pde": {"t_end": 0.02}}
+    path = tmp_path / "n3.json"
+    deviations = []
+    for count in (61, 121, 241, 481):
+        cfg["grid"] = {"x": {"start": -0.6, "stop": 0.6, "count": count}}
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", str(path)]) == 0
+        deviation = json.loads(capsys.readouterr().out)["max_deviation"]
+        assert deviation <= 1.0 * (1.2 / (count - 1)) ** 2
+        deviations.append(deviation)
+    assert deviations[0] > 1e-11
+    assert all(fine <= coarse / 4
+               for coarse, fine in zip(deviations, deviations[1:]))
