@@ -38,9 +38,12 @@ Every product of polynomials, and every sum of such products, is formed by
 one kernel, ``signed_sum``, which sums the products of numerators over one
 common denominator.  ``suffixed_sum`` lifts polynomials onto appended
 variables, each times a monomial there, and sums them; ``split_suffixes``
-splits a polynomial back by the monomials in its last variables.  Every
-float evaluation goes through one interpreter, ``evaluate_float_form``, at a
-point of floats or over the columns of a stack of points.
+splits a polynomial back by the monomials in its last variables.  Float
+evaluation goes through one interpreter, ``evaluate_float_form``, at a point
+of floats or over the columns of a stack of points.  The one exception is
+``compile_float_forms``, which turns the forms of a right-hand side that an
+integrator calls many times into one straight-line function, bit-identical
+to the interpreter at a point of floats.
 """
 
 from __future__ import annotations
@@ -486,6 +489,29 @@ def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
                 v *= x ** e
         total += v
     return total
+
+
+def compile_float_forms(forms: Sequence[FloatForm], nvars: int):
+    """One straight-line function of a point of ``nvars`` floats that
+    returns the list of the forms' values, each bit-identical to
+    ``evaluate_float_form`` there: the same products in the same order, one
+    statement ``r += c * x1 * (x2 * x2) * x3 ** e`` per term.  A statement
+    per term keeps the source flat however long a form is; the coefficients
+    are names bound in the function's globals, never printed."""
+    names: dict[str, float] = {}
+    xs = "".join(f"x{i}, " for i in range(nvars))
+    lines = [f"def compiled(point):\n    {xs}= point"]
+    for j, form in enumerate(forms):
+        lines.append(f"r{j} = 0.0")
+        for coeff, powers in form:
+            factors = [f"c{len(names)}"]
+            names[factors[0]] = coeff
+            factors += [f"x{i}" if e == 1 else f"(x{i} * x{i})" if e == 2
+                        else f"x{i} ** {e}" for i, e in powers]
+            lines.append(f"r{j} += {' * '.join(factors)}")
+    lines.append(f"return [{', '.join(f'r{j}' for j in range(len(forms)))}]")
+    exec("\n    ".join(lines), names)
+    return names["compiled"]
 
 
 def evaluate_table_array(table, points) -> np.ndarray:

@@ -5,8 +5,9 @@ States are points (u, p).  Each integral F yields the canonical vector field
     du^i/dt = dF/dp_i,      dp_i/dt = -dF/du^i,
 
 whose right-hand side is evaluated in plain floating point from the cached
-float forms of the exact partial derivatives, so repeated trajectories are
-deterministic bit for bit.
+float forms of the exact partial derivatives, compiled on the field's first
+call into one function with the interpreter's operations in its order, so
+repeated trajectories are deterministic bit for bit.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an embedded adaptive pair of orders four and five with proportional step
@@ -30,7 +31,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, evaluate_float_form
+from .exactpoly import (ExactPolynomial, compile_float_forms,
+                        evaluate_float_form)
 from .metric import GramMatrix, PhaseFunction, poisson_bracket
 
 State = list[float]
@@ -102,9 +104,11 @@ class FlowSettings:
 
 
 class HamiltonianField:
-    """Compiled canonical vector field of one phase function."""
+    """Canonical vector field of one phase function.  Its float forms are
+    compiled into one function on the first call (``compile_float_forms``)
+    and kept: a field that is never called is never compiled."""
 
-    __slots__ = ("n", "hamiltonian", "du_dt", "dp_dt", "_forms")
+    __slots__ = ("n", "hamiltonian", "du_dt", "dp_dt", "_forms", "_compiled")
 
     def __init__(self, hamiltonian: PhaseFunction):
         n = hamiltonian.n
@@ -116,12 +120,17 @@ class HamiltonianField:
         object.__setattr__(self, "dp_dt", dp_dt)
         object.__setattr__(self, "_forms",
                            tuple(c.float_form() for c in (*du_dt, *dp_dt)))
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HamiltonianField is immutable")
 
     def __call__(self, state: Sequence[float]) -> State:
-        return [evaluate_float_form(form, state) for form in self._forms]
+        compiled = self._compiled
+        if compiled is None:
+            compiled = compile_float_forms(self._forms, 2 * self.n)
+            object.__setattr__(self, "_compiled", compiled)
+        return compiled(state)
 
     def divergence(self) -> ExactPolynomial:
         """Symbolic divergence; identically zero for canonical fields."""
@@ -149,19 +158,18 @@ def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
     h = t_span / nsteps
     half = 0.5 * h
     sixth = h / 6.0
-    m = len(y)
     for _ in range(nsteps):
         try:
             k1 = f(y)
-            k2 = f([y[i] + half * k1[i] for i in range(m)])
-            k3 = f([y[i] + half * k2[i] for i in range(m)])
-            k4 = f([y[i] + h * k3[i] for i in range(m)])
-            ynew = [y[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                    for i in range(m)]
+            k2 = f([a + half * c for a, c in zip(y, k1)])
+            k3 = f([a + half * c for a, c in zip(y, k2)])
+            k4 = f([a + h * c for a, c in zip(y, k3)])
+            ynew = [a + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+                    for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)]
         except OverflowError:
             raise FlowError("state blew up during a step",
                             CotangentPoint.from_state(y)) from None
-        if not all(math.isfinite(v) for v in ynew):
+        if not all(map(math.isfinite, ynew)):
             raise FlowError("state became non-finite",
                             CotangentPoint.from_state(y))
         y = ynew
@@ -180,17 +188,19 @@ _RK45_A = (
 )
 _RK45_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RK45_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_RK45_E = tuple(b5 - b4 for b5, b4 in zip(_RK45_B5, _RK45_B4))  # error weights
 
 
 def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
                   settings: FlowSettings) -> State:
     if t_span == 0.0:
         return list(y)
-    m = len(y)
     direction = 1.0 if t_span > 0 else -1.0
     remaining = abs(t_span)
     h = min(0.05, remaining)
     atol, rtol = settings.abs_tol, settings.rel_tol
+    b1, _, b3, b4, b5, b6 = _RK45_B5
+    e1, e2, e3, e4, e5, e6 = _RK45_E
     steps = 0
     while remaining > 0.0:
         steps += 1
@@ -198,32 +208,34 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
             raise FlowError("step budget exhausted",
                             CotangentPoint.from_state(y))
         h = min(h, remaining)
+        dh = direction * h
+        # each stage adds its terms to y one at a time, in tableau order
+        w21, w31, w32, w41, w42, w43, w51, w52, w53, w54, w61, w62, w63, \
+            w64, w65 = [dh * a for row in _RK45_A for a in row]
         try:
-            ks = []
-            for row in _RK45_A:
-                z = list(y)
-                for a, k in zip(row, ks):
-                    if a:
-                        ha = direction * h * a
-                        for i in range(m):
-                            z[i] += ha * k[i]
-                ks.append(f(z))
-            y5 = [y[i] + direction * h * sum(b * ks[s][i]
-                                             for s, b in enumerate(_RK45_B5) if b)
-                  for i in range(m)]
+            k1 = f(y)
+            k2 = f([a + w21 * c1 for a, c1 in zip(y, k1)])
+            k3 = f([a + w31 * c1 + w32 * c2 for a, c1, c2 in zip(y, k1, k2)])
+            k4 = f([a + w41 * c1 + w42 * c2 + w43 * c3
+                    for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+            k5 = f([a + w51 * c1 + w52 * c2 + w53 * c3 + w54 * c4
+                    for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + w61 * c1 + w62 * c2 + w63 * c3 + w64 * c4 + w65 * c5
+                    for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+            y5 = [a + dh * sum((b1 * c1, b3 * c3, b4 * c4, b5 * c5, b6 * c6))
+                  for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
         except OverflowError:
             raise FlowError("state blew up during a step",
                             CotangentPoint.from_state(y)) from None
-        err = 0.0
-        for i in range(m):
-            e4 = sum((b5 - b4) * ks[s][i]
-                     for s, (b5, b4) in enumerate(zip(_RK45_B5, _RK45_B4)))
-            scale = atol + rtol * max(abs(y[i]), abs(y5[i]))
-            e = abs(direction * h * e4) / scale
-            # max() drops a nan: a non-finite trial is an infinite error,
-            # which rejects it and cuts the step to a fifth
-            finite = math.isfinite(e) and math.isfinite(y5[i])
-            err = max(err, e if finite else math.inf)
+        errs = [abs(dh * sum((e1 * c1, e2 * c2, e3 * c3, e4 * c4, e5 * c5,
+                              e6 * c6)))
+                / (atol + rtol * max(abs(a), abs(b)))
+                for a, b, c1, c2, c3, c4, c5, c6
+                in zip(y, y5, k1, k2, k3, k4, k5, k6)]
+        # max() can drop a nan: a non-finite trial is an infinite error,
+        # which rejects it and cuts the step to a fifth
+        err = (max(errs) if all(map(math.isfinite, errs + y5))
+               else math.inf)
         accepted = err <= 1.0
         if accepted:
             y = y5

@@ -254,7 +254,8 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     lattice with a non-finite value is refused before anything is written.
 
     Rows are formatted a chunk at a time into one reused buffer of
-    fixed-width cells, and each axis value is formatted once."""
+    fixed-width cells, and every axis value is formatted once,
+    all axes in one call."""
     n = grid.n
     k = len(grid.axes)
     names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
@@ -265,12 +266,11 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     _refuse_non_finite(grid, names)
     # whole cells are moved as opaque records, which numpy copies flat
     record = f"V{_CELL.itemsize}"
-    axis_cells = []
-    for axis in grid.axes:
-        formatted = np.zeros(axis.count, _CELL)
-        formatted["sep"] = ord(",")
-        _format_cells(axis.values(), formatted)
-        axis_cells.append(formatted.view(record))
+    counts = [axis.count for axis in grid.axes]
+    formatted = np.zeros(sum(counts), _CELL)
+    formatted["sep"] = ord(",")
+    _format_cells(np.concatenate([a.values() for a in grid.axes]), formatted)
+    axis_cells = np.split(formatted.view(record), np.cumsum(counts)[:-1])
     shape = grid.u.shape[:-1]
     rows = len(blocks[0])
     cells = np.zeros((min(rows, _CSV_CHUNK_ROWS), len(names)), _CELL)
@@ -372,26 +372,28 @@ def _parse_plain(raw: bytes, s: np.ndarray, e: np.ndarray,
 
 def _lattice_bytes(path: str) -> tuple[str, bytes, int]:
     """The stripped header, the file's bytes with ``\\n`` line ends, and
-    where the body starts in them.  A file with ``_`` or a byte that is not
-    ASCII is read as text and refused, naming the line or the decoder's
-    complaint: ``float`` would read ``1_0`` as 10.0 and ``１`` as 1.0."""
+    where the body starts in them.  A file with ``_``, a byte that is not
+    ASCII or a ``\\r`` outside ``\\r\\n`` is refused, naming the line or the
+    decoder's complaint: ``float`` would read ``1_0`` as 10.0 and ``１`` as
+    1.0, and a lone ``\\r`` would split a row in two."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
         if not raw.isascii() or b"_" in raw:
-            with open(path) as f:
-                header, body = f.readline().strip(), f.read()
-            for k, line in enumerate([header] + body.split("\n"), start=1):
-                for ch in line:
-                    if ch == "_" or not ch.isascii():
-                        raise ConfigError(f"unexpected character {ch!r} on "
-                                          f"line {k} of the lattice file")
-            # only whitespace that strip took off the header was not ASCII
-            return header, b"\n" + body.encode(), 1
+            # UTF-8 text holds the character the bytes test found
+            k, ch = next((k, ch) for k, line in enumerate(
+                raw.decode().split("\n"), start=1) for ch in line
+                if ch == "_" or not ch.isascii())
+            raise ConfigError(f"unexpected character {ch!r} on line {k} "
+                              "of the lattice file")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in raw:  # replace scans the whole file even with none to do
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            k = raw.count(b"\n", 0, raw.index(b"\r")) + 1
+            raise ConfigError(f"unexpected character '\\r' on line {k} of "
+                              "the lattice file")
     start = raw.find(b"\n") + 1 or len(raw)
     return raw[:start].decode().strip(), raw, start
 

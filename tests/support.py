@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,8 @@ import numpy as np
 
 from nijflow.cli import ConfigError
 from nijflow.exactpoly import ExactPolynomial, parse_expression, signed_sum
-from nijflow.flows import AxisSpec, SolutionGrid
+from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
+                           AxisSpec, CotangentPoint, FlowError, SolutionGrid)
 from nijflow.pde import UNIFORM_RTOL
 
 
@@ -321,3 +323,85 @@ def reference_read_grid_csv(path):
     u = data[:, k:k + n].reshape(shape + (n,))
     p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
+
+
+# The index-loop steppers that ``nijflow.flows`` used before its loops were
+# written as zip comprehensions; kept only as oracles for the tests.
+
+def reference_rk4_segment(f, y, t_span, settings):
+    steps = abs(t_span) / settings.step - 1e-12
+    if steps > MAX_STEPS:
+        raise FlowError("step budget exhausted", CotangentPoint.from_state(y))
+    nsteps = max(1, math.ceil(steps))
+    h = t_span / nsteps
+    half = 0.5 * h
+    sixth = h / 6.0
+    m = len(y)
+    for _ in range(nsteps):
+        try:
+            k1 = f(y)
+            k2 = f([y[i] + half * k1[i] for i in range(m)])
+            k3 = f([y[i] + half * k2[i] for i in range(m)])
+            k4 = f([y[i] + h * k3[i] for i in range(m)])
+            ynew = [y[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                    for i in range(m)]
+        except OverflowError:
+            raise FlowError("state blew up during a step",
+                            CotangentPoint.from_state(y)) from None
+        if not all(math.isfinite(v) for v in ynew):
+            raise FlowError("state became non-finite",
+                            CotangentPoint.from_state(y))
+        y = ynew
+    return y
+
+
+def reference_rk45_segment(f, y, t_span, settings):
+    if t_span == 0.0:
+        return list(y)
+    m = len(y)
+    direction = 1.0 if t_span > 0 else -1.0
+    remaining = abs(t_span)
+    h = min(0.05, remaining)
+    atol, rtol = settings.abs_tol, settings.rel_tol
+    steps = 0
+    while remaining > 0.0:
+        steps += 1
+        if steps > MAX_STEPS:
+            raise FlowError("step budget exhausted",
+                            CotangentPoint.from_state(y))
+        h = min(h, remaining)
+        try:
+            ks = []
+            for row in _RK45_A:
+                z = list(y)
+                for a, k in zip(row, ks):
+                    if a:
+                        ha = direction * h * a
+                        for i in range(m):
+                            z[i] += ha * k[i]
+                ks.append(f(z))
+            y5 = [y[i] + direction * h * sum(b * ks[s][i]
+                                             for s, b in enumerate(_RK45_B5) if b)
+                  for i in range(m)]
+        except OverflowError:
+            raise FlowError("state blew up during a step",
+                            CotangentPoint.from_state(y)) from None
+        err = 0.0
+        for i in range(m):
+            e4 = sum((b5 - b4) * ks[s][i]
+                     for s, (b5, b4) in enumerate(zip(_RK45_B5, _RK45_B4)))
+            scale = atol + rtol * max(abs(y[i]), abs(y5[i]))
+            e = abs(direction * h * e4) / scale
+            # max() drops a nan: a non-finite trial is an infinite error,
+            # which rejects it and cuts the step to a fifth
+            finite = math.isfinite(e) and math.isfinite(y5[i])
+            err = max(err, e if finite else math.inf)
+        accepted = err <= 1.0
+        if accepted:
+            y = y5
+            remaining -= h
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        if h < MIN_STEP and remaining > 0.0:
+            raise FlowError("step size underflow",
+                            CotangentPoint.from_state(y))
+    return y

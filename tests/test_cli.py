@@ -847,6 +847,17 @@ CHANGED_FILES = {
     "underscore-header": ("x,u_1\n0,1\n",
                           "unexpected character '_' on line 1 of the "
                           "lattice file"),
+    # the oracle stripped the header's non-ASCII whitespace
+    "header-ideographic-space": ("x,u1\u3000\n0,1\n1,2\n",
+                                 "unexpected character '\\u3000' on line 1 "
+                                 "of the lattice file"),
+    "header-no-break-space": ("x,u1\xa0\n0,1\n1,2\n",
+                              "unexpected character '\\xa0' on line 1 of "
+                              "the lattice file"),
+    # the oracle read a lone carriage return as a line break
+    "lone-carriage-return": ("x,u1\n0,1\r1,2\n",
+                             "unexpected character '\\r' on line 2 of the "
+                             "lattice file"),
 }
 
 
@@ -858,6 +869,22 @@ def test_csv_reader_names_the_bad_line(tmp_path, text, message):
     with pytest.raises(ConfigError) as info:
         read_grid_csv(str(path))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", ["residual", "plot"])
+@pytest.mark.parametrize("name", ["header-ideographic-space",
+                                  "header-no-break-space",
+                                  "lone-carriage-return"])
+def test_stray_whitespace_exits_2(tmp_path, capsys, command, name):
+    text, message = CHANGED_FILES[name]
+    path = tmp_path / "lattice.csv"
+    path.write_bytes(text.encode())
+    if command == "residual":
+        argv = [command, str(CONFIGS / "nijenhuis2.json"), "--input", str(path)]
+    else:
+        argv = [command, str(path), "--output", str(tmp_path / "plot.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"nijflow {command}: {message}\n"
 
 
 # lattice files the reader refuses: axes that are not uniform (x values,

@@ -14,6 +14,8 @@ from nijflow.exactpoly import (
     ExactPolynomial,
     ParseError,
     PolynomialError,
+    compile_float_forms,
+    evaluate_float_form,
     evaluate_table_array,
     format_polynomial,
     grlex_key,
@@ -413,6 +415,28 @@ class TestEvaluation:
         assert values.shape == (2, 1) and not np.isfinite(values[0, 0])
         assert values[1, 0] == evaluate_table_array([big], [2.0])[0]
         assert values[1, 0] == 2.0 ** 400 - 8.0
+
+    def test_compiled_forms_are_bit_identical_to_the_interpreter(self):
+        # constants, the zero form, powers up to 5 and long forms
+        rng = random.Random(31)
+        points = np.random.default_rng(31).normal(scale=3.0, size=(20, 3))
+        for _ in range(20):
+            polys = [random_polynomial(rng, 3, max_terms=30, max_degree=5)
+                     for _ in range(4)]
+            polys += [ExactPolynomial.zero(3), ExactPolynomial.constant(3, -2)]
+            forms = [q.float_form() for q in polys]
+            compiled = compile_float_forms(forms, 3)
+            for point in points.tolist():
+                expected = [evaluate_float_form(f, point) for f in forms]
+                assert ([v.hex() for v in compiled(point)]
+                        == [v.hex() for v in expected])
+
+    def test_compiled_forms_raise_on_an_overflowing_power(self):
+        big = parse_expression("x1^400 - x1^3", ["x1"])
+        compiled = compile_float_forms([big.float_form()], 1)
+        with pytest.raises(OverflowError):
+            compiled([-10.0])
+        assert compiled([2.0]) == [big.evaluate([2.0])]
 
     def test_evaluation_is_deterministic(self):
         p = poly2("u1^3 - 2*u1*u2 + 7/3")

@@ -11,7 +11,7 @@ import pytest
 
 import nijflow.flows as flows
 from nijflow.cli import build_model, config_axes, config_point, config_settings
-from nijflow.exactpoly import parse_expression
+from nijflow.exactpoly import evaluate_float_form, parse_expression
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                            HamiltonianField, SolutionGrid,
                            geodesic_from, hamiltonian_rhs, integrate_flow,
@@ -22,7 +22,8 @@ from nijflow.metric import PhaseFunction, build_h_family, gram_matrix
 from nijflow.model import CompanionModel
 from nijflow.pde import convergence_orders, grid_residual
 
-from support import (random_phase_function, sigma_constant,
+from support import (random_phase_function, reference_rk4_segment,
+                     reference_rk45_segment, sigma_constant,
                      sigma_coordinates2, sigma_curved, sigma_obstructed,
                      upnames)
 
@@ -100,6 +101,66 @@ def test_compiled_rhs_matches_symbolic_partials():
         expected = [F.dp(0).evaluate(state), F.dp(1).evaluate(state),
                     -F.du(0).evaluate(state), -F.du(1).evaluate(state)]
         assert max(abs(a - b) for a, b in zip(got, expected)) < 1e-12
+
+
+def _interpreted_bits(field, state):
+    return [evaluate_float_form(form, state).hex() for form in field._forms]
+
+
+COMPILED_FAMILIES = {**{f"curved{n}": (sigma_curved, n) for n in range(2, 8)},
+                     "obstructed5": (sigma_obstructed, 5),
+                     "obstructed7": (sigma_obstructed, 7)}
+
+
+@pytest.mark.parametrize("name", COMPILED_FAMILIES)
+def test_compiled_rhs_is_bit_identical_to_the_interpreter(name):
+    make, n = COMPILED_FAMILIES[name]
+    rng = random.Random(name)
+    for F in CompanionModel(make(n)).integrals:
+        field = HamiltonianField(F)
+        for _ in range(3):
+            state = [rng.uniform(-1.5, 1.5) for _ in range(2 * n)]
+            assert [v.hex() for v in field(state)] == _interpreted_bits(
+                field, state)
+
+
+def test_compiled_rhs_of_random_phase_functions_with_powers_up_to_5():
+    rng = random.Random(413)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        F = random_phase_function(rng, n, p_degree=rng.randint(1, 3),
+                                  max_terms=8, max_degree=5)
+        field = HamiltonianField(F)
+        state = [rng.uniform(-3, 3) for _ in range(2 * n)]
+        assert [v.hex() for v in field(state)] == _interpreted_bits(
+            field, state)
+
+
+def test_compiled_rhs_overflow_is_a_flow_error():
+    # du1/dt = u1^5 overflows in x ** 5 on the first stage
+    F = PhaseFunction(1, parse_expression("u1^5*p1", upnames(1)))
+    start = CotangentPoint((1e100,), (1.0,))
+    with pytest.raises(OverflowError):
+        HamiltonianField(F)(start.state())
+    for settings in (FlowSettings(method="rk4"), FlowSettings(method="rk45")):
+        with pytest.raises(FlowError, match="state blew up") as err:
+            integrate_flow(F, start, 0.5, settings)
+        assert err.value.last_state == start
+
+
+def test_rhs_is_compiled_once_and_only_when_called():
+    model = _family_model("curved3")
+    fields = [HamiltonianField(F) for F in model.integrals[:2]]
+    assert all(f._compiled is None for f in fields)
+    start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
+    orbit_grid(fields, start, [AxisSpec("x", 0.0, 0.5, 3),
+                               AxisSpec("t1", 0.0, 0.2, 3)])
+    # the x-sweep runs the terminating series, never the x-field
+    assert fields[0]._compiled is None
+    compiled = fields[1]._compiled
+    assert compiled is not None
+    fields[1](start.state())
+    assert fields[1]._compiled is compiled
 
 
 def test_hamiltonian_rhs_is_idempotent():
@@ -249,6 +310,52 @@ def test_rk45_rejects_a_non_finite_trial(monkeypatch, value):
     with pytest.raises(FlowError, match="step size underflow"):
         flows._rk45_segment(rhs, [0.1, 0.2], 0.5, FlowSettings(method="rk45"))
     assert calls <= 300
+
+
+def _counted(f):
+    calls = [0]
+
+    def rhs(y):
+        calls[0] += 1
+        return f(y)
+    return rhs, calls
+
+
+STEPPERS = {"rk4": (flows._rk4_segment, reference_rk4_segment),
+            "rk45": (flows._rk45_segment, reference_rk45_segment)}
+
+
+@pytest.mark.parametrize("method", STEPPERS)
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_steppers_match_the_index_loop_oracles(config, method):
+    # same bits and the same number of right-hand-side calls
+    cfg = json.loads(config.read_text())
+    model = build_model(cfg)
+    y0 = config_point(cfg, model.n).state()
+    settings = FlowSettings(method=method, step=0.01)
+    stepper, reference = STEPPERS[method]
+    for F in model.integrals:
+        field = HamiltonianField(F)
+        for t_span in (0.2, -0.15):
+            new, new_calls = _counted(field)
+            old, old_calls = _counted(field)
+            got = stepper(new, y0, t_span, settings)
+            expected = reference(old, y0, t_span, settings)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+            assert new_calls == old_calls
+
+
+@pytest.mark.parametrize("method", STEPPERS)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_steppers_fail_like_the_oracles_on_a_non_finite_field(method, value):
+    stepper, reference = STEPPERS[method]
+    outcomes = []
+    for run in (stepper, reference):
+        rhs, calls = _counted(lambda y: [value] * len(y))
+        with pytest.raises(FlowError) as err:
+            run(rhs, [0.1, 0.2], 0.05, FlowSettings(method=method))
+        outcomes.append((str(err.value), err.value.last_state, calls))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
