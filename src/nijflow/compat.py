@@ -179,18 +179,16 @@ def _field_jacobian(fields, point, n):
 
 def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
                          xi: Sequence[ExactPolynomial],
-                         eta: Sequence[ExactPolynomial],
-                         point: Sequence[float] | None = None) -> float:
+                         eta: Sequence[ExactPolynomial]) -> float:
     """Absolute residual of the invariant compatibility relation on the two
-    polynomial vector fields; brackets and field derivatives are expanded
-    exactly, the metric enters through ``g_at``."""
+    polynomial vector fields at the point of ``g_at``; brackets and field
+    derivatives are expanded exactly, the metric enters through ``g_at``."""
     n = L.n
     if g_at.g.ndim != 2:
         raise CompatError("the metric must be taken at a single point")
     if len(xi) != n or len(eta) != n:
         raise CompatError("vector fields must have one component per coordinate")
-    if point is None:
-        point = g_at.point
+    point = g_at.point
     g = g_at.g
     dg = g_at.dg
     Lxi = L.apply_to_field(xi)

@@ -14,12 +14,13 @@ an embedded adaptive pair of orders four and five with proportional step
 control.  A flow whose Lie series sum_k t^k/k! {F, .}^k terminates on every
 coordinate is a polynomial in its time; ``polynomial_flow`` finds it with
 exact brackets, and then no integrator is needed.  Orbit grids are filled by
-composing the commuting flows: the time lattice is generated by prefix flows
-in the higher times, and its lines are swept in the x-parameter by the flow
-of the first integral.  The sweep evaluates that flow's series at every line
-start and x-value at once when the series terminates (it does for the first
-integral of every shipped model); otherwise each line is integrated on its
-own.
+composing the commuting flows one axis at a time, on plain state lists: the
+start is moved by every time axis's start, then each time axis is swept,
+chained from node to node, from every node built so far.  The lines of that
+time lattice are swept in the x-parameter by the flow of the first integral.
+The sweep evaluates that flow's series at every line start and x-value at
+once when the series terminates (it does for the first integral of every
+shipped model); otherwise each line is chained on its own.
 """
 
 from __future__ import annotations
@@ -258,6 +259,23 @@ def _advance(f: HamiltonianField, y: State, t_span: float,
     return _rk45_segment(f, y, t_span, settings)
 
 
+def _chain(f: HamiltonianField, y: State, times: Sequence[float],
+           settings: FlowSettings) -> list[State]:
+    """The states of one flow at ``times[1:]``, from ``y`` at ``times[0]``,
+    each reached from the one before by ``_advance``."""
+    out = []
+    for t0, t1 in zip(times, times[1:]):
+        y = _advance(f, y, t1 - t0, settings)
+        out.append(y)
+    return out
+
+
+def _check_horizon(t: float, settings: FlowSettings) -> None:
+    if abs(t) > settings.horizon + 1e-12:
+        raise FlowError(f"flow time {t} exceeds the configured horizon "
+                        f"{settings.horizon}")
+
+
 # ---------------------------------------------------------------------------
 # flows that are polynomials in their time
 
@@ -326,9 +344,7 @@ def integrate_flow(F: Union[PhaseFunction, HamiltonianField],
                    start: CotangentPoint, t: float,
                    settings: FlowSettings = FlowSettings()) -> CotangentPoint:
     """The flow of one integral applied to a point for time ``t``."""
-    if abs(t) > settings.horizon + 1e-12:
-        raise FlowError(f"flow time {t} exceeds the configured horizon "
-                        f"{settings.horizon}")
+    _check_horizon(t, settings)
     f = hamiltonian_rhs(F)
     return CotangentPoint.from_state(_advance(f, start.state(), t, settings))
 
@@ -341,17 +357,9 @@ def integrate_flow_path(F: Union[PhaseFunction, HamiltonianField],
     chaining segment integrations from the previous stop."""
     f = hamiltonian_rhs(F)
     for t in times:
-        if abs(t) > settings.horizon + 1e-12:
-            raise FlowError(f"flow time {t} exceeds the configured horizon "
-                            f"{settings.horizon}")
-    out = []
-    y = start.state()
-    prev = 0.0
-    for t in times:
-        y = _advance(f, y, t - prev, settings)
-        prev = t
-        out.append(CotangentPoint.from_state(y))
-    return out
+        _check_horizon(t, settings)
+    return [CotangentPoint.from_state(y)
+            for y in _chain(f, start.state(), [0.0, *times], settings)]
 
 
 @dataclass(frozen=True)
@@ -418,13 +426,14 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     """Fill a lattice with the composed commuting flows.
 
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
-    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The time lattice in
-    the higher axes is produced once by prefix composition, then every line
-    is swept in x from its lattice node.  When the x-flow's Lie series ends
-    by order 2n (``polynomial_flow``), all lines are evaluated from it at
-    once, and a value that overflows raises ``FlowError``.  Otherwise each
-    line is integrated by ``integrate_flow_path``, in order, and the first
-    line that fails raises its ``FlowError``.
+    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The start is moved
+    by every time axis's start, in axis order; each time axis is then swept,
+    chained, from every node built so far (C order), once no step of it
+    exceeds the horizon.  Every line is then swept in x from its node: all
+    at once by the x-flow's Lie series when it ends by order 2n
+    (``polynomial_flow``; a value that overflows raises ``FlowError``), and
+    otherwise chained line by line, the first line that fails raising its
+    ``FlowError``.
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
@@ -434,37 +443,26 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     for a in axes:
         if max(abs(a.start), abs(a.stop)) > settings.horizon + 1e-12:
             raise FlowError(f"axis {a.name!r} exceeds the configured horizon")
-    t_axes = axes[1:]
-    t_shape = tuple(a.count for a in t_axes)
-    t_values = [a.values() for a in t_axes]
-
-    # states at the time-lattice nodes, by prefix composition
-    states: dict[tuple[int, ...], CotangentPoint] = {}
-    origin = start
-    for k, a in enumerate(t_axes):
-        if a.start != 0.0:
-            origin = integrate_flow(fields[k + 1], origin, a.start, settings)
-    states[(0,) * len(t_axes)] = origin
-    for idx in np.ndindex(*t_shape):
-        if idx in states:
-            continue
-        k = max(d for d in range(len(t_axes)) if idx[d] > 0)
-        prev = idx[:k] + (idx[k] - 1,) + idx[k + 1:]
-        dt = t_values[k][idx[k]] - t_values[k][idx[k] - 1]
-        states[idx] = integrate_flow(fields[k + 1], states[prev], dt, settings)
+    t_fields = tuple(zip(fields[1:], axes[1:]))
+    nodes = [start.state()]
+    for f, a in t_fields:
+        nodes[0] = _advance(f, nodes[0], a.start, settings)
+    for f, a in t_fields:
+        t = a.values().tolist()
+        for t0, t1 in zip(t, t[1:]):
+            _check_horizon(t1 - t0, settings)
+        nodes = [z for y in nodes for z in (y, *_chain(f, y, t, settings))]
 
     x_axis = axes[0]
-    lines = [states[idx] for idx in np.ndindex(*t_shape)]
     series = polynomial_flow(fields[0].hamiltonian, 2 * n)
     if series is not None:
-        path = _series_lines(series, np.array([pt.state() for pt in lines]),
-                             x_axis.values())
+        path = _series_lines(series, np.array(nodes), x_axis.values())
     else:
-        x = x_axis.values().tolist()
-        path = np.array([[pt.state() for pt in
-                          integrate_flow_path(fields[0], line, x, settings)]
-                         for line in lines]).swapaxes(0, 1)
-    path = path.reshape((x_axis.count,) + t_shape + (2 * n,))
+        x = [0.0, *x_axis.values().tolist()]
+        path = np.array([_chain(fields[0], y, x, settings)
+                         for y in nodes]).swapaxes(0, 1)
+    path = path.reshape((x_axis.count,) + tuple(a.count for a in axes[1:])
+                        + (2 * n,))
     u, p = path[..., :n], path[..., n:]
     grid_meta = {"generator": "orbit", "settings": settings}
     if meta:

@@ -44,18 +44,18 @@ def killing_operators(source: Union[OperatorField, Sequence[ExactPolynomial]]
     """The operators A_0, ..., A_(n-1) of the adjugate recursion.
 
     ``source`` is either an operator field, whose characteristic
-    coefficients are computed on the fly by the trace recursion of
-    ``char_coefficients``, or a coefficient list, which is interpreted
-    through its second companion operator.
+    coefficients come from ``char_coefficients``, or a coefficient list,
+    which is interpreted through its second companion operator.
     """
-    sigma = None if isinstance(source, OperatorField) else list(source)
-    L = source if sigma is None else companion_second(sigma)
+    if isinstance(source, OperatorField):
+        L, sigma = source, char_coefficients(source)
+    else:
+        sigma = list(source)
+        L = companion_second(sigma)
     ident = OperatorField.identity(L.n)
     family = [ident]
-    for i in range(1, L.n):
-        M = L @ family[-1]
-        s = M.trace() * Fraction(1, i) if sigma is None else sigma[i - 1]
-        family.append(M - ident * s)
+    for s in sigma[:L.n - 1]:
+        family.append(L @ family[-1] - ident * s)
     return family
 
 

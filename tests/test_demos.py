@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""Smoke tests: every script in demos/, and README's Quick start block, run
+to completion against src/."""
 
 import os
 import subprocess
@@ -11,11 +12,24 @@ REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_0(demo, tmp_path):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(101, 51, 2)"

@@ -1,5 +1,6 @@
 """Tests for the Hamiltonian flow integrators and orbit grids."""
 
+import itertools
 import json
 import math
 import random
@@ -444,17 +445,34 @@ def curved3_pair():
 
 
 def line_by_line(integrals, start, axes, settings):
-    """The orbit lattice of one time axis from scalar flows alone: prefix
-    states on the time axis, then one integrate_flow_path per line."""
-    states = [start]
-    t = axes[1].values()
-    if t[0] != 0.0:
-        states[0] = integrate_flow(integrals[1], start, t[0], settings)
-    for k in range(1, len(t)):
-        states.append(integrate_flow(integrals[1], states[-1], t[k] - t[k - 1],
-                                     settings))
+    """The orbit lattice from scalar flows alone, one node at a time: the
+    start moved by every time axis's start in axis order, then each time
+    axis stepped up to the node's index by integrate_flow, axis after axis;
+    the nodes in C order, then one integrate_flow_path per line."""
+    origin = start
+    for F, a in zip(integrals[1:], axes[1:]):
+        if a.start != 0.0:
+            origin = integrate_flow(F, origin, a.start, settings)
+    nodes = []
+    for idx in itertools.product(*(range(a.count) for a in axes[1:])):
+        z = origin
+        for F, a, i in zip(integrals[1:], axes[1:], idx):
+            t = a.values()
+            for k in range(1, i + 1):
+                z = integrate_flow(F, z, t[k] - t[k - 1], settings)
+        nodes.append(z)
     x = list(axes[0].values())
-    return [integrate_flow_path(integrals[0], z, x, settings) for z in states]
+    return [integrate_flow_path(integrals[0], z, x, settings) for z in nodes]
+
+
+def assert_grid_is_line_by_line(grid, lines):
+    n = grid.n
+    u = grid.u.reshape(grid.u.shape[0], -1, n)
+    p = grid.p.reshape(u.shape)
+    assert u.shape[1] == len(lines)
+    for it, points in enumerate(lines):
+        assert np.array_equal(u[:, it], [z.u for z in points])
+        assert np.array_equal(p[:, it], [z.p for z in points])
 
 
 @pytest.mark.parametrize("settings", [FlowSettings(method="rk4", step=0.01),
@@ -467,10 +485,70 @@ def test_orbit_grid_integrates_a_non_terminating_x_flow(settings):
     assert polynomial_flow(integrals[0], 6) is None
     axes = (AxisSpec("x", -0.3, 0.4, 8), AxisSpec("t1", -0.1, 0.3, 5))
     grid = orbit_grid(integrals, start, axes, settings)
-    for it, points in enumerate(line_by_line(integrals, start, axes,
-                                             settings)):
-        assert np.array_equal(grid.u[:, it], [z.u for z in points])
-        assert np.array_equal(grid.p[:, it], [z.p for z in points])
+    assert_grid_is_line_by_line(grid, line_by_line(integrals, start, axes,
+                                                   settings))
+
+
+def curved_reordered(n):
+    # curved n: the second integral's series does not terminate, so with it
+    # first the lattice's x-sweep is chained, and the others span the times
+    integrals = CompanionModel(sigma_curved(n)).integrals
+    assert polynomial_flow(integrals[1], 2 * n) is None
+    return [integrals[1], integrals[0], *integrals[2:]]
+
+
+@pytest.mark.parametrize("settings", [FlowSettings(method="rk4", step=0.02),
+                                      FlowSettings(method="rk45")])
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_grid_composes_time_axes_in_prefix_order(n, settings):
+    # every time axis starts off 0, so the start is moved by each in turn;
+    # no shipped config has such an axis, and FLOAT_DIGESTS cannot see it
+    integrals = curved_reordered(n)
+    start = CotangentPoint((0.1, -0.2, 0.05, 0.02)[:n],
+                           (0.8, 0.5, 0.3, 0.2)[:n])
+    t_axes = (AxisSpec("t1", -0.1, 0.1, 3), AxisSpec("t2", 0.05, 0.15, 3),
+              AxisSpec("t3", -0.08, 0.02, 2))[:n - 1]
+    axes = (AxisSpec("x", -0.2, 0.1, 4),) + t_axes
+    grid = orbit_grid(integrals, start, axes, settings)
+    assert grid.u.shape == (4,) + tuple(a.count for a in t_axes) + (n,)
+    assert_grid_is_line_by_line(grid, line_by_line(integrals, start, axes,
+                                                   settings))
+
+
+def test_time_step_beyond_the_horizon_is_a_flow_error():
+    # each end of t1 is within the horizon, but its one step is not
+    _, _, integrals = nijenhuis2_setup()
+    start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
+    axes = (AxisSpec("x", 0.0, 0.5, 3), AxisSpec("t1", -0.6, 0.6, 2))
+    with pytest.raises(FlowError) as err:
+        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.0))
+    assert str(err.value) == ("flow time 1.2 exceeds the configured horizon "
+                              "1.0")
+    assert err.value.last_state is None
+
+
+def test_orbit_grid_builds_no_point_per_node(monkeypatch):
+    integrals = CompanionModel(sigma_curved(3)).integrals
+    start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
+    settings = FlowSettings(method="rk4", step=0.01)
+    built = []
+    check = CotangentPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(CotangentPoint, "__post_init__", counting)
+    counts = []
+    for nx, nt in ((61, 11), (31, 6)):
+        built.clear()
+        grid = orbit_grid(integrals, start,
+                          [AxisSpec("x", -0.5, 0.5, nx),
+                           AxisSpec("t1", 0.0, 0.2, nt),
+                           AxisSpec("t2", 0.0, 0.2, nt)], settings)
+        assert grid.u.shape == (nx, nt, nt, 3)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("settings", [
