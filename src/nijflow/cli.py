@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -48,10 +49,12 @@ from .pde import PDEError, direct_solve, grid_residual
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -490,10 +493,13 @@ def _parse_slices(text: str | None) -> list[int] | None:
     text = text.strip()
     if not text:
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad slice list {text!r}: {exc}") from exc
+    parts = text.split(",")
+    for part in parts:
+        # int() would also take "1_0" and non-ASCII digits such as "\u0663"
+        if not re.fullmatch(" *-?[0-9]+ *", part):
+            raise ConfigError(f"bad slice list {text!r}: {part!r} is not an "
+                              "ASCII integer")
+    return [int(part) for part in parts]
 
 
 def _cmd_plot(args) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
 from .metric import (
+    SINGULAR_TOL,
     CovariantMetricAt,
     GramMatrix,
     PhaseFunction,
@@ -50,30 +51,6 @@ class CompatError(ValueError):
 
 
 @dataclass(frozen=True)
-class CompatReport:
-    """Outcome of one compatibility check.
-
-    ``mode`` is "symbolic" or "pointwise".  For symbolic checks the residual
-    polynomial is attached and the magnitude is its largest absolute
-    coefficient; for pointwise checks the magnitude is the maximum absolute
-    residual over the sampled points.
-    """
-    mode: str
-    verdict: bool
-    residual: float
-    residual_polynomial: PhaseFunction | None = None
-
-    @classmethod
-    def symbolic(cls, residual: PhaseFunction) -> "CompatReport":
-        return cls("symbolic", residual.is_zero(),
-                   float(residual.poly.max_abs_coefficient()), residual)
-
-    @classmethod
-    def pointwise(cls, max_abs: float, tol: float) -> "CompatReport":
-        return cls("pointwise", max_abs < tol, float(max_abs))
-
-
-@dataclass(frozen=True)
 class SelfAdjointReport:
     """Antisymmetry of h1 L^T, plus the closure h1 L^T = sigma_1 h1 + h2
     when the full family is available."""
@@ -82,24 +59,20 @@ class SelfAdjointReport:
     closure: tuple[tuple[ExactPolynomial, ...], ...] | None
 
 
-def _h1_LT(h1: GramMatrix, L: OperatorField):
-    """The entries (h1 L^T)^(kj) = h1^(ks) L^j_s."""
-    return (OperatorField(h1.entries) @ L.transpose()).entries
-
-
 def self_adjoint_residual(h1: GramMatrix, L: OperatorField,
                           family: Sequence[PhaseFunction] | None = None
                           ) -> SelfAdjointReport:
-    """L is h1-self-adjoint iff the matrix (h1 L^T)^(kj) is symmetric."""
+    """L is h1-self-adjoint iff the matrix (h1 L^T)^(kj) = h1^(ks) L^j_s is
+    symmetric."""
     if h1.n != L.n:
         raise CompatError("metric and operator sizes differ")
-    W = OperatorField(_h1_LT(h1, L))
+    W = h1 @ L.transpose()
     antisym = (W - W.transpose()).entries
     closure = None
     if family is not None:
-        expected = OperatorField(h1.entries) * L.trace()
+        expected = h1 * L.trace()
         if h1.n >= 2:
-            expected = expected + OperatorField(gram_matrix(family[1]).entries)
+            expected = expected + gram_matrix(family[1])
         closure = (W - expected).entries
     ok = all(e.is_zero() for row in antisym for e in row)
     if closure is not None:
@@ -117,7 +90,7 @@ def benenti_residual(family: Sequence[PhaseFunction],
     L = companion_second(sigma)
     h1 = gram_matrix(family[0])
     nv = 2 * n
-    F = quadratic_phase(_h1_LT(h1, L))
+    F = quadratic_phase((h1 @ L.transpose()).entries)
     H = family[0] * Fraction(1, 2)
     dtr = [L.trace().partial(q) for q in range(n)]
     G = PhaseFunction(n, signed_sum(nv, [
@@ -149,8 +122,7 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
         raise CompatError("point differs from the one the metric was built at")
     dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
     Lv = L.evaluate_at(points)
-    dL = evaluate_table_array([[[L.entry(a, b).partial(i) for b in range(n)]
-                                for a in range(n)] for i in range(n)], points)
+    dL = evaluate_table_array([L.derivative(i) for i in range(n)], points)
     dtr = evaluate_table_array([L.trace().partial(j) for j in range(n)],
                                points)
     # on axes (..., i, j, k), dL[..., i, a, b] = d_i L^a_b: each product and
@@ -224,16 +196,20 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     return float(abs(t1 - t2 - t3 + t4 - t5 - rhs))
 
 
+# the largest asymmetry of gM at which M still counts as g-self-adjoint
+SELF_ADJOINT_TOL = 1e-9
+
+
 def symmetry_metric(g_at: CovariantMetricAt, M: OperatorField,
-                    check_against: OperatorField | None = None,
-                    self_adjoint_tol: float = 1e-9,
-                    singular_tol: float = 1e-12) -> CovariantMetricAt:
+                    check_against: OperatorField | None = None
+                    ) -> CovariantMetricAt:
     """The transformed covariant metric g~ = gM at a point, with its
     derivative tensor assembled by the product rule (exact dM, numeric dg).
 
     When ``check_against`` is an operator field, M is first certified as a
     symmetry of it symbolically.  M must be g-self-adjoint at the point, i.e.
-    gM symmetric there, and g~ must be invertible.
+    gM symmetric there to within ``SELF_ADJOINT_TOL``, and g~ must be
+    invertible (|det| at least ``SINGULAR_TOL``).
     """
     n = M.n
     if g_at.g.ndim != 2:
@@ -245,12 +221,11 @@ def symmetry_metric(g_at: CovariantMetricAt, M: OperatorField,
     point = g_at.point
     Mv = M.evaluate_at(point)
     gt = g_at.g @ Mv
-    if np.abs(gt - gt.T).max() > self_adjoint_tol:
+    if np.abs(gt - gt.T).max() > SELF_ADJOINT_TOL:
         raise CompatError("M is not metric-self-adjoint at the point")
-    if abs(np.linalg.det(gt)) < singular_tol:
+    if abs(np.linalg.det(gt)) < SINGULAR_TOL:
         raise CompatError("transformed metric is singular at the point")
-    dM = evaluate_table_array([[[M.entry(a, b).partial(i) for b in range(n)]
-                                for a in range(n)] for i in range(n)], point)
+    dM = evaluate_table_array([M.derivative(i) for i in range(n)], point)
     dgt = np.array([g_at.dg[a] @ Mv + g_at.g @ dM[a] for a in range(n)])
     # symmetrize away inversion round-off so downstream checks see an exactly
     # symmetric metric value

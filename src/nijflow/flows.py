@@ -421,8 +421,7 @@ class SolutionGrid:
 
 def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
                start: CotangentPoint, axes: Sequence[AxisSpec],
-               settings: FlowSettings = FlowSettings(),
-               meta: dict | None = None) -> SolutionGrid:
+               settings: FlowSettings = FlowSettings()) -> SolutionGrid:
     """Fill a lattice with the composed commuting flows.
 
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
@@ -464,10 +463,7 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     path = path.reshape((x_axis.count,) + tuple(a.count for a in axes[1:])
                         + (2 * n,))
     u, p = path[..., :n], path[..., n:]
-    grid_meta = {"generator": "orbit", "settings": settings}
-    if meta:
-        grid_meta.update(meta)
-    return SolutionGrid(axes, u, p, grid_meta)
+    return SolutionGrid(axes, u, p, {"generator": "orbit", "settings": settings})
 
 
 def verify_commutation(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],

@@ -88,8 +88,7 @@ def first_integrals(h1: GramMatrix,
     n = h1.n
     if any(A.n != n for A in family):
         raise MetricError("hierarchy and metric sizes differ")
-    H = OperatorField(h1.entries)
-    return [quadratic_phase((A @ H).entries) * Fraction(1, 2) for A in family]
+    return [quadratic_phase((A @ h1).entries) * Fraction(1, 2) for A in family]
 
 
 def verify_commuting_integrals(

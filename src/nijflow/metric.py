@@ -34,7 +34,7 @@ import numpy as np
 from .exactpoly import (ExactPolynomial, evaluate_table_array,
                         format_polynomial, phase_names, signed_sum,
                         split_suffixes, suffixed_sum)
-from .operators import companion_second
+from .operators import OperatorField, companion_second
 
 
 class MetricError(ValueError):
@@ -180,48 +180,18 @@ def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunctio
     return PhaseFunction(n, suffixed_sum(2 * n, parts), 2)
 
 
-class GramMatrix:
-    """Symmetric matrix of base polynomials: coefficients of a quadratic
-    form in the momenta, h = sum_ab G^ab p_a p_b."""
+class GramMatrix(OperatorField):
+    """Symmetric operator field: the coefficients of a quadratic form in the
+    momenta, h = sum_ab G^ab p_a p_b.  A product with another operator field
+    is a plain ``OperatorField``."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
     def __init__(self, entries: Sequence[Sequence[ExactPolynomial]]):
-        n = len(entries)
-        rows = tuple(tuple(e if isinstance(e, ExactPolynomial)
-                           else ExactPolynomial.constant(n, e) for e in row)
-                     for row in entries)
-        if any(len(row) != n for row in rows):
-            raise MetricError("Gram matrix must be square")
-        for row in rows:
-            for e in row:
-                if e.nvars != n:
-                    raise MetricError("Gram entries must be base polynomials")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise MetricError("Gram matrix must be symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramMatrix is immutable")
-
-    def entry(self, i: int, j: int) -> ExactPolynomial:
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GramMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def evaluate_at(self, point: Sequence[float]) -> np.ndarray:
-        """The matrix at a point, or at each point of a stack (..., n)."""
-        return evaluate_table_array(self.entries, point)
-
-    def derivative(self, a: int) -> tuple[tuple[ExactPolynomial, ...], ...]:
-        """Entrywise partial derivative in u^a."""
-        return tuple(tuple(e.partial(a) for e in row) for row in self.entries)
+        super().__init__(entries)
+        rows = self.entries
+        if any(rows[i][j] != rows[j][i] for i in range(self.n) for j in range(i)):
+            raise MetricError("Gram matrix must be symmetric")
 
     def determinant(self) -> ExactPolynomial:
         """Exact determinant by cofactor expansion."""
@@ -344,10 +314,6 @@ class ShiftReport:
     u_residuals: tuple[tuple[ExactPolynomial, ...], ...]
     p_residuals: tuple[tuple[ExactPolynomial, ...], ...]
 
-    def max_abs_at(self, u, p) -> float:
-        return float(np.abs(evaluate_table_array(
-            (self.u_residuals, self.p_residuals), list(u) + list(p))).max())
-
 
 def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
                                  family: Sequence[PhaseFunction]) -> ShiftReport:
@@ -434,16 +400,19 @@ class SingularMetricError(MetricError):
         self.index = index
 
 
-def covariant_at(gram: GramMatrix, point: Sequence[float],
-                 singular_tol: float = 1e-12) -> CovariantMetricAt:
+# a metric value with |det| below this is singular
+SINGULAR_TOL = 1e-12
+
+
+def covariant_at(gram: GramMatrix, point: Sequence[float]) -> CovariantMetricAt:
     """Invert the contravariant metric at a point, or at each point of a
     stack (..., n), and push the derivative through the inversion.  Every
     value is bit-identical to the call on its point alone; the first point
-    with |det G| < ``singular_tol`` raises ``SingularMetricError``."""
+    with |det G| < ``SINGULAR_TOL`` raises ``SingularMetricError``."""
     n = gram.n
     points = np.asarray(point, dtype=float)
     G = gram.evaluate_at(points)
-    singular = np.flatnonzero(np.abs(np.linalg.det(G)) < singular_tol)
+    singular = np.flatnonzero(np.abs(np.linalg.det(G)) < SINGULAR_TOL)
     if len(singular):
         first = int(singular[0])
         raise SingularMetricError(points.reshape(-1, n)[first].tolist(), first)

@@ -141,6 +141,10 @@ class OperatorField:
         """The matrix at a point, or at each point of a stack (..., n)."""
         return evaluate_table_array(self.entries, point)
 
+    def derivative(self, a: int) -> tuple[tuple[ExactPolynomial, ...], ...]:
+        """Entrywise partial derivative in u^a."""
+        return tuple(tuple(e.partial(a) for e in row) for row in self.entries)
+
     def phase_entries(self) -> tuple[tuple[ExactPolynomial, ...], ...]:
         """Entries embedded into the cotangent chart variables (u, p)."""
         return tuple(tuple(e.with_appended_vars(self.n) for e in row)
@@ -363,24 +367,25 @@ def char_coefficients(L: OperatorField) -> list[ExactPolynomial]:
     return sigma
 
 
-def is_gl_regular_at(L: OperatorField, point: Sequence[float],
-                     trials: int = 8, tol: float = 1e-9) -> bool:
+# the gl-regularity probe tries at least this many vectors, and takes one as
+# cyclic when its row-scaled Krylov determinant is above GL_REGULAR_TOL
+GL_REGULAR_TRIALS = 8
+GL_REGULAR_TOL = 1e-9
+
+
+def is_gl_regular_at(L: OperatorField, point: Sequence[float]) -> bool:
     """Numeric cyclicity probe: search for a vector whose Krylov matrix
     [v, Lv, ..., L^(n-1) v] at the point has row-scaled determinant above
-    ``tol``.  Standard basis vectors are tried first (the last one is cyclic
-    for the second companion form), then vectors from a fixed-seed stream.
+    ``GL_REGULAR_TOL``.  Standard basis vectors are tried first (the last
+    one is cyclic for the second companion form), then vectors from a
+    fixed-seed stream.
     """
     n = L.n
     A = L.evaluate_at(point)
     rng = np.random.default_rng(180451)
-    candidates: list[np.ndarray] = []
-    for i in range(n - 1, -1, -1):
-        e = np.zeros(n)
-        e[i] = 1.0
-        candidates.append(e)
-    while len(candidates) < max(trials, n):
-        candidates.append(rng.standard_normal(n))
-    for v in candidates[:max(trials, n)]:
+    candidates = [*np.eye(n)[::-1], *(rng.standard_normal(n)
+                                      for _ in range(GL_REGULAR_TRIALS - n))]
+    for v in candidates:
         K = np.empty((n, n))
         w = v.astype(float)
         for c in range(n):
@@ -389,6 +394,6 @@ def is_gl_regular_at(L: OperatorField, point: Sequence[float],
         scale = np.abs(K).max(axis=1)
         if np.any(scale == 0):
             continue
-        if abs(np.linalg.det(K / scale[:, None])) > tol:
+        if abs(np.linalg.det(K / scale[:, None])) > GL_REGULAR_TOL:
             return True
     return False

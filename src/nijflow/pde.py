@@ -193,24 +193,26 @@ def grid_residual(grid: SolutionGrid,
     return ResidualReport(tuple(per_axis))
 
 
-def convergence_orders(values: Sequence[float],
-                       factor: float = 2.0) -> list[float]:
-    """Observed orders from successive errors at spacings shrinking by
-    ``factor``: order_i = log(values[i] / values[i+1]) / log(factor)."""
+def convergence_orders(values: Sequence[float]) -> list[float]:
+    """Observed orders from successive errors at spacings halving each time:
+    order_i = log(values[i] / values[i+1]) / log(2)."""
     if len(values) < 2:
         raise PDEError("need at least two error values")
     if any(v <= 0 for v in values):
         raise PDEError("error values must be positive")
-    return [math.log(a / b) / math.log(factor)
+    return [math.log(a / b) / math.log(2.0)
             for a, b in zip(values, values[1:])]
 
 
-def compare_grids(a: SolutionGrid, b: SolutionGrid,
-                  axis_tol: float = 1e-9) -> float:
+# how far two lattices' nodes may stray apart for ``compare_grids``
+AXIS_TOL = 1e-9
+
+
+def compare_grids(a: SolutionGrid, b: SolutionGrid) -> float:
     """Largest nodewise difference of u between two lattices.
 
     The lattices must agree: same axis names and counts, node values within
-    ``axis_tol``.  Momenta are ignored.
+    ``AXIS_TOL``.  Momenta are ignored.
     """
     if len(a.axes) != len(b.axes):
         raise PDEError("lattices have different numbers of axes")
@@ -218,8 +220,8 @@ def compare_grids(a: SolutionGrid, b: SolutionGrid,
         if ax.name != bx.name or ax.count != bx.count:
             raise PDEError(f"axis mismatch: {ax.name!r}/{ax.count} vs "
                            f"{bx.name!r}/{bx.count}")
-        if np.abs(ax.values() - bx.values()).max() > axis_tol:
-            raise PDEError(f"axis {ax.name!r} nodes differ beyond {axis_tol}")
+        if np.abs(ax.values() - bx.values()).max() > AXIS_TOL:
+            raise PDEError(f"axis {ax.name!r} nodes differ beyond {AXIS_TOL}")
     if a.u.shape != b.u.shape:
         raise PDEError("component counts differ")
     return float(np.abs(a.u - b.u).max())

@@ -331,6 +331,20 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "build-metric", "hierarchy",
+                                     "evolve"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    cfg = small_e2_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"\xff")
+    argv = [command, str(cfg)]
+    if command == "evolve":
+        argv += ["--output", str(tmp_path / "grid.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "not valid UTF-8" in err and str(cfg) in err
+
+
 def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
     cfg = small_e2_config(tmp_path, grid={"x": {"start": 0, "stop": 1}})
     assert main(["evolve", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
@@ -1135,6 +1149,17 @@ def test_plot_draws_polylines(tmp_path, capsys):
     assert text.count("<polyline") == 2 * 2  # two slices, two components
     assert "u1 @ t1=0" in text
     capsys.readouterr()
+    # ASCII integers only, with spaces around them; int() alone would read
+    # "1_0" as 10 and the Arabic-Indic "\u0663" as 3
+    assert main(["plot", str(out), "--output", str(svg),
+                 "--slices", " 0 , 5 "]) == 0
+    assert svg.read_text() == text
+    capsys.readouterr()
+    for bad in ("1_0", "\u0663", "\u00b2", "0,+1", "0,,1", "1.0"):
+        assert main(["plot", str(out), "--output", str(svg),
+                     "--slices", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad slice list" in err
 
 
 def test_plot_empty_slices_gives_axes_only(tmp_path, capsys):

@@ -41,6 +41,8 @@ from nijflow.metric import (
     quadratic_phase,
     reduced_power_coefficients,
 )
+from nijflow.model import CompanionModel
+from nijflow.operators import OperatorError, OperatorField
 
 
 def phase(text, n):
@@ -235,6 +237,25 @@ class TestGramMatrix:
             GramMatrix([[upoly("u1", 2), upoly("u2", 2)],
                         [upoly("u1", 2), upoly("u1", 2)]])
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gram_is_an_operator_field(self, n):
+        model = CompanionModel(sigma_curved(n))
+        G, L = model.gram, model.operator
+        plain = OperatorField(G.entries)
+        assert isinstance(G, OperatorField)
+        assert G == plain
+        assert G @ L == plain @ L and L @ G == L @ plain
+        s = model.sigma[0]
+        assert G * s == plain * s and G * 3 == 3 * plain
+        # products are plain operator fields, free of the symmetry check
+        assert type(G @ L) is OperatorField
+
+    def test_gram_shape_errors_are_operator_errors(self):
+        with pytest.raises(OperatorError):
+            GramMatrix([[upoly("u1", 2), upoly("0", 2)]])
+        with pytest.raises(OperatorError):
+            GramMatrix([[upoly("u1", 3)]])
+
 
 def assert_matches_fraction_oracles(family):
     """The integer-store lift, extraction and printer against their
@@ -314,11 +335,6 @@ class TestDifferentialShift:
         # the u-part residual for i = 1, j = 1 is -u1 p2^2
         assert report.u_residuals[0][0] == parse_expression(
             "0 - u1*p2^2", upnames(2))
-
-    def test_report_pointwise_magnitude(self):
-        sig = sigma_coordinates2()
-        report = differential_shift_residuals(sig, build_h_family(sig))
-        assert report.max_abs_at([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
 
 class TestPairwisePoisson:

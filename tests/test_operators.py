@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from support import (random_polynomial, sigma_coordinates2, sigma_curved,
-                     sigma_torsion_free2, u_from_eigenvalues)
+                     sigma_obstructed, sigma_torsion_free2,
+                     u_from_eigenvalues)
 
 from nijflow.exactpoly import ExactPolynomial, parse_expression
+from nijflow.model import CompanionModel
 from nijflow.operators import (
     OperatorError,
     OperatorField,
@@ -352,3 +354,14 @@ class TestMatrixAlgebra:
     def test_size_mismatch_rejected(self):
         with pytest.raises(OperatorError):
             OperatorField.identity(2) @ OperatorField.identity(3)
+
+    @pytest.mark.parametrize("sigma", [sigma_curved(n) for n in range(2, 6)]
+                             + [sigma_obstructed(5)])
+    def test_derivative_is_the_entrywise_partial(self, sigma):
+        model = CompanionModel(sigma)
+        n = model.n
+        for field in (model.operator, model.gram):
+            for a in range(n):
+                assert field.derivative(a) == tuple(
+                    tuple(field.entry(i, j).partial(a) for j in range(n))
+                    for i in range(n))
