@@ -20,7 +20,7 @@ from nijflow import (AxisSpec, CompanionModel, CotangentPoint, FlowSettings,
                      HamiltonianField, geodesic_from, integrate_flow,
                      orbit_grid, phase_names, polynomial_flow,
                      verify_commutation, verify_conservation)
-from nijflow.cli import read_grid_csv, write_grid_csv, write_svg_plot
+from nijflow.lattice_io import read_grid_csv, write_grid_csv, write_svg_plot
 
 model = CompanionModel.from_expressions(["u1", "u2 - 1/2*u1^2"])
 F0, F1 = model.integrals

@@ -31,7 +31,7 @@ print(f"  deviation from the affine solution u = x G p0 + t A_1 G p0: "
 orbit = orbit_grid(const.integrals, CotangentPoint((0.0, 0.0), tuple(p0)),
                    grid.axes, FlowSettings(method="rk45", horizon=4.0))
 print(f"  deviation from the flow-composed lattice: "
-      f"{compare_grids(grid, orbit):.3e}")
+      f"{compare_grids(grid, orbit).max():.3e}")
 
 steps = grid.meta["steps"]
 print(f"  window: {len(xs)} nodes in, {grid.axes[0].count} out "
@@ -52,7 +52,7 @@ for dx in (0.05, 0.025, 0.0125):
                        (AxisSpec("x", -span, span, nx),), settings)
     direct = direct_solve(model.killing[1], xs, curve.u, t_end)
     orbit = orbit_grid(model.integrals, start, direct.axes, settings)
-    devs.append(compare_grids(direct, orbit))
+    devs.append(compare_grids(direct, orbit).max())
     print(f"  dx = {dx:<7} window {direct.axes[0].count:4d} nodes, "
           f"max deviation {devs[-1]:.3e}")
 ratios = [b / a for a, b in zip(devs, devs[1:])]

@@ -19,28 +19,32 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .compat import CompatError, benenti_residual, coordinate_form_residual_at
+from .compat import CompatError
 from .exactpoly import (ParseError, PolynomialError, base_names,
                         evaluate_table_array, format_polynomial,
                         parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
-# unused here; bench/spans.py patches it by this name
-from .hierarchy import verify_commuting_integrals  # noqa: F401
 from .lattice_io import (MAX_LATTICE_NODES, ConfigError, make_axis,
-                         read_grid_csv, write_grid_csv)
-from .metric import (MetricError, SingularMetricError, check_gram_normal_form,
-                     covariant_at, differential_shift_residuals,
-                     pairwise_poisson)
+                         read_grid_csv, write_grid_csv, write_svg_plot)
+from .metric import MetricError
 from .model import CompanionModel
-from .operators import OperatorError, nijenhuis_torsion
-from .pde import PDEError, direct_solve, grid_residual
+from .operators import OperatorError
+from .pde import PDEError, compare_grids, direct_solve, grid_residual
+from .verify import verify_model
+
+# Unused here: bench/spans.py wraps the verify checks by these names in this
+# module (pinned by tests/test_span_targets.py) until ROADMAP item 10.
+from .compat import benenti_residual, coordinate_form_residual_at  # noqa: F401
+from .hierarchy import verify_commuting_integrals  # noqa: F401
+from .metric import (check_gram_normal_form, covariant_at,  # noqa: F401
+                     differential_shift_residuals, pairwise_poisson)
+from .operators import nijenhuis_torsion  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -191,175 +195,17 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
 
 
 # ---------------------------------------------------------------------------
-# SVG plots
-
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
-
-
-def _svg_line(x1, y1, x2, y2, color="#000000", width=1):
-    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-            f'y2="{y2:.2f}" stroke="{color}" stroke-width="{width}"/>')
-
-
-def _svg_text(x, y, text, anchor="middle", size=12):
-    return (f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="{size}">{text}</text>')
-
-
-def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
-                   path: str) -> None:
-    """Polylines of every component over x at the requested time slices.
-
-    ``slices`` indexes the first time axis; None selects up to six evenly
-    spaced slices; an empty list draws the axes only.  A lattice with no
-    time axis is drawn as a single set of lines and takes no slice index.
-    """
-    width, height = 720, 480
-    left, right, top, bottom = 64.0, 700.0, 24.0, 440.0
-    xs = grid.axes[0].values()
-    if len(grid.axes) == 1:
-        if slices:
-            raise ConfigError("the lattice has no time axis to slice")
-        chosen: list[int | None] = [None] if slices is None else []
-    else:
-        nt = grid.axes[1].count
-        if slices is None:
-            count = min(6, nt)
-            chosen = sorted({round(i * (nt - 1) / max(1, count - 1))
-                             for i in range(count)})
-        else:
-            chosen = list(slices)
-            for s in chosen:
-                if not isinstance(s, int) or not 0 <= s < nt:
-                    raise ConfigError(f"slice index {s} out of range "
-                                      f"(time axis has {nt} nodes)")
-
-    curves = []  # (label, color, x array, y array)
-    for rank, s in enumerate(chosen):
-        for c in range(grid.n):
-            if s is None:
-                ys = grid.u[(slice(None),) + (0,) * (grid.u.ndim - 2) + (c,)]
-                label = f"u{c + 1}"
-            else:
-                ys = grid.u[(slice(None), s) + (0,) * (grid.u.ndim - 3) + (c,)]
-                t_val = grid.axes[1].values()[s]
-                label = f"u{c + 1} @ {grid.axes[1].name}={t_val:.4g}"
-            color = _PALETTE[(rank * grid.n + c) % len(_PALETTE)]
-            curves.append((label, color, xs, ys))
-
-    if curves:
-        lo = min(float(np.min(ys)) for _, _, _, ys in curves)
-        hi = max(float(np.max(ys)) for _, _, _, ys in curves)
-    else:
-        lo, hi = -1.0, 1.0
-    if hi - lo < 1e-12:
-        lo, hi = lo - 1.0, hi + 1.0
-    pad = 0.05 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    x_lo, x_hi = float(xs[0]), float(xs[-1])
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-
-    def sx(v):
-        return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
-
-    def sy(v):
-        return bottom - (v - lo) / (hi - lo) * (bottom - top)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-             _svg_line(left, bottom, right, bottom),
-             _svg_line(left, bottom, left, top)]
-    for frac in (0.0, 0.5, 1.0):
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = lo + frac * (hi - lo)
-        parts.append(_svg_text(sx(xv), bottom + 18, f"{xv:.4g}"))
-        parts.append(_svg_text(left - 8, sy(yv) + 4, f"{yv:.4g}",
-                               anchor="end"))
-    parts.append(_svg_text((left + right) / 2, height - 6,
-                           grid.axes[0].name))
-    for label, color, cx, cy in curves:
-        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
-                       for a, b in zip(cx, cy))
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1.5" points="{pts}"/>')
-    for i, (label, color, _, _) in enumerate(curves):
-        y = top + 14 + 16 * i
-        parts.append(_svg_line(right - 150, y - 4, right - 130, y - 4,
-                               color, 2))
-        parts.append(_svg_text(right - 124, y, label, anchor="start",
-                               size=11))
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # the verification report
-
-
-def _peak(polys) -> float:
-    return float(max((p.max_abs_coefficient() for p in polys), default=0))
 
 
 def verification_report(cfg: dict) -> dict:
     model = build_model(cfg)
-    n = model.n
     seed = cfg.get("seed", 0)
     if not _is_int(seed) or seed < 0:
         raise ConfigError("config field 'seed' must be a non-negative integer")
-    checks = []
-
-    def record(name, ok, residual, detail=None):
-        checks.append({"name": name, "verdict": "pass" if ok else "fail",
-                       "residual": residual, "detail": detail})
-
-    torsion = nijenhuis_torsion(model.operator)
-    record("torsion", torsion.is_zero(),
-           _peak(torsion.component(k, i, j) for k in range(n)
-                 for i in range(n) for j in range(n)))
-
-    shape = check_gram_normal_form(model.gram)
-    record("gram_normal_form", shape.ok, float(len(shape.failures)),
-           "; ".join(shape.failures) or None)
-
-    shift = differential_shift_residuals(model.sigma, model.family)
-    record("differential_shift", shift.ok,
-           _peak(r for rows in (shift.u_residuals, shift.p_residuals)
-                 for row in rows for r in row))
-
-    pairs = pairwise_poisson(model.family)
-    record("h_poisson_pairs", pairs.ok,
-           _peak(b.poly for _, _, b in pairs.residuals))
-
-    benenti = benenti_residual(model.family, model.sigma)
-    record("benenti", benenti.poly.is_zero(), _peak([benenti.poly]))
-
-    # 50 points in one batch (the stream of 50 draws of n).  A singular one
-    # fails the check with the residual over the points before it; no config
-    # reaches that, as det G = +-1 for a companion Gram matrix
-    points = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(50, n))
-    sweep_detail = None
-    try:
-        g_at = covariant_at(model.gram, points)
-    except SingularMetricError as exc:
-        sweep_detail = str(exc)
-        g_at = covariant_at(model.gram, points[:exc.index])
-    # max() in point order, as one point at a time did
-    worst = functools.reduce(max, coordinate_form_residual_at(
-        g_at, model.operator).tolist(), 0.0)
-    record("compatibility_sweep", sweep_detail is None and worst < 1e-8,
-           worst, sweep_detail)
-
-    # F_i = 1/2 h_(i+1), so {F_i, F_j} is a quarter of the h-pair bracket
-    record("integral_commutation", pairs.ok,
-           _peak(b.poly * Fraction(1, 4) for _, _, b in pairs.residuals))
-
+    checks = verify_model(model, seed)
     verdict = "pass" if all(c["verdict"] == "pass" for c in checks) else "fail"
-    return {"name": cfg.get("name"), "n": n, "seed": seed,
+    return {"name": cfg.get("name"), "n": model.n, "seed": seed,
             "checks": checks, "verdict": verdict}
 
 
@@ -475,11 +321,10 @@ def _cmd_compare(args) -> int:
     direct, settings = _direct_grid(cfg, model)
     orbit = orbit_grid(model.integrals[:len(direct.axes)],
                        config_point(cfg, model.n), direct.axes, settings)
-    layers = [{"t": float(t), "deviation":
-               float(np.abs(direct.u[:, j] - orbit.u[:, j]).max())}
-              for j, t in enumerate(direct.axes[1].values())]
-    payload = {"layers": layers,
-               "max_deviation": max(l["deviation"] for l in layers),
+    deviations = compare_grids(direct, orbit).tolist()
+    payload = {"layers": [{"t": t, "deviation": d} for t, d in
+                          zip(direct.axes[1].values().tolist(), deviations)],
+               "max_deviation": max(deviations),
                "window": {"start": direct.axes[0].start,
                           "stop": direct.axes[0].stop,
                           "count": direct.axes[0].count}}
@@ -512,7 +357,12 @@ def _cmd_plot(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  argparse leaves a few hundred
+    objects in reference cycles per build, and one build per call let them
+    pile up between runs of the cyclic collector, interleaved with the
+    lattice data of later calls."""
     parser = argparse.ArgumentParser(
         prog="nijflow",
         description="Companion-form metrics, commuting flows, and direct "
@@ -565,19 +415,9 @@ _DISPATCH = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process.  argparse leaves a few hundred
-    objects in reference cycles per build, and one build per call let them
-    pile up between runs of the cyclic collector, interleaved with the
-    lattice data of later calls."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

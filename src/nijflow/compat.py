@@ -101,8 +101,7 @@ def benenti_residual(family: Sequence[PhaseFunction],
     return poisson_bracket(H, F) - 2 * (H * G)
 
 
-def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
-                                point: Sequence[float] | None = None
+def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
                                 ) -> float | np.ndarray:
     """Max-abs residual of the first-order compatibility system
 
@@ -117,9 +116,6 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     g, dg = g_at.g, g_at.dg  # dg[..., a, i, j] = d g_ij / d u^a
     # shaped from g, as an empty stack's point () has lost its (0, n)
     points = np.reshape(np.asarray(g_at.point, dtype=float), g.shape[:-1])
-    if point is not None and not np.array_equal(
-            np.asarray(point, dtype=float), points):
-        raise CompatError("point differs from the one the metric was built at")
     dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
     Lv = L.evaluate_at(points)
     dL = evaluate_table_array([L.derivative(i) for i in range(n)], points)

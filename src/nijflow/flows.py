@@ -425,11 +425,11 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     """Fill a lattice with the composed commuting flows.
 
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
-    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The start is moved
-    by every time axis's start, in axis order; each time axis is then swept,
-    chained, from every node built so far (C order), once no step of it
-    exceeds the horizon.  Every line is then swept in x from its node: all
-    at once by the x-flow's Lie series when it ends by order 2n
+    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  No time axis may
+    span more than the horizon.  The start is moved by every time axis's
+    start, in axis order; each time axis is then swept, chained, from every
+    node built so far (C order).  Every line is then swept in x from its
+    node: all at once by the x-flow's Lie series when it ends by order 2n
     (``polynomial_flow``; a value that overflows raises ``FlowError``), and
     otherwise chained line by line, the first line that fails raising its
     ``FlowError``.
@@ -442,14 +442,14 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     for a in axes:
         if max(abs(a.start), abs(a.stop)) > settings.horizon + 1e-12:
             raise FlowError(f"axis {a.name!r} exceeds the configured horizon")
+    for a in axes[1:]:
+        _check_horizon(a.stop - a.start, settings)
     t_fields = tuple(zip(fields[1:], axes[1:]))
     nodes = [start.state()]
     for f, a in t_fields:
         nodes[0] = _advance(f, nodes[0], a.start, settings)
     for f, a in t_fields:
         t = a.values().tolist()
-        for t0, t1 in zip(t, t[1:]):
-            _check_horizon(t1 - t0, settings)
         nodes = [z for y in nodes for z in (y, *_chain(f, y, t, settings))]
 
     x_axis = axes[0]

@@ -1,6 +1,7 @@
-"""Lattice CSV files: the ``"%.17g"`` writer and the reader, both working
+"""Lattice files.  CSV: the ``"%.17g"`` writer and the reader, both working
 on cells a word of bytes at a time in numpy, with Python's ``"%.17g"`` and
-``float`` for the rare cells the vector paths cannot decide."""
+``float`` for the rare cells the vector paths cannot decide.  SVG: polyline
+plots of a lattice's components over x."""
 
 from __future__ import annotations
 
@@ -493,3 +494,110 @@ def read_grid_csv(path: str) -> SolutionGrid:
     u = data[:, k:k + n].reshape(shape + (n,))
     p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
+
+
+# ---------------------------------------------------------------------------
+# SVG plots
+
+
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+
+
+def _svg_line(x1, y1, x2, y2, color="#000000", width=1):
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+            f'y2="{y2:.2f}" stroke="{color}" stroke-width="{width}"/>')
+
+
+def _svg_text(x, y, text, anchor="middle", size=12):
+    return (f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}">{text}</text>')
+
+
+def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
+                   path: str) -> None:
+    """Polylines of every component over x at the requested time slices.
+
+    ``slices`` indexes the first time axis; None selects up to six evenly
+    spaced slices; an empty list draws the axes only.  A lattice with no
+    time axis is drawn as a single set of lines and takes no slice index.
+    """
+    width, height = 720, 480
+    left, right, top, bottom = 64.0, 700.0, 24.0, 440.0
+    xs = grid.axes[0].values()
+    if len(grid.axes) == 1:
+        if slices:
+            raise ConfigError("the lattice has no time axis to slice")
+        chosen: list[int | None] = [None] if slices is None else []
+    else:
+        nt = grid.axes[1].count
+        if slices is None:
+            count = min(6, nt)
+            chosen = sorted({round(i * (nt - 1) / max(1, count - 1))
+                             for i in range(count)})
+        else:
+            chosen = list(slices)
+            for s in chosen:
+                if not isinstance(s, int) or not 0 <= s < nt:
+                    raise ConfigError(f"slice index {s} out of range "
+                                      f"(time axis has {nt} nodes)")
+
+    curves = []  # (label, color, x array, y array)
+    for rank, s in enumerate(chosen):
+        for c in range(grid.n):
+            if s is None:
+                ys = grid.u[(slice(None),) + (0,) * (grid.u.ndim - 2) + (c,)]
+                label = f"u{c + 1}"
+            else:
+                ys = grid.u[(slice(None), s) + (0,) * (grid.u.ndim - 3) + (c,)]
+                t_val = grid.axes[1].values()[s]
+                label = f"u{c + 1} @ {grid.axes[1].name}={t_val:.4g}"
+            color = _PALETTE[(rank * grid.n + c) % len(_PALETTE)]
+            curves.append((label, color, xs, ys))
+
+    if curves:
+        lo = min(float(np.min(ys)) for _, _, _, ys in curves)
+        hi = max(float(np.max(ys)) for _, _, _, ys in curves)
+    else:
+        lo, hi = -1.0, 1.0
+    if hi - lo < 1e-12:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+    if x_hi - x_lo < 1e-12:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+
+    def sx(v):
+        return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
+
+    def sy(v):
+        return bottom - (v - lo) / (hi - lo) * (bottom - top)
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+             _svg_line(left, bottom, right, bottom),
+             _svg_line(left, bottom, left, top)]
+    for frac in (0.0, 0.5, 1.0):
+        xv = x_lo + frac * (x_hi - x_lo)
+        yv = lo + frac * (hi - lo)
+        parts.append(_svg_text(sx(xv), bottom + 18, f"{xv:.4g}"))
+        parts.append(_svg_text(left - 8, sy(yv) + 4, f"{yv:.4g}",
+                               anchor="end"))
+    parts.append(_svg_text((left + right) / 2, height - 6,
+                           grid.axes[0].name))
+    for label, color, cx, cy in curves:
+        pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}"
+                       for a, b in zip(cx, cy))
+        parts.append(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="1.5" points="{pts}"/>')
+    for i, (label, color, _, _) in enumerate(curves):
+        y = top + 14 + 16 * i
+        parts.append(_svg_line(right - 150, y - 4, right - 130, y - 4,
+                               color, 2))
+        parts.append(_svg_text(right - 124, y, label, anchor="start",
+                               size=11))
+    parts.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(parts) + "\n")

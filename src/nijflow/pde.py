@@ -208,8 +208,10 @@ def convergence_orders(values: Sequence[float]) -> list[float]:
 AXIS_TOL = 1e-9
 
 
-def compare_grids(a: SolutionGrid, b: SolutionGrid) -> float:
-    """Largest nodewise difference of u between two lattices.
+def compare_grids(a: SolutionGrid, b: SolutionGrid) -> np.ndarray:
+    """Largest difference of u between two lattices over x and the
+    components, at each node of the time axes (an array over them, 0-d when
+    there are none); its ``max()`` is the largest nodewise difference.
 
     The lattices must agree: same axis names and counts, node values within
     ``AXIS_TOL``.  Momenta are ignored.
@@ -224,4 +226,4 @@ def compare_grids(a: SolutionGrid, b: SolutionGrid) -> float:
             raise PDEError(f"axis {ax.name!r} nodes differ beyond {AXIS_TOL}")
     if a.u.shape != b.u.shape:
         raise PDEError("component counts differ")
-    return float(np.abs(a.u - b.u).max())
+    return np.abs(a.u - b.u).max(axis=(0, -1))

@@ -18,7 +18,7 @@ from support import (reference_coordinate_form_residual_at,
                      reference_covariant_at, reference_read_grid_csv,
                      reference_write_grid_csv, sigma_curved, upoly)
 
-import nijflow.cli as cli
+import nijflow.verify as verify
 
 from nijflow.cli import (ConfigError, build_model, config_initial_curve,
                          main, read_grid_csv, verification_report,
@@ -100,14 +100,14 @@ def test_verify_report_is_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["nijenhuis3", "coordinates2"])
 def test_verify_sweeps_in_one_call_of_each(monkeypatch, capsys, name):
-    # the benchmark times the sweep through these two names as the CLI
-    # imports them, so one verify must call each of them exactly once
+    # the sweep runs over its 50 points as one stack, so one verify calls
+    # each of these two names, as nijflow.verify imports them, exactly once
     calls = {}
     for attr in ("covariant_at", "coordinate_form_residual_at"):
-        def counted(*args, _real=getattr(cli, attr), _attr=attr):
+        def counted(*args, _real=getattr(verify, attr), _attr=attr):
             calls[_attr] = calls.get(_attr, 0) + 1
             return _real(*args)
-        monkeypatch.setattr(cli, attr, counted)
+        monkeypatch.setattr(verify, attr, counted)
     main(["verify", str(CONFIGS / f"{name}.json")])
     capsys.readouterr()
     assert calls == {"covariant_at": 1, "coordinate_form_residual_at": 1}
@@ -129,7 +129,7 @@ def test_sweep_singular_point_fails_with_the_residual_before_it(monkeypatch,
         stacks.append(points)
         return covariant_at(G, points)
 
-    monkeypatch.setattr(cli, "covariant_at", singular_mid_stack)
+    monkeypatch.setattr(verify, "covariant_at", singular_mid_stack)
     report = verification_report({"n": 2, "sigma": ["u1", "u2 - 1/2*u1^2"],
                                   "seed": 5})
     check = report["checks"][CHECK_NAMES.index("compatibility_sweep")]
@@ -306,11 +306,11 @@ def test_verify_brackets_each_h_pair_once(monkeypatch, capsys):
             return pairwise_poisson(*args)
         return wrapper
 
-    for module in ("nijflow.cli", "nijflow.hierarchy"):
+    for module in ("nijflow.verify", "nijflow.hierarchy"):
         monkeypatch.setattr(f"{module}.pairwise_poisson", counted(module))
     assert main(["verify", str(CONFIGS / "nijenhuis4.json")]) == 0
     capsys.readouterr()
-    assert calls == ["nijflow.cli"]
+    assert calls == ["nijflow.verify"]
 
 
 def test_malformed_configs_exit_2(tmp_path, capsys):
@@ -357,6 +357,20 @@ def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
                     {"start": 0.0, "stop": 0.1, "count": 2}]})
     assert main(["evolve", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_time_axis_beyond_the_horizon_exits_2(tmp_path, capsys, count):
+    # both ends of t1 are within the horizon, its span is not, however many
+    # nodes divide it
+    cfg = small_e2_config(
+        tmp_path, integrator={"method": "rk45", "horizon": 1.0},
+        grid={"x": {"start": -0.3, "stop": 0.3, "count": 11},
+              "t": [{"start": -0.6, "stop": 0.6, "count": count}]})
+    assert main(["evolve", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == ("nijflow evolve: flow time 1.2 exceeds "
+                                       "the configured horizon 1.0\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 NODE_STEPS_OVER_CAP = {

@@ -125,12 +125,6 @@ class TestCoordinateForm:
                         coordinate_form_residual_at(covariant_at(h1, point), L))
         assert worst > 1e-4
 
-    def test_mismatched_point_rejected(self):
-        _, h1, L = metric_setup(sigma_torsion_free2())
-        cov = covariant_at(h1, [0.1, 0.2])
-        with pytest.raises(CompatError):
-            coordinate_form_residual_at(cov, L, point=[0.3, 0.2])
-
     @pytest.mark.parametrize("sigma", [
         sigma_curved(3), sigma_curved(4), sigma_obstructed(5),
         sigma_torsion_free2()],
@@ -232,21 +226,10 @@ class TestStackedCoordinateForm:
     def test_leading_axes_of_any_shape(self, stacked_case):
         h1, L, points = stacked_case
         grid = points.reshape(5, 10, -1)
-        residuals = coordinate_form_residual_at(covariant_at(h1, grid), L,
-                                                point=grid)
+        residuals = coordinate_form_residual_at(covariant_at(h1, grid), L)
         assert residuals.shape == (5, 10)
         flat = coordinate_form_residual_at(covariant_at(h1, points), L)
         assert _bits(residuals) == _bits(flat.reshape(5, 10))
-
-    def test_stacked_point_checked(self):
-        _, h1, L = metric_setup(sigma_torsion_free2())
-        points = np.array([[0.1, 0.2], [0.3, -0.4]])
-        cov = covariant_at(h1, points)
-        coordinate_form_residual_at(cov, L, point=points)
-        with pytest.raises(CompatError):
-            coordinate_form_residual_at(cov, L, point=points[::-1])
-        with pytest.raises(CompatError):
-            coordinate_form_residual_at(cov, L, point=[0.1, 0.2])
 
 
 class TestLieForm:

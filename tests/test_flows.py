@@ -527,6 +527,21 @@ def test_time_step_beyond_the_horizon_is_a_flow_error():
     assert err.value.last_state is None
 
 
+def test_time_axis_span_beyond_the_horizon_is_refused_unstepped(monkeypatch):
+    # the 3-node twin of the case above reaches the same times in steps of
+    # 0.6; the span is refused all the same, before any integration
+    _, _, integrals = nijenhuis2_setup()
+    start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
+    axes = (AxisSpec("x", 0.0, 0.5, 3), AxisSpec("t1", -0.6, 0.6, 3))
+    advanced = []
+    monkeypatch.setattr(flows, "_advance", lambda *args: advanced.append(args))
+    with pytest.raises(FlowError) as err:
+        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.0))
+    assert str(err.value) == ("flow time 1.2 exceeds the configured horizon "
+                              "1.0")
+    assert advanced == []
+
+
 def test_orbit_grid_builds_no_point_per_node(monkeypatch):
     integrals = CompanionModel(sigma_curved(3)).integrals
     start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))

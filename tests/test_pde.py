@@ -11,7 +11,8 @@ from nijflow import pde
 from nijflow.cli import build_model, config_point, main
 from nijflow.exactpoly import base_names, format_polynomial
 from nijflow.exactpoly import parse_expression
-from nijflow.flows import AxisSpec, CotangentPoint, FlowSettings, orbit_grid
+from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings, SolutionGrid,
+                           orbit_grid)
 from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import build_h_family, gram_matrix
 from nijflow.operators import companion_second
@@ -89,7 +90,7 @@ def test_constant_coefficient_direct_solve_is_exact():
     # the reduction reproduces the same lattice
     orbit = orbit_grid(F, CotangentPoint((0.0, 0.0), tuple(p0)), grid.axes,
                        FlowSettings(method="rk45", horizon=4.0))
-    assert compare_grids(grid, orbit) < 1e-10
+    assert compare_grids(grid, orbit).max() < 1e-10
     # and the discrete residual vanishes on the exact affine solution
     assert grid_residual(grid, [A[1]]).max_abs < 1e-10
 
@@ -263,13 +264,34 @@ def test_compare_grids_checks_axes():
     xs = np.linspace(-1.0, 1.0, 81)
     a = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.002)
     b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.002)
-    assert compare_grids(a, b) == 0.0
+    assert compare_grids(a, b).max() == 0.0
     c = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.004)
     with pytest.raises(PDEError):
         compare_grids(a, c)
     shifted = direct_solve(A[1], xs + 0.5, np.zeros((81, 2)), 0.004, dt=0.002)
     with pytest.raises(PDEError):
         compare_grids(a, shifted)
+
+
+def test_compare_grids_per_time_node():
+    _, A, _ = nijenhuis2_setup()
+    xs = np.linspace(-1.0, 1.0, 81)
+    u0 = np.column_stack([np.sin(xs), 0.5 * xs])
+    a = direct_solve(A[1], xs, u0, 0.008, dt=0.002)
+    b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.008, dt=0.002)
+    assert compare_grids(a, b).tolist() == [
+        float(np.abs(a.u[:, j] - b.u[:, j]).max())
+        for j in range(a.axes[1].count)]
+    # two time axes give one value per node of both; no time axis, one value
+    u = np.random.default_rng(5).standard_normal((4, 3, 2, 2))
+    axes = (AxisSpec("x", 0.0, 1.0, 4), AxisSpec("t1", 0.0, 1.0, 3),
+            AxisSpec("t2", 0.0, 1.0, 2))
+    zero = np.zeros_like(u)
+    per_node = compare_grids(SolutionGrid(axes, u), SolutionGrid(axes, zero))
+    assert per_node.tolist() == np.abs(u).max(axis=(0, 3)).tolist()
+    line = compare_grids(SolutionGrid(axes[:1], u[:, 0, 0]),
+                         SolutionGrid(axes[:1], zero[:, 0, 0]))
+    assert line.shape == () and line == np.abs(u[:, 0, 0]).max()
 
 
 def test_direct_solution_matches_reduction():
@@ -284,7 +306,7 @@ def test_direct_solution_matches_reduction():
                        settings)
     direct = direct_solve(A[1], xs, curve.u, 0.05)
     orbit = orbit_grid(F, start, direct.axes, settings)
-    assert compare_grids(direct, orbit) < 1e-7
+    assert compare_grids(direct, orbit).max() < 1e-7
 
 
 def test_direct_matches_reduction_at_second_order_for_curved_n3(tmp_path,
