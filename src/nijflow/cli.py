@@ -97,7 +97,7 @@ def build_model(cfg: dict) -> CompanionModel:
         raise ConfigError(f"bad sigma expression: {exc}") from exc
 
 
-def _axis_from(spec: dict, name: str) -> AxisSpec:
+def _axis_from(spec: dict, name: str) -> tuple[str, float, float, int]:
     if not isinstance(spec, dict):
         raise ConfigError(f"axis {name!r} must be an object with "
                           "start/stop/count")
@@ -109,7 +109,7 @@ def _axis_from(spec: dict, name: str) -> AxisSpec:
         raise ConfigError(f"axis {name!r} is missing field {exc}") from exc
     if not _is_int(count) or count < 1:
         raise ConfigError(f"axis {name!r} count must be a positive integer")
-    return make_axis(name, start, stop, count)
+    return name, start, stop, count
 
 
 def config_axes(cfg: dict, n: int) -> tuple[AxisSpec, ...]:
@@ -125,11 +125,12 @@ def config_axes(cfg: dict, n: int) -> tuple[AxisSpec, ...]:
                           f"n = {n}")
     for k, spec in enumerate(t_specs, start=1):
         axes.append(_axis_from(spec, f"t{k}"))
-    nodes = math.prod(a.count for a in axes)
+    # before any axis is built: an axis of close nodes computes them all
+    nodes = math.prod(count for *_, count in axes)
     if nodes > MAX_LATTICE_NODES:
         raise ConfigError(f"the lattice has {nodes} nodes, more than the "
                           f"limit of {MAX_LATTICE_NODES}")
-    return tuple(axes)
+    return tuple(make_axis(*axis) for axis in axes)
 
 
 def config_point(cfg: dict, n: int) -> CotangentPoint:

@@ -377,6 +377,16 @@ class AxisSpec:
             raise ValueError("single-node axis must have stop == start")
         if math.isinf(self.stop - self.start):  # np.linspace warns on it
             raise ValueError("span stop - start is infinite")
+        # A lattice file cannot tell repeated nodes apart.  Nodes more than
+        # 8 ulps of the larger endpoint apart stay distinct however they
+        # round, so only closer ones are computed and compared; a nan step
+        # is left to the lattice writer's guard.
+        step = self.delta
+        if abs(step) <= 8 * math.ulp(max(abs(self.start), abs(self.stop))):
+            nodes = self.values()
+            if (nodes[1:] == nodes[:-1]).any():
+                raise ValueError("the nodes of a multi-node axis must be "
+                                 "distinct")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

@@ -81,16 +81,16 @@ def _low_bytes(count: np.ndarray) -> np.ndarray:
 # the writer
 
 
-# Rows formatted and written at a time: one cell buffer of this many rows is
-# reused, so memory does not grow with the lattice.
-_CSV_CHUNK_ROWS = 2048
+# Value cells formatted and written at a time: one buffer of cells for their
+# rows is reused, so memory does not grow with the lattice.
+_BLOCK_CELLS = 16384
 
-# One CSV cell in fixed byte columns, zero bytes being filler: the sign,
-# "0.000" prefix, leading digit and the dot after it; digits 1-8 and a byte
-# for one pushed out by a dot; digits 9-16; that digit's pushed-out byte and
-# the exponent; the separator.
-_CELL = np.dtype([("head", "<u8"), ("mid", "<u8"), ("mid_last", "u1"),
-                  ("tail", "<u8"), ("end", "<u8"), ("sep", "u1")])
+# One CSV cell in four aligned little-endian words, zero bytes being filler:
+# the sign, "0.000" prefix, leading digit and the dot after it; digits 1-8;
+# the digit a dot in digits 1-8 pushed out and digits 9-16; the digit a dot
+# pushed out of those, the exponent and, in the top byte, the separator.
+_CELL_WORDS = 4
+_COMMA = _U64(ord(",") << 56)
 _ASCII_ZEROS = _U64(0x3030303030303030)
 _POINT_ZEROS = _U64(0x3030302E30)               # "0.000", first byte lowest
 _TEN_POWERS = 10 ** np.arange(18, dtype=np.int64)
@@ -110,7 +110,8 @@ def _digit_bytes(n: np.ndarray) -> np.ndarray:
     """The 8 decimal digits of each n < 10**8 (uint64), one per byte with
     the first digit lowest: halves, quarters and eighths by exact
     multiply-shift division within the word."""
-    x = (n // _U64(10000)) | ((n % _U64(10000)) << _U64(32))
+    high = n // _U64(10000)     # numpy's % is a far slower hardware division
+    x = high | ((n - high * _U64(10000)) << _U64(32))
     y = ((x * _U64(10486)) >> _U64(20)) & _U64(0x7F0000007F)
     x = y | ((x - y * _U64(100)) << _U64(16))
     y = ((x * _U64(103)) >> _U64(10)) & _U64(0xF000F000F000F)
@@ -128,16 +129,19 @@ def _significant(w: np.ndarray) -> np.ndarray:
 
 
 def _with_dot(w: np.ndarray, at: np.ndarray, dot: np.ndarray):
-    """Insert the byte ``dot`` (a dot or filler) at byte ``at`` (0..7) of w:
-    the new word and the byte pushed out at the top."""
+    """Insert the byte ``dot`` at byte ``at`` (0..7; 8 leaves w as it is) of
+    w: the new word and the byte pushed out at the top."""
     low = _low_bytes(at)
+    high = w & ~low
     return ((w & low) | (dot << (at.astype(_U64) * _U64(8)))
-            | ((w & ~low) << _U64(8))), w >> _U64(56)
+            | (high << _U64(8))), high >> _U64(56)
 
 
-def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
+def _format_cells(values: np.ndarray, out: np.ndarray,
+                  sep: np.ndarray) -> None:
     """Write ``"%.17g" % v`` for each finite v of ``values`` into the cells
-    ``out`` of the same shape, leaving their separators alone.
+    ``out``, of shape ``values.shape + (_CELL_WORDS,)``, each ended by its
+    separator word in ``sep`` (broadcast against ``values``).
 
     The 17 digits are |v| * 10**(16 - k), k the decimal exponent, formed
     as a double-double and rounded half to even.  Where that cannot decide
@@ -179,7 +183,6 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
         mid = (mid + _ASCII_ZEROS) & _significant(
             mid | ((tail != 0) * _U64(1 << 56)))
         tail = (tail + _ASCII_ZEROS) & _significant(tail)
-        mid_last = np.zeros_like(mid)
         end = np.zeros_like(tail)
         # with k >= 1 digits before the dot: keep them all, place the dot
         wide = fixed & (k >= 1)
@@ -189,19 +192,19 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
             tail_w = tail[wide] | (_ASCII_ZEROS
                                    & _low_bytes(np.clip(kw - 8, 0, 8)))
             dot = (d[wide] % _TEN_POWERS[16 - kw] != 0) * _U64(ord("."))
-            mid[wide], mid_last[wide] = _with_dot(
-                mid_w, np.minimum(kw, 7), dot * (kw <= 7))
+            mid[wide], spill = _with_dot(mid_w, np.minimum(kw, 8),
+                                         dot * (kw <= 7))
+            # the digit a dot in mid pushed out goes in tail's byte 0
             tail[wide], end[wide] = _with_dot(
-                tail_w, np.clip(kw - 8, 0, 7), dot * (kw >= 8))
+                tail_w, np.clip(kw - 8, 0, 7), dot * (kw >= 8) | spill)
         lead_dot = (rest != 0) & ~(small | wide)
-        out["head"] = (np.signbit(values) * _U64(ord("-"))
+        out[..., 0] = (np.signbit(values) * _U64(ord("-"))
                        | ((_POINT_ZEROS & _low_bytes((1 - k) * small))
                           << _U64(8))
                        | ((lead.view(_U64) + _U64(ord("0"))) << _U64(48))
                        | (lead_dot * _U64(ord(".") << 56)))
-        out["mid"] = mid
-        out["mid_last"] = mid_last
-        out["tail"] = tail
+        out[..., 1] = mid
+        out[..., 2] = tail
         sci = ~fixed
         if sci.any():
             e = np.abs(k[sci])
@@ -211,37 +214,30 @@ def _format_cells(values: np.ndarray, out: np.ndarray) -> None:
             sign = np.where(k[sci] < 0, ord("-"), ord("+"))
             end[sci] |= ((ord("e") | (sign << 8) | (digits << 16))
                          << 8).view(_U64)
-        out["end"] = end
-    slow = np.nonzero(~(vector | zero))
-    if len(slow[0]):
-        width = _CELL.itemsize - 1
-        texts = b"".join((b"%.17g" % v).ljust(width, b"\0")
+        np.bitwise_or(end, sep, out=out[..., 3])
+    if not (vector | zero).all():
+        slow = np.nonzero(~(vector | zero))
+        texts = b"".join((b"%.17g" % v).ljust(24, b"\0")
                          for v in values[slow].tolist())
         cells = out[slow]
-        cells.view(np.uint8).reshape(-1, width + 1)[:, :width] = \
-            np.frombuffer(texts, np.uint8).reshape(-1, width)
+        cells[:, :3] = np.frombuffer(texts, _U64).reshape(-1, 3)
+        cells[:, 3] &= _U64(0xFF << 56)  # the text fits 24 bytes; keep sep
         out[slow] = cells
 
 
-def _refuse_non_finite(grid: SolutionGrid, names: Sequence[str]) -> None:
+def _refuse_non_finite(names: Sequence[str], axis_values: Sequence[np.ndarray],
+                       columns: Sequence[np.ndarray]) -> None:
     """Raise ConfigError naming the first lattice node, in row order, with a
     non-finite value: ``read_grid_csv`` would refuse the file."""
-    k = len(grid.axes)
-    bad = ~np.isfinite(grid.u).all(axis=-1)
-    if grid.p is not None:
-        bad |= ~np.isfinite(grid.p).all(axis=-1)
-    with np.errstate(all="ignore"):
-        axis_values = [a.values() for a in grid.axes]
+    shape = [len(values) for values in axis_values]
+    bad = ~np.isfinite(np.column_stack(columns)).all(axis=1).reshape(shape)
     for i, values in enumerate(axis_values):
         bad |= ~np.isfinite(values).reshape(
-            [-1 if j == i else 1 for j in range(k)])
-    if not bad.any():
-        return
-    node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            [-1 if j == i else 1 for j in range(len(shape))])
+    r = int(np.argmax(bad))
+    node = np.unravel_index(r, shape)
     row = [values[i] for values, i in zip(axis_values, node)]
-    row += list(grid.u[node])
-    if grid.p is not None:
-        row += list(grid.p[node])
+    row += [column[r] for column in columns]
     name, value = next((c, v) for c, v in zip(names, row)
                        if not math.isfinite(v))
     raise ConfigError(f"cannot write a non-finite lattice: {name} is {value} "
@@ -254,41 +250,46 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     Momentum columns appear only when the lattice carries momenta.  A
     lattice with a non-finite value is refused before anything is written.
 
-    Rows are formatted a chunk at a time into one reused buffer of
-    fixed-width cells, and every axis value is formatted once,
-    all axes in one call."""
+    Rows are formatted a block of ``_BLOCK_CELLS`` values at a time into one
+    reused buffer of fixed-width cells, and every axis value is formatted
+    once, all axes in one call."""
     n = grid.n
     k = len(grid.axes)
     names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
-    blocks = [grid.u.reshape(-1, n)]
+    # value columns, read one at a time: numpy is slow over short strided rows
+    columns = list(grid.u.reshape(-1, n).T)
     if grid.p is not None:
         names += [f"p{i + 1}" for i in range(n)]
-        blocks.append(grid.p.reshape(-1, n))
-    _refuse_non_finite(grid, names)
+        columns += list(grid.p.reshape(-1, n).T)
+    with np.errstate(all="ignore"):
+        axis_values = [a.values() for a in grid.axes]
+    if not all(np.isfinite(a).all() for a in axis_values + columns):
+        _refuse_non_finite(names, axis_values, columns)
     # whole cells are moved as opaque records, which numpy copies flat
-    record = f"V{_CELL.itemsize}"
+    record = f"V{8 * _CELL_WORDS}"
     counts = [axis.count for axis in grid.axes]
-    formatted = np.zeros(sum(counts), _CELL)
-    formatted["sep"] = ord(",")
-    _format_cells(np.concatenate([a.values() for a in grid.axes]), formatted)
-    axis_cells = np.split(formatted.view(record), np.cumsum(counts)[:-1])
+    formatted = np.empty((sum(counts), _CELL_WORDS), _U64)
+    _format_cells(np.concatenate(axis_values), formatted, _COMMA)
+    axis_cells = np.split(formatted.view(record)[:, 0],
+                          np.cumsum(counts)[:-1])
+    width = len(columns)
+    seps = np.array([_COMMA] * (width - 1) + [_U64(ord("\n") << 56)])
     shape = grid.u.shape[:-1]
-    rows = len(blocks[0])
-    cells = np.zeros((min(rows, _CSV_CHUNK_ROWS), len(names)), _CELL)
-    cells["sep"] = ord(",")
-    cells["sep"][:, -1] = ord("\n")
-    values = np.empty((len(cells), len(names) - k))
+    rows = len(columns[0])
+    step = max(1, _BLOCK_CELLS // width)
+    cells = np.empty((min(rows, step), len(names), _CELL_WORDS), _U64)
+    values = np.empty((len(cells), width))
     with open(path, "wb") as f:
         f.write((",".join(names) + "\n").encode())
-        for start in range(0, rows, _CSV_CHUNK_ROWS):
-            stop = min(rows, start + _CSV_CHUNK_ROWS)
+        for start in range(0, rows, step):
+            stop = min(rows, start + step)
             chunk = cells[:stop - start]
             index = np.unravel_index(np.arange(start, stop), shape)
             for a, (formatted, i) in enumerate(zip(axis_cells, index)):
-                chunk.view(record)[:, a] = formatted.take(i)
-            for b, block in enumerate(blocks):
-                values[:stop - start, b * n:(b + 1) * n] = block[start:stop]
-            _format_cells(values[:stop - start], chunk[:, k:])
+                chunk.view(record)[:, a, 0] = formatted.take(i)
+            for j, column in enumerate(columns):
+                values[:stop - start, j] = column[start:stop]
+            _format_cells(values[:stop - start], chunk[:, k:], seps)
             f.write(chunk.tobytes().translate(None, b"\0"))
 
 
@@ -402,20 +403,20 @@ def _lattice_bytes(path: str) -> tuple[str, bytes, int]:
 def read_grid_csv(path: str) -> SolutionGrid:
     """Rebuild a lattice written by ``write_grid_csv``.
 
-    Blank lines are skipped; every other row, at most ``MAX_LATTICE_NODES``
-    of them, must have the header's width and hold finite decimal numbers.
-    Cells are parsed a chunk at a time by ``_parse_plain``, then ``float``.
+    The header must be the writer's: ``x``, ``t1``..``tk``, ``u1``..``un``,
+    then ``p1``..``pn`` or nothing.  Blank lines are skipped; every other
+    row, at most ``MAX_LATTICE_NODES`` of them, must have the header's width
+    and hold finite decimal numbers.  Cells are parsed a chunk at a time by
+    ``_parse_plain``, then ``float``.
     """
     header, raw, start = _lattice_bytes(path)
     names = header.split(",")
-    axis_names = [c for c in names if c == "x" or c.startswith("t")]
-    u_names = [c for c in names if c.startswith("u")]
-    p_names = [c for c in names if c.startswith("p")]
-    if names != axis_names + u_names + p_names or not axis_names or not u_names:
+    k = 1 + sum(c.startswith("t") for c in names)
+    n = sum(c.startswith("u") for c in names)
+    columns = ["x"] + [f"t{i}" for i in range(1, k)] + [
+        f"{c}{i}" for c in "up" for i in range(1, n + 1)]
+    if not n or names not in (columns[:k + n], columns):
         raise ConfigError(f"unrecognized lattice header {header!r}")
-    n = len(u_names)
-    if p_names and len(p_names) != n:
-        raise ConfigError("momentum columns must match component count")
     width = len(names)
     body = np.frombuffer(raw, np.uint8)[start:]
     seps = np.flatnonzero(body == ord(",")) + start
@@ -470,7 +471,6 @@ def read_grid_csv(path: str) -> SolutionGrid:
         text = raw[bounds[r, a] + 1:bounds[r, a + 1]].decode().strip()
         raise ConfigError(f"non-finite number {text!r} on line "
                           f"{lines[r] + 2} of the lattice file")
-    k = len(axis_names)
     axis_values = []
     for column in data[:, :k].T:
         # distinct values in order of first appearance
@@ -480,7 +480,7 @@ def read_grid_csv(path: str) -> SolutionGrid:
     if int(np.prod(shape)) != rows:
         raise ConfigError("lattice rows do not fill a full rectangle")
     axes = tuple(make_axis(name, vals[0], vals[-1], len(vals))
-                 for name, vals in zip(axis_names, axis_values))
+                 for name, vals in zip(names, axis_values))
     for axis, vals in zip(axes, axis_values):
         if (np.abs(axis.values() - vals).max()
                 > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
@@ -492,7 +492,7 @@ def read_grid_csv(path: str) -> SolutionGrid:
     if not np.array_equal(expected, data[:, :k]):
         raise ConfigError("lattice rows are not in lexicographic order")
     u = data[:, k:k + n].reshape(shape + (n,))
-    p = data[:, k + n:].reshape(shape + (n,)) if p_names else None
+    p = data[:, k + n:].reshape(shape + (n,)) if width > k + n else None
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
 
 

@@ -281,14 +281,17 @@ def reference_read_grid_csv(path):
     except OSError as exc:
         raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
     names = header.split(",")
-    axis_names = [c for c in names if c == "x" or c.startswith("t")]
-    u_names = [c for c in names if c.startswith("u")]
-    p_names = [c for c in names if c.startswith("p")]
-    if names != axis_names + u_names + p_names or not axis_names or not u_names:
+    # the writer's header: x, t1..tk, u1..un, then p1..pn or nothing
+    n = len([c for c in names if c.startswith("u")])
+    axis_names = ["x"] + [f"t{i + 1}" for i in range(
+        len([c for c in names if c.startswith("t")]))]
+    u_names = [f"u{i + 1}" for i in range(n)]
+    p_names = [f"p{i + 1}" for i in range(n)]
+    if n == 0 or names not in (axis_names + u_names,
+                               axis_names + u_names + p_names):
         raise ConfigError(f"unrecognized lattice header {header!r}")
-    n = len(u_names)
-    if p_names and len(p_names) != n:
-        raise ConfigError("momentum columns must match component count")
+    if len(names) == len(axis_names) + n:
+        p_names = []
     try:
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:

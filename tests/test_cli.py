@@ -27,7 +27,7 @@ from nijflow.exactpoly import (ExactPolynomial, base_names, format_polynomial,
                                parse_expression)
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
 from nijflow import lattice_io
-from nijflow.lattice_io import _CSV_CHUNK_ROWS
+from nijflow.lattice_io import _BLOCK_CELLS
 from nijflow.metric import (GramMatrix, MetricError, covariant_at,
                             pairwise_poisson)
 
@@ -373,6 +373,29 @@ def test_time_axis_beyond_the_horizon_exits_2(tmp_path, capsys, count):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "residual", "solve-direct"])
+@pytest.mark.parametrize("t_axis", [
+    {"start": 0.1, "stop": 0.1, "count": 3},
+    # the step underflows to zero, so linspace repeats the first node
+    {"start": 0.0, "stop": 5e-324, "count": 3},
+])
+def test_axis_with_repeated_nodes_exits_2(tmp_path, capsys, command, t_axis):
+    # no lattice file can hold such an axis: plot and residual --input would
+    # refuse it, and residual from the config would report a NaN
+    cfg = json.loads((CONFIGS / "nijenhuis2.json").read_text())
+    cfg["grid"]["t"] = [t_axis]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, str(path)]
+    if command != "residual":
+        argv += ["--output", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"nijflow {command}: axis 't1': the nodes of a multi-node axis must "
+        "be distinct\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 NODE_STEPS_OVER_CAP = {
     "grid": {"x": {"start": -1.5, "stop": 1.5, "count": 20001}},
     "pde": {"t_end": 0.05, "dt": 0.00008}}
@@ -571,11 +594,30 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
             2.2250738585072014e-308, 1.7976931348623157e308,
             -1.7976931348623157e308, 1e-250, 1e250, 0.1, 0.09999999999999999,
             9.999999999999999e-05, 1e16, 1e17, 99999999999999984.0]
+
+
+def _dot_placements():
+    """Values with k + 1 digits before the dot, k = 1..16, and 1, 8, 9 or 17
+    significant digits, each whole and with a fractional part, both signs:
+    the dot lands on every byte of the cell's digit words, and a dot among
+    digits 1-8 pushes digit 8 on into the next word."""
+    digits = "12345678912345678"
+    values = [12345678.5, 123456789.25, 1e15 + 0.5]
+    for k in range(1, 17):
+        for size in (1, 8, 9, 17):
+            whole = digits[:size].ljust(k + 1, "0")[:k + 1]
+            values.append(float(whole))
+            fraction = digits[k + 1:size] or "5"
+            values.append(float(whole + "." + fraction))
+    return np.array(values + [-v for v in values])
+
+
 FORMAT_CASES = {
     "powers-of-ten": _pow10_neighbours,
     "ties": lambda: np.array(TIES),
     "specials": lambda: np.array(SPECIALS),
     "random-bits": _random_bit_patterns,
+    "dot-placement": _dot_placements,
 }
 
 
@@ -620,8 +662,10 @@ def _lattice_of(rows, axes, momenta):
     return SolutionGrid(specs, block(), block() if momenta else None)
 
 
-SEAM_ROWS = [1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
-             2 * _CSV_CHUNK_ROWS + 1]
+# 2,048-row seams, kept as extra rungs; the seams of the writer's blocks of
+# value cells are tested below
+CHUNK_ROWS = 2048
+SEAM_ROWS = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
 
 
 @pytest.mark.parametrize("rows", SEAM_ROWS)
@@ -638,10 +682,51 @@ def test_csv_chunk_seams_match_row_by_row_oracle(tmp_path, rows, axes,
     assert path.read_bytes() == oracle.read_bytes()
 
 
+# seams of the writer's blocks of _BLOCK_CELLS value cells: 2 value columns
+# without momenta, 4 with them
+BLOCK_SEAMS = {"block-1": lambda rows: rows - 1, "block": lambda rows: rows,
+               "block+1": lambda rows: rows + 1,
+               "2-blocks+1": lambda rows: 2 * rows + 1}
+
+
+@pytest.mark.parametrize("seam", BLOCK_SEAMS)
+@pytest.mark.parametrize("axes", [1, 2, 3])
+@pytest.mark.parametrize("momenta", [False, True])
+def test_csv_block_seams_match_row_by_row_oracle(tmp_path, seam, axes,
+                                                 momenta):
+    rows = BLOCK_SEAMS[seam](_BLOCK_CELLS // (4 if momenta else 2))
+    grid = _lattice_of(rows, axes, momenta)
+    assert grid.u.shape[:-1] == tuple(a.count for a in grid.axes)
+    path = tmp_path / "g.csv"
+    write_grid_csv(grid, str(path))
+    oracle = tmp_path / "oracle.csv"
+    reference_write_grid_csv(grid, str(oracle))
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_csv_writer_peak_memory_does_not_grow_with_the_lattice(tmp_path):
+    rng = np.random.default_rng(13)
+
+    def peak(nx, nt):
+        grid = SolutionGrid(
+            (AxisSpec("x", -0.5, 0.5, nx), AxisSpec("t1", 0.0, 0.5, nt)),
+            rng.standard_normal((nx, nt, 2)), rng.standard_normal((nx, nt, 2)))
+        tracemalloc.start()
+        try:
+            write_grid_csv(grid, str(tmp_path / "g.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(201, 101)
+    assert peak(401, 201) <= 1.1 * small
+
+
 def _extreme_lattice(kind):
-    """A lattice of 41 x 101 nodes (three write blocks) with u and p near
-    1e-300 or 1e300, where "%.17g" is Python's alone; "mixed" makes the
-    first block extreme and spreads normal values and zeros over the rest."""
+    """A lattice of 41 x 101 nodes (two write blocks) with u and p near
+    1e-300 or 1e300, where "%.17g" is Python's alone; "mixed" keeps the
+    first 2,048 rows extreme and spreads normal values and zeros over the
+    rest."""
     rng = np.random.default_rng(len(kind))
     shape = (41, 101, 2)
 
@@ -653,7 +738,7 @@ def _extreme_lattice(kind):
             scale = 10.0 ** rng.integers(290, 308, shape)
         values = mantissa * scale
         if kind == "mixed":
-            rest = values.reshape(-1, 2)[_CSV_CHUNK_ROWS:]
+            rest = values.reshape(-1, 2)[CHUNK_ROWS:]
             rest[::3] = rng.standard_normal(rest[::3].shape)
             rest[1::5] = 0.0
         return values
@@ -897,6 +982,37 @@ def test_csv_reader_names_the_bad_line(tmp_path, text, message):
     with pytest.raises(ConfigError) as info:
         read_grid_csv(str(path))
     assert str(info.value) == message
+
+
+# headers other than the writer's, which were read by column position
+WRONG_HEADERS = {
+    "u-swapped": "x,t1,u2,u1,p1,p2",
+    "axes-swapped": "t1,x,u1,u2,p1,p2",
+    "time-named": "x,time,u1,u2,p1,p2",
+    "letters": "x,tq,ua,ub,pz,py",
+    "u-repeated": "x,t1,u1,u1,p1,p2",
+}
+
+
+@pytest.mark.parametrize("command", ["residual", "plot"])
+@pytest.mark.parametrize("header", WRONG_HEADERS.values(),
+                         ids=WRONG_HEADERS.keys())
+def test_lattice_header_other_than_the_writers_exits_2(tmp_path, capsys,
+                                                       command, header):
+    path = tmp_path / "lattice.csv"
+    path.write_text(header + "\n" + "".join(
+        f"{x},{t},0.5,-0.25,1,2\n" for x in (0.0, 0.5) for t in (0.0, 0.1)))
+    for reader in (read_grid_csv, reference_read_grid_csv):
+        with pytest.raises(ConfigError) as info:
+            reader(str(path))
+        assert str(info.value) == f"unrecognized lattice header {header!r}"
+    if command == "residual":
+        argv = [command, str(CONFIGS / "nijenhuis2.json"), "--input", str(path)]
+    else:
+        argv = [command, str(path), "--output", str(tmp_path / "plot.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"nijflow {command}: unrecognized lattice header {header!r}\n")
 
 
 @pytest.mark.parametrize("command", ["residual", "plot"])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -375,6 +376,39 @@ def test_axis_spec_values_and_delta():
         AxisSpec("x", 0.0, 1.0, 1)
     with pytest.raises(ValueError, match="infinite"):
         AxisSpec("x", -1e308, 1e308, 3)
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.1, 0.1, 3),
+    (0.1, 0.1, 2),
+    (0.0, 5e-324, 3),               # the step underflows to zero
+    (1.0, 1.0 + 2**-52, 3),         # the middle node rounds to 1.0
+    (-2.0, -2.0 - 2**-51, 4),
+])
+def test_axis_nodes_must_be_distinct(start, stop, count):
+    nodes = np.linspace(start, stop, count)
+    assert (nodes[1:] == nodes[:-1]).any()
+    with pytest.raises(ValueError, match="must be distinct"):
+        AxisSpec("x", start, stop, count)
+
+
+def test_axis_nodes_a_few_ulps_apart_are_accepted():
+    for start, stop, count in [(0.0, 5e-324, 2), (1.0, 1.0 + 2**-51, 3),
+                               (1e16, 1e16 + 16, 9), (-3.0, 3.0, 2)]:
+        nodes = AxisSpec("x", start, stop, count).values()
+        assert (nodes[1:] != nodes[:-1]).all()
+    # a nan endpoint is left to the lattice writer's guard
+    assert np.isnan(AxisSpec("t1", 0.0, math.nan, 3).values()[1:]).all()
+
+
+def test_axis_of_many_wide_spaced_nodes_is_not_computed():
+    tracemalloc.start()
+    try:
+        AxisSpec("x", -0.5, 0.5, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_solution_grid_validation():
