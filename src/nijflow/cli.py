@@ -146,16 +146,12 @@ def config_point(cfg: dict, n: int) -> CotangentPoint:
                           tuple(_number(v, "'initial.p' entry") for v in p))
 
 
-def config_settings(cfg: dict, axes: Sequence[AxisSpec] = (),
-                    extra_time: float = 0.0) -> FlowSettings:
+def config_settings(cfg: dict) -> FlowSettings:
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise ConfigError("config field 'integrator' must be an object")
-    needed = abs(extra_time)
-    for a in axes:
-        needed = max(needed, abs(a.start), abs(a.stop), abs(a.stop - a.start))
-    kwargs = {"method": integ.get("method", "rk45"),
-              "horizon": needed * (1 + 1e-9) + 1e-9}
+    # flow times are unbounded unless 'integrator.horizon' bounds them
+    kwargs = {"method": integ.get("method", "rk45"), "horizon": math.inf}
     for key in ("horizon", "step", "abs_tol", "rel_tol"):
         if key in integ:
             kwargs[key] = _number(integ[key], f"'integrator.{key}'")
@@ -254,7 +250,7 @@ def _config_orbit(cfg: dict, model: CompanionModel) -> SolutionGrid:
     """The orbit lattice the config's axes, point and settings describe."""
     axes = config_axes(cfg, model.n)
     point = config_point(cfg, model.n)
-    settings = config_settings(cfg, axes)
+    settings = config_settings(cfg)
     return orbit_grid(model.integrals[:len(axes)], point, axes, settings)
 
 
@@ -287,7 +283,7 @@ def _direct_grid(cfg: dict, model: CompanionModel):
                           "exist for n = 1)")
     axes = config_axes(cfg, model.n)
     options = _pde_options(cfg, axes)
-    settings = config_settings(cfg, axes, extra_time=options["t_end"])
+    settings = config_settings(cfg)
     u0 = config_initial_curve(cfg, model, axes[0], settings)
     grid = direct_solve(model.killing[1], axes[0].values(), u0, **options)
     return grid, settings

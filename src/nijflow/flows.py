@@ -194,8 +194,6 @@ _RK45_E = tuple(b5 - b4 for b5, b4 in zip(_RK45_B5, _RK45_B4))  # error weights
 
 def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
                   settings: FlowSettings) -> State:
-    if t_span == 0.0:
-        return list(y)
     direction = 1.0 if t_span > 0 else -1.0
     remaining = abs(t_span)
     h = min(0.05, remaining)

@@ -392,12 +392,11 @@ class CovariantMetricAt:
 
 
 class SingularMetricError(MetricError):
-    """Singular metric at the point ``index`` of the flattened stack."""
+    """Singular metric at a point."""
 
-    def __init__(self, point: Sequence[float], index: int):
+    def __init__(self, point: Sequence[float]):
         super().__init__(
             f"contravariant metric is singular at {tuple(point)}")
-        self.index = index
 
 
 # a metric value with |det| below this is singular
@@ -414,8 +413,7 @@ def covariant_at(gram: GramMatrix, point: Sequence[float]) -> CovariantMetricAt:
     G = gram.evaluate_at(points)
     singular = np.flatnonzero(np.abs(np.linalg.det(G)) < SINGULAR_TOL)
     if len(singular):
-        first = int(singular[0])
-        raise SingularMetricError(points.reshape(-1, n)[first].tolist(), first)
+        raise SingularMetricError(points.reshape(-1, n)[singular[0]].tolist())
     g = np.linalg.inv(G)
     dG = evaluate_table_array([gram.derivative(a) for a in range(n)], points)
     each = g[..., None, :, :]  # one copy of g for each direction a

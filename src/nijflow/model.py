@@ -25,6 +25,9 @@ from .operators import OperatorField, companion_second
 # 240.  The work of the exact layers also grows fast with n and with how far
 # sigma is from weighted-homogeneous, which this size does not see.
 MAX_SIGMA_SIZE = 256
+# Most sigma entries ``from_expressions`` accepts: a constant entry has size
+# 0, yet the exact layers' work grows fast with n
+MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,9 @@ class CompanionModel:
 
     @classmethod
     def from_expressions(cls, expressions: Sequence[str]) -> "CompanionModel":
+        if len(expressions) > MAX_N:
+            raise PolynomialError(f"sigma has {len(expressions)} entries, "
+                                  f"more than the limit of {MAX_N}")
         names = base_names(len(expressions))
         sigma = [parse_expression(e, names) for e in expressions]
         size = sum(len(s) * s.total_degree() for s in sigma)

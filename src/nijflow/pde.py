@@ -36,7 +36,8 @@ class PDEError(RuntimeError):
 
 
 # the most input x-nodes times time steps one direct solve may take; the
-# stored layers hold at most n floats per node-step (160 MB for n = 2)
+# one result array holds the final window at every step, under 2n floats
+# per node-step (320 MB for n = 2)
 MAX_NODE_STEPS = 10**7
 MIN_WIDTH = 5  # the fewest x-nodes the final window of a direct solve keeps
 
@@ -120,7 +121,9 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
             f"than the limit of {MAX_NODE_STEPS}; coarsen the lattice or "
             f"shorten t_end")
 
-    layers = [u0]
+    lo = 8 * steps
+    u = np.empty((width, steps + 1, n))
+    u[:, 0] = u0[lo:lo + width]
     y = u0
     product = operator_product(A)
     # overflow is detected by the finiteness check, not by warnings
@@ -138,13 +141,9 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
             if not np.isfinite(y).all():
                 raise PDEError(f"solution became non-finite during step "
                                f"{step + 1} (t = {(step + 1) * dt:.6g})")
-            layers.append(y)
+            crop = lo - 8 * (step + 1)
+            u[:, step + 1] = y[crop:crop + width]
 
-    lo = 8 * steps
-    u = np.empty((width, steps + 1, n))
-    for j, layer in enumerate(layers):
-        crop = lo - 8 * j
-        u[:, j] = layer[crop:crop + width] if crop else layer
     x_axis = AxisSpec("x", float(x_values[lo]), float(x_values[lo + width - 1]),
                       width)
     t_axis = AxisSpec("t1", 0.0, float(t_end), steps + 1)

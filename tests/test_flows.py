@@ -576,6 +576,15 @@ def test_time_axis_span_beyond_the_horizon_is_refused_unstepped(monkeypatch):
     assert advanced == []
 
 
+def test_config_horizon_is_unbounded_unless_given():
+    cfg = {"integrator": {"method": "rk4"}}
+    assert config_settings(cfg) == FlowSettings(method="rk4",
+                                                horizon=math.inf)
+    assert config_settings({}).horizon == math.inf
+    cfg["integrator"]["horizon"] = 2.5
+    assert config_settings(cfg).horizon == 2.5
+
+
 def test_orbit_grid_builds_no_point_per_node(monkeypatch):
     integrals = CompanionModel(sigma_curved(3)).integrals
     start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
@@ -719,7 +728,7 @@ def test_series_sweep_matches_the_integrator(config):
     n = model.n
     axes = config_axes(cfg, n)
     start = config_point(cfg, n)
-    settings = config_settings(cfg, axes)
+    settings = config_settings(cfg)
     integrals = model.integrals[:len(axes)]
     grid = orbit_grid(integrals, start, axes, settings)
     # the line starts: the same lattice at the single node x = 0
