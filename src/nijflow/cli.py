@@ -366,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasilinear solving.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(name, help_text, output=False):
+    def with_config(name, handler, help_text, output=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("config", help="problem config (JSON)")
         if output:
             p.add_argument("--output", required=True,
@@ -377,21 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write the report here")
         return p
 
-    with_config("verify", "check the defining identities; report JSON")
-    with_config("build-metric", "print the integral family and Gram matrix")
-    with_config("hierarchy", "print the operator hierarchy and integrals")
-    with_config("evolve", "fill a lattice by the commuting flows (CSV)",
-                output=True)
-    with_config("solve-direct", "direct quasilinear solve (CSV)",
-                output=True)
-    residual = with_config("residual", "discrete residual report for a "
-                                       "lattice")
+    with_config("verify", _cmd_verify,
+                "check the defining identities; report JSON")
+    with_config("build-metric", _cmd_build_metric,
+                "print the integral family and Gram matrix")
+    with_config("hierarchy", _cmd_hierarchy,
+                "print the operator hierarchy and integrals")
+    with_config("evolve", _cmd_evolve,
+                "fill a lattice by the commuting flows (CSV)", output=True)
+    with_config("solve-direct", _cmd_solve_direct,
+                "direct quasilinear solve (CSV)", output=True)
+    residual = with_config("residual", _cmd_residual,
+                           "discrete residual report for a lattice")
     residual.add_argument("--input", default=None,
                           help="CSV lattice to measure (default: evolve "
                                "from the config)")
-    with_config("compare", "deviation table: direct solve vs flow "
-                           "composition")
+    with_config("compare", _cmd_compare,
+                "deviation table: direct solve vs flow composition")
     plot = sub.add_parser("plot", help="SVG polylines of a lattice CSV")
+    plot.set_defaults(handler=_cmd_plot)
     plot.add_argument("input", help="CSV lattice file")
     plot.add_argument("--output", required=True, help="SVG file path")
     plot.add_argument("--slices", default=None,
@@ -400,25 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "build-metric": _cmd_build_metric,
-    "hierarchy": _cmd_hierarchy,
-    "evolve": _cmd_evolve,
-    "solve-direct": _cmd_solve_direct,
-    "residual": _cmd_residual,
-    "compare": _cmd_compare,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except (ConfigError, ParseError, PolynomialError, MetricError,
             OperatorError, CompatError, FlowError, PDEError, OSError) as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)

@@ -133,10 +133,8 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
     lhs = half + np.swapaxes(half, -1, -2)
     lhs -= (g[..., :, None, :] * dtr[..., None, :, None]
             + g[..., :, :, None] * dtr[..., None, None, :])
-    # fmax from 0.0 is the loop's max() chain: a nan residual is passed over
-    worst = np.fmax.reduce(
-        np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (n**3,)), axis=-1,
-        initial=0.0)
+    # max propagates nan, so a point whose values left the float range fails
+    worst = np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (n**3,)).max(axis=-1)
     return float(worst) if worst.ndim == 0 else worst
 
 

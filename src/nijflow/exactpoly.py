@@ -49,6 +49,7 @@ floats or over the columns of a stack.
 from __future__ import annotations
 
 import math
+import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -625,44 +626,22 @@ class _Token:
     position: int
 
 
-_SPACES = frozenset(string.whitespace)
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# ASCII only, so the classes are spelled out: \s, \d and \w would let
+# Unicode spaces, superscripts, full-width and Arabic-Indic digits through,
+# which int() either rejects or silently reads as plain digits
+_TOKEN = re.compile(f"[{re.escape(string.whitespace)}]+|(?P<int>[0-9]+)"
+                    "|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+                    "|(?P<bad>.)")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    # ASCII only: str.isdigit and str.isalnum would let superscripts,
-    # full-width and Arabic-Indic digits through, which int() either
-    # rejects or silently reads as plain digits
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _SPACES:
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup:
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -191,18 +191,7 @@ def _sigma_list(sigma: Sequence) -> list[ExactPolynomial]:
     n = len(sigma)
     if n == 0:
         raise OperatorError("at least one coefficient is required")
-    out = []
-    for s in sigma:
-        if isinstance(s, ExactPolynomial):
-            if s.nvars != n:
-                raise OperatorError(
-                    f"coefficient has {s.nvars} variables, expected {n}")
-            out.append(s)
-        elif isinstance(s, (int, Fraction)):
-            out.append(ExactPolynomial.constant(n, s))
-        else:
-            raise OperatorError(f"not a polynomial coefficient: {s!r}")
-    return out
+    return [_as_entry(n, s) for s in sigma]
 
 
 def companion_second(sigma: Sequence) -> OperatorField:
@@ -224,59 +213,47 @@ def companion_first(sigma: Sequence) -> OperatorField:
     return companion_second(sigma).antitranspose()
 
 
-class OneTwoTensorField:
-    """A (1,2)-tensor with polynomial components T^k_{ij}."""
+class OneTwoTensorField(tuple):
+    """A (1,2)-tensor with polynomial components T^k_{ij}, stored as its n
+    layers: layer k is the operator field with entries T^k_{ij}."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ()
 
-    def __init__(self, components: Sequence[Sequence[Sequence[ExactPolynomial]]]):
-        n = len(components)
-        comp = tuple(tuple(tuple(_as_entry(n, c) for c in row) for row in layer)
-                     for layer in components)
-        if any(len(layer) != n or any(len(row) != n for row in layer)
-               for layer in comp):
-            raise OperatorError("components must form an n*n*n array")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", comp)
+    def __new__(cls, layers: Iterable[OperatorField]):
+        layers = tuple(layers)
+        if not all(isinstance(layer, OperatorField) and layer.n == len(layers)
+                   for layer in layers):
+            raise OperatorError("a (1,2)-tensor needs n layers, each an n*n "
+                                "operator field")
+        return super().__new__(cls, layers)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OneTwoTensorField is immutable")
+    @property
+    def n(self) -> int:
+        return len(self)
 
     def component(self, k: int, i: int, j: int) -> ExactPolynomial:
-        return self.components[k][i][j]
+        return self[k].entry(i, j)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for layer in self.components
-                   for row in layer for c in row)
+        return all(layer.is_zero() for layer in self)
 
     def is_skew(self) -> bool:
-        n = self.n
-        return all((self.components[k][i][j] + self.components[k][j][i]).is_zero()
-                   for k in range(n) for i in range(n) for j in range(i + 1))
+        return self.symmetrized().is_zero()
 
     def symmetrized(self) -> "OneTwoTensorField":
-        n = self.n
-        return OneTwoTensorField(
-            [[[self.components[k][i][j] + self.components[k][j][i]
-               for j in range(n)] for i in range(n)] for k in range(n)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneTwoTensorField):
-            return NotImplemented
-        return self.components == other.components
+        return OneTwoTensorField(layer + layer.transpose() for layer in self)
 
     def __neg__(self) -> "OneTwoTensorField":
-        return OneTwoTensorField([[[-c for c in row] for row in layer]
-                                  for layer in self.components])
+        return OneTwoTensorField(layer * -1 for layer in self)
 
     def contract(self, xi: Sequence[ExactPolynomial],
                  eta: Sequence[ExactPolynomial]) -> VectorField:
         """The vector field T(xi, eta)^k = T^k_{ij} xi^i eta^j."""
         n = self.n
         pairs = [(i, j, xi[i] * eta[j]) for i in range(n) for j in range(n)]
-        return tuple(signed_sum(xi[0].nvars, [(1, layer[i][j], x)
+        return tuple(signed_sum(xi[0].nvars, [(1, layer.entry(i, j), x)
                                               for i, j, x in pairs])
-                     for layer in self.components)
+                     for layer in self)
 
 
 def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
@@ -309,9 +286,10 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
             yield -1, A[s][i], B[k][j].partial(s)
             yield 1, B[s][j], A[k][i].partial(s)
 
-    return OneTwoTensorField([[[signed_sum(n, component(k, i, j))
-                                for j in range(n)] for i in range(n)]
-                              for k in range(n)])
+    return OneTwoTensorField(OperatorField([[signed_sum(n, component(k, i, j))
+                                             for j in range(n)]
+                                            for i in range(n)])
+                             for k in range(n))
 
 
 def guiding_bracket(L: OperatorField, M: OperatorField) -> OneTwoTensorField:

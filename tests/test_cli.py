@@ -79,6 +79,20 @@ def test_verify_fails_on_coordinate_config(capsys):
     assert report["verdict"] == "fail"
 
 
+def test_verify_sweep_overflow_fails_quietly_with_nan(tmp_path, capsys):
+    # the sweep's floats overflow: numpy warned on stderr (an error under
+    # -W error), and fmax passed over the nan components that inf - inf made
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"n": 2, "sigma": ["u1 + 10^200*u2^2", "u2"],
+                                  "seed": 3}))
+    assert main(["verify", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    sweep = json.loads(out)["checks"][CHECK_NAMES.index("compatibility_sweep")]
+    assert sweep["verdict"] == "fail"
+    assert np.isnan(sweep["residual"])
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_verify_passes_on_curved_family(n):
     # n = 7 passes too, in about 1 s
@@ -452,7 +466,45 @@ BAD_NUMBERS = {
                                               "stop": 1e308, "count": 3}}),
     "t-span-overflow": ("evolve", {"grid.t": [{"start": -1e308,
                                                "stop": 1e308, "count": 3}]}),
+    # malformed config structure
+    "axis-not-object": ("evolve", {"grid.x": 5}),
+    "grid-without-x": ("evolve", {"grid": {}}),
+    "t-not-list": ("evolve", {"grid.t": 5}),
+    "initial-without-p": ("evolve", {"initial": {"u": [0.1, -0.2]}}),
+    "integrator-not-object": ("evolve", {"integrator": 5}),
+    "method-unknown": ("evolve", {"integrator.method": "rk5"}),
+    "curve-not-list": ("solve-direct", {"initial": {"curve": "x"}}),
+    "pde-not-object": ("solve-direct", {"pde": 5}),
+    "t_end-missing": ("solve-direct", {"grid.t": []}),
+    "n-1-direct": ("solve-direct", {"n": 1, "sigma": ["u1"]}),
+    # the exact layers cope; its float value overflows a Python float
+    "sigma-coefficient-overflow": ("verify", {"sigma": ["10^400*u1", "u2"]}),
 }
+
+
+def _nijenhuis2_without(key):
+    cfg = json.loads((CONFIGS / "nijenhuis2.json").read_text())
+    del cfg[key]
+    return cfg
+
+
+# malformed configs that no field edit of nijenhuis2.json makes
+BAD_CONFIGS = {
+    "config-not-object": ("verify", ["n", 2]),
+    "direct-without-initial": ("solve-direct", _nijenhuis2_without("initial")),
+}
+
+
+def _assert_exits_2(tmp_path, capsys, command, cfg):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    argv = [command, str(config)]
+    if command != "verify":
+        argv += ["--output", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"nijflow {command}: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, fields", BAD_NUMBERS.values(),
@@ -465,15 +517,24 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, fields):
         for name in parents:
             node = node.setdefault(name, {})
         node[key] = value
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps(cfg))
-    argv = [command, str(config)]
-    if command != "verify":
-        argv += ["--output", str(tmp_path / "out.csv")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"nijflow {command}: ")
-    assert len(err.splitlines()) == 1
+    _assert_exits_2(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_bad_configs_exit_2(tmp_path, capsys, command, cfg):
+    _assert_exits_2(tmp_path, capsys, command, cfg)
+
+
+def test_residual_input_without_time_axis_exits_2(tmp_path, capsys):
+    config = small_e2_config(tmp_path, grid={
+        "x": {"start": -0.3, "stop": 0.3, "count": 11}})
+    lattice = tmp_path / "line.csv"
+    assert main(["evolve", str(config), "--output", str(lattice)]) == 0
+    assert main(["residual", str(config), "--input", str(lattice)]) == 2
+    assert capsys.readouterr().err == (
+        "nijflow residual: residuals need a lattice with at least one time "
+        "axis\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "build-metric"])

@@ -572,8 +572,22 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_expression("u1/u2", U2)
 
+    @pytest.mark.parametrize("text, position", [
+        ("u1 +\x1cu2", 4),       # a separator str.isspace() counts
+        ("u1\u00a0+ u2", 2),     # no-break space
+        ("u1 + 2*\u2003u2", 7),  # em space
+    ])
+    def test_non_ascii_whitespace_refused_at_its_position(self, text,
+                                                          position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_expression(text, U2)
+        assert err.value.position == position
+
     def test_whitespace_insensitive(self):
         assert parse_expression("u1+2*u2", U2) == parse_expression(" u1 + 2 * u2 ", U2)
+        # newline and vertical tab are in string.whitespace
+        assert parse_expression("u1\n", U2) == poly2("u1")
+        assert parse_expression("1\x0b+ u1", U2) == poly2("1 + u1")
 
 
 class TestEmbedding:

@@ -314,6 +314,14 @@ def test_rk45_rejects_a_non_finite_trial(monkeypatch, value):
     assert calls <= 300
 
 
+def test_rk45_step_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(flows, "MAX_STEPS", 5)
+    with pytest.raises(FlowError, match="step budget exhausted") as err:
+        flows._rk45_segment(lambda y: [y[1], -y[0]], [1.0, 0.0], 100.0,
+                            FlowSettings(method="rk45"))
+    assert err.value.last_state is not None
+
+
 def _counted(f):
     calls = [0]
 
