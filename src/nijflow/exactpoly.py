@@ -1,14 +1,18 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial is stored once, as integer numerators over one common
-denominator: a map from exponent tuples to nonzero ``int`` numerators, and a
-positive ``int`` denominator, the lcm of the reduced coefficients'
-denominators, so that no prime divides it and all the numerators.  The zero
-polynomial is the empty map over 1, so every value has exactly one
-representation and equality is plain comparison of the two.  Terms are
-ordered by graded lexicographic order (total degree first, then
-lexicographic on the exponent tuple), descending; printing and iteration
-both follow that order, which makes the printed form canonical.
+denominator: a map from packed exponent keys to nonzero ``int`` numerators,
+and a positive ``int`` denominator, the lcm of the reduced coefficients'
+denominators, so that no prime divides it and all the numerators.  A key is
+one ``int`` with variable i's exponent, at most ``MAX_EXPONENT`` = 2^31 - 1,
+in bits [32i, 32i + 32), so a product's key is the sum of its factors'; only
+``terms``, ``exponents``, ``float_form``, the printer, ``evaluate_exact``
+and ``total_degree`` unpack keys.  The zero polynomial is the empty map over
+1, so every value has exactly one representation and equality is plain
+comparison of the two.  Terms are ordered by graded lexicographic order
+(total degree first, then lexicographic on the exponent tuple), descending;
+printing and iteration both follow that order, which makes the printed form
+canonical.
 Every internal path works on that store: sums, products, scalar multiples,
 derivatives, ``constant``/``zero``, the printer and the size bound of
 ``__pow__`` and the parser.  ``Fraction`` appears only at the edges: the
@@ -31,30 +35,32 @@ grammar admits exactly polynomial expressions with rational coefficients.
 Expressions are ASCII: digits are 0-9, names are letters, digits and ``_``,
 and any other character is refused.  The parser builds the polynomial as it
 reads, with no syntax tree; parentheses and unary minus nest at most
-``MAX_NESTING`` deep, and a power or a written-out product whose result
-could exceed ``MAX_POWER_BITS`` is refused before it is formed.
+``MAX_NESTING`` deep, a ``uint`` exponent above ``MAX_EXPONENT`` is
+refused, and a power or a written-out product whose result could exceed
+``MAX_POWER_BITS`` is refused before it is formed.
 
 Every product of polynomials, and every sum of such products, is formed by
 one kernel, ``signed_sum``, which sums the products of numerators over one
-common denominator.  ``suffixed_sum`` lifts polynomials onto appended
-variables, each times a monomial there, and sums them; ``split_suffixes``
-splits a polynomial back by the monomials in its last variables.  Float
-evaluation goes through one interpreter, ``evaluate_float_form``, at a point
-of floats or over the columns of a stack of points.  The one exception is
-``compile_float_forms``, which turns forms evaluated many times into one
-straight-line function, bit-identical to the interpreter at a point of
-floats or over the columns of a stack.
+common denominator and skips parts with a zero factor.  ``suffixed_sum``
+lifts polynomials onto appended variables, each times a monomial there, and
+sums them; ``split_suffixes`` splits a polynomial back by the monomials in
+its last variables.  Float evaluation goes through one interpreter,
+``evaluate_float_form``, at a point of floats or over the columns of a stack
+of points.  The one exception is ``compile_float_forms``, which turns forms
+evaluated many times into one straight-line function, bit-identical to the
+interpreter at a point of floats or over the columns of a stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
-from dataclasses import dataclass
+import struct
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import or_
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -70,6 +76,8 @@ MAX_NESTING = 100
 # parser refuse larger ones before forming them.  Powers at this bound took
 # at most 0.35 s (Python 3.11, 2-vCPU x86-64).
 MAX_POWER_BITS = 1 << 16
+# Largest exponent of a variable: a key's 32-bit fields then add without carry.
+MAX_EXPONENT = (1 << 31) - 1
 
 
 class PolynomialError(ValueError):
@@ -102,6 +110,32 @@ def _check_nvars(nvars: int) -> None:
         raise PolynomialError("variable count must be non-negative")
 
 
+@functools.cache
+def _layout(nvars: int) -> tuple[struct.Struct, int]:
+    """The struct of ``nvars`` exponents, and the mask of each field's top bit."""
+    return (struct.Struct(f"<{nvars}I"),
+            sum(1 << (32 * i + 31) for i in range(nvars)))
+
+
+def _key(exps: Sequence[int], nvars: int) -> int:
+    """The packed key of a tuple of ``nvars`` exponents."""
+    layout, top_bits = _layout(nvars)
+    try:
+        key = int.from_bytes(layout.pack(*exps), "little")
+    except struct.error:  # a wrong length, a negative or a non-integer
+        key = -1
+    if key < 0 or key & top_bits:
+        raise PolynomialError(f"exponent tuple {exps} is not {nvars} "
+                              f"integers from 0 to {MAX_EXPONENT}")
+    return key
+
+
+def _unpack(keys: Iterable[int], nvars: int) -> list[Exponents]:
+    layout = _layout(nvars)[0]
+    unpack, size = layout.unpack, layout.size
+    return [unpack(key.to_bytes(size, "little")) for key in keys]
+
+
 class ExactPolynomial:
     """Immutable multivariate polynomial with rational coefficients.
 
@@ -120,24 +154,16 @@ class ExactPolynomial:
     ):
         _check_nvars(nvars)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Exponents, Fraction] = {}
+        data: dict[int, Fraction] = {}
         for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise PolynomialError(
-                    f"exponent tuple {exps} does not match {nvars} variables")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
-                raise PolynomialError(f"exponents must be non-negative integers: {exps}")
-            c = data.get(exps, Fraction(0)) + Fraction(*_ratio(coeff))
-            if c:
-                data[exps] = c
-            else:
-                data.pop(exps, None)
+            key = _key(exps, nvars)
+            data[key] = data.get(key, 0) + Fraction(*_ratio(coeff))
+        data = {key: c for key, c in data.items() if c}
         den = math.lcm(*(c.denominator for c in data.values()))
         self._store(nvars, {e: c.numerator * (den // c.denominator)
                             for e, c in data.items()}, den)
 
-    def _store(self, nvars: int, nums: dict[Exponents, int], den: int) -> None:
+    def _store(self, nvars: int, nums: dict[int, int], den: int) -> None:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_den", den)
@@ -145,7 +171,7 @@ class ExactPolynomial:
         object.__setattr__(self, "_partials", None)
 
     @classmethod
-    def _raw(cls, nvars: int, nums: dict[Exponents, int],
+    def _raw(cls, nvars: int, nums: dict[int, int],
              den: int) -> "ExactPolynomial":
         """The polynomial of nonzero numerators ``nums`` over ``den > 0``,
         reduced by their common factor to the canonical store."""
@@ -171,29 +197,33 @@ class ExactPolynomial:
     def constant(cls, nvars: int, value: RationalLike) -> "ExactPolynomial":
         _check_nvars(nvars)
         num, den = _ratio(value)
-        return cls._raw(nvars, {(0,) * nvars: num} if num else {}, den)
+        return cls._raw(nvars, {0: num} if num else {}, den)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "ExactPolynomial":
         """The monomial for variable ``index`` (0-based)."""
         if not 0 <= index < nvars:
             raise PolynomialError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, {exps: 1}, 1)
+        return cls._raw(nvars, {1 << (32 * index): 1}, 1)
 
     # -- inspection -------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
         """Yield (exponents, coefficient) pairs in descending graded-lex order."""
-        for exps in sorted(self._nums, key=grlex_key, reverse=True):
-            yield exps, Fraction(self._nums[exps], self._den)
+        for exps, num in self._grlex_terms():
+            yield exps, Fraction(num, self._den)
 
-    def exponents(self) -> Iterable[Exponents]:
+    def _grlex_terms(self) -> list[tuple[Exponents, int]]:
+        """(exponents, numerator) pairs in descending graded-lex order."""
+        return sorted(zip(self.exponents(), self._nums.values()),
+                      key=lambda term: grlex_key(term[0]), reverse=True)
+
+    def exponents(self) -> list[Exponents]:
         """The exponent tuples of the terms, in no particular order."""
-        return self._nums.keys()
+        return _unpack(self._nums, self.nvars)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
+        return Fraction(self._nums.get(_key(exponents, self.nvars), 0), self._den)
 
     def max_abs_coefficient(self) -> Fraction:
         """The largest |coefficient|; 0 for the zero polynomial."""
@@ -205,9 +235,7 @@ class ExactPolynomial:
 
     def total_degree(self) -> int:
         """Degree of the polynomial; the zero polynomial reports -1."""
-        if not self._nums:
-            return -1
-        return max(sum(e) for e in self._nums)
+        return max(map(sum, self.exponents()), default=-1)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial; error if any variable occurs."""
@@ -336,8 +364,10 @@ class ExactPolynomial:
         elif index in cache:
             return cache[index]
         # lowering one exponent is one-to-one, so no two terms meet
-        nums = {exps[:index] + (e - 1,) + exps[index + 1:]: c * e
-                for exps, c in self._nums.items() if (e := exps[index])}
+        shift = 32 * index
+        one = 1 << shift
+        nums = {key - one: c * e for key, c in self._nums.items()
+                if (e := key >> shift & MAX_EXPONENT)}
         derivative = cache[index] = self._raw(self.nvars, nums, self._den)
         return derivative
 
@@ -347,9 +377,7 @@ class ExactPolynomial:
         """The same polynomial viewed in ``nvars + extra`` variables."""
         if extra < 0:
             raise PolynomialError("cannot append a negative number of variables")
-        pad = (0,) * extra
-        nums = {exps + pad: c for exps, c in self._nums.items()}
-        return self._raw(self.nvars + extra, nums, self._den)
+        return self._raw(self.nvars + extra, dict(self._nums), self._den)
 
     # -- evaluation -------------------------------------------------------
 
@@ -361,9 +389,9 @@ class ExactPolynomial:
         form = self._float_form
         if form is None:
             den = self._den
-            form = tuple((self._nums[exps] / den,
+            form = tuple((num / den,
                           tuple((i, e) for i, e in enumerate(exps) if e))
-                         for exps in sorted(self._nums, key=grlex_key, reverse=True))
+                         for exps, num in self._grlex_terms())
             object.__setattr__(self, "_float_form", form)
         return form
 
@@ -381,7 +409,7 @@ class ExactPolynomial:
                 f"point has {len(point)} coordinates, expected {self.nvars}")
         coords = [Fraction(*_ratio(x)) for x in point]
         total = Fraction(0)
-        for exps, c in self._nums.items():
+        for exps, c in zip(self.exponents(), self._nums.values()):
             v = c
             for x, e in zip(coords, exps):
                 if e:
@@ -404,28 +432,33 @@ def signed_sum(nvars: int,
     """The sum of ``sign * a * b`` over ``parts`` (sign +1 or -1): every
     product of polynomials is formed here.  Over D, the lcm of the parts'
     ``den_a * den_b``, each term product adds
-    ``sign * D // (den_a * den_b) * num_a * num_b`` straight into one map of
-    numerators, so neither the products nor partial sums are built as
-    polynomials of their own."""
-    parts = list(parts)
-    for _, a, b in parts:
-        for poly in (a, b):
-            if poly.nvars != nvars:
-                raise PolynomialError(
-                    f"variable counts differ: {nvars} vs {poly.nvars}")
-    den = math.lcm(*(a._den * b._den for _, a, b in parts))
-    data: dict[Exponents, int] = {}
+    ``sign * D // (den_a * den_b) * num_a * num_b`` at the sum of the terms'
+    keys, straight into one map of numerators, so neither the products nor
+    partial sums are built as polynomials of their own.  Parts with a zero
+    factor are dropped first; an exponent above ``MAX_EXPONENT`` raises."""
+    kept = []
+    for part in parts:
+        _, a, b = part
+        if a.nvars != nvars or b.nvars != nvars:
+            raise PolynomialError(f"variable counts differ: {nvars} vs "
+                                  f"{(b if a.nvars == nvars else a).nvars}")
+        if a._nums and b._nums:
+            kept.append(part)
+    den = math.lcm(*(a._den * b._den for _, a, b in kept))
+    data: dict[int, int] = {}
     get = data.get
-    for sign, a, b in parts:
+    for sign, a, b in kept:
         scale = sign * (den // (a._den * b._den))
         b_terms = b._nums.items()
         for ea, na in a._nums.items():
             na *= scale
             for eb, nb in b_terms:
-                exps = tuple(map(add, ea, eb))
-                data[exps] = get(exps, 0) + na * nb
-    return ExactPolynomial._raw(
-        nvars, {e: c for e, c in data.items() if c}, den)
+                key = ea + eb
+                data[key] = get(key, 0) + na * nb
+    nums = {key: c for key, c in data.items() if c}
+    if functools.reduce(or_, nums, 0) & _layout(nvars)[1]:
+        raise PolynomialError(f"a product has an exponent above {MAX_EXPONENT}")
+    return ExactPolynomial._raw(nvars, nums, den)
 
 
 def suffixed_sum(nvars: int,
@@ -441,14 +474,16 @@ def suffixed_sum(nvars: int,
             raise PolynomialError(
                 f"variable counts differ: {nvars} vs {poly.nvars} + "
                 f"{len(suffix)}")
+    parts = [(poly, _key(suffix, len(suffix)) << 32 * poly.nvars)
+             for poly, suffix in parts if poly._nums]
     den = math.lcm(*(poly._den for poly, _ in parts))
-    data: dict[Exponents, int] = {}
+    data: dict[int, int] = {}
     get = data.get
-    for poly, suffix in parts:
+    for poly, lift in parts:
         scale = den // poly._den
-        for exps, c in poly._nums.items():
-            exps += suffix
-            data[exps] = get(exps, 0) + c * scale
+        for key, c in poly._nums.items():
+            key += lift
+            data[key] = get(key, 0) + c * scale
     return ExactPolynomial._raw(
         nvars, {e: c for e, c in data.items() if c}, den)
 
@@ -459,11 +494,13 @@ def split_suffixes(poly: ExactPolynomial,
     variables times monomials in its last ``extra``: a map from each such
     monomial's exponents to its nonzero coefficient polynomial."""
     m = poly.nvars - extra
-    groups: dict[Exponents, dict[Exponents, int]] = {}
-    for exps, c in poly._nums.items():
-        groups.setdefault(exps[m:], {})[exps[:m]] = c
+    shift = 32 * m
+    low = (1 << shift) - 1
+    groups: dict[int, dict[int, int]] = {}
+    for key, c in poly._nums.items():
+        groups.setdefault(key >> shift, {})[key & low] = c
     return {suffix: ExactPolynomial._raw(m, nums, poly._den)
-            for suffix, nums in groups.items()}
+            for suffix, nums in zip(_unpack(groups, extra), groups.values())}
 
 
 def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
@@ -593,10 +630,9 @@ def format_polynomial(poly: ExactPolynomial, names: Sequence[str]) -> str:
         raise PolynomialError("one name per variable is required")
     if poly.is_zero():
         return "0"
-    nums, den = poly._nums, poly._den
+    den = poly._den
     pieces: list[str] = []
-    for i, exps in enumerate(sorted(nums, key=grlex_key, reverse=True)):
-        num = nums[exps]
+    for i, (exps, num) in enumerate(poly._grlex_terms()):
         g = math.gcd(num, den)
         mag = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
         parts = _monomial_parts(exps, names)
@@ -619,8 +655,7 @@ def format_polynomial(poly: ExactPolynomial, names: Sequence[str]) -> str:
 # -- tokenizer and parser -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'int', 'name', 'op', 'end'
     text: str
     position: int
@@ -707,7 +742,10 @@ class _Parser:
                 raise ParseError("exponent must be an unsigned integer",
                                  exp_tok.position)
             self.advance()
-            return poly ** int(exp_tok.text)
+            digits = exp_tok.text.lstrip("0") or "0"  # int() takes <= 4,300
+            if len(digits) > 10 or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.position)
+            return poly ** int(digits)
         return poly
 
     def base(self) -> ExactPolynomial:

@@ -262,9 +262,10 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
     N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
              - L^k_s d_i L^s_j + L^k_s d_j L^s_i,
 
-    which is exactly -<L, L>, so it is computed as ``-torsion_of_pair(L, L)``.
+    which is exactly -<L, L>^k_{ij} = <L, L>^k_{ji}, as swapping i and j
+    negates <L, L> term by term: the layers of ``torsion_of_pair(L, L)``, transposed.
     """
-    return -torsion_of_pair(L, L)
+    return OneTwoTensorField(layer.transpose() for layer in torsion_of_pair(L, L))
 
 
 def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
@@ -273,8 +274,8 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
     <L, M>^k_{ij} = -(d_j L^s_i) M^k_s + (d_i M^s_j) L^k_s
                     - L^s_i d_s M^k_j + M^s_j d_s L^k_i.
 
-    With M = L this is exactly minus the Nijenhuis torsion, term by term,
-    and ``nijenhuis_torsion`` is computed that way.
+    With M = L this is exactly minus the Nijenhuis torsion, term by term;
+    parts with a zero factor, many of them, are dropped by ``signed_sum``.
     """
     n = L.n
     A, B = L.entries, M.entries

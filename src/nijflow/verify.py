@@ -17,7 +17,7 @@ from .operators import nijenhuis_torsion
 
 
 def _peak(polys) -> float:
-    return float(max((p.max_abs_coefficient() for p in polys), default=0))
+    return float(max((p.max_abs_coefficient() for p in polys if p), default=0))
 
 
 def verify_model(model: CompanionModel, seed: int) -> list[dict]:

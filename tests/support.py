@@ -85,6 +85,19 @@ def reference_quadratic_phase(matrix):
     return PhaseFunction(n, acc, 2)
 
 
+def reference_product_terms(parts):
+    """Oracle for ``exactpoly.signed_sum`` on exponent tuples, with no packed
+    keys: the sum of ``sign * a * b`` over ``parts`` as a map from exponent
+    tuples to nonzero Fraction coefficients, one term product at a time."""
+    acc = {}
+    for sign, a, b in parts:
+        for ea, ca in a.terms():
+            for eb, cb in b.terms():
+                exps = tuple(x + y for x, y in zip(ea, eb))
+                acc[exps] = acc.get(exps, 0) + sign * ca * cb
+    return {exps: c for exps, c in acc.items() if c}
+
+
 # The momentum lift, the Gram extraction and the printer as they were
 # written on Fraction coefficients, through terms() and the constructor,
 # before they moved onto the integer store; kept only as oracles.

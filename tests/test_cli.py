@@ -492,6 +492,13 @@ def _nijenhuis2_without(key):
 BAD_CONFIGS = {
     "config-not-object": ("verify", ["n", 2]),
     "direct-without-initial": ("solve-direct", _nijenhuis2_without("initial")),
+    # an exponent literal above exactpoly.MAX_EXPONENT = 2^31 - 1; times 0,
+    # both ran to exit 0 before the parser refused it
+    "sigma-exponent-above-bound": ("verify", {
+        "n": 2, "sigma": ["u1", "u2 + 0*u1^2147483648"]}),
+    "curve-exponent-above-bound": ("solve-direct", {
+        **json.loads((CONFIGS / "nijenhuis2_direct.json").read_text()),
+        "initial": {"curve": ["1/10 + 0*x^2147483648", "x"]}}),
 }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nijflow.exactpoly import (
+    MAX_EXPONENT,
     MAX_NESTING,
     ExactPolynomial,
     ParseError,
@@ -26,8 +27,10 @@ from nijflow.exactpoly import (
 )
 from nijflow.flows import HamiltonianField
 from nijflow.metric import PhaseFunction
+from nijflow.operators import OperatorField, nijenhuis_torsion
 
-from support import random_polynomial, reference_format_polynomial
+from support import (random_polynomial, reference_format_polynomial,
+                     reference_product_terms)
 
 U2 = ["u1", "u2"]
 UP2 = ["u1", "u2", "p1", "p2"]
@@ -58,6 +61,19 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(PolynomialError):
             ExactPolynomial(1, [((-1,), 1)])
+
+    def test_exponent_above_the_bound_rejected(self):
+        assert len(ExactPolynomial(2, [((0, MAX_EXPONENT), 1)])) == 1
+        with pytest.raises(PolynomialError, match="integers from 0 to 2147483647"):
+            ExactPolynomial(2, [((0, MAX_EXPONENT + 1), 1)])
+
+    def test_coefficient_checks_the_tuple_length(self):
+        # a short tuple used to read as 0; packed, it could name a real term
+        p = poly2("u1 + 2*u2")
+        for exps in ((1,), (0, 1, 0), ()):
+            with pytest.raises(PolynomialError, match="is not 2 integers"):
+                p.coefficient(exps)
+        assert p.coefficient((0, 1)) == 2
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(PolynomialError):
@@ -563,6 +579,24 @@ class TestParser:
         assert parse_expression("(1 + u1)*" * 40 + "1", U2) == \
             poly2("1 + u1") ** 40
 
+    @pytest.mark.parametrize("text, position", [
+        ("u1^2147483648", 3),
+        ("1^2147483648", 2),
+        # past the 4,300 digits int() reads
+        pytest.param("u1 + u2^" + "9" * 5000, 8, id="5000-digits"),
+    ])
+    def test_exponent_above_the_bound_refused_at_its_position(self, text,
+                                                              position):
+        with pytest.raises(ParseError, match="exponent exceeds") as err:
+            parse_expression(text, U2)
+        assert err.value.position == position
+
+    def test_exponent_at_the_bound_parses(self):
+        for text in ("u2^2147483647", "u2^0002147483647"):
+            p = parse_expression(text, U2)
+            assert p.coefficient((0, MAX_EXPONENT)) == 1
+            assert format_polynomial(p, U2) == "u2^2147483647"
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_expression("u1 + u7", U2)
@@ -623,3 +657,142 @@ class TestEmbedding:
     def test_suffixed_sum_checks_variable_counts(self):
         with pytest.raises(PolynomialError, match="variable counts differ"):
             suffixed_sum(4, [(poly2("u1"), (1,))])
+
+
+def wide_polynomial(rng, caps, max_terms=5):
+    """Terms whose exponent of variable i is small, up to ``caps[i]``, or
+    exactly ``caps[i]``, over denominators up to 2^64; small exponents make
+    terms meet in products."""
+    def exponent(cap):
+        return rng.choice((rng.randint(0, min(cap, 2)), rng.randint(0, cap), cap))
+
+    return ExactPolynomial(len(caps), [
+        (tuple(exponent(cap) for cap in caps),
+         Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64)))
+        for _ in range(rng.randint(0, max_terms))])
+
+
+def dense_torsion(L):
+    """The four-term formula for N^k_{ij}, accumulated term by term."""
+    n, A = L.n, L.entries
+    N = {}
+    for k, i, j in np.ndindex(n, n, n):
+        acc = ExactPolynomial.zero(n)
+        for s in range(n):
+            acc = (acc + A[s][i] * A[k][j].partial(s)
+                   - A[s][j] * A[k][i].partial(s)
+                   - A[k][s] * A[s][j].partial(i)
+                   + A[k][s] * A[s][i].partial(j))
+        N[k, i, j] = acc
+    return N
+
+
+class TestPackedStore:
+    """The store keys each term by one int packing its exponents; these
+    compare every path that works on keys with a tuple-keyed reference, in
+    1-8 variables with exponents up to MAX_EXPONENT."""
+
+    def test_signed_sum_matches_the_tuple_reference(self):
+        rng = random.Random(2611)
+        for _ in range(60):
+            nvars = rng.randint(1, 8)
+            # a's exponents up to caps, b's up to the rest of the bound, so
+            # products reach MAX_EXPONENT but never pass it
+            caps = [rng.randint(0, MAX_EXPONENT) for _ in range(nvars)]
+            rest = [MAX_EXPONENT - cap for cap in caps]
+            parts = [(rng.choice((1, -1)), wide_polynomial(rng, caps),
+                      wide_polynomial(rng, rest))
+                     for _ in range(rng.randint(0, 4))]
+            total = signed_sum(nvars, parts)
+            assert dict(total.terms()) == reference_product_terms(parts)
+            # zero factors are skipped, not mistaken for the others' terms
+            zero = ExactPolynomial.zero(nvars)
+            assert signed_sum(nvars, parts + [(1, zero, total),
+                                              (-1, total, zero)]) == total
+
+    def test_partial_and_appended_variables_match_the_reference(self):
+        rng = random.Random(2612)
+        for _ in range(60):
+            nvars = rng.randint(1, 8)
+            p = wide_polynomial(rng, [MAX_EXPONENT] * nvars)
+            terms = dict(p.terms())
+            for i in range(nvars):
+                assert dict(p.partial(i).terms()) == {
+                    e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                    for e, c in terms.items() if e[i]}
+            extra = rng.randint(0, 3)
+            assert dict(p.with_appended_vars(extra).terms()) == {
+                e + (0,) * extra: c for e, c in terms.items()}
+
+    def test_suffixes_match_the_reference(self):
+        rng = random.Random(2613)
+        for _ in range(60):
+            m, extra = rng.randint(0, 5), rng.randint(1, 3)
+            parts = [(wide_polynomial(rng, [MAX_EXPONENT] * m),
+                      tuple(rng.choice((0, 1, MAX_EXPONENT))
+                            for _ in range(extra)))
+                     for _ in range(rng.randint(0, 4))]
+            expected = {}
+            for poly, suffix in parts:
+                for e, c in poly.terms():
+                    expected[e + suffix] = expected.get(e + suffix, 0) + c
+            total = suffixed_sum(m + extra, parts)
+            assert dict(total.terms()) == {
+                e: c for e, c in expected.items() if c}
+            groups = {}
+            for e, c in total.terms():
+                groups.setdefault(e[m:], {})[e[:m]] = c
+            assert {s: dict(piece.terms())
+                    for s, piece in split_suffixes(total, extra).items()} \
+                == groups
+
+    def test_terms_and_printer_round_trip(self):
+        rng = random.Random(2614)
+        for _ in range(60):
+            nvars = rng.randint(1, 8)
+            p = wide_polynomial(rng, [MAX_EXPONENT] * nvars)
+            terms = list(p.terms())
+            assert ExactPolynomial(nvars, terms) == p
+            assert sorted(p.exponents()) == sorted(e for e, _ in terms)
+            assert p.total_degree() == max((sum(e) for e, _ in terms),
+                                           default=-1)
+            assert [dict(powers) for _, powers in p.float_form()] == [
+                {i: k for i, k in enumerate(e) if k} for e, _ in terms]
+            names = [f"x{i + 1}" for i in range(nvars)]
+            text = format_polynomial(p, names)
+            assert text == reference_format_polynomial(p, names)
+            assert parse_expression(text, names) == p
+
+    def test_a_product_past_the_bound_raises(self):
+        def monomial(*exps):
+            return ExactPolynomial(len(exps), {exps: 1})
+
+        half = 1 << 30
+        assert monomial(0, half, 0) * monomial(0, half - 1, 0) == \
+            monomial(0, MAX_EXPONENT, 0)
+        # each would carry into the next field, or past the last one
+        for a, b in (((0, half, 0), (0, half, 0)),
+                     ((1, MAX_EXPONENT, 2), (0, 1, 0)),
+                     ((0, 0, MAX_EXPONENT), (5, 0, MAX_EXPONENT))):
+            with pytest.raises(PolynomialError, match="exponent above"):
+                monomial(*a) * monomial(*b)
+        with pytest.raises(PolynomialError, match="exponent above"):
+            parse_expression("(u1^65536)^65536", U2)
+
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    def test_torsion_matches_the_four_term_formula(self, density):
+        # random operators, not companion ones: no structure to lean on
+        rng = random.Random(2615 if density == "sparse" else 2616)
+        for _ in range(6):
+            if density == "dense":
+                rows = [[random_polynomial(rng, 3, max_terms=4, max_degree=2)
+                         for _ in range(3)] for _ in range(3)]
+            else:
+                rows = [[rng.choice((ExactPolynomial.zero(3),
+                                     ExactPolynomial.constant(3, rng.randint(-3, 3)),
+                                     random_polynomial(rng, 3, max_terms=1)))
+                         for _ in range(3)] for _ in range(3)]
+            L = OperatorField(rows)
+            N = nijenhuis_torsion(L)
+            assert {(k, i, j): N.component(k, i, j)
+                    for k, i, j in np.ndindex(3, 3, 3)} == dense_torsion(L)
