@@ -50,114 +50,123 @@ from .operators import nijenhuis_torsion  # noqa: F401
 # ---------------------------------------------------------------------------
 # config loading
 
+# The config format, and the only place that knows it: a dict lists an
+# object's keys (an axis needs all three), a one-element list is a list of
+# its element, a (description, test) pair a leaf.  Booleans are not ints.
+_ANY = ("any value", lambda v: True)
+_NUMBER = ("a finite number",
+           lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_COUNT = ("a positive integer", lambda v: type(v) is int and v >= 1)
+_SEED = ("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_TEXT = ("a string", lambda v: type(v) is str)
+_METHOD = ("'rk4' or 'rk45'", lambda v: v in ("rk4", "rk45"))
+_AXIS = {"start": _NUMBER, "stop": _NUMBER, "count": _COUNT}
+CONFIG_KEYS = {
+    "name": _ANY, "n": _COUNT, "sigma": [_TEXT], "seed": _SEED,
+    "initial": {"u": [_NUMBER], "p": [_NUMBER], "curve": [_TEXT]},
+    "grid": {"x": _AXIS, "t": [_AXIS]},
+    "integrator": {"method": _METHOD, "step": _NUMBER, "abs_tol": _NUMBER,
+                   "rel_tol": _NUMBER, "horizon": _NUMBER},
+    "pde": {"t_end": _NUMBER, "cfl": _NUMBER, "dt": _NUMBER},
+}
+
+
+def _checked(value, spec, path: str):
+    """``value`` checked against ``spec`` at ``path``, numbers made floats."""
+    field = f"config field {path!r}" if path else "config"
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{field} must be an object")
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else key
+            if key not in spec:
+                raise ConfigError(f"unknown config key {where!r}")
+            value[key] = _checked(item, spec[key], where)
+        if spec is _AXIS and len(value) < len(_AXIS):
+            raise ConfigError(f"{field} must give start, stop and count")
+    elif isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{field} must be a list")
+        value = [_checked(item, spec[0], f"{path}[{k}]")
+                 for k, item in enumerate(value)]
+    elif not spec[1](value):
+        raise ConfigError(f"{field} must be {spec[0]}")
+    return float(value) if spec is _NUMBER else value
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
 
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path!r} nests too deeply") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return raw
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value, what: str) -> float:
-    """A finite JSON number; strings, booleans and null are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{what} must be a finite number, got "
-                          f"{json.dumps(value)}")
-    return float(value)
+    except ValueError as exc:  # also a repeated key, or too long an integer
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    cfg = _checked(raw, CONFIG_KEYS, "")
+    integ = cfg.get("integrator", {})
+    method = integ.get("method", "rk45")
+    for key in {"rk4": ("abs_tol", "rel_tol"), "rk45": ("step",)}[method]:
+        if key in integ:
+            raise ConfigError(f"config key 'integrator.{key}' is never read "
+                              f"by method {method!r}")
+    return cfg
 
 
 def build_model(cfg: dict) -> CompanionModel:
-    n = cfg.get("n")
-    if not _is_int(n) or n < 1:
-        raise ConfigError("config field 'n' must be a positive integer")
-    sigma = cfg.get("sigma")
-    if not isinstance(sigma, list) or len(sigma) != n or \
-            not all(isinstance(s, str) for s in sigma):
-        raise ConfigError(f"config field 'sigma' must list {n} expression "
-                          "strings")
+    sigma = cfg.get("sigma", ())
+    if len(sigma) != cfg.get("n"):
+        raise ConfigError("config fields 'n' and 'sigma' must give n and a "
+                          "list of n expression strings")
     try:
         return CompanionModel.from_expressions(sigma)
     except (ParseError, PolynomialError) as exc:
         raise ConfigError(f"bad sigma expression: {exc}") from exc
 
 
-def _axis_from(spec: dict, name: str) -> tuple[str, float, float, int]:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"axis {name!r} must be an object with "
-                          "start/stop/count")
-    try:
-        start = _number(spec["start"], f"axis {name!r} start")
-        stop = _number(spec["stop"], f"axis {name!r} stop")
-        count = spec["count"]
-    except KeyError as exc:
-        raise ConfigError(f"axis {name!r} is missing field {exc}") from exc
-    if not _is_int(count) or count < 1:
-        raise ConfigError(f"axis {name!r} count must be a positive integer")
-    return name, start, stop, count
-
-
 def config_axes(cfg: dict, n: int) -> tuple[AxisSpec, ...]:
-    grid = cfg.get("grid")
-    if not isinstance(grid, dict) or "x" not in grid:
+    grid = cfg.get("grid", {})
+    if "x" not in grid:
         raise ConfigError("config field 'grid' must contain an 'x' axis")
-    axes = [_axis_from(grid["x"], "x")]
-    t_specs = grid.get("t", [])
-    if not isinstance(t_specs, list):
-        raise ConfigError("grid field 't' must be a list of axis objects")
-    if len(t_specs) > n - 1:
+    specs = [grid["x"], *grid.get("t", [])]
+    if len(specs) > n:
         raise ConfigError(f"at most {n - 1} time axes are available for "
                           f"n = {n}")
-    for k, spec in enumerate(t_specs, start=1):
-        axes.append(_axis_from(spec, f"t{k}"))
     # before any axis is built: an axis of close nodes computes them all
-    nodes = math.prod(count for *_, count in axes)
+    nodes = math.prod(spec["count"] for spec in specs)
     if nodes > MAX_LATTICE_NODES:
         raise ConfigError(f"the lattice has {nodes} nodes, more than the "
                           f"limit of {MAX_LATTICE_NODES}")
-    return tuple(make_axis(*axis) for axis in axes)
+    return tuple(make_axis(f"t{k}" if k else "x", **spec)
+                 for k, spec in enumerate(specs))
 
 
 def config_point(cfg: dict, n: int) -> CotangentPoint:
-    initial = cfg.get("initial")
-    if not isinstance(initial, dict) or "u" not in initial or "p" not in initial:
-        raise ConfigError("config field 'initial' must give 'u' and 'p' "
-                          "lists for flow evolution")
-    u, p = initial["u"], initial["p"]
-    if not isinstance(u, list) or not isinstance(p, list) or \
-            len(u) != n or len(p) != n:
-        raise ConfigError(f"'initial.u' and 'initial.p' must list {n} numbers")
-    return CotangentPoint(tuple(_number(v, "'initial.u' entry") for v in u),
-                          tuple(_number(v, "'initial.p' entry") for v in p))
+    u, p = (cfg.get("initial", {}).get(key, ()) for key in "up")
+    if len(u) != n or len(p) != n:
+        raise ConfigError(f"config field 'initial' must give 'u' and 'p' "
+                          f"lists of {n} numbers for flow evolution")
+    return CotangentPoint(tuple(u), tuple(p))
 
 
 def config_settings(cfg: dict) -> FlowSettings:
-    integ = cfg.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("config field 'integrator' must be an object")
     # flow times are unbounded unless 'integrator.horizon' bounds them
-    kwargs = {"method": integ.get("method", "rk45"), "horizon": math.inf}
-    for key in ("horizon", "step", "abs_tol", "rel_tol"):
-        if key in integ:
-            kwargs[key] = _number(integ[key], f"'integrator.{key}'")
     try:
-        return FlowSettings(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return FlowSettings(**{"method": "rk45", "horizon": math.inf,
+                               **cfg.get("integrator", {})})
+    except ValueError as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
 
@@ -167,16 +176,11 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
     """Initial data on the x-lattice: sampled curve expressions, or the
     geodesic line generated from an initial point by the first flow (exact
     up to evaluation when its Lie series terminates, see ``orbit_grid``)."""
-    initial = cfg.get("initial")
-    if not isinstance(initial, dict):
-        raise ConfigError("config field 'initial' is required")
-    n = model.n
-    if "curve" in initial:
-        curve = initial["curve"]
-        if not isinstance(curve, list) or len(curve) != n or \
-                not all(isinstance(c, str) for c in curve):
-            raise ConfigError(f"'initial.curve' must list {n} expressions "
-                              "in the variable x")
+    curve = cfg.get("initial", {}).get("curve")
+    if curve is not None:
+        if len(curve) != model.n:
+            raise ConfigError(f"'initial.curve' must list {model.n} "
+                              "expressions in the variable x")
         try:
             polys = [parse_expression(c, ["x"]) for c in curve]
         except (ParseError, PolynomialError) as exc:
@@ -186,9 +190,8 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
         if not np.isfinite(u0).all():
             raise ConfigError("'initial.curve' is not finite on the x-axis")
         return u0
-    point = config_point(cfg, n)
-    line = orbit_grid([model.integrals[0]], point, [x_axis], settings)
-    return line.u
+    point = config_point(cfg, model.n)
+    return orbit_grid([model.integrals[0]], point, [x_axis], settings).u
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +201,6 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
 def verification_report(cfg: dict) -> dict:
     model = build_model(cfg)
     seed = cfg.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("config field 'seed' must be a non-negative integer")
     checks = verify_model(model, seed)
     verdict = "pass" if all(c["verdict"] == "pass" for c in checks) else "fail"
     return {"name": cfg.get("name"), "n": model.n, "seed": seed,
@@ -260,29 +261,17 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _pde_options(cfg: dict, axes: Sequence[AxisSpec]) -> dict:
-    pde = cfg.get("pde", {})
-    if not isinstance(pde, dict):
-        raise ConfigError("config field 'pde' must be an object")
-    t_end = pde.get("t_end")
-    if t_end is None and len(axes) > 1:
-        t_end = axes[1].stop
-    if t_end is None:
-        raise ConfigError("give 'pde.t_end' or a first time axis to bound "
-                          "the direct solve")
-    options = {"t_end": _number(t_end, "'pde.t_end'")}
-    for key in ("cfl", "dt"):
-        if key in pde:
-            options[key] = _number(pde[key], f"'pde.{key}'")
-    return options
-
-
 def _direct_grid(cfg: dict, model: CompanionModel):
     if model.n < 2:
         raise ConfigError("the direct solver needs n >= 2 (no time flows "
                           "exist for n = 1)")
     axes = config_axes(cfg, model.n)
-    options = _pde_options(cfg, axes)
+    # 'pde.t_end' defaults to the stop of the first time axis
+    options = {**({"t_end": axes[1].stop} if len(axes) > 1 else {}),
+               **cfg.get("pde", {})}
+    if "t_end" not in options:
+        raise ConfigError("give 'pde.t_end' or a first time axis to bound "
+                          "the direct solve")
     settings = config_settings(cfg)
     u0 = config_initial_curve(cfg, model, axes[0], settings)
     grid = direct_solve(model.killing[1], axes[0].values(), u0, **options)

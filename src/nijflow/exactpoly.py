@@ -35,9 +35,10 @@ grammar admits exactly polynomial expressions with rational coefficients.
 Expressions are ASCII: digits are 0-9, names are letters, digits and ``_``,
 and any other character is refused.  The parser builds the polynomial as it
 reads, with no syntax tree; parentheses and unary minus nest at most
-``MAX_NESTING`` deep, a ``uint`` exponent above ``MAX_EXPONENT`` is
-refused, and a power or a written-out product whose result could exceed
-``MAX_POWER_BITS`` is refused before it is formed.
+``MAX_NESTING`` deep, a ``uint`` exponent above ``MAX_EXPONENT`` or a literal
+integer of more than ``MAX_LITERAL_DIGITS`` digits is refused, and a power
+or a written-out product whose result could exceed ``MAX_POWER_BITS`` is
+refused before it is formed.
 
 Every product of polynomials, and every sum of such products, is formed by
 one kernel, ``signed_sum``, which sums the products of numerators over one
@@ -78,6 +79,8 @@ MAX_NESTING = 100
 MAX_POWER_BITS = 1 << 16
 # Largest exponent of a variable: a key's 32-bit fields then add without carry.
 MAX_EXPONENT = (1 << 31) - 1
+# Most digits, leading zeros aside, of a literal's integers: int()'s default.
+MAX_LITERAL_DIGITS = 4300
 
 
 class PolynomialError(ValueError):
@@ -704,6 +707,14 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.text in symbols
 
+    def literal(self) -> int:
+        tok = self.advance()
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS}"
+                             " digits", tok.position)
+        return int(digits)
+
     def expect_op(self, symbol: str) -> _Token:
         if not self.at_op(symbol):
             raise ParseError(f"expected {symbol!r}", self.peek().position)
@@ -764,8 +775,7 @@ class _Parser:
             self.depth -= 1
             return poly
         if tok.kind == "int":
-            self.advance()
-            numerator = int(tok.text)
+            numerator = self.literal()
             if not self.at_op("/"):
                 return ExactPolynomial.constant(self.nvars, numerator)
             self.advance()
@@ -773,11 +783,11 @@ class _Parser:
             if den_tok.kind != "int":
                 raise ParseError("expected an integer denominator",
                                  den_tok.position)
-            self.advance()
-            if int(den_tok.text) == 0:
+            denominator = self.literal()
+            if denominator == 0:
                 raise ParseError("zero denominator", den_tok.position)
             return ExactPolynomial.constant(
-                self.nvars, Fraction(numerator, int(den_tok.text)))
+                self.nvars, Fraction(numerator, denominator))
         if tok.kind == "name":
             index = self.index_of.get(tok.text)
             if index is None:

@@ -25,8 +25,8 @@ from support import (reference_read_grid_csv, reference_write_grid_csv,
 import nijflow.verify as verify
 
 from nijflow.cli import (ConfigError, build_model, config_initial_curve,
-                         main, read_grid_csv, verification_report,
-                         write_grid_csv, write_svg_plot)
+                         load_config, main, read_grid_csv,
+                         verification_report, write_grid_csv, write_svg_plot)
 from nijflow.exactpoly import (ExactPolynomial, base_names, format_polynomial,
                                parse_expression)
 from nijflow.flows import AxisSpec, FlowSettings, SolutionGrid
@@ -499,12 +499,76 @@ BAD_CONFIGS = {
     "curve-exponent-above-bound": ("solve-direct", {
         **json.loads((CONFIGS / "nijenhuis2_direct.json").read_text()),
         "initial": {"curve": ["1/10 + 0*x^2147483648", "x"]}}),
+    # JSON text, since json.dumps cannot write it: an integer past the 4,300
+    # digits int() converts made json.load raise ValueError, a traceback
+    "seed-over-int-digit-limit": ("verify", '{"n": 2, "sigma": ["u1", "u2"], '
+                                  '"seed": ' + "1" * 5000 + "}"),
+    # a literal past exactpoly.MAX_LITERAL_DIGITS: int() in the parser raised
+    # ValueError, a traceback
+    "sigma-literal-over-digit-bound": ("verify", {
+        "n": 2, "sigma": ["u1", "1" * 5000 + "*u2"]}),
+    "curve-literal-over-digit-bound": ("solve-direct", {
+        **json.loads((CONFIGS / "nijenhuis2_direct.json").read_text()),
+        "initial": {"curve": ["1/" + "0" * 10 + "1" * 4301, "x"]}}),
+}
+
+
+def _nijenhuis2_with(**fields):
+    return {**json.loads((CONFIGS / "nijenhuis2.json").read_text()), **fields}
+
+
+_NIJENHUIS2_GRID = json.loads((CONFIGS / "nijenhuis2.json").read_text())["grid"]
+
+# configs whose one stderr line must name a key: (command, config as a dict
+# or as JSON text, the dotted path or key the line names)
+BAD_KEYS = {
+    # a misspelled key at each nesting level of the key table
+    "unknown-top": ("evolve", _nijenhuis2_with(sed=3), "'sed'"),
+    "unknown-initial": ("evolve", _nijenhuis2_with(
+        initial={"u": [0.1, -0.2], "p": [0.8, 0.5], "curv": ["x", "x"]}),
+        "'initial.curv'"),
+    "unknown-grid": ("evolve", _nijenhuis2_with(
+        grid={**_NIJENHUIS2_GRID, "y": 1}), "'grid.y'"),
+    "unknown-grid-x": ("evolve", _nijenhuis2_with(grid={
+        "x": {"start": -0.5, "stop": 0.5, "count": 11, "cout": 5}}),
+        "'grid.x.cout'"),
+    "unknown-grid-t0": ("evolve", _nijenhuis2_with(grid={
+        "x": {"start": -0.5, "stop": 0.5, "count": 11},
+        "t": [{"start": 0.0, "stop": 0.5, "cout": 5}]}),
+        "'grid.t[0].cout'"),
+    "unknown-integrator": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk4", "stepp": 0.5}), "'integrator.stepp'"),
+    "unknown-pde": ("solve-direct", _nijenhuis2_with(pde={"cfll": 9}),
+                    "'pde.cfll'"),
+    # a key the config's own method never reads
+    "inert-step-rk45": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk45", "step": 0.01}), "'integrator.step'"),
+    "inert-step-default": ("evolve", _nijenhuis2_with(
+        integrator={"step": 0.01}), "'integrator.step'"),
+    "inert-abs_tol-rk4": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk4", "abs_tol": 1e-3}),
+        "'integrator.abs_tol'"),
+    "inert-rel_tol-rk4": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk4", "rel_tol": 1e-3}),
+        "'integrator.rel_tol'"),
+    # malformed where the command reads nothing of it
+    "grid-not-object-verify": ("verify", _nijenhuis2_with(grid=5), "'grid'"),
+    "axis-incomplete-verify": ("verify", _nijenhuis2_with(
+        grid={"x": {"start": 0.0, "stop": 1.0}}), "'grid.x'"),
+    # fell back to the first time axis's stop
+    "t_end-null": ("solve-direct", _nijenhuis2_with(pde={"t_end": None}),
+                   "'pde.t_end'"),
+    # json.load kept the last of a repeated key
+    "duplicate-top": ("verify", '{"n": 2, "sigma": ["u1", "u2"], "n": 2}',
+                      "'n'"),
+    "duplicate-grid-x": ("evolve", json.dumps(_nijenhuis2_with()).replace(
+        '"count": 101', '"count": 3, "count": 5'), "'count'"),
 }
 
 
 def _assert_exits_2(tmp_path, capsys, command, cfg):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps(cfg))
+    config.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     argv = [command, str(config)]
     if command != "verify":
         argv += ["--output", str(tmp_path / "out.csv")]
@@ -512,6 +576,7 @@ def _assert_exits_2(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith(f"nijflow {command}: ")
     assert len(err.splitlines()) == 1
+    return err
 
 
 @pytest.mark.parametrize("command, fields", BAD_NUMBERS.values(),
@@ -531,6 +596,29 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, fields):
                          ids=BAD_CONFIGS.keys())
 def test_bad_configs_exit_2(tmp_path, capsys, command, cfg):
     _assert_exits_2(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg, key", BAD_KEYS.values(),
+                         ids=BAD_KEYS.keys())
+def test_bad_config_keys_exit_2_naming_the_key(tmp_path, capsys, command,
+                                               cfg, key):
+    assert key in _assert_exits_2(tmp_path, capsys, command, cfg)
+
+
+def test_rk4_step_alone_still_reaches_the_step_budget(tmp_path, capsys):
+    # the "rk4-step-tiny" row now stops at nijenhuis2's inert tolerances
+    cfg = _nijenhuis2_with(integrator={"method": "rk4", "step": 1e-300})
+    err = _assert_exits_2(tmp_path, capsys, "evolve", cfg)
+    assert err == "nijflow evolve: step budget exhausted\n"
+
+
+def test_config_numbers_load_as_floats(tmp_path):
+    path = small_e2_config(tmp_path, grid={
+        "x": {"start": -1, "stop": 1, "count": 3}}, pde={"t_end": 1})
+    cfg = load_config(str(path))
+    assert [type(v) for v in cfg["grid"]["x"].values()] == [float, float, int]
+    assert type(cfg["pde"]["t_end"]) is float
+    assert type(cfg["seed"]) is int
 
 
 def test_residual_input_without_time_axis_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from nijflow.exactpoly import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     ExactPolynomial,
     ParseError,
@@ -590,6 +591,26 @@ class TestParser:
         with pytest.raises(ParseError, match="exponent exceeds") as err:
             parse_expression(text, U2)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        ("u1 + " + "7" * 4301, 5),
+        ("u1 + 1/" + "7" * 4301, 7),
+        ("2/" + "0" * 4301 + "7" * 4301 + "*u2", 2),
+    ])
+    def test_literal_past_the_digit_bound_refused_at_its_position(
+            self, text, position):
+        # int() refused it with ValueError, past the parser's error types
+        with pytest.raises(ParseError, match="integer literal") as err:
+            parse_expression(text, U2)
+        assert err.value.position == position
+
+    def test_literal_at_the_digit_bound_parses(self):
+        big = int("7" * MAX_LITERAL_DIGITS)
+        for text in ("7" * MAX_LITERAL_DIGITS + "*u1",
+                     "00" + "7" * MAX_LITERAL_DIGITS + "*u1"):
+            assert parse_expression(text, U2).coefficient((1, 0)) == big
+        assert parse_expression("1/000" + "7" * MAX_LITERAL_DIGITS, U2) \
+            .constant_value() == Fraction(1, big)
 
     def test_exponent_at_the_bound_parses(self):
         for text in ("u2^2147483647", "u2^0002147483647"):
