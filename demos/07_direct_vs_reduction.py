@@ -21,7 +21,7 @@ G = const.gram.evaluate_at([0.0, 0.0])
 p0 = np.array([1.0, 2.0])
 xs = np.linspace(-2.0, 2.0, 161)
 grid = direct_solve(const.killing[1], xs, np.outer(xs, G @ p0), 0.25,
-                    dt=0.0625)
+                    cfl=2.5)
 A1Gp0 = const.killing[1].evaluate_at([0.0, 0.0]) @ (G @ p0)
 worst = max(np.abs(grid.u[ix, it] - x * (G @ p0) - t * A1Gp0).max()
             for ix, x in enumerate(grid.axes[0].values())
@@ -29,7 +29,7 @@ worst = max(np.abs(grid.u[ix, it] - x * (G @ p0) - t * A1Gp0).max()
 print(f"  deviation from the affine solution u = x G p0 + t A_1 G p0: "
       f"{worst:.3e}")
 orbit = orbit_grid(const.integrals, CotangentPoint((0.0, 0.0), tuple(p0)),
-                   grid.axes, FlowSettings(method="rk45", horizon=4.0))
+                   grid.axes, FlowSettings(method="rk45"))
 print(f"  deviation from the flow-composed lattice: "
       f"{compare_grids(grid, orbit).max():.3e}")
 
@@ -41,8 +41,7 @@ print(f"  window: {len(xs)} nodes in, {grid.axes[0].count} out "
 print("\n== curved coefficients: agreement at discretization accuracy ==")
 model = CompanionModel.from_expressions(["u1", "u2 - 1/2*u1^2"])
 start = CotangentPoint((0.1, -0.2), (0.8, 2.5))
-settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12,
-                        horizon=2.0)
+settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12)
 span, t_end = 1.5, 0.05
 devs = []
 for dx in (0.05, 0.025, 0.0125):

@@ -66,8 +66,8 @@ CONFIG_KEYS = {
     "initial": {"u": [_NUMBER], "p": [_NUMBER], "curve": [_TEXT]},
     "grid": {"x": _AXIS, "t": [_AXIS]},
     "integrator": {"method": _METHOD, "step": _NUMBER, "abs_tol": _NUMBER,
-                   "rel_tol": _NUMBER, "horizon": _NUMBER},
-    "pde": {"t_end": _NUMBER, "cfl": _NUMBER, "dt": _NUMBER},
+                   "rel_tol": _NUMBER},
+    "pde": {"t_end": _NUMBER, "cfl": _NUMBER},
 }
 
 
@@ -117,7 +117,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     cfg = _checked(raw, CONFIG_KEYS, "")
     integ = cfg.get("integrator", {})
-    method = integ.get("method", "rk45")
+    method = integ.get("method", FlowSettings.method)
     for key in {"rk4": ("abs_tol", "rel_tol"), "rk45": ("step",)}[method]:
         if key in integ:
             raise ConfigError(f"config key 'integrator.{key}' is never read "
@@ -162,10 +162,8 @@ def config_point(cfg: dict, n: int) -> CotangentPoint:
 
 
 def config_settings(cfg: dict) -> FlowSettings:
-    # flow times are unbounded unless 'integrator.horizon' bounds them
     try:
-        return FlowSettings(**{"method": "rk45", "horizon": math.inf,
-                               **cfg.get("integrator", {})})
+        return FlowSettings(**cfg.get("integrator", {}))
     except ValueError as exc:
         raise ConfigError(f"bad integrator settings: {exc}") from exc
 
@@ -266,12 +264,9 @@ def _direct_grid(cfg: dict, model: CompanionModel):
         raise ConfigError("the direct solver needs n >= 2 (no time flows "
                           "exist for n = 1)")
     axes = config_axes(cfg, model.n)
-    # 'pde.t_end' defaults to the stop of the first time axis
-    options = {**({"t_end": axes[1].stop} if len(axes) > 1 else {}),
-               **cfg.get("pde", {})}
+    options = cfg.get("pde", {})
     if "t_end" not in options:
-        raise ConfigError("give 'pde.t_end' or a first time axis to bound "
-                          "the direct solve")
+        raise ConfigError("give 'pde.t_end' to bound the direct solve")
     settings = config_settings(cfg)
     u0 = config_initial_curve(cfg, model, axes[0], settings)
     grid = direct_solve(model.killing[1], axes[0].values(), u0, **options)
@@ -409,7 +404,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"nijflow {args.command}: floating-point overflow: {exc}",
               file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,24 +84,22 @@ class CotangentPoint:
 class FlowSettings:
     """Integrator configuration.
 
-    ``method`` selects "rk4" (fixed step ``step``) or "rk45" (adaptive with
-    ``abs_tol``/``rel_tol``).  ``horizon`` bounds the allowed flow times;
-    trajectories of polynomial Hamiltonians can blow up in finite time, so
-    callers must opt in to long integrations explicitly.
+    ``method`` selects "rk45" (adaptive with ``abs_tol``/``rel_tol``, the
+    default) or "rk4" (fixed step ``step``).
     """
-    method: str = "rk4"
+    method: str = "rk45"
     step: float = 1e-3
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    horizon: float = 1.0
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown integrator {self.method!r}")
-        if self.step <= 0 or self.horizon <= 0:
-            raise ValueError("step and horizon must be positive")
+        if self.step <= 0:
+            raise ValueError("step must be positive")
         if self.abs_tol <= 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("abs_tol must be positive and rel_tol "
+                             "non-negative")
 
 
 class HamiltonianField:
@@ -268,12 +266,6 @@ def _chain(f: HamiltonianField, y: State, times: Sequence[float],
     return out
 
 
-def _check_horizon(t: float, settings: FlowSettings) -> None:
-    if abs(t) > settings.horizon + 1e-12:
-        raise FlowError(f"flow time {t} exceeds the configured horizon "
-                        f"{settings.horizon}")
-
-
 # ---------------------------------------------------------------------------
 # flows that are polynomials in their time
 
@@ -342,7 +334,6 @@ def integrate_flow(F: Union[PhaseFunction, HamiltonianField],
                    start: CotangentPoint, t: float,
                    settings: FlowSettings = FlowSettings()) -> CotangentPoint:
     """The flow of one integral applied to a point for time ``t``."""
-    _check_horizon(t, settings)
     f = hamiltonian_rhs(F)
     return CotangentPoint.from_state(_advance(f, start.state(), t, settings))
 
@@ -354,8 +345,6 @@ def integrate_flow_path(F: Union[PhaseFunction, HamiltonianField],
     """States of one flow at an increasing sequence of times, reached by
     chaining segment integrations from the previous stop."""
     f = hamiltonian_rhs(F)
-    for t in times:
-        _check_horizon(t, settings)
     return [CotangentPoint.from_state(y)
             for y in _chain(f, start.state(), [0.0, *times], settings)]
 
@@ -433,25 +422,19 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     """Fill a lattice with the composed commuting flows.
 
     ``axes[0]`` parametrizes the flow of ``integrals[0]`` (the x-sweep) and
-    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  No time axis may
-    span more than the horizon.  The start is moved by every time axis's
-    start, in axis order; each time axis is then swept, chained, from every
-    node built so far (C order).  Every line is then swept in x from its
-    node: all at once by the x-flow's Lie series when it ends by order 2n
-    (``polynomial_flow``; a value that overflows raises ``FlowError``), and
-    otherwise chained line by line, the first line that fails raising its
-    ``FlowError``.
+    ``axes[k]`` for k >= 1 the flow of ``integrals[k]``.  The start is moved
+    by every time axis's start, in axis order; each time axis is then swept,
+    chained, from every node built so far (C order).  Every line is then
+    swept in x from its node: all at once by the x-flow's Lie series when it
+    ends by order 2n (``polynomial_flow``; a value that overflows raises
+    ``FlowError``), and otherwise chained line by line, the first line that
+    fails raising its ``FlowError``.
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
     fields = [hamiltonian_rhs(F) for F in integrals]
     n = fields[0].n
     axes = tuple(axes)
-    for a in axes:
-        if max(abs(a.start), abs(a.stop)) > settings.horizon + 1e-12:
-            raise FlowError(f"axis {a.name!r} exceeds the configured horizon")
-    for a in axes[1:]:
-        _check_horizon(a.stop - a.start, settings)
     t_fields = tuple(zip(fields[1:], axes[1:]))
     nodes = [start.state()]
     for f, a in t_fields:

@@ -81,15 +81,15 @@ def _interior_rhs(y: np.ndarray, product, dx: float) -> np.ndarray:
 
 
 def direct_solve(A: OperatorField, x_values: Sequence[float],
-                 u0: np.ndarray, t_end: float, *, cfl: float = 0.4,
-                 dt: float | None = None) -> SolutionGrid:
+                 u0: np.ndarray, t_end: float, *, cfl: float = 0.4
+                 ) -> SolutionGrid:
     """March u_t = A(u) u_x forward from initial data on a uniform lattice.
 
     ``u0`` holds the initial values, shape (len(x_values), n).  The step is
-    ``cfl`` times the lattice spacing unless ``dt`` overrides it; either way
-    the step is rounded down so the steps tile [0, t_end] exactly.  Every
-    time layer is recorded, trimmed to the final window (eight nodes per
-    side per step).  The result carries no momenta (``p`` is None).
+    ``cfl`` times the lattice spacing, rounded down so the steps tile
+    [0, t_end] exactly.  Every time layer is recorded, trimmed to the final
+    window (eight nodes per side per step).  The result carries no momenta
+    (``p`` is None).
     """
     x_values = np.asarray(x_values, dtype=float)
     dx = _check_uniform(x_values)
@@ -100,21 +100,18 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
                        f"got {u0.shape}")
     if t_end <= 0:
         raise PDEError("t_end must be positive")
-    if dt is None:
-        if cfl <= 0:
-            raise PDEError("cfl must be positive")
-        dt = cfl * dx
-    if dt <= 0:
-        raise PDEError("dt must be positive")
-    steps = max(1, math.ceil(t_end / dt - 1e-9))
+    if cfl <= 0:
+        raise PDEError("cfl must be positive")
+    steps = max(1, math.ceil(t_end / (cfl * dx) - 1e-9))
     dt = t_end / steps
     m = len(x_values)
     width = m - 16 * steps
     if width < MIN_WIDTH:
+        # steps grow as 1/dx, so refining the lattice never helps
         raise PDEError(
-            f"window exhausted: {steps} steps strip {16 * steps} of {m} "
-            f"nodes, leaving {width} < {MIN_WIDTH}; widen the initial "
-            f"interval or refine the lattice")
+            f"window exhausted: {steps} steps need {16 * steps + MIN_WIDTH} "
+            f"x-nodes, {m} given; the initial interval must span more than "
+            f"16 * t_end / cfl = {16 * t_end / cfl:.6g} in x")
     if m * steps > MAX_NODE_STEPS:
         raise PDEError(
             f"{steps} steps on {m} nodes make {m * steps} node-steps, more "

@@ -169,8 +169,7 @@ def test_criterion_4_transformed_metrics(e2):
 def e2_orbit(e2):
     start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
     axes = (AxisSpec("x", 0.0, 1.0, 101), AxisSpec("t1", 0.0, 0.5, 51))
-    settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
-                            horizon=2.0)
+    settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
     grid = orbit_grid(e2.integrals, start, axes, settings)
     return start, axes, settings, grid
 
@@ -196,8 +195,7 @@ def test_criterion_5_flow_suite(e2, e2_orbit):
         problems.append(f"line re-integration off by {worst_line:.2e}")
 
     # (b) the flows commute
-    tight = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12,
-                         horizon=2.0)
+    tight = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
     from nijflow.flows import verify_commutation, verify_conservation
     mismatch = verify_commutation(e2.integrals, start, 0.3, 0.3, tight)
     if mismatch >= 1e-8:
@@ -239,18 +237,17 @@ def test_criterion_6_direct_vs_reduction(e2):
     p0 = np.array([1.0, 2.0])
     xs = np.linspace(-2.0, 2.0, 161)
     direct0 = direct_solve(c2.killing[1], xs, np.outer(xs, G @ p0), 0.25,
-                           dt=0.0625)
+                           cfl=0.0625 / (xs[1] - xs[0]))
     orbit0 = orbit_grid(c2.integrals, CotangentPoint((0.0, 0.0), tuple(p0)),
                         direct0.axes,
-                        FlowSettings(method="rk45", horizon=4.0))
+                        FlowSettings(method="rk45"))
     dev0 = compare_grids(direct0, orbit0).max()
     if dev0 >= 1e-10:
         problems.append(f"constant-coefficient deviation {dev0:.2e}")
 
     # curved fixture: deviation within C*dx^2 and shrinking under refinement
     start = CotangentPoint((0.1, -0.2), (0.8, 2.5))
-    settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12,
-                            horizon=2.0)
+    settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12)
     span, t_end, C = 1.5, 0.05, 1.0
     deviations = []
     for dx in (0.05, 0.025, 0.0125):

@@ -353,20 +353,6 @@ def test_bad_grid_and_initial_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("count", [2, 3])
-def test_time_axis_beyond_the_horizon_exits_2(tmp_path, capsys, count):
-    # both ends of t1 are within the horizon, its span is not, however many
-    # nodes divide it
-    cfg = small_e2_config(
-        tmp_path, integrator={"method": "rk45", "horizon": 1.0},
-        grid={"x": {"start": -0.3, "stop": 0.3, "count": 11},
-              "t": [{"start": -0.6, "stop": 0.6, "count": count}]})
-    assert main(["evolve", str(cfg), "--output", str(tmp_path / "o.csv")]) == 2
-    assert capsys.readouterr().err == ("nijflow evolve: flow time 1.2 exceeds "
-                                       "the configured horizon 1.0\n")
-    assert not (tmp_path / "o.csv").exists()
-
-
 @pytest.mark.parametrize("command", ["evolve", "residual", "solve-direct"])
 @pytest.mark.parametrize("t_axis", [
     {"start": 0.1, "stop": 0.1, "count": 3},
@@ -392,12 +378,11 @@ def test_axis_with_repeated_nodes_exits_2(tmp_path, capsys, command, t_axis):
 
 NODE_STEPS_OVER_CAP = {
     "grid": {"x": {"start": -1.5, "stop": 1.5, "count": 20001}},
-    "pde": {"t_end": 0.05, "dt": 0.00008}}
+    "pde": {"t_end": 0.05, "cfl": 0.5}}
 
 # (command, {dotted field path in nijenhuis2.json: replacement value})
 BAD_NUMBERS = {
     "abs_tol-string": ("evolve", {"integrator.abs_tol": "abc"}),
-    "horizon-numeric-string": ("evolve", {"integrator.horizon": "1.5"}),
     "start-string": ("evolve", {"grid.x.start": "abc"}),
     "stop-infinite": ("evolve", {"grid.x.stop": float("inf")}),
     "initial-p-bool": ("evolve", {"initial.p": [0.8, True]}),
@@ -454,7 +439,7 @@ BAD_NUMBERS = {
                                    "grid.t": [{"start": 0.0, "stop": 0.5,
                                                "count": 1000}]}),
     "x-count-huge-direct": ("solve-direct", {"grid.x.count": 1_000_000_000}),
-    # over pde.MAX_NODE_STEPS: 625 steps on 20001 nodes, which the window
+    # over pde.MAX_NODE_STEPS: 667 steps on 20001 nodes, which the window
     # allows; refused before any layer is computed
     "node-steps-direct": ("solve-direct", NODE_STEPS_OVER_CAP),
     "node-steps-compare": ("compare", NODE_STEPS_OVER_CAP),
@@ -540,6 +525,12 @@ BAD_KEYS = {
         integrator={"method": "rk4", "stepp": 0.5}), "'integrator.stepp'"),
     "unknown-pde": ("solve-direct", _nijenhuis2_with(pde={"cfll": 9}),
                     "'pde.cfll'"),
+    # no such keys: the step is cfl * dx, and flow times are unbounded
+    "removed-horizon": ("evolve", _nijenhuis2_with(
+        integrator={"horizon": 1.0}),
+        "unknown config key 'integrator.horizon'"),
+    "removed-dt": ("solve-direct", _nijenhuis2_with(
+        pde={"t_end": 0.5, "dt": 0.01}), "unknown config key 'pde.dt'"),
     # a key the config's own method never reads
     "inert-step-rk45": ("evolve", _nijenhuis2_with(
         integrator={"method": "rk45", "step": 0.01}), "'integrator.step'"),
@@ -610,6 +601,49 @@ def test_rk4_step_alone_still_reaches_the_step_budget(tmp_path, capsys):
     cfg = _nijenhuis2_with(integrator={"method": "rk4", "step": 1e-300})
     err = _assert_exits_2(tmp_path, capsys, "evolve", cfg)
     assert err == "nijflow evolve: step budget exhausted\n"
+
+
+_OVER_THE_NODE_STEP_CAP = (
+    "667 steps on 20001 nodes make 13340667 node-steps, more than the limit "
+    "of 10000000; coarsen the lattice or shorten t_end")
+
+# configs whose one stderr line is pinned whole: (command, config, the line
+# after "nijflow COMMAND: ")
+EXIT_2_LINES = {
+    "step-negative": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk4", "step": -0.1}),
+        "bad integrator settings: step must be positive"),
+    "abs_tol-zero": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk45", "abs_tol": 0}),
+        "bad integrator settings: abs_tol must be positive and rel_tol "
+        "non-negative"),
+    "rel_tol-negative": ("evolve", _nijenhuis2_with(
+        integrator={"method": "rk45", "rel_tol": -1}),
+        "bad integrator settings: abs_tol must be positive and rel_tol "
+        "non-negative"),
+    "curve-wrong-length": ("solve-direct", {
+        **json.loads((CONFIGS / "nijenhuis2_direct.json").read_text()),
+        "initial": {"curve": ["x"]}},
+        "'initial.curve' must list 2 expressions in the variable x"),
+    "t_end-absent": ("solve-direct", _nijenhuis2_with(),
+                     "give 'pde.t_end' to bound the direct solve"),
+    # 0.5 / (0.4 * 0.01) = 125 steps; no refinement of the lattice helps
+    "window-exhausted": ("solve-direct", _nijenhuis2_with(pde={"t_end": 0.5}),
+                         "window exhausted: 125 steps need 2005 x-nodes, 101 "
+                         "given; the initial interval must span more than "
+                         "16 * t_end / cfl = 20 in x"),
+    "node-steps-direct": ("solve-direct", _nijenhuis2_with(
+        **NODE_STEPS_OVER_CAP), _OVER_THE_NODE_STEP_CAP),
+    "node-steps-compare": ("compare", _nijenhuis2_with(
+        **NODE_STEPS_OVER_CAP), _OVER_THE_NODE_STEP_CAP),
+}
+
+
+@pytest.mark.parametrize("command, cfg, line", EXIT_2_LINES.values(),
+                         ids=EXIT_2_LINES.keys())
+def test_exit_2_line_is_pinned(tmp_path, capsys, command, cfg, line):
+    err = _assert_exits_2(tmp_path, capsys, command, cfg)
+    assert err == f"nijflow {command}: {line}\n"
 
 
 def test_config_numbers_load_as_floats(tmp_path):
@@ -1698,12 +1732,13 @@ def test_svg_matches_the_point_by_point_oracle(tmp_path, kind, axes, slices):
 # process-level entry point
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nijflow", "verify",
-         str(CONFIGS / "nijenhuis2.json")],
-        capture_output=True, text=True, cwd=str(REPO))
+def test_module_entry_point_runs(capsys):
+    config = str(CONFIGS / "nijenhuis2.json")
+    proc = subprocess.run([sys.executable, "-m", "nijflow", "verify", config],
+                          capture_output=True, text=True, cwd=str(REPO))
     assert proc.returncode == 0
+    assert main(["verify", config]) == 0
+    assert proc.stdout == capsys.readouterr().out
     assert json.loads(proc.stdout)["verdict"] == "pass"
 
 

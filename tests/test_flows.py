@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import nijflow.flows as flows
-from nijflow.cli import build_model, config_axes, config_point, config_settings
+from nijflow.cli import (ConfigError, build_model, config_axes, config_point,
+                         config_settings, load_config)
 from nijflow.exactpoly import evaluate_float_form, parse_expression
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                            HamiltonianField, SolutionGrid,
@@ -75,8 +76,6 @@ def test_flow_settings_validation():
         FlowSettings(method="euler")
     with pytest.raises(ValueError):
         FlowSettings(step=0.0)
-    with pytest.raises(ValueError):
-        FlowSettings(horizon=-1.0)
     with pytest.raises(ValueError):
         FlowSettings(abs_tol=0.0)
 
@@ -263,24 +262,12 @@ def test_backward_flow_inverts_forward_flow():
 # failure modes
 
 
-def test_horizon_is_enforced():
-    _, _, integrals = constant2_setup()
-    start = CotangentPoint((0.0, 0.0), (1.0, 2.0))
-    with pytest.raises(FlowError):
-        integrate_flow(integrals[0], start, 1.5, FlowSettings(horizon=1.0))
-    with pytest.raises(FlowError):
-        integrate_flow_path(integrals[0], start, [0.5, 2.0],
-                            FlowSettings(horizon=1.0))
-    # exactly at the horizon is allowed
-    integrate_flow(integrals[0], start, 1.0, FlowSettings(horizon=1.0))
-
-
 def test_blow_up_reports_last_state():
     # du/dt = u^2 blows up at t = 1 from u(0) = 1
     F = PhaseFunction(1, parse_expression("u1^2*p1", upnames(1)))
     start = CotangentPoint((1.0,), (1.0,))
-    for settings in (FlowSettings(method="rk4", step=1e-3, horizon=4.0),
-                     FlowSettings(method="rk45", horizon=4.0)):
+    for settings in (FlowSettings(method="rk4", step=1e-3),
+                     FlowSettings(method="rk45")):
         with pytest.raises(FlowError) as err:
             integrate_flow(F, start, 2.0, settings)
         last = err.value.last_state
@@ -293,8 +280,7 @@ def test_blow_up_before_horizon_with_adaptive_steps():
     F = PhaseFunction(1, parse_expression("u1^2*p1", upnames(1)))
     start = CotangentPoint((1.0,), (1.0,))
     with pytest.raises(FlowError):
-        integrate_flow(F, start, 1.0, FlowSettings(method="rk45",
-                                                   horizon=1.0))
+        integrate_flow(F, start, 1.0, FlowSettings(method="rk45"))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -437,10 +423,6 @@ def test_orbit_grid_requires_matching_axes():
     start = CotangentPoint((0.0, 0.0), (1.0, 2.0))
     with pytest.raises(ValueError):
         orbit_grid(integrals, start, [AxisSpec("x", 0.0, 0.5, 3)])
-    with pytest.raises(FlowError):
-        orbit_grid(integrals, start,
-                   [AxisSpec("x", 0.0, 5.0, 3), AxisSpec("t1", 0.0, 0.1, 2)],
-                   FlowSettings(horizon=1.0))
 
 
 def test_orbit_grid_nodes_match_composed_point_flows():
@@ -557,40 +539,14 @@ def test_orbit_grid_composes_time_axes_in_prefix_order(n, settings):
                                                    settings))
 
 
-def test_time_step_beyond_the_horizon_is_a_flow_error():
-    # each end of t1 is within the horizon, but its one step is not
-    _, _, integrals = nijenhuis2_setup()
-    start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
-    axes = (AxisSpec("x", 0.0, 0.5, 3), AxisSpec("t1", -0.6, 0.6, 2))
-    with pytest.raises(FlowError) as err:
-        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.0))
-    assert str(err.value) == ("flow time 1.2 exceeds the configured horizon "
-                              "1.0")
-    assert err.value.last_state is None
-
-
-def test_time_axis_span_beyond_the_horizon_is_refused_unstepped(monkeypatch):
-    # the 3-node twin of the case above reaches the same times in steps of
-    # 0.6; the span is refused all the same, before any integration
-    _, _, integrals = nijenhuis2_setup()
-    start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
-    axes = (AxisSpec("x", 0.0, 0.5, 3), AxisSpec("t1", -0.6, 0.6, 3))
-    advanced = []
-    monkeypatch.setattr(flows, "_advance", lambda *args: advanced.append(args))
-    with pytest.raises(FlowError) as err:
-        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.0))
-    assert str(err.value) == ("flow time 1.2 exceeds the configured horizon "
-                              "1.0")
-    assert advanced == []
-
-
-def test_config_horizon_is_unbounded_unless_given():
-    cfg = {"integrator": {"method": "rk4"}}
-    assert config_settings(cfg) == FlowSettings(method="rk4",
-                                                horizon=math.inf)
-    assert config_settings({}).horizon == math.inf
-    cfg["integrator"]["horizon"] = 2.5
-    assert config_settings(cfg).horizon == 2.5
+def test_config_settings_default_is_the_library_default(tmp_path):
+    assert config_settings({}) == FlowSettings()
+    # so a config without 'method' runs rk45, which never reads 'step'
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps({"integrator": {"step": 0.01}}))
+    with pytest.raises(ConfigError, match="'integrator.step' is never read "
+                                          "by method 'rk45'"):
+        load_config(str(path))
 
 
 def test_orbit_grid_builds_no_point_per_node(monkeypatch):
@@ -618,8 +574,8 @@ def test_orbit_grid_builds_no_point_per_node(monkeypatch):
 
 
 @pytest.mark.parametrize("settings", [
-    FlowSettings(method="rk4", step=1e-3, horizon=4.0),
-    FlowSettings(method="rk45", horizon=4.0)])
+    FlowSettings(method="rk4", step=1e-3),
+    FlowSettings(method="rk45")])
 def test_non_terminating_x_flow_blow_up_raises_the_first_failing_line(
         settings):
     # du1/dx = u1^2 blows up at x = 1/u1(0); the t-flow of p1 shifts u1, so
@@ -758,7 +714,7 @@ def test_series_overflow_raises_flow_error(stop):
     start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
     axes = (AxisSpec("x", -0.5, stop, 11), AxisSpec("t1", 0.0, 0.2, 3))
     with pytest.raises(FlowError, match="overflowed"):
-        orbit_grid(integrals, start, axes, FlowSettings(horizon=1.5 * stop))
+        orbit_grid(integrals, start, axes)
 
 
 # ---------------------------------------------------------------------------

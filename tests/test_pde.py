@@ -82,7 +82,8 @@ def test_constant_coefficient_direct_solve_is_exact():
     Gp0 = G @ p0
     A1Gp0 = A[1].evaluate_at([0.0, 0.0]) @ Gp0
     xs = np.linspace(-2.0, 2.0, 161)
-    grid = direct_solve(A[1], xs, np.outer(xs, Gp0), 0.25, dt=0.0625)
+    dx = xs[1] - xs[0]
+    grid = direct_solve(A[1], xs, np.outer(xs, Gp0), 0.25, cfl=0.0625 / dx)
     assert grid.meta["steps"] == 4
     assert grid.p is None
     worst = 0.0
@@ -93,7 +94,7 @@ def test_constant_coefficient_direct_solve_is_exact():
     assert worst < 1e-10
     # the reduction reproduces the same lattice
     orbit = orbit_grid(F, CotangentPoint((0.0, 0.0), tuple(p0)), grid.axes,
-                       FlowSettings(method="rk45", horizon=4.0))
+                       FlowSettings(method="rk45"))
     assert compare_grids(grid, orbit).max() < 1e-10
     # and the discrete residual vanishes on the exact affine solution
     assert grid_residual(grid, [A[1]]).max_abs < 1e-10
@@ -114,8 +115,9 @@ def test_constant_initial_curve_stays_constant():
 def test_window_shrinks_eight_nodes_per_side_per_step():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 101)
+    dx = xs[1] - xs[0]
     u0 = np.zeros((101, 2))
-    grid = direct_solve(A[1], xs, u0, 0.01, dt=0.005)
+    grid = direct_solve(A[1], xs, u0, 0.01, cfl=0.005 / dx)
     steps = grid.meta["steps"]
     assert steps == 2
     assert grid.axes[0].count == 101 - 16 * steps
@@ -129,18 +131,20 @@ def test_window_shrinks_eight_nodes_per_side_per_step():
 def test_window_exhaustion_is_reported():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 41)
+    dx = xs[1] - xs[0]
     with pytest.raises(PDEError) as err:
-        direct_solve(A[1], xs, np.zeros((41, 2)), 1.0, dt=0.01)
+        direct_solve(A[1], xs, np.zeros((41, 2)), 1.0, cfl=0.01 / dx)
     assert "window exhausted" in str(err.value)
 
 
 def test_node_step_cap_is_checked_before_any_layer(monkeypatch):
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 101)
+    dx = xs[1] - xs[0]
     u0 = np.zeros((101, 2))
     # 2 steps on 101 nodes: 202 node-steps, allowed exactly at the cap
     monkeypatch.setattr(pde, "MAX_NODE_STEPS", 202)
-    assert direct_solve(A[1], xs, u0, 0.01, dt=0.005).meta["steps"] == 2
+    assert direct_solve(A[1], xs, u0, 0.01, cfl=0.005 / dx).meta["steps"] == 2
 
     def no_layer(*args):
         raise AssertionError("a layer was computed")
@@ -148,7 +152,7 @@ def test_node_step_cap_is_checked_before_any_layer(monkeypatch):
     monkeypatch.setattr(pde, "_interior_rhs", no_layer)
     monkeypatch.setattr(pde, "MAX_NODE_STEPS", 201)
     with pytest.raises(PDEError) as err:
-        direct_solve(A[1], xs, u0, 0.01, dt=0.005)
+        direct_solve(A[1], xs, u0, 0.01, cfl=0.005 / dx)
     assert str(err.value) == ("2 steps on 101 nodes make 202 node-steps, "
                               "more than the limit of 201; coarsen the "
                               "lattice or shorten t_end")
@@ -157,6 +161,7 @@ def test_node_step_cap_is_checked_before_any_layer(monkeypatch):
 def test_lattice_validation():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 41)
+    dx = xs[1] - xs[0]
     with pytest.raises(PDEError):
         direct_solve(A[1], np.array([0.0, 0.1, 0.3]), np.zeros((3, 2)), 0.01)
     with pytest.raises(PDEError):
@@ -168,7 +173,7 @@ def test_lattice_validation():
     with pytest.raises(PDEError):
         direct_solve(A[1], xs, np.zeros((41, 2)), 0.01, cfl=-1.0)
     with pytest.raises(PDEError):
-        direct_solve(A[1], xs, np.zeros((41, 2)), 0.01, dt=-1e-3)
+        direct_solve(A[1], xs, np.zeros((41, 2)), 0.01, cfl=-1e-3 / dx)
 
 
 def test_blow_up_is_detected():
@@ -273,12 +278,13 @@ def test_direct_solve_and_residual_match_the_einsum_product(monkeypatch, n):
 def test_residual_validation():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 81)
-    grid = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.002)
+    dx = xs[1] - xs[0]
+    grid = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, cfl=0.002 / dx)
     with pytest.raises(PDEError):
         grid_residual(grid, [])
     with pytest.raises(PDEError):
         grid_residual(grid, [A[1], A[1]])
-    short = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.004)
+    short = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, cfl=0.004 / dx)
     assert short.axes[1].count == 2
     with pytest.raises(PDEError):
         grid_residual(short, [A[1]])
@@ -352,13 +358,15 @@ def test_convergence_orders_helper():
 def test_compare_grids_checks_axes():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 81)
-    a = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.002)
-    b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.002)
+    dx = xs[1] - xs[0]
+    a = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, cfl=0.002 / dx)
+    b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, cfl=0.002 / dx)
     assert compare_grids(a, b).max() == 0.0
-    c = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, dt=0.004)
+    c = direct_solve(A[1], xs, np.zeros((81, 2)), 0.004, cfl=0.004 / dx)
     with pytest.raises(PDEError):
         compare_grids(a, c)
-    shifted = direct_solve(A[1], xs + 0.5, np.zeros((81, 2)), 0.004, dt=0.002)
+    shifted = direct_solve(A[1], xs + 0.5, np.zeros((81, 2)), 0.004,
+                           cfl=0.002 / dx)
     with pytest.raises(PDEError):
         compare_grids(a, shifted)
 
@@ -366,9 +374,10 @@ def test_compare_grids_checks_axes():
 def test_compare_grids_per_time_node():
     _, A, _ = nijenhuis2_setup()
     xs = np.linspace(-1.0, 1.0, 81)
+    dx = xs[1] - xs[0]
     u0 = np.column_stack([np.sin(xs), 0.5 * xs])
-    a = direct_solve(A[1], xs, u0, 0.008, dt=0.002)
-    b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.008, dt=0.002)
+    a = direct_solve(A[1], xs, u0, 0.008, cfl=0.002 / dx)
+    b = direct_solve(A[1], xs, np.zeros((81, 2)), 0.008, cfl=0.002 / dx)
     assert compare_grids(a, b).tolist() == [
         float(np.abs(a.u[:, j] - b.u[:, j]).max())
         for j in range(a.axes[1].count)]
@@ -387,8 +396,7 @@ def test_compare_grids_per_time_node():
 def test_direct_solution_matches_reduction():
     _, A, F = nijenhuis2_setup()
     start = CotangentPoint((0.1, -0.2), (0.8, 2.5))
-    settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12,
-                            horizon=2.0)
+    settings = FlowSettings(method="rk45", abs_tol=1e-13, rel_tol=1e-12)
     span, dx = 1.5, 0.05
     nx = round(2 * span / dx) + 1
     xs = np.linspace(-span, span, nx)
