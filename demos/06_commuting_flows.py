@@ -31,7 +31,7 @@ print("== canonical vector fields ==")
 field = HamiltonianField(F1)
 print(f"  div X_F1 = {field.divergence()!s} (canonical fields are"
       " divergence-free)")
-print(f"  F_1(start) = {field.value(start):.12f}")
+print(f"  F_1(start) = {F1.evaluate(start.u, start.p):.12f}")
 
 print("\n== the flows commute and conserve each other ==")
 mismatch = verify_commutation([F0, F1], start, s=0.3, t=0.3,
@@ -41,13 +41,13 @@ print(f"  endpoint mismatch of the two compositions: {mismatch:.3e}")
 print(f"  worst drift of either integral along either flow: {drift:.3e}")
 
 print("\n== the x-flow is a polynomial in x ==")
-series = polynomial_flow(F0, 2 * model.n)
+series = polynomial_flow(F0)
 orders = ", ".join(f"{name} {len(coeffs) - 1}"
                    for name, coeffs in zip(phase_names(model.n), series))
 print(f"  order of the Lie series sum_k x^k/k! {{F0, .}}^k per coordinate:"
       f" {orders}")
 print(f"  F1's series runs past order {2 * model.n}: "
-      f"{polynomial_flow(F1, 2 * model.n) is None}"
+      f"{polynomial_flow(F1) is None}"
       " (the t-flow is integrated)")
 end = integrate_flow(F0, start, 0.7, settings)
 exact = [sum(c.evaluate(start.state()) * 0.7 ** k

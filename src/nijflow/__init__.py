@@ -33,7 +33,6 @@ from .flows import (
     HamiltonianField,
     SolutionGrid,
     geodesic_from,
-    hamiltonian_rhs,
     integrate_flow,
     integrate_flow_path,
     orbit_grid,
@@ -129,7 +128,6 @@ __all__ = [
     "grid_residual",
     "guiding_bracket",
     "h_family_from_pencil",
-    "hamiltonian_rhs",
     "integrate_flow",
     "integrate_flow_path",
     "is_gl_regular_at",

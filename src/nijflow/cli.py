@@ -350,35 +350,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasilinear solving.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(name, handler, help_text, output=False):
+    # output: "report" for an optional copy of the printed JSON report,
+    # "file" for a required output file, None for commands that print only
+    def with_config(name, handler, help_text, output=None):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("config", help="problem config (JSON)")
-        if output:
+        if output == "file":
             p.add_argument("--output", required=True,
                            help="output file path")
-        else:
+        elif output == "report":
             p.add_argument("--output", default=None,
                            help="also write the report here")
         return p
 
     with_config("verify", _cmd_verify,
-                "check the defining identities; report JSON")
+                "check the defining identities; report JSON", "report")
     with_config("build-metric", _cmd_build_metric,
                 "print the integral family and Gram matrix")
     with_config("hierarchy", _cmd_hierarchy,
                 "print the operator hierarchy and integrals")
     with_config("evolve", _cmd_evolve,
-                "fill a lattice by the commuting flows (CSV)", output=True)
+                "fill a lattice by the commuting flows (CSV)", "file")
     with_config("solve-direct", _cmd_solve_direct,
-                "direct quasilinear solve (CSV)", output=True)
+                "direct quasilinear solve (CSV)", "file")
     residual = with_config("residual", _cmd_residual,
-                           "discrete residual report for a lattice")
+                           "discrete residual report for a lattice", "report")
     residual.add_argument("--input", default=None,
                           help="CSV lattice to measure (default: evolve "
                                "from the config)")
     with_config("compare", _cmd_compare,
-                "deviation table: direct solve vs flow composition")
+                "deviation table: direct solve vs flow composition", "report")
     plot = sub.add_parser("plot", help="SVG polylines of a lattice CSV")
     plot.set_defaults(handler=_cmd_plot)
     plot.add_argument("input", help="CSV lattice file")

@@ -47,9 +47,9 @@ lifts polynomials onto appended variables, each times a monomial there, and
 sums them; ``split_suffixes`` splits a polynomial back by the monomials in
 its last variables.  Float evaluation goes through one interpreter,
 ``evaluate_float_form``, at a point of floats or over the columns of a stack
-of points.  The one exception is ``compile_float_forms``, which turns forms
-evaluated many times into one straight-line function, bit-identical to the
-interpreter at a point of floats or over the columns of a stack.
+of points.  The one exception is ``compile_float_forms``, which turns the
+forms of a Hamiltonian field, evaluated at many points of floats, into one
+straight-line function, bit-identical to the interpreter there.
 """
 
 from __future__ import annotations
@@ -532,27 +532,23 @@ def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
     return total
 
 
-def compile_float_forms(forms: Sequence[FloatForm], nvars: int,
-                        columns: bool = False):
+def compile_float_forms(forms: Sequence[FloatForm], nvars: int):
     """One straight-line function of a point of ``nvars`` floats that
     returns the list of the forms' values, each bit-identical to
     ``evaluate_float_form`` there: the same products in the same order, one
-    statement ``r += c * x1 * (x2 * x2) * x3 ** e`` per term.  With
-    ``columns`` the point is one array per variable, as for the interpreter
-    on a stack, and powers e >= 3 go through ``_float_power``.  A statement
+    statement ``r += c * x1 * (x2 * x2) * x3 ** e`` per term.  A statement
     per term keeps the source flat however long a form is; the coefficients
     are names bound in the function's globals, never printed."""
-    names: dict[str, object] = {"_float_power": _float_power}
+    names: dict[str, object] = {}
     xs = "".join(f"x{i}, " for i in range(nvars))
     lines = [f"def compiled(point):\n    {xs}= point"]
-    power = "_float_power(x{0}, {1})" if columns else "x{0} ** {1}"
     for j, form in enumerate(forms):
         lines.append(f"r{j} = 0.0")
         for coeff, powers in form:
             factors = [f"c{len(names)}"]
             names[factors[0]] = coeff
             factors += [f"x{i}" if e == 1 else f"(x{i} * x{i})" if e == 2
-                        else power.format(i, e) for i, e in powers]
+                        else f"x{i} ** {e}" for i, e in powers]
             lines.append(f"r{j} += {' * '.join(factors)}")
     lines.append(f"return [{', '.join(f'r{j}' for j in range(len(forms)))}]")
     exec("\n    ".join(lines), names)

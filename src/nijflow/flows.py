@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -107,14 +107,13 @@ class HamiltonianField:
     compiled into one function on the first call (``compile_float_forms``)
     and kept: a field that is never called is never compiled."""
 
-    __slots__ = ("n", "hamiltonian", "du_dt", "dp_dt", "_forms", "_compiled")
+    __slots__ = ("n", "du_dt", "dp_dt", "_forms", "_compiled")
 
     def __init__(self, hamiltonian: PhaseFunction):
         n = hamiltonian.n
         du_dt = tuple(hamiltonian.dp(i) for i in range(n))
         dp_dt = tuple(-hamiltonian.du(i) for i in range(n))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "hamiltonian", hamiltonian)
         object.__setattr__(self, "du_dt", du_dt)
         object.__setattr__(self, "dp_dt", dp_dt)
         object.__setattr__(self, "_forms",
@@ -137,15 +136,6 @@ class HamiltonianField:
         for i in range(self.n):
             acc = acc + self.du_dt[i].partial(i) + self.dp_dt[i].partial(self.n + i)
         return acc
-
-    def value(self, point: CotangentPoint) -> float:
-        return self.hamiltonian.evaluate(point.u, point.p)
-
-
-def hamiltonian_rhs(F: Union[PhaseFunction, HamiltonianField]) -> HamiltonianField:
-    if isinstance(F, HamiltonianField):
-        return F
-    return HamiltonianField(F)
 
 
 def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
@@ -272,7 +262,7 @@ def _chain(f: HamiltonianField, y: State, times: Sequence[float],
 Series = tuple[tuple[ExactPolynomial, ...], ...]
 
 
-def polynomial_flow(F: PhaseFunction, cap: int) -> Series | None:
+def polynomial_flow(F: PhaseFunction) -> Series | None:
     """The flow of ``F`` as a polynomial in its time, if it is one.
 
     The flow dz/dt = {F, z} moves each phase coordinate z along its Lie
@@ -280,31 +270,29 @@ def polynomial_flow(F: PhaseFunction, cap: int) -> Series | None:
     formed exactly until they vanish.  The result holds, for each coordinate
     in the order u then p, the coefficients ad_F^k(z)/k! for k = 0 up to
     the last nonzero order, as polynomials on the chart.  It is None as soon
-    as one coordinate has a nonzero bracket of order above ``cap``.  Built
-    once per (F, cap) and kept on ``F``.
+    as one coordinate has a nonzero bracket of order above 2n.  Built once
+    per ``F`` and kept on it.
     """
-    cache = F._flows
-    if cache is None:
-        cache = {}
-        object.__setattr__(F, "_flows", cache)
-    elif cap in cache:
-        return cache[cap]
+    try:
+        return F._flows
+    except AttributeError:
+        pass
     nvars = 2 * F.n
     series = []
     for i in range(nvars):
         z = PhaseFunction(F.n, ExactPolynomial.variable(nvars, i))
         coeffs = [z.poly]
-        for k in range(1, cap + 2):
+        for k in range(1, nvars + 2):
             z = poisson_bracket(F, z)
             if z.is_zero():
                 break
             coeffs.append(z.poly * Fraction(1, math.factorial(k)))
-        if len(coeffs) > cap + 1:
-            cache[cap] = None
+        if len(coeffs) > nvars + 1:
+            object.__setattr__(F, "_flows", None)
             return None
         series.append(tuple(coeffs))
-    result = cache[cap] = tuple(series)
-    return result
+    object.__setattr__(F, "_flows", tuple(series))
+    return F._flows
 
 
 def _series_lines(series: Series, states: np.ndarray,
@@ -330,21 +318,20 @@ def _series_lines(series: Series, states: np.ndarray,
     return out
 
 
-def integrate_flow(F: Union[PhaseFunction, HamiltonianField],
-                   start: CotangentPoint, t: float,
+def integrate_flow(F: PhaseFunction, start: CotangentPoint, t: float,
                    settings: FlowSettings = FlowSettings()) -> CotangentPoint:
     """The flow of one integral applied to a point for time ``t``."""
-    f = hamiltonian_rhs(F)
+    f = HamiltonianField(F)
     return CotangentPoint.from_state(_advance(f, start.state(), t, settings))
 
 
-def integrate_flow_path(F: Union[PhaseFunction, HamiltonianField],
-                        start: CotangentPoint, times: Sequence[float],
+def integrate_flow_path(F: PhaseFunction, start: CotangentPoint,
+                        times: Sequence[float],
                         settings: FlowSettings = FlowSettings()
                         ) -> list[CotangentPoint]:
     """States of one flow at an increasing sequence of times, reached by
     chaining segment integrations from the previous stop."""
-    f = hamiltonian_rhs(F)
+    f = HamiltonianField(F)
     return [CotangentPoint.from_state(y)
             for y in _chain(f, start.state(), [0.0, *times], settings)]
 
@@ -416,8 +403,8 @@ class SolutionGrid:
         raise KeyError(f"no axis named {name!r}")
 
 
-def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
-               start: CotangentPoint, axes: Sequence[AxisSpec],
+def orbit_grid(integrals: Sequence[PhaseFunction], start: CotangentPoint,
+               axes: Sequence[AxisSpec],
                settings: FlowSettings = FlowSettings()) -> SolutionGrid:
     """Fill a lattice with the composed commuting flows.
 
@@ -432,10 +419,10 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     """
     if len(axes) != len(integrals):
         raise ValueError("one axis per integral is required")
-    fields = [hamiltonian_rhs(F) for F in integrals]
-    n = fields[0].n
+    n = integrals[0].n
     axes = tuple(axes)
-    t_fields = tuple(zip(fields[1:], axes[1:]))
+    t_fields = tuple((HamiltonianField(F), a)
+                     for F, a in zip(integrals[1:], axes[1:]))
     nodes = [start.state()]
     for f, a in t_fields:
         nodes[0] = _advance(f, nodes[0], a.start, settings)
@@ -444,12 +431,13 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
         nodes = [z for y in nodes for z in (y, *_chain(f, y, t, settings))]
 
     x_axis = axes[0]
-    series = polynomial_flow(fields[0].hamiltonian, 2 * n)
+    series = polynomial_flow(integrals[0])
     if series is not None:
         path = _series_lines(series, np.array(nodes), x_axis.values())
     else:
+        f = HamiltonianField(integrals[0])
         x = [0.0, *x_axis.values().tolist()]
-        path = np.array([_chain(fields[0], y, x, settings)
+        path = np.array([_chain(f, y, x, settings)
                          for y in nodes]).swapaxes(0, 1)
     path = path.reshape((x_axis.count,) + tuple(a.count for a in axes[1:])
                         + (2 * n,))
@@ -457,34 +445,32 @@ def orbit_grid(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
     return SolutionGrid(axes, u, p, {"generator": "orbit", "settings": settings})
 
 
-def verify_commutation(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
+def verify_commutation(integrals: Sequence[PhaseFunction],
                        start: CotangentPoint, s: float, t: float,
                        settings: FlowSettings = FlowSettings()) -> float:
     """Largest endpoint mismatch between the two orders of composing each
     pair of flows for times (s, t)."""
-    fields = [hamiltonian_rhs(F) for F in integrals]
+    fields = [HamiltonianField(F) for F in integrals]
+    y = start.state()
     worst = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            one = integrate_flow(fields[j], integrate_flow(fields[i], start, s,
-                                                           settings), t, settings)
-            two = integrate_flow(fields[i], integrate_flow(fields[j], start, t,
-                                                           settings), s, settings)
-            worst = max(worst, one.distance(two))
+    for i, f in enumerate(fields):
+        for g in fields[i + 1:]:
+            one = _advance(g, _advance(f, y, s, settings), t, settings)
+            two = _advance(f, _advance(g, y, t, settings), s, settings)
+            worst = max(worst, *(abs(a - b) for a, b in zip(one, two)))
     return worst
 
 
-def verify_conservation(integrals: Sequence[Union[PhaseFunction, HamiltonianField]],
+def verify_conservation(integrals: Sequence[PhaseFunction],
                         start: CotangentPoint, t: float,
                         settings: FlowSettings = FlowSettings()) -> float:
     """Largest drift of any integral along any of the flows up to time t."""
-    fields = [hamiltonian_rhs(F) for F in integrals]
-    reference = [f.value(start) for f in fields]
+    reference = [G.evaluate(start.u, start.p) for G in integrals]
     worst = 0.0
-    for f in fields:
-        end = integrate_flow(f, start, t, settings)
-        for g, ref in zip(fields, reference):
-            worst = max(worst, abs(g.value(end) - ref))
+    for F in integrals:
+        end = integrate_flow(F, start, t, settings)
+        for G, ref in zip(integrals, reference):
+            worst = max(worst, abs(G.evaluate(end.u, end.p) - ref))
     return worst
 
 

@@ -543,6 +543,16 @@ def _svg_text(x, y, text, anchor="middle", size=12):
             f'font-family="sans-serif" font-size="{size}">{text}</text>')
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] to scale a plot axis by; a span under 1e-12 is widened on
+    each side by 1, or by a millionth of ``lo`` where that is more, so the
+    widening is never lost to rounding."""
+    if hi - lo < 1e-12:
+        half = max(1.0, 1e-6 * abs(lo))
+        return lo - half, hi + half
+    return lo, hi
+
+
 def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
                    path: str) -> None:
     """Polylines of every component over x at the requested time slices.
@@ -589,13 +599,13 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
         hi = max(float(np.max(ys)) for _, _, ys in curves)
     else:
         lo, hi = -1.0, 1.0
-    if hi - lo < 1e-12:
-        lo, hi = lo - 1.0, hi + 1.0
+    lo, hi = _span(lo, hi)
     pad = 0.05 * (hi - lo)
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ConfigError(f"the plotted values span {lo:.6g} to {hi:.6g}, "
+                          "too wide to scale in floating point")
     lo, hi = lo - pad, hi + pad
-    x_lo, x_hi = float(xs[0]), float(xs[-1])
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+    x_lo, x_hi = _span(float(xs[0]), float(xs[-1]))
 
     def sx(v):
         return left + (v - x_lo) / (x_hi - x_lo) * (right - left)

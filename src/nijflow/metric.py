@@ -50,8 +50,9 @@ class PhaseFunction:
 
     ``poly`` has 2n variables ordered (u, p); ``p_degree`` is the common
     momentum degree of all terms.  The zero polynomial is accepted at any
-    declared degree.  ``_flows`` holds the Lie series of its flow by
-    order cap, built on first use by ``flows.polynomial_flow``.
+    declared degree.  ``_flows`` is set on first use by
+    ``flows.polynomial_flow`` to the Lie series of its flow, or to None
+    when that series does not end by order 2n.
     """
 
     __slots__ = ("n", "poly", "p_degree", "_flows")
@@ -75,7 +76,6 @@ class PhaseFunction:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "p_degree", p_degree)
-        object.__setattr__(self, "_flows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")

@@ -561,7 +561,7 @@ def _assert_exits_2(tmp_path, capsys, command, cfg):
     config = tmp_path / "bad.json"
     config.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     argv = [command, str(config)]
-    if command != "verify":
+    if command not in ("verify", "build-metric", "hierarchy"):
         argv += ["--output", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1611,6 +1611,22 @@ def test_residual_command_from_config_and_csv_agree(tmp_path, capsys):
     assert list(from_config["per_axis"]) == ["t1"]
 
 
+def test_residual_of_values_past_the_float_range_is_nan_quietly(tmp_path,
+                                                                capsys):
+    # the differences overflow and A(u) v meets inf - inf; numpy's warnings
+    # stay off stderr, and the report says NaN
+    lattice = tmp_path / "huge.csv"
+    lattice.write_text("x,t1,u1,u2\n" + "".join(
+        f"{x},{t},{s * 1.7e308},{-s * 1.7e308}\n"
+        for x in range(3) for t in range(3) for s in [(-1) ** (x + t)]))
+    assert main(["residual", str(CONFIGS / "nijenhuis2.json"),
+                 "--input", str(lattice)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert np.isnan(report["max_abs"]) and np.isnan(report["per_axis"]["t1"])
+
+
 def test_compare_reports_small_deviation_for_constant_fixture(capsys):
     assert main(["compare", str(CONFIGS / "constant2.json")]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -1684,6 +1700,18 @@ def test_plot_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_plot_of_values_past_the_float_range_exits_2(tmp_path, capsys):
+    # the value span overflows to inf, so every point would read nan
+    lattice = tmp_path / "wide.csv"
+    lattice.write_text("x,u1\n0,1.7e308\n1,-1.7e308\n2,0\n")
+    svg = tmp_path / "plot.svg"
+    assert main(["plot", str(lattice), "--output", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        "nijflow plot: the plotted values span -1.7e+308 to 1.7e+308, too "
+        "wide to scale in floating point\n")
+    assert not svg.exists()
+
+
 def test_svg_constant_grid_draws_horizontal_lines(tmp_path):
     axes = (AxisSpec("x", 0.0, 1.0, 5),)
     grid = SolutionGrid(axes, np.full((5, 1), 0.25))
@@ -1695,6 +1723,21 @@ def test_svg_constant_grid_draws_horizontal_lines(tmp_path):
     points = text.split('points="')[1].split('"')[0].split()
     ys = {pt.split(",")[1] for pt in points}
     assert len(ys) == 1
+
+
+@pytest.mark.parametrize("text", ["x,u1\n0,1e17\n1,1e17\n2,1e17\n",
+                                  "x,u1\n1e17,5\n"],
+                         ids=["flat-u", "one-x-node"])
+def test_plot_of_a_single_large_value_draws_it(tmp_path, capsys, text):
+    # widened by 1 alone, the axis span would round to 0 and divide by it
+    lattice = tmp_path / "flat.csv"
+    lattice.write_text(text)
+    svg = tmp_path / "plot.svg"
+    assert main(["plot", str(lattice), "--output", str(svg)]) == 0
+    assert capsys.readouterr() == ("", "")
+    points = svg.read_text().split('points="')[1].split('"')[0].split()
+    assert len({pt.split(",")[1] for pt in points}) == 1
+    assert all(np.isfinite(float(v)) for pt in points for v in pt.split(","))
 
 
 def _smooth_lattice(axes):
@@ -1745,3 +1788,14 @@ def test_module_entry_point_runs(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["build-metric", "hierarchy"])
+def test_output_flag_of_a_printing_command_exits_2(tmp_path, capsys,
+                                                   command):
+    # these commands only print, so --output is an unknown flag
+    out = tmp_path / "out.txt"
+    assert main([command, str(CONFIGS / "nijenhuis2.json"),
+                 "--output", str(out)]) == 2
+    assert "unrecognized arguments: --output" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,10 +14,11 @@ import pytest
 import nijflow.flows as flows
 from nijflow.cli import (ConfigError, build_model, config_axes, config_point,
                          config_settings, load_config)
-from nijflow.exactpoly import evaluate_float_form, parse_expression
+from nijflow.exactpoly import (compile_float_forms, evaluate_float_form,
+                               parse_expression)
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                            HamiltonianField, SolutionGrid,
-                           geodesic_from, hamiltonian_rhs, integrate_flow,
+                           geodesic_from, integrate_flow,
                            integrate_flow_path, orbit_grid, polynomial_flow,
                            verify_commutation, verify_conservation)
 from nijflow.hierarchy import first_integrals, killing_operators
@@ -149,27 +150,28 @@ def test_compiled_rhs_overflow_is_a_flow_error():
         assert err.value.last_state == start
 
 
-def test_rhs_is_compiled_once_and_only_when_called():
+def test_rhs_is_compiled_once_and_only_when_called(monkeypatch):
+    compiled = []
+
+    def counted(forms, nvars):
+        compiled.append(forms)
+        return compile_float_forms(forms, nvars)
+
+    monkeypatch.setattr(flows, "compile_float_forms", counted)
     model = _family_model("curved3")
-    fields = [HamiltonianField(F) for F in model.integrals[:2]]
-    assert all(f._compiled is None for f in fields)
     start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
-    orbit_grid(fields, start, [AxisSpec("x", 0.0, 0.5, 3),
-                               AxisSpec("t1", 0.0, 0.2, 3)])
-    # the x-sweep runs the terminating series, never the x-field
-    assert fields[0]._compiled is None
-    compiled = fields[1]._compiled
-    assert compiled is not None
-    fields[1](start.state())
-    assert fields[1]._compiled is compiled
+    orbit_grid(model.integrals[:2], start, [AxisSpec("x", 0.0, 0.5, 3),
+                                            AxisSpec("t1", 0.0, 0.2, 3)])
+    # the x-sweep runs the terminating series, never the x-field; the
+    # t-field is compiled on its first call and kept for the rest
+    assert compiled == [HamiltonianField(model.integrals[1])._forms]
 
 
-def test_hamiltonian_rhs_is_idempotent():
+def test_phase_function_evaluates_at_a_cotangent_point():
     _, _, integrals = constant2_setup()
-    f = hamiltonian_rhs(integrals[0])
-    assert hamiltonian_rhs(f) is f
-    assert f.value(CotangentPoint((0.0, 0.0), (1.0, 2.0))) == pytest.approx(
-        integrals[0].evaluate([0.0, 0.0], [1.0, 2.0]))
+    z = CotangentPoint((0.0, 0.0), (1.0, 2.0))
+    assert integrals[0].evaluate(z.u, z.p) == pytest.approx(
+        float(integrals[0].poly.evaluate_exact([0, 0, 1, 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +508,7 @@ def test_orbit_grid_integrates_a_non_terminating_x_flow(settings):
     # so orbit_grid integrates each line, bit for bit as integrate_flow_path
     integrals = curved3_pair()
     start = CotangentPoint((0.4, -0.2, 0.05), (0.8, 0.5, 0.3))
-    assert polynomial_flow(integrals[0], 6) is None
+    assert polynomial_flow(integrals[0]) is None
     axes = (AxisSpec("x", -0.3, 0.4, 8), AxisSpec("t1", -0.1, 0.3, 5))
     grid = orbit_grid(integrals, start, axes, settings)
     assert_grid_is_line_by_line(grid, line_by_line(integrals, start, axes,
@@ -517,7 +519,7 @@ def curved_reordered(n):
     # curved n: the second integral's series does not terminate, so with it
     # first the lattice's x-sweep is chained, and the others span the times
     integrals = CompanionModel(sigma_curved(n)).integrals
-    assert polynomial_flow(integrals[1], 2 * n) is None
+    assert polynomial_flow(integrals[1]) is None
     return [integrals[1], integrals[0], *integrals[2:]]
 
 
@@ -620,7 +622,7 @@ def _config_model(path):
 @pytest.mark.parametrize("name", SERIES_FAMILIES)
 def test_first_integral_series_ends_by_order_n(name):
     model = _family_model(name)
-    series = polynomial_flow(model.integrals[0], 2 * model.n)
+    series = polynomial_flow(model.integrals[0])
     assert series is not None
     assert len(series) == 2 * model.n
     assert max(len(coeffs) for coeffs in series) - 1 <= model.n
@@ -629,7 +631,7 @@ def test_first_integral_series_ends_by_order_n(name):
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
 def test_shipped_first_integrals_have_terminating_series(config):
     model = _config_model(config)
-    series = polynomial_flow(model.integrals[0], 2 * model.n)
+    series = polynomial_flow(model.integrals[0])
     assert series is not None
     assert max(len(coeffs) for coeffs in series) - 1 <= model.n
 
@@ -641,7 +643,7 @@ def test_series_solves_the_flow_exactly(name):
     # satisfies Hamilton's equations dz/dx = {F0, z} at z(x)
     model = _family_model(name)
     F, n = model.integrals[0], model.n
-    series = polynomial_flow(F, 2 * n)
+    series = polynomial_flow(F)
     field = [F.dp(i) for i in range(n)] + [-F.du(i) for i in range(n)]
     rng = random.Random(name)
     for _ in range(3):
@@ -660,23 +662,23 @@ def test_series_is_built_once_per_integral():
     # orbit_grid leaves the series on the integral for the next caller
     F = _family_model("curved3").integrals[0]
     start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
-    orbit_grid([HamiltonianField(F)], start, [AxisSpec("x", 0.0, 0.5, 3)])
-    cached = F._flows[6]
+    orbit_grid([F], start, [AxisSpec("x", 0.0, 0.5, 3)])
+    cached = F._flows
     assert cached is not None
-    assert polynomial_flow(F, 6) is cached
+    assert polynomial_flow(F) is cached
 
 
 def test_series_gives_up_past_the_cap():
     # du1/dt = u1^2 has the solution u1/(1 - t u1): no polynomial
     F = PhaseFunction(1, parse_expression("u1^2*p1", upnames(1)))
-    assert polynomial_flow(F, 2) is None
-    assert polynomial_flow(F, 12) is None
+    assert polynomial_flow(F) is None
+    assert F._flows is None and polynomial_flow(F) is None
     # dp1/dt = -2 u1 p1 grows the momentum's series too
     G = PhaseFunction(1, parse_expression("u1*p1^2", upnames(1)))
-    assert polynomial_flow(G, 8) is None
+    assert polynomial_flow(G) is None
     # a quadratic Hamiltonian in p alone moves u linearly
     H = PhaseFunction(1, parse_expression("p1^2", upnames(1)))
-    assert polynomial_flow(H, 2) is not None
+    assert polynomial_flow(H) is not None
 
 
 # Largest deviation of the series sweep from the RK45/RK4 lines it
@@ -787,8 +789,7 @@ def test_geodesic_from_solves_for_momenta():
     z = geodesic_from(u0, udot0, h1)
     assert z.u == (0.3, -0.2)
     # the x-flow velocity at z must reproduce udot0
-    f = hamiltonian_rhs(integrals[0])
-    rhs = f(z.state())
+    rhs = HamiltonianField(integrals[0])(z.state())
     assert max(abs(rhs[i] - udot0[i]) for i in range(2)) < 1e-12
 
 

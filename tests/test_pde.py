@@ -271,6 +271,26 @@ def test_direct_solve_and_residual_match_the_einsum_product(monkeypatch, n):
     assert _same_bits(u, expected_u) and residual == expected_residual
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_direct_solve_and_residual_compile_nothing(monkeypatch, n):
+    # the float layer compiles only Hamiltonian fields; the solver and the
+    # residual run the interpreter (n = 2) or einsum (n >= 3)
+    from nijflow import exactpoly, flows
+
+    def refuse(*args):
+        raise AssertionError("compile_float_forms called")
+
+    monkeypatch.setattr(exactpoly, "compile_float_forms", refuse)
+    monkeypatch.setattr(flows, "compile_float_forms", refuse)
+    assert not hasattr(pde, "compile_float_forms")
+    A = CompanionModel(sigma_curved(n)).killing[1]
+    xs = np.linspace(-0.5, 0.5, 81)
+    u0 = np.array(u_from_eigenvalues((-0.8, 0.3, 1.2)[:n])) + np.outer(
+        0.05 * np.sin(3.0 * xs), np.arange(1, n + 1))
+    grid = direct_solve(A, xs, u0, 0.01)
+    assert np.isfinite(grid_residual(grid, [A]).max_abs)
+
+
 # ---------------------------------------------------------------------------
 # residual measurement
 
