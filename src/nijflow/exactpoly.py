@@ -7,8 +7,9 @@ denominators, so that no prime divides it and all the numerators.  A key is
 one ``int`` with variable i's exponent, at most ``MAX_EXPONENT`` = 2^31 - 1,
 in bits [32i, 32i + 32), so a product's key is the sum of its factors'; only
 ``terms``, ``exponents``, ``float_form``, the printer, ``evaluate_exact``
-and ``total_degree`` unpack keys.  The zero polynomial is the empty map over
-1, so every value has exactly one representation and equality is plain
+and ``total_degree`` unpack keys (``split_suffixes`` and ``suffix_degrees``
+only their distinct suffix parts).  The zero polynomial is the empty map
+over 1, so every value has exactly one representation and equality is plain
 comparison of the two.  Terms are ordered by graded lexicographic order
 (total degree first, then lexicographic on the exponent tuple), descending;
 printing and iteration both follow that order, which makes the printed form
@@ -167,11 +168,11 @@ class ExactPolynomial:
                             for e, c in data.items()}, den)
 
     def _store(self, nvars: int, nums: dict[int, int], den: int) -> None:
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_float_form", None)
-        object.__setattr__(self, "_partials", None)
+        _set_nvars(self, nvars)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_float_form(self, None)
+        _set_partials(self, None)
 
     @classmethod
     def _raw(cls, nvars: int, nums: dict[int, int],
@@ -363,7 +364,7 @@ class ExactPolynomial:
         cache = self._partials
         if cache is None:
             cache = {}
-            object.__setattr__(self, "_partials", cache)
+            _set_partials(self, cache)
         elif index in cache:
             return cache[index]
         # lowering one exponent is one-to-one, so no two terms meet
@@ -395,7 +396,7 @@ class ExactPolynomial:
             form = tuple((num / den,
                           tuple((i, e) for i, e in enumerate(exps) if e))
                          for exps, num in self._grlex_terms())
-            object.__setattr__(self, "_float_form", form)
+            _set_float_form(self, form)
         return form
 
     def evaluate(self, point: Sequence[float]) -> float:
@@ -427,6 +428,11 @@ class ExactPolynomial:
 
     def __repr__(self) -> str:
         return f"ExactPolynomial({self.nvars}, {self!s})"
+
+
+# the slot descriptors' setters, bound once: cheaper than object.__setattr__
+_set_nvars, _set_nums, _set_den, _set_float_form, _set_partials = (
+    vars(ExactPolynomial)[slot].__set__ for slot in ExactPolynomial.__slots__)
 
 
 def signed_sum(nvars: int,
@@ -506,6 +512,13 @@ def split_suffixes(poly: ExactPolynomial,
             for suffix, nums in zip(_unpack(groups, extra), groups.values())}
 
 
+def suffix_degrees(poly: ExactPolynomial, extra: int) -> set[int]:
+    """The degrees in its last ``extra`` variables of the terms of ``poly``,
+    read from the distinct suffix parts of the keys."""
+    parts = {key >> 32 * (poly.nvars - extra) for key in poly._nums}
+    return set(map(sum, _unpack(parts, extra)))
+
+
 def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:
     """Sum the terms of a float form, left to right, at a point given as
     one float per variable, or at every point of a stack given as one array
@@ -569,12 +582,13 @@ def evaluate_table_array(table, points) -> np.ndarray:
         polys = [entry for row in polys for entry in row]
     coords = (points.tolist() if points.ndim == 1 else
               [points[..., i] for i in range(points.shape[-1])])
-    out = np.empty(points.shape[:-1] + (len(polys),))
+    out = np.zeros(points.shape[:-1] + (len(polys),))
     for k, poly in enumerate(polys):
         if poly.nvars != points.shape[-1]:
             raise PolynomialError(f"point has {points.shape[-1]} "
                                   f"coordinates, expected {poly.nvars}")
-        out[..., k] = evaluate_float_form(poly.float_form(), coords)
+        if poly:  # a zero entry stays +0.0, as its empty float form gives
+            out[..., k] = evaluate_float_form(poly.float_form(), coords)
     return out.reshape(points.shape[:-1] + shape)
 
 

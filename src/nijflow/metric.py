@@ -33,16 +33,12 @@ import numpy as np
 
 from .exactpoly import (ExactPolynomial, evaluate_table_array,
                         format_polynomial, phase_names, signed_sum,
-                        split_suffixes, suffixed_sum)
+                        split_suffixes, suffix_degrees, suffixed_sum)
 from .operators import OperatorField, companion_second
 
 
 class MetricError(ValueError):
     """Raised for invalid metric computations."""
-
-
-def _p_degree_of_term(exps, n):
-    return sum(exps[n:])
 
 
 class PhaseFunction:
@@ -61,7 +57,7 @@ class PhaseFunction:
         if poly.nvars != 2 * n:
             raise MetricError(
                 f"phase polynomial must have {2 * n} variables, got {poly.nvars}")
-        degrees = {_p_degree_of_term(e, n) for e in poly.exponents()}
+        degrees = suffix_degrees(poly, n)
         if len(degrees) > 1:
             raise MetricError(
                 f"polynomial is not homogeneous in the momenta: degrees {sorted(degrees)}")
@@ -128,7 +124,7 @@ class PhaseFunction:
                 other = other.with_appended_vars(self.n)
             if other.nvars != 2 * self.n:
                 raise MetricError("scalar factor must live on the base or the chart")
-            if any(_p_degree_of_term(e, self.n) for e in other.exponents()):
+            if any(suffix_degrees(other, self.n)):
                 raise MetricError("scalar factor must not involve the momenta")
             return PhaseFunction(self.n, self.poly * other, self.p_degree)
         if isinstance(other, PhaseFunction):

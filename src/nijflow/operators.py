@@ -3,9 +3,9 @@
 An operator field is an n-by-n matrix of :class:`ExactPolynomial` entries in
 the n base variables.  The module provides the two companion normal forms,
 the compatibility bracket <L, M> for commuting pairs, the Nijenhuis torsion
-as -<L, L>, symmetry and strong-symmetry tests, characteristic polynomial
-coefficients by the trace recursion, and a numeric cyclicity (gl-regularity)
-probe.
+as -<L, L> and in closed form for a companion operator, symmetry and
+strong-symmetry tests, characteristic polynomial coefficients by the trace
+recursion, and a numeric cyclicity (gl-regularity) probe.
 
 Index convention: entry(i, j) is the matrix element with upper index i and
 lower index j, so a vector transforms as (L xi)^i = sum_j L^i_j xi^j.
@@ -266,6 +266,31 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
     negates <L, L> term by term: the layers of ``torsion_of_pair(L, L)``, transposed.
     """
     return OneTwoTensorField(layer.transpose() for layer in torsion_of_pair(L, L))
+
+
+def companion_torsion(sigma: Sequence) -> OneTwoTensorField:
+    """The torsion of ``companion_second(sigma)``, read from its last row
+    s_j = sigma_(n-j), the only one that depends on u (d_(-1) = 0):
+
+        N^(n-2)_ij = d_j s_i - d_i s_j,
+        N^(n-1)_ij = s_i d_(n-1) s_j - s_j d_(n-1) s_i
+                   + d_(i-1) s_j - d_(j-1) s_i + sigma_1 N^(n-2)_ij,
+
+    and every other layer is zero; ``nijenhuis_torsion`` is the oracle."""
+    sig = _sigma_list(sigma)
+    n = len(sig)
+    s = sig[::-1]
+    zero, one = ExactPolynomial.zero(n), ExactPolynomial.constant(n, 1)
+    d = [[zero] + [x.partial(a) for a in range(n)] for x in s]  # d_(a-1) s_j
+    low = [[signed_sum(n, [(1, d[i][j + 1], one), (-1, d[j][i + 1], one)])
+            for j in range(n)] for i in range(n)]
+    top = [[signed_sum(n, [(1, s[i], d[j][n]), (-1, s[j], d[i][n]),
+                           (1, d[j][i], one), (-1, d[i][j], one),
+                           (1, sig[0], low[i][j])])
+            for j in range(n)] for i in range(n)]
+    # at n = 1 there is no layer n - 2, and low (all zero) drops out
+    return OneTwoTensorField(([OperatorField.zero(n)] * (n - 2)
+                              + [OperatorField(low), OperatorField(top)])[-n:])
 
 
 def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:

@@ -93,6 +93,23 @@ def test_verify_sweep_overflow_fails_quietly_with_nan(tmp_path, capsys):
     assert np.isnan(sweep["residual"])
 
 
+def test_verify_residual_past_the_float_range_names_its_check(tmp_path,
+                                                             capsys):
+    # a 200-digit coefficient: the differential_shift residual's largest
+    # coefficient has about 400 digits, past the float range; the line said
+    # only "integer division result too large for a float"
+    big = "9" * 200
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"n": 2, "sigma": [f"{big}*u1*u2",
+                                                    f"{big}*u2^2 + u1"],
+                                  "seed": 1}))
+    assert main(["verify", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("nijflow verify: floating-point overflow: the "
+                   "differential_shift residual exceeds the float range\n")
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_verify_passes_on_curved_family(n):
     # n = 7 passes too, in about 1 s

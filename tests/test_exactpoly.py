@@ -367,6 +367,22 @@ class TestDerivativeCache:
             with pytest.raises(AttributeError):
                 setattr(p, name, None)
 
+    def test_every_slot_of_a_raw_polynomial_refuses_assignment(self):
+        # _store fills the slots through their descriptors' setters
+        p = ExactPolynomial._raw(2, {1: 3, 1 << 32: -6}, 4)
+        assert (p.nvars, p._nums, p._den) == (2, {1: 3, 1 << 32: -6}, 4)
+        assert p._float_form is None and p._partials is None
+        assert p == poly2("3/4*u1 - 3/2*u2")
+        form = p.float_form()
+        assert p._float_form is form == ((0.75, ((0, 1),)), (-1.5, ((1, 1),)))
+        d = p.partial(0)
+        assert p._partials == {0: d}
+        for name in ExactPolynomial.__slots__:
+            before = getattr(p, name)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(p, name, None)
+            assert getattr(p, name) is before
+
 
 class TestEvaluation:
     def test_example_value(self):
@@ -432,6 +448,39 @@ class TestEvaluation:
         assert values.shape == (2, 1) and not np.isfinite(values[0, 0])
         assert values[1, 0] == evaluate_table_array([big], [2.0])[0]
         assert values[1, 0] == 2.0 ** 400 - 8.0
+
+    def test_zero_entries_are_bit_identical_to_each_entry(self):
+        # zero entries are skipped and stay +0.0, never -0.0 or nan, even
+        # where the point has inf or nan coordinates
+        rng = random.Random(41)
+        zero = ExactPolynomial.zero(3)
+        table = [[random_polynomial(rng, 3, max_degree=4) if rng.random() < 0.4
+                  else zero for _ in range(3)] for _ in range(4)]
+        table[0][0] = zero
+        points = np.random.default_rng(41).normal(scale=3.0, size=(12, 3))
+        points[3] = [np.inf, 1.0, -2.0]
+        points[5] = [-np.inf, np.nan, 0.5]
+        points[7] = [np.nan, -0.0, np.inf]
+        points[9] = [-0.0, -0.0, -0.0]
+
+        def each_entry(coords, leading):
+            out = np.empty(leading + (4, 3))
+            for i, row in enumerate(table):
+                for j, entry in enumerate(row):
+                    out[..., i, j] = evaluate_float_form(entry.float_form(),
+                                                         coords)
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = evaluate_table_array(table, points)
+            want = each_entry([points[:, i] for i in range(3)], (12,))
+            assert stacked.tobytes() == want.tobytes()
+            for point, values in zip(points, stacked):
+                single = evaluate_table_array(table, point)
+                assert single.tobytes() == values.tobytes()
+                assert single.tobytes() == each_entry(point.tolist(), ()).tobytes()
+        assert not np.signbit(stacked[:, 0, 0]).any()
+        assert np.isnan(stacked[5]).any() and (stacked[5, 0, 0] == 0.0)
 
     def test_compiled_forms_are_bit_identical_to_the_interpreter(self):
         # constants, the zero form, powers up to 5 and long forms

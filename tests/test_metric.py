@@ -59,6 +59,26 @@ class TestPhaseFunction:
         with pytest.raises(MetricError):
             phase("p1 + p1*p2", 2)
 
+    @pytest.mark.parametrize("text, degree", [
+        ("u1 + 3*u2^2 - 1", 0), ("u1*p1 + p2", 1),
+        ("2*p1*p2 + u1*p2^2", 2), ("p1^3 + u2*p1*p2^2 - u1^4*p2^3", 3)])
+    def test_momentum_degrees_zero_to_three(self, text, degree):
+        assert phase(text, 2).p_degree == degree
+        assert PhaseFunction(2, phase(text, 2).poly, degree).p_degree == degree
+
+    def test_degrees_mixed_across_the_u_p_boundary_rejected(self):
+        # u1*p1 and p1*p2 share p1, but their momentum degrees are 1 and 2
+        with pytest.raises(MetricError, match=r"^polynomial is not homogeneous "
+                           r"in the momenta: degrees \[1, 2\]$"):
+            phase("u1*p1 + p1*p2", 2)
+        with pytest.raises(MetricError, match=r"degrees \[0, 1, 3\]$"):
+            phase("u2 + u1*p2 + p1^2*p2", 2)
+
+    def test_declared_degree_must_match(self):
+        with pytest.raises(MetricError, match="^declared momentum degree 1 "
+                           "does not match 2$"):
+            PhaseFunction(2, phase("u1*p1*p2", 2).poly, 1)
+
     def test_zero_needs_declared_degree(self):
         with pytest.raises(MetricError):
             PhaseFunction(2, ExactPolynomial.zero(4))
@@ -71,6 +91,12 @@ class TestPhaseFunction:
     def test_momentum_scalar_factor_rejected(self):
         with pytest.raises(MetricError):
             phase("p1", 2) * parse_expression("p2", upnames(2))
+
+    @pytest.mark.parametrize("text", ["p2", "u1 + u2*p1", "3 + p1*p2"])
+    def test_scalar_factor_with_any_momentum_term_rejected(self, text):
+        with pytest.raises(MetricError, match="^scalar factor must not "
+                           "involve the momenta$"):
+            phase("p1", 2) * parse_expression(text, upnames(2))
 
     def test_base_scalar_factor(self):
         f = phase("p1", 2) * upoly("u2", 2)

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import (random_polynomial, sigma_coordinates2, sigma_curved,
-                     sigma_obstructed, sigma_torsion_free2,
+from support import (random_polynomial, sigma_constant, sigma_coordinates2,
+                     sigma_curved, sigma_obstructed, sigma_torsion_free2,
                      u_from_eigenvalues)
 
+import nijflow.operators
 from nijflow.exactpoly import ExactPolynomial, parse_expression
 from nijflow.model import CompanionModel
 from nijflow.operators import (
@@ -22,6 +23,7 @@ from nijflow.operators import (
     commutator,
     companion_first,
     companion_second,
+    companion_torsion,
     guiding_bracket,
     is_gl_regular_at,
     is_strong_symmetry,
@@ -181,6 +183,78 @@ class TestTorsion:
                 direct = torsion_by_fields(L, xi, eta)
                 contracted = N.contract(xi, eta)
                 assert all((a - b).is_zero() for a, b in zip(direct, contracted))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+# named sigma lists: the shipped configs', the curved and obstructed
+# families, constant ones and n = 1
+CLOSED_FORM_CASES = [
+    *((path.stem, list(CompanionModel.from_expressions(
+        json.loads(path.read_text())["sigma"]).sigma))
+      for path in sorted(CONFIGS.glob("*.json"))),
+    *((f"curved{n}", sigma_curved(n)) for n in range(2, 8)),
+    *((f"obstructed{n}", sigma_obstructed(n)) for n in range(3, 8)),
+    *((f"constant{n}", sigma_constant(n)) for n in range(1, 5)),
+    ("u1", [upoly("u1", 1)]), ("u1^2 - 3", [upoly("u1^2 - 3", 1)])]
+
+
+class TestCompanionTorsion:
+    """``companion_torsion`` against the generic torsion of the operator."""
+
+    @pytest.mark.parametrize("name, sigma", CLOSED_FORM_CASES,
+                             ids=[name for name, _ in CLOSED_FORM_CASES])
+    def test_matches_generic_torsion(self, name, sigma):
+        got = companion_torsion(sigma)
+        want = nijenhuis_torsion(companion_second(sigma))
+        assert got.n == want.n
+        for k in range(got.n):
+            assert got[k] == want[k], f"layer {k}"
+
+    def test_all_seven_shipped_configs_are_covered(self):
+        names = {name for name, _ in CLOSED_FORM_CASES}
+        assert len({path.stem for path in CONFIGS.glob("*.json")} & names) == 7
+
+    def test_matches_generic_torsion_on_random_sigmas(self):
+        rng = random.Random(4471)
+        nonzero = 0
+        for trial in range(60):
+            n = 1 + trial % 6
+            sigma = [random_polynomial(rng, n, max_terms=3, max_degree=2)
+                     for _ in range(n)]
+            got = companion_torsion(sigma)
+            want = nijenhuis_torsion(companion_second(sigma))
+            assert tuple(got) == tuple(want), (trial, sigma)
+            # only the last two layers of a companion torsion can be nonzero
+            assert all(layer.is_zero() for layer in got[:n - 2])
+            nonzero += not got.is_zero()
+        assert nonzero >= 30
+
+    def test_sigma_is_coerced_and_checked(self):
+        assert companion_torsion([1, Fraction(1, 2)]).is_zero()
+        with pytest.raises(OperatorError):
+            companion_torsion([])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_signed_sum_counts(self, n, monkeypatch):
+        # a work count that needs no timing: 2 n^2 sums for the closed form
+        # (layers n - 2 and n - 1), n^3 for the generic bracket
+        sigma = sigma_obstructed(n)
+        L = companion_second(sigma)
+        calls = []
+        original = nijflow.operators.signed_sum
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nijflow.operators, "signed_sum", counted)
+        companion_torsion(sigma)
+        assert len(calls) == 2 * n * n
+        calls.clear()
+        nijenhuis_torsion(L)
+        assert len(calls) == n ** 3
 
 
 class TestGuidingBracket:
