@@ -4,12 +4,13 @@ A polynomial matrix field in second companion form is determined by its
 characteristic coefficients sigma_1..sigma_n.  Whether the coefficients can
 serve as flat coordinates for the construction is measured by the Nijenhuis
 torsion; this demo evaluates it symbolically on three reference coefficient
-lists and probes pointwise cyclicity (gl-regularity).
+lists.  (A companion operator is gl-regular at every point: the Krylov
+matrix of the last basis vector is unit anti-triangular.)
 """
 
 from nijflow import (base_names, companion_first, companion_second,
                      char_coefficients, format_polynomial, guiding_bracket,
-                     is_gl_regular_at, nijenhuis_torsion, parse_expression)
+                     nijenhuis_torsion, parse_expression)
 
 names = base_names(2)
 
@@ -48,7 +49,3 @@ Lf = companion_first([parse_expression(s, names) for s in ("u1", "u2")])
 print(f"  L_first(sigma=(u1,u2)) = {Lf}")
 print(f"  its torsion vanishes: {nijenhuis_torsion(Lf).is_zero()} "
       "(coordinate coefficients are the flat normal form here)")
-
-print("\n== pointwise cyclicity ==")
-for point in ([0.3, -0.7], [0.0, 0.0]):
-    print(f"  gl-regular at {point}: {is_gl_regular_at(L_good, point)}")

@@ -3,17 +3,24 @@
 The quadratic integrals h_1..h_n are the first row of the square of the
 momentum pencil S = sum_k p_k L^(k-1); the Gram matrix of h_1 is the
 contravariant metric.  build_h_family reads them off the reduced power
-coefficients of L; squaring the pencil (h_family_from_pencil) must produce
-the same family, and the Gram matrix must land in unit anti-triangular
-normal form.  Finally the covariant metric and its derivatives are obtained
-at a sample point by exact-then-float inversion.
+coefficients of L; squaring the pencil (h_family_from_pencil, the test
+suite's oracle) must produce the same family, and the Gram matrix must land
+in unit anti-triangular normal form.  Finally the covariant metric and its
+derivatives are obtained at a sample point by exact-then-float inversion.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from nijflow import (base_names, build_h_family, check_gram_normal_form,
                      covariant_at, format_polynomial, gram_matrix,
-                     h_family_from_pencil, parse_expression)
+                     parse_expression)
+
+# the test suite's oracles, imported from the repository's tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import h_family_from_pencil  # noqa: E402
 
 names = base_names(2)
 sigma = [parse_expression(s, names) for s in ("u1", "u2 - 1/2*u1^2")]

@@ -4,11 +4,13 @@ The metric built from h_1 and the companion operator are geodesically
 compatible.  This demo certifies that claim (a) symbolically through the
 bracket-form identity, (b) pointwise through the first-order coordinate
 system, and (c) pointwise through the invariant Lie-form relation on vector
-fields -- and then pushes the metric through symmetries M of the operator,
-which must preserve compatibility.
+fields, the test suite's cross-check -- and then pushes the metric through
+symmetries M of the operator, which must preserve compatibility.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -16,8 +18,11 @@ from nijflow import (OperatorField, base_names, benenti_residual,
                      build_h_family, companion_second,
                      coordinate_form_residual_at, covariant_at,
                      format_polynomial, gram_matrix, is_symmetry,
-                     lie_form_residual_at, parse_expression, self_adjoint_residual,
-                     symmetry_metric)
+                     parse_expression, symmetry_metric)
+
+# the test suite's oracles, imported from the repository's tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import lie_form_residual_at, self_adjoint_residual  # noqa: E402
 
 names = base_names(2)
 sigma = [parse_expression(s, names) for s in ("u1", "u2 - 1/2*u1^2")]

@@ -12,12 +12,18 @@ keep the characteristic identity and F_i = 1/2 h_(i+1), but lose the
 commutation.
 """
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from nijflow import (base_names, build_h_family, companion_second,
-                     first_integrals, generating_identity_residuals,
-                     gram_matrix, killing_operators, nijenhuis_torsion,
-                     parse_expression, verify_commuting_integrals)
+                     first_integrals, gram_matrix, killing_operators,
+                     nijenhuis_torsion, parse_expression,
+                     verify_commuting_integrals)
+
+# the test suite's oracles, imported from the repository's tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import generating_identity_residuals  # noqa: E402
 
 names = base_names(3)
 texts = ("u1", "u2 - 1/2*u1^2", "u3 - u1*u2 + 1/6*u1^3")
@@ -27,7 +33,7 @@ print(f"sigma = {texts}")
 print(f"torsion-free: {nijenhuis_torsion(L).is_zero()}")
 
 print("\n== the hierarchy ==")
-hierarchy = killing_operators(L)
+hierarchy = killing_operators(sigma)
 for i, A in enumerate(hierarchy):
     print(f"  A_{i} = {A}")
 
@@ -57,7 +63,7 @@ for i, A in enumerate(hierarchy[1:], start=1):
 print("\n== torsion is what buys the commutation ==")
 bad_sigma = [parse_expression(t, names) for t in ("u1", "u2", "u3")]
 bad_L = companion_second(bad_sigma)
-bad_hier = killing_operators(bad_L)
+bad_hier = killing_operators(bad_sigma)
 bad_res = generating_identity_residuals(bad_L, bad_hier)
 print(f"  obstructed (u1, u2, u3): characteristic identity still exact: "
       f"{all(r.is_zero() for r in bad_res)}")

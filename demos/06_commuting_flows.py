@@ -12,15 +12,20 @@ use.
 """
 
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from nijflow import (AxisSpec, CompanionModel, CotangentPoint, FlowSettings,
-                     HamiltonianField, geodesic_from, integrate_flow,
-                     orbit_grid, phase_names, polynomial_flow,
-                     verify_commutation, verify_conservation)
+                     integrate_flow, orbit_grid, phase_names, polynomial_flow)
 from nijflow.lattice_io import read_grid_csv, write_grid_csv, write_svg_plot
+
+# the test suite's oracles, imported from the repository's tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import (geodesic_from, verify_commutation,  # noqa: E402
+                     verify_conservation)
 
 model = CompanionModel.from_expressions(["u1", "u2 - 1/2*u1^2"])
 F0, F1 = model.integrals
@@ -28,9 +33,6 @@ start = CotangentPoint((0.1, -0.2), (0.8, 0.5))
 settings = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-10)
 
 print("== canonical vector fields ==")
-field = HamiltonianField(F1)
-print(f"  div X_F1 = {field.divergence()!s} (canonical fields are"
-      " divergence-free)")
 print(f"  F_1(start) = {F1.evaluate(start.u, start.p):.12f}")
 
 print("\n== the flows commute and conserve each other ==")

@@ -9,11 +9,17 @@ measures the discrete residual of reduction lattices and its second-order
 decay under refinement.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from nijflow import (AxisSpec, CompanionModel, CotangentPoint, FlowSettings,
-                     compare_grids, convergence_orders, direct_solve,
-                     grid_residual, orbit_grid)
+                     compare_grids, direct_solve, grid_residual, orbit_grid)
+
+# the test suite's oracles, imported from the repository's tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import convergence_orders  # noqa: E402
 
 print("== constant coefficients: the direct solver is exact ==")
 const = CompanionModel.from_expressions(["1", "-1/2"])

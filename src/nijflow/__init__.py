@@ -12,8 +12,6 @@ from .compat import (
     CompatError,
     benenti_residual,
     coordinate_form_residual_at,
-    lie_form_residual_at,
-    self_adjoint_residual,
     symmetry_metric,
 )
 from .exactpoly import (
@@ -32,17 +30,13 @@ from .flows import (
     FlowSettings,
     HamiltonianField,
     SolutionGrid,
-    geodesic_from,
     integrate_flow,
     integrate_flow_path,
     orbit_grid,
     polynomial_flow,
-    verify_commutation,
-    verify_conservation,
 )
 from .hierarchy import (
     first_integrals,
-    generating_identity_residuals,
     killing_operators,
     verify_commuting_integrals,
 )
@@ -56,7 +50,6 @@ from .metric import (
     covariant_at,
     differential_shift_residuals,
     gram_matrix,
-    h_family_from_pencil,
     pairwise_poisson,
     poisson_bracket,
 )
@@ -70,8 +63,6 @@ from .operators import (
     companion_first,
     companion_second,
     guiding_bracket,
-    is_gl_regular_at,
-    is_strong_symmetry,
     is_symmetry,
     nijenhuis_torsion,
     torsion_of_pair,
@@ -80,7 +71,6 @@ from .pde import (
     PDEError,
     ResidualReport,
     compare_grids,
-    convergence_orders,
     direct_solve,
     grid_residual,
 )
@@ -115,26 +105,19 @@ __all__ = [
     "companion_first",
     "companion_second",
     "compare_grids",
-    "convergence_orders",
     "coordinate_form_residual_at",
     "covariant_at",
     "differential_shift_residuals",
     "direct_solve",
     "first_integrals",
     "format_polynomial",
-    "generating_identity_residuals",
-    "geodesic_from",
     "gram_matrix",
     "grid_residual",
     "guiding_bracket",
-    "h_family_from_pencil",
     "integrate_flow",
     "integrate_flow_path",
-    "is_gl_regular_at",
-    "is_strong_symmetry",
     "is_symmetry",
     "killing_operators",
-    "lie_form_residual_at",
     "nijenhuis_torsion",
     "orbit_grid",
     "pairwise_poisson",
@@ -142,12 +125,9 @@ __all__ = [
     "phase_names",
     "poisson_bracket",
     "polynomial_flow",
-    "self_adjoint_residual",
     "symmetry_metric",
     "torsion_of_pair",
-    "verify_commutation",
     "verify_commuting_integrals",
-    "verify_conservation",
 ]
 
 __version__ = "0.1.0"

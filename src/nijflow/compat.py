@@ -1,20 +1,17 @@
-"""Geodesic compatibility of the companion metric, in three equivalent forms.
+"""Geodesic compatibility of the companion metric.
 
 A metric g and an operator field L are geodesically compatible when L maps
-g-geodesics to curves that are geodesics up to reparametrization.  The module
-checks this in three ways:
+g-geodesics to curves that are geodesics up to reparametrization.  ``verify``
+checks this in two forms:
 
 * bracket form (symbolic): the phase-space identity
   {H, F} = 2 H * d(tr L)/du^q  h1^(aq) p_a  with H = h1/2 and
   F^(kj) = h1^(ks) L^j_s, certified as an exact polynomial identity;
 * coordinate form (pointwise): the first-order system R_ijk = 0 coupling g,
-  its first derivatives and dL, evaluated numerically at sample points;
-* Lie form (pointwise): the invariant relation on vector fields
+  its first derivatives and dL, evaluated numerically at sample points.
 
-    Lie_{L xi} g(eta, xi) - Lie_xi g(eta, L xi) - g(eta, [L xi, xi])
-      + g([eta, L xi], xi) - g([eta, xi], L xi) = g(eta, xi) Lie_xi tr L,
-
-  with the fields expanded exactly and the metric supplied numerically.
+The test suite cross-checks both against the invariant Lie form on vector
+fields and against the metric-self-adjointness of L (``tests/support.py``).
 
 The module also implements the symmetry transform g -> gM, which carries a
 compatible metric to another compatible metric whenever M is a symmetry of L.
@@ -22,7 +19,6 @@ compatible metric to another compatible metric whenever M is a symmetry of L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,52 +28,16 @@ from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
 from .metric import (
     SINGULAR_TOL,
     CovariantMetricAt,
-    GramMatrix,
     PhaseFunction,
     gram_matrix,
     poisson_bracket,
     quadratic_phase,
 )
-from .operators import (
-    OperatorField,
-    companion_second,
-    is_symmetry,
-    lie_bracket_fields,
-)
+from .operators import OperatorField, companion_second, is_symmetry
 
 
 class CompatError(ValueError):
     """Raised for invalid compatibility computations."""
-
-
-@dataclass(frozen=True)
-class SelfAdjointReport:
-    """Antisymmetry of h1 L^T, plus the closure h1 L^T = sigma_1 h1 + h2
-    when the full family is available."""
-    ok: bool
-    antisymmetry: tuple[tuple[ExactPolynomial, ...], ...]
-    closure: tuple[tuple[ExactPolynomial, ...], ...] | None
-
-
-def self_adjoint_residual(h1: GramMatrix, L: OperatorField,
-                          family: Sequence[PhaseFunction] | None = None
-                          ) -> SelfAdjointReport:
-    """L is h1-self-adjoint iff the matrix (h1 L^T)^(kj) = h1^(ks) L^j_s is
-    symmetric."""
-    if h1.n != L.n:
-        raise CompatError("metric and operator sizes differ")
-    W = h1 @ L.transpose()
-    antisym = (W - W.transpose()).entries
-    closure = None
-    if family is not None:
-        expected = h1 * L.trace()
-        if h1.n >= 2:
-            expected = expected + gram_matrix(family[1])
-        closure = (W - expected).entries
-    ok = all(e.is_zero() for row in antisym for e in row)
-    if closure is not None:
-        ok = ok and all(e.is_zero() for row in closure for e in row)
-    return SelfAdjointReport(ok, antisym, closure)
 
 
 def benenti_residual(family: Sequence[PhaseFunction],
@@ -136,58 +96,6 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
     # max propagates nan, so a point whose values left the float range fails
     worst = np.abs(lhs, out=lhs).reshape(g.shape[:-2] + (n**3,)).max(axis=-1)
     return float(worst) if worst.ndim == 0 else worst
-
-
-def _field_jacobian(fields, point, n):
-    return evaluate_table_array([[f.partial(a) for a in range(n)]
-                                 for f in fields], point)  # [i, a] = d_a f^i
-
-
-def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
-                         xi: Sequence[ExactPolynomial],
-                         eta: Sequence[ExactPolynomial]) -> float:
-    """Absolute residual of the invariant compatibility relation on the two
-    polynomial vector fields at the point of ``g_at``; brackets and field
-    derivatives are expanded exactly, the metric enters through ``g_at``."""
-    n = L.n
-    if g_at.g.ndim != 2:
-        raise CompatError("the metric must be taken at a single point")
-    if len(xi) != n or len(eta) != n:
-        raise CompatError("vector fields must have one component per coordinate")
-    point = g_at.point
-    g = g_at.g
-    dg = g_at.dg
-    Lxi = L.apply_to_field(xi)
-    b_Lxi_xi = lie_bracket_fields(Lxi, xi)
-    b_eta_Lxi = lie_bracket_fields(eta, Lxi)
-    b_eta_xi = lie_bracket_fields(eta, xi)
-
-    xi_v = evaluate_table_array(xi, point)
-    eta_v = evaluate_table_array(eta, point)
-    Lxi_v = evaluate_table_array(Lxi, point)
-    dxi = _field_jacobian(xi, point, n)
-    deta = _field_jacobian(eta, point, n)
-    dLxi = _field_jacobian(Lxi, point, n)
-
-    def lie_of_pairing(Z_v, A_v, dA, B_v, dB):
-        # directional derivative of g(A, B) along Z
-        total = 0.0
-        for a in range(n):
-            term = (A_v @ dg[a] @ B_v
-                    + dA[:, a] @ g @ B_v
-                    + A_v @ g @ dB[:, a])
-            total += Z_v[a] * term
-        return total
-
-    t1 = lie_of_pairing(Lxi_v, eta_v, deta, xi_v, dxi)
-    t2 = lie_of_pairing(xi_v, eta_v, deta, Lxi_v, dLxi)
-    t3 = eta_v @ g @ evaluate_table_array(b_Lxi_xi, point)
-    t4 = evaluate_table_array(b_eta_Lxi, point) @ g @ xi_v
-    t5 = evaluate_table_array(b_eta_xi, point) @ g @ Lxi_v
-    trace = L.trace()
-    lie_tr = sum(xi_v[a] * trace.partial(a).evaluate(point) for a in range(n))
-    rhs = (eta_v @ g @ xi_v) * lie_tr
-    return float(abs(t1 - t2 - t3 + t4 - t5 - rhs))
 
 
 # the largest asymmetry of gM at which M still counts as g-self-adjoint

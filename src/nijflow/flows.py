@@ -34,7 +34,7 @@ import numpy as np
 
 from .exactpoly import (ExactPolynomial, compile_float_forms,
                         evaluate_float_form)
-from .metric import GramMatrix, PhaseFunction, poisson_bracket
+from .metric import PhaseFunction, poisson_bracket
 
 State = list[float]
 
@@ -75,9 +75,6 @@ class CotangentPoint:
     def from_state(cls, state: Sequence[float]) -> "CotangentPoint":
         half = len(state) // 2
         return cls(tuple(state[:half]), tuple(state[half:]))
-
-    def distance(self, other: "CotangentPoint") -> float:
-        return max(abs(a - b) for a, b in zip(self.state(), other.state()))
 
 
 @dataclass(frozen=True)
@@ -129,13 +126,6 @@ class HamiltonianField:
             compiled = compile_float_forms(self._forms, 2 * self.n)
             object.__setattr__(self, "_compiled", compiled)
         return compiled(state)
-
-    def divergence(self) -> ExactPolynomial:
-        """Symbolic divergence; identically zero for canonical fields."""
-        acc = ExactPolynomial.zero(2 * self.n)
-        for i in range(self.n):
-            acc = acc + self.du_dt[i].partial(i) + self.dp_dt[i].partial(self.n + i)
-        return acc
 
 
 def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
@@ -443,44 +433,3 @@ def orbit_grid(integrals: Sequence[PhaseFunction], start: CotangentPoint,
                         + (2 * n,))
     u, p = path[..., :n], path[..., n:]
     return SolutionGrid(axes, u, p, {"generator": "orbit", "settings": settings})
-
-
-def verify_commutation(integrals: Sequence[PhaseFunction],
-                       start: CotangentPoint, s: float, t: float,
-                       settings: FlowSettings = FlowSettings()) -> float:
-    """Largest endpoint mismatch between the two orders of composing each
-    pair of flows for times (s, t)."""
-    fields = [HamiltonianField(F) for F in integrals]
-    y = start.state()
-    worst = 0.0
-    for i, f in enumerate(fields):
-        for g in fields[i + 1:]:
-            one = _advance(g, _advance(f, y, s, settings), t, settings)
-            two = _advance(f, _advance(g, y, t, settings), s, settings)
-            worst = max(worst, *(abs(a - b) for a, b in zip(one, two)))
-    return worst
-
-
-def verify_conservation(integrals: Sequence[PhaseFunction],
-                        start: CotangentPoint, t: float,
-                        settings: FlowSettings = FlowSettings()) -> float:
-    """Largest drift of any integral along any of the flows up to time t."""
-    reference = [G.evaluate(start.u, start.p) for G in integrals]
-    worst = 0.0
-    for F in integrals:
-        end = integrate_flow(F, start, t, settings)
-        for G, ref in zip(integrals, reference):
-            worst = max(worst, abs(G.evaluate(end.u, end.p) - ref))
-    return worst
-
-
-def geodesic_from(u0: Sequence[float], udot0: Sequence[float],
-                  gram: GramMatrix) -> CotangentPoint:
-    """Initial covector of the geodesic with given initial velocity: solve
-    G(u0) p = udot0 for the momenta."""
-    G = gram.evaluate_at(list(u0))
-    try:
-        p = np.linalg.solve(G, np.asarray(udot0, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise FlowError(f"metric is singular at {tuple(u0)}") from exc
-    return CotangentPoint(tuple(float(x) for x in u0), tuple(float(x) for x in p))

@@ -13,8 +13,8 @@ p whose Gram matrix has polynomial entries in u; the Gram matrix of h_1 is
 the contravariant metric of the construction.
 
 ``build_h_family`` reads the Gram entries off the powers of L expanded in
-the basis Id, L, ..., L^(n-1); ``h_family_from_pencil`` squares the pencil
-(first row only) and is the oracle the tests compare it to.
+the basis Id, L, ..., L^(n-1); the tests compare it to the square of the
+pencil itself (first row only).
 
 The canonical Poisson bracket used throughout is
 
@@ -193,10 +193,6 @@ class GramMatrix(OperatorField):
         """Exact determinant by cofactor expansion."""
         return _det(self.entries)
 
-    def quadratic_form(self) -> PhaseFunction:
-        """The phase function sum_ab G^ab p_a p_b."""
-        return quadratic_phase(self.entries)
-
 
 def _det(rows) -> ExactPolynomial:
     n = len(rows)
@@ -239,21 +235,6 @@ def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
     return [quadratic_phase([[coeffs[i + j][n - m] for j in range(n)]
                              for i in range(n)])
             for m in range(1, n + 1)]
-
-
-def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
-    """Oracle for ``build_h_family``: h_i = (S^2)[0, n-i] for the momentum
-    pencil S; only the first row of the square is formed."""
-    n = len(sigma)
-    L = companion_second(sigma)
-    nv = 2 * n
-    p = [ExactPolynomial.variable(nv, n + k) for k in range(n)]
-    lifted = [L.power(k).phase_entries() for k in range(n)]
-    pencil = [[signed_sum(nv, [(1, p[k], lifted[k][i][j]) for k in range(n)])
-               for j in range(n)] for i in range(n)]
-    return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
-                                             for s in range(n)]), 2)
-            for i in range(1, n + 1)]
 
 
 def gram_matrix(h: PhaseFunction) -> GramMatrix:

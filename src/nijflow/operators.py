@@ -3,9 +3,13 @@
 An operator field is an n-by-n matrix of :class:`ExactPolynomial` entries in
 the n base variables.  The module provides the two companion normal forms,
 the compatibility bracket <L, M> for commuting pairs, the Nijenhuis torsion
-as -<L, L> and in closed form for a companion operator, symmetry and
-strong-symmetry tests, characteristic polynomial coefficients by the trace
-recursion, and a numeric cyclicity (gl-regularity) probe.
+as -<L, L> and in closed form for a companion operator, the symmetry test,
+and characteristic polynomial coefficients by the trace recursion.
+
+A companion operator needs no cyclicity (gl-regularity) test: it is
+gl-regular at every point, since the Krylov matrix [e_n, L e_n, ...,
+L^(n-1) e_n] of the last basis vector is unit anti-triangular, so its
+determinant is +1 or -1.
 
 Index convention: entry(i, j) is the matrix element with upper index i and
 lower index j, so a vector transforms as (L xi)^i = sum_j L^i_j xi^j.
@@ -20,8 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
-
-VectorField = tuple[ExactPolynomial, ...]
 
 
 class OperatorError(ValueError):
@@ -150,13 +152,6 @@ class OperatorField:
         return tuple(tuple(e.with_appended_vars(self.n) for e in row)
                      for row in self.entries)
 
-    def apply_to_field(self, xi: Sequence[ExactPolynomial]) -> VectorField:
-        """The vector field with components (L xi)^i = L^i_j xi^j."""
-        if len(xi) != self.n:
-            raise OperatorError("vector field arity does not match operator size")
-        return tuple(signed_sum(self.n, [(1, e, x) for e, x in zip(row, xi)])
-                     for row in self.entries)
-
     def __str__(self) -> str:
         from .exactpoly import base_names, format_polynomial
         names = base_names(self.n)
@@ -170,21 +165,6 @@ class OperatorField:
 
 def commutator(a: OperatorField, b: OperatorField) -> OperatorField:
     return (a @ b) - (b @ a)
-
-
-def lie_bracket_fields(x: Sequence[ExactPolynomial],
-                       y: Sequence[ExactPolynomial]) -> VectorField:
-    """Lie bracket [X, Y]^i = X^a d_a Y^i - Y^a d_a X^i of polynomial fields."""
-    n = len(x)
-    if len(y) != n:
-        raise OperatorError("vector fields must have equal arity")
-
-    def component(i):
-        for a in range(n):
-            yield 1, x[a], y[i].partial(a)
-            yield -1, y[a], x[i].partial(a)
-
-    return tuple(signed_sum(x[0].nvars, component(i)) for i in range(n))
 
 
 def _sigma_list(sigma: Sequence) -> list[ExactPolynomial]:
@@ -237,23 +217,11 @@ class OneTwoTensorField(tuple):
     def is_zero(self) -> bool:
         return all(layer.is_zero() for layer in self)
 
-    def is_skew(self) -> bool:
-        return self.symmetrized().is_zero()
-
     def symmetrized(self) -> "OneTwoTensorField":
         return OneTwoTensorField(layer + layer.transpose() for layer in self)
 
     def __neg__(self) -> "OneTwoTensorField":
         return OneTwoTensorField(layer * -1 for layer in self)
-
-    def contract(self, xi: Sequence[ExactPolynomial],
-                 eta: Sequence[ExactPolynomial]) -> VectorField:
-        """The vector field T(xi, eta)^k = T^k_{ij} xi^i eta^j."""
-        n = self.n
-        pairs = [(i, j, xi[i] * eta[j]) for i in range(n) for j in range(n)]
-        return tuple(signed_sum(xi[0].nvars, [(1, layer.entry(i, j), x)
-                                              for i, j, x in pairs])
-                     for layer in self)
 
 
 def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
@@ -344,13 +312,6 @@ def is_symmetry(L: OperatorField, M: OperatorField) -> SymmetryReport:
     return SymmetryReport(comm.is_zero() and residual.is_zero(), comm, residual)
 
 
-def is_strong_symmetry(L: OperatorField, M: OperatorField) -> SymmetryReport:
-    """M is a strong symmetry of L when LM = ML and <L, M> = 0."""
-    comm = commutator(L, M)
-    residual = torsion_of_pair(L, M)
-    return SymmetryReport(comm.is_zero() and residual.is_zero(), comm, residual)
-
-
 def char_coefficients(L: OperatorField) -> list[ExactPolynomial]:
     """Coefficients (sigma_1, ..., sigma_n) of the characteristic polynomial
     written as lambda^n - sigma_1 lambda^(n-1) - ... - sigma_n, computed by
@@ -369,35 +330,3 @@ def char_coefficients(L: OperatorField) -> list[ExactPolynomial]:
         sigma.append(s)
         A = M - (ident * s)
     return sigma
-
-
-# the gl-regularity probe tries at least this many vectors, and takes one as
-# cyclic when its row-scaled Krylov determinant is above GL_REGULAR_TOL
-GL_REGULAR_TRIALS = 8
-GL_REGULAR_TOL = 1e-9
-
-
-def is_gl_regular_at(L: OperatorField, point: Sequence[float]) -> bool:
-    """Numeric cyclicity probe: search for a vector whose Krylov matrix
-    [v, Lv, ..., L^(n-1) v] at the point has row-scaled determinant above
-    ``GL_REGULAR_TOL``.  Standard basis vectors are tried first (the last
-    one is cyclic for the second companion form), then vectors from a
-    fixed-seed stream.
-    """
-    n = L.n
-    A = L.evaluate_at(point)
-    rng = np.random.default_rng(180451)
-    candidates = [*np.eye(n)[::-1], *(rng.standard_normal(n)
-                                      for _ in range(GL_REGULAR_TRIALS - n))]
-    for v in candidates:
-        K = np.empty((n, n))
-        w = v.astype(float)
-        for c in range(n):
-            K[:, c] = w
-            w = A @ w
-        scale = np.abs(K).max(axis=1)
-        if np.any(scale == 0):
-            continue
-        if abs(np.linalg.det(K / scale[:, None])) > GL_REGULAR_TOL:
-            return True
-    return False

@@ -179,6 +179,10 @@ def grid_residual(grid: SolutionGrid,
     axes = grid.axes
     if len(operators) != len(axes) - 1:
         raise PDEError(f"need {len(axes) - 1} operators, got {len(operators)}")
+    for A in operators:
+        if A.n != grid.n:
+            raise PDEError(f"the lattice has {grid.n} components, the "
+                           f"operators are {A.n} by {A.n}")
     for a in axes:
         if a.count < 3:
             raise PDEError(f"axis {a.name!r} needs at least 3 nodes for "
@@ -195,17 +199,6 @@ def grid_residual(grid: SolutionGrid,
             residual = ut - operator_product(A)(u[1:-1][t_in], ux)
             per_axis.append(float(np.abs(residual).max()))
     return ResidualReport(tuple(per_axis))
-
-
-def convergence_orders(values: Sequence[float]) -> list[float]:
-    """Observed orders from successive errors at spacings halving each time:
-    order_i = log(values[i] / values[i+1]) / log(2)."""
-    if len(values) < 2:
-        raise PDEError("need at least two error values")
-    if any(v <= 0 for v in values):
-        raise PDEError("error values must be positive")
-    return [math.log(a / b) / math.log(2.0)
-            for a, b in zip(values, values[1:])]
 
 
 # how far two lattices' nodes may stray apart for ``compare_grids``

@@ -1,16 +1,26 @@
 """Shared helpers for the test suite."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
 from nijflow.cli import ConfigError
-from nijflow.exactpoly import ExactPolynomial, parse_expression, signed_sum
+from nijflow.compat import CompatError
+from nijflow.exactpoly import (ExactPolynomial, evaluate_table_array,
+                               parse_expression, signed_sum)
 from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
-                           AxisSpec, CotangentPoint, FlowError, SolutionGrid)
-from nijflow.pde import UNIFORM_RTOL
+                           AxisSpec, CotangentPoint, FlowError, FlowSettings,
+                           HamiltonianField, SolutionGrid, _advance,
+                           integrate_flow)
+from nijflow.metric import (CovariantMetricAt, GramMatrix, PhaseFunction,
+                            gram_matrix)
+from nijflow.operators import (OneTwoTensorField, OperatorError, OperatorField,
+                               char_coefficients, companion_second)
+from nijflow.pde import UNIFORM_RTOL, PDEError
 
 
 def unames(n):
@@ -56,8 +66,6 @@ def random_sigma(rng, n, max_terms=3, max_degree=2, max_coeff=5):
 
 def random_phase_function(rng, n, p_degree, max_terms=4, max_degree=2):
     """Random momentum-homogeneous polynomial on the cotangent chart."""
-    from nijflow.metric import PhaseFunction
-
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * (2 * n)
@@ -73,8 +81,6 @@ def random_phase_function(rng, n, p_degree, max_terms=4, max_degree=2):
 def reference_quadratic_phase(matrix):
     """Oracle for ``metric.quadratic_phase``: the generic construction it
     replaced, each entry lifted to the chart and multiplied by p_a and p_b."""
-    from nijflow.metric import PhaseFunction
-
     n = len(matrix)
     acc = ExactPolynomial.zero(2 * n)
     for a in range(n):
@@ -103,8 +109,6 @@ def reference_product_terms(parts):
 # before they moved onto the integer store; kept only as oracles.
 
 def reference_quadratic_phase_by_terms(matrix):
-    from nijflow.metric import PhaseFunction
-
     n = len(matrix)
     terms = []
     for a, row in enumerate(matrix):
@@ -118,7 +122,7 @@ def reference_quadratic_phase_by_terms(matrix):
 
 
 def reference_gram_matrix(h):
-    from nijflow.metric import GramMatrix, MetricError
+    from nijflow.metric import MetricError
 
     if h.p_degree != 2 and not h.is_zero():
         raise MetricError("Gram extraction requires a momentum-quadratic function")
@@ -227,8 +231,6 @@ def sigma_obstructed(n):
 # oracles for the tests.
 
 def reference_covariant_at(gram, point):
-    from nijflow.metric import CovariantMetricAt
-
     n = gram.n
     G = np.array([[e.evaluate(point) for e in row] for row in gram.entries])
     g = np.linalg.inv(G)
@@ -514,3 +516,219 @@ def reference_write_svg_plot(grid, slices, path):
     parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")
+
+
+# Checks and routes the command line never runs, kept here as oracles: each
+# test compares a result of the package against one of them.
+
+def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
+    """Oracle for ``build_h_family``: h_i = (S^2)[0, n-i] for the momentum
+    pencil S; only the first row of the square is formed."""
+    n = len(sigma)
+    L = companion_second(sigma)
+    nv = 2 * n
+    p = [ExactPolynomial.variable(nv, n + k) for k in range(n)]
+    lifted = [L.power(k).phase_entries() for k in range(n)]
+    pencil = [[signed_sum(nv, [(1, p[k], lifted[k][i][j]) for k in range(n)])
+               for j in range(n)] for i in range(n)]
+    return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
+                                             for s in range(n)]), 2)
+            for i in range(1, n + 1)]
+
+
+VectorField = tuple[ExactPolynomial, ...]
+
+
+def apply_to_field(L: OperatorField,
+                   xi: Sequence[ExactPolynomial]) -> VectorField:
+    """The vector field with components (L xi)^i = L^i_j xi^j."""
+    if len(xi) != L.n:
+        raise OperatorError("vector field arity does not match operator size")
+    return tuple(signed_sum(L.n, [(1, e, x) for e, x in zip(row, xi)])
+                 for row in L.entries)
+
+
+def contract(T: OneTwoTensorField, xi: Sequence[ExactPolynomial],
+             eta: Sequence[ExactPolynomial]) -> VectorField:
+    """The vector field T(xi, eta)^k = T^k_{ij} xi^i eta^j."""
+    n = T.n
+    pairs = [(i, j, xi[i] * eta[j]) for i in range(n) for j in range(n)]
+    return tuple(signed_sum(xi[0].nvars, [(1, layer.entry(i, j), x)
+                                          for i, j, x in pairs])
+                 for layer in T)
+
+
+def lie_bracket_fields(x: Sequence[ExactPolynomial],
+                       y: Sequence[ExactPolynomial]) -> VectorField:
+    """Lie bracket [X, Y]^i = X^a d_a Y^i - Y^a d_a X^i of polynomial fields."""
+    n = len(x)
+    if len(y) != n:
+        raise OperatorError("vector fields must have equal arity")
+
+    def component(i):
+        for a in range(n):
+            yield 1, x[a], y[i].partial(a)
+            yield -1, y[a], x[i].partial(a)
+
+    return tuple(signed_sum(x[0].nvars, component(i)) for i in range(n))
+
+
+def _field_jacobian(fields, point, n):
+    return evaluate_table_array([[f.partial(a) for a in range(n)]
+                                 for f in fields], point)  # [i, a] = d_a f^i
+
+
+def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
+                         xi: Sequence[ExactPolynomial],
+                         eta: Sequence[ExactPolynomial]) -> float:
+    """Absolute residual of the invariant compatibility relation
+
+        Lie_{L xi} g(eta, xi) - Lie_xi g(eta, L xi) - g(eta, [L xi, xi])
+          + g([eta, L xi], xi) - g([eta, xi], L xi) = g(eta, xi) Lie_xi tr L
+
+    on the two polynomial vector fields at the point of ``g_at``; brackets
+    and field derivatives are expanded exactly, the metric enters through
+    ``g_at``."""
+    n = L.n
+    if g_at.g.ndim != 2:
+        raise CompatError("the metric must be taken at a single point")
+    if len(xi) != n or len(eta) != n:
+        raise CompatError("vector fields must have one component per coordinate")
+    point = g_at.point
+    g = g_at.g
+    dg = g_at.dg
+    Lxi = apply_to_field(L, xi)
+    b_Lxi_xi = lie_bracket_fields(Lxi, xi)
+    b_eta_Lxi = lie_bracket_fields(eta, Lxi)
+    b_eta_xi = lie_bracket_fields(eta, xi)
+
+    xi_v = evaluate_table_array(xi, point)
+    eta_v = evaluate_table_array(eta, point)
+    Lxi_v = evaluate_table_array(Lxi, point)
+    dxi = _field_jacobian(xi, point, n)
+    deta = _field_jacobian(eta, point, n)
+    dLxi = _field_jacobian(Lxi, point, n)
+
+    def lie_of_pairing(Z_v, A_v, dA, B_v, dB):
+        # directional derivative of g(A, B) along Z
+        total = 0.0
+        for a in range(n):
+            term = (A_v @ dg[a] @ B_v
+                    + dA[:, a] @ g @ B_v
+                    + A_v @ g @ dB[:, a])
+            total += Z_v[a] * term
+        return total
+
+    t1 = lie_of_pairing(Lxi_v, eta_v, deta, xi_v, dxi)
+    t2 = lie_of_pairing(xi_v, eta_v, deta, Lxi_v, dLxi)
+    t3 = eta_v @ g @ evaluate_table_array(b_Lxi_xi, point)
+    t4 = evaluate_table_array(b_eta_Lxi, point) @ g @ xi_v
+    t5 = evaluate_table_array(b_eta_xi, point) @ g @ Lxi_v
+    trace = L.trace()
+    lie_tr = sum(xi_v[a] * trace.partial(a).evaluate(point) for a in range(n))
+    rhs = (eta_v @ g @ xi_v) * lie_tr
+    return float(abs(t1 - t2 - t3 + t4 - t5 - rhs))
+
+
+@dataclass(frozen=True)
+class SelfAdjointReport:
+    """Antisymmetry of h1 L^T, plus the closure h1 L^T = sigma_1 h1 + h2
+    when the full family is available."""
+    ok: bool
+    antisymmetry: tuple[tuple[ExactPolynomial, ...], ...]
+    closure: tuple[tuple[ExactPolynomial, ...], ...] | None
+
+
+def self_adjoint_residual(h1: GramMatrix, L: OperatorField,
+                          family: Sequence[PhaseFunction] | None = None
+                          ) -> SelfAdjointReport:
+    """L is h1-self-adjoint iff the matrix (h1 L^T)^(kj) = h1^(ks) L^j_s is
+    symmetric."""
+    if h1.n != L.n:
+        raise CompatError("metric and operator sizes differ")
+    W = h1 @ L.transpose()
+    antisym = (W - W.transpose()).entries
+    closure = None
+    if family is not None:
+        expected = h1 * L.trace()
+        if h1.n >= 2:
+            expected = expected + gram_matrix(family[1])
+        closure = (W - expected).entries
+    ok = all(e.is_zero() for row in antisym for e in row)
+    if closure is not None:
+        ok = ok and all(e.is_zero() for row in closure for e in row)
+    return SelfAdjointReport(ok, antisym, closure)
+
+
+def generating_identity_residuals(L: OperatorField,
+                                  family: Sequence[OperatorField]
+                                  ) -> list[OperatorField]:
+    """Coefficients, by powers of the spectral parameter, of
+
+        (sum_i lambda^(n-1-i) A_i)(lambda Id - L) - chi(lambda) Id,
+
+    with chi(lambda) = lambda^n - sigma_1 lambda^(n-1) - ... - sigma_n.
+    All n+1 returned matrices vanish when the family comes from the
+    recursion, regardless of any torsion condition."""
+    n = L.n
+    if len(family) != n:
+        raise ValueError("the hierarchy must contain exactly n operators")
+    sigma = char_coefficients(L)
+    ident = OperatorField.identity(n)
+    residuals = [family[0] - ident]
+    for k in range(1, n):
+        residuals.append(family[k] - family[k - 1] @ L + ident * sigma[k - 1])
+    residuals.append(ident * sigma[n - 1] - family[n - 1] @ L)
+    return residuals
+
+
+def verify_commutation(integrals: Sequence[PhaseFunction],
+                       start: CotangentPoint, s: float, t: float,
+                       settings: FlowSettings = FlowSettings()) -> float:
+    """Largest endpoint mismatch between the two orders of composing each
+    pair of flows for times (s, t)."""
+    fields = [HamiltonianField(F) for F in integrals]
+    y = start.state()
+    worst = 0.0
+    for i, f in enumerate(fields):
+        for g in fields[i + 1:]:
+            one = _advance(g, _advance(f, y, s, settings), t, settings)
+            two = _advance(f, _advance(g, y, t, settings), s, settings)
+            worst = max(worst, *(abs(a - b) for a, b in zip(one, two)))
+    return worst
+
+
+def verify_conservation(integrals: Sequence[PhaseFunction],
+                        start: CotangentPoint, t: float,
+                        settings: FlowSettings = FlowSettings()) -> float:
+    """Largest drift of any integral along any of the flows up to time t."""
+    reference = [G.evaluate(start.u, start.p) for G in integrals]
+    worst = 0.0
+    for F in integrals:
+        end = integrate_flow(F, start, t, settings)
+        for G, ref in zip(integrals, reference):
+            worst = max(worst, abs(G.evaluate(end.u, end.p) - ref))
+    return worst
+
+
+def geodesic_from(u0: Sequence[float], udot0: Sequence[float],
+                  gram: GramMatrix) -> CotangentPoint:
+    """Initial covector of the geodesic with given initial velocity: solve
+    G(u0) p = udot0 for the momenta."""
+    G = gram.evaluate_at(list(u0))
+    try:
+        p = np.linalg.solve(G, np.asarray(udot0, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise FlowError(f"metric is singular at {tuple(u0)}") from exc
+    return CotangentPoint(tuple(float(x) for x in u0), tuple(float(x) for x in p))
+
+
+def convergence_orders(values: Sequence[float]) -> list[float]:
+    """Observed orders from successive errors at spacings halving each time:
+    order_i = log(values[i] / values[i+1]) / log(2)."""
+    if len(values) < 2:
+        raise PDEError("need at least two error values")
+    if any(v <= 0 for v in values):
+        raise PDEError("error values must be positive")
+    return [math.log(a / b) / math.log(2.0)
+            for a, b in zip(values, values[1:])]

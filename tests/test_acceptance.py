@@ -16,23 +16,22 @@ import pytest
 
 from nijflow.cli import main
 from nijflow.compat import (benenti_residual, coordinate_form_residual_at,
-                            lie_form_residual_at, self_adjoint_residual,
                             symmetry_metric)
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings,
-                           geodesic_from, integrate_flow_path, orbit_grid)
-from nijflow.hierarchy import generating_identity_residuals, \
-    verify_commuting_integrals
+                           integrate_flow_path, orbit_grid)
+from nijflow.hierarchy import killing_operators, verify_commuting_integrals
 from nijflow.metric import (build_h_family, check_gram_normal_form,
                             covariant_at, differential_shift_residuals,
-                            gram_matrix, h_family_from_pencil,
-                            pairwise_poisson)
+                            gram_matrix, pairwise_poisson)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second, \
     nijenhuis_torsion
-from nijflow.pde import (compare_grids, convergence_orders, direct_solve,
-                         grid_residual)
+from nijflow.pde import compare_grids, direct_solve, grid_residual
 
-from support import random_polynomial, random_sigma
+from support import (convergence_orders, generating_identity_residuals,
+                     geodesic_from, h_family_from_pencil, lie_form_residual_at,
+                     random_polynomial, random_sigma, self_adjoint_residual,
+                     verify_commutation, verify_conservation)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -196,7 +195,6 @@ def test_criterion_5_flow_suite(e2, e2_orbit):
 
     # (b) the flows commute
     tight = FlowSettings(method="rk45", abs_tol=1e-12, rel_tol=1e-12)
-    from nijflow.flows import verify_commutation, verify_conservation
     mismatch = verify_commutation(e2.integrals, start, 0.3, 0.3, tight)
     if mismatch >= 1e-8:
         problems.append(f"commutation discrepancy {mismatch:.2e}")
@@ -288,7 +286,6 @@ def test_criterion_7_randomized_algebra():
             problems.append(f"determinant not a unit at case {checked}")
             break
         L = companion_second(sigma)
-        from nijflow.hierarchy import killing_operators
         if not all(r.is_zero() for r in generating_identity_residuals(
                 L, killing_operators(sigma))):
             problems.append(f"generating identity fails at case {checked}")

@@ -683,6 +683,33 @@ def test_residual_input_without_time_axis_exits_2(tmp_path, capsys):
         "axis\n")
 
 
+@pytest.mark.parametrize("lattice_n, config_n", [(3, 2), (2, 3)])
+def test_residual_input_of_another_n_exits_2(tmp_path, capsys, lattice_n,
+                                             config_n):
+    # one time axis each, so only the component count tells them apart
+    def config(n):
+        path = small_e2_config(tmp_path)
+        if n == 3:
+            cfg = json.loads(path.read_text())
+            cfg.update(n=3, sigma=["u1", "u2 - 1/2*u1^2",
+                                   "u3 - u1*u2 + 1/6*u1^3"],
+                       initial={"u": [0.1, -0.2, 0.05],
+                                "p": [0.8, 0.5, 0.3]})
+            path.write_text(json.dumps(cfg))
+        return path.rename(tmp_path / f"n{n}.json")
+
+    lattice = tmp_path / "lattice.csv"
+    assert main(["evolve", str(config(lattice_n)), "--output",
+                 str(lattice)]) == 0
+    assert main(["residual", str(config(config_n)), "--input",
+                 str(lattice)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (f"nijflow residual: the lattice has {lattice_n} "
+                   f"components, the operators are {config_n} by "
+                   f"{config_n}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "build-metric"])
 def test_sigma_over_max_n_entries_exits_2_promptly(tmp_path, capsys,
                                                    command):

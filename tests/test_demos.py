@@ -1,6 +1,8 @@
 """Smoke tests: every script in demos/, and README's Quick start block, run
-to completion against src/."""
+to completion against src/; each demo prints nothing on stderr and the
+stdout its digest pins."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,25 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout.  A change that alters a demo's output
+# updates its digest and says why.
+DEMO_DIGESTS = {
+    "01_exact_polynomials.py":
+        "84627cb39dc31e42019644496bab9e736f44702986042e840766955a9118fc87",
+    "02_companion_operators.py":
+        "b14adf81a93abde37f0512c7662b0aae0cfbab1b52e0f8f94cafb7a292b44e94",
+    "03_metric_construction.py":
+        "c64e3bd34b86cd0b4745031a53a4364a6579789b2ba7a365b0f5aa33c9e2cc21",
+    "04_compatibility_checks.py":
+        "4668578c3280848cf552a76ad9d88531a726ac5ca6f90e0a865e467d2ae84ba5",
+    "05_hierarchy_and_integrals.py":
+        "7e02cad8bf2fd2bcb49a6510d089e8df6af1ef866c219485b47f220e1bdf88f6",
+    "06_commuting_flows.py":
+        "852086eb367310c8d05b121a82409395e11b68e596720248fa4c8457ed14eaa2",
+    "07_direct_vs_reduction.py":
+        "d0a4dd058806e9afbf006ad966550be806e80b61cea51f73d1be8d170dd033d2",
+}
 
 
 def run_python(args, cwd):
@@ -24,6 +45,9 @@ def run_python(args, cwd):
 def test_demo_exits_0(demo, tmp_path):
     proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == DEMO_DIGESTS[demo.name], proc.stdout
 
 
 def test_readme_quick_start_runs(tmp_path):

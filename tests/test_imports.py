@@ -1,19 +1,47 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and every public
+function and class is reached from the command line or allow-listed.
 
 Each module under ``src/nijflow`` is parsed with ``ast``.  An imported name
 counts as used when the module reads it (in code or in a string
 annotation), when ``__init__.py`` lists it in ``__all__``, or when its
 import statement carries ``# noqa: F401`` on any of its lines, as the
 benchmark's patch points do.
+
+A module-level definition is reached when ``cli.main`` or an allow-listed
+name refers to it, directly or through other reached definitions; a class
+refers to every name its body does, methods included.  Checks the command
+line never runs belong in ``tests/support.py``, beside the other oracles.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nijflow"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "nijflow"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# The public names no command reaches that stay in the package, each with
+# its reason.  A bench patch point is a name bench/spans.py wraps.
+BENCH = "bench patch point"
+ALLOWED = {
+    ("hierarchy", "first_integrals"): BENCH,
+    ("hierarchy", "verify_commuting_integrals"): BENCH,
+    ("flows", "integrate_flow"): BENCH,
+    ("flows", "integrate_flow_path"): BENCH,
+    ("operators", "nijenhuis_torsion"):
+        "paper API: the torsion of any operator field",
+    ("operators", "guiding_bracket"):
+        "paper API: the bracket <L, M> of commuting operator fields",
+    ("operators", "is_symmetry"): "paper API: symmetries M of L",
+    ("compat", "symmetry_metric"):
+        "paper API: the compatible metric gM of a symmetry M",
+    ("operators", "companion_first"): "paper API: the first companion form",
+    ("operators", "char_coefficients"):
+        "paper API: sigma of any operator field",
+}
 
 
 def _names_read(tree: ast.AST) -> set[str]:
@@ -77,3 +105,98 @@ def test_the_guard_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[m.stem for m in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each name a module defines at its top level -> its statement."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Name):
+                        defs[part.id] = node
+    return defs
+
+
+def _relative_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Each name a module imports from a sibling -> (sibling, name)."""
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def reachability(sources: dict[str, str], roots) -> tuple[set, list]:
+    """The definitions reached from ``roots``, (module, name) pairs, and the
+    public functions and classes of ``sources`` (module -> text) that are
+    not among them, in module order.  Any ``Name`` node counts as a
+    reference, so a local variable that shadows a module-level name reaches
+    it: the walk can only err towards reaching too much."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    defs = {m: _definitions(tree) for m, tree in trees.items()}
+    imports = {m: _relative_imports(tree) for m, tree in trees.items()}
+
+    def resolve(module, name):
+        while name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+        return module, name
+
+    reached = set()
+    stack = [resolve(*root) for root in roots]
+    while stack:
+        key = stack.pop()
+        if key is None or key in reached:
+            continue
+        reached.add(key)
+        module, name = key
+        stack += [resolve(module, node.id)
+                  for node in ast.walk(defs[module][name])
+                  if isinstance(node, ast.Name)]
+    missed = [(m, name) for m, names in defs.items()
+              for name, node in names.items()
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not name.startswith("_") and (m, name) not in reached]
+    return reached, missed
+
+
+SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+ROOTS = [("cli", "main"), *ALLOWED]
+
+
+@functools.cache
+def reached_from_the_cli() -> set:
+    return reachability(SOURCES, [("cli", "main")])[0]
+
+
+def test_every_public_name_is_reached_or_allowed():
+    assert reachability(SOURCES, ROOTS)[1] == []
+
+
+def test_the_guard_finds_a_planted_function():
+    planted = dict(SOURCES)
+    planted["operators"] += "\n\ndef planted():\n    return commutator\n"
+    assert reachability(planted, ROOTS)[1] == [("operators", "planted")]
+
+
+@pytest.mark.parametrize("entry", ALLOWED, ids=".".join)
+def test_allowed_name_is_defined_and_unreached_from_the_cli(entry):
+    module, name = entry
+    node = _definitions(ast.parse(SOURCES[module])).get(name)
+    assert isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    assert entry not in reached_from_the_cli()
+
+
+def test_bench_patch_points_are_span_targets():
+    # read as tests/test_span_targets.py reads it: compiled in memory
+    spans_path = REPO / "bench" / "spans.py"
+    spans = {"__file__": str(spans_path), "__name__": "bench_spans"}
+    exec(compile(spans_path.read_text(), str(spans_path), "exec"), spans)
+    targets = {attr for _, attr, _ in spans["TARGETS"]}
+    assert {name for (_, name), why in ALLOWED.items()
+            if why == BENCH} <= targets

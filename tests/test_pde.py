@@ -19,10 +19,10 @@ from nijflow.hierarchy import first_integrals, killing_operators
 from nijflow.metric import build_h_family, gram_matrix
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_first, companion_second
-from nijflow.pde import (PDEError, compare_grids, convergence_orders,
-                         direct_solve, grid_residual)
+from nijflow.pde import PDEError, compare_grids, direct_solve, grid_residual
 
-from support import (random_polynomial, reference_operator_product,
+from support import (convergence_orders, random_polynomial,
+                     reference_operator_product,
                      sigma_constant, sigma_curved, u_from_eigenvalues)
 
 U2 = ["u1", "u2"]
