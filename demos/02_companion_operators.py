@@ -24,7 +24,7 @@ def show_torsion(label, sigma_texts):
     if torsion.is_zero():
         print("    torsion = 0 (all components are the zero polynomial)")
     else:
-        comp = torsion.component(1, 0, 1)
+        comp = torsion[1].entry(0, 1)
         print(f"    torsion != 0, e.g. component (2;1,2) = "
               f"{format_polynomial(comp, names)}")
     return L

@@ -40,9 +40,9 @@ for i in range(gram.n):
     row = ", ".join(format_polynomial(gram.entry(i, j), names)
                     for j in range(gram.n))
     print(f"  [{row}]")
-shape = check_gram_normal_form(gram)
-print(f"  normal form: ok={shape.ok}, "
-      f"det = {format_polynomial(shape.determinant, names)}")
+failures = check_gram_normal_form(gram)
+print(f"  normal form: ok={not failures}, "
+      f"det = {format_polynomial(gram.determinant(), names)}")
 
 print("\n== covariant metric at a point ==")
 point = [0.4, -0.3]

@@ -4,23 +4,27 @@ A metric g and an operator field L are geodesically compatible when L maps
 g-geodesics to curves that are geodesics up to reparametrization.  ``verify``
 checks this in two forms:
 
-* bracket form (symbolic): the phase-space identity
-  {H, F} = 2 H * d(tr L)/du^q  h1^(aq) p_a  with H = h1/2 and
-  F^(kj) = h1^(ks) L^j_s, certified as an exact polynomial identity;
+* bracket form (symbolic): ``benenti_residual(model)`` reads L, the Gram
+  matrix h1 and h1's quadratic form from the model and returns the residual
+  {H, F} - 2 H * d(tr L)/du^q  h1^(aq) p_a  with H = h1/2 and
+  F^(kj) = h1^(ks) L^j_s, an exact polynomial that vanishes identically
+  exactly when the pair is compatible;
 * coordinate form (pointwise): the first-order system R_ijk = 0 coupling g,
-  its first derivatives and dL, evaluated numerically at sample points.
+  its first derivatives, dL and d(tr L), evaluated in floating point at a
+  point or at each point of a stack, giving the largest |R_ijk| per point.
 
 The test suite cross-checks both against the invariant Lie form on vector
 fields and against the metric-self-adjointness of L (``tests/support.py``).
 
 The module also implements the symmetry transform g -> gM, which carries a
-compatible metric to another compatible metric whenever M is a symmetry of L.
+compatible metric to another compatible metric whenever M is a symmetry of L
+that is g-self-adjoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,29 +33,26 @@ from .metric import (
     SINGULAR_TOL,
     CovariantMetricAt,
     PhaseFunction,
-    gram_matrix,
     poisson_bracket,
     quadratic_phase,
 )
-from .operators import OperatorField, companion_second, is_symmetry
+from .operators import OperatorField, is_symmetry
+
+if TYPE_CHECKING:
+    from .model import CompanionModel
 
 
 class CompatError(ValueError):
     """Raised for invalid compatibility computations."""
 
 
-def benenti_residual(family: Sequence[PhaseFunction],
-                     sigma: Sequence[ExactPolynomial]) -> PhaseFunction:
+def benenti_residual(model: "CompanionModel") -> PhaseFunction:
     """Exact bracket-form residual {H, F} - 2 H G with H = h1/2,
     F = (h1 L^T)^(kj) p_k p_j and G = d(tr L)/du^q h1^(aq) p_a."""
-    n = len(sigma)
-    if len(family) != n:
-        raise CompatError("family length must match the coefficient list")
-    L = companion_second(sigma)
-    h1 = gram_matrix(family[0])
+    n, L, h1 = model.n, model.operator, model.gram
     nv = 2 * n
     F = quadratic_phase((h1 @ L.transpose()).entries)
-    H = family[0] * Fraction(1, 2)
+    H = model.family[0] * Fraction(1, 2)
     dtr = [L.trace().partial(q) for q in range(n)]
     G = PhaseFunction(n, signed_sum(nv, [
         (1, ExactPolynomial.variable(nv, n + a),
@@ -74,8 +75,7 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
     if g_at.n != n:
         raise CompatError("metric and operator sizes differ")
     g, dg = g_at.g, g_at.dg  # dg[..., a, i, j] = d g_ij / d u^a
-    # shaped from g, as an empty stack's point () has lost its (0, n)
-    points = np.reshape(np.asarray(g_at.point, dtype=float), g.shape[:-1])
+    points = g_at.point
     dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
     Lv = L.evaluate_at(points)
     dL = evaluate_table_array([L.derivative(i) for i in range(n)], points)
@@ -118,7 +118,7 @@ def symmetry_metric(g_at: CovariantMetricAt, M: OperatorField,
         raise CompatError("the metric must be taken at a single point")
     if g_at.n != n:
         raise CompatError("metric and operator sizes differ")
-    if check_against is not None and not is_symmetry(check_against, M).ok:
+    if check_against is not None and not is_symmetry(check_against, M):
         raise CompatError("M is not a symmetry of the given operator")
     point = g_at.point
     Mv = M.evaluate_at(point)

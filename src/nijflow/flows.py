@@ -386,12 +386,6 @@ class SolutionGrid:
     def n(self) -> int:
         return self.u.shape[-1]
 
-    def axis(self, name: str) -> int:
-        for i, a in enumerate(self.axes):
-            if a.name == name:
-                return i
-        raise KeyError(f"no axis named {name!r}")
-
 
 def orbit_grid(integrals: Sequence[PhaseFunction], start: CotangentPoint,
                axes: Sequence[AxisSpec],

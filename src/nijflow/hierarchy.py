@@ -32,7 +32,6 @@ from .metric import (
     GramMatrix,
     MetricError,
     PhaseFunction,
-    PoissonPairReport,
     pairwise_poisson,
     quadratic_phase,
 )
@@ -60,7 +59,8 @@ def first_integrals(h1: GramMatrix,
     return [quadratic_phase((A @ h1).entries) * Fraction(1, 2) for A in family]
 
 
-def verify_commuting_integrals(
-        integrals: Sequence[PhaseFunction]) -> PoissonPairReport:
-    """Pairwise Poisson brackets of the integrals; exact."""
+def verify_commuting_integrals(integrals: Sequence[PhaseFunction]
+                               ) -> tuple[tuple[int, int, PhaseFunction], ...]:
+    """The exact Poisson bracket of each pair of the integrals, as
+    ``pairwise_poisson`` gives them; all vanish when they commute."""
     return pairwise_poisson(integrals)

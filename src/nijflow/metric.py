@@ -27,14 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .exactpoly import (ExactPolynomial, evaluate_table_array,
                         format_polynomial, phase_names, signed_sum,
                         split_suffixes, suffix_degrees, suffixed_sum)
-from .operators import OperatorField, companion_second
+from .operators import OperatorField
+
+if TYPE_CHECKING:
+    from .model import CompanionModel
 
 
 class MetricError(ValueError):
@@ -255,17 +258,10 @@ def gram_matrix(h: PhaseFunction) -> GramMatrix:
     return GramMatrix(rows)
 
 
-@dataclass(frozen=True)
-class GramShapeReport:
-    """Outcome of the normal-form check on the metric's Gram matrix."""
-    ok: bool
-    determinant: ExactPolynomial
-    failures: tuple[str, ...]
-
-
-def check_gram_normal_form(gram: GramMatrix) -> GramShapeReport:
-    """For companion input the metric Gram matrix is unit anti-triangular:
-    zero above the anti-diagonal, ones on it, and determinant +1 or -1."""
+def check_gram_normal_form(gram: GramMatrix) -> tuple[str, ...]:
+    """The ways ``gram`` leaves the normal form of a companion metric, none
+    when it is there: unit anti-triangular, that is zero above the
+    anti-diagonal, ones on it, and determinant +1 or -1."""
     n = gram.n
     failures = []
     one = ExactPolynomial.constant(n, 1)
@@ -279,33 +275,23 @@ def check_gram_normal_form(gram: GramMatrix) -> GramShapeReport:
     det = gram.determinant()
     if det != one and det != ExactPolynomial.constant(n, -1):
         failures.append("determinant is not a unit")
-    return GramShapeReport(not failures, det, tuple(failures))
+    return tuple(failures)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
-    """Residuals of the differential recursion tying dh_i, dh_(i+1) and dh_1
-    through the operator; all residuals vanish exactly in the torsion-free
-    companion case."""
-    ok: bool
-    u_residuals: tuple[tuple[ExactPolynomial, ...], ...]
-    p_residuals: tuple[tuple[ExactPolynomial, ...], ...]
-
-
-def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
-                                 family: Sequence[PhaseFunction]) -> ShiftReport:
-    """Exact residuals of the identities
+def differential_shift_residuals(model: "CompanionModel"
+                                 ) -> tuple[tuple[tuple[ExactPolynomial, ...],
+                                                  ...], ...]:
+    """Exact residuals ``(u_rows, p_rows)``, row i and column j, of the
+    identities
 
         sum_s dh_i/du^s L^s_j = sigma_i dh_1/du^j + dh_(i+1)/du^j
         sum_s dh_i/dp_s L^j_s = sigma_i dh_1/dp_j + dh_(i+1)/dp_j
 
     for i = 1..n, where the i = n case closes with the sigma_n dh_1 term
-    alone."""
-    n = len(sigma)
-    if len(family) != n:
-        raise MetricError("family length must match the coefficient list")
-    L = companion_second(sigma).phase_entries()
-    sig = [s.with_appended_vars(n) for s in sigma]
+    alone; all vanish in the torsion-free companion case."""
+    n, family = model.n, model.family
+    L = model.operator.phase_entries()
+    sig = [s.with_appended_vars(n) for s in model.sigma]
     one = ExactPolynomial.constant(2 * n, 1)
     h1 = family[0]
     u_rows = []
@@ -327,27 +313,17 @@ def differential_shift_residuals(sigma: Sequence[ExactPolynomial],
             p_row.append(signed_sum(2 * n, p_parts))
         u_rows.append(tuple(u_row))
         p_rows.append(tuple(p_row))
-    ok = all(r.is_zero() for rows in (u_rows, p_rows) for row in rows for r in row)
-    return ShiftReport(ok, tuple(u_rows), tuple(p_rows))
+    return tuple(u_rows), tuple(p_rows)
 
 
-@dataclass(frozen=True)
-class PoissonPairReport:
-    """Pairwise Poisson brackets of the family; all must vanish exactly."""
-    ok: bool
-    residuals: tuple[tuple[int, int, PhaseFunction], ...]
-
-
-def pairwise_poisson(family: Sequence[PhaseFunction]) -> PoissonPairReport:
-    residuals = []
-    ok = True
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            b = poisson_bracket(family[i], family[j])
-            if not b.is_zero():
-                ok = False
-            residuals.append((i + 1, j + 1, b))
-    return PoissonPairReport(ok, tuple(residuals))
+def pairwise_poisson(family: Sequence[PhaseFunction]
+                     ) -> tuple[tuple[int, int, PhaseFunction], ...]:
+    """The bracket {f_i, f_j} of each pair i < j of the family, as
+    ``(i, j, bracket)`` with 1-based i and j; all vanish for an involutive
+    family."""
+    return tuple((i + 1, j + 1, poisson_bracket(family[i], family[j]))
+                 for i in range(len(family))
+                 for j in range(i + 1, len(family)))
 
 
 @dataclass(frozen=True)
@@ -357,9 +333,8 @@ class CovariantMetricAt:
 
     ``g`` is the inverse of the Gram matrix value; ``dg[..., a, :, :]`` is
     the matrix of d g_ij / d u^a obtained from the inverse-derivative rule
-    dg = -g (dG) g, where G is the contravariant Gram matrix.  ``point`` is
-    ``tolist()`` of the points, so a tuple of floats for a single point."""
-    point: tuple
+    dg = -g (dG) g, where G is the contravariant Gram matrix."""
+    point: np.ndarray  # shape (..., n), floats
     g: np.ndarray  # shape (..., n, n)
     dg: np.ndarray  # shape (..., n, n, n), the derivative direction first
 
@@ -394,4 +369,4 @@ def covariant_at(gram: GramMatrix, point: Sequence[float]) -> CovariantMetricAt:
     g = np.linalg.inv(G)
     dG = evaluate_table_array([gram.derivative(a) for a in range(n)], points)
     each = g[..., None, :, :]  # one copy of g for each direction a
-    return CovariantMetricAt(tuple(points.tolist()), g, -each @ dG @ each)
+    return CovariantMetricAt(points, g, -each @ dG @ each)

@@ -17,7 +17,6 @@ lower index j, so a vector transforms as (L xi)^i = sum_j L^i_j xi^j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -211,17 +210,11 @@ class OneTwoTensorField(tuple):
     def n(self) -> int:
         return len(self)
 
-    def component(self, k: int, i: int, j: int) -> ExactPolynomial:
-        return self[k].entry(i, j)
-
     def is_zero(self) -> bool:
         return all(layer.is_zero() for layer in self)
 
     def symmetrized(self) -> "OneTwoTensorField":
         return OneTwoTensorField(layer + layer.transpose() for layer in self)
-
-    def __neg__(self) -> "OneTwoTensorField":
-        return OneTwoTensorField(layer * -1 for layer in self)
 
 
 def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
@@ -295,21 +288,11 @@ def guiding_bracket(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
     return torsion_of_pair(L, M)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of a symmetry test: the commutator and the relevant part of
-    the compatibility bracket, both exact."""
-    ok: bool
-    commutator: OperatorField
-    residual: OneTwoTensorField
-
-
-def is_symmetry(L: OperatorField, M: OperatorField) -> SymmetryReport:
+def is_symmetry(L: OperatorField, M: OperatorField) -> bool:
     """M is a symmetry of L when LM = ML and the symmetric (in the lower
     indices) part of <L, M> vanishes."""
-    comm = commutator(L, M)
-    residual = torsion_of_pair(L, M).symmetrized()
-    return SymmetryReport(comm.is_zero() and residual.is_zero(), comm, residual)
+    return (commutator(L, M).is_zero()
+            and torsion_of_pair(L, M).symmetrized().is_zero())
 
 
 def char_coefficients(L: OperatorField) -> list[ExactPolynomial]:

@@ -1,7 +1,11 @@
 """The seven checks that certify a companion model's defining identities:
-six exact over the rationals (residual = largest absolute coefficient of the
-offending polynomial), and ``compatibility_sweep``, the coordinate form of
-compatibility at 50 seeded random points (tolerance 1e-8)."""
+six exact over the rationals, and ``compatibility_sweep``, the coordinate
+form of compatibility at 50 seeded random points (tolerance 1e-8).
+
+Each exact check returns what it found, and one rule decides: a check of
+residual polynomials passes when every one is zero, and its residual is the
+largest absolute coefficient among them; ``gram_normal_form`` passes when it
+finds no departure from the normal form, and its residual is their count."""
 
 from __future__ import annotations
 
@@ -26,34 +30,31 @@ def verify_model(model: CompanionModel, seed: int) -> list[dict]:
         checks.append({"name": name, "verdict": "pass" if ok else "fail",
                        "residual": residual, "detail": detail})
 
-    def record_exact(name, ok, polys):  # residual: the largest |coefficient|
+    def record_exact(name, polys):  # the one rule for residual polynomials
+        peak = max((p.max_abs_coefficient() for p in polys if p), default=0)
         try:
-            peak = float(max((p.max_abs_coefficient() for p in polys if p), default=0))
+            residual = float(peak)
         except OverflowError:
             raise OverflowError(f"the {name} residual exceeds the float range") from None
-        record(name, ok, peak)
+        record(name, peak == 0, residual)
 
     # every model is a companion model, so its torsion is read from sigma
-    torsion = companion_torsion(model.sigma)
-    record_exact("torsion", torsion.is_zero(),
-                 (e for layer in torsion for row in layer.entries for e in row))
+    record_exact("torsion", (e for layer in companion_torsion(model.sigma)
+                             for row in layer.entries for e in row))
 
-    shape = check_gram_normal_form(model.gram)
-    record("gram_normal_form", shape.ok, float(len(shape.failures)),
-           "; ".join(shape.failures) or None)
+    failures = check_gram_normal_form(model.gram)
+    record("gram_normal_form", not failures, float(len(failures)),
+           "; ".join(failures) or None)
 
-    shift = differential_shift_residuals(model.sigma, model.family)
-    record_exact("differential_shift", shift.ok,
-                 (r for rows in (shift.u_residuals, shift.p_residuals)
+    record_exact("differential_shift",
+                 (r for rows in differential_shift_residuals(model)
                   for row in rows for r in row))
 
     # formed once: integral_commutation reads the same brackets
     pairs = pairwise_poisson(model.family)
-    record_exact("h_poisson_pairs", pairs.ok,
-                 (b.poly for _, _, b in pairs.residuals))
+    record_exact("h_poisson_pairs", (b.poly for _, _, b in pairs))
 
-    benenti = benenti_residual(model.family, model.sigma)
-    record_exact("benenti", benenti.poly.is_zero(), [benenti.poly])
+    record_exact("benenti", [benenti_residual(model).poly])
 
     # 50 points in one batch (the stream of 50 draws of n).  A companion
     # Gram matrix is unit anti-triangular, so det G is exactly +-1 wherever
@@ -66,6 +67,6 @@ def verify_model(model: CompanionModel, seed: int) -> list[dict]:
     record("compatibility_sweep", worst < 1e-8, worst)
 
     # F_i = 1/2 h_(i+1), so {F_i, F_j} is a quarter of the h-pair bracket
-    record_exact("integral_commutation", pairs.ok,
-                 (b.poly * Fraction(1, 4) for _, _, b in pairs.residuals))
+    record_exact("integral_commutation",
+                 (b.poly * Fraction(1, 4) for _, _, b in pairs))
     return checks

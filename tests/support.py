@@ -589,12 +589,21 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     on the two polynomial vector fields at the point of ``g_at``; brackets
     and field derivatives are expanded exactly, the metric enters through
     ``g_at``."""
+    t1, t2, t3, t4, t5, rhs = lie_form_terms_at(g_at, L, xi, eta)
+    return float(abs(t1 - t2 - t3 + t4 - t5 - rhs))
+
+
+def lie_form_terms_at(g_at: CovariantMetricAt, L: OperatorField,
+                      xi: Sequence[ExactPolynomial],
+                      eta: Sequence[ExactPolynomial]) -> tuple[float, ...]:
+    """The six terms of the relation of ``lie_form_residual_at``, in its
+    order, each without its sign: the five on the left, then the right."""
     n = L.n
     if g_at.g.ndim != 2:
         raise CompatError("the metric must be taken at a single point")
     if len(xi) != n or len(eta) != n:
         raise CompatError("vector fields must have one component per coordinate")
-    point = g_at.point
+    point = g_at.point.tolist()
     g = g_at.g
     dg = g_at.dg
     Lxi = apply_to_field(L, xi)
@@ -627,7 +636,7 @@ def lie_form_residual_at(g_at: CovariantMetricAt, L: OperatorField,
     trace = L.trace()
     lie_tr = sum(xi_v[a] * trace.partial(a).evaluate(point) for a in range(n))
     rhs = (eta_v @ g @ xi_v) * lie_tr
-    return float(abs(t1 - t2 - t3 + t4 - t5 - rhs))
+    return t1, t2, t3, t4, t5, rhs
 
 
 @dataclass(frozen=True)

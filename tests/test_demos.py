@@ -23,7 +23,7 @@ DEMO_DIGESTS = {
     "03_metric_construction.py":
         "c64e3bd34b86cd0b4745031a53a4364a6579789b2ba7a365b0f5aa33c9e2cc21",
     "04_compatibility_checks.py":
-        "4668578c3280848cf552a76ad9d88531a726ac5ca6f90e0a865e467d2ae84ba5",
+        "7e86cfa6cbbd95f04f88938f5192c3531d740e4be3071229c0ce041676932505",
     "05_hierarchy_and_integrals.py":
         "7e02cad8bf2fd2bcb49a6510d089e8df6af1ef866c219485b47f220e1bdf88f6",
     "06_commuting_flows.py":

@@ -864,5 +864,5 @@ class TestPackedStore:
                          for _ in range(3)] for _ in range(3)]
             L = OperatorField(rows)
             N = nijenhuis_torsion(L)
-            assert {(k, i, j): N.component(k, i, j)
+            assert {(k, i, j): N[k].entry(i, j)
                     for k, i, j in np.ndindex(3, 3, 3)} == dense_torsion(L)

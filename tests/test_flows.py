@@ -416,9 +416,6 @@ def test_solution_grid_validation():
     axes = (AxisSpec("x", 0.0, 1.0, 3),)
     grid = SolutionGrid(axes, np.zeros((3, 2)))
     assert grid.n == 2
-    assert grid.axis("x") == 0
-    with pytest.raises(KeyError):
-        grid.axis("t1")
     with pytest.raises(ValueError):
         SolutionGrid(axes, np.zeros((4, 2)))
     with pytest.raises(ValueError):

@@ -8,9 +8,12 @@ import statement carries ``# noqa: F401`` on any of its lines, as the
 benchmark's patch points do.
 
 A module-level definition is reached when ``cli.main`` or an allow-listed
-name refers to it, directly or through other reached definitions; a class
-refers to every name its body does, methods included.  Checks the command
-line never runs belong in ``tests/support.py``, beside the other oracles.
+name refers to it, directly or through other reached definitions.  A class
+refers to every name its body does, except in its public methods (neither
+dunder nor private): such a method, ``Class.method``, is reached only when
+reached code reads an attribute of that name, and then refers to the names
+and attributes its body reads.  Checks the command line never runs belong
+in ``tests/support.py``, beside the other oracles.
 """
 
 import ast
@@ -24,8 +27,10 @@ PACKAGE = REPO / "src" / "nijflow"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 # The public names no command reaches that stay in the package, each with
-# its reason.  A bench patch point is a name bench/spans.py wraps.
+# its reason; a method is named "Class.method".  A bench patch point is a
+# name bench/spans.py wraps.
 BENCH = "bench patch point"
+LIBRARY = "README library API"
 ALLOWED = {
     ("hierarchy", "first_integrals"): BENCH,
     ("hierarchy", "verify_commuting_integrals"): BENCH,
@@ -41,6 +46,13 @@ ALLOWED = {
     ("operators", "companion_first"): "paper API: the first companion form",
     ("operators", "char_coefficients"):
         "paper API: sigma of any operator field",
+    ("operators", "OperatorField.power"): "P(L), ROADMAP item 11",
+    ("exactpoly", "ExactPolynomial.terms"): LIBRARY,
+    ("exactpoly", "ExactPolynomial.coefficient"): LIBRARY,
+    ("exactpoly", "ExactPolynomial.constant_value"): LIBRARY,
+    ("exactpoly", "ExactPolynomial.evaluate"): LIBRARY,
+    ("exactpoly", "ExactPolynomial.evaluate_exact"): LIBRARY,
+    ("metric", "PhaseFunction.evaluate"): LIBRARY,
 }
 
 
@@ -107,12 +119,24 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _public_methods(node: ast.AST) -> list[ast.FunctionDef]:
+    """The methods of a class statement that are neither dunder nor
+    private; none for any other statement."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [m for m in node.body if isinstance(m, ast.FunctionDef)
+            and not m.name.startswith("_")]
+
+
 def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Each name a module defines at its top level -> its statement."""
+    """Each name a module defines at its top level -> its statement, and
+    each public method ``Class.method`` -> its ``def``."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defs[node.name] = node
+            for method in _public_methods(node):
+                defs[f"{node.name}.{method.name}"] = method
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = getattr(node, "targets", None) or [node.target]
             for target in targets:
@@ -130,12 +154,23 @@ def _relative_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
             for alias in node.names}
 
 
+def _parts(node: ast.AST) -> list[ast.AST]:
+    """What a reached definition refers to through: a class without its
+    public methods, any other statement whole."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    methods = _public_methods(node)
+    return [*node.decorator_list, *node.bases, *node.keywords,
+            *(stmt for stmt in node.body if stmt not in methods)]
+
+
 def reachability(sources: dict[str, str], roots) -> tuple[set, list]:
     """The definitions reached from ``roots``, (module, name) pairs, and the
-    public functions and classes of ``sources`` (module -> text) that are
-    not among them, in module order.  Any ``Name`` node counts as a
-    reference, so a local variable that shadows a module-level name reaches
-    it: the walk can only err towards reaching too much."""
+    public functions, classes and methods of ``sources`` (module -> text)
+    that are not among them, in module order.  Any ``Name`` node counts as
+    a reference, so a local variable that shadows a module-level name
+    reaches it, and any attribute read counts for every method of that
+    name: the walk can only err towards reaching too much."""
     trees = {m: ast.parse(text) for m, text in sources.items()}
     defs = {m: _definitions(tree) for m, tree in trees.items()}
     imports = {m: _relative_imports(tree) for m, tree in trees.items()}
@@ -147,7 +182,13 @@ def reachability(sources: dict[str, str], roots) -> tuple[set, list]:
             module, name = imports[module][name]
         return module, name
 
-    reached = set()
+    methods = {}  # method name -> its (module, "Class.method") keys
+    for m, names in defs.items():
+        for key in names:
+            _, dot, method = key.partition(".")
+            if dot:
+                methods.setdefault(method, []).append((m, key))
+    reached, attributes = set(), set()
     stack = [resolve(*root) for root in roots]
     while stack:
         key = stack.pop()
@@ -155,9 +196,14 @@ def reachability(sources: dict[str, str], roots) -> tuple[set, list]:
             continue
         reached.add(key)
         module, name = key
-        stack += [resolve(module, node.id)
-                  for node in ast.walk(defs[module][name])
-                  if isinstance(node, ast.Name)]
+        for part in _parts(defs[module][name]):
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name):
+                    stack.append(resolve(module, node.id))
+                elif (isinstance(node, ast.Attribute)
+                      and node.attr not in attributes):
+                    attributes.add(node.attr)
+                    stack += methods.get(node.attr, [])
     missed = [(m, name) for m, names in defs.items()
               for name, node in names.items()
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -182,6 +228,17 @@ def test_the_guard_finds_a_planted_function():
     planted = dict(SOURCES)
     planted["operators"] += "\n\ndef planted():\n    return commutator\n"
     assert reachability(planted, ROOTS)[1] == [("operators", "planted")]
+
+
+def test_the_guard_finds_a_planted_method():
+    # OperatorField is reached, yet no reached code reads .planted
+    planted = dict(SOURCES)
+    slots = '    __slots__ = ("n", "entries", "_trace")\n'
+    assert slots in planted["operators"]
+    planted["operators"] = planted["operators"].replace(
+        slots, slots + "\n    def planted(self):\n        return self.n\n")
+    assert reachability(planted, ROOTS)[1] == [
+        ("operators", "OperatorField.planted")]
 
 
 @pytest.mark.parametrize("entry", ALLOWED, ids=".".join)
