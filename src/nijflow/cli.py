@@ -30,8 +30,9 @@ from .exactpoly import (ParseError, PolynomialError, base_names,
                         parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
-from .lattice_io import (MAX_LATTICE_NODES, ConfigError, make_axis,
-                         read_grid_csv, write_grid_csv, write_svg_plot)
+from .lattice_io import (MAX_LATTICE_NODES, ConfigError, _replacing,
+                         make_axis, read_grid_csv, write_grid_csv,
+                         write_svg_plot)
 from .metric import MetricError
 from .model import CompanionModel
 from .operators import OperatorError
@@ -209,8 +210,8 @@ def _emit_report(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if output:
-        with open(output, "w") as f:
-            f.write(text + "\n")
+        with _replacing(output) as f:
+            f.write((text + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import os
 import stat
 from fractions import Fraction
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -308,7 +308,10 @@ def _replacing(path: str):
             yield f
         return
     temp = f"{target}.{os.getpid()}.tmp"
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "wb") as f:
             if old is not None:
@@ -324,7 +327,9 @@ def _replacing(path: str):
 # the reader
 
 
-# Cells parsed at a time, so the reader's scratch arrays stay small.
+# Bytes read at a time, read on to a line end, and cells parsed at a time:
+# the reader's scratch stays the same size however long the file is.
+_READ_BLOCK = 2**18
 _READ_CHUNK_CELLS = 2**13
 # Byte offsets, from a cell's end, of the three words that hold its last 24
 # bytes: a cell parsed in numpy has at most 24 after its sign.
@@ -399,32 +404,47 @@ def _parse_plain(raw: bytes, s: np.ndarray, e: np.ndarray,
     return ok
 
 
-def _lattice_bytes(path: str) -> tuple[str, bytes, int]:
-    """The stripped header, the file's bytes with ``\\n`` line ends, and
-    where the body starts in them.  A file with ``_``, a byte that is not
-    ASCII or a ``\\r`` outside ``\\r\\n`` is refused, naming the line or the
-    decoder's complaint: ``float`` would read ``1_0`` as 10.0 and ``１`` as
-    1.0, and a lone ``\\r`` would split a row in two."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-        if not raw.isascii() or b"_" in raw:
-            # UTF-8 text holds the character the bytes test found
-            k, ch = next((k, ch) for k, line in enumerate(
-                raw.decode().split("\n"), start=1) for ch in line
-                if ch == "_" or not ch.isascii())
-            raise ConfigError(f"unexpected character {ch!r} on line {k} "
-                              "of the lattice file")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
-    if b"\r" in raw:  # replace scans the whole file even with none to do
-        raw = raw.replace(b"\r\n", b"\n")
-        if b"\r" in raw:
-            k = raw.count(b"\n", 0, raw.index(b"\r")) + 1
-            raise ConfigError(f"unexpected character '\\r' on line {k} of "
-                              "the lattice file")
-    start = raw.find(b"\n") + 1 or len(raw)
-    return raw[:start].decode().strip(), raw, start
+def _parse_block(block: bytes, bounds: np.ndarray, data: np.ndarray,
+                 r0: int, fault: tuple) -> tuple:
+    """Parse cell a of row r, ``block[bounds[r, a] + 1:bounds[r, a + 1]]``,
+    into ``data`` a chunk at a time; return ``fault`` or, if graver, the
+    first bad cell in column order (rows counted from ``r0``)."""
+    width = data.shape[1]
+    step = max(1, _READ_CHUNK_CELLS // width)
+    for c0 in range(0, len(data), step):
+        s = (bounds[c0:c0 + step, :-1] + 1).ravel()
+        e = bounds[c0:c0 + step, 1:].ravel()
+        values = data[c0:c0 + step].reshape(-1)
+        slow = np.flatnonzero(~_parse_plain(block, s, e, values))
+        text = block[s[0]:e[-1]].decode() if len(slow) else ""
+        for i, a, b in zip(slow.tolist(), (s[slow] - s[0]).tolist(),
+                           (e[slow] - s[0]).tolist()):
+            try:
+                values[i] = float(text[a:b])
+            except ValueError as exc:
+                fault = min(fault, (7, (i % width, r0 + c0 + i // width),
+                                    f"bad number in lattice file: {exc}", exc))
+    return fault
+
+
+def _blocks(f: BinaryIO):
+    """The file in blocks of ``_READ_BLOCK`` bytes, each read on to its line
+    end, then an empty block."""
+    while chunk := f.read(_READ_BLOCK):
+        chunk += f.readline()   # the bytes first read are let go
+        yield chunk
+    yield b""
+
+
+def _refuse_characters(f: BinaryIO) -> None:
+    """Name the first ``_`` or non-ASCII character and its line, reading the
+    file whole again: a byte anywhere that is not UTF-8 is named instead."""
+    f.seek(0)
+    text = f.read().decode()
+    k, ch = next((k, ch) for k, line in enumerate(text.split("\n"), start=1)
+                 for ch in line if ch == "_" or not ch.isascii())
+    raise ConfigError(f"unexpected character {ch!r} on line {k} of the "
+                      "lattice file")
 
 
 def read_grid_csv(path: str) -> SolutionGrid:
@@ -432,74 +452,91 @@ def read_grid_csv(path: str) -> SolutionGrid:
 
     The header must be the writer's: ``x``, ``t1``..``tk``, ``u1``..``un``,
     then ``p1``..``pn`` or nothing.  Blank lines are skipped; every other
-    row, at most ``MAX_LATTICE_NODES`` of them, must have the header's width
-    and hold finite decimal numbers.  Cells are parsed a chunk at a time by
-    ``_parse_plain``, then ``float``.
+    row, at most ``MAX_LATTICE_NODES``, has the header's width of finite
+    numbers.  ``_``, non-ASCII and a lone ``\\r`` are refused (``float``
+    reads ``1_0`` as 10.0 and ``１`` as 1.0).  Only each block's parsed
+    values are kept.  The gravest fault is raised once none graver can
+    follow: characters, a lone ``\\r``, the header, a row's width, the row
+    count, a bad number (first by column), a non-finite one, then the axes.
     """
-    header, raw, start = _lattice_bytes(path)
-    names = header.split(",")
-    k = 1 + sum(c.startswith("t") for c in names)
-    n = sum(c.startswith("u") for c in names)
-    columns = ["x"] + [f"t{i}" for i in range(1, k)] + [
-        f"{c}{i}" for c in "up" for i in range(1, n + 1)]
-    if not n or names not in (columns[:k + n], columns):
-        raise ConfigError(f"unrecognized lattice header {header!r}")
-    width = len(names)
-    body = np.frombuffer(raw, np.uint8)[start:]
-    seps = np.flatnonzero(body == ord(",")) + start
-    ends = np.append(np.flatnonzero(body == ord("\n")) + start, len(raw))
-    starts = np.append(start, ends[:-1] + 1)
-    seps_before = np.searchsorted(seps, ends)
-    counts = np.diff(seps_before, prepend=0)
-    # a line without the header's width of cells must be blank
-    for i in np.flatnonzero((counts != width - 1) & (ends > starts)).tolist():
-        if raw[starts[i]:ends[i]].decode().strip():
-            raise ConfigError(
-                f"lattice rows do not match the header: line {i + 2} has "
-                f"{counts[i] + 1} cells, the header has {width}")
-    lines = np.flatnonzero(counts == width - 1)
-    rows = len(lines)
-    if not rows:
+    blocks = []     # the parsed rows of each block
+    fault = (9,)    # (rank, place, message, cause) of the gravest fault
+    rows, line, names = 0, 1, None      # line: the block's first line
+    try:
+        with open(path, "rb") as f:
+            for block in _blocks(f):
+                if not block.isascii() or b"_" in block:
+                    _refuse_characters(f)
+                if fault[0] <= 2:
+                    continue
+                if b"\r" in block:
+                    block = block.replace(b"\r\n", b"\n")
+                    if b"\r" in block:
+                        at = line + block.count(b"\n", 0, block.index(b"\r"))
+                        fault = (2, 0, f"unexpected character '\\r' on line "
+                                 f"{at} of the lattice file", None)
+                        continue
+                start = 0
+                if names is None:
+                    start = block.find(b"\n") + 1 or len(block)
+                    header = block[:start].decode().strip()
+                    names, line = header.split(","), line + 1
+                    k = 1 + sum(c.startswith("t") for c in names)
+                    n = sum(c.startswith("u") for c in names)
+                    columns = ["x"] + [f"t{i}" for i in range(1, k)] + [
+                        f"{c}{i}" for c in "up" for i in range(1, n + 1)]
+                    width = len(names)
+                    if not n or names not in (columns[:k + n], columns):
+                        fault = (3, 0, "unrecognized lattice header "
+                                 f"{header!r}", None)
+                body = np.frombuffer(block, np.uint8)[start:]
+                ends = np.flatnonzero(body == ord("\n")) + start
+                top, line = line, line + len(ends)
+                if fault[0] <= 4:
+                    continue
+                seps = np.flatnonzero(body == ord(",")) + start
+                if not block.endswith(b"\n"):
+                    ends = np.append(ends, len(block))
+                starts = np.append(start, ends[:-1] + 1)
+                seps_before = np.searchsorted(seps, ends)
+                counts = np.diff(seps_before, prepend=0)
+                # a line without the header's width of cells must be blank
+                for i in np.flatnonzero((counts != width - 1)
+                                        & (ends > starts)).tolist():
+                    if block[starts[i]:ends[i]].decode().strip():
+                        fault = (4, 0, "lattice rows do not match the header: "
+                                 f"line {top + i} has {counts[i] + 1} cells, "
+                                 f"the header has {width}", None)
+                        break
+                lines = np.flatnonzero(counts == width - 1)
+                r0, rows = rows, rows + len(lines)
+                if fault[0] <= 4 or rows > MAX_LATTICE_NODES or not len(lines):
+                    continue
+                bounds = np.column_stack([
+                    starts[lines] - 1,
+                    seps[seps_before[lines, None] + np.arange(1 - width, 0)],
+                    ends[lines]])
+                data = np.empty((len(lines), width))
+                fault = _parse_block(block, bounds, data, r0, fault)
+                finite = np.isfinite(data)
+                if fault[0] == 9 and not finite.all():
+                    r, a = divmod(int(np.argmin(finite)), width)
+                    text = block[bounds[r, a] + 1:bounds[r, a + 1]].decode()
+                    fault = (8, 0, f"non-finite number {text.strip()!r} on "
+                             f"line {top + lines[r]} of the lattice file",
+                             None)
+                blocks.append(data)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
+    if fault[0] > 4 and not rows:
         raise ConfigError("lattice rows do not match the header")
-    if rows > MAX_LATTICE_NODES:
+    if fault[0] > 4 and rows > MAX_LATTICE_NODES:
         raise ConfigError(f"the lattice file has {rows} rows, more than the "
                           f"limit of {MAX_LATTICE_NODES}")
-    # cell a of row r is raw[bounds[r, a] + 1:bounds[r, a + 1]]
-    bounds = np.column_stack([
-        starts[lines] - 1,
-        seps[seps_before[lines, None] + np.arange(1 - width, 0)], ends[lines]])
-    del body, seps, ends, starts, seps_before, counts
-    data = np.empty((rows, width))
-    bad = None      # (column, row, error) of the first bad cell
-    step = max(1, _READ_CHUNK_CELLS // width)
-    for r0 in range(0, rows, step):
-        s = (bounds[r0:r0 + step, :-1] + 1).ravel()
-        e = bounds[r0:r0 + step, 1:].ravel()
-        values = data[r0:r0 + step].reshape(-1)
-        slow = np.flatnonzero(~_parse_plain(raw, s, e, values))
-        if not len(slow):
-            continue
-        text = raw[s[0]:e[-1]].decode()
-        cells = [text[i:j] for i, j in zip((s[slow] - s[0]).tolist(),
-                                           (e[slow] - s[0]).tolist())]
-        try:
-            values[slow] = np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:
-            for i, cell in zip(slow.tolist(), cells):
-                try:
-                    float(cell)
-                except ValueError as exc:
-                    # the first bad cell in column order is reported
-                    fault = (i % width, r0 + i // width, exc)
-                    bad = min(bad or fault, fault)
-    if bad:
-        raise ConfigError(f"bad number in lattice file: {bad[2]}") from bad[2]
-    finite = np.isfinite(data)
-    if not finite.all():
-        r, a = divmod(int(np.argmin(finite)), width)
-        text = raw[bounds[r, a] + 1:bounds[r, a + 1]].decode().strip()
-        raise ConfigError(f"non-finite number {text!r} on line "
-                          f"{lines[r] + 2} of the lattice file")
+    if fault[0] < 9:
+        raise ConfigError(fault[2]) from fault[3]
+    data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    del blocks
     axis_values = []
     for column in data[:, :k].T:
         # distinct values in order of first appearance
@@ -514,12 +551,11 @@ def read_grid_csv(path: str) -> SolutionGrid:
         if (np.abs(axis.values() - vals).max()
                 > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
             raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
-    # the axis columns must be the lattice index mapped to axis values
-    index = np.indices(shape).reshape(k, -1)
-    expected = np.column_stack([np.asarray(vals)[i]
-                                for vals, i in zip(axis_values, index)])
-    if not np.array_equal(expected, data[:, :k]):
-        raise ConfigError("lattice rows are not in lexicographic order")
+    # each axis column must be its values at the lattice index, one at a time
+    for a, vals in enumerate(axis_values):
+        at = np.reshape(vals, [-1 if j == a else 1 for j in range(k)])
+        if not (data[:, a].reshape(shape) == at).all():
+            raise ConfigError("lattice rows are not in lexicographic order")
     u = data[:, k:k + n].reshape(shape + (n,))
     p = data[:, k + n:].reshape(shape + (n,)) if width > k + n else None
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
@@ -639,5 +675,5 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
         parts.append(_svg_text(right - 124, y, label, anchor="start",
                                size=11))
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    with _replacing(path) as f:
+        f.write(("\n".join(parts) + "\n").encode())

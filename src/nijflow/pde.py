@@ -223,4 +223,5 @@ def compare_grids(a: SolutionGrid, b: SolutionGrid) -> np.ndarray:
             raise PDEError(f"axis {ax.name!r} nodes differ beyond {AXIS_TOL}")
     if a.u.shape != b.u.shape:
         raise PDEError("component counts differ")
-    return np.abs(a.u - b.u).max(axis=(0, -1))
+    # x first: numpy reduces the leading axis faster than the two at once
+    return np.abs(a.u - b.u).max(axis=0).max(axis=-1)

@@ -343,6 +343,109 @@ def reference_read_grid_csv(path):
     return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
 
 
+# The whole-file CSV reader that ``nijflow.lattice_io`` used before it read
+# in blocks: the file's bytes, every separator and line end, and a bounds
+# table of every cell held at once.  Kept only as an oracle for the tests,
+# on the package's own cell parser, so any difference is the block reader's.
+
+def whole_file_read_grid_csv(path):
+    from nijflow import lattice_io
+    from nijflow.lattice_io import _parse_plain, make_axis
+
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+        if not raw.isascii() or b"_" in raw:
+            # UTF-8 text holds the character the bytes test found
+            k, ch = next((k, ch) for k, line in enumerate(
+                raw.decode().split("\n"), start=1) for ch in line
+                if ch == "_" or not ch.isascii())
+            raise ConfigError(f"unexpected character {ch!r} on line {k} "
+                              "of the lattice file")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read lattice {path!r}: {exc}") from exc
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            k = raw.count(b"\n", 0, raw.index(b"\r")) + 1
+            raise ConfigError(f"unexpected character '\\r' on line {k} of "
+                              "the lattice file")
+    start = raw.find(b"\n") + 1 or len(raw)
+    header = raw[:start].decode().strip()
+    names = header.split(",")
+    k = 1 + sum(c.startswith("t") for c in names)
+    n = sum(c.startswith("u") for c in names)
+    columns = ["x"] + [f"t{i}" for i in range(1, k)] + [
+        f"{c}{i}" for c in "up" for i in range(1, n + 1)]
+    if not n or names not in (columns[:k + n], columns):
+        raise ConfigError(f"unrecognized lattice header {header!r}")
+    width = len(names)
+    body = np.frombuffer(raw, np.uint8)[start:]
+    seps = np.flatnonzero(body == ord(",")) + start
+    ends = np.append(np.flatnonzero(body == ord("\n")) + start, len(raw))
+    starts = np.append(start, ends[:-1] + 1)
+    seps_before = np.searchsorted(seps, ends)
+    counts = np.diff(seps_before, prepend=0)
+    for i in np.flatnonzero((counts != width - 1) & (ends > starts)).tolist():
+        if raw[starts[i]:ends[i]].decode().strip():
+            raise ConfigError(
+                f"lattice rows do not match the header: line {i + 2} has "
+                f"{counts[i] + 1} cells, the header has {width}")
+    lines = np.flatnonzero(counts == width - 1)
+    rows = len(lines)
+    if not rows:
+        raise ConfigError("lattice rows do not match the header")
+    if rows > lattice_io.MAX_LATTICE_NODES:
+        raise ConfigError(f"the lattice file has {rows} rows, more than the "
+                          f"limit of {lattice_io.MAX_LATTICE_NODES}")
+    bounds = np.column_stack([
+        starts[lines] - 1,
+        seps[seps_before[lines, None] + np.arange(1 - width, 0)], ends[lines]])
+    data = np.empty((rows, width))
+    bad = None
+    step = max(1, 2**13 // width)
+    for r0 in range(0, rows, step):
+        s = (bounds[r0:r0 + step, :-1] + 1).ravel()
+        e = bounds[r0:r0 + step, 1:].ravel()
+        values = data[r0:r0 + step].reshape(-1)
+        slow = np.flatnonzero(~_parse_plain(raw, s, e, values))
+        for i in slow.tolist():
+            try:
+                values[i] = float(raw[s[i]:e[i]].decode())
+            except ValueError as exc:
+                fault = (i % width, r0 + i // width, exc)
+                bad = min(bad or fault, fault)
+    if bad:
+        raise ConfigError(f"bad number in lattice file: {bad[2]}") from bad[2]
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, a = divmod(int(np.argmin(finite)), width)
+        text = raw[bounds[r, a] + 1:bounds[r, a + 1]].decode().strip()
+        raise ConfigError(f"non-finite number {text!r} on line "
+                          f"{lines[r] + 2} of the lattice file")
+    axis_values = []
+    for column in data[:, :k].T:
+        first = np.unique(column, return_index=True)[1]
+        axis_values.append(column[np.sort(first)].tolist())
+    shape = tuple(len(vals) for vals in axis_values)
+    if int(np.prod(shape)) != rows:
+        raise ConfigError("lattice rows do not fill a full rectangle")
+    axes = tuple(make_axis(name, vals[0], vals[-1], len(vals))
+                 for name, vals in zip(names, axis_values))
+    for axis, vals in zip(axes, axis_values):
+        if (np.abs(axis.values() - vals).max()
+                > UNIFORM_RTOL * max(1.0, abs(axis.delta))):
+            raise ConfigError(f"lattice axis {axis.name!r} is not uniform")
+    index = np.indices(shape).reshape(k, -1)
+    expected = np.column_stack([np.asarray(vals)[i]
+                                for vals, i in zip(axis_values, index)])
+    if not np.array_equal(expected, data[:, :k]):
+        raise ConfigError("lattice rows are not in lexicographic order")
+    u = data[:, k:k + n].reshape(shape + (n,))
+    p = data[:, k + n:].reshape(shape + (n,)) if width > k + n else None
+    return SolutionGrid(axes, u, p, {"generator": "csv", "path": path})
+
+
 # The index-loop steppers that ``nijflow.flows`` used before its loops were
 # written as zip comprehensions; kept only as oracles for the tests.
 

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from support import (reference_read_grid_csv, reference_write_grid_csv,
-                     reference_write_svg_plot, sigma_curved)
+                     reference_write_svg_plot, sigma_curved,
+                     whole_file_read_grid_csv)
 
 import nijflow.verify as verify
 
@@ -1261,16 +1262,102 @@ def _bits(array):
     return None if array is None else (array.shape, array.tobytes())
 
 
+def _outcome_bits(outcome):
+    """A lattice as its axes and the bits of u and p, or (class, message)."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return ([(a.name, float(a.start).hex(), float(a.stop).hex(), a.count)
+             for a in outcome.axes], _bits(outcome.u), _bits(outcome.p))
+
+
 def assert_same_outcome(new, old):
-    if isinstance(new, tuple) or isinstance(old, tuple):
-        assert new == old
-        return
-    assert [(a.name, float(a.start).hex(), float(a.stop).hex(), a.count)
-            for a in new.axes] == [
-        (a.name, float(a.start).hex(), float(a.stop).hex(), a.count)
-        for a in old.axes]
-    assert _bits(new.u) == _bits(old.u)
-    assert _bits(new.p) == _bits(old.p)
+    assert _outcome_bits(new) == _outcome_bits(old)
+
+
+# SHA-256 of what the commands that read a lattice make of every lattice
+# FLOAT_DIGESTS pins, recorded with the whole-file reader: the plot at its
+# default slices and at --slices 0,1, and the residual --input report.  A
+# run that exits 2 is pinned by its stderr line.  However the reader holds
+# the file, these must not change by a byte.
+READER_DIGESTS = {
+    ("plot", "constant2-evolve"):
+        "435bc07b88eaf892608de3ef24db9f1df133c93ddb1934983a22c9dd95a3f0f7",
+    ("plot --slices 0,1", "constant2-evolve"):
+        "3b07747db861d05ddd63ec6a56aa34430e7f558b27e567d7462cf567335faa7b",
+    ("residual --input", "constant2-evolve"):
+        "86d88f897cdd9a92fe059afed89660167df5b1156c5f10088afc3feedb97bad0",
+    ("plot", "constant3-evolve"):
+        "19144e40584f235a225a1c561a3b56c62871cadcb9bf088c23111d2c9dbb7e40",
+    ("plot --slices 0,1", "constant3-evolve"):
+        "ee8a3a61b2363dec19c93d9c49a8ef9ac3817f19aa4eb811502ee8a92f0b2c60",
+    ("residual --input", "constant3-evolve"):
+        "299360ffac2f3a1df8e906ebb5571df13d5e47195225c2b511a1932a892b2352",
+    ("plot", "coordinates2-evolve"):
+        "0c59d01137642f28d451bc605f349bc70b47e10c4f4cc60cabe75cb77bc9e5f1",
+    ("plot --slices 0,1", "coordinates2-evolve"):
+        "717d6ce660fe80447ca7fc0ac211c1785e25db9a48f24f55341541ca2e1d2d3b",
+    ("residual --input", "coordinates2-evolve"):
+        "cf55be61c5ea2732328472e2740039a23b4b9f27948304c4d31c637dd6a5d3af",
+    ("plot", "nijenhuis2-evolve"):
+        "405d57e7c92057bb2221476844a6b6460ab23b84b572da2cf459539120c381c2",
+    ("plot --slices 0,1", "nijenhuis2-evolve"):
+        "c4ed34e813e7c7a3883f4674f7fb501380e13b1ba724feb6ce83cc422e6c9fad",
+    ("residual --input", "nijenhuis2-evolve"):
+        "3b72bdcdff2844571d200896d5e9a587fc672bb813783b0d5600573b4b3b70c8",
+    ("plot", "nijenhuis2_direct-evolve"):
+        "bfbfe0ec2202b7fde9461f4d853b5a937129f595948a6b811078f8619c85f9c3",
+    ("plot --slices 0,1", "nijenhuis2_direct-evolve"):
+        "nijflow plot: the lattice has no time axis to slice",
+    ("residual --input", "nijenhuis2_direct-evolve"):
+        "nijflow residual: residuals need a lattice with at least one time "
+        "axis",
+    ("plot", "nijenhuis3-evolve"):
+        "80da4de03e8b299842cedfdada020b3b8c567f00c411bbc002637b479d15f71d",
+    ("plot --slices 0,1", "nijenhuis3-evolve"):
+        "6c5e8ca8f61591fc463434a09719a5837b6554e692bc8cac6f54a3cb4d487c79",
+    ("residual --input", "nijenhuis3-evolve"):
+        "3fe103aa24931847884b68bfa5d9959b9c05c52e016f047a666911b8f00d2376",
+    ("plot", "nijenhuis4-evolve"):
+        "f97dcc70cae56078eaf63e83e9ec05a938577a208a232d032ebbc6552ed05370",
+    ("plot --slices 0,1", "nijenhuis4-evolve"):
+        "0e0782dd2c393c4887ab562814028042423a96b449822ae7d05a5061813d3b19",
+    ("residual --input", "nijenhuis4-evolve"):
+        "09425d8673dabab438ddd156872b5c1ea621456685fcb341e6671421042f7f68",
+    ("plot", "constant2-solve-direct"):
+        "6c5842b686e148d4c85405bb39e4127c7a8078f21d490bf909b431ccd450ed6e",
+    ("plot --slices 0,1", "constant2-solve-direct"):
+        "c4663183d052faa29e2a0df54aed4318aadbb24946e218b3820b706c2265a9c1",
+    ("residual --input", "constant2-solve-direct"):
+        "ba787f5d62ee4170f616b06f32c3d0bbc9af09131599441dc8938ffcdd42d77c",
+    ("plot", "nijenhuis2_direct-solve-direct"):
+        "4542a184458afbeb46848ade6ac44343cf41f4c8f35124232bb3ded3cacea725",
+    ("plot --slices 0,1", "nijenhuis2_direct-solve-direct"):
+        "bcc847cbf7980b81939dc3f9a770fedd5641c7eb356b9a47a158734c519d6df7",
+    ("residual --input", "nijenhuis2_direct-solve-direct"):
+        "21c7433480fab0fbf70d2fbdde73b9b700f0e72cbbeb0945e7a4ee1391c40d41",
+}
+
+
+def test_lattice_readers_outputs_are_pinned(tmp_path, lattice_files, capsys):
+    got = {}
+    svg = tmp_path / "plot.svg"
+    for name, command in SHIPPED_LATTICES:
+        key = f"{name}-{command}"
+        path = str(lattice_files[key])
+        runs = {"plot": ["plot", path, "--output", str(svg)],
+                "residual --input": ["residual", str(CONFIGS / f"{name}.json"),
+                                     "--input", path]}
+        runs["plot --slices 0,1"] = runs["plot"] + ["--slices", "0,1"]
+        for label, argv in runs.items():
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            if rc == 2:
+                got[label, key] = err.rstrip("\n")
+                continue
+            assert rc == 0 and err == ""
+            data = svg.read_bytes() if argv[0] == "plot" else out.encode()
+            got[label, key] = hashlib.sha256(data).hexdigest()
+    assert got == READER_DIGESTS
 
 
 @pytest.mark.parametrize("key", LATTICES)
@@ -1462,6 +1549,223 @@ def test_non_uniform_lattice_axes_exit_2(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert err.startswith(f"nijflow {command}: ")
     assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the whole-file reader it replaced
+
+
+# block sizes besides the reader's own: a byte, a few bytes, a few lines
+SMALL_BLOCKS = [1, 7, 64]
+
+# every file of the reader tests above, as bytes
+BLOCK_FILES = {f"oracle-{key}": text.encode()
+               for key, text in ORACLE_FILES.items()}
+BLOCK_FILES.update({f"changed-{key}": text.encode()
+                    for key, (text, _) in CHANGED_FILES.items()})
+BLOCK_FILES.update({f"bad-{key}": text.encode("latin-1")
+                    for key, text in BAD_LATTICES.items()})
+BLOCK_FILES.update({
+    "junk-header": b"a,b,c\n1,2,3\n",
+    "axis-span-overflow": b"x,t1,u1\n-1e308,0,1\n0,0,2\n1e308,0,3\n",
+    "header-without-newline": b"x,u1",
+    "crlf-header-only": b"x,u1\r\n",
+    "lone-cr-after-bad-header": b"x,q1\n0,1\n1,2\r\n2,3\r",
+    "underscore-after-lone-cr": b"x,u1\n0,1\r1,2\n2,3_\n",
+    "undecodable-after-underscore": b"x,u1\n0,1_\n1,2\n\xff\n",
+    "ragged-after-bad-number": b"x,u1\n0,one\n1,2\n2,3,4\n",
+    "bad-number-after-nan": b"x,u1,u2\n0,nan,1\n1,2,3\n2,3,4.4.\n",
+    "bad-number-in-earlier-column-later": b"x,u1,u2\n0,1,x\n1,y,3\n",
+    "nan-after-nan": b"x,u1\n0,1\n1,inf\n2,nan\n",
+})
+
+
+def _both_readers(path):
+    """The outcome of the block reader and of the whole-file reader."""
+    return tuple(_outcome_bits(_read_outcome(reader, path)) for reader in
+                 (read_grid_csv, whole_file_read_grid_csv))
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("key", BLOCK_FILES)
+def test_block_reader_matches_whole_file_reader(tmp_path, monkeypatch, key,
+                                                block):
+    path = tmp_path / "lattice.csv"
+    path.write_bytes(BLOCK_FILES[key])
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", block)
+    new, old = _both_readers(path)
+    assert new == old
+    if key.startswith("changed-"):
+        assert new == (ConfigError, CHANGED_FILES[key[8:]][1])
+
+
+@pytest.mark.parametrize("key", LATTICES)
+def test_block_reader_matches_whole_file_reader_on_lattices(
+        lattice_files, monkeypatch, key):
+    # 4,093 bytes: blocks of a few dozen rows, read cut inside a cell
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", 4093)
+    new, old = _both_readers(lattice_files[key])
+    assert new == old and isinstance(new[0], list)
+
+
+def _mutated_lattices(tmp_path, seed):
+    """A small evolve lattice (5 x 3 nodes with momenta, one cell in
+    exponent form) and seeded changes to its bytes, by name."""
+    axes = (AxisSpec("x", -0.5, 0.5, 5), AxisSpec("t1", 0.0, 0.2, 3))
+    rng = np.random.default_rng(seed)
+    u, p = rng.standard_normal((2, 5, 3, 2))
+    u[1, 1, 0] = 3e-7
+    path = tmp_path / "base.csv"
+    write_grid_csv(SolutionGrid(axes, u, p), str(path))
+    text = path.read_bytes()
+    r = random.Random(seed)
+    starts = [i + 1 for i, c in enumerate(text) if c == ord("\n")][:-1]
+
+    def cell(value):
+        """The text with one cell of a random data row set to value."""
+        lines = text.split(b"\n")
+        i = r.randrange(1, len(lines) - 1)
+        cells = lines[i].split(b",")
+        cells[r.randrange(len(cells))] = value
+        lines[i] = b",".join(cells)
+        return b"\n".join(lines)
+
+    def insert(at, value):
+        return text[:at] + value + text[at:]
+
+    cases = {"unchanged": text, "crlf": text.replace(b"\n", b"\r\n")}
+    for _ in range(6):
+        cut = r.randrange(len(text))
+        cases[f"truncated at {cut}"] = text[:cut]
+    for _ in range(10):
+        at, byte = r.randrange(len(text)), r.choice(b"0123456789.,-+e x\n\t")
+        cases[f"byte {at} set to {chr(byte)!r}"] = (
+            text[:at] + bytes([byte]) + text[at + 1:])
+    for _ in range(3):
+        at = r.choice(starts)
+        cases[f"crlf on the line ending at {at}"] = (
+            text[:at - 1] + b"\r" + text[at - 1:])
+        cases[f"lone cr at {at - 3}"] = insert(at - 3, b"\r")
+        cases[f"blank line at {at}"] = insert(at, r.choice([b"\n", b" \t\n"]))
+        cases[f"underscore at {at + 2}"] = insert(at + 2, b"_")
+    for block in (7, 64):
+        # the two bytes of an e-acute on either side of a read cut
+        at = block * r.randrange(1, len(text) // block) - 1
+        cases[f"e-acute across the cut at {at + 1}"] = insert(at, b"\xc3\xa9")
+    for name, value in (("a cell dropped", None), ("a cell added", b"1,2"),
+                        ("nan", b"nan"), ("1e400", b"1e400"),
+                        ("an empty cell", b"")):
+        for i in range(2):
+            if value is None:
+                lines = text.split(b"\n")
+                row = r.randrange(1, len(lines) - 1)
+                lines[row] = lines[row].rsplit(b",", 1)[0]
+                cases[f"{name} {i}"] = b"\n".join(lines)
+            else:
+                cases[f"{name} {i}"] = cell(value)
+    return cases
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [lattice_io._READ_BLOCK])
+def test_block_reader_matches_whole_file_reader_on_mutated_lattices(
+        tmp_path, monkeypatch, block):
+    cases = _mutated_lattices(tmp_path, 41)
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", block)
+    path = tmp_path / "mutated.csv"
+    got, want = {}, {}
+    for name, data in cases.items():
+        path.write_bytes(data)
+        got[name], want[name] = _both_readers(path)
+    assert got == want
+    # the seed reaches every kind of outcome, a lattice included
+    kinds = {" ".join(o[1].split()[:2]) if o[0] is ConfigError else "grid"
+             for o in got.values()}
+    assert kinds >= {"grid", "unexpected character", "lattice rows",
+                     "bad number", "non-finite number"}
+
+
+def test_csv_reader_peak_memory_is_its_values_twice_and_one_block(tmp_path):
+    # lattices like the crosscheck rungs' of 1 MB and 4 MB, and one of about
+    # one block.  u is a view of the parsed table, so the returned lattice
+    # holds the table, axis columns included
+    rng = np.random.default_rng(481)
+
+    def traced_read(nx):
+        axes = (AxisSpec("x", -0.5, 0.5, nx), AxisSpec("t1", 0.0, 0.0162, 27))
+        u = rng.uniform(-2, 2, (nx, 27, 2))
+        path = tmp_path / f"rung{nx}.csv"
+        write_grid_csv(SolutionGrid(axes, u), str(path))
+        tracemalloc.start()
+        try:
+            grid = read_grid_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.u.tobytes() == u.tobytes()
+        return peak, grid.u.base.nbytes, path.stat().st_size
+
+    reads = {nx: traced_read(nx) for nx in (481, 1921)}
+    node_bytes = reads[481][2] / (481 * 27)
+    one_block, _, size = traced_read(
+        int(lattice_io._READ_BLOCK / node_bytes / 27))
+    assert abs(size / lattice_io._READ_BLOCK - 1) < 0.05
+    for nx, (peak, values, size) in reads.items():
+        assert values == nx * 27 * 4 * 8
+        assert peak <= 2 * values + one_block
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [lattice_io._READ_BLOCK])
+def test_rows_past_the_limit_are_counted_not_parsed(tmp_path, monkeypatch,
+                                                    block):
+    path = tmp_path / "lattice.csv"
+    path.write_text(_lattice_text([0.0, 0.25, 0.5, 0.75, 1.0, 1.25],
+                                  [0.0, 0.1]))
+    monkeypatch.setattr(lattice_io, "MAX_LATTICE_NODES", 5)
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", block)
+    parsed = []
+
+    def counted(raw, s, e, out):
+        parsed.append(len(s))
+        return parse(raw, s, e, out)
+
+    parse = lattice_io._parse_plain
+    monkeypatch.setattr(lattice_io, "_parse_plain", counted)
+    with pytest.raises(ConfigError) as info:
+        read_grid_csv(str(path))
+    assert str(info.value) == ("the lattice file has 12 rows, more than the "
+                               "limit of 5")
+    assert sum(parsed) <= 5 * 4
+
+
+# files over a row limit of 5 with another fault before or after it, and
+# the fault reported, as the whole-file reader reported it
+LIMIT_FILES = {
+    "ragged-past-the-limit": (
+        "x,u1\n" + "".join(f"{i},1\n" for i in range(9)) + "9,1,2\n",
+        "lattice rows do not match the header: line 11 has 3 cells, the "
+        "header has 2"),
+    "lone-cr-past-the-limit": (
+        "x,u1\n" + "".join(f"{i},1\n" for i in range(9)) + "9,1\r",
+        "unexpected character '\\r' on line 11 of the lattice file"),
+    "bad-number-before-the-limit": (
+        "x,u1\n0,one\n" + "".join(f"{i},1\n" for i in range(1, 9)),
+        "the lattice file has 9 rows, more than the limit of 5"),
+    "nan-before-the-limit": (
+        "x,u1\n0,nan\n" + "".join(f"{i},1\n" for i in range(1, 9)),
+        "the lattice file has 9 rows, more than the limit of 5"),
+}
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [lattice_io._READ_BLOCK])
+@pytest.mark.parametrize("text, message", LIMIT_FILES.values(),
+                         ids=LIMIT_FILES.keys())
+def test_faults_beside_the_row_limit_keep_their_order(tmp_path, monkeypatch,
+                                                      text, message, block):
+    path = tmp_path / "lattice.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(lattice_io, "MAX_LATTICE_NODES", 5)
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", block)
+    assert _both_readers(path) == ((ConfigError, message),) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1843,3 +2147,85 @@ def test_output_flag_of_a_printing_command_exits_2(tmp_path, capsys,
                  "--output", str(out)]) == 2
     assert "unrecognized arguments: --output" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the plot's SVG and a report's --output copy are written as the CSV is:
+# whole, under a temporary name, then renamed over the old file
+def _svg_and_report_argv(tmp_path, capsys):
+    lattice = tmp_path / "grid.csv"
+    assert main(["evolve", str(small_e2_config(tmp_path)),
+                 "--output", str(lattice)]) == 0
+    capsys.readouterr()
+    return {"plot": lambda out: ["plot", str(lattice), "--output", out],
+            "verify": lambda out: ["verify", str(CONFIGS / "nijenhuis2.json"),
+                                   "--output", out]}
+
+
+@pytest.mark.parametrize("command", ["plot", "verify"])
+def test_svg_and_report_write_failing_leaves_the_old_file(
+        tmp_path, monkeypatch, capsys, command):
+    argv = _svg_and_report_argv(tmp_path, capsys)[command]
+    fresh = tmp_path / "fresh"
+    assert main(argv(str(fresh))) == 0
+    path = tmp_path / "out" / "file"
+    path.parent.mkdir()
+    path.write_bytes(b"the old file\n")
+    path.chmod(0o600)
+
+    class FullDisk(io.FileIO):
+        def write(self, b):
+            super().write(bytes(b)[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    # only the file opened on the temporary name's descriptor is full
+    real_open = open
+    monkeypatch.setattr(lattice_io, "open", lambda file, mode="r": (
+        FullDisk(file, "w") if isinstance(file, int)
+        else real_open(file, mode)), raising=False)
+    capsys.readouterr()
+    assert main(argv(str(path))) == 2
+    assert capsys.readouterr().err == (
+        f"nijflow {command}: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}\n")
+    assert path.read_bytes() == b"the old file\n"
+    assert os.listdir(path.parent) == ["file"]
+    monkeypatch.undo()
+    assert main(argv(str(path))) == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("command", ["plot", "verify"])
+def test_svg_and_report_written_to_a_fifo_and_to_dev_null(tmp_path, capsys,
+                                                         command):
+    argv = _svg_and_report_argv(tmp_path, capsys)[command]
+    fresh, fifo = tmp_path / "fresh", tmp_path / "out.fifo"
+    assert main(argv(str(fresh))) == 0
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(argv(str(fifo))) == 0  # fits in the pipe's buffer
+        written = os.read(reader, 1 << 20)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert written == fresh.read_bytes()
+    if not Path(os.devnull).is_char_device():
+        pytest.skip("no character device at os.devnull")
+    assert main(argv(os.devnull)) == 0
+    assert Path(os.devnull).is_char_device()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["evolve", "plot", "verify"])
+def test_output_in_a_missing_directory_names_the_path(tmp_path, capsys,
+                                                      command):
+    # not the temporary file beside it, whose name holds the process id
+    argv = _svg_and_report_argv(tmp_path, capsys)
+    argv["evolve"] = lambda out: ["evolve", str(CONFIGS / "constant2.json"),
+                                  "--output", out]
+    out = str(tmp_path / "missing" / "out")
+    assert main(argv[command](out)) == 2
+    assert capsys.readouterr().err == (
+        f"nijflow {command}: [Errno {errno.ENOENT}] "
+        f"{os.strerror(errno.ENOENT)}: {out!r}\n")

@@ -413,6 +413,18 @@ def test_compare_grids_per_time_node():
     assert line.shape == () and line == np.abs(u[:, 0, 0]).max()
 
 
+def test_compare_grids_reduces_x_then_the_components():
+    # x first, then the components: the values of both at once, nan kept
+    u = np.random.default_rng(6).standard_normal((6, 4, 3, 2))
+    u[2, 1, 0, 1] = np.nan
+    axes = (AxisSpec("x", 0.0, 1.0, 6), AxisSpec("t1", 0.0, 1.0, 4),
+            AxisSpec("t2", 0.0, 1.0, 3))
+    zero = np.zeros_like(u)
+    got = compare_grids(SolutionGrid(axes, u), SolutionGrid(axes, zero))
+    want = np.abs(u).max(axis=(0, -1))
+    assert np.isnan(got[1, 0]) and got.tobytes() == want.tobytes()
+
+
 def test_direct_solution_matches_reduction():
     _, A, F = nijenhuis2_setup()
     start = CotangentPoint((0.1, -0.2), (0.8, 2.5))
