@@ -4,11 +4,11 @@ A metric g and an operator field L are geodesically compatible when L maps
 g-geodesics to curves that are geodesics up to reparametrization.  ``verify``
 checks this in two forms:
 
-* bracket form (symbolic): ``benenti_residual(model)`` reads L, the Gram
-  matrix h1 and h1's quadratic form from the model and returns the residual
-  {H, F} - 2 H * d(tr L)/du^q  h1^(aq) p_a  with H = h1/2 and
-  F^(kj) = h1^(ks) L^j_s, an exact polynomial that vanishes identically
-  exactly when the pair is compatible;
+* bracket form (symbolic): ``benenti_residual(model)`` reads F_0 = h_1/2,
+  sigma_1 = tr L and h_2 from the model, with no operator product, lift or
+  trace, and returns the residual {H, F} - 2 H {H, tr L} with H = F_0 and
+  F = h_2 + sigma_1 h_1, the quadratic form of h1 L^T: an exact polynomial
+  that vanishes identically exactly when the pair is compatible;
 * coordinate form (pointwise): the first-order system R_ijk = 0 coupling g,
   its first derivatives, dL and d(tr L), evaluated in floating point at a
   point or at each point of a stack, giving the largest |R_ijk| per point.
@@ -23,18 +23,16 @@ that is g-self-adjoint.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exactpoly import ExactPolynomial, evaluate_table_array, signed_sum
+from .exactpoly import evaluate_table_array
 from .metric import (
     SINGULAR_TOL,
     CovariantMetricAt,
     PhaseFunction,
     poisson_bracket,
-    quadratic_phase,
 )
 from .operators import OperatorField, is_symmetry
 
@@ -47,19 +45,19 @@ class CompatError(ValueError):
 
 
 def benenti_residual(model: "CompanionModel") -> PhaseFunction:
-    """Exact bracket-form residual {H, F} - 2 H G with H = h1/2,
-    F = (h1 L^T)^(kj) p_k p_j and G = d(tr L)/du^q h1^(aq) p_a."""
-    n, L, h1 = model.n, model.operator, model.gram
-    nv = 2 * n
-    F = quadratic_phase((h1 @ L.transpose()).entries)
-    H = model.family[0] * Fraction(1, 2)
-    dtr = [L.trace().partial(q) for q in range(n)]
-    G = PhaseFunction(n, signed_sum(nv, [
-        (1, ExactPolynomial.variable(nv, n + a),
-         signed_sum(n, [(1, dtr[q], h1.entry(a, q)) for q in range(n)])
-         .with_appended_vars(n))
-        for a in range(n)]), 1)
-    return poisson_bracket(H, F) - 2 * (H * G)
+    """Exact bracket-form residual {H, F} - 2 H {H, tr L}, read from the
+    model: H = F_0 = h_1/2, tr L = sigma_1, and F = h_2 + sigma_1 h_1, the
+    quadratic form of h1 L^T (for n = 1, sigma_1 h_1)."""
+    n, h = model.n, model.family
+    trace = PhaseFunction(n, model.sigma[0].with_appended_vars(n), 0)
+    # L h1 = (h1 L^T)^T has the quadratic form of h1 L^T, and
+    # A_1 h1 = L h1 - sigma_1 h1 is the Gram matrix of h_2 (hierarchy.py)
+    F = h[0] * trace
+    if n > 1:
+        F = F + h[1]
+    H = model.integrals[0]
+    # {H, tr L} = h1^(aq) d(tr L)/du^q p_a
+    return poisson_bracket(H, F) - 2 * (H * poisson_bracket(H, trace))
 
 
 def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField

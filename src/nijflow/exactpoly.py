@@ -41,16 +41,17 @@ integer of more than ``MAX_LITERAL_DIGITS`` digits is refused, and a power
 or a written-out product whose result could exceed ``MAX_POWER_BITS`` is
 refused before it is formed.
 
-Every product of polynomials, and every sum of such products, is formed by
-one kernel, ``signed_sum``, which sums the products of numerators over one
-common denominator and skips parts with a zero factor.  ``suffixed_sum``
-lifts polynomials onto appended variables, each times a monomial there, and
-sums them; ``split_suffixes`` splits a polynomial back by the monomials in
-its last variables.  Float evaluation goes through one interpreter,
-``evaluate_float_form``, at a point of floats or over the columns of a stack
-of points.  The one exception is ``compile_float_forms``, which turns the
-forms of a Hamiltonian field, evaluated at many points of floats, into one
-straight-line function, bit-identical to the interpreter there.
+Every product and every sum of polynomials is formed by one kernel,
+``signed_sum``, which sums the products of numerators over one common
+denominator and skips parts with a zero factor; ``+`` and ``-`` pass it each
+side times the constant 1.  ``suffixed_sum`` lifts polynomials onto appended
+variables, each times a monomial there, and sums them; ``split_suffixes``
+splits a polynomial back by the monomials in its last variables.  Float
+evaluation goes through one interpreter, ``evaluate_float_form``, at a point
+of floats or over the columns of a stack of points.  The one exception is
+``compile_float_forms``, which turns the forms of a Hamiltonian field,
+evaluated at many points of floats, into one straight-line function,
+bit-identical to the interpreter there.
 """
 
 from __future__ import annotations
@@ -269,20 +270,8 @@ class ExactPolynomial:
             other = ExactPolynomial.constant(self.nvars, other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        if self.nvars != other.nvars:
-            raise PolynomialError(
-                f"variable counts differ: {self.nvars} vs {other.nvars}")
-        den = math.lcm(self._den, other._den)
-        scale = den // self._den
-        nums = {e: c * scale for e, c in self._nums.items()}
-        scale = sign * (den // other._den)
-        for exps, c in other._nums.items():
-            s = nums.get(exps, 0) + c * scale
-            if s:
-                nums[exps] = s
-            else:
-                del nums[exps]
-        return self._raw(self.nvars, nums, den)
+        one = _unit(self.nvars)
+        return signed_sum(self.nvars, [(1, self, one), (sign, other, one)])
 
     def __add__(self, other) -> "ExactPolynomial":
         return self._combined(other, 1)
@@ -314,7 +303,7 @@ class ExactPolynomial:
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolynomialError("polynomial powers must be non-negative integers")
-        one = ExactPolynomial.constant(self.nvars, 1)
+        one = _unit(self.nvars)
         if exponent > 1 and self._product_bits(one, exponent) > MAX_POWER_BITS:
             raise PolynomialError(
                 f"power {exponent} of a {len(self)}-term polynomial is too "
@@ -435,11 +424,18 @@ _set_nvars, _set_nums, _set_den, _set_float_form, _set_partials = (
     vars(ExactPolynomial)[slot].__set__ for slot in ExactPolynomial.__slots__)
 
 
+@functools.cache
+def _unit(nvars: int) -> ExactPolynomial:
+    """The constant 1 in ``nvars`` variables, formed once per process: the
+    second factor of each part of a plain sum."""
+    return ExactPolynomial.constant(nvars, 1)
+
+
 def signed_sum(nvars: int,
                parts: Iterable[tuple[int, ExactPolynomial, ExactPolynomial]]
                ) -> ExactPolynomial:
     """The sum of ``sign * a * b`` over ``parts`` (sign +1 or -1): every
-    product of polynomials is formed here.  Over D, the lcm of the parts'
+    product and every sum of polynomials is formed here.  Over D, the lcm of the parts'
     ``den_a * den_b``, each term product adds
     ``sign * D // (den_a * den_b) * num_a * num_b`` at the sum of the terms'
     keys, straight into one map of numerators, so neither the products nor
@@ -702,7 +698,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.nvars = len(names)
-        self.one = ExactPolynomial.constant(self.nvars, 1)
+        self.one = _unit(self.nvars)
         self.index_of = {name: i for i, name in enumerate(names)}
 
     def peek(self) -> _Token:

@@ -221,7 +221,8 @@ def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
         top = prev[n - 1]
         nxt = [top * sigma[n - 1]]
         for m in range(1, n):
-            nxt.append(prev[m - 1] + top * sigma[n - 1 - m])
+            nxt.append(signed_sum(n, [(1, prev[m - 1], one),
+                                      (1, top, sigma[n - 1 - m])]))
         coeffs.append(nxt)
     return coeffs
 

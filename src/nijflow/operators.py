@@ -43,7 +43,7 @@ def _as_entry(n: int, value) -> ExactPolynomial:
 class OperatorField:
     """Square matrix of exact polynomials in as many variables as its size."""
 
-    __slots__ = ("n", "entries", "_trace")
+    __slots__ = ("n", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
         n = len(entries)
@@ -52,7 +52,6 @@ class OperatorField:
         self_entries = tuple(tuple(_as_entry(n, e) for e in row) for row in entries)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", self_entries)
-        object.__setattr__(self, "_trace", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorField is immutable")
@@ -120,15 +119,9 @@ class OperatorField:
                                for j in range(n)] for i in range(n)])
 
     def trace(self) -> ExactPolynomial:
-        """Sum of the diagonal, built once per instance (operators are
-        immutable), so its derivatives are cached with it."""
-        acc = self._trace
-        if acc is None:
-            acc = ExactPolynomial.zero(self.n)
-            for i in range(self.n):
-                acc = acc + self.entries[i][i]
-            object.__setattr__(self, "_trace", acc)
-        return acc
+        """Sum of the diagonal."""
+        return sum((self.entries[i][i] for i in range(1, self.n)),
+                   self.entries[0][0])
 
     def power(self, k: int) -> "OperatorField":
         if k < 0:

@@ -17,7 +17,7 @@ from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
                            HamiltonianField, SolutionGrid, _advance,
                            integrate_flow)
 from nijflow.metric import (CovariantMetricAt, GramMatrix, PhaseFunction,
-                            gram_matrix)
+                            gram_matrix, poisson_bracket, quadratic_phase)
 from nijflow.operators import (OneTwoTensorField, OperatorError, OperatorField,
                                char_coefficients, companion_second)
 from nijflow.pde import UNIFORM_RTOL, PDEError
@@ -637,6 +637,23 @@ def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
     return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
                                              for s in range(n)]), 2)
             for i in range(1, n + 1)]
+
+
+def reference_benenti_residual(model) -> PhaseFunction:
+    """Oracle for ``compat.benenti_residual``: {H, F} - 2 H G with
+    F = (h1 L^T)^(kj) p_k p_j lifted from the product h1 L^T, and G from
+    the derivatives of tr L."""
+    n, L, h1 = model.n, model.operator, model.gram
+    nv = 2 * n
+    F = quadratic_phase((h1 @ L.transpose()).entries)
+    H = model.family[0] * Fraction(1, 2)
+    dtr = [L.trace().partial(q) for q in range(n)]
+    G = PhaseFunction(n, signed_sum(nv, [
+        (1, ExactPolynomial.variable(nv, n + a),
+         signed_sum(n, [(1, dtr[q], h1.entry(a, q)) for q in range(n)])
+         .with_appended_vars(n))
+        for a in range(n)]), 1)
+    return poisson_bracket(H, F) - 2 * (H * G)
 
 
 VectorField = tuple[ExactPolynomial, ...]

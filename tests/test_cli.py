@@ -254,6 +254,30 @@ def test_float_outputs_are_pinned(tmp_path, capsys):
     assert got == FLOAT_DIGESTS
 
 
+# The shipped configs without pde.t_end: solve-direct and compare exit 2
+# with this one stderr line, and solve-direct writes no file.
+NO_T_END_ERROR = ("nijflow {}: give 'pde.t_end' to bound the direct solve\n")
+NO_T_END_CONFIGS = ("constant3", "coordinates2", "nijenhuis2", "nijenhuis3",
+                    "nijenhuis4")
+
+
+def test_every_config_without_t_end_is_pinned():
+    assert sorted(path.stem for path in CONFIGS.glob("*.json")
+                  if "t_end" not in load_config(str(path)).get("pde", {})
+                  ) == list(NO_T_END_CONFIGS)
+
+
+@pytest.mark.parametrize("name", NO_T_END_CONFIGS)
+def test_direct_commands_without_t_end_exit_2(name, tmp_path, capsys):
+    config = str(CONFIGS / f"{name}.json")
+    path = tmp_path / "direct.csv"
+    for argv in (["solve-direct", config, "--output", str(path)],
+                 ["compare", config]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", NO_T_END_ERROR.format(argv[0]))
+    assert not path.exists()
+
+
 def test_every_shipped_config_has_pinned_reports():
     assert sorted(REPORT_DIGESTS) == sorted(p.stem
                                             for p in CONFIGS.glob("*.json"))

@@ -9,6 +9,7 @@ from support import (
     lie_form_residual_at,
     lie_form_terms_at,
     random_polynomial,
+    reference_benenti_residual,
     reference_coordinate_form_residual_at,
     reference_covariant_at,
     self_adjoint_residual,
@@ -90,6 +91,19 @@ class TestBracketForm:
         residual = benenti_residual(CompanionModel(sig))
         assert not residual.is_zero()
         assert residual.poly.max_abs_coefficient() == 1
+
+    @pytest.mark.parametrize("sigma", [
+        *(sigma_curved(n) for n in range(1, 6)), sigma_obstructed(5),
+        sigma_coordinates2()],
+        ids=[*(f"curved{n}" for n in range(1, 6)), "obstructed5",
+             "coordinates2"])
+    def test_matches_the_product_form(self, sigma):
+        # F read from the model as h_2 + sigma_1 h_1, and d(tr L) as
+        # d(sigma_1), against the lift of h1 L^T and the trace of L
+        got = benenti_residual(CompanionModel(sigma))
+        expected = reference_benenti_residual(CompanionModel(sigma))
+        assert got == expected
+        assert got.p_degree == expected.p_degree
 
 
 class TestCoordinateForm:

@@ -233,7 +233,7 @@ def test_the_guard_finds_a_planted_function():
 def test_the_guard_finds_a_planted_method():
     # OperatorField is reached, yet no reached code reads .planted
     planted = dict(SOURCES)
-    slots = '    __slots__ = ("n", "entries", "_trace")\n'
+    slots = '    __slots__ = ("n", "entries")\n'
     assert slots in planted["operators"]
     planted["operators"] = planted["operators"].replace(
         slots, slots + "\n    def planted(self):\n        return self.n\n")

@@ -392,20 +392,6 @@ class TestMatrixAlgebra:
         L = companion_second(sigma_coordinates2())
         assert L.trace() == upoly("u1", 2)
 
-    def test_trace_is_built_once(self):
-        rng = random.Random(23)
-        for n in (2, 3, 4):
-            L = OperatorField([[random_polynomial(rng, n, max_terms=3)
-                                for _ in range(n)] for _ in range(n)])
-            tr = L.trace()
-            assert L.trace() is tr
-            assert tr == sum((L.entry(i, i) for i in range(n)),
-                             ExactPolynomial.zero(n))
-            # so a derivative of the trace is also built once
-            assert L.trace().partial(n - 1) is tr.partial(n - 1)
-        with pytest.raises(AttributeError):
-            setattr(L, "_trace", None)
-
     def test_cayley_hamilton(self):
         # L^n = sigma_1 L^(n-1) + ... + sigma_n Id for companion input
         for n in (2, 3):
