@@ -49,7 +49,7 @@ def benenti_residual(model: "CompanionModel") -> PhaseFunction:
     model: H = F_0 = h_1/2, tr L = sigma_1, and F = h_2 + sigma_1 h_1, the
     quadratic form of h1 L^T (for n = 1, sigma_1 h_1)."""
     n, h = model.n, model.family
-    trace = PhaseFunction(n, model.sigma[0].with_appended_vars(n), 0)
+    trace = PhaseFunction(n, model.sigma[0].with_appended_vars(n))
     # L h1 = (h1 L^T)^T has the quadratic form of h1 L^T, and
     # A_1 h1 = L h1 - sigma_1 h1 is the Gram matrix of h_2 (hierarchy.py)
     F = h[0] * trace
@@ -76,6 +76,8 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
     points = g_at.point
     dgT = np.swapaxes(dg, -3, -2)  # [..., i, k, a] = d g_ia / d u^k
     Lv = L.evaluate_at(points)
+    # a companion L's constant entries are exactpoly's shared 0 and 1, whose
+    # partials are cached, so this forms n^2 partials, of the last row only
     dL = evaluate_table_array([L.derivative(i) for i in range(n)], points)
     dtr = evaluate_table_array([L.trace().partial(j) for j in range(n)],
                                points)

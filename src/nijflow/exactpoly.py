@@ -20,7 +20,9 @@ derivatives, ``constant``/``zero``, the printer and the size bound of
 constructor's coefficients, the parser's rational literals, and what
 ``terms``, ``coefficient``, ``constant_value``, ``max_abs_coefficient`` and
 ``evaluate_exact`` return.  No command-line path goes through the
-constructor or ``terms``.
+constructor or ``terms``.  ``zero`` and ``constant`` return one shared 0
+and 1 per variable count, formed once, so every 0 and 1 elsewhere, an
+operator's entries given as numbers included, is one of them.
 
 Expressions are parsed with a small recursive-descent parser for the grammar
 
@@ -44,9 +46,10 @@ refused before it is formed.
 Every product and every sum of polynomials is formed by one kernel,
 ``signed_sum``, which sums the products of numerators over one common
 denominator and skips parts with a zero factor; ``+`` and ``-`` pass it each
-side times the constant 1.  ``suffixed_sum`` lifts polynomials onto appended
-variables, each times a monomial there, and sums them; ``split_suffixes``
-splits a polynomial back by the monomials in its last variables.  Float
+side times the shared constant 1.  ``suffixed_sum`` lifts polynomials onto
+appended variables, each times a monomial there, and sums them;
+``split_suffixes`` splits a polynomial back by the monomials in its last
+variables.  Float
 evaluation goes through one interpreter, ``evaluate_float_form``, at a point
 of floats or over the columns of a stack of points.  The one exception is
 ``compile_float_forms``, which turns the forms of a Hamiltonian field,
@@ -195,13 +198,16 @@ class ExactPolynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "ExactPolynomial":
-        _check_nvars(nvars)
-        return cls._raw(nvars, {}, 1)
+        return cls.constant(nvars, 0)
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "ExactPolynomial":
+        """The constant ``value``; 0 and 1 are each one object per variable
+        count, formed once per process."""
         _check_nvars(nvars)
         num, den = _ratio(value)
+        if den == 1 and num in (0, 1):
+            return _shared_constant(nvars, num)
         return cls._raw(nvars, {0: num} if num else {}, den)
 
     @classmethod
@@ -270,7 +276,7 @@ class ExactPolynomial:
             other = ExactPolynomial.constant(self.nvars, other)
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        one = _unit(self.nvars)
+        one = _shared_constant(self.nvars, 1)
         return signed_sum(self.nvars, [(1, self, one), (sign, other, one)])
 
     def __add__(self, other) -> "ExactPolynomial":
@@ -303,7 +309,7 @@ class ExactPolynomial:
     def __pow__(self, exponent: int) -> "ExactPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolynomialError("polynomial powers must be non-negative integers")
-        one = _unit(self.nvars)
+        one = _shared_constant(self.nvars, 1)
         if exponent > 1 and self._product_bits(one, exponent) > MAX_POWER_BITS:
             raise PolynomialError(
                 f"power {exponent} of a {len(self)}-term polynomial is too "
@@ -425,10 +431,10 @@ _set_nvars, _set_nums, _set_den, _set_float_form, _set_partials = (
 
 
 @functools.cache
-def _unit(nvars: int) -> ExactPolynomial:
-    """The constant 1 in ``nvars`` variables, formed once per process: the
-    second factor of each part of a plain sum."""
-    return ExactPolynomial.constant(nvars, 1)
+def _shared_constant(nvars: int, num: int) -> ExactPolynomial:
+    """The constant ``num``, 0 or 1, in ``nvars`` variables, formed once per
+    process; 1 is the second factor of each part of a plain sum."""
+    return ExactPolynomial._raw(nvars, {0: num} if num else {}, 1)
 
 
 def signed_sum(nvars: int,
@@ -698,7 +704,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.nvars = len(names)
-        self.one = _unit(self.nvars)
+        self.one = _shared_constant(self.nvars, 1)
         self.index_of = {name: i for i, name in enumerate(names)}
 
     def peek(self) -> _Token:

@@ -251,14 +251,20 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     """One row per lattice node, lexicographic in the lattice index; each
     cell is Python's ``"%.17g"`` of its float, which reads back bit for bit.
     Momentum columns appear only when the lattice carries momenta.  A
-    lattice with a non-finite value is refused before anything is written.
+    lattice whose axes are not named ``x``, ``t1``..``tk``, or that has a
+    non-finite value, is refused before anything is written:
+    ``read_grid_csv`` would refuse the file.
 
     Rows are formatted a block of ``_BLOCK_CELLS`` values at a time into one
     reused buffer of fixed-width cells, and every axis value is formatted
     once, all axes in one call, into a file ``_replacing`` the old one."""
     n = grid.n
     k = len(grid.axes)
-    names = [a.name for a in grid.axes] + [f"u{i + 1}" for i in range(n)]
+    names = [a.name for a in grid.axes]
+    if names != ["x"] + [f"t{i}" for i in range(1, k)]:
+        raise ConfigError(f"cannot write a lattice on axes {tuple(names)}: "
+                          "they must be x, t1..tk")
+    names += [f"u{i + 1}" for i in range(n)]
     # value columns, read one at a time: numpy is slow over short strided rows
     columns = list(grid.u.reshape(-1, n).T)
     if grid.p is not None:

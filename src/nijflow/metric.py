@@ -47,16 +47,16 @@ class MetricError(ValueError):
 class PhaseFunction:
     """Polynomial on the cotangent chart, homogeneous in the momenta.
 
-    ``poly`` has 2n variables ordered (u, p); ``p_degree`` is the common
-    momentum degree of all terms.  The zero polynomial is accepted at any
-    declared degree.  ``_flows`` is set on first use by
-    ``flows.polynomial_flow`` to the Lie series of its flow, or to None
-    when that series does not end by order 2n.
+    ``poly`` has 2n variables ordered (u, p); ``p_degree`` is read from it:
+    the one momentum degree of its terms, or None for the zero function.
+    ``_flows`` is set on first use by ``flows.polynomial_flow`` to the Lie
+    series of its flow, or to None when that series does not end by order
+    2n.
     """
 
     __slots__ = ("n", "poly", "p_degree", "_flows")
 
-    def __init__(self, n: int, poly: ExactPolynomial, p_degree: int | None = None):
+    def __init__(self, n: int, poly: ExactPolynomial):
         if poly.nvars != 2 * n:
             raise MetricError(
                 f"phase polynomial must have {2 * n} variables, got {poly.nvars}")
@@ -64,24 +64,17 @@ class PhaseFunction:
         if len(degrees) > 1:
             raise MetricError(
                 f"polynomial is not homogeneous in the momenta: degrees {sorted(degrees)}")
-        inferred = degrees.pop() if degrees else None
-        if p_degree is None:
-            if inferred is None:
-                raise MetricError("momentum degree of the zero function must be given")
-            p_degree = inferred
-        elif inferred is not None and inferred != p_degree:
-            raise MetricError(
-                f"declared momentum degree {p_degree} does not match {inferred}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "p_degree", p_degree)
+        object.__setattr__(self, "p_degree",
+                           degrees.pop() if degrees else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")
 
     @classmethod
-    def zero(cls, n: int, p_degree: int = 0) -> "PhaseFunction":
-        return cls(n, ExactPolynomial.zero(2 * n), p_degree)
+    def zero(cls, n: int) -> "PhaseFunction":
+        return cls(n, ExactPolynomial.zero(2 * n))
 
     def du(self, i: int) -> ExactPolynomial:
         """Partial derivative in u^i (0-based), as a raw 2n-variable polynomial."""
@@ -107,33 +100,17 @@ class PhaseFunction:
 
     def __add__(self, other: "PhaseFunction") -> "PhaseFunction":
         self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.p_degree != other.p_degree:
-            raise MetricError("cannot add phase functions of different momentum degree")
-        return PhaseFunction(self.n, self.poly + other.poly, self.p_degree)
+        return PhaseFunction(self.n, self.poly + other.poly)
 
     def __sub__(self, other: "PhaseFunction") -> "PhaseFunction":
         return self + (-1) * other
 
     def __mul__(self, other) -> "PhaseFunction":
         if isinstance(other, (int, Fraction)):
-            return PhaseFunction(self.n, self.poly * other, self.p_degree)
-        if isinstance(other, ExactPolynomial):
-            # multiplication by a function of u alone keeps the momentum degree
-            if other.nvars == self.n:
-                other = other.with_appended_vars(self.n)
-            if other.nvars != 2 * self.n:
-                raise MetricError("scalar factor must live on the base or the chart")
-            if any(suffix_degrees(other, self.n)):
-                raise MetricError("scalar factor must not involve the momenta")
-            return PhaseFunction(self.n, self.poly * other, self.p_degree)
+            return PhaseFunction(self.n, self.poly * other)
         if isinstance(other, PhaseFunction):
             self._check(other)
-            return PhaseFunction(self.n, self.poly * other.poly,
-                                 self.p_degree + other.p_degree)
+            return PhaseFunction(self.n, self.poly * other.poly)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -156,8 +133,7 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     parts = []
     for k in range(n):
         parts += [(1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k))]
-    degree = max(f.p_degree + g.p_degree - 1, 0)
-    return PhaseFunction(n, signed_sum(2 * n, parts), degree)
+    return PhaseFunction(n, signed_sum(2 * n, parts))
 
 
 def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunction:
@@ -176,7 +152,7 @@ def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunctio
             p_exps[a] += 1
             p_exps[b] += 1
             parts.append((entry, tuple(p_exps)))
-    return PhaseFunction(n, suffixed_sum(2 * n, parts), 2)
+    return PhaseFunction(n, suffixed_sum(2 * n, parts))
 
 
 class GramMatrix(OperatorField):
@@ -214,8 +190,7 @@ def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
     L^n = sigma_1 L^(n-1) + ... + sigma_n Id."""
     n = len(sigma)
     one = ExactPolynomial.constant(n, 1)
-    zero = ExactPolynomial.zero(n)
-    coeffs = [[one if m == 0 else zero for m in range(n)]]
+    coeffs = [[one] + [ExactPolynomial.zero(n)] * (n - 1)]
     for _ in range(max_power):
         prev = coeffs[-1]
         top = prev[n - 1]
@@ -244,11 +219,10 @@ def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
 def gram_matrix(h: PhaseFunction) -> GramMatrix:
     """Extract the symmetric coefficient matrix of a momentum-quadratic
     phase function."""
-    if h.p_degree != 2 and not h.is_zero():
+    if h.p_degree not in (2, None):
         raise MetricError("Gram extraction requires a momentum-quadratic function")
     n = h.n
-    zero = ExactPolynomial.zero(n)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for p_exps, coeff in split_suffixes(h.poly, n).items():
         # the momentum indices of the term, with multiplicity
         a, b = [k for k, e in enumerate(p_exps) for _ in range(e)]

@@ -58,8 +58,7 @@ class OperatorField:
 
     @classmethod
     def identity(cls, n: int) -> "OperatorField":
-        one = Fraction(1)
-        return cls([[one if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "OperatorField":
@@ -171,9 +170,9 @@ def companion_second(sigma: Sequence) -> OperatorField:
     (sigma_n, ..., sigma_1) along the bottom."""
     sig = _sigma_list(sigma)
     n = len(sig)
-    rows = [[ExactPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n - 1):
-        rows[i][i + 1] = ExactPolynomial.constant(n, 1)
+        rows[i][i + 1] = 1
     for j in range(n):
         rows[n - 1][j] = sig[n - 1 - j]
     return OperatorField(rows)

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def random_phase_function(rng, n, p_degree, max_terms=4, max_degree=2):
             exps[n + rng.randrange(n)] += 1
         coeff = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
         terms.append((tuple(exps), coeff))
-    return PhaseFunction(n, ExactPolynomial(2 * n, terms), p_degree)
+    return PhaseFunction(n, ExactPolynomial(2 * n, terms))
 
 
 def reference_quadratic_phase(matrix):
@@ -88,7 +88,7 @@ def reference_quadratic_phase(matrix):
             pa = ExactPolynomial.variable(2 * n, n + a)
             pb = ExactPolynomial.variable(2 * n, n + b)
             acc = acc + matrix[a][b].with_appended_vars(n) * pa * pb
-    return PhaseFunction(n, acc, 2)
+    return PhaseFunction(n, acc)
 
 
 def reference_product_terms(parts):
@@ -118,7 +118,7 @@ def reference_quadratic_phase_by_terms(matrix):
             p_exps[b] += 1
             p_exps = tuple(p_exps)
             terms += [(u_exps + p_exps, c) for u_exps, c in entry.terms()]
-    return PhaseFunction(n, ExactPolynomial(2 * n, terms), 2)
+    return PhaseFunction(n, ExactPolynomial(2 * n, terms))
 
 
 def reference_gram_matrix(h):
@@ -635,7 +635,7 @@ def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
     pencil = [[signed_sum(nv, [(1, p[k], lifted[k][i][j]) for k in range(n)])
                for j in range(n)] for i in range(n)]
     return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
-                                             for s in range(n)]), 2)
+                                             for s in range(n)]))
             for i in range(1, n + 1)]
 
 
@@ -652,7 +652,7 @@ def reference_benenti_residual(model) -> PhaseFunction:
         (1, ExactPolynomial.variable(nv, n + a),
          signed_sum(n, [(1, dtr[q], h1.entry(a, q)) for q in range(n)])
          .with_appended_vars(n))
-        for a in range(n)]), 1)
+        for a in range(n)]))
     return poisson_bracket(H, F) - 2 * (H * G)
 
 
@@ -861,3 +861,44 @@ def convergence_orders(values: Sequence[float]) -> list[float]:
         raise PDEError("error values must be positive")
     return [math.log(a / b) / math.log(2.0)
             for a, b in zip(values, values[1:])]
+
+
+def counted(counters, fn, *args):
+    """``fn(*args)`` with each counter wrapped in, and the counts it made.
+
+    A counter is ``(owners, name, weigh)``: the function ``name`` of each
+    owner, a module or a class (a classmethod is unwrapped and wrapped
+    again), is replaced by a wrapper that calls it and adds
+    ``weigh(args, result)`` to that counter's count.  An iterator argument
+    is read into a list first, so that the function and ``weigh`` both see
+    all of it.  The originals are put back however ``fn`` ends, and checked
+    to be back.  Returns ``(fn(*args), counts)``."""
+    counts = [0] * len(counters)
+    installed = []
+
+    def wrap(k, original, weigh):
+        def wrapper(*call_args, **kwargs):
+            call_args = [list(a) if isinstance(a, Iterator) else a
+                         for a in call_args]
+            result = original(*call_args, **kwargs)
+            counts[k] += weigh(call_args, result)
+            return result
+        return wrapper
+
+    try:
+        for k, (owners, name, weigh) in enumerate(counters):
+            for owner in owners:
+                original = vars(owner)[name]
+                if isinstance(original, classmethod):
+                    patched = classmethod(wrap(k, original.__func__, weigh))
+                else:
+                    patched = wrap(k, original, weigh)
+                setattr(owner, name, patched)
+                installed.append((owner, name, original))
+        result = fn(*args)
+    finally:
+        for owner, name, original in reversed(installed):
+            setattr(owner, name, original)
+    assert all(vars(owner)[name] is original
+               for owner, name, original in installed)
+    return result, tuple(counts)

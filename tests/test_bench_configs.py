@@ -3,10 +3,13 @@
 ``load_config`` refuses unknown, inert and malformed keys, so a config that
 the benchmark generates and the table refuses would fail every op of its
 workload.  The reports of the seed-1 ``certify`` configs and the CSVs of the
-seed-1 ``lattice`` configs are pinned too, and so is the exact work that
-``verify`` and ``build-metric`` do on the ``certify`` configs and on curved
-n = 2..5.  ``bench/cases.py`` is read without changing it: compiled in
-memory, so no bytecode cache is written next to it.
+seed-1 ``lattice`` configs are pinned too, and so is the work, counted
+without timing, of the commands: the exact work that ``verify`` and
+``build-metric`` do on the ``certify`` configs and on curved n = 2..7, the
+RHS evaluations of ``evolve`` on the ``lattice`` configs and the node-steps
+of ``solve-direct`` on the ``crosscheck`` configs.  ``bench/cases.py`` is
+read without changing it: compiled in memory, so no bytecode cache is
+written next to it.
 """
 
 import hashlib
@@ -17,11 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from support import sigma_curved
+from support import counted, sigma_curved
 
+import nijflow.cli as cli
 import nijflow.exactpoly as exactpoly
 from nijflow.cli import load_config, main
 from nijflow.exactpoly import ExactPolynomial, base_names, format_polynomial
+from nijflow.flows import HamiltonianField
 
 REPO = Path(__file__).resolve().parent.parent
 CASES = REPO / "bench" / "cases.py"
@@ -108,46 +113,80 @@ LATTICE_DIGESTS = {
     "curved3": "9b478f0c781fccbe5df10975a5a4366e1064e9c6edf4abc8dc283cee8fd506d0",
 }
 
+# RHS evaluations (``HamiltonianField.__call__`` calls, as the benchmark's
+# count mode takes them) of evolve on each seed-1 lattice config.
+RHS_COUNTS = {"curved2": 600, "curved3": 960}
+
 
 def test_every_lattice_config_is_pinned():
     assert (sorted(_cases.make_workload("lattice", 1).configs)
-            == sorted(LATTICE_DIGESTS))
+            == sorted(LATTICE_DIGESTS) == sorted(RHS_COUNTS))
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_DIGESTS))
 def test_lattice_csvs_are_pinned(name, tmp_path):
     _cases.write_configs(_cases.make_workload("lattice", 1), tmp_path)
     path = tmp_path / f"{name}.csv"
-    assert main(["evolve", str(tmp_path / f"{name}.json"),
-                 "--output", str(path)]) == 0
+    code, (rhs,) = counted(
+        [([HamiltonianField], "__call__", lambda args, result: 1)], main,
+        ["evolve", str(tmp_path / f"{name}.json"), "--output", str(path)])
+    assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LATTICE_DIGESTS[name]
+    assert rhs == RHS_COUNTS[name]
+
+
+# Node-steps (input x-nodes times time steps) of the direct solver, as the
+# benchmark measures them, in solve-direct on each seed-1 crosscheck config.
+NODE_STEPS = {"direct1921": 153680, "direct241": 2410, "direct481": 9620,
+              "direct961": 38440}
+
+
+def test_direct_node_steps_are_pinned(tmp_path, capsys):
+    workload = _cases.make_workload("crosscheck", 1)
+    assert sorted(workload.configs) == sorted(NODE_STEPS)
+    _cases.write_configs(workload, tmp_path)
+    got = {}
+    for name in NODE_STEPS:
+        code, (got[name],) = counted(
+            [([cli], "direct_solve",
+              lambda args, result: len(args[1]) * result.meta["steps"])],
+            main, ["solve-direct", str(tmp_path / f"{name}.json"),
+                   "--output", str(tmp_path / f"{name}.csv")])
+        assert code == 0
+    capsys.readouterr()
+    assert got == NODE_STEPS
 
 
 # The exact work of verify and build-metric, counted without timing:
 # (polynomials formed, that is ExactPolynomial._raw calls; term products of
 # signed_sum, the sum of len(a) * len(b) over its parts), on the seed-1
-# certify configs and on the untranslated curved family of n = 2..5.  Each
+# certify configs and on the untranslated curved family of n = 2..7.  Each
 # count is of a second run in the process, so it does not depend on which
-# tests ran before: what the process caches (the constant 1 of each variable
-# count) is formed in the first.  A change that lowers a count updates the
-# table; one that raises a count says why in CHANGES.md.
+# tests ran before: what the process caches (the constants 0 and 1 of each
+# variable count, and their partials) is formed in the first.  A change that
+# lowers a count updates the table; one that raises a count says why in
+# CHANGES.md.
 WORK_COUNTS = {
-    ("verify", "certify-curved3"): (237, 997),
-    ("build-metric", "certify-curved3"): (57, 111),
-    ("verify", "certify-curved4"): (426, 6449),
-    ("build-metric", "certify-curved4"): (111, 379),
-    ("verify", "certify-constant4"): (363, 174),
-    ("build-metric", "certify-constant4"): (49, 21),
-    ("verify", "certify-obstructed5"): (590, 5116),
-    ("build-metric", "certify-obstructed5"): (84, 118),
-    ("verify", "curved2"): (109, 86),
-    ("build-metric", "curved2"): (21, 9),
-    ("verify", "curved3"): (224, 375),
-    ("build-metric", "curved3"): (44, 32),
-    ("verify", "curved4"): (400, 1890),
-    ("build-metric", "curved4"): (85, 98),
-    ("verify", "curved5"): (650, 8342),
-    ("build-metric", "curved5"): (144, 247),
+    ("verify", "certify-curved3"): (186, 997),
+    ("build-metric", "certify-curved3"): (54, 111),
+    ("verify", "certify-curved4"): (326, 6449),
+    ("build-metric", "certify-curved4"): (108, 379),
+    ("verify", "certify-constant4"): (264, 174),
+    ("build-metric", "certify-constant4"): (46, 21),
+    ("verify", "certify-obstructed5"): (414, 5116),
+    ("build-metric", "certify-obstructed5"): (81, 118),
+    ("verify", "curved2"): (86, 86),
+    ("build-metric", "curved2"): (18, 9),
+    ("verify", "curved3"): (173, 375),
+    ("build-metric", "curved3"): (41, 32),
+    ("verify", "curved4"): (300, 1890),
+    ("build-metric", "curved4"): (82, 98),
+    ("verify", "curved5"): (474, 8342),
+    ("build-metric", "curved5"): (141, 247),
+    ("verify", "curved6"): (706, 40611),
+    ("build-metric", "curved6"): (232, 625),
+    ("verify", "curved7"): (1007, 166414),
+    ("build-metric", "curved7"): (361, 1391),
 }
 
 
@@ -155,54 +194,32 @@ def _work_configs(workdir):
     _cases.write_configs(_cases.make_workload("certify", 1), workdir)
     configs = {f"certify-{name}": workdir / f"{name}.json"
                for name in CERTIFY_DIGESTS}
-    for n in range(2, 6):
+    for n in range(2, 8):
         sigma = [format_polynomial(s, base_names(n)) for s in sigma_curved(n)]
         path = configs[f"curved{n}"] = workdir / f"curved{n}-ladder.json"
         path.write_text(json.dumps({"n": n, "sigma": sigma}))
     return configs
 
 
-_RAW = ExactPolynomial._raw.__func__
-_KERNEL = exactpoly.signed_sum
+def _work_counters():
+    """Polynomials formed (``ExactPolynomial._raw`` calls) and term products
+    (the sum of len(a) * len(b) over the parts of each ``signed_sum``, in
+    every module that imported it)."""
+    kernel = exactpoly.signed_sum
+    users = [module for name, module in list(sys.modules.items())
+             if name.startswith("nijflow")
+             and getattr(module, "signed_sum", None) is kernel]
+    return [([ExactPolynomial], "_raw", lambda args, result: 1),
+            (users, "signed_sum", lambda args, result:
+             sum(len(a) * len(b) for _, a, b in args[1]))]
 
 
-def _kernel_users():
-    return [module for name, module in list(sys.modules.items())
-            if name.startswith("nijflow")
-            and getattr(module, "signed_sum", None) is _KERNEL]
-
-
-def _counted_run(monkeypatch, argv):
-    """The (polynomials formed, term products) of one in-process run."""
-    counts = [0, 0]
-
-    def counted_raw(cls, *args):
-        counts[0] += 1
-        return _RAW(cls, *args)
-
-    def counted_sum(nvars, parts):
-        parts = list(parts)
-        counts[1] += sum(len(a) * len(b) for _, a, b in parts)
-        return _KERNEL(nvars, parts)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ExactPolynomial, "_raw", classmethod(counted_raw))
-        for module in _kernel_users():
-            patch.setattr(module, "signed_sum", counted_sum)
-        main(argv)
-    return tuple(counts)
-
-
-def test_work_counts_are_pinned(tmp_path, monkeypatch, capsys):
-    users = _kernel_users()
+def test_work_counts_are_pinned(tmp_path, capsys):
     got = {}
     for case, config in _work_configs(tmp_path).items():
         for command in ("verify", "build-metric"):
             main([command, str(config)])
-            got[command, case] = _counted_run(monkeypatch,
-                                              [command, str(config)])
+            got[command, case] = counted(_work_counters(), main,
+                                         [command, str(config)])[1]
     capsys.readouterr()
-    # the wrappers are gone again
-    assert ExactPolynomial._raw.__func__ is _RAW
-    assert _kernel_users() == users
     assert got == WORK_COUNTS

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -1201,6 +1202,23 @@ def test_write_grid_csv_refuses_non_finite_values(tmp_path, where, bad,
         write_grid_csv(grid, str(path))
     assert message in str(err.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("names", [("s",), ("x", "t2"), ("x", "x"),
+                                   ("t1", "x")], ids="-".join)
+def test_write_grid_csv_refuses_axes_the_reader_refuses(tmp_path, names):
+    # each was written over the old file, and then refused on read as an
+    # unrecognized lattice header
+    grid = SolutionGrid(tuple(AxisSpec(name, 0.0, 1.0, 3) for name in names),
+                        np.zeros((3,) * len(names) + (2,)))
+
+    def write(grid, path):
+        with pytest.raises(ConfigError, match=r"^cannot write a lattice on "
+                           rf"axes {re.escape(str(names))}: they must be "
+                           r"x, t1\.\.tk$"):
+            write_grid_csv(grid, path)
+
+    _rewrite_fails(tmp_path, grid, write)
 
 
 def test_read_grid_csv_rejects_malformed_input(tmp_path):

@@ -401,7 +401,7 @@ class TestEvaluation:
             floats = [[float(x) for x in point] for point in points]
             batch = evaluate_table_array(p, np.array(floats))
             field = HamiltonianField(
-                PhaseFunction(3, p.with_appended_vars(3) * momentum, 1))
+                PhaseFunction(3, p.with_appended_vars(3) * momentum))
             for point, x, in_batch in zip(points, floats, batch):
                 exact = float(p.evaluate_exact(point))
                 for approx in (p.evaluate(x), in_batch,

@@ -41,6 +41,9 @@ def test_verify_model_gives_seven_records_in_report_order(sigma, failing):
     checks = verify_model(model, 3)
     assert [c["name"] for c in checks] == CHECK_NAMES
     assert {c["name"] for c in checks if c["verdict"] == "fail"} == failing
+    residual = {c["name"]: c["residual"] for c in checks}
+    # {F_i, F_j} is a quarter of the h-pair bracket, F_i = h_(i+1)/2
+    assert residual["integral_commutation"] == residual["h_poisson_pairs"] / 4
     for c in checks:
         assert set(c) == {"name", "verdict", "residual", "detail"}
         if c["name"] in failing:
