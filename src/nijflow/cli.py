@@ -339,13 +339,18 @@ def _cmd_plot(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one stderr line; subparsers inherit it
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  argparse leaves a few hundred
     objects in reference cycles per build, and one build per call let them
     pile up between runs of the cyclic collector, interleaved with the
     lattice data of later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nijflow",
         description="Companion-form metrics, commuting flows, and direct "
                     "quasilinear solving.")

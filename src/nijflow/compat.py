@@ -1,14 +1,14 @@
 """Geodesic compatibility of the companion metric.
 
 A metric g and an operator field L are geodesically compatible when L maps
-g-geodesics to curves that are geodesics up to reparametrization.  ``verify``
-checks this in two forms:
+g-geodesics to curves that are geodesics up to reparametrization, in two
+forms:
 
-* bracket form (symbolic): ``benenti_residual(model)`` reads F_0 = h_1/2,
-  sigma_1 = tr L and h_2 from the model, with no operator product, lift or
-  trace, and returns the residual {H, F} - 2 H {H, tr L} with H = F_0 and
-  F = h_2 + sigma_1 h_1, the quadratic form of h1 L^T: an exact polynomial
-  that vanishes identically exactly when the pair is compatible;
+* bracket form (symbolic): ``benenti_residual(model)``, read from the model,
+  is {H, F} - 2 H {H, tr L} with H = F_0 = h_1/2 and F = h_2 + sigma_1 h_1,
+  the quadratic form of h1 L^T: an exact polynomial that vanishes exactly
+  when the pair is compatible.  By the Leibniz rule it is 1/2 {h_1, h_2},
+  which is how ``verify`` reads it; this function is the tests' oracle;
 * coordinate form (pointwise): the first-order system R_ijk = 0 coupling g,
   its first derivatives, dL and d(tr L), evaluated in floating point at a
   point or at each point of a stack, giving the largest |R_ijk| per point.

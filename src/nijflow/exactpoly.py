@@ -45,16 +45,16 @@ refused before it is formed.
 
 Every product and every sum of polynomials is formed by one kernel,
 ``signed_sum``, which sums the products of numerators over one common
-denominator and skips parts with a zero factor; ``+`` and ``-`` pass it each
-side times the shared constant 1.  ``suffixed_sum`` lifts polynomials onto
-appended variables, each times a monomial there, and sums them;
-``split_suffixes`` splits a polynomial back by the monomials in its last
-variables.  Float
-evaluation goes through one interpreter, ``evaluate_float_form``, at a point
-of floats or over the columns of a stack of points.  The one exception is
-``compile_float_forms``, which turns the forms of a Hamiltonian field,
-evaluated at many points of floats, into one straight-line function,
-bit-identical to the interpreter there.
+denominator, skips parts with a zero factor and takes one loop for a part
+with a one-term factor; ``+`` and ``-`` pass it each side times the shared
+constant 1.  It, ``partial`` and a scalar multiple return the shared 0 for an
+empty result.  ``suffixed_sum`` lifts polynomials onto appended variables,
+each times a monomial there, and sums them; ``split_suffixes`` splits a
+polynomial back by the monomials in its last variables.  Float evaluation goes
+through one interpreter, ``evaluate_float_form``, at a point of floats or over
+the columns of a stack of points.  The one exception is ``compile_float_forms``,
+which turns the forms of a Hamiltonian field, evaluated at many points of
+floats, into one straight-line function, bit-identical to the interpreter there.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class ExactPolynomial:
              den: int) -> "ExactPolynomial":
         """The polynomial of nonzero numerators ``nums`` over ``den > 0``,
         reduced by their common factor to the canonical store."""
-        g = math.gcd(den, *nums.values())
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
             den //= g
@@ -299,7 +299,8 @@ class ExactPolynomial:
             # a scalar scales the numerators and the denominator
             num, den = other.numerator, other.denominator
             nums = {e: c * num for e, c in self._nums.items()} if num else {}
-            return self._raw(self.nvars, nums, self._den * den)
+            return (self._raw(self.nvars, nums, self._den * den) if nums
+                    else _shared_constant(self.nvars, 0))
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         return signed_sum(self.nvars, [(1, self, other)])
@@ -367,8 +368,9 @@ class ExactPolynomial:
         one = 1 << shift
         nums = {key - one: c * e for key, c in self._nums.items()
                 if (e := key >> shift & MAX_EXPONENT)}
-        derivative = cache[index] = self._raw(self.nvars, nums, self._den)
-        return derivative
+        cache[index] = (self._raw(self.nvars, nums, self._den) if nums
+                        else _shared_constant(self.nvars, 0))
+        return cache[index]
 
     # -- variable embedding ----------------------------------------------
 
@@ -455,11 +457,26 @@ def signed_sum(nvars: int,
                                   f"{(b if a.nvars == nvars else a).nvars}")
         if a._nums and b._nums:
             kept.append(part)
-    den = math.lcm(*(a._den * b._den for _, a, b in kept))
+    dens = [a._den * b._den for _, a, b in kept]
+    den = dens[0] if len(dens) == 1 else math.lcm(*dens)
     data: dict[int, int] = {}
     get = data.get
-    for sign, a, b in kept:
-        scale = sign * (den // (a._den * b._den))
+    moved = False  # whether a part added two nonzero keys
+    for (sign, a, b), part_den in zip(kept, dens):
+        scale = sign * (den // part_den)
+        if len(b._nums) == 1:  # one loop, over a's terms in order
+            ((eb, nb),) = b._nums.items()
+            nb *= scale
+            if eb:
+                moved = True
+                for ea, na in a._nums.items():
+                    key = ea + eb
+                    data[key] = get(key, 0) + na * nb
+            else:  # a constant: a's keys as they are
+                for ea, na in a._nums.items():
+                    data[ea] = get(ea, 0) + na * nb
+            continue
+        moved = True
         b_terms = b._nums.items()
         for ea, na in a._nums.items():
             na *= scale
@@ -467,9 +484,10 @@ def signed_sum(nvars: int,
                 key = ea + eb
                 data[key] = get(key, 0) + na * nb
     nums = {key: c for key, c in data.items() if c}
-    if functools.reduce(or_, nums, 0) & _layout(nvars)[1]:
+    if moved and functools.reduce(or_, nums, 0) & _layout(nvars)[1]:
         raise PolynomialError(f"a product has an exponent above {MAX_EXPONENT}")
-    return ExactPolynomial._raw(nvars, nums, den)
+    return (ExactPolynomial._raw(nvars, nums, den) if nums
+            else _shared_constant(nvars, 0))
 
 
 def suffixed_sum(nvars: int,

@@ -40,13 +40,19 @@ from .operators import OperatorField, companion_second
 
 def killing_operators(sigma: Sequence[ExactPolynomial]) -> list[OperatorField]:
     """The operators A_0, ..., A_(n-1) of the adjugate recursion for the
-    second companion operator of ``sigma``."""
-    L = companion_second(sigma)
-    ident = OperatorField.identity(L.n)
-    family = [ident]
-    for s in sigma[:L.n - 1]:
-        family.append(L @ family[-1] - ident * s)
-    return family
+    second companion operator of ``sigma``, read from their index table, of
+    one -sigma_j per j (the tests keep the recursion as the oracle): from
+    column i, row i < n - k of A_k is -sigma_k, ..., -sigma_1, 1; from column
+    r, row n - k + r is sigma_n, ..., sigma_(k+1); every other entry is 0."""
+    last = list(companion_second(sigma).entries[-1])  # sigma_n, ..., sigma_1
+    n = len(last)
+    zero = ExactPolynomial.constant(n, 0)
+    band = [-s for s in last[1:]] + [ExactPolynomial.constant(n, 1)]
+    return [OperatorField(  # band[n-1-k:] is -sigma_k, ..., -sigma_1, 1
+        [[zero] * i + band[n - 1 - k:] + [zero] * (n - k - 1 - i)
+         for i in range(n - k)]
+        + [[zero] * r + last[:n - k] + [zero] * (k - r) for r in range(k)])
+        for k in range(n)]
 
 
 def first_integrals(h1: GramMatrix,

@@ -5,9 +5,10 @@ form of compatibility at 50 seeded random points (tolerance 1e-8).
 Each exact check returns what it found, and one rule decides: a check of
 residual polynomials passes when every one is zero, and its residual is the
 largest absolute coefficient among them; ``integral_commutation`` reads a
-quarter of the ``h_poisson_pairs`` one, as F_i = h_(i+1)/2, exactly;
-``gram_normal_form`` passes when it finds no departure from the normal form,
-and its residual is their count."""
+quarter of the ``h_poisson_pairs`` one, as F_i = h_(i+1)/2, and ``benenti``
+half of the first bracket {h_1, h_2}, which ``compat.benenti_residual``
+equals by the Leibniz rule; ``gram_normal_form`` passes when it finds no
+departure from the normal form, and its residual is their count."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compat import benenti_residual, coordinate_form_residual_at
+from .compat import coordinate_form_residual_at
 from .metric import (check_gram_normal_form, covariant_at,
                      differential_shift_residuals, pairwise_poisson)
 from .model import CompanionModel
@@ -53,10 +54,10 @@ def verify_model(model: CompanionModel, seed: int) -> list[dict]:
                  (r for rows in differential_shift_residuals(model)
                   for row in rows for r in row))
 
-    brackets = (b.poly for _, _, b in pairwise_poisson(model.family))
+    brackets = [b.poly for _, _, b in pairwise_poisson(model.family)]
     h_peak = record_exact("h_poisson_pairs", brackets)
 
-    record_exact("benenti", [benenti_residual(model).poly])
+    record_exact("benenti", [b * Fraction(1, 2) for b in brackets[:1]])
 
     # 50 points in one batch (the stream of 50 draws of n).  A companion
     # Gram matrix is unit anti-triangular, so det G is exactly +-1 wherever

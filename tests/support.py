@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
+import pytest
 
 from nijflow.cli import ConfigError
 from nijflow.compat import CompatError
@@ -224,6 +226,21 @@ def sigma_obstructed(n):
     the compatibility sweep has a residual to report."""
     return [upoly("u1", n)] + [upoly(f"u{i} + u1*u{i - 1}", n)
                                for i in range(2, n + 1)]
+
+
+def sigma_cases(draws=25, seed=3):
+    """Sigmas for identities that hold for every sigma, as ``pytest.param``
+    with ids: curved n = 1..7, obstructed n = 2..6, constant n = 1..4, the
+    two n = 2 pairs and ``draws`` seeded ``random_sigma`` draws at n = 2..6."""
+    rng = random.Random(seed)
+    cases = [*((f"curved{n}", sigma_curved(n)) for n in range(1, 8)),
+             *((f"obstructed{n}", sigma_obstructed(n)) for n in range(2, 7)),
+             *((f"constant{n}", sigma_constant(n)) for n in range(1, 5)),
+             ("coordinates2", sigma_coordinates2()),
+             ("torsion_free2", sigma_torsion_free2()),
+             *((f"random{k}", random_sigma(rng, 2 + k % 5))
+               for k in range(draws))]
+    return [pytest.param(sigma, id=name) for name, sigma in cases]
 
 
 # The covariant metric and the coordinate-form residual as they were computed
@@ -637,6 +654,18 @@ def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
     return [PhaseFunction(n, signed_sum(nv, [(1, pencil[0][s], pencil[s][n - i])
                                              for s in range(n)]))
             for i in range(1, n + 1)]
+
+
+def reference_killing_operators(sigma: Sequence[ExactPolynomial]
+                                ) -> list[OperatorField]:
+    """Oracle for ``hierarchy.killing_operators``: the adjugate recursion
+    A_0 = Id, A_k = L A_(k-1) - sigma_k Id by operator products."""
+    L = companion_second(sigma)
+    ident = OperatorField.identity(L.n)
+    family = [ident]
+    for s in sigma[:L.n - 1]:
+        family.append(L @ family[-1] - ident * s)
+    return family
 
 
 def reference_benenti_residual(model) -> PhaseFunction:

@@ -4,12 +4,12 @@
 the benchmark generates and the table refuses would fail every op of its
 workload.  The reports of the seed-1 ``certify`` configs and the CSVs of the
 seed-1 ``lattice`` configs are pinned too, and so is the work, counted
-without timing, of the commands: the exact work that ``verify`` and
-``build-metric`` do on the ``certify`` configs and on curved n = 2..7, the
-RHS evaluations of ``evolve`` on the ``lattice`` configs and the node-steps
-of ``solve-direct`` on the ``crosscheck`` configs.  ``bench/cases.py`` is
-read without changing it: compiled in memory, so no bytecode cache is
-written next to it.
+without timing, of the commands: the exact work that ``verify``,
+``build-metric`` and ``hierarchy`` do on the ``certify`` configs and on
+curved n = 2..7, the RHS evaluations of ``evolve`` on the ``lattice``
+configs and the node-steps of ``solve-direct`` on the ``crosscheck``
+configs.  ``bench/cases.py`` is read without changing it: compiled in
+memory, so no bytecode cache is written next to it.
 """
 
 import hashlib
@@ -157,36 +157,47 @@ def test_direct_node_steps_are_pinned(tmp_path, capsys):
     assert got == NODE_STEPS
 
 
-# The exact work of verify and build-metric, counted without timing:
-# (polynomials formed, that is ExactPolynomial._raw calls; term products of
-# signed_sum, the sum of len(a) * len(b) over its parts), on the seed-1
-# certify configs and on the untranslated curved family of n = 2..7.  Each
-# count is of a second run in the process, so it does not depend on which
-# tests ran before: what the process caches (the constants 0 and 1 of each
-# variable count, and their partials) is formed in the first.  A change that
-# lowers a count updates the table; one that raises a count says why in
-# CHANGES.md.
+# The exact work of verify, build-metric and hierarchy, counted without
+# timing: (polynomials formed, that is ExactPolynomial._raw calls, so not the
+# shared 0 that signed_sum, partial and scalar multiples return for an empty
+# result; term products of signed_sum, the sum of len(a) * len(b) over its
+# parts), on the seed-1 certify configs and on the untranslated curved family
+# of n = 2..7.  Each count is of a second run in the process, so it does not
+# depend on which tests ran before: what the process caches (the constants 0
+# and 1 of each variable count, and their partials) is formed in the first.
+# A change that lowers a count updates the table; one that raises a count
+# says why in CHANGES.md.
 WORK_COUNTS = {
-    ("verify", "certify-curved3"): (186, 997),
-    ("build-metric", "certify-curved3"): (54, 111),
-    ("verify", "certify-curved4"): (326, 6449),
-    ("build-metric", "certify-curved4"): (108, 379),
-    ("verify", "certify-constant4"): (264, 174),
-    ("build-metric", "certify-constant4"): (46, 21),
-    ("verify", "certify-obstructed5"): (414, 5116),
-    ("build-metric", "certify-obstructed5"): (81, 118),
-    ("verify", "curved2"): (86, 86),
-    ("build-metric", "curved2"): (18, 9),
-    ("verify", "curved3"): (173, 375),
-    ("build-metric", "curved3"): (41, 32),
-    ("verify", "curved4"): (300, 1890),
-    ("build-metric", "curved4"): (82, 98),
-    ("verify", "curved5"): (474, 8342),
-    ("build-metric", "curved5"): (141, 247),
-    ("verify", "curved6"): (706, 40611),
-    ("build-metric", "curved6"): (232, 625),
-    ("verify", "curved7"): (1007, 166414),
-    ("build-metric", "curved7"): (361, 1391),
+    ("verify", "certify-curved3"): (95, 893),
+    ("build-metric", "certify-curved3"): (50, 111),
+    ("hierarchy", "certify-curved3"): (49, 111),
+    ("verify", "certify-curved4"): (175, 6177),
+    ("build-metric", "certify-curved4"): (99, 379),
+    ("hierarchy", "certify-curved4"): (96, 379),
+    ("verify", "certify-constant4"): (80, 156),
+    ("build-metric", "certify-constant4"): (37, 21),
+    ("hierarchy", "certify-constant4"): (34, 21),
+    ("verify", "certify-obstructed5"): (230, 4860),
+    ("build-metric", "certify-obstructed5"): (65, 118),
+    ("hierarchy", "certify-obstructed5"): (59, 118),
+    ("verify", "curved2"): (39, 66),
+    ("build-metric", "curved2"): (17, 9),
+    ("hierarchy", "curved2"): (17, 9),
+    ("verify", "curved3"): (82, 323),
+    ("build-metric", "curved3"): (37, 32),
+    ("hierarchy", "curved3"): (36, 32),
+    ("verify", "curved4"): (149, 1773),
+    ("build-metric", "curved4"): (73, 98),
+    ("hierarchy", "curved4"): (70, 98),
+    ("verify", "curved5"): (242, 8092),
+    ("build-metric", "curved5"): (125, 247),
+    ("hierarchy", "curved5"): (119, 247),
+    ("verify", "curved6"): (376, 40111),
+    ("build-metric", "curved6"): (207, 625),
+    ("hierarchy", "curved6"): (197, 625),
+    ("verify", "curved7"): (555, 165448),
+    ("build-metric", "curved7"): (325, 1391),
+    ("hierarchy", "curved7"): (310, 1391),
 }
 
 
@@ -217,7 +228,7 @@ def _work_counters():
 def test_work_counts_are_pinned(tmp_path, capsys):
     got = {}
     for case, config in _work_configs(tmp_path).items():
-        for command in ("verify", "build-metric"):
+        for command in ("verify", "build-metric", "hierarchy"):
             main([command, str(config)])
             got[command, case] = counted(_work_counters(), main,
                                          [command, str(config)])[1]

@@ -2180,6 +2180,36 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["frobnicate"], "nijflow: error: argument command: invalid choice: "
+                     "'frobnicate'"),
+    (["verify", "c.json", "--bogus"],
+     "nijflow: error: unrecognized arguments: --bogus"),
+    (["evolve", "c.json"],
+     "nijflow evolve: error: the following arguments are required: "
+     "--output"),
+    (["verify"], "nijflow verify: error: the following arguments are "
+                 "required: config"),
+    (["plot", "g.csv", "--output", "p.svg", "--slices"],
+     "nijflow plot: error: argument --slices: expected one argument"),
+    ([], "nijflow: error: the following arguments are required: command"),
+], ids=["unknown-command", "unknown-flag", "no-output", "no-config",
+        "slices-without-value", "empty"])
+def test_bad_command_line_is_one_stderr_line(capsys, argv, line):
+    # no usage block: the one line names the program and the fault
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(line) and err.count("\n") == 1
+    assert err.endswith("\n") and "Traceback" not in err
+
+
+def test_help_still_prints_usage(capsys):
+    assert main(["verify", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: nijflow verify [-h]") and err == ""
+
+
 @pytest.mark.parametrize("command", ["build-metric", "hierarchy"])
 def test_output_flag_of_a_printing_command_exits_2(tmp_path, capsys,
                                                    command):

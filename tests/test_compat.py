@@ -1,6 +1,7 @@
 """Geodesic compatibility checks in bracket, coordinate and Lie form."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from support import (
     reference_coordinate_form_residual_at,
     reference_covariant_at,
     self_adjoint_residual,
+    sigma_cases,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -29,7 +31,8 @@ from nijflow.compat import (
     coordinate_form_residual_at,
     symmetry_metric,
 )
-from nijflow.metric import build_h_family, covariant_at, gram_matrix
+from nijflow.metric import (build_h_family, covariant_at, gram_matrix,
+                            pairwise_poisson)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second
 
@@ -104,6 +107,19 @@ class TestBracketForm:
         expected = reference_benenti_residual(CompanionModel(sigma))
         assert got == expected
         assert got.p_degree == expected.p_degree
+
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_benenti_is_half_the_first_h_bracket(self, sigma):
+        # {H, F} - 2 H {H, tr L} with H = h_1/2, F = h_2 + sigma_1 h_1 is
+        # 1/2 {h_1, h_2} by the Leibniz rule; verify reads it so
+        model = CompanionModel(sigma)
+        residual = benenti_residual(model).poly
+        pairs = pairwise_poisson(model.family)
+        if model.n == 1:
+            assert pairs == () and residual.is_zero()
+        else:
+            assert pairs[0][:2] == (1, 2)
+            assert residual == pairs[0][2].poly * Fraction(1, 2)
 
 
 class TestCoordinateForm:

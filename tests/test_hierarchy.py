@@ -12,6 +12,8 @@ from support import (
     generating_identity_residuals,
     random_polynomial,
     random_sigma,
+    reference_killing_operators,
+    sigma_cases,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -63,6 +65,15 @@ class TestKillingOperators:
         assert family[0] == OperatorField.identity(3)
         assert all(all(e.total_degree() <= 0 for row in A.entries for e in row)
                    for A in family)
+
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_table_is_the_adjugate_recursion(self, sigma):
+        family = killing_operators(sigma)
+        assert family == reference_killing_operators(sigma)
+        # the shared 0 and 1, sigma_(k+1)..sigma_n and one -sigma_j per j
+        n = len(sigma)
+        entries = {id(e) for A in family for row in A.entries for e in row}
+        assert len(entries) <= 2 * n + 1
 
 
 class TestGeneratingIdentity:

@@ -34,6 +34,7 @@ LIBRARY = "README library API"
 ALLOWED = {
     ("hierarchy", "first_integrals"): BENCH,
     ("hierarchy", "verify_commuting_integrals"): BENCH,
+    ("compat", "benenti_residual"): BENCH,
     ("flows", "integrate_flow"): BENCH,
     ("flows", "integrate_flow_path"): BENCH,
     ("operators", "nijenhuis_torsion"):

@@ -15,6 +15,7 @@ from support import (
     reference_gram_matrix,
     reference_quadratic_phase,
     reference_quadratic_phase_by_terms,
+    sigma_cases,
     sigma_constant,
     sigma_coordinates2,
     sigma_curved,
@@ -43,7 +44,7 @@ from nijflow.metric import (
     reduced_power_coefficients,
 )
 from nijflow.model import CompanionModel
-from nijflow.operators import OperatorError, OperatorField
+from nijflow.operators import OperatorError, OperatorField, companion_torsion
 
 
 def phase(text, n):
@@ -346,6 +347,17 @@ class TestDifferentialShift:
         u_rows, _ = rows
         assert u_rows[0][0] == parse_expression(
             "0 - u1*p2^2", upnames(2))
+
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_shift_p_rows_vanish_for_every_sigma(self, sigma):
+        # the p-part is L G_i = sigma_i G_1 + G_(i+1), true by construction
+        # of the h family; the u-part vanishes, on these sigmas, exactly
+        # where the torsion does
+        u_rows, p_rows = differential_shift_residuals(CompanionModel(sigma))
+        assert all(r.is_zero() for row in p_rows for r in row)
+        torsion_free = all(e.is_zero() for layer in companion_torsion(sigma)
+                           for row in layer.entries for e in row)
+        assert all(r.is_zero() for row in u_rows for r in row) == torsion_free
 
 
 class TestPairwisePoisson:
