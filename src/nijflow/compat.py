@@ -79,8 +79,7 @@ def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField
     # a companion L's constant entries are exactpoly's shared 0 and 1, whose
     # partials are cached, so this forms n^2 partials, of the last row only
     dL = evaluate_table_array([L.derivative(i) for i in range(n)], points)
-    dtr = evaluate_table_array([L.trace().partial(j) for j in range(n)],
-                               points)
+    dtr = evaluate_table_array(list(map(L.trace().partial, range(n))), points)
     # on axes (..., i, j, k), dL[..., i, a, b] = d_i L^a_b: each product and
     # sum is one point's scalar loop's in its order (t1, t2 add up from zero
     # over a; no einsum or sum()), summed in place to keep temporaries few

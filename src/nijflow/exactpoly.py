@@ -285,6 +285,8 @@ class ExactPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
+        if not self._nums:
+            return _shared_constant(self.nvars, 0)
         return self._raw(self.nvars, {e: -c for e, c in self._nums.items()},
                          self._den)
 
@@ -375,9 +377,11 @@ class ExactPolynomial:
     # -- variable embedding ----------------------------------------------
 
     def with_appended_vars(self, extra: int) -> "ExactPolynomial":
-        """The same polynomial viewed in ``nvars + extra`` variables."""
+        """The same polynomial in ``nvars + extra`` variables (0, 1 shared)."""
         if extra < 0:
             raise PolynomialError("cannot append a negative number of variables")
+        if self._den == 1 and self._nums in ({}, {0: 1}):
+            return _shared_constant(self.nvars + extra, len(self._nums))
         return self._raw(self.nvars + extra, dict(self._nums), self._den)
 
     # -- evaluation -------------------------------------------------------

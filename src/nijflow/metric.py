@@ -47,8 +47,8 @@ class MetricError(ValueError):
 class PhaseFunction:
     """Polynomial on the cotangent chart, homogeneous in the momenta.
 
-    ``poly`` has 2n variables ordered (u, p); ``p_degree`` is read from it:
-    the one momentum degree of its terms, or None for the zero function.
+    ``poly`` has 2n variables ordered (u, p); ``p_degree`` is the one momentum
+    degree of its terms (None for zero), read from it or given by its caller.
     ``_flows`` is set on first use by ``flows.polynomial_flow`` to the Lie
     series of its flow, or to None when that series does not end by order
     2n.
@@ -64,10 +64,18 @@ class PhaseFunction:
         if len(degrees) > 1:
             raise MetricError(
                 f"polynomial is not homogeneous in the momenta: degrees {sorted(degrees)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "p_degree",
-                           degrees.pop() if degrees else None)
+        self._fill(n, poly, degrees.pop() if degrees else None)
+
+    def _fill(self, *values) -> "PhaseFunction":
+        for name, value in zip(("n", "poly", "p_degree"), values):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _of_degree(cls, n: int, poly: ExactPolynomial,
+                   p_degree: int | None) -> "PhaseFunction":
+        """``poly`` with the momentum degree its caller knows, unchecked."""
+        return cls.__new__(cls)._fill(n, poly, p_degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")
@@ -127,13 +135,14 @@ class PhaseFunction:
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k."""
+    """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k, of momentum degree
+    d_f + d_g - 1 (None when zero): each term of each product has it."""
     f._check(g)
     n = f.n
-    parts = []
-    for k in range(n):
-        parts += [(1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k))]
-    return PhaseFunction(n, signed_sum(2 * n, parts))
+    poly = signed_sum(2 * n, [part for k in range(n) for part in (
+        (1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k)))])
+    return PhaseFunction._of_degree(
+        n, poly, f.p_degree + g.p_degree - 1 if poly else None)
 
 
 def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunction:
@@ -254,41 +263,28 @@ def check_gram_normal_form(gram: GramMatrix) -> tuple[str, ...]:
 
 
 def differential_shift_residuals(model: "CompanionModel"
-                                 ) -> tuple[tuple[tuple[ExactPolynomial, ...],
-                                                  ...], ...]:
-    """Exact residuals ``(u_rows, p_rows)``, row i and column j, of the
-    identities
-
-        sum_s dh_i/du^s L^s_j = sigma_i dh_1/du^j + dh_(i+1)/du^j
-        sum_s dh_i/dp_s L^j_s = sigma_i dh_1/dp_j + dh_(i+1)/dp_j
-
-    for i = 1..n, where the i = n case closes with the sigma_n dh_1 term
-    alone; all vanish in the torsion-free companion case."""
+                                 ) -> tuple[tuple[ExactPolynomial, ...], ...]:
+    """Exact residuals, row i and column j, of the u-part of the shift
+    identities dh_i o L = sigma_i dh_1 + dh_(i+1) (i = 1..n, h_(n+1) = 0),
+    sum_s dh_i/du^s L^s_j - sigma_i dh_1/du^j - dh_(i+1)/du^j; all vanish
+    in the torsion-free companion case.  The p-part is not formed: it is
+    L G_i = sigma_i G_1 + G_(i+1) for the Gram matrices, whose entry (j, b)
+    is c(j+b, n-i), the coefficient of L^(n-i) in L^(j+b), and holds for
+    every sigma.  For j < n-1, row j of L is e_(j+1), so entry (j, b) of
+    L G_i is c(j+1+b, n-i) = c(j+b, n-i-1) + sigma_i c(j+b, n-1): the step
+    L^(t+1) = L L^t of ``reduced_power_coefficients``.  Row n-1 of L is
+    (sigma_n, ..., sigma_1), so entry (n-1, b) is the sum over m of
+    sigma_m c(n-m+b, n-i), which is c(n+b, n-i) by Cayley-Hamilton,
+    L^(n+b) = sum_m sigma_m L^(n-m+b)."""
     n, family = model.n, model.family
     L = model.operator.phase_entries()
     sig = [s.with_appended_vars(n) for s in model.sigma]
     one = ExactPolynomial.constant(2 * n, 1)
-    h1 = family[0]
-    u_rows = []
-    p_rows = []
-    for i in range(n):
-        hi = family[i]
-        nxt = family[i + 1] if i + 1 < n else None
-        u_row = []
-        p_row = []
-        for j in range(n):
-            u_parts = [(1, hi.du(s), L[s][j]) for s in range(n)]
-            p_parts = [(1, hi.dp(s), L[j][s]) for s in range(n)]
-            u_parts.append((-1, sig[i], h1.du(j)))
-            p_parts.append((-1, sig[i], h1.dp(j)))
-            if nxt is not None:
-                u_parts.append((-1, nxt.du(j), one))
-                p_parts.append((-1, nxt.dp(j), one))
-            u_row.append(signed_sum(2 * n, u_parts))
-            p_row.append(signed_sum(2 * n, p_parts))
-        u_rows.append(tuple(u_row))
-        p_rows.append(tuple(p_row))
-    return tuple(u_rows), tuple(p_rows)
+    h1, nxt = family[0], family[1:] + (PhaseFunction.zero(n),)  # h_(n+1) = 0
+    return tuple(tuple(signed_sum(2 * n, [
+        *((1, hi.du(s), L[s][j]) for s in range(n)),
+        (-1, sig[i], h1.du(j)), (-1, nxt[i].du(j), one)]) for j in range(n))
+        for i, hi in enumerate(family))
 
 
 def pairwise_poisson(family: Sequence[PhaseFunction]

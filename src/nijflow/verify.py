@@ -4,7 +4,9 @@ form of compatibility at 50 seeded random points (tolerance 1e-8).
 
 Each exact check returns what it found, and one rule decides: a check of
 residual polynomials passes when every one is zero, and its residual is the
-largest absolute coefficient among them; ``integral_commutation`` reads a
+largest absolute coefficient among them; ``differential_shift`` takes the
+u-part alone, the p-part being the h family's own recurrence (proof in
+``metric.differential_shift_residuals``); ``integral_commutation`` reads a
 quarter of the ``h_poisson_pairs`` one, as F_i = h_(i+1)/2, and ``benenti``
 half of the first bracket {h_1, h_2}, which ``compat.benenti_residual``
 equals by the Leibniz rule; ``gram_normal_form`` passes when it finds no
@@ -51,8 +53,7 @@ def verify_model(model: CompanionModel, seed: int) -> list[dict]:
            "; ".join(failures) or None)
 
     record_exact("differential_shift",
-                 (r for rows in differential_shift_residuals(model)
-                  for row in rows for r in row))
+                 (r for row in differential_shift_residuals(model) for r in row))
 
     brackets = [b.poly for _, _, b in pairwise_poisson(model.family)]
     h_peak = record_exact("h_poisson_pairs", brackets)

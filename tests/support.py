@@ -19,10 +19,12 @@ from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
                            HamiltonianField, SolutionGrid, _advance,
                            integrate_flow)
 from nijflow.metric import (CovariantMetricAt, GramMatrix, PhaseFunction,
-                            gram_matrix, poisson_bracket, quadratic_phase)
+                            differential_shift_residuals, gram_matrix,
+                            poisson_bracket, quadratic_phase)
 from nijflow.operators import (OneTwoTensorField, OperatorError, OperatorField,
                                char_coefficients, companion_second)
 from nijflow.pde import UNIFORM_RTOL, PDEError
+from nijflow.verify import verify_model
 
 
 def unames(n):
@@ -683,6 +685,69 @@ def reference_benenti_residual(model) -> PhaseFunction:
          .with_appended_vars(n))
         for a in range(n)]))
     return poisson_bracket(H, F) - 2 * (H * G)
+
+
+def reference_differential_shift_residuals(
+        model) -> tuple[tuple[tuple[ExactPolynomial, ...], ...], ...]:
+    """Oracle for ``metric.differential_shift_residuals``, which forms the
+    u-rows alone: the exact residuals ``(u_rows, p_rows)``, row i and
+    column j, of the identities
+
+        sum_s dh_i/du^s L^s_j = sigma_i dh_1/du^j + dh_(i+1)/du^j
+        sum_s dh_i/dp_s L^j_s = sigma_i dh_1/dp_j + dh_(i+1)/dp_j
+
+    for i = 1..n, where the i = n case closes with the sigma_n dh_1 term
+    alone; all vanish in the torsion-free companion case."""
+    n, family = model.n, model.family
+    L = model.operator.phase_entries()
+    sig = [s.with_appended_vars(n) for s in model.sigma]
+    one = ExactPolynomial.constant(2 * n, 1)
+    h1 = family[0]
+    u_rows = []
+    p_rows = []
+    for i in range(n):
+        hi = family[i]
+        nxt = family[i + 1] if i + 1 < n else None
+        u_row = []
+        p_row = []
+        for j in range(n):
+            u_parts = [(1, hi.du(s), L[s][j]) for s in range(n)]
+            p_parts = [(1, hi.dp(s), L[j][s]) for s in range(n)]
+            u_parts.append((-1, sig[i], h1.du(j)))
+            p_parts.append((-1, sig[i], h1.dp(j)))
+            if nxt is not None:
+                u_parts.append((-1, nxt.du(j), one))
+                p_parts.append((-1, nxt.dp(j), one))
+            u_row.append(signed_sum(2 * n, u_parts))
+            p_row.append(signed_sum(2 * n, p_parts))
+        u_rows.append(tuple(u_row))
+        p_rows.append(tuple(p_row))
+    return tuple(u_rows), tuple(p_rows)
+
+
+def shift_parts(model):
+    """``(u_rows, p_rows)`` of the shift identities: the u-rows as
+    ``differential_shift_residuals`` forms them, the p-rows from the oracle."""
+    return (differential_shift_residuals(model),
+            reference_differential_shift_residuals(model)[1])
+
+
+def check_shift_record(model, seed):
+    """``verify_model``'s ``differential_shift`` record is the one rule's
+    record over the oracle's u- and p-rows, and the u-rows alone have the
+    same exact peak."""
+    def peak(polys):
+        return max((p.max_abs_coefficient() for p in polys if p), default=0)
+
+    both = peak(r for rows in reference_differential_shift_residuals(model)
+                for row in rows for r in row)
+    assert peak(r for row in differential_shift_residuals(model)
+                for r in row) == both
+    (got,) = [c for c in verify_model(model, seed)
+              if c["name"] == "differential_shift"]
+    assert got == {"name": "differential_shift",
+                   "verdict": "pass" if both == 0 else "fail",
+                   "residual": float(both), "detail": None}
 
 
 VectorField = tuple[ExactPolynomial, ...]

@@ -21,8 +21,7 @@ from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings,
                            integrate_flow_path, orbit_grid)
 from nijflow.hierarchy import killing_operators, verify_commuting_integrals
 from nijflow.metric import (build_h_family, check_gram_normal_form,
-                            covariant_at, differential_shift_residuals,
-                            gram_matrix, pairwise_poisson)
+                            covariant_at, gram_matrix, pairwise_poisson)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second, \
     nijenhuis_torsion
@@ -31,7 +30,7 @@ from nijflow.pde import compare_grids, direct_solve, grid_residual
 from support import (convergence_orders, generating_identity_residuals,
                      geodesic_from, h_family_from_pencil, lie_form_residual_at,
                      random_polynomial, random_sigma, self_adjoint_residual,
-                     verify_commutation, verify_conservation)
+                     shift_parts, verify_commutation, verify_conservation)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -62,7 +61,7 @@ def identity_suite(model: CompanionModel) -> list[str]:
         failures.append("torsion")
     if check_gram_normal_form(model.gram):
         failures.append("gram_normal_form")
-    if not all(r.is_zero() for rows in differential_shift_residuals(model)
+    if not all(r.is_zero() for rows in shift_parts(model)
                for row in rows for r in row):
         failures.append("differential_shift")
     if not all(b.is_zero() for _, _, b in pairwise_poisson(model.family)):
@@ -98,7 +97,7 @@ def test_criterion_2_negative_control(capsys):
     problems = []
     if nijenhuis_torsion(x2.operator).is_zero():
         problems.append("torsion unexpectedly zero")
-    if all(r.is_zero() for rows in differential_shift_residuals(x2)
+    if all(r.is_zero() for rows in shift_parts(x2)
            for row in rows for r in row):
         problems.append("shift identities unexpectedly hold")
     if benenti_residual(x2).poly.is_zero():

@@ -76,6 +76,18 @@ class TestConstruction:
                 p.coefficient(exps)
         assert p.coefficient((0, 1)) == 2
 
+    def test_negation_and_embedding_give_the_shared_constants(self):
+        for n in (1, 2, 3):
+            zero = ExactPolynomial.zero(n)
+            assert -zero is zero
+            assert -ExactPolynomial(n) is zero
+            for k in (0, 1, 2):
+                assert zero.with_appended_vars(k) is ExactPolynomial.zero(n + k)
+                assert (ExactPolynomial(n, {(0,) * n: 1}).with_appended_vars(k)
+                        is ExactPolynomial.constant(n + k, 1))
+        two = ExactPolynomial.constant(2, 2).with_appended_vars(1)
+        assert two == ExactPolynomial.constant(3, 2)
+
     def test_float_coefficient_rejected(self):
         with pytest.raises(PolynomialError):
             ExactPolynomial.constant(1, 0.5)

@@ -75,6 +75,13 @@ class TestKillingOperators:
         entries = {id(e) for A in family for row in A.entries for e in row}
         assert len(entries) <= 2 * n + 1
 
+    def test_no_fresh_zero(self):
+        # sigma_3 = 0, so the band's -sigma_3 is the shared 0 too
+        zero = ExactPolynomial.zero(4)
+        family = killing_operators(sigma_constant(4))
+        assert all(e is zero for A in family for row in A.entries for e in row
+                   if not e)
+
 
 class TestGeneratingIdentity:
     def test_holds_for_random_sigma(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from support import (
+    counted,
     h_family_from_pencil,
     random_phase_function,
     random_polynomial,
@@ -14,7 +15,9 @@ from support import (
     reference_format_polynomial,
     reference_gram_matrix,
     reference_quadratic_phase,
+    reference_differential_shift_residuals,
     reference_quadratic_phase_by_terms,
+    shift_parts,
     sigma_cases,
     sigma_constant,
     sigma_coordinates2,
@@ -25,6 +28,7 @@ from support import (
     upoly,
 )
 
+import nijflow.metric as metric
 from nijflow.exactpoly import ExactPolynomial, format_polynomial, parse_expression
 from nijflow.metric import (
     SINGULAR_TOL,
@@ -328,19 +332,19 @@ class TestGramNormalForm:
 class TestDifferentialShift:
     def test_torsion_free_residuals_vanish(self):
         model = CompanionModel(sigma_torsion_free2())
-        rows = differential_shift_residuals(model)
+        rows = shift_parts(model)
         assert all(r.is_zero() for part in rows for row in part for r in row)
 
     def test_constant_coefficients_any_n(self):
         for n in (1, 2, 3, 4):
             model = CompanionModel(sigma_constant(n))
-            rows = differential_shift_residuals(model)
+            rows = shift_parts(model)
             assert all(r.is_zero()
                        for part in rows for row in part for r in row)
 
     def test_coordinate_pair_fails(self):
         model = CompanionModel(sigma_coordinates2())
-        rows = differential_shift_residuals(model)
+        rows = shift_parts(model)
         assert not all(r.is_zero()
                        for part in rows for row in part for r in row)
         # the u-part residual for i = 1, j = 1 is -u1 p2^2
@@ -353,14 +357,33 @@ class TestDifferentialShift:
         # the p-part is L G_i = sigma_i G_1 + G_(i+1), true by construction
         # of the h family; the u-part vanishes, on these sigmas, exactly
         # where the torsion does
-        u_rows, p_rows = differential_shift_residuals(CompanionModel(sigma))
+        u_rows, p_rows = shift_parts(CompanionModel(sigma))
         assert all(r.is_zero() for row in p_rows for r in row)
         torsion_free = all(e.is_zero() for layer in companion_torsion(sigma)
                            for row in layer.entries for e in row)
         assert all(r.is_zero() for row in u_rows for r in row) == torsion_free
 
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_u_rows_are_the_oracles(self, sigma):
+        model = CompanionModel(sigma)
+        u_rows, _ = reference_differential_shift_residuals(model)
+        assert differential_shift_residuals(model) == u_rows
+
 
 class TestPairwisePoisson:
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_bracket_keeps_its_degree(self, sigma):
+        # d_f + d_g - 1, or None for a zero bracket ({h_i, h_i} among them),
+        # without reading the bracket's terms again
+        n, family = len(sigma), build_h_family(sigma)
+        for f in family:
+            for g in family:
+                b, scans = counted([([metric], "suffix_degrees",
+                                     lambda args, result: 1)],
+                                   poisson_bracket, f, g)
+                assert scans == (0,)
+                assert b.p_degree == PhaseFunction(n, b.poly).p_degree
+
     def test_torsion_free_commutes(self):
         fam = build_h_family(sigma_torsion_free2())
         assert all(b.is_zero() for _, _, b in pairwise_poisson(fam))

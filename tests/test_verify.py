@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from support import sigma_curved, sigma_obstructed
+from support import (check_shift_record, sigma_cases, sigma_curved,
+                     sigma_obstructed)
 
 from nijflow.exactpoly import base_names, format_polynomial
 from nijflow.model import CompanionModel
@@ -50,3 +51,10 @@ def test_verify_model_gives_seven_records_in_report_order(sigma, failing):
             assert c["residual"] > 0
         else:
             assert c["residual"] < 1e-8 and c["detail"] is None
+
+
+@pytest.mark.parametrize("sigma", sigma_cases())
+def test_shift_record_is_the_rule_over_both_parts(sigma):
+    # the p-rows are zero for every sigma, so leaving them out of verify
+    # moves neither the verdict nor the residual
+    check_shift_record(CompanionModel(sigma), 3)
