@@ -7,10 +7,10 @@ denominators, so that no prime divides it and all the numerators.  A key is
 one ``int`` with variable i's exponent, at most ``MAX_EXPONENT`` = 2^31 - 1,
 in bits [32i, 32i + 32), so a product's key is the sum of its factors'; only
 ``terms``, ``exponents``, ``float_form``, the printer, ``evaluate_exact``
-and ``total_degree`` unpack keys (``split_suffixes`` and ``suffix_degrees``
-only their distinct suffix parts).  The zero polynomial is the empty map
-over 1, so every value has exactly one representation and equality is plain
-comparison of the two.  Terms are ordered by graded lexicographic order
+and ``total_degree`` unpack keys (``split_suffixes`` only their distinct
+suffix parts).  The zero polynomial is the empty map over 1, so every value
+has exactly one representation and equality is plain comparison of the
+two.  Terms are ordered by graded lexicographic order
 (total degree first, then lexicographic on the exponent tuple), descending;
 printing and iteration both follow that order, which makes the printed form
 canonical.
@@ -534,13 +534,6 @@ def split_suffixes(poly: ExactPolynomial,
         groups.setdefault(key >> shift, {})[key & low] = c
     return {suffix: ExactPolynomial._raw(m, nums, poly._den)
             for suffix, nums in zip(_unpack(groups, extra), groups.values())}
-
-
-def suffix_degrees(poly: ExactPolynomial, extra: int) -> set[int]:
-    """The degrees in its last ``extra`` variables of the terms of ``poly``,
-    read from the distinct suffix parts of the keys."""
-    parts = {key >> 32 * (poly.nvars - extra) for key in poly._nums}
-    return set(map(sum, _unpack(parts, extra)))
 
 
 def evaluate_float_form(form: FloatForm, point: Sequence) -> float | np.ndarray:

@@ -1,7 +1,7 @@
 """The Killing-operator hierarchy and its commuting first integrals.
 
-For the companion operator L of sigma_1..sigma_n the hierarchy is built by
-the adjugate recursion
+For the companion operator L of sigma_1..sigma_n the hierarchy is defined
+by the adjugate recursion, read from its index table,
 
     A_0 = Id,   A_i = L A_(i-1) - sigma_i Id,
 

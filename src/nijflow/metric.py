@@ -33,7 +33,7 @@ import numpy as np
 
 from .exactpoly import (ExactPolynomial, evaluate_table_array,
                         format_polynomial, phase_names, signed_sum,
-                        split_suffixes, suffix_degrees, suffixed_sum)
+                        split_suffixes, suffixed_sum)
 from .operators import OperatorField
 
 if TYPE_CHECKING:
@@ -45,37 +45,23 @@ class MetricError(ValueError):
 
 
 class PhaseFunction:
-    """Polynomial on the cotangent chart, homogeneous in the momenta.
+    """Polynomial on the cotangent chart.
 
-    ``poly`` has 2n variables ordered (u, p); ``p_degree`` is the one momentum
-    degree of its terms (None for zero), read from it or given by its caller.
-    ``_flows`` is set on first use by ``flows.polynomial_flow`` to the Lie
-    series of its flow, or to None when that series does not end by order
-    2n.
+    ``poly`` has 2n variables ordered (u, p).  The integrals of the
+    construction are quadratic in p by how they are built; ``gram_matrix``
+    checks that where it reads their terms.  ``_flows`` is set on first use
+    by ``flows.polynomial_flow`` to the Lie series of its flow, or to None
+    when that series does not end by order 2n.
     """
 
-    __slots__ = ("n", "poly", "p_degree", "_flows")
+    __slots__ = ("n", "poly", "_flows")
 
     def __init__(self, n: int, poly: ExactPolynomial):
         if poly.nvars != 2 * n:
             raise MetricError(
                 f"phase polynomial must have {2 * n} variables, got {poly.nvars}")
-        degrees = suffix_degrees(poly, n)
-        if len(degrees) > 1:
-            raise MetricError(
-                f"polynomial is not homogeneous in the momenta: degrees {sorted(degrees)}")
-        self._fill(n, poly, degrees.pop() if degrees else None)
-
-    def _fill(self, *values) -> "PhaseFunction":
-        for name, value in zip(("n", "poly", "p_degree"), values):
-            object.__setattr__(self, name, value)
-        return self
-
-    @classmethod
-    def _of_degree(cls, n: int, poly: ExactPolynomial,
-                   p_degree: int | None) -> "PhaseFunction":
-        """``poly`` with the momentum degree its caller knows, unchecked."""
-        return cls.__new__(cls)._fill(n, poly, p_degree)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseFunction is immutable")
@@ -135,14 +121,12 @@ class PhaseFunction:
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k, of momentum degree
-    d_f + d_g - 1 (None when zero): each term of each product has it."""
+    """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k."""
     f._check(g)
     n = f.n
-    poly = signed_sum(2 * n, [part for k in range(n) for part in (
-        (1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k)))])
-    return PhaseFunction._of_degree(
-        n, poly, f.p_degree + g.p_degree - 1 if poly else None)
+    return PhaseFunction(n, signed_sum(2 * n, [
+        part for k in range(n)
+        for part in ((1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k)))]))
 
 
 def quadratic_phase(matrix: Sequence[Sequence[ExactPolynomial]]) -> PhaseFunction:
@@ -227,12 +211,13 @@ def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
 
 def gram_matrix(h: PhaseFunction) -> GramMatrix:
     """Extract the symmetric coefficient matrix of a momentum-quadratic
-    phase function."""
-    if h.p_degree not in (2, None):
-        raise MetricError("Gram extraction requires a momentum-quadratic function")
+    phase function; a term of any other degree in p is refused."""
     n = h.n
     rows = [[0] * n for _ in range(n)]
     for p_exps, coeff in split_suffixes(h.poly, n).items():
+        if sum(p_exps) != 2:
+            raise MetricError(
+                "Gram extraction requires a momentum-quadratic function")
         # the momentum indices of the term, with multiplicity
         a, b = [k for k, e in enumerate(p_exps) for _ in range(e)]
         if a == b:

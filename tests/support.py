@@ -82,6 +82,13 @@ def random_phase_function(rng, n, p_degree, max_terms=4, max_degree=2):
     return PhaseFunction(n, ExactPolynomial(2 * n, terms))
 
 
+def momentum_degrees(f):
+    """The degrees in p of the terms of the phase function ``f``, read from
+    their exponents: {d} when ``f`` is homogeneous of degree d in the
+    momenta, the empty set when it is zero."""
+    return {sum(exps[f.n:]) for exps, _ in f.poly.terms()}
+
+
 def reference_quadratic_phase(matrix):
     """Oracle for ``metric.quadratic_phase``: the generic construction it
     replaced, each entry lifted to the chart and multiplied by p_a and p_b."""
@@ -128,7 +135,7 @@ def reference_quadratic_phase_by_terms(matrix):
 def reference_gram_matrix(h):
     from nijflow.metric import MetricError
 
-    if h.p_degree != 2 and not h.is_zero():
+    if momentum_degrees(h) - {2}:
         raise MetricError("Gram extraction requires a momentum-quadratic function")
     n = h.n
     acc = [[dict() for _ in range(n)] for _ in range(n)]

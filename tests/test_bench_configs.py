@@ -5,10 +5,10 @@ the benchmark generates and the table refuses would fail every op of its
 workload.  The reports of the seed-1 ``certify`` configs and the CSVs of the
 seed-1 ``lattice`` configs are pinned too, and so is the work, counted
 without timing, of the commands: the exact work that ``verify``,
-``build-metric`` and ``hierarchy`` do on the ``certify`` configs and on
-curved n = 2..7, the RHS evaluations of ``evolve`` on the ``lattice``
-configs and the node-steps of ``solve-direct`` on the ``crosscheck``
-configs.  ``bench/cases.py`` is read without changing it: compiled in
+``build-metric`` and ``hierarchy`` do on the ``certify`` configs, on
+curved n = 2..7 and on the shipped configs, the RHS evaluations of
+``evolve`` on the ``lattice`` configs and the node-steps of
+``solve-direct`` on the ``crosscheck`` configs.  ``bench/cases.py`` is read without changing it: compiled in
 memory, so no bytecode cache is written next to it.
 """
 
@@ -170,10 +170,11 @@ def test_certify_shift_record_is_the_rule_over_both_parts(seed):
 # shared 0 that signed_sum, partial, negation and scalar multiples return for
 # an empty result, nor the shared 0 and 1 that with_appended_vars returns;
 # term products of signed_sum, the sum of len(a) * len(b) over its parts), on
-# the seed-1 certify configs and on the untranslated curved family of
-# n = 2..7.  Each count is of a second run in the process, so it does not
-# depend on which tests ran before: what the process caches (the constants 0
-# and 1 of each variable count, and their partials) is formed in the first.
+# the seed-1 certify configs, on the untranslated curved family of n = 2..7
+# and on each shipped config under configs/.  Each count is of a second run
+# in the process, so it does not depend on which tests ran before: what the
+# process caches (the constants 0 and 1 of each variable count, and their
+# partials) is formed in the first.
 # A change that lowers a count updates the table; one that raises a count
 # says why in CHANGES.md.
 WORK_COUNTS = {
@@ -207,6 +208,27 @@ WORK_COUNTS = {
     ("verify", "curved7"): (507, 154852),
     ("build-metric", "curved7"): (325, 1391),
     ("hierarchy", "curved7"): (310, 1391),
+    ("verify", "configs/constant2"): (19, 5),
+    ("build-metric", "configs/constant2"): (10, 3),
+    ("hierarchy", "configs/constant2"): (10, 3),
+    ("verify", "configs/constant3"): (39, 13),
+    ("build-metric", "configs/constant3"): (20, 10),
+    ("hierarchy", "configs/constant3"): (19, 10),
+    ("verify", "configs/coordinates2"): (33, 24),
+    ("build-metric", "configs/coordinates2"): (10, 3),
+    ("hierarchy", "configs/coordinates2"): (10, 3),
+    ("verify", "configs/nijenhuis2"): (35, 41),
+    ("build-metric", "configs/nijenhuis2"): (16, 9),
+    ("hierarchy", "configs/nijenhuis2"): (16, 9),
+    ("verify", "configs/nijenhuis2_direct"): (35, 41),
+    ("build-metric", "configs/nijenhuis2_direct"): (16, 9),
+    ("hierarchy", "configs/nijenhuis2_direct"): (16, 9),
+    ("verify", "configs/nijenhuis3"): (73, 200),
+    ("build-metric", "configs/nijenhuis3"): (36, 32),
+    ("hierarchy", "configs/nijenhuis3"): (35, 32),
+    ("verify", "configs/nijenhuis4"): (132, 1294),
+    ("build-metric", "configs/nijenhuis4"): (71, 98),
+    ("hierarchy", "configs/nijenhuis4"): (68, 98),
 }
 
 
@@ -218,6 +240,8 @@ def _work_configs(workdir):
         sigma = [format_polynomial(s, base_names(n)) for s in sigma_curved(n)]
         path = configs[f"curved{n}"] = workdir / f"curved{n}-ladder.json"
         path.write_text(json.dumps({"n": n, "sigma": sigma}))
+    for path in sorted((REPO / "configs").glob("*.json")):
+        configs[f"configs/{path.stem}"] = path
     return configs
 
 

@@ -14,10 +14,15 @@ dunder nor private): such a method, ``Class.method``, is reached only when
 reached code reads an attribute of that name, and then refers to the names
 and attributes its body reads.  Checks the command line never runs belong
 in ``tests/support.py``, beside the other oracles.
+
+A private definition (a module-level function or class, or a method that is
+not dunder, whose name starts with ``_``) is referred to by some module of
+the package, by name or attribute, outside its own body.
 """
 
 import ast
 import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -258,3 +263,55 @@ def test_bench_patch_points_are_span_targets():
     targets = {attr for _, attr, _ in spans["TARGETS"]}
     assert {name for (_, name), why in ALLOWED.items()
             if why == BENCH} <= targets
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name or attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """The private module-level functions and classes and the private
+    methods of ``sources`` (module -> text) that no module refers to outside
+    their own body, as (module, name) with a method named "Class.method",
+    in module order."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    unreferenced = []
+    for m, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{d.name}", d) for d in node.body
+                         if isinstance(d, ast.FunctionDef)]
+            for key, d in defs:
+                if (_is_private(d.name) and everywhere[d.name]
+                        == _references(d)[d.name]):
+                    unreferenced.append((m, key))
+    return unreferenced
+
+
+def test_every_private_definition_is_referred_to():
+    assert unreferenced_private(SOURCES) == []
+
+
+def test_the_guard_finds_planted_private_definitions():
+    # a recursive function refers only to itself, and a private method that
+    # a class defines is read nowhere
+    planted = dict(SOURCES)
+    slots = '    __slots__ = ("n", "entries")\n'
+    assert slots in planted["operators"]
+    planted["operators"] = planted["operators"].replace(
+        slots, slots + "\n    def _stray(self):\n        return self.n\n")
+    planted["operators"] += ("\n\ndef _planted(k):\n"
+                             "    return _planted(k - 1) if k else 0\n")
+    assert unreferenced_private(planted) == [
+        ("operators", "OperatorField._stray"), ("operators", "_planted")]

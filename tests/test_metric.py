@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from support import (
-    counted,
     h_family_from_pencil,
+    momentum_degrees,
     random_phase_function,
     random_polynomial,
     random_sigma,
@@ -28,7 +28,6 @@ from support import (
     upoly,
 )
 
-import nijflow.metric as metric
 from nijflow.exactpoly import ExactPolynomial, format_polynomial, parse_expression
 from nijflow.metric import (
     SINGULAR_TOL,
@@ -55,37 +54,35 @@ def phase(text, n):
     return PhaseFunction(n, parse_expression(text, upnames(n)))
 
 
+NOT_QUADRATIC = r"^Gram extraction requires a momentum-quadratic function$"
+
+
 class TestPhaseFunction:
     def test_momentum_degree_inferred(self):
         f = phase("2*p1*p2 + u1*p2^2", 2)
-        assert f.p_degree == 2
+        assert momentum_degrees(f) == {2}
 
     def test_inhomogeneous_rejected(self):
-        with pytest.raises(MetricError):
-            phase("p1 + p1*p2", 2)
+        # a phase function takes any polynomial; the Gram extraction
+        # refuses one that is not quadratic in p
+        f = phase("p1", 2) + phase("p1*p2", 2)
+        assert f == phase("p1 + p1*p2", 2)
+        assert momentum_degrees(f) == {1, 2}
+        with pytest.raises(MetricError, match=NOT_QUADRATIC):
+            gram_matrix(f)
 
     @pytest.mark.parametrize("text, degree", [
         ("u1 + 3*u2^2 - 1", 0), ("u1*p1 + p2", 1),
         ("2*p1*p2 + u1*p2^2", 2), ("p1^3 + u2*p1*p2^2 - u1^4*p2^3", 3)])
     def test_momentum_degrees_zero_to_three(self, text, degree):
-        assert phase(text, 2).p_degree == degree
+        assert momentum_degrees(phase(text, 2)) == {degree}
 
     def test_degrees_mixed_across_the_u_p_boundary_rejected(self):
-        # u1*p1 and p1*p2 share p1, but their momentum degrees are 1 and 2
-        with pytest.raises(MetricError, match=r"^polynomial is not homogeneous "
-                           r"in the momenta: degrees \[1, 2\]$"):
-            phase("u1*p1 + p1*p2", 2)
-        with pytest.raises(MetricError, match=r"degrees \[0, 1, 3\]$"):
-            phase("u2 + u1*p2 + p1^2*p2", 2)
-
-    def test_zero_needs_declared_degree(self):
-        # the zero function has no momentum degree to read
-        assert PhaseFunction(2, ExactPolynomial.zero(4)).p_degree is None
-        assert PhaseFunction.zero(2).p_degree is None
-
-    def test_mixed_degree_addition_rejected(self):
-        with pytest.raises(MetricError):
-            phase("p1", 2) + phase("p1*p2", 2)
+        # u1*p1 and p1*p2 share p1, but their momentum degrees are 1 and 2;
+        # a term of degree 2 does not let the others through
+        for text in ("u1*p1 + p1*p2", "u2 + u1*p2 + p1^2*p2", "u1*p1 + p2"):
+            with pytest.raises(MetricError, match=NOT_QUADRATIC):
+                gram_matrix(phase(text, 2))
 
     def test_evaluate(self):
         f = phase("2*p1*p2 + u1*p2^2", 2)
@@ -113,6 +110,20 @@ class TestPoissonBracket:
             rhs = poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
             assert (lhs.poly - rhs.poly).is_zero()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_is_the_sum_less_one(self, n):
+        # each term of df/dp_k dg/du^k and of df/du^k dg/dp_k has degree
+        # d_f + d_g - 1 in p
+        rng = random.Random(73 + n)
+        for _ in range(30):
+            df, dg = rng.randint(0, 3), rng.randint(0, 3)
+            f = random_phase_function(rng, n, df)
+            g = random_phase_function(rng, n, dg)
+            b = poisson_bracket(f, g)
+            assert momentum_degrees(f) == {df} and momentum_degrees(g) == {dg}
+            assert momentum_degrees(b) == (set() if b.is_zero()
+                                           else {df + dg - 1})
+
     def test_jacobi(self):
         rng = random.Random(72)
         for _ in range(8):
@@ -135,7 +146,7 @@ class TestQuadraticPhase:
             F = quadratic_phase(M)
             assert F == reference_quadratic_phase(M)
             assert F == reference_quadratic_phase_by_terms(M)
-            assert F.p_degree == (None if F.is_zero() else 2)
+            assert momentum_degrees(F) == (set() if F.is_zero() else {2})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_generic_products_with_zero_entries(self, n):
@@ -151,7 +162,7 @@ class TestQuadraticPhase:
     def test_zero_matrix(self, n):
         zero = [[ExactPolynomial.zero(n)] * n for _ in range(n)]
         F = quadratic_phase(zero)
-        assert F.is_zero() and F.p_degree is None
+        assert F.is_zero()
         assert F == reference_quadratic_phase(zero)
         assert gram_matrix(F) == reference_gram_matrix(F)
 
@@ -199,6 +210,12 @@ class TestHFamily:
     def test_pencil_oracle_beyond_small_n(self, sigma):
         assert h_family_from_pencil(sigma) == build_h_family(sigma)
 
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_family_and_integrals_are_quadratic(self, sigma):
+        model = CompanionModel(sigma)
+        for f in (*model.family, *model.integrals):
+            assert momentum_degrees(f) == {2}
+
     def test_power_coefficients_satisfy_char_relation(self):
         # the n-th power must expand as (sigma_n, sigma_(n-1), ..., sigma_1)
         rng = random.Random(55)
@@ -241,7 +258,7 @@ class TestGramMatrix:
             assert reference_gram_matrix(quadratic_phase(G.entries)) == G
 
     def test_non_quadratic_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(MetricError, match=NOT_QUADRATIC):
             gram_matrix(phase("p1^3", 2))
 
     def test_asymmetric_rejected(self):
@@ -373,16 +390,9 @@ class TestDifferentialShift:
 class TestPairwisePoisson:
     @pytest.mark.parametrize("sigma", sigma_cases())
     def test_bracket_keeps_its_degree(self, sigma):
-        # d_f + d_g - 1, or None for a zero bracket ({h_i, h_i} among them),
-        # without reading the bracket's terms again
-        n, family = len(sigma), build_h_family(sigma)
-        for f in family:
-            for g in family:
-                b, scans = counted([([metric], "suffix_degrees",
-                                     lambda args, result: 1)],
-                                   poisson_bracket, f, g)
-                assert scans == (0,)
-                assert b.p_degree == PhaseFunction(n, b.poly).p_degree
+        # the bracket of two quadratics is cubic in p, or zero
+        for _, _, b in pairwise_poisson(build_h_family(sigma)):
+            assert momentum_degrees(b) == (set() if b.is_zero() else {3})
 
     def test_torsion_free_commutes(self):
         fam = build_h_family(sigma_torsion_free2())
