@@ -231,9 +231,11 @@ def _cmd_build_metric(args) -> int:
         print(f"sigma_{i} = {format_polynomial(s, names)}")
     for i, h in enumerate(model.family, start=1):
         print(f"h_{i} = {h}")
+    texts = {}  # by entry object: each anti-diagonal is one
     for i, j in product(range(model.n), repeat=2):
-        print(f"gram[{i + 1},{j + 1}] = "
-              f"{format_polynomial(model.gram.entry(i, j), names)}")
+        e = model.gram.entry(i, j)
+        texts[id(e)] = texts.get(id(e)) or format_polynomial(e, names)
+        print(f"gram[{i + 1},{j + 1}] = {texts[id(e)]}")
     return 0
 
 

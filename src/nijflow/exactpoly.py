@@ -591,7 +591,8 @@ def evaluate_table_array(table, points) -> np.ndarray:
     stacked matmul sees each matrix as alone: the points' leading axes
     first, the table's last.  A single point is evaluated on plain floats,
     so an overflowing power raises ``OverflowError`` as in
-    ``ExactPolynomial.evaluate``; a stack gives inf there."""
+    ``ExactPolynomial.evaluate``; a stack gives inf there.  A polynomial
+    object met again is not evaluated again: its values are copied."""
     points = np.asarray(points, dtype=float)
     polys, shape = [table], ()
     while polys and not isinstance(polys[0], ExactPolynomial):
@@ -600,12 +601,15 @@ def evaluate_table_array(table, points) -> np.ndarray:
     coords = (points.tolist() if points.ndim == 1 else
               [points[..., i] for i in range(points.shape[-1])])
     out = np.zeros(points.shape[:-1] + (len(polys),))
+    first: dict[int, int] = {}  # id of each polynomial -> its first column
     for k, poly in enumerate(polys):
         if poly.nvars != points.shape[-1]:
             raise PolynomialError(f"point has {points.shape[-1]} "
                                   f"coordinates, expected {poly.nvars}")
         if poly:  # a zero entry stays +0.0, as its empty float form gives
-            out[..., k] = evaluate_float_form(poly.float_form(), coords)
+            j = first.setdefault(id(poly), k)
+            out[..., k] = (out[..., j] if j < k else
+                           evaluate_float_form(poly.float_form(), coords))
     return out.reshape(points.shape[:-1] + shape)
 
 

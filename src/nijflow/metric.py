@@ -195,16 +195,18 @@ def reduced_power_coefficients(sigma: Sequence[ExactPolynomial],
     return coeffs
 
 
-def build_h_family(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction]:
+def build_h_family(sigma: Sequence[ExactPolynomial],
+                   powers=None) -> list[PhaseFunction]:
     """The family h_1, ..., h_n: the Gram entry of h_m at (i, j) is the
-    coefficient of L^(n-m) in the expansion of L^(i+j-2).
+    coefficient of L^(n-m) in the expansion of L^(i+j-2), read off
+    ``powers = reduced_power_coefficients(sigma, 2n - 2)`` (formed if None).
 
     Returns quadratic phase functions; the Gram matrix of h_1 is the
     contravariant metric.
     """
     n = len(sigma)
-    coeffs = reduced_power_coefficients(sigma, 2 * n - 2)
-    return [quadratic_phase([[coeffs[i + j][n - m] for j in range(n)]
+    powers = powers or reduced_power_coefficients(sigma, 2 * n - 2)
+    return [quadratic_phase([[powers[i + j][n - m] for j in range(n)]
                              for i in range(n)])
             for m in range(1, n + 1)]
 
@@ -265,11 +267,12 @@ def differential_shift_residuals(model: "CompanionModel"
     L = model.operator.phase_entries()
     sig = [s.with_appended_vars(n) for s in model.sigma]
     one = ExactPolynomial.constant(2 * n, 1)
-    h1, nxt = family[0], family[1:] + (PhaseFunction.zero(n),)  # h_(n+1) = 0
+    # du[i][s] = dh_(i+1)/du^s, each read once; h_(n+1) = 0
+    du = [[*map(h.du, range(n))] for h in family + (PhaseFunction.zero(n),)]
     return tuple(tuple(signed_sum(2 * n, [
-        *((1, hi.du(s), L[s][j]) for s in range(n)),
-        (-1, sig[i], h1.du(j)), (-1, nxt[i].du(j), one)]) for j in range(n))
-        for i, hi in enumerate(family))
+        *((1, du[i][s], L[s][j]) for s in range(n)),
+        (-1, sig[i], du[0][j]), (-1, du[i + 1][j], one)]) for j in range(n))
+        for i in range(n))
 
 
 def pairwise_poisson(family: Sequence[PhaseFunction]

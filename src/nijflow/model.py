@@ -15,9 +15,10 @@ from typing import Sequence
 
 from .exactpoly import (ExactPolynomial, PolynomialError, base_names,
                         parse_expression)
-# first_integrals is unused here; bench/spans.py patches it by this name
+# first_integrals, gram_matrix: unused; bench/spans.py patches these names
 from .hierarchy import first_integrals, killing_operators  # noqa: F401
-from .metric import GramMatrix, PhaseFunction, build_h_family, gram_matrix
+from .metric import (GramMatrix, PhaseFunction, build_h_family,  # noqa: F401
+                     gram_matrix, reduced_power_coefficients)
 from .operators import OperatorField, companion_second
 
 # Largest sigma ``from_expressions`` accepts, in terms times total degree
@@ -47,12 +48,18 @@ class CompanionModel:
         return companion_second(self.sigma)
 
     @cached_property
-    def family(self) -> tuple[PhaseFunction, ...]:
-        return tuple(build_h_family(self.sigma))
+    def _powers(self) -> list[list[ExactPolynomial]]:
+        return reduced_power_coefficients(self.sigma, 2 * self.n - 2)
 
     @cached_property
-    def gram(self) -> GramMatrix:
-        return gram_matrix(self.family[0])
+    def family(self) -> tuple[PhaseFunction, ...]:
+        return tuple(build_h_family(self.sigma, self._powers))
+
+    @cached_property
+    def gram(self) -> GramMatrix:  # h_1's, read as build_h_family reads it
+        n, powers = self.n, self._powers  # one object per anti-diagonal
+        return GramMatrix([[powers[i + j][n - 1] for j in range(n)]
+                           for i in range(n)])
 
     @cached_property
     def killing(self) -> tuple[OperatorField, ...]:

@@ -178,56 +178,56 @@ def test_certify_shift_record_is_the_rule_over_both_parts(seed):
 # A change that lowers a count updates the table; one that raises a count
 # says why in CHANGES.md.
 WORK_COUNTS = {
-    ("verify", "certify-curved3"): (87, 511),
-    ("build-metric", "certify-curved3"): (50, 111),
+    ("verify", "certify-curved3"): (81, 511),
+    ("build-metric", "certify-curved3"): (44, 111),
     ("hierarchy", "certify-curved3"): (49, 111),
-    ("verify", "certify-curved4"): (160, 4397),
-    ("build-metric", "certify-curved4"): (99, 379),
+    ("verify", "certify-curved4"): (149, 4397),
+    ("build-metric", "certify-curved4"): (89, 379),
     ("hierarchy", "certify-curved4"): (96, 379),
-    ("verify", "certify-constant4"): (65, 25),
-    ("build-metric", "certify-constant4"): (37, 21),
+    ("verify", "certify-constant4"): (55, 25),
+    ("build-metric", "certify-constant4"): (27, 21),
     ("hierarchy", "certify-constant4"): (34, 21),
-    ("verify", "certify-obstructed5"): (206, 4053),
-    ("build-metric", "certify-obstructed5"): (65, 118),
+    ("verify", "certify-obstructed5"): (188, 4053),
+    ("build-metric", "certify-obstructed5"): (50, 118),
     ("hierarchy", "certify-obstructed5"): (59, 118),
-    ("verify", "curved2"): (36, 41),
-    ("build-metric", "curved2"): (17, 9),
+    ("verify", "curved2"): (33, 41),
+    ("build-metric", "curved2"): (14, 9),
     ("hierarchy", "curved2"): (17, 9),
-    ("verify", "curved3"): (74, 200),
-    ("build-metric", "curved3"): (37, 32),
+    ("verify", "curved3"): (68, 200),
+    ("build-metric", "curved3"): (31, 32),
     ("hierarchy", "curved3"): (36, 32),
-    ("verify", "curved4"): (134, 1294),
-    ("build-metric", "curved4"): (73, 98),
+    ("verify", "curved4"): (123, 1294),
+    ("build-metric", "curved4"): (63, 98),
     ("hierarchy", "curved4"): (70, 98),
-    ("verify", "curved5"): (218, 6636),
-    ("build-metric", "curved5"): (125, 247),
+    ("verify", "curved5"): (200, 6636),
+    ("build-metric", "curved5"): (110, 247),
     ("hierarchy", "curved5"): (119, 247),
-    ("verify", "curved6"): (341, 35887),
-    ("build-metric", "curved6"): (207, 625),
+    ("verify", "curved6"): (313, 35887),
+    ("build-metric", "curved6"): (186, 625),
     ("hierarchy", "curved6"): (197, 625),
-    ("verify", "curved7"): (507, 154852),
-    ("build-metric", "curved7"): (325, 1391),
+    ("verify", "curved7"): (466, 154852),
+    ("build-metric", "curved7"): (297, 1391),
     ("hierarchy", "curved7"): (310, 1391),
-    ("verify", "configs/constant2"): (19, 5),
-    ("build-metric", "configs/constant2"): (10, 3),
+    ("verify", "configs/constant2"): (16, 5),
+    ("build-metric", "configs/constant2"): (7, 3),
     ("hierarchy", "configs/constant2"): (10, 3),
-    ("verify", "configs/constant3"): (39, 13),
-    ("build-metric", "configs/constant3"): (20, 10),
+    ("verify", "configs/constant3"): (33, 13),
+    ("build-metric", "configs/constant3"): (14, 10),
     ("hierarchy", "configs/constant3"): (19, 10),
-    ("verify", "configs/coordinates2"): (33, 24),
-    ("build-metric", "configs/coordinates2"): (10, 3),
+    ("verify", "configs/coordinates2"): (30, 24),
+    ("build-metric", "configs/coordinates2"): (7, 3),
     ("hierarchy", "configs/coordinates2"): (10, 3),
-    ("verify", "configs/nijenhuis2"): (35, 41),
-    ("build-metric", "configs/nijenhuis2"): (16, 9),
+    ("verify", "configs/nijenhuis2"): (32, 41),
+    ("build-metric", "configs/nijenhuis2"): (13, 9),
     ("hierarchy", "configs/nijenhuis2"): (16, 9),
-    ("verify", "configs/nijenhuis2_direct"): (35, 41),
-    ("build-metric", "configs/nijenhuis2_direct"): (16, 9),
+    ("verify", "configs/nijenhuis2_direct"): (32, 41),
+    ("build-metric", "configs/nijenhuis2_direct"): (13, 9),
     ("hierarchy", "configs/nijenhuis2_direct"): (16, 9),
-    ("verify", "configs/nijenhuis3"): (73, 200),
-    ("build-metric", "configs/nijenhuis3"): (36, 32),
+    ("verify", "configs/nijenhuis3"): (67, 200),
+    ("build-metric", "configs/nijenhuis3"): (30, 32),
     ("hierarchy", "configs/nijenhuis3"): (35, 32),
-    ("verify", "configs/nijenhuis4"): (132, 1294),
-    ("build-metric", "configs/nijenhuis4"): (71, 98),
+    ("verify", "configs/nijenhuis4"): (121, 1294),
+    ("build-metric", "configs/nijenhuis4"): (61, 98),
     ("hierarchy", "configs/nijenhuis4"): (68, 98),
 }
 

@@ -763,6 +763,26 @@ def test_build_metric_output(capsys):
     assert "sigma_2 = -1/2*u1^2 + u2" in out
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_build_metric_formats_each_gram_entry_object_once(name, monkeypatch,
+                                                         capsys):
+    formatted = []
+
+    def counted(poly, names):
+        formatted.append(poly)
+        return format_polynomial(poly, names)
+
+    monkeypatch.setattr("nijflow.cli.format_polynomial", counted)
+    assert main(["build-metric", str(CONFIGS / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == REPORT_DIGESTS[name][1])
+    n = out.count("sigma_")
+    gram = formatted[n:]  # after the n sigma lines
+    # one object per anti-diagonal at most, each formatted once
+    assert len({id(e) for e in gram}) == len(gram) <= 2 * n - 1
+
+
 def test_hierarchy_output(capsys):
     assert main(["hierarchy", str(CONFIGS / "nijenhuis2.json")]) == 0
     out = capsys.readouterr().out

@@ -461,6 +461,28 @@ class TestEvaluation:
         assert values[1, 0] == evaluate_table_array([big], [2.0])[0]
         assert values[1, 0] == 2.0 ** 400 - 8.0
 
+    def test_a_repeated_object_is_evaluated_once(self, monkeypatch):
+        # its later columns are copies, bit-identical to the entry alone
+        p, q, zero = poly2("u1^3*u2 - 1/3"), poly2("u2^2 + u1"), poly2("0")
+        table = [[p, q, p], [zero, q, poly2("u1^3*u2 - 1/3")]]
+        points = np.random.default_rng(5).normal(scale=3.0, size=(7, 2))
+        forms = []
+
+        def counted(form, coords, _real=evaluate_float_form):
+            forms.append(form)
+            return _real(form, coords)
+
+        monkeypatch.setattr("nijflow.exactpoly.evaluate_float_form", counted)
+        for where in (points, points[0]):
+            forms.clear()
+            got = evaluate_table_array(table, where)
+            # p, q and the second object equal to p
+            assert len(forms) == 3
+            for i, row in enumerate(table):
+                for j, entry in enumerate(row):
+                    alone = evaluate_table_array(entry, where)
+                    assert got[..., i, j].tobytes() == alone.tobytes()
+
     def test_zero_entries_are_bit_identical_to_each_entry(self):
         # zero entries are skipped and stay +0.0, never -0.0 or nan, even
         # where the point has inf or nan coordinates

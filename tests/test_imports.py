@@ -40,6 +40,7 @@ ALLOWED = {
     ("hierarchy", "first_integrals"): BENCH,
     ("hierarchy", "verify_commuting_integrals"): BENCH,
     ("compat", "benenti_residual"): BENCH,
+    ("metric", "gram_matrix"): BENCH,
     ("flows", "integrate_flow"): BENCH,
     ("flows", "integrate_flow_path"): BENCH,
     ("operators", "nijenhuis_torsion"):

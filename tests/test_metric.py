@@ -279,6 +279,18 @@ class TestGramMatrix:
         # products are plain operator fields, free of the symmetry check
         assert type(G @ L) is OperatorField
 
+    @pytest.mark.parametrize("sigma", sigma_cases())
+    def test_model_gram_is_h1s_one_object_per_anti_diagonal(self, sigma):
+        # read off the reduced-power table, not extracted from h_1
+        model = CompanionModel(sigma)
+        G, n = model.gram, model.n
+        assert G == gram_matrix(model.family[0])
+        assert G == reference_gram_matrix(model.family[0])
+        for k in range(2 * n - 1):
+            diagonal = {id(G.entry(i, k - i))
+                        for i in range(max(0, k - n + 1), min(k, n - 1) + 1)}
+            assert len(diagonal) == 1, k
+
     def test_gram_shape_errors_are_operator_errors(self):
         with pytest.raises(OperatorError):
             GramMatrix([[upoly("u1", 2), upoly("0", 2)]])
