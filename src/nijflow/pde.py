@@ -12,10 +12,13 @@ alone.
 The module also measures discrete residuals of solution lattices (by
 second-order differences, so the residual of an exact solution shrinks
 quadratically with the lattice spacing) and compares lattices node by node.
+Each lattice kernel holds its lattice and one block of scratch; every
+quantity is per node, so the blocks change no value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +48,10 @@ MIN_WIDTH = 5  # the fewest x-nodes the final window of a direct solve keeps
 # uniform: in its spacings here, in its node positions when a CSV is read
 UNIFORM_RTOL = 1e-12
 
+# u's values (nodes times n) in one block of the n >= 3 operator product,
+# and about as many in each x-slab of the residual and the comparison
+_BLOCK_VALUES = 2**14
+
 
 def _check_uniform(x_values: np.ndarray) -> float:
     if x_values.ndim != 1 or len(x_values) < 2:
@@ -60,10 +67,17 @@ def _check_uniform(x_values: np.ndarray) -> float:
 
 def operator_product(A: OperatorField):
     """(u, v) -> A(u) v over stacks (..., n), as ``np.einsum`` contracts
-    ``A.evaluate_at(u)`` with v; at n = 2 each row is summed left to right
-    from A's entries on the columns of u, bit for bit the same."""
+    ``A.evaluate_at(u)`` with v, a block of nodes at a time; at n = 2, bit
+    for bit the same, each row is summed left to right from A's entries."""
     if A.n != 2:
-        return lambda u, v: np.einsum("...ij,...j->...i", A.evaluate_at(u), v)
+        def blocked(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            out, step = np.empty(u.shape), _BLOCK_VALUES // A.n
+            us, vs, outs = (w.reshape(-1, A.n) for w in (u, v, out))
+            for b in range(0, len(outs), step):
+                np.einsum("...ij,...j->...i", A.evaluate_at(us[b:b + step]),
+                          vs[b:b + step], out=outs[b:b + step])
+            return out
+        return blocked
     forms = [e.float_form() for row in A.entries for e in row]
 
     def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,12 +142,9 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             k1 = _interior_rhs(y, product, dx)
-            y2 = y[2:-2] + 0.5 * dt * k1
-            k2 = _interior_rhs(y2, product, dx)
-            y3 = y[4:-4] + 0.5 * dt * k2
-            k3 = _interior_rhs(y3, product, dx)
-            y4 = y[6:-6] + dt * k3
-            k4 = _interior_rhs(y4, product, dx)
+            k2 = _interior_rhs(y[2:-2] + 0.5 * dt * k1, product, dx)
+            k3 = _interior_rhs(y[4:-4] + 0.5 * dt * k2, product, dx)
+            k4 = _interior_rhs(y[6:-6] + dt * k3, product, dx)
             y = y[8:-8] + (dt / 6.0) * (k1[6:-6] + 2.0 * k2[4:-4]
                                         + 2.0 * k3[2:-2] + k4)
             if not np.isfinite(y).all():
@@ -187,17 +198,23 @@ def grid_residual(grid: SolutionGrid,
         if a.count < 3:
             raise PDEError(f"axis {a.name!r} needs at least 3 nodes for "
                            "central differences")
-    u = grid.u
-    per_axis = []
+    u, rows = grid.u, max(1, _BLOCK_VALUES // grid.u[0].size)
+    products = [operator_product(A) for A in operators]
+    worst = []
     # a lattice past the float range reports nan, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, A in enumerate(operators, start=1):
-            # u, u_t and u_x on the common interior (x and t_k)
-            t_in = (slice(None),) * k + (slice(1, -1),)
-            ut = _central(u, k, axes[k].delta)[1:-1]
-            ux = _central(u, 0, axes[0].delta)[t_in]
-            residual = ut - operator_product(A)(u[1:-1][t_in], ux)
-            per_axis.append(float(np.abs(residual).max()))
+        # the interior x-rows a slab at a time, with one more row either side
+        for s in range(1, len(u) - 1, rows):
+            w = u[s - 1:s + rows + 1]
+            ux = _central(w, 0, axes[0].delta)
+            worst.append([])
+            for k, product in enumerate(products, start=1):
+                # u, u_t and u_x on the common interior (x and t_k)
+                t_in = (slice(None),) * k + (slice(1, -1),)
+                residual = (_central(w[1:-1], k, axes[k].delta)
+                            - product(w[1:-1][t_in], ux[t_in]))
+                worst[-1].append(np.abs(residual).max())
+        per_axis = np.max(worst, axis=0).tolist()
     return ResidualReport(tuple(per_axis))
 
 
@@ -224,4 +241,7 @@ def compare_grids(a: SolutionGrid, b: SolutionGrid) -> np.ndarray:
     if a.u.shape != b.u.shape:
         raise PDEError("component counts differ")
     # x first: numpy reduces the leading axis faster than the two at once
-    return np.abs(a.u - b.u).max(axis=0).max(axis=-1)
+    rows = max(1, _BLOCK_VALUES // a.u[0].size)
+    return functools.reduce(np.maximum, (
+        np.abs(a.u[s:s + rows] - b.u[s:s + rows]).max(axis=0).max(axis=-1)
+        for s in range(0, len(a.u), rows)))

@@ -89,6 +89,16 @@ def momentum_degrees(f):
     return {sum(exps[f.n:]) for exps, _ in f.poly.terms()}
 
 
+def same_bits(a, b):
+    """Equal bit for bit, except for the sign of a nan, which IEEE 754 leaves
+    open: numpy's own loops, einsum's among them, take it from either
+    operand, depending on the array's length and the host's SIMD level."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(np.where(nan, 0.0, a).view(np.int64),
+                               np.where(nan, 0.0, b).view(np.int64)))
+
+
 def reference_quadratic_phase(matrix):
     """Oracle for ``metric.quadratic_phase``: the generic construction it
     replaced, each entry lifted to the chart and multiplied by p_a and p_b."""
@@ -645,6 +655,35 @@ def reference_write_svg_plot(grid, slices, path):
     parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")
+
+
+# ``nijflow.pde``'s residual and lattice comparison as they were before they
+# walked x in slabs: every temporary over the whole lattice at once.
+
+def _reference_central(u, axis, delta):
+    lead = (slice(None),) * axis
+    return (u[lead + (slice(2, None),)] - u[lead + (slice(None, -2),)]) / (
+        2.0 * delta)
+
+
+def reference_grid_residual(grid, operators):
+    """The per-axis residuals of ``pde.grid_residual``, each product formed
+    by ``reference_operator_product`` over the whole interior."""
+    u, axes = grid.u, grid.axes
+    per_axis = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, A in enumerate(operators, start=1):
+            t_in = (slice(None),) * k + (slice(1, -1),)
+            ut = _reference_central(u, k, axes[k].delta)[1:-1]
+            ux = _reference_central(u, 0, axes[0].delta)[t_in]
+            residual = ut - reference_operator_product(A, u[1:-1][t_in], ux)
+            per_axis.append(float(np.abs(residual).max()))
+    return tuple(per_axis)
+
+
+def reference_compare_grids(a, b):
+    """The per-layer deviations of ``pde.compare_grids``."""
+    return np.abs(a.u - b.u).max(axis=0).max(axis=-1)
 
 
 # Checks and routes the command line never runs, kept here as oracles: each

@@ -178,55 +178,55 @@ def test_certify_shift_record_is_the_rule_over_both_parts(seed):
 # A change that lowers a count updates the table; one that raises a count
 # says why in CHANGES.md.
 WORK_COUNTS = {
-    ("verify", "certify-curved3"): (81, 511),
+    ("verify", "certify-curved3"): (78, 509),
     ("build-metric", "certify-curved3"): (44, 111),
     ("hierarchy", "certify-curved3"): (49, 111),
-    ("verify", "certify-curved4"): (149, 4397),
+    ("verify", "certify-curved4"): (146, 4394),
     ("build-metric", "certify-curved4"): (89, 379),
     ("hierarchy", "certify-curved4"): (96, 379),
-    ("verify", "certify-constant4"): (55, 25),
+    ("verify", "certify-constant4"): (52, 22),
     ("build-metric", "certify-constant4"): (27, 21),
     ("hierarchy", "certify-constant4"): (34, 21),
-    ("verify", "certify-obstructed5"): (188, 4053),
+    ("verify", "certify-obstructed5"): (184, 4049),
     ("build-metric", "certify-obstructed5"): (50, 118),
     ("hierarchy", "certify-obstructed5"): (59, 118),
-    ("verify", "curved2"): (33, 41),
+    ("verify", "curved2"): (31, 40),
     ("build-metric", "curved2"): (14, 9),
     ("hierarchy", "curved2"): (17, 9),
-    ("verify", "curved3"): (68, 200),
+    ("verify", "curved3"): (65, 198),
     ("build-metric", "curved3"): (31, 32),
     ("hierarchy", "curved3"): (36, 32),
-    ("verify", "curved4"): (123, 1294),
+    ("verify", "curved4"): (120, 1291),
     ("build-metric", "curved4"): (63, 98),
     ("hierarchy", "curved4"): (70, 98),
-    ("verify", "curved5"): (200, 6636),
+    ("verify", "curved5"): (196, 6632),
     ("build-metric", "curved5"): (110, 247),
     ("hierarchy", "curved5"): (119, 247),
-    ("verify", "curved6"): (313, 35887),
+    ("verify", "curved6"): (307, 35882),
     ("build-metric", "curved6"): (186, 625),
     ("hierarchy", "curved6"): (197, 625),
-    ("verify", "curved7"): (466, 154852),
+    ("verify", "curved7"): (459, 154846),
     ("build-metric", "curved7"): (297, 1391),
     ("hierarchy", "curved7"): (310, 1391),
-    ("verify", "configs/constant2"): (16, 5),
+    ("verify", "configs/constant2"): (14, 4),
     ("build-metric", "configs/constant2"): (7, 3),
     ("hierarchy", "configs/constant2"): (10, 3),
-    ("verify", "configs/constant3"): (33, 13),
+    ("verify", "configs/constant3"): (30, 11),
     ("build-metric", "configs/constant3"): (14, 10),
     ("hierarchy", "configs/constant3"): (19, 10),
-    ("verify", "configs/coordinates2"): (30, 24),
+    ("verify", "configs/coordinates2"): (28, 23),
     ("build-metric", "configs/coordinates2"): (7, 3),
     ("hierarchy", "configs/coordinates2"): (10, 3),
-    ("verify", "configs/nijenhuis2"): (32, 41),
+    ("verify", "configs/nijenhuis2"): (30, 40),
     ("build-metric", "configs/nijenhuis2"): (13, 9),
     ("hierarchy", "configs/nijenhuis2"): (16, 9),
-    ("verify", "configs/nijenhuis2_direct"): (32, 41),
+    ("verify", "configs/nijenhuis2_direct"): (30, 40),
     ("build-metric", "configs/nijenhuis2_direct"): (13, 9),
     ("hierarchy", "configs/nijenhuis2_direct"): (16, 9),
-    ("verify", "configs/nijenhuis3"): (67, 200),
+    ("verify", "configs/nijenhuis3"): (64, 198),
     ("build-metric", "configs/nijenhuis3"): (30, 32),
     ("hierarchy", "configs/nijenhuis3"): (35, 32),
-    ("verify", "configs/nijenhuis4"): (121, 1294),
+    ("verify", "configs/nijenhuis4"): (118, 1291),
     ("build-metric", "configs/nijenhuis4"): (61, 98),
     ("hierarchy", "configs/nijenhuis4"): (68, 98),
 }

@@ -357,6 +357,29 @@ class TestGramNormalForm:
         assert failures
         assert any("(1,1)" in f for f in failures)
 
+    def test_determinant_is_expanded_only_when_an_entry_departs(
+            self, monkeypatch):
+        expanded = []
+        determinant = GramMatrix.determinant
+        monkeypatch.setattr(GramMatrix, "determinant", lambda self: (
+            expanded.append(self) or determinant(self)))
+        g = gram_matrix(build_h_family(sigma_torsion_free2())[0])
+        assert check_gram_normal_form(g) == () and not expanded
+        g11, zero = g.entry(1, 1), ExactPolynomial.zero(2)
+        two, minus = (ExactPolynomial.constant(2, c) for c in (2, -1))
+        cases = [
+            ([[upoly("u2", 2), g.entry(0, 1)], [g.entry(1, 0), g11]],
+             ("entry (1,1) should vanish", "determinant is not a unit")),
+            ([[zero, two], [two, g11]],
+             ("entry (1,2) should be one", "entry (2,1) should be one",
+              "determinant is not a unit")),
+            # det = -1: the entries depart, the determinant is a unit
+            ([[zero, minus], [minus, g11]],
+             ("entry (1,2) should be one", "entry (2,1) should be one"))]
+        for rows, failures in cases:
+            assert check_gram_normal_form(GramMatrix(rows)) == failures
+        assert len(expanded) == len(cases)
+
 
 class TestDifferentialShift:
     def test_torsion_free_residuals_vanish(self):

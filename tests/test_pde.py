@@ -3,16 +3,18 @@
 import functools
 import json
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nijflow import pde
-from nijflow.cli import build_model, config_point, main
-from nijflow.exactpoly import base_names, format_polynomial
-from nijflow.exactpoly import parse_expression
+from nijflow import cli, pde
+from nijflow.cli import build_model, config_point, load_config, main
+from nijflow.exactpoly import (ExactPolynomial, base_names,
+                               format_polynomial, parse_expression)
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings, SolutionGrid,
                            orbit_grid)
 from nijflow.hierarchy import first_integrals, killing_operators
@@ -22,8 +24,10 @@ from nijflow.operators import OperatorField, companion_first, companion_second
 from nijflow.pde import PDEError, compare_grids, direct_solve, grid_residual
 
 from support import (convergence_orders, random_polynomial,
-                     reference_operator_product,
+                     reference_compare_grids, reference_grid_residual,
+                     reference_operator_product, same_bits,
                      sigma_constant, sigma_curved, u_from_eigenvalues)
+from test_bench_configs import _cases
 
 U2 = ["u1", "u2"]
 
@@ -189,16 +193,6 @@ def test_blow_up_is_detected():
 # the compiled operator product
 
 
-def _same_bits(a, b):
-    """Equal bit for bit, except for the sign of a nan: numpy's own loops,
-    einsum's among them, take it from either operand, depending on the
-    array's length."""
-    nan = np.isnan(a)
-    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
-            and np.array_equal(np.where(nan, 0.0, a).view(np.int64),
-                               np.where(nan, 0.0, b).view(np.int64)))
-
-
 SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e-300]
 
 
@@ -213,9 +207,13 @@ def test_operator_product_is_bit_identical_to_evaluate_and_einsum(n):
     operators += [OperatorField([[random_polynomial(rng, n, max_degree=4)
                                   for _ in range(n)] for _ in range(n)])
                   for _ in range(6)]
-    for A in operators:
+    block = pde._BLOCK_VALUES // n  # the nodes of one n >= 3 product block
+    for i, A in enumerate(operators):
         product = pde.operator_product(A)
-        for shape in [(1, n), (37, n), (5, 7, n), (9, 8, 3, n)]:
+        shapes = [(1, n), (37, n), (5, 7, n), (9, 8, 3, n)]
+        if i < 3:  # stacks longer than one block, across their last node
+            shapes += [(block + 3, n), (2, block // 2 + 1, n)]
+        for shape in shapes:
             u, v = nrng.normal(scale=2.0, size=(2,) + shape)
             for w in (u, v):
                 mask = nrng.random(shape) < 0.2
@@ -224,7 +222,7 @@ def test_operator_product_is_bit_identical_to_evaluate_and_einsum(n):
             stacks = [(u, v), (u[..., ::2, :], v[..., ::2, :])]
             with np.errstate(all="ignore"):
                 for a, b in stacks:
-                    assert _same_bits(product(a, b),
+                    assert same_bits(product(a, b),
                                       reference_operator_product(A, a, b))
 
 
@@ -268,7 +266,7 @@ def test_direct_solve_and_residual_match_the_einsum_product(monkeypatch, n):
     u, residual = outputs()
     _einsum_product(monkeypatch)
     expected_u, expected_residual = outputs()
-    assert _same_bits(u, expected_u) and residual == expected_residual
+    assert same_bits(u, expected_u) and residual == expected_residual
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -463,3 +461,130 @@ def test_direct_matches_reduction_at_second_order_for_curved_n3(tmp_path,
     assert deviations[0] > 1e-11
     assert all(fine <= coarse / 4
                for coarse, fine in zip(deviations, deviations[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the lattice kernels in slabs
+
+
+def _crosscheck_rung(count, workdir):
+    """The seed-1 ``crosscheck`` rung of ``count`` x-nodes: its direct
+    lattice, the orbit lattice ``compare`` sets against it, its operators."""
+    _cases.write_configs(_cases.make_workload("crosscheck", 1), workdir)
+    cfg = load_config(str(workdir / f"direct{count}.json"))
+    model = build_model(cfg)
+    direct, settings = cli._direct_grid(cfg, model)
+    orbit = orbit_grid(model.integrals[:2], config_point(cfg, 2), direct.axes,
+                       settings)
+    return direct, orbit, model.killing[1:2]
+
+
+def _random_lattices(n, counts, seed):
+    """Two random lattices on x and ``len(counts) - 1`` time axes, and the
+    curved family's operators for those axes."""
+    axes = (AxisSpec("x", -0.5, 0.5, counts[0]),) + tuple(
+        AxisSpec(f"t{k}", 0.0, 0.2, c) for k, c in enumerate(counts[1:], 1))
+    a, b = np.random.default_rng(seed).uniform(-0.5, 0.5, (2,) + counts + (n,))
+    operators = CompanionModel(sigma_curved(n)).killing[1:len(counts)]
+    return SolutionGrid(axes, a), SolutionGrid(axes, b), operators
+
+
+def _interior_rows(n, extra, tmp_path):
+    """n components and nt time nodes make ``rows`` x-rows per slab; the
+    lattice's interior has rows + extra of them.  A spike on the first
+    interior row of one lattice and the last of the other sets their
+    largest residual and a layer's deviation there."""
+    nt = pde._BLOCK_VALUES // (n * 6)
+    rows = pde._BLOCK_VALUES // (nt * n)
+    a, b, operators = _random_lattices(n, (rows + 2 + extra, nt), n + extra)
+    a.u[1, nt // 3, 0] += 1.0
+    b.u[-2, 2 * nt // 3, 0] += 1.0
+    return a, b, operators
+
+
+def _special_values(kind, tmp_path):
+    a, b, operators = _random_lattices(3, (41, 30, 25), 4)
+    if kind == "nan":
+        # only t2's stencil reaches x = 0 at t1 = 0: a nan residual on t2
+        # alone, and one nan deviation, on the layer (t1, t2) = (0, 1)
+        a.u[0, 0, 1, 2] = np.nan
+    else:
+        a.u[20, 10, 10, 0], a.u[5, 3, 7, 1] = np.inf, -np.inf
+        b.u[20, 10, 10, 0], b.u[30, 15, 20, 2] = -np.inf, np.inf
+    return a, b, operators
+
+
+SLAB_CASES = {
+    **{f"crosscheck{count}": functools.partial(_crosscheck_rung, count)
+       for count in (241, 481, 961, 1921)},
+    "n3-two-time-axes": lambda tmp_path: _random_lattices(3, (41, 30, 25), 3),
+    **{f"n{n}-interior-{label}": functools.partial(_interior_rows, n, extra)
+       for n in (2, 3)
+       for extra, label in ((-1, "block-1"), (0, "block"), (1, "block+1"))},
+    "nan": functools.partial(_special_values, "nan"),
+    "inf": functools.partial(_special_values, "inf")}
+
+
+@pytest.mark.parametrize("name", SLAB_CASES)
+def test_slabs_are_bit_identical_to_the_whole_lattice(tmp_path, name):
+    a, b, operators = SLAB_CASES[name](tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nan and inf report quietly
+        residuals = [grid_residual(g, operators).per_axis for g in (a, b)]
+        deviations = compare_grids(a, b)
+    for g, residual in zip((a, b), residuals):
+        expected = reference_grid_residual(g, operators)
+        assert np.array(residual).tobytes() == np.array(expected).tobytes()
+    expected = reference_compare_grids(a, b)
+    assert deviations.shape == expected.shape
+    assert deviations.tobytes() == expected.tobytes()
+    if name == "nan":
+        assert np.isfinite(residuals[0][0]) and np.isnan(residuals[0][1])
+        assert np.isnan(deviations).sum() == 1 and np.isnan(deviations[0, 1])
+
+
+def _traced_peak(f, *args):
+    """``f(*args)`` and the most bytes it held allocated at once."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MB = 1e6
+
+
+@pytest.mark.parametrize("n, counts, bound", [
+    # the lattice's values 0.32, 0.52 and 0.68 MB; scratch at the whole-
+    # lattice form 1.6, 4.1 and 6.9 MB
+    (2, (201, 101), 1.0 * MB), (4, (161, 101), 2.0 * MB),
+    (7, (121, 101), 2.5 * MB)], ids=["n2", "n4", "n7"])
+def test_residual_scratch_is_one_slab(n, counts, bound):
+    grid, _, operators = _random_lattices(n, counts, n)
+    residual, peak = _traced_peak(grid_residual, grid, operators)
+    assert residual.per_axis == reference_grid_residual(grid, operators)
+    assert peak < bound
+
+
+def test_compare_scratch_is_one_slab():
+    # 1.2 MB of values in each lattice, and 2.4 MB of scratch in the whole-
+    # lattice form; a slab's difference and its magnitude take 0.26 MB
+    a, b, _ = _random_lattices(2, (401, 191), 5)
+    deviations, peak = _traced_peak(compare_grids, a, b)
+    assert deviations.tobytes() == reference_compare_grids(a, b).tobytes()
+    assert peak - deviations.nbytes < 0.4 * MB
+
+
+def test_direct_step_holds_the_stages_and_one_block_of_a():
+    # one step at n = 7 on 16,001 nodes, each array over the window 0.9 MB:
+    # the Runge-Kutta stages hold at most seven of them at once, A one
+    # block; with A over the whole window the step took 13.4 MB
+    n, m = 7, 16001
+    A = companion_second([ExactPolynomial.variable(n, i) for i in range(n)])
+    xs = np.linspace(-0.5, 0.5, m)
+    u0 = 0.1 * np.outer(np.sin(3.0 * xs), np.arange(1, n + 1))
+    grid, peak = _traced_peak(direct_solve, A, xs, u0, 0.4 * (xs[1] - xs[0]))
+    assert grid.meta["steps"] == 1
+    assert peak - grid.u.nbytes < 7 * u0.nbytes + 2 * MB
