@@ -24,7 +24,8 @@ constructor or ``terms``.  ``zero`` and ``constant`` return one shared 0
 and 1 per variable count, formed once, so every 0 and 1 elsewhere, an
 operator's entries given as numbers included, is one of them.
 
-Expressions are parsed with a small recursive-descent parser for the grammar
+``parse_expression`` is itself a recursive-descent parser, its rules nested
+functions over ``(kind, text, position)`` token tuples, for the grammar
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -66,7 +67,7 @@ import string
 import struct
 from fractions import Fraction
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -689,12 +690,6 @@ def format_polynomial(poly: ExactPolynomial, names: Sequence[str]) -> str:
 # -- tokenizer and parser -------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # 'int', 'name', 'op', 'end'
-    text: str
-    position: int
-
-
 # ASCII only, so the classes are spelled out: \s, \d and \w would let
 # Unicode spaces, superscripts, full-width and Arabic-Indic digits through,
 # which int() either rejects or silently reads as plain digits
@@ -703,142 +698,122 @@ _TOKEN = re.compile(f"[{re.escape(string.whitespace)}]+|(?P<int>[0-9]+)"
                     "|(?P<bad>.)")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tokens, kind 'int', 'name' or 'op', then
+    ('end', '', len(text)); the first character refused raises."""
     tokens = []
     for m in _TOKEN.finditer(text):
         if m.lastgroup == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup:
-            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
-    tokens.append(_Token("end", "", len(text)))
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list, building the polynomial of
-    each rule as it returns."""
+def parse_expression(text: str, variable_names: Sequence[str]) -> ExactPolynomial:
+    """Parse an expression string into a canonical polynomial.
 
-    def __init__(self, tokens: list[_Token], names: Sequence[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        self.nvars = len(names)
-        self.one = _shared_constant(self.nvars, 1)
-        self.index_of = {name: i for i, name in enumerate(names)}
+    Recursive descent over the tokens: each rule of the grammar is a nested
+    function that builds its polynomial as it returns."""
+    index_of: dict[str, int] = {}
+    for i, name in enumerate(variable_names):
+        if name in index_of:
+            raise PolynomialError(f"duplicate variable name {name!r}")
+        index_of[name] = i
+    tokens = _tokenize(text)
+    nvars = len(variable_names)
+    one = _shared_constant(nvars, 1)
+    pos = depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def take(*wanted: str) -> tuple[str, str, int] | None:
+        """The next token, consumed, if its kind, or an op's text, is one of
+        ``wanted``; else None."""
+        nonlocal pos
+        tok = tokens[pos]
+        if (tok[1] if tok[0] == "op" else tok[0]) not in wanted:
+            return None
+        pos += 1
         return tok
 
-    def at_op(self, symbols: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in symbols
-
-    def literal(self) -> int:
-        tok = self.advance()
-        digits = tok.text.lstrip("0") or "0"
+    def literal(tok: tuple[str, str, int]) -> int:
+        digits = tok[1].lstrip("0") or "0"
         if len(digits) > MAX_LITERAL_DIGITS:
             raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS}"
-                             " digits", tok.position)
+                             " digits", tok[2])
         return int(digits)
 
-    def expect_op(self, symbol: str) -> _Token:
-        if not self.at_op(symbol):
-            raise ParseError(f"expected {symbol!r}", self.peek().position)
-        return self.advance()
+    def expr() -> ExactPolynomial:
+        parts = [(1, term(), one)]
+        while tok := take("+", "-"):
+            parts.append((1 if tok[1] == "+" else -1, term(), one))
+        return parts[0][1] if len(parts) == 1 else signed_sum(nvars, parts)
 
-    def parse(self) -> ExactPolynomial:
-        poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.position)
+    def term() -> ExactPolynomial:
+        poly = factor()
+        while tok := take("*"):
+            right = factor()
+            if poly._product_bits(right) > MAX_POWER_BITS:
+                raise ParseError("product is too large to form", tok[2])
+            poly = poly * right
         return poly
 
-    def expr(self) -> ExactPolynomial:
-        parts = [(1, self.term(), self.one)]
-        while self.at_op("+-"):
-            sign = 1 if self.advance().text == "+" else -1
-            parts.append((sign, self.term(), self.one))
-        return parts[0][1] if len(parts) == 1 else signed_sum(self.nvars, parts)
-
-    def term(self) -> ExactPolynomial:
-        poly = self.factor()
-        while self.at_op("*"):
-            position = self.advance().position
-            factor = self.factor()
-            if poly._product_bits(factor) > MAX_POWER_BITS:
-                raise ParseError("product is too large to form", position)
-            poly = poly * factor
-        return poly
-
-    def factor(self) -> ExactPolynomial:
-        poly = self.base()
-        if self.at_op("^"):
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "int":
-                raise ParseError("exponent must be an unsigned integer",
-                                 exp_tok.position)
-            self.advance()
-            digits = exp_tok.text.lstrip("0") or "0"  # int() takes <= 4,300
-            if len(digits) > 10 or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.position)
-            return poly ** int(digits)
-        return poly
-
-    def base(self) -> ExactPolynomial:
-        tok = self.peek()
-        if self.at_op("-("):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError("parentheses and unary minus nest deeper "
-                                 f"than {MAX_NESTING}", tok.position)
-            self.advance()
-            if tok.text == "-":
-                poly = -self.base()
-            else:
-                poly = self.expr()
-                self.expect_op(")")
-            self.depth -= 1
+    def factor() -> ExactPolynomial:
+        poly = base()
+        if not take("^"):
             return poly
-        if tok.kind == "int":
-            numerator = self.literal()
-            if not self.at_op("/"):
-                return ExactPolynomial.constant(self.nvars, numerator)
-            self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "int":
+        if not (tok := take("int")):
+            raise ParseError("exponent must be an unsigned integer",
+                             tokens[pos][2])
+        digits = tok[1].lstrip("0") or "0"  # int() takes <= 4,300
+        if len(digits) > 10 or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", tok[2])
+        return poly ** int(digits)
+
+    def base() -> ExactPolynomial:
+        nonlocal pos, depth
+        tok = kind, word, position = tokens[pos]
+        pos += 1
+        if word == "-" or word == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError("parentheses and unary minus nest deeper "
+                                 f"than {MAX_NESTING}", position)
+            if word == "-":
+                poly = -base()
+            else:
+                poly = expr()
+                if not take(")"):
+                    raise ParseError("expected ')'", tokens[pos][2])
+            depth -= 1
+            return poly
+        if kind == "int":
+            numerator = literal(tok)
+            if not take("/"):
+                return ExactPolynomial.constant(nvars, numerator)
+            if not (tok := take("int")):
                 raise ParseError("expected an integer denominator",
-                                 den_tok.position)
-            denominator = self.literal()
+                                 tokens[pos][2])
+            denominator = literal(tok)
             if denominator == 0:
-                raise ParseError("zero denominator", den_tok.position)
+                raise ParseError("zero denominator", tok[2])
             return ExactPolynomial.constant(
-                self.nvars, Fraction(numerator, denominator))
-        if tok.kind == "name":
-            index = self.index_of.get(tok.text)
+                nvars, Fraction(numerator, denominator))
+        if kind == "name":
+            index = index_of.get(word)
             if index is None:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.position)
-            self.advance()
-            return ExactPolynomial.variable(self.nvars, index)
-        if self.at_op("/"):
+                raise ParseError(f"unknown variable {word!r}", position)
+            return ExactPolynomial.variable(nvars, index)
+        if word == "/":
             raise ParseError("division is only allowed inside rational literals",
-                             tok.position)
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.position)
+                             position)
+        if kind == "end":
+            raise ParseError("unexpected end of input", position)
         raise ParseError("expected a rational, variable or parenthesized "
-                         f"expression, found {tok.text!r}", tok.position)
+                         f"expression, found {word!r}", position)
 
-
-def parse_expression(text: str, variable_names: Sequence[str]) -> ExactPolynomial:
-    """Parse an expression string into a canonical polynomial."""
-    seen = set()
-    for name in variable_names:
-        if name in seen:
-            raise PolynomialError(f"duplicate variable name {name!r}")
-        seen.add(name)
-    return _Parser(_tokenize(text), variable_names).parse()
+    poly = expr()
+    kind, word, position = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {word!r}", position)
+    return poly

@@ -240,8 +240,10 @@ def compare_grids(a: SolutionGrid, b: SolutionGrid) -> np.ndarray:
             raise PDEError(f"axis {ax.name!r} nodes differ beyond {AXIS_TOL}")
     if a.u.shape != b.u.shape:
         raise PDEError("component counts differ")
-    # x first: numpy reduces the leading axis faster than the two at once
+    # x first: numpy reduces the leading axis faster than the two at once;
+    # the same infinity in both reads nan, quietly, as in grid_residual
     rows = max(1, _BLOCK_VALUES // a.u[0].size)
-    return functools.reduce(np.maximum, (
-        np.abs(a.u[s:s + rows] - b.u[s:s + rows]).max(axis=0).max(axis=-1)
-        for s in range(0, len(a.u), rows)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return functools.reduce(np.maximum, (
+            np.abs(a.u[s:s + rows] - b.u[s:s + rows]).max(axis=0).max(axis=-1)
+            for s in range(0, len(a.u), rows)))

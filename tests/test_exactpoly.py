@@ -729,6 +729,65 @@ class TestParser:
         assert parse_expression("u1\n", U2) == poly2("u1")
         assert parse_expression("1\x0b+ u1", U2) == poly2("1 + u1")
 
+    # one row per raise site of the tokenizer, the grammar's rules and
+    # parse_expression: the exception's type, its text and, for a
+    # ParseError, its position
+    @pytest.mark.parametrize("text, names, kind, message, position", [
+        pytest.param("u1 $ u2", U2, ParseError,
+                     "unexpected character '$' (at position 3)", 3,
+                     id="character"),
+        pytest.param("u1 + " + "7" * 4301, U2, ParseError,
+                     "integer literal longer than 4300 digits "
+                     "(at position 5)", 5, id="literal-digits"),
+        pytest.param("(u1", U2, ParseError,
+                     "expected ')' (at position 3)", 3, id="close-paren"),
+        pytest.param("u1 u2", U2, ParseError,
+                     "unexpected trailing input 'u2' (at position 3)", 3,
+                     id="trailing"),
+        pytest.param("(1 + u1)^150*(1 + u1)^150", U2, ParseError,
+                     "product is too large to form (at position 12)", 12,
+                     id="product-size"),
+        pytest.param("u1^(2)", U2, ParseError,
+                     "exponent must be an unsigned integer (at position 3)",
+                     3, id="exponent-kind"),
+        pytest.param("u1^2147483648", U2, ParseError,
+                     "exponent exceeds 2147483647 (at position 3)", 3,
+                     id="exponent-bound"),
+        pytest.param("(" * 101 + "u1" + ")" * 101, U2, ParseError,
+                     "parentheses and unary minus nest deeper than 100 "
+                     "(at position 100)", 100, id="nesting"),
+        pytest.param("1/u1", U2, ParseError,
+                     "expected an integer denominator (at position 2)", 2,
+                     id="denominator-kind"),
+        pytest.param("1/0", U2, ParseError,
+                     "zero denominator (at position 2)", 2,
+                     id="zero-denominator"),
+        pytest.param("u3", U2, ParseError,
+                     "unknown variable 'u3' (at position 0)", 0,
+                     id="unknown-variable"),
+        pytest.param("u1*/u2", U2, ParseError,
+                     "division is only allowed inside rational literals "
+                     "(at position 3)", 3, id="division"),
+        pytest.param("u1 +", U2, ParseError,
+                     "unexpected end of input (at position 4)", 4,
+                     id="end"),
+        pytest.param("u1 + )", U2, ParseError,
+                     "expected a rational, variable or parenthesized "
+                     "expression, found ')' (at position 5)", 5,
+                     id="base"),
+        pytest.param("u1", ["u1", "u1"], PolynomialError,
+                     "duplicate variable name 'u1'", None, id="duplicate"),
+        pytest.param("(1 + u1)^300000", U2, PolynomialError,
+                     "power 300000 of a 2-term polynomial is too large to "
+                     "form", None, id="power-size"),
+    ])
+    def test_error_table(self, text, names, kind, message, position):
+        with pytest.raises(PolynomialError) as err:
+            parse_expression(text, names)
+        assert type(err.value) is kind
+        assert str(err.value) == message
+        assert getattr(err.value, "position", None) == position
+
 
 class TestEmbedding:
     def test_appended_variables(self):

@@ -423,6 +423,19 @@ def test_compare_grids_reduces_x_then_the_components():
     assert np.isnan(got[1, 0]) and got.tobytes() == want.tobytes()
 
 
+def test_compare_grids_reads_matching_infinities_quietly():
+    # +inf in both at one node reads nan, a nan reads nan and an overflowing
+    # difference inf, with no RuntimeWarning (made an error by pyproject)
+    axes = (AxisSpec("x", 0.0, 1.0, 5), AxisSpec("t", 0.0, 1.0, 3))
+    u = np.random.default_rng(8).standard_normal((5, 3, 2))
+    v = u.copy()
+    u[1, 0, 1] = v[1, 0, 1] = np.inf
+    u[3, 1, 0] = np.nan
+    u[2, 2, 1], v[2, 2, 1] = 1e308, -1e308
+    got = compare_grids(SolutionGrid(axes, u), SolutionGrid(axes, v))
+    assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == np.inf
+
+
 def test_direct_solution_matches_reduction():
     _, A, F = nijenhuis2_setup()
     start = CotangentPoint((0.1, -0.2), (0.8, 2.5))
