@@ -5,8 +5,8 @@ States are points (u, p).  Each integral F yields the canonical vector field
     du^i/dt = dF/dp_i,      dp_i/dt = -dF/du^i,
 
 whose right-hand side is evaluated in plain floating point from the cached
-float forms of the exact partial derivatives, compiled on the field's first
-call into one function with the interpreter's operations in its order, so
+float forms of the exact partial derivatives, compiled when the field is
+built into one function with the interpreter's operations in its order, so
 repeated trajectories are deterministic bit for bit.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
@@ -38,7 +38,7 @@ from .metric import PhaseFunction, poisson_bracket
 
 State = list[float]
 
-MAX_STEPS = 2_000_000  # the most steps one integrator segment may take
+MAX_STEPS = 100_000  # the most steps one integrator segment may take
 MIN_STEP = 1e-13  # the adaptive integrator's smallest step before it gives up
 
 
@@ -101,31 +101,19 @@ class FlowSettings:
 
 class HamiltonianField:
     """Canonical vector field of one phase function.  Its float forms are
-    compiled into one function on the first call (``compile_float_forms``)
-    and kept: a field that is never called is never compiled."""
+    compiled into one function when it is built (``compile_float_forms``)."""
 
-    __slots__ = ("n", "du_dt", "dp_dt", "_forms", "_compiled")
+    __slots__ = ("n", "du_dt", "dp_dt", "_forms", "_rhs")
 
     def __init__(self, hamiltonian: PhaseFunction):
-        n = hamiltonian.n
-        du_dt = tuple(hamiltonian.dp(i) for i in range(n))
-        dp_dt = tuple(-hamiltonian.du(i) for i in range(n))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "du_dt", du_dt)
-        object.__setattr__(self, "dp_dt", dp_dt)
-        object.__setattr__(self, "_forms",
-                           tuple(c.float_form() for c in (*du_dt, *dp_dt)))
-        object.__setattr__(self, "_compiled", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HamiltonianField is immutable")
+        self.n = n = hamiltonian.n
+        self.du_dt = tuple(hamiltonian.dp(i) for i in range(n))
+        self.dp_dt = tuple(-hamiltonian.du(i) for i in range(n))
+        self._forms = tuple(c.float_form() for c in (*self.du_dt, *self.dp_dt))
+        self._rhs = compile_float_forms(self._forms, 2 * n)
 
     def __call__(self, state: Sequence[float]) -> State:
-        compiled = self._compiled
-        if compiled is None:
-            compiled = compile_float_forms(self._forms, 2 * self.n)
-            object.__setattr__(self, "_compiled", compiled)
-        return compiled(state)
+        return self._rhs(state)
 
 
 def _rk4_segment(f: Callable[[State], State], y: State, t_span: float,
@@ -311,8 +299,7 @@ def _series_lines(series: Series, states: np.ndarray,
 def integrate_flow(F: PhaseFunction, start: CotangentPoint, t: float,
                    settings: FlowSettings = FlowSettings()) -> CotangentPoint:
     """The flow of one integral applied to a point for time ``t``."""
-    f = HamiltonianField(F)
-    return CotangentPoint.from_state(_advance(f, start.state(), t, settings))
+    return integrate_flow_path(F, start, [t], settings)[0]
 
 
 def integrate_flow_path(F: PhaseFunction, start: CotangentPoint,

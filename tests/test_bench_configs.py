@@ -8,8 +8,9 @@ without timing, of the commands: the exact work that ``verify``,
 ``build-metric`` and ``hierarchy`` do on the ``certify`` configs, on
 curved n = 2..7 and on the shipped configs, the RHS evaluations of
 ``evolve`` on the ``lattice`` configs and the node-steps of
-``solve-direct`` on the ``crosscheck`` configs.  ``bench/cases.py`` is read without changing it: compiled in
-memory, so no bytecode cache is written next to it.
+``solve-direct`` on the ``crosscheck`` configs, and both kinds of count on
+the shipped configs.  ``bench/cases.py`` is read without changing it:
+compiled in memory, so no bytecode cache is written next to it.
 """
 
 import hashlib
@@ -156,6 +157,44 @@ def test_direct_node_steps_are_pinned(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert got == NODE_STEPS
+
+
+# The same counts on each shipped config under configs/: RHS evaluations of
+# evolve and of residual without --input, node-steps of solve-direct.  A
+# config missing from a command's table exits 2 on it (residual needs a
+# time axis, solve-direct a pde.t_end).  Recorded while each field was
+# still compiled on its first call: compiling it when built moves no count.
+SHIPPED_RHS_COUNTS = {
+    "evolve": {"constant2": 36, "constant3": 348, "coordinates2": 60,
+               "nijenhuis2": 300, "nijenhuis2_direct": 0, "nijenhuis3": 432,
+               "nijenhuis4": 1146},
+    "residual": {"constant2": 36, "constant3": 348, "coordinates2": 60,
+                 "nijenhuis2": 300, "nijenhuis3": 432, "nijenhuis4": 1146},
+}
+SHIPPED_NODE_STEPS = {"constant2": 644, "nijenhuis2_direct": 605}
+
+
+@pytest.mark.parametrize("command", ["evolve", "residual", "solve-direct"])
+def test_shipped_config_counts_are_pinned(command, tmp_path, capsys):
+    if command == "solve-direct":
+        table = SHIPPED_NODE_STEPS
+        counter = ([cli], "direct_solve",
+                   lambda args, result: len(args[1]) * result.meta["steps"])
+    else:
+        table = SHIPPED_RHS_COUNTS[command]
+        counter = ([HamiltonianField], "__call__", lambda args, result: 1)
+    got = {}
+    for config in sorted((REPO / "configs").glob("*.json")):
+        argv = [command, str(config)]
+        if command != "residual":
+            argv += ["--output", str(tmp_path / f"{config.stem}.csv")]
+        code, (count,) = counted([counter], main, argv)
+        if code == 0:
+            got[config.stem] = count
+        else:
+            assert code == 2
+    capsys.readouterr()
+    assert got == table
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

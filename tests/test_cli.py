@@ -646,6 +646,16 @@ def test_rk4_step_alone_still_reaches_the_step_budget(tmp_path, capsys):
     assert err == "nijflow evolve: step budget exhausted\n"
 
 
+def test_flow_towards_a_blow_up_is_refused_by_the_step_budget(tmp_path,
+                                                              capsys):
+    # F_1's flow from the start blows up between t = -9.5 and -10, and RK45
+    # crawls towards it; with flows.MAX_STEPS at 2e6 this took over a minute
+    cfg = json.loads((CONFIGS / "nijenhuis4.json").read_text())
+    cfg["grid"]["t"][0]["start"] = -10.0
+    err = _assert_exits_2(tmp_path, capsys, "residual", cfg)
+    assert err == "nijflow residual: step budget exhausted\n"
+
+
 _OVER_THE_NODE_STEP_CAP = (
     "667 steps on 20001 nodes make 13340667 node-steps, more than the limit "
     "of 10000000; coarsen the lattice or shorten t_end")

@@ -155,7 +155,7 @@ def test_compiled_rhs_overflow_is_a_flow_error():
         assert err.value.last_state == start
 
 
-def test_rhs_is_compiled_once_and_only_when_called(monkeypatch):
+def test_rhs_is_compiled_once_per_field_built(monkeypatch):
     compiled = []
 
     def counted(forms, nvars):
@@ -167,9 +167,12 @@ def test_rhs_is_compiled_once_and_only_when_called(monkeypatch):
     start = CotangentPoint((0.1, -0.2, 0.05), (0.8, 0.5, 0.3))
     orbit_grid(model.integrals[:2], start, [AxisSpec("x", 0.0, 0.5, 3),
                                             AxisSpec("t1", 0.0, 0.2, 3)])
-    # the x-sweep runs the terminating series, never the x-field; the
-    # t-field is compiled on its first call and kept for the rest
-    assert compiled == [HamiltonianField(model.integrals[1])._forms]
+    # the x-sweep runs the terminating series and builds no x-field; the
+    # t-field is compiled when it is built and kept for every call
+    got = list(compiled)
+    reference = HamiltonianField(model.integrals[1])
+    assert got == [reference._forms]
+    assert compiled == [reference._forms] * 2  # the reference's own compile
 
 
 def test_phase_function_evaluates_at_a_cotangent_point():

@@ -476,6 +476,47 @@ def test_direct_matches_reduction_at_second_order_for_curved_n3(tmp_path,
                for coarse, fine in zip(deviations, deviations[1:]))
 
 
+@pytest.mark.parametrize("eigenvalues, p", [
+    ((-1.9, 1.8), [0.7, 5.7]),
+    ((-1.5, -0.4, 1.8), [2.5, -0.6, -5.0]),
+], ids=["n2", "n3"])
+def test_direct_matches_reduction_at_second_order_on_hyperbolic_windows(
+        eigenvalues, p, tmp_path, capsys):
+    # L has distinct real eigenvalues on the whole initial window, so the
+    # ladder converges down to dx = 0.00078125.  The stencil differentiates
+    # these degree-n x-lines exactly, so the deviation is RK4's in time; the
+    # momenta, t_end and cfl keep it well above roundoff on the finest rung
+    n = len(eigenvalues)
+    cfg = {"n": n,
+           "sigma": [format_polynomial(s, base_names(n))
+                     for s in sigma_curved(n)],
+           "initial": {"u": u_from_eigenvalues(eigenvalues), "p": p},
+           "integrator": {"method": "rk45", "abs_tol": 1e-13,
+                          "rel_tol": 1e-12},
+           "pde": {"t_end": 0.036, "cfl": 0.6}}
+    path = tmp_path / f"n{n}.json"
+    deviations = []
+    for count in (97, 193, 385, 769, 1537):
+        cfg["grid"] = {"x": {"start": -0.6, "stop": 0.6, "count": count}}
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", str(path)]) == 0
+        deviation = json.loads(capsys.readouterr().out)["max_deviation"]
+        assert deviation <= 1.0 * (1.2 / (count - 1)) ** 2
+        deviations.append(deviation)
+    assert deviations[0] > 1e-11
+    assert all(fine <= coarse / 4
+               for coarse, fine in zip(deviations, deviations[1:]))
+
+    loaded = load_config(str(path))
+    model = build_model(loaded)
+    x_axis = cli.config_axes(loaded, n)[0]
+    u0 = cli.config_initial_curve(loaded, model, x_axis,
+                                  cli.config_settings(loaded))
+    lams = np.linalg.eigvals([model.operator.evaluate_at(u) for u in u0])
+    assert not lams.imag.any()
+    assert np.diff(np.sort(lams.real), axis=1).min() > 0.5
+
+
 # ---------------------------------------------------------------------------
 # the lattice kernels in slabs
 
