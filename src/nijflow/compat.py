@@ -52,12 +52,13 @@ def benenti_residual(model: "CompanionModel") -> PhaseFunction:
     trace = PhaseFunction(n, model.sigma[0].with_appended_vars(n))
     # L h1 = (h1 L^T)^T has the quadratic form of h1 L^T, and
     # A_1 h1 = L h1 - sigma_1 h1 is the Gram matrix of h_2 (hierarchy.py)
-    F = h[0] * trace
+    F = h[0].poly * trace.poly
     if n > 1:
-        F = F + h[1]
+        F = F + h[1].poly
     H = model.integrals[0]
     # {H, tr L} = h1^(aq) d(tr L)/du^q p_a
-    return poisson_bracket(H, F) - 2 * (H * poisson_bracket(H, trace))
+    return PhaseFunction(n, poisson_bracket(H, PhaseFunction(n, F)).poly
+                         - 2 * (H.poly * poisson_bracket(H, trace).poly))
 
 
 def coordinate_form_residual_at(g_at: CovariantMetricAt, L: OperatorField

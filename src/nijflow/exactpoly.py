@@ -48,14 +48,15 @@ Every product and every sum of polynomials is formed by one kernel,
 ``signed_sum``, which sums the products of numerators over one common
 denominator, skips parts with a zero factor and takes one loop for a part
 with a one-term factor; ``+`` and ``-`` pass it each side times the shared
-constant 1.  It, ``partial`` and a scalar multiple return the shared 0 for an
-empty result.  ``suffixed_sum`` lifts polynomials onto appended variables,
-each times a monomial there, and sums them; ``split_suffixes`` splits a
-polynomial back by the monomials in its last variables.  Float evaluation goes
-through one interpreter, ``evaluate_float_form``, at a point of floats or over
-the columns of a stack of points.  The one exception is ``compile_float_forms``,
-which turns the forms of a Hamiltonian field, evaluated at many points of
-floats, into one straight-line function, bit-identical to the interpreter there.
+constant 1.  It, ``suffixed_sum``, ``partial`` and a scalar multiple return
+the shared 0 for an empty result.  ``suffixed_sum`` lifts polynomials onto
+appended variables, each times a monomial there, and sums them;
+``split_suffixes`` splits a polynomial back by the monomials in its last
+variables.  Float evaluation goes through one interpreter,
+``evaluate_float_form``, at a point of floats or over the columns of a
+stack of points.  The one exception is ``compile_float_forms``, which turns
+the forms of a Hamiltonian field, evaluated at many points of floats, into
+one straight-line function, bit-identical to the interpreter there.
 """
 
 from __future__ import annotations
@@ -518,8 +519,9 @@ def suffixed_sum(nvars: int,
         for key, c in poly._nums.items():
             key += lift
             data[key] = get(key, 0) + c * scale
-    return ExactPolynomial._raw(
-        nvars, {e: c for e, c in data.items() if c}, den)
+    nums = {key: c for key, c in data.items() if c}
+    return (ExactPolynomial._raw(nvars, nums, den) if nums
+            else _shared_constant(nvars, 0))
 
 
 def split_suffixes(poly: ExactPolynomial,

@@ -266,10 +266,10 @@ def polynomial_flow(F: PhaseFunction) -> Series | None:
                 break
             coeffs.append(z.poly * Fraction(1, math.factorial(k)))
         if len(coeffs) > nvars + 1:
-            object.__setattr__(F, "_flows", None)
+            F._flows = None
             return None
         series.append(tuple(coeffs))
-    object.__setattr__(F, "_flows", tuple(series))
+    F._flows = tuple(series)
     return F._flows
 
 

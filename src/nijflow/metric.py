@@ -60,11 +60,8 @@ class PhaseFunction:
         if poly.nvars != 2 * n:
             raise MetricError(
                 f"phase polynomial must have {2 * n} variables, got {poly.nvars}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseFunction is immutable")
+        self.n = n
+        self.poly = poly
 
     @classmethod
     def zero(cls, n: int) -> "PhaseFunction":
@@ -89,29 +86,12 @@ class PhaseFunction:
             return NotImplemented
         return self.n == other.n and self.poly == other.poly
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.poly))
-
-    def __add__(self, other: "PhaseFunction") -> "PhaseFunction":
-        self._check(other)
-        return PhaseFunction(self.n, self.poly + other.poly)
-
-    def __sub__(self, other: "PhaseFunction") -> "PhaseFunction":
-        return self + (-1) * other
-
-    def __mul__(self, other) -> "PhaseFunction":
-        if isinstance(other, (int, Fraction)):
-            return PhaseFunction(self.n, self.poly * other)
-        if isinstance(other, PhaseFunction):
-            self._check(other)
-            return PhaseFunction(self.n, self.poly * other.poly)
+    def __mul__(self, scalar) -> "PhaseFunction":
+        if isinstance(scalar, (int, Fraction)):
+            return PhaseFunction(self.n, self.poly * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _check(self, other: "PhaseFunction") -> None:
-        if self.n != other.n:
-            raise MetricError("phase functions live on different charts")
 
     def __str__(self) -> str:
         return format_polynomial(self.poly, phase_names(self.n))
@@ -122,8 +102,9 @@ class PhaseFunction:
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     """{f, g} = sum_k df/dp_k dg/du^k - df/du^k dg/dp_k."""
-    f._check(g)
     n = f.n
+    if g.n != n:
+        raise MetricError("phase functions live on different charts")
     return PhaseFunction(n, signed_sum(2 * n, [
         part for k in range(n)
         for part in ((1, f.dp(k), g.du(k)), (-1, f.du(k), g.dp(k)))]))

@@ -49,12 +49,8 @@ class OperatorField:
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise OperatorError("entries must form a non-empty square matrix")
-        self_entries = tuple(tuple(_as_entry(n, e) for e in row) for row in entries)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", self_entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorField is immutable")
+        self.n = n
+        self.entries = tuple(tuple(_as_entry(n, e) for e in row) for row in entries)
 
     @classmethod
     def identity(cls, n: int) -> "OperatorField":
@@ -71,9 +67,6 @@ class OperatorField:
         if not isinstance(other, OperatorField):
             return NotImplemented
         return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

@@ -60,7 +60,9 @@ def _check_uniform(x_values: np.ndarray) -> float:
     dx = float(diffs[0])
     if dx <= 0:
         raise PDEError("spatial nodes must be strictly increasing")
-    if np.abs(diffs - dx).max() > UNIFORM_RTOL * max(1.0, abs(dx)):
+    # each spacing, and dx, may also carry the rounding of its two nodes
+    if (np.abs(diffs - dx).max() > UNIFORM_RTOL * max(1.0, abs(dx))
+            + 4 * np.spacing(np.abs(x_values).max())):
         raise PDEError("spatial lattice must be uniform")
     return dx
 

@@ -730,7 +730,7 @@ def reference_benenti_residual(model) -> PhaseFunction:
          signed_sum(n, [(1, dtr[q], h1.entry(a, q)) for q in range(n)])
          .with_appended_vars(n))
         for a in range(n)]))
-    return poisson_bracket(H, F) - 2 * (H * G)
+    return PhaseFunction(n, poisson_bracket(H, F).poly - 2 * (H.poly * G.poly))
 
 
 def reference_differential_shift_residuals(

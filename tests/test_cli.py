@@ -2013,6 +2013,44 @@ def test_initial_curve_samples_match_pointwise_evaluation():
     assert np.array_equal(u0, expected)
 
 
+def test_initial_curve_not_finite_on_the_x_axis_is_refused(tmp_path, capsys):
+    # x^400 overflows a float for |x| above about 5.9
+    cfg = small_e2_config(
+        tmp_path, initial={"curve": ["x^400", "1"]},
+        grid={"x": {"start": -10.0, "stop": 10.0, "count": 101}},
+        pde={"t_end": 0.01})
+    out = tmp_path / "direct.csv"
+    for argv in (["solve-direct", str(cfg), "--output", str(out)],
+                 ["compare", str(cfg)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"nijflow {argv[0]}: 'initial.curve' is not finite on the "
+            "x-axis\n")
+    assert not out.exists()
+
+
+def test_direct_commands_accept_uniform_axes_far_from_0(tmp_path, capsys):
+    # the nodes of [1e6, 1e6 + 1] carry ulps of about 1.2e-10
+    x = {"start": 1e6, "stop": 1e6 + 1, "count": 1001}
+    cfg = small_e2_config(tmp_path, initial={"curve": ["1/10", "1/5"]},
+                          grid={"x": x}, pde={"t_end": 0.001})
+    out = tmp_path / "direct.csv"
+    assert main(["solve-direct", str(cfg), "--output", str(out)]) == 0
+    assert main(["residual", str(cfg), "--input", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs"] == 0.0
+    assert main(["plot", str(out), "--output", str(tmp_path / "d.svg")]) == 0
+    # compare on the constant family, whose x-lines stay finite that far out
+    cfg = small_e2_config(tmp_path, sigma=["1", "-1/2"],
+                          initial={"u": [0.0, 0.0], "p": [1.0, 2.0]},
+                          grid={"x": x}, pde={"t_end": 0.001})
+    capsys.readouterr()
+    assert main(["compare", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["window"]["count"] == 953
+    assert report["max_deviation"] < 1e-8
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # residual and compare reports
 

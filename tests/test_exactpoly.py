@@ -27,7 +27,7 @@ from nijflow.exactpoly import (
     suffixed_sum,
 )
 from nijflow.flows import HamiltonianField
-from nijflow.metric import PhaseFunction
+from nijflow.metric import PhaseFunction, quadratic_phase
 from nijflow.operators import OperatorField, nijenhuis_torsion
 
 from support import (random_polynomial, reference_format_polynomial,
@@ -822,6 +822,15 @@ class TestEmbedding:
     def test_suffixed_sum_checks_variable_counts(self):
         with pytest.raises(PolynomialError, match="variable counts differ"):
             suffixed_sum(4, [(poly2("u1"), (1,))])
+
+    def test_suffixed_sum_gives_the_shared_zero(self):
+        # an empty sum, a cancelling pair over a denominator of 3, and the
+        # lift of a zero matrix
+        zero = ExactPolynomial.zero(4)
+        third = poly2("1/3*u1")
+        assert suffixed_sum(4, []) is zero
+        assert suffixed_sum(4, [(third, (1, 0)), (-third, (1, 0))]) is zero
+        assert quadratic_phase([[ExactPolynomial.zero(2)] * 2] * 2).poly is zero
 
 
 def wide_polynomial(rng, caps, max_terms=5):

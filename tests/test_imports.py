@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every public
-function and class is reached from the command line or allow-listed.
+"""No module of the package imports a name it never uses, every public
+function and class is reached from the command line or allow-listed, and
+no class hand-rolls its immutability.
 
 Each module under ``src/nijflow`` is parsed with ``ast``.  An imported name
 counts as used when the module reads it (in code or in a string
@@ -18,6 +19,10 @@ in ``tests/support.py``, beside the other oracles.
 A private definition (a module-level function or class, or a method that is
 not dunder, whose name starts with ``_``) is referred to by some module of
 the package, by name or attribute, outside its own body.
+
+Only ``ExactPolynomial`` defines ``__setattr__``: it is hashed, and its
+shared 0 and 1 and its caches rely on the guard.  ``object.__setattr__``
+is called only in the ``__post_init__`` of a frozen dataclass.
 """
 
 import ast
@@ -316,3 +321,61 @@ def test_the_guard_finds_planted_private_definitions():
                              "    return _planted(k - 1) if k else 0\n")
     assert unreferenced_private(planted) == [
         ("operators", "OperatorField._stray"), ("operators", "_planted")]
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "dataclass" and any(k.arg == "frozen" and getattr(
+                   k.value, "value", None) is True for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def immutability_plumbing(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Each class of ``sources`` (module -> text) but ``ExactPolynomial``
+    that defines ``__setattr__``, as (module, "Class.__setattr__"), and each
+    top-level statement or method that calls ``object.__setattr__``, other
+    than a frozen dataclass's ``__post_init__``, as (module, its name), in
+    module order."""
+    found = []
+    for m, text in sources.items():
+        for node in ast.parse(text).body:
+            named, exempt = [(getattr(node, "name", "<module>"), node)], None
+            if isinstance(node, ast.ClassDef):
+                named = [(f"{node.name}.{getattr(d, 'name', '<body>')}", d)
+                         for d in node.body]
+                if _is_frozen_dataclass(node):
+                    exempt = f"{node.name}.__post_init__"
+            for name, part in named:
+                if (name.endswith(".__setattr__")
+                        and name != "ExactPolynomial.__setattr__"):
+                    found.append((m, name))
+                elif name != exempt and any(
+                        isinstance(a, ast.Attribute)
+                        and a.attr == "__setattr__"
+                        and getattr(a.value, "id", None) == "object"
+                        for a in ast.walk(part)):
+                    found.append((m, name))
+    return found
+
+
+def test_no_class_hand_rolls_its_immutability():
+    assert immutability_plumbing(SOURCES) == []
+
+
+def test_the_guard_finds_planted_immutability_plumbing():
+    # a guard on OperatorField, a slot store in a plain function, and one
+    # in the __post_init__ of a dataclass that is not frozen
+    planted = dict(SOURCES)
+    slots = '    __slots__ = ("n", "entries")\n'
+    assert slots in planted["operators"]
+    planted["operators"] = planted["operators"].replace(
+        slots, slots + "\n    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n")
+    planted["flows"] += ("\n\ndef planted(F):\n"
+                         "    object.__setattr__(F, '_flows', None)\n")
+    planted["pde"] += ("\n\n@dataclass\nclass Planted:\n    x: float\n\n"
+                       "    def __post_init__(self):\n"
+                       "        object.__setattr__(self, 'x', 1.0)\n")
+    assert immutability_plumbing(planted) == [
+        ("flows", "planted"), ("operators", "OperatorField.__setattr__"),
+        ("pde", "Planted.__post_init__")]

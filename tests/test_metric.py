@@ -65,7 +65,7 @@ class TestPhaseFunction:
     def test_inhomogeneous_rejected(self):
         # a phase function takes any polynomial; the Gram extraction
         # refuses one that is not quadratic in p
-        f = phase("p1", 2) + phase("p1*p2", 2)
+        f = PhaseFunction(2, phase("p1", 2).poly + phase("p1*p2", 2).poly)
         assert f == phase("p1 + p1*p2", 2)
         assert momentum_degrees(f) == {1, 2}
         with pytest.raises(MetricError, match=NOT_QUADRATIC):
@@ -105,10 +105,15 @@ class TestPoissonBracket:
             f = random_phase_function(rng, 2, rng.randint(0, 2))
             g = random_phase_function(rng, 2, rng.randint(0, 2))
             h = random_phase_function(rng, 2, rng.randint(0, 2))
-            assert (poisson_bracket(f, g) + poisson_bracket(g, f)).poly.is_zero()
-            lhs = poisson_bracket(f, g * h)
-            rhs = poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
-            assert (lhs.poly - rhs.poly).is_zero()
+            assert (poisson_bracket(f, g).poly + poisson_bracket(g, f).poly).is_zero()
+            lhs = poisson_bracket(f, PhaseFunction(2, g.poly * h.poly))
+            rhs = (poisson_bracket(f, g).poly * h.poly
+                   + g.poly * poisson_bracket(f, h).poly)
+            assert (lhs.poly - rhs).is_zero()
+
+    def test_charts_must_agree(self):
+        with pytest.raises(MetricError, match="different charts"):
+            poisson_bracket(phase("p1", 1), phase("p1", 2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_degree_is_the_sum_less_one(self, n):

@@ -180,6 +180,27 @@ def test_lattice_validation():
         direct_solve(A[1], xs, np.zeros((41, 2)), 0.01, cfl=-1e-3 / dx)
 
 
+@pytest.mark.parametrize("c", [1e4, 1e6, 1e9])
+def test_direct_solve_accepts_uniform_axes_far_from_0(c):
+    # linspace rounds each node to its own ulp, so far from 0 the spacings
+    # stray by more than UNIFORM_RTOL * max(1, dx) alone allows
+    _, A, _ = nijenhuis2_setup()
+    xs = np.linspace(c, c + 1, 1001)
+    assert np.abs(np.diff(xs) - (xs[1] - xs[0])).max() > pde.UNIFORM_RTOL
+    u0 = np.tile([0.1, 0.2], (1001, 1))
+    grid = direct_solve(A[1], xs, u0, 0.001)
+    assert (grid.u == u0[0]).all()
+
+
+def test_direct_solve_refuses_non_uniform_axes_near_and_far_from_0():
+    _, A, _ = nijenhuis2_setup()
+    far = np.linspace(1e6, 1e6 + 1, 1001)
+    far[500] += 1e-8  # about 86 ulps of 1e6
+    for xs in (np.array([0.0, 0.1, 0.3]), far):
+        with pytest.raises(PDEError, match="spatial lattice must be uniform"):
+            direct_solve(A[1], xs, np.zeros((len(xs), 2)), 0.01)
+
+
 def test_blow_up_is_detected():
     L = companion_second([parse_expression("u1", ["u1"])])
     xs = np.linspace(-1.0, 1.0, 81)
@@ -452,8 +473,11 @@ def test_direct_solution_matches_reduction():
 
 def test_direct_matches_reduction_at_second_order_for_curved_n3(tmp_path,
                                                               capsys):
-    # a hyperbolic start of the curved family: distinct real eigenvalues
-    # (-0.8, 0.3, 1.2) of L; the coarse rung is well above roundoff
+    # a start of the curved family where L has the distinct real
+    # eigenvalues (-0.8, 0.3, 1.2); the window is not hyperbolic, since along
+    # its initial curve they reach |Im lambda| = 0.70, and the ladder run on
+    # to dx = 0.00078125 stops falling (1.75e-14, then 2.29e-14).  The four
+    # rungs here stop before that; the coarse one is well above roundoff
     cfg = {"n": 3,
            "sigma": [format_polynomial(s, base_names(3))
                      for s in sigma_curved(3)],
@@ -515,6 +539,83 @@ def test_direct_matches_reduction_at_second_order_on_hyperbolic_windows(
     lams = np.linalg.eigvals([model.operator.evaluate_at(u) for u in u0])
     assert not lams.imag.any()
     assert np.diff(np.sort(lams.real), axis=1).min() > 0.5
+
+
+HYPERBOLIC_LADDER = (97, 193, 385, 769, 1537)
+
+
+def _hyperbolic_window(eigenvalues, p, count):
+    """The config of a hyperbolic window above: the curved family on
+    x in [-0.6, 0.6] with ``count`` nodes, through the point where L has
+    ``eigenvalues``; t_end 0.036, cfl 0.6."""
+    n = len(eigenvalues)
+    return {"n": n,
+            "sigma": [format_polynomial(s, base_names(n))
+                      for s in sigma_curved(n)],
+            "initial": {"u": u_from_eigenvalues(eigenvalues), "p": p},
+            "integrator": {"method": "rk45", "abs_tol": 1e-13,
+                           "rel_tol": 1e-12},
+            "pde": {"t_end": 0.036, "cfl": 0.6},
+            "grid": {"x": {"start": -0.6, "stop": 0.6, "count": count}}}
+
+
+def _initial_curve(cfg):
+    model = build_model(cfg)
+    x_axis = cli.config_axes(cfg, model.n)[0]
+    u0 = cli.config_initial_curve(cfg, model, x_axis,
+                                  cli.config_settings(cfg))
+    return model, x_axis, u0
+
+
+@pytest.mark.parametrize("eigenvalues, p", [
+    ((-1.9, 1.8), [0.7, 5.7]),
+    ((-1.5, -0.4, 1.8), [2.5, -0.6, -5.0]),
+], ids=["n2", "n3"])
+def test_direct_matches_reduction_at_fourth_order_on_hyperbolic_windows(
+        eigenvalues, p, tmp_path, capsys):
+    # fourth-order differences in x and RK4 with dt proportional to dx: each
+    # halving cuts the deviation 16x (measured 14.1-16.7x).  The n2 x-lines
+    # are quadratic, which any central stencil differentiates exactly, so
+    # that window checks RK4 alone; at n3 a second-order stencil fails.
+    # Below a floor of 1e-14 max|u| roundoff may take over
+    path = tmp_path / "window.json"
+    deviations = []
+    for count in HYPERBOLIC_LADDER:
+        cfg = _hyperbolic_window(eigenvalues, p, count)
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", str(path)]) == 0
+        deviations.append(json.loads(capsys.readouterr().out)["max_deviation"])
+    floor = 1e-14 * np.abs(_initial_curve(cfg)[2]).max()
+    assert deviations[0] > 1e-9
+    assert all(fine <= max(coarse / 12, floor)
+               for coarse, fine in zip(deviations, deviations[1:]))
+
+
+def test_direct_flows_commute_at_fourth_order_for_curved_n3():
+    # u_t1 = A_1(u) u_x and u_t2 = A_2(u) u_x solved directly, in both
+    # orders, with no reduction involved: the two results meet up to the
+    # scheme's fourth-order error (measured 2.9e-10 down to 1.4e-14, falling
+    # 7.3-16.3x per halving).  Both orders take the same steps on the same
+    # lattice, so their final windows coincide
+    deviations = []
+    for count in HYPERBOLIC_LADDER:
+        cfg = _hyperbolic_window((-1.5, -0.4, 1.8), [2.5, -0.6, -5.0], count)
+        model, x_axis, u0 = _initial_curve(cfg)
+        A1, A2 = model.killing[1:3]
+
+        def solve(first, second):
+            grid = direct_solve(first, x_axis.values(), u0, 0.012, cfl=0.6)
+            return direct_solve(second, grid.axes[0].values(), grid.u[:, -1],
+                                0.012, cfl=0.6)
+        one_two, two_one = solve(A1, A2), solve(A2, A1)
+        assert one_two.axes == two_one.axes
+        deviation = np.abs(one_two.u[:, -1] - two_one.u[:, -1]).max()
+        assert deviation <= 0.1 * x_axis.delta ** 4
+        deviations.append(deviation)
+    floor = 1e-14 * np.abs(u0).max()
+    assert deviations[0] > 1e-11
+    assert all(fine <= max(coarse / 6, floor)
+               for coarse, fine in zip(deviations, deviations[1:]))
 
 
 # ---------------------------------------------------------------------------
