@@ -25,9 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .compat import CompatError
-from .exactpoly import (ParseError, PolynomialError, base_names,
-                        evaluate_table_array, format_polynomial,
-                        parse_expression)
+from .exactpoly import (PolynomialError, base_names, evaluate_table_array,
+                        format_polynomial, parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
 from .lattice_io import (MAX_LATTICE_NODES, ConfigError, _replacing,
@@ -133,7 +132,7 @@ def build_model(cfg: dict) -> CompanionModel:
                           "list of n expression strings")
     try:
         return CompanionModel.from_expressions(sigma)
-    except (ParseError, PolynomialError) as exc:
+    except PolynomialError as exc:
         raise ConfigError(f"bad sigma expression: {exc}") from exc
 
 
@@ -182,7 +181,7 @@ def config_initial_curve(cfg: dict, model: CompanionModel,
                               "expressions in the variable x")
         try:
             polys = [parse_expression(c, ["x"]) for c in curve]
-        except (ParseError, PolynomialError) as exc:
+        except PolynomialError as exc:
             raise ConfigError(f"bad curve expression: {exc}") from exc
         with np.errstate(over="ignore", invalid="ignore"):
             u0 = evaluate_table_array(polys, x_axis.values()[:, None])
@@ -406,8 +405,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ConfigError, ParseError, PolynomialError, MetricError,
-            OperatorError, CompatError, FlowError, PDEError, OSError) as exc:
+    except (ConfigError, PolynomialError, MetricError, OperatorError,
+            CompatError, FlowError, PDEError, OSError) as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -152,6 +152,8 @@ class ExactPolynomial:
     Instances are created from a variable count and any iterable or mapping
     of ``(exponent_tuple, coefficient)`` pairs; duplicate exponent tuples are
     combined and zero coefficients dropped, so the stored form is canonical.
+    Immutability is a contract that the shared 0 and 1, the hash and both
+    caches rely on; ``tests/test_imports.py`` checks it statically.
     """
 
     __slots__ = ("nvars", "_nums", "_den", "_float_form", "_partials")
@@ -174,11 +176,8 @@ class ExactPolynomial:
                             for e, c in data.items()}, den)
 
     def _store(self, nvars: int, nums: dict[int, int], den: int) -> None:
-        _set_nvars(self, nvars)
-        _set_nums(self, nums)
-        _set_den(self, den)
-        _set_float_form(self, None)
-        _set_partials(self, None)
+        self.nvars, self._nums, self._den = nvars, nums, den
+        self._float_form = self._partials = None
 
     @classmethod
     def _raw(cls, nvars: int, nums: dict[int, int],
@@ -192,9 +191,6 @@ class ExactPolynomial:
         obj = cls.__new__(cls)
         obj._store(nvars, nums, den)
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactPolynomial is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -357,14 +353,13 @@ class ExactPolynomial:
     # -- calculus ---------------------------------------------------------
 
     def partial(self, index: int) -> "ExactPolynomial":
-        """Partial derivative with respect to variable ``index`` (0-based),
-        built once per instance and cached (polynomials are immutable)."""
+        """Partial derivative by variable ``index`` (0-based), built once and
+        cached: immutability is a contract, checked statically."""
         if not 0 <= index < self.nvars:
             raise PolynomialError(f"variable index {index} out of range")
         cache = self._partials
         if cache is None:
-            cache = {}
-            _set_partials(self, cache)
+            cache = self._partials = {}
         elif index in cache:
             return cache[index]
         # lowering one exponent is one-to-one, so no two terms meet
@@ -399,7 +394,7 @@ class ExactPolynomial:
             form = tuple((num / den,
                           tuple((i, e) for i, e in enumerate(exps) if e))
                          for exps, num in self._grlex_terms())
-            _set_float_form(self, form)
+            self._float_form = form
         return form
 
     def evaluate(self, point: Sequence[float]) -> float:
@@ -431,11 +426,6 @@ class ExactPolynomial:
 
     def __repr__(self) -> str:
         return f"ExactPolynomial({self.nvars}, {self!s})"
-
-
-# the slot descriptors' setters, bound once: cheaper than object.__setattr__
-_set_nvars, _set_nums, _set_den, _set_float_form, _set_partials = (
-    vars(ExactPolynomial)[slot].__set__ for slot in ExactPolynomial.__slots__)
 
 
 @functools.cache

@@ -167,11 +167,14 @@ def test_direct_node_steps_are_pinned(tmp_path, capsys):
 SHIPPED_RHS_COUNTS = {
     "evolve": {"constant2": 36, "constant3": 348, "coordinates2": 60,
                "nijenhuis2": 300, "nijenhuis2_direct": 0, "nijenhuis3": 432,
-               "nijenhuis4": 1146},
+               "nijenhuis4": 1146,
+               "nijenhuis2_hyperbolic": 138, "nijenhuis3_direct": 150},
     "residual": {"constant2": 36, "constant3": 348, "coordinates2": 60,
-                 "nijenhuis2": 300, "nijenhuis3": 432, "nijenhuis4": 1146},
+                 "nijenhuis2": 300, "nijenhuis3": 432, "nijenhuis4": 1146,
+                 "nijenhuis2_hyperbolic": 138, "nijenhuis3_direct": 150},
 }
-SHIPPED_NODE_STEPS = {"constant2": 644, "nijenhuis2_direct": 605}
+SHIPPED_NODE_STEPS = {"constant2": 644, "nijenhuis2_direct": 605,
+                      "nijenhuis2_hyperbolic": 1930, "nijenhuis3_direct": 1930}
 
 
 @pytest.mark.parametrize("command", ["evolve", "residual", "solve-direct"])
@@ -268,6 +271,12 @@ WORK_COUNTS = {
     ("verify", "configs/nijenhuis4"): (118, 1291),
     ("build-metric", "configs/nijenhuis4"): (61, 98),
     ("hierarchy", "configs/nijenhuis4"): (68, 98),
+    ("verify", "configs/nijenhuis2_hyperbolic"): (30, 40),
+    ("build-metric", "configs/nijenhuis2_hyperbolic"): (13, 9),
+    ("hierarchy", "configs/nijenhuis2_hyperbolic"): (16, 9),
+    ("verify", "configs/nijenhuis3_direct"): (64, 198),
+    ("build-metric", "configs/nijenhuis3_direct"): (30, 32),
+    ("hierarchy", "configs/nijenhuis3_direct"): (35, 32),
 }
 
 

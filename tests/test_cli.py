@@ -176,8 +176,16 @@ REPORT_DIGESTS = {
         "4bb4a5df0b0cd51d43fcbbb77c5b839315d8aa9c7b8253e7361f6c828cc7d797",
         "73db7a787a413932c8e8c24f40693a6cd3012f8cf2f379d6e1af212773c165a2",
         "64499134867604b6b449860796c9bb4e2ff8c62d7ae36324bd8550b4bbc208a0"),
+    "nijenhuis2_hyperbolic": (
+        "8443c2bd3f1a8d58c4e7166a08c4ac754f6ba6d362a5f2fb8eb3a1ac29f1f161",
+        "73db7a787a413932c8e8c24f40693a6cd3012f8cf2f379d6e1af212773c165a2",
+        "64499134867604b6b449860796c9bb4e2ff8c62d7ae36324bd8550b4bbc208a0"),
     "nijenhuis3": (
         "0a64f8b47dd11a66af4b505bcadcdb8f35c472717bfc361c0b4492de7552d8b3",
+        "19eba0704a491973de35652432322ec630ab4bc881a3d20587daf6e084922085",
+        "e0e77abe95256b2afe12f6d2d778680df087a779719dceb9520db6b6180ed1a0"),
+    "nijenhuis3_direct": (
+        "282397d482dfcc33e08cb1abe916068bb8bc3d96b60817b9576f641e9c16f5bf",
         "19eba0704a491973de35652432322ec630ab4bc881a3d20587daf6e084922085",
         "e0e77abe95256b2afe12f6d2d778680df087a779719dceb9520db6b6180ed1a0"),
     "nijenhuis4": (
@@ -227,6 +235,23 @@ FLOAT_DIGESTS = {
         "3fe103aa24931847884b68bfa5d9959b9c05c52e016f047a666911b8f00d2376",
     ("residual", "nijenhuis4"):
         "09425d8673dabab438ddd156872b5c1ea621456685fcb341e6671421042f7f68",
+    # recorded later: the two hyperbolic direct configs, as constant2 above
+    ("evolve", "nijenhuis2_hyperbolic"):
+        "97502781fa1ee8cfa553fa2781a6bc1ec35b9592a30abbabfb2caad4c844d49d",
+    ("solve-direct", "nijenhuis2_hyperbolic"):
+        "b27ddecbc9cb4ca667a8edcd7d9017cbb97027f94338e74f65b289e50f43105d",
+    ("compare", "nijenhuis2_hyperbolic"):
+        "315f0850cfa623c54d6c274ec49c0977b9a2b10a1db5ad4e34cd1ff713ff4572",
+    ("residual", "nijenhuis2_hyperbolic"):
+        "4b43a36b4fe132929d2fa889542dc58fbf374098c48db4cd50fb0cf1bd094a26",
+    ("evolve", "nijenhuis3_direct"):
+        "75375a319d5f73f96648fe41ad6d06b38e4d47f01c140f59a2a3dad1be9a24f1",
+    ("solve-direct", "nijenhuis3_direct"):
+        "33ac83ff2d8d91777ff819ea7d390809a0b7f1c851941c96accd1499b8e02908",
+    ("compare", "nijenhuis3_direct"):
+        "a1402cd3ba5717b023c6a774466177078a1266321c9c459a917e5f3e07f89bc3",
+    ("residual", "nijenhuis3_direct"):
+        "855cc99513aaeb5d2725a324c9448b0b12c23c5283e937c9d15117f3b701b1fb",
 }
 
 
@@ -240,7 +265,8 @@ def test_float_outputs_are_pinned(tmp_path, capsys):
         assert main(["evolve", str(CONFIGS / f"{name}.json"),
                      "--output", str(path)]) == 0
         got["evolve", name] = digest(path.read_bytes())
-    for name in ("constant2", "nijenhuis2_direct"):
+    for name in ("constant2", "nijenhuis2_direct", "nijenhuis2_hyperbolic",
+                 "nijenhuis3_direct"):
         config = str(CONFIGS / f"{name}.json")
         path = tmp_path / f"{name}.direct.csv"
         assert main(["solve-direct", config, "--output", str(path)]) == 0

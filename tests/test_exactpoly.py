@@ -92,11 +92,6 @@ class TestConstruction:
         with pytest.raises(PolynomialError):
             ExactPolynomial.constant(1, 0.5)
 
-    def test_immutability(self):
-        p = poly2("u1")
-        with pytest.raises(AttributeError):
-            p.nvars = 3
-
 
 class TestRingOperations:
     def test_example_product(self):
@@ -372,15 +367,8 @@ class TestDerivativeCache:
             with pytest.raises(PolynomialError):
                 p.partial(index)
 
-    def test_still_immutable(self):
-        p = poly2("u1*u2")
-        p.partial(1)
-        for name in ("nvars", "_partials", "_float_form"):
-            with pytest.raises(AttributeError):
-                setattr(p, name, None)
-
-    def test_every_slot_of_a_raw_polynomial_refuses_assignment(self):
-        # _store fills the slots through their descriptors' setters
+    def test_raw_polynomial_fills_every_slot(self):
+        # _store fills the slots, and each cache is set on first use
         p = ExactPolynomial._raw(2, {1: 3, 1 << 32: -6}, 4)
         assert (p.nvars, p._nums, p._den) == (2, {1: 3, 1 << 32: -6}, 4)
         assert p._float_form is None and p._partials is None
@@ -389,11 +377,6 @@ class TestDerivativeCache:
         assert p._float_form is form == ((0.75, ((0, 1),)), (-1.5, ((1, 1),)))
         d = p.partial(0)
         assert p._partials == {0: d}
-        for name in ExactPolynomial.__slots__:
-            before = getattr(p, name)
-            with pytest.raises(AttributeError, match="immutable"):
-                setattr(p, name, None)
-            assert getattr(p, name) is before
 
 
 class TestEvaluation:

@@ -687,9 +687,12 @@ def test_series_gives_up_past_the_cap():
 
 
 # Largest deviation of the series sweep from the RK45/RK4 lines it
-# replaces, on the lattice each shipped config evolves; measured 2.2e-14
-# (constant2, RK45 at abs_tol 1e-12, rel_tol 1e-10).
-SERIES_VS_INTEGRATOR = 1e-13
+# replaces, on the lattice each shipped config evolves, relative to the
+# largest |u| or |p| there: the series is exact to a few ulps, and the
+# lines' roundoff grows with the state.  Measured 1.4e-14 (nijenhuis3_direct,
+# |z| up to 10.1).  On the seven configs first held to an absolute 1e-13
+# (|z| at most 6.25) the bound is at most 9.4e-14.
+SERIES_VS_INTEGRATOR = 1.5e-14
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
@@ -711,8 +714,9 @@ def test_series_sweep_matches_the_integrator(config):
         integrals[0], CotangentPoint.from_state(s), x, settings)]
         for s in starts.tolist()])
     lines = lines.swapaxes(0, 1).reshape(grid.u.shape[:-1] + (2 * n,))
-    assert np.abs(grid.u - lines[..., :n]).max() <= SERIES_VS_INTEGRATOR
-    assert np.abs(grid.p - lines[..., n:]).max() <= SERIES_VS_INTEGRATOR
+    bound = SERIES_VS_INTEGRATOR * np.abs(lines).max()
+    assert np.abs(grid.u - lines[..., :n]).max() <= bound
+    assert np.abs(grid.p - lines[..., n:]).max() <= bound
 
 
 @pytest.mark.parametrize("stop", [1e200, 1e308])

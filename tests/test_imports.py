@@ -20,9 +20,14 @@ A private definition (a module-level function or class, or a method that is
 not dunder, whose name starts with ``_``) is referred to by some module of
 the package, by name or attribute, outside its own body.
 
-Only ``ExactPolynomial`` defines ``__setattr__``: it is hashed, and its
-shared 0 and 1 and its caches rely on the guard.  ``object.__setattr__``
-is called only in the ``__post_init__`` of a frozen dataclass.
+No class defines ``__setattr__``, and ``object.__setattr__`` is called only
+in the ``__post_init__`` of a frozen dataclass.  ``ExactPolynomial`` is
+immutable by contract: it is hashed, and its shared 0 and 1 and its caches
+rely on that.  So an attribute named in its ``__slots__`` is assigned,
+augmented or deleted, whole or item by item, edited by a dict method, or
+named to ``setattr`` or ``delattr`` only in ``ExactPolynomial._store``,
+``.partial`` and ``.float_form``.  The rule reads attribute names, not
+types or aliases.
 """
 
 import ast
@@ -83,11 +88,13 @@ def _names_read(tree: ast.AST) -> set[str]:
     return names
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
+def _literal(body: list[ast.stmt], name: str) -> set[str]:
+    """The strings of the literal that one of the statements ``body``
+    assigns to ``name``; none if no statement does."""
+    for node in body:
         if (isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets]
-                == ["__all__"]):
+                == [name]):
             return set(ast.literal_eval(node.value))
     return set()
 
@@ -96,7 +103,7 @@ def unused_imports(source: str) -> list[str]:
     """The names ``source`` imports and never uses, in import order."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    used = _names_read(tree) | _exported(tree)
+    used = _names_read(tree) | _literal(tree.body, "__all__")
     unused = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -330,15 +337,55 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+# the methods that may write a slot of ExactPolynomial
+SLOT_WRITERS = {("exactpoly", f"ExactPolynomial.{name}")
+                for name in ("_store", "partial", "float_form")}
+# the methods that edit a dict in place
+DICT_EDITS = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _writes_a_slot(node: ast.AST, slots: set[str]) -> bool:
+    """Whether ``node`` stores into or deletes an attribute named in
+    ``slots`` or an item of one, edits one in place, or names one to
+    ``setattr`` or ``delattr``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", None) in ("setattr", "delattr"):
+            return (len(node.args) > 1
+                    and getattr(node.args[1], "value", None) in slots)
+        if getattr(func, "attr", None) not in DICT_EDITS:
+            return False
+        target = func.value
+    elif isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node.ctx, ast.Load):
+            return False
+        target = node
+        while isinstance(target, ast.Subscript):
+            target = target.value
+    else:
+        return False
+    return isinstance(target, ast.Attribute) and target.attr in slots
+
+
+def _calls_object_setattr(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and getattr(node.value, "id", None) == "object")
+
+
 def immutability_plumbing(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """Each class of ``sources`` (module -> text) but ``ExactPolynomial``
-    that defines ``__setattr__``, as (module, "Class.__setattr__"), and each
-    top-level statement or method that calls ``object.__setattr__``, other
-    than a frozen dataclass's ``__post_init__``, as (module, its name), in
+    """Each class of ``sources`` (module -> text) that defines
+    ``__setattr__``, as (module, "Class.__setattr__"); each top-level
+    statement or method that calls ``object.__setattr__``, other than a
+    frozen dataclass's ``__post_init__``; and each one but ``SLOT_WRITERS``
+    that writes a slot of ``ExactPolynomial``, as (module, its name), in
     module order."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    slots = next(_literal(node.body, "__slots__")
+                 for node in trees["exactpoly"].body
+                 if getattr(node, "name", None) == "ExactPolynomial")
     found = []
-    for m, text in sources.items():
-        for node in ast.parse(text).body:
+    for m, tree in trees.items():
+        for node in tree.body:
             named, exempt = [(getattr(node, "name", "<module>"), node)], None
             if isinstance(node, ast.ClassDef):
                 named = [(f"{node.name}.{getattr(d, 'name', '<body>')}", d)
@@ -346,14 +393,12 @@ def immutability_plumbing(sources: dict[str, str]) -> list[tuple[str, str]]:
                 if _is_frozen_dataclass(node):
                     exempt = f"{node.name}.__post_init__"
             for name, part in named:
+                parts = list(ast.walk(part))
                 if (name.endswith(".__setattr__")
-                        and name != "ExactPolynomial.__setattr__"):
-                    found.append((m, name))
-                elif name != exempt and any(
-                        isinstance(a, ast.Attribute)
-                        and a.attr == "__setattr__"
-                        and getattr(a.value, "id", None) == "object"
-                        for a in ast.walk(part)):
+                        or (name != exempt
+                            and any(map(_calls_object_setattr, parts)))
+                        or ((m, name) not in SLOT_WRITERS
+                            and any(_writes_a_slot(a, slots) for a in parts))):
                     found.append((m, name))
     return found
 
@@ -363,19 +408,50 @@ def test_no_class_hand_rolls_its_immutability():
 
 
 def test_the_guard_finds_planted_immutability_plumbing():
-    # a guard on OperatorField, a slot store in a plain function, and one
-    # in the __post_init__ of a dataclass that is not frozen
+    # a guard on ExactPolynomial and on OperatorField, a slot store in a
+    # plain function, one in the __post_init__ of a dataclass that is not
+    # frozen, and a slot and an item of one written outside ExactPolynomial
     planted = dict(SOURCES)
-    slots = '    __slots__ = ("n", "entries")\n'
-    assert slots in planted["operators"]
-    planted["operators"] = planted["operators"].replace(
-        slots, slots + "\n    def __setattr__(self, name, value):\n"
-        "        raise AttributeError(name)\n")
+    for module, slots in [("exactpoly", '    __slots__ = ("nvars", '),
+                          ("operators", '    __slots__ = ("n", "entries")\n')]:
+        assert slots in planted[module]
+        planted[module] = planted[module].replace(
+            slots, "    def __setattr__(self, name, value):\n"
+            "        raise AttributeError(name)\n\n" + slots)
     planted["flows"] += ("\n\ndef planted(F):\n"
-                         "    object.__setattr__(F, '_flows', None)\n")
+                         "    object.__setattr__(F, '_flows', None)\n"
+                         "\n\ndef planted_item(poly, key):\n"
+                         "    poly._nums[key] = 0\n")
+    planted["metric"] += "\n\ndef planted(p):\n    p._den = 2\n"
     planted["pde"] += ("\n\n@dataclass\nclass Planted:\n    x: float\n\n"
                        "    def __post_init__(self):\n"
                        "        object.__setattr__(self, 'x', 1.0)\n")
     assert immutability_plumbing(planted) == [
-        ("flows", "planted"), ("operators", "OperatorField.__setattr__"),
+        ("exactpoly", "ExactPolynomial.__setattr__"), ("flows", "planted"),
+        ("flows", "planted_item"), ("metric", "planted"),
+        ("operators", "OperatorField.__setattr__"),
         ("pde", "Planted.__post_init__")]
+
+
+@pytest.mark.parametrize("statement, found", [
+    ("p._den = 2", True),
+    ("p._den += 1", True),
+    ("p.nvars, q = 3, p", True),
+    ("p._float_form: tuple = ()", True),
+    ("del p._partials", True),
+    ("p._nums[key] = 0", True),
+    ("p._partials[0][key] = 0", True),
+    ("del p._nums[key]", True),
+    ("setattr(p, '_den', 2)", True),
+    ("delattr(p, 'nvars')", True),
+    ("p._nums.update(q._nums)", True),
+    ("p._partials.pop(0)", True),
+    ("return p._nums[key] + p._den + len(p.nvars)", False),
+    ("p.n = p._float_form", False),
+    ("setattr(p, key, 2)", False),
+    ("return p._nums.get(key, q._nums.items())", False),
+])
+def test_the_guard_finds_each_way_of_writing_a_slot(statement, found):
+    planted = dict(SOURCES)
+    planted["metric"] += f"\n\ndef planted(p, q, key):\n    {statement}\n"
+    assert immutability_plumbing(planted) == [("metric", "planted")] * found

@@ -211,9 +211,9 @@ class TestCompanionTorsion:
         for k in range(got.n):
             assert got[k] == want[k], f"layer {k}"
 
-    def test_all_seven_shipped_configs_are_covered(self):
+    def test_all_nine_shipped_configs_are_covered(self):
         names = {name for name, _ in CLOSED_FORM_CASES}
-        assert len({path.stem for path in CONFIGS.glob("*.json")} & names) == 7
+        assert len({path.stem for path in CONFIGS.glob("*.json")} & names) == 9
 
     def test_matches_generic_torsion_on_random_sigmas(self):
         rng = random.Random(4471)

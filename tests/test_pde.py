@@ -544,10 +544,10 @@ def test_direct_matches_reduction_at_second_order_on_hyperbolic_windows(
 HYPERBOLIC_LADDER = (97, 193, 385, 769, 1537)
 
 
-def _hyperbolic_window(eigenvalues, p, count):
+def _hyperbolic_window(eigenvalues, p, count, span=0.6, t_end=0.036):
     """The config of a hyperbolic window above: the curved family on
-    x in [-0.6, 0.6] with ``count`` nodes, through the point where L has
-    ``eigenvalues``; t_end 0.036, cfl 0.6."""
+    x in [-span, span] with ``count`` nodes, through the point where L has
+    ``eigenvalues``; cfl 0.6."""
     n = len(eigenvalues)
     return {"n": n,
             "sigma": [format_polynomial(s, base_names(n))
@@ -555,8 +555,8 @@ def _hyperbolic_window(eigenvalues, p, count):
             "initial": {"u": u_from_eigenvalues(eigenvalues), "p": p},
             "integrator": {"method": "rk45", "abs_tol": 1e-13,
                            "rel_tol": 1e-12},
-            "pde": {"t_end": 0.036, "cfl": 0.6},
-            "grid": {"x": {"start": -0.6, "stop": 0.6, "count": count}}}
+            "pde": {"t_end": t_end, "cfl": 0.6},
+            "grid": {"x": {"start": -span, "stop": span, "count": count}}}
 
 
 def _initial_curve(cfg):
@@ -589,6 +589,31 @@ def test_direct_matches_reduction_at_fourth_order_on_hyperbolic_windows(
     assert deviations[0] > 1e-9
     assert all(fine <= max(coarse / 12, floor)
                for coarse, fine in zip(deviations, deviations[1:]))
+
+
+def test_direct_matches_reduction_at_fourth_order_for_curved_n5(tmp_path,
+                                                              capsys):
+    # L's eigenvalues are real and at least 0.4 apart on the whole initial
+    # curve of this window, found by a search over n = 4 and 5 windows.
+    # Measured 2.68e-10, 1.68e-11, 1.06e-12 and 5.33e-14 (16.0x, 15.9x,
+    # 19.8x); the next rung, 2.1e-14 on 3,073 nodes, is below the floor
+    path = tmp_path / "window.json"
+    eigenvalues = np.linspace(-1.5, 1.5, 5)
+    p = [-0.0336, -1.0624, -1.7296, 0.8514, 1.2525]
+    deviations = []
+    for count in (193, 385, 769, 1537):
+        cfg = _hyperbolic_window(eigenvalues, p, count, span=1.2, t_end=0.08)
+        path.write_text(json.dumps(cfg))
+        assert main(["compare", str(path)]) == 0
+        deviations.append(json.loads(capsys.readouterr().out)["max_deviation"])
+    model, _, u0 = _initial_curve(cfg)
+    floor = 1e-14 * np.abs(u0).max()
+    assert deviations[0] > 1e-11
+    assert all(fine <= max(coarse / 12, floor)
+               for coarse, fine in zip(deviations, deviations[1:]))
+    lams = np.linalg.eigvals([model.operator.evaluate_at(u) for u in u0])
+    assert not lams.imag.any()
+    assert np.diff(np.sort(lams.real), axis=1).min() > 0.4
 
 
 def test_direct_flows_commute_at_fourth_order_for_curved_n3():
