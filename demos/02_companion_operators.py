@@ -21,7 +21,7 @@ def show_torsion(label, sigma_texts):
     torsion = nijenhuis_torsion(L)
     print(f"  {label}: sigma = {sigma_texts}")
     print(f"    L = {L}")
-    if torsion.is_zero():
+    if all(layer.is_zero() for layer in torsion):
         print("    torsion = 0 (all components are the zero polynomial)")
     else:
         comp = torsion[1].entry(0, 1)
@@ -42,10 +42,11 @@ print("  char_coefficients(L) =",
 
 print("\n== torsion-free operators commute with their own powers ==")
 bracket = guiding_bracket(L_good, L_good @ L_good)
-print(f"  <L, L^2> vanishes: {bracket.is_zero()}")
+print(f"  <L, L^2> vanishes: {all(layer.is_zero() for layer in bracket)}")
 
 print("\n== first companion form ==")
 Lf = companion_first([parse_expression(s, names) for s in ("u1", "u2")])
 print(f"  L_first(sigma=(u1,u2)) = {Lf}")
-print(f"  its torsion vanishes: {nijenhuis_torsion(Lf).is_zero()} "
+print("  its torsion vanishes: "
+      f"{all(layer.is_zero() for layer in nijenhuis_torsion(Lf))} "
       "(coordinate coefficients are the flat normal form here)")

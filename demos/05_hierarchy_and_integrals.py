@@ -30,7 +30,7 @@ texts = ("u1", "u2 - 1/2*u1^2", "u3 - u1*u2 + 1/6*u1^3")
 sigma = [parse_expression(t, names) for t in texts]
 L = companion_second(sigma)
 print(f"sigma = {texts}")
-print(f"torsion-free: {nijenhuis_torsion(L).is_zero()}")
+print(f"torsion-free: {all(layer.is_zero() for layer in nijenhuis_torsion(L))}")
 
 print("\n== the hierarchy ==")
 hierarchy = killing_operators(sigma)

@@ -55,7 +55,6 @@ from .metric import (
 )
 from .model import CompanionModel
 from .operators import (
-    OneTwoTensorField,
     OperatorError,
     OperatorField,
     char_coefficients,
@@ -87,7 +86,6 @@ __all__ = [
     "GramMatrix",
     "HamiltonianField",
     "MetricError",
-    "OneTwoTensorField",
     "OperatorError",
     "OperatorField",
     "PDEError",

@@ -18,7 +18,7 @@ lower index j, so a vector transforms as (L xi)^i = sum_j L^i_j xi^j.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,33 +177,9 @@ def companion_first(sigma: Sequence) -> OperatorField:
     return companion_second(sigma).antitranspose()
 
 
-class OneTwoTensorField(tuple):
-    """A (1,2)-tensor with polynomial components T^k_{ij}, stored as its n
-    layers: layer k is the operator field with entries T^k_{ij}."""
-
-    __slots__ = ()
-
-    def __new__(cls, layers: Iterable[OperatorField]):
-        layers = tuple(layers)
-        if not all(isinstance(layer, OperatorField) and layer.n == len(layers)
-                   for layer in layers):
-            raise OperatorError("a (1,2)-tensor needs n layers, each an n*n "
-                                "operator field")
-        return super().__new__(cls, layers)
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    def is_zero(self) -> bool:
-        return all(layer.is_zero() for layer in self)
-
-    def symmetrized(self) -> "OneTwoTensorField":
-        return OneTwoTensorField(layer + layer.transpose() for layer in self)
-
-
-def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
-    """Torsion components N^k_{ij}; the operator is Nijenhuis iff all vanish.
+def nijenhuis_torsion(L: OperatorField) -> tuple[OperatorField, ...]:
+    """Torsion components N^k_{ij}, as n layers: layer k is the field of
+    N^k_{ij}.  The operator is Nijenhuis iff all of them vanish.
 
     N^k_{ij} = L^s_i d_s L^k_j - L^s_j d_s L^k_i
              - L^k_s d_i L^s_j + L^k_s d_j L^s_i,
@@ -211,10 +187,10 @@ def nijenhuis_torsion(L: OperatorField) -> OneTwoTensorField:
     which is exactly -<L, L>^k_{ij} = <L, L>^k_{ji}, as swapping i and j
     negates <L, L> term by term: the layers of ``torsion_of_pair(L, L)``, transposed.
     """
-    return OneTwoTensorField(layer.transpose() for layer in torsion_of_pair(L, L))
+    return tuple(layer.transpose() for layer in torsion_of_pair(L, L))
 
 
-def companion_torsion(sigma: Sequence) -> OneTwoTensorField:
+def companion_torsion(sigma: Sequence) -> tuple[OperatorField, ...]:
     """The torsion of ``companion_second(sigma)``, read from its last row
     s_j = sigma_(n-j), the only one that depends on u (d_(-1) = 0):
 
@@ -235,12 +211,13 @@ def companion_torsion(sigma: Sequence) -> OneTwoTensorField:
                            (1, sig[0], low[i][j])])
             for j in range(n)] for i in range(n)]
     # at n = 1 there is no layer n - 2, and low (all zero) drops out
-    return OneTwoTensorField(([OperatorField.zero(n)] * (n - 2)
-                              + [OperatorField(low), OperatorField(top)])[-n:])
+    return tuple(([OperatorField.zero(n)] * (n - 2)
+                  + [OperatorField(low), OperatorField(top)])[-n:])
 
 
-def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
-    """Components of the compatibility bracket <L, M> for commuting L, M.
+def torsion_of_pair(L: OperatorField, M: OperatorField) -> tuple[OperatorField, ...]:
+    """Components of the compatibility bracket <L, M> for commuting L, M, as
+    n layers: layer k is the field of <L, M>^k_{ij}.
 
     <L, M>^k_{ij} = -(d_j L^s_i) M^k_s + (d_i M^s_j) L^k_s
                     - L^s_i d_s M^k_j + M^s_j d_s L^k_i.
@@ -258,13 +235,12 @@ def torsion_of_pair(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
             yield -1, A[s][i], B[k][j].partial(s)
             yield 1, B[s][j], A[k][i].partial(s)
 
-    return OneTwoTensorField(OperatorField([[signed_sum(n, component(k, i, j))
-                                             for j in range(n)]
-                                            for i in range(n)])
-                             for k in range(n))
+    return tuple(OperatorField([[signed_sum(n, component(k, i, j))
+                                 for j in range(n)] for i in range(n)])
+                 for k in range(n))
 
 
-def guiding_bracket(L: OperatorField, M: OperatorField) -> OneTwoTensorField:
+def guiding_bracket(L: OperatorField, M: OperatorField) -> tuple[OperatorField, ...]:
     """The compatibility bracket <L, M>; requires LM = ML so the result is a
     well-defined tensor field."""
     L._check(M)
@@ -277,7 +253,7 @@ def is_symmetry(L: OperatorField, M: OperatorField) -> bool:
     """M is a symmetry of L when LM = ML and the symmetric (in the lower
     indices) part of <L, M> vanishes."""
     return (commutator(L, M).is_zero()
-            and torsion_of_pair(L, M).symmetrized().is_zero())
+            and all((T + T.transpose()).is_zero() for T in torsion_of_pair(L, M)))
 
 
 def char_coefficients(L: OperatorField) -> list[ExactPolynomial]:

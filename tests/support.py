@@ -21,7 +21,7 @@ from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
 from nijflow.metric import (CovariantMetricAt, GramMatrix, PhaseFunction,
                             differential_shift_residuals, gram_matrix,
                             poisson_bracket, quadratic_phase)
-from nijflow.operators import (OneTwoTensorField, OperatorError, OperatorField,
+from nijflow.operators import (OperatorError, OperatorField,
                                char_coefficients, companion_second)
 from nijflow.pde import UNIFORM_RTOL, PDEError
 from nijflow.verify import verify_model
@@ -808,10 +808,10 @@ def apply_to_field(L: OperatorField,
                  for row in L.entries)
 
 
-def contract(T: OneTwoTensorField, xi: Sequence[ExactPolynomial],
+def contract(T: Sequence[OperatorField], xi: Sequence[ExactPolynomial],
              eta: Sequence[ExactPolynomial]) -> VectorField:
     """The vector field T(xi, eta)^k = T^k_{ij} xi^i eta^j."""
-    n = T.n
+    n = len(T)
     pairs = [(i, j, xi[i] * eta[j]) for i in range(n) for j in range(n)]
     return tuple(signed_sum(xi[0].nvars, [(1, layer.entry(i, j), x)
                                           for i, j, x in pairs])

@@ -57,7 +57,7 @@ def e0():
 def identity_suite(model: CompanionModel) -> list[str]:
     """Names of the exact identities that fail on this model."""
     failures = []
-    if not nijenhuis_torsion(model.operator).is_zero():
+    if not all(layer.is_zero() for layer in nijenhuis_torsion(model.operator)):
         failures.append("torsion")
     if check_gram_normal_form(model.gram):
         failures.append("gram_normal_form")
@@ -95,7 +95,7 @@ def test_criterion_1_exact_identities(e2, e0):
 def test_criterion_2_negative_control(capsys):
     x2 = CompanionModel.from_expressions(["u1", "u2"])
     problems = []
-    if nijenhuis_torsion(x2.operator).is_zero():
+    if all(layer.is_zero() for layer in nijenhuis_torsion(x2.operator)):
         problems.append("torsion unexpectedly zero")
     if all(r.is_zero() for rows in shift_parts(x2)
            for row in rows for r in row):

@@ -1,0 +1,168 @@
+"""A seeded malformed-input fuzzer, run in process through ``cli.main``.
+
+Three campaigns with fixed case counts: JSON-aware substitutions in the
+shipped configs, run through the exact-layer commands; byte-level changes
+to a small ``evolve`` lattice, run through ``plot`` and ``residual
+--input``; and those again with the lattice reader's blocks made small, so
+that the changes straddle its block boundaries.
+
+The oracle, for every case: the exit code is 0, 1 or 2, and exit 2 prints
+exactly one stderr line, ``nijflow <command>: ...``, with no traceback.  An
+exception out of ``main`` breaks it as the traceback would.
+
+The flow commands (``evolve``, ``solve-direct``, ``compare``, and
+``residual`` without ``--input``) are left out.  A mutated axis can send a
+flow as far as ``flows.MAX_STEPS`` steps: bounded, but seconds of work
+(``evolve`` on nijenhuis4 with ``grid.t[2].start`` = -1e308 takes about
+6 s to its "step budget exhausted"), thousands of times a case here.
+"""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+from nijflow import lattice_io
+from nijflow.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# values a substitution puts at a JSON path: non-finite, extreme and signed
+# zero numbers, integers past the float range, digit strings int() would
+# take, a power past the exact layer's bound, and every other JSON type
+VALUES = (float("nan"), 1e308, -1e308, -0.0, 10 ** 30, 10 ** 400, "1_0",
+          "\u0663", "u1^70000", [], {}, None, True, "")
+# what an insertion puts into a lattice, and what a cell is replaced by
+TOKENS = (b"nan", b"inf", b"-", b"+", b"e", b".", b",", b"\n", b"\r", b" ",
+          b"\t", b"_", b"0x1p3", b"1e400", b"\x00", b"\xc3\xa9", b"\xef\xbb\xbf",
+          "\u0663".encode(), "\u3000".encode())
+CELLS = (b"", b"nan", b"-inf", b"1e308", b"1e999", b"-0", b"1_0",
+         "\u0663".encode(), b"0x10", b" 1", b"1,2", b"abc", b"9" * 400)
+
+
+def _capped(config: dict) -> dict:
+    """The config with every axis count at most 9."""
+    grid = config["grid"]
+    for axis in [grid["x"], *grid.get("t", [])]:
+        axis["count"] = min(axis["count"], 9)
+    return config
+
+
+def _paths(node, path=()):
+    """Every JSON path in node, the root included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _substituted(config, rng: random.Random):
+    """config with a value from VALUES put at one random path, or the key
+    at that path with one letter changed."""
+    path = rng.choice(list(_paths(config)))
+    if not path:
+        return copy.deepcopy(rng.choice(VALUES))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if isinstance(key, str) and rng.random() < 0.25:
+        i = rng.randrange(len(key))
+        letter = rng.choice([c for c in "abcdefghijklmnopqrstuvwxyz_"
+                             if c != key[i]])
+        parent[key[:i] + letter + key[i + 1:]] = parent.pop(key)
+    else:
+        parent[key] = copy.deepcopy(rng.choice(VALUES))
+    return config
+
+
+def _mutated(text: bytes, rng: random.Random) -> bytes:
+    """text with one byte flipped, a token inserted, up to 30 bytes
+    deleted, or one data cell replaced."""
+    at = rng.randrange(len(text))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[:at] + bytes([text[at] ^ 1 << rng.randrange(8)]) + text[at + 1:]
+    if kind == 1:
+        return text[:at] + rng.choice(TOKENS) + text[at:]
+    if kind == 2:
+        return text[:at] + text[at + rng.randint(1, 30):]
+    lines = text.split(b"\n")
+    row = rng.randrange(len(lines))
+    cells = lines[row].split(b",")
+    cells[rng.randrange(len(cells))] = rng.choice(CELLS)
+    lines[row] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def _violation(argv, capsys):
+    """None if the command keeps the oracle, else what it did."""
+    try:
+        code = main(argv)
+    except Exception as exc:
+        return f"raised {exc!r}"
+    err = capsys.readouterr().err
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code == 2 and not (err.count("\n") == 1 and err.endswith("\n")
+                          and err.startswith(f"nijflow {argv[0]}: ")
+                          and "Traceback" not in err):
+        return f"exit 2 with stderr {err!r}"
+    return None
+
+
+def test_config_substitutions_keep_the_exit_contract(tmp_path, capsys):
+    rng = random.Random(20261020)
+    bases = [_capped(json.loads(path.read_text()))
+             for path in sorted(CONFIGS.glob("*.json"))]
+    assert len(bases) == 9
+    case = tmp_path / "case.json"
+    violations = []
+    for k in range(500):
+        config = copy.deepcopy(bases[k % len(bases)])
+        for _ in range(rng.randint(1, 2)):
+            config = _substituted(config, rng)
+        text = json.dumps(config)
+        case.write_text(text)
+        argv = [rng.choice(("verify", "build-metric", "hierarchy")), str(case)]
+        found = _violation(argv, capsys)
+        if found:
+            violations.append((argv[0], text, found))
+    assert violations == []
+
+
+def _lattice_cases(tmp_path, capsys, seed: int, count: int):
+    """count seeded changes to a 7 x 5 evolve lattice, each run through
+    plot or residual --input; the cases that break the oracle."""
+    config = json.loads((CONFIGS / "nijenhuis2.json").read_text())
+    config["grid"]["x"]["count"], config["grid"]["t"][0]["count"] = 7, 5
+    cfg = tmp_path / "nijenhuis2.json"
+    cfg.write_text(json.dumps(config))
+    base, case = tmp_path / "base.csv", tmp_path / "case.csv"
+    assert main(["evolve", str(cfg), "--output", str(base)]) == 0
+    text = base.read_bytes()
+    commands = (["plot", str(case), "--output", str(tmp_path / "case.svg")],
+                ["residual", str(cfg), "--input", str(case)])
+    rng = random.Random(seed)
+    violations = []
+    for _ in range(count):
+        mutated = text
+        for _ in range(rng.randint(1, 2)):
+            mutated = _mutated(mutated, rng)
+        case.write_bytes(mutated)
+        argv = rng.choice(commands)
+        found = _violation(argv, capsys)
+        if found:
+            violations.append((argv[0], mutated, found))
+    return violations
+
+
+def test_lattice_mutations_keep_the_exit_contract(tmp_path, capsys):
+    assert _lattice_cases(tmp_path, capsys, 1020, 1000) == []
+
+
+def test_lattice_mutations_across_small_read_blocks(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(lattice_io, "_READ_BLOCK", 64)
+    assert _lattice_cases(tmp_path, capsys, 2041, 150) == []

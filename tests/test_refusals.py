@@ -9,10 +9,11 @@ import pytest
 from nijflow.compat import (CompatError, coordinate_form_residual_at,
                             symmetry_metric)
 from nijflow.exactpoly import (ExactPolynomial, PolynomialError,
-                               evaluate_table_array)
+                               evaluate_table_array, format_polynomial)
 from nijflow.flows import AxisSpec, SolutionGrid
 from nijflow.hierarchy import first_integrals
-from nijflow.metric import CovariantMetricAt, GramMatrix, MetricError
+from nijflow.metric import (CovariantMetricAt, GramMatrix, MetricError,
+                            PhaseFunction)
 from nijflow.operators import OperatorError, OperatorField
 from nijflow.pde import PDEError, compare_grids, direct_solve
 
@@ -21,6 +22,8 @@ G2 = CovariantMetricAt(np.zeros(2), np.eye(2), np.zeros((2, 2, 2)))
 I3 = OperatorField.identity(3)
 X = AxisSpec("x", 0.0, 1.0, 3)
 T = AxisSpec("t", 0.0, 1.0, 2)
+U1 = ExactPolynomial.variable(2, 0)
+F1 = PhaseFunction(1, U1)
 
 REFUSALS = {
     "symmetry_metric sizes": (
@@ -53,6 +56,45 @@ REFUSALS = {
         lambda: evaluate_table_array(ExactPolynomial.variable(2, 0),
                                      [1.0, 2.0, 3.0]),
         PolynomialError, "point has 3 coordinates, expected 2"),
+    "ExactPolynomial negative variable count": (
+        lambda: ExactPolynomial(-1),
+        PolynomialError, "variable count must be non-negative"),
+    "variable index": (
+        lambda: ExactPolynomial.variable(2, 2),
+        PolynomialError, "variable index 2 out of range for 2 variables"),
+    "constant_value not constant": (
+        lambda: U1.constant_value(),
+        PolynomialError, "polynomial is not constant"),
+    "power negative exponent": (
+        lambda: U1 ** -1,
+        PolynomialError, "polynomial powers must be non-negative integers"),
+    "with_appended_vars negative": (
+        lambda: U1.with_appended_vars(-1),
+        PolynomialError, "cannot append a negative number of variables"),
+    "evaluate_exact point width": (
+        lambda: U1.evaluate_exact([1]),
+        PolynomialError, "point has 1 coordinates, expected 2"),
+    "format_polynomial names": (
+        lambda: format_polynomial(U1, ["a"]),
+        PolynomialError, "one name per variable is required"),
+    "PhaseFunction variable count": (
+        lambda: PhaseFunction(2, ExactPolynomial.variable(3, 0)),
+        MetricError, "phase polynomial must have 4 variables, got 3"),
+    "OperatorField entry type": (
+        lambda: OperatorField([["x"]]),
+        OperatorError, "not a polynomial entry: 'x'"),
+    "polynomial + str": (
+        lambda: U1 + "x", TypeError,
+        "unsupported operand type(s) for +: 'ExactPolynomial' and 'str'"),
+    "polynomial * float": (
+        lambda: U1 * 1.5, TypeError,
+        "unsupported operand type(s) for *: 'ExactPolynomial' and 'float'"),
+    "phase function * float": (
+        lambda: F1 * 1.5, TypeError,
+        "unsupported operand type(s) for *: 'PhaseFunction' and 'float'"),
+    "operator * float": (
+        lambda: I3 * 1.5, TypeError,
+        "unsupported operand type(s) for *: 'OperatorField' and 'float'"),
 }
 
 
@@ -61,3 +103,24 @@ REFUSALS = {
 def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# statements that no other test runs and that refuse nothing: the reflected
+# subtraction, the reprs, the shared 0 of a zero polynomial's power, and the
+# NotImplemented branches, which Python turns into False for == (and into
+# the TypeError rows of REFUSALS for an arithmetic operator)
+VALUES = {
+    "rsub": (lambda: str(1 - U1), "-x1 + 1"),
+    "polynomial repr": (lambda: repr(U1), "ExactPolynomial(2, x1)"),
+    "phase function repr": (lambda: repr(F1), "PhaseFunction(1, u1)"),
+    "zero power is the shared 0": (
+        lambda: ExactPolynomial.zero(2) ** 2 is ExactPolynomial.zero(2), True),
+    "polynomial == str": (lambda: U1 == "x", False),
+    "phase function == int": (lambda: F1 == 3, False),
+    "operator == int": (lambda: I3 == 3, False),
+}
+
+
+@pytest.mark.parametrize("call, value", VALUES.values(), ids=VALUES)
+def test_quiet_statement(call, value):
+    assert call() == value
