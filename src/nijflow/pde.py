@@ -2,18 +2,18 @@
 
 The solver uses the method of lines on a shrinking spatial window: fourth
 order central differences in x, the classical fourth-order Runge-Kutta
-scheme in t.  No boundary condition is imposed; instead every derivative
-evaluation gives up two nodes on each side, so one full time step costs
-eight nodes per side and the computed solution lives on the interior cone
-of the initial interval.  This keeps the comparison with the flow-composed
-solution honest: every reported value is determined by the initial data
-alone.
+scheme in t.  No boundary condition is imposed: each derivative evaluation
+gives up two nodes on each side, eight per side a step, so every reported
+value is determined by the initial data alone, which keeps the comparison
+with the flow-composed solution honest.  A solve allocates its stage
+buffers once and forms every stage in them; the n = 2 product A(u) v
+writes its rows in place, bit for bit the sums it had as temporaries.
 
 The module also measures discrete residuals of solution lattices (by
 second-order differences, so the residual of an exact solution shrinks
-quadratically with the lattice spacing) and compares lattices node by node.
-Each lattice kernel holds its lattice and one block of scratch; every
-quantity is per node, so the blocks change no value.
+quadratically with the lattice spacing) and compares lattices node by node,
+each a block of scratch at a time; values are per node, so the blocks
+change none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import evaluate_float_form
+from .exactpoly import _float_power
 from .flows import AxisSpec, SolutionGrid
 from .operators import OperatorField
 
@@ -67,34 +67,78 @@ def _check_uniform(x_values: np.ndarray) -> float:
     return dx
 
 
+def _times(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x in ``out``, or x itself when a is the float 1.0 (it is exact)."""
+    return x if type(a) is float and a == 1.0 else np.multiply(a, x, out)
+
+
+def _form_into(form, columns, total, term, square):
+    """``evaluate_float_form(form, columns)``, in order, in ``total`` (a float
+    if constant), less its products by 1.0; terms in ``term``, squares in
+    ``square``."""
+    for j, (coeff, powers) in enumerate(form):
+        if not powers:  # the constant term, last in grlex order
+            return np.add(total, coeff, total) if j else 0.0 + coeff
+        v = coeff
+        for i, e in powers:
+            x = columns[i]
+            if e == 2:
+                x = np.multiply(x, x, term if v is coeff else square)
+            elif e >= 3:
+                x = _float_power(x, e)
+            v = _times(v, x, term)
+        np.add(total if j else 0.0, v, total)
+    return total if form else 0.0
+
+
 def operator_product(A: OperatorField):
-    """(u, v) -> A(u) v over stacks (..., n), as ``np.einsum`` contracts
-    ``A.evaluate_at(u)`` with v, a block of nodes at a time; at n = 2, bit
-    for bit the same, each row is summed left to right from A's entries."""
+    """(u, v, out) -> A(u) v over stacks (..., n) in ``out`` (C-contiguous,
+    apart from u and v): ``np.einsum`` of ``A.evaluate_at(u)`` and v, a block
+    of nodes at a time; at n = 2, bit for bit the same, each row summed left
+    to right, from two entries evaluated into the product's own scratch."""
     if A.n != 2:
-        def blocked(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            out, step = np.empty(u.shape), _BLOCK_VALUES // A.n
+        def blocked(u: np.ndarray, v: np.ndarray, out: np.ndarray):
+            step = _BLOCK_VALUES // A.n
             us, vs, outs = (w.reshape(-1, A.n) for w in (u, v, out))
             for b in range(0, len(outs), step):
                 np.einsum("...ij,...j->...i", A.evaluate_at(us[b:b + step]),
                           vs[b:b + step], out=outs[b:b + step])
             return out
         return blocked
-    forms = [e.float_form() for row in A.entries for e in row]
+    f00, f01, f10, f11 = (e.float_form() for row in A.entries for e in row)
+    # four arrays, not one block four times as large, which glibc would map
+    # and unmap, raising its mmap threshold for the rest of the process
+    scratch = [np.empty(0)] * 4
 
-    def product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        columns = [u[..., 0], u[..., 1]]
-        a00, a01, a10, a11 = (evaluate_float_form(f, columns) for f in forms)
-        return np.stack([(0.0 + a00 * v[..., 0]) + a01 * v[..., 1],
-                         (0.0 + a10 * v[..., 0]) + a11 * v[..., 1]], axis=-1)
+    def product(u: np.ndarray, v: np.ndarray, out: np.ndarray):
+        nonlocal scratch
+        columns = u[..., 0], u[..., 1]
+        if scratch[0].size < columns[0].size:
+            scratch = [np.empty(columns[0].size) for _ in range(4)]
+        first, second, term, square = (s[:columns[0].size].reshape(
+            columns[0].shape) for s in scratch)
+        v0, v1 = v[..., 0], v[..., 1]
+        for f0, f1, row in ((f00, f01, out[..., 0]), (f10, f11, out[..., 1])):
+            a0 = _form_into(f0, columns, first, term, square)
+            a1 = _form_into(f1, columns, second, term, square)
+            np.add(0.0, _times(a0, v0, row), row)
+            np.add(row, _times(a1, v1, second), row)
+        return out
 
     return product
 
 
-def _interior_rhs(y: np.ndarray, product, dx: float) -> np.ndarray:
-    """A(u) u_x on the two-node-shrunk interior of the segment ``y``."""
-    ux = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dx)
-    return product(y[2:-2], ux)
+def _interior_rhs(y: np.ndarray, product, dx: float, ux: np.ndarray,
+                  k: np.ndarray) -> np.ndarray:
+    """A(u) u_x on the two-node-shrunk interior of the segment ``y``, in the
+    leading rows of ``k``, which first hold 8 y; u_x in those of ``ux``."""
+    ux, eight = ux[:len(y) - 4], np.multiply(8.0, y[1:-1], k[:len(y) - 2])
+    # (y[:-4] - 8 y[1:-3] + 8 y[3:-1] - y[4:]) / (12 dx), left to right
+    np.subtract(y[:-4], eight[:-2], ux)
+    np.add(ux, eight[2:], ux)
+    np.subtract(ux, y[4:], ux)
+    np.divide(ux, 12.0 * dx, ux)
+    return product(y[2:-2], ux, k[:len(ux)])
 
 
 def direct_solve(A: OperatorField, x_values: Sequence[float],
@@ -119,9 +163,13 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
         raise PDEError("t_end must be positive")
     if cfl <= 0:
         raise PDEError("cfl must be positive")
-    steps = max(1, math.ceil(t_end / (cfl * dx) - 1e-9))
-    dt = t_end / steps
     m = len(x_values)
+    ratio = t_end / (cfl * dx) if cfl * dx else math.inf  # it may underflow
+    if not ratio <= MAX_NODE_STEPS:  # nor make an integer of 300 digits
+        raise PDEError(f"t_end / (cfl * dx) = {ratio:.6g} steps on {m} nodes "
+                       f"exceed the limit of {MAX_NODE_STEPS} node-steps")
+    steps = max(1, math.ceil(ratio - 1e-9))
+    dt = t_end / steps
     width = m - 16 * steps
     if width < MIN_WIDTH:
         # steps grow as 1/dx, so refining the lattice never helps
@@ -138,17 +186,23 @@ def direct_solve(A: OperatorField, x_values: Sequence[float],
     lo = 8 * steps
     u = np.empty((width, steps + 1, n))
     u[:, 0] = u0[lo:lo + width]
-    y = u0
-    product = operator_product(A)
+    y, product = u0, operator_product(A)
+    # in leading rows: u_x, the stage state (and next y), y's, the slopes
+    ux, stage, spare, *slopes = (np.empty((m, n)) for _ in range(7))
     # overflow is detected by the finiteness check, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            k1 = _interior_rhs(y, product, dx)
-            k2 = _interior_rhs(y[2:-2] + 0.5 * dt * k1, product, dx)
-            k3 = _interior_rhs(y[4:-4] + 0.5 * dt * k2, product, dx)
-            k4 = _interior_rhs(y[6:-6] + dt * k3, product, dx)
-            y = y[8:-8] + (dt / 6.0) * (k1[6:-6] + 2.0 * k2[4:-4]
-                                        + 2.0 * k3[2:-2] + k4)
+            ks = [_interior_rhs(y, product, dx, ux, slopes[0])]
+            for j, c in enumerate((0.5 * dt, 0.5 * dt, dt), start=1):
+                z = np.multiply(c, ks[-1], stage[:len(ks[-1])])  # y + c k_j
+                ks.append(_interior_rhs(np.add(y[2 * j:-2 * j], z, z),
+                                        product, dx, ux, slopes[j]))
+            # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), left to right
+            s, k2, k3 = ks[0][6:-6], ks[1][4:-4], ks[2][2:-2]
+            np.add(s, np.multiply(2.0, k2, k2), s)
+            np.add(np.add(s, np.multiply(2.0, k3, k3), s), ks[3], s)
+            y = np.add(y[8:-8], np.multiply(dt / 6.0, s, s), stage[:len(s)])
+            stage, spare = spare, stage
             if not np.isfinite(y).all():
                 raise PDEError(f"solution became non-finite during step "
                                f"{step + 1} (t = {(step + 1) * dt:.6g})")
@@ -213,9 +267,9 @@ def grid_residual(grid: SolutionGrid,
             for k, product in enumerate(products, start=1):
                 # u, u_t and u_x on the common interior (x and t_k)
                 t_in = (slice(None),) * k + (slice(1, -1),)
-                residual = (_central(w[1:-1], k, axes[k].delta)
-                            - product(w[1:-1][t_in], ux[t_in]))
-                worst[-1].append(np.abs(residual).max())
+                r = product(w[1:-1][t_in], ux[t_in], np.empty(ux[t_in].shape))
+                r = np.subtract(_central(w[1:-1], k, axes[k].delta), r, r)
+                worst[-1].append(np.abs(r, r).max())
         per_axis = np.max(worst, axis=0).tolist()
     return ResidualReport(tuple(per_axis))
 

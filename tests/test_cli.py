@@ -682,6 +682,22 @@ def test_flow_towards_a_blow_up_is_refused_by_the_step_budget(tmp_path,
     assert err == "nijflow residual: step budget exhausted\n"
 
 
+TINY_X = {"start": 0, "stop": 1e-300, "count": 121}
+
+
+def _direct2_with(cfl, x=None):
+    """nijenhuis2_direct.json with ``pde.cfl`` and, if given, ``grid.x``."""
+    cfg = json.loads((CONFIGS / "nijenhuis2_direct.json").read_text())
+    cfg["pde"]["cfl"] = cfl
+    cfg["grid"]["x"] = x or cfg["grid"]["x"]
+    return cfg
+
+
+def _over_the_cap(steps):
+    return (f"t_end / (cfl * dx) = {steps} steps on 121 nodes exceed the "
+            "limit of 10000000 node-steps")
+
+
 _OVER_THE_NODE_STEP_CAP = (
     "667 steps on 20001 nodes make 13340667 node-steps, more than the limit "
     "of 10000000; coarsen the lattice or shorten t_end")
@@ -715,6 +731,22 @@ EXIT_2_LINES = {
         **NODE_STEPS_OVER_CAP), _OVER_THE_NODE_STEP_CAP),
     "node-steps-compare": ("compare", _nijenhuis2_with(
         **NODE_STEPS_OVER_CAP), _OVER_THE_NODE_STEP_CAP),
+    # t_end / (cfl * dx) past the cap is refused before it becomes an
+    # integer: cfl * dx underflowed to 0 and raised ZeroDivisionError (exit
+    # 1), its quotient overflowed to inf, or it printed two 300-digit
+    # integers in one 748-character line
+    "cfl-dx-underflow-direct": ("solve-direct", _direct2_with(
+        1e-300, TINY_X), _over_the_cap("inf")),
+    "cfl-dx-underflow-compare": ("compare", _direct2_with(1e-300, TINY_X),
+                                 _over_the_cap("inf")),
+    "steps-overflow-direct": ("solve-direct", _direct2_with(1e-10, TINY_X),
+                              _over_the_cap("inf")),
+    "steps-overflow-compare": ("compare", _direct2_with(1e-10, TINY_X),
+                               _over_the_cap("inf")),
+    "steps-huge-direct": ("solve-direct", _direct2_with(1e-300),
+                          _over_the_cap("2e+300")),
+    "steps-huge-compare": ("compare", _direct2_with(1e-300),
+                           _over_the_cap("2e+300")),
 }
 
 
@@ -722,7 +754,7 @@ EXIT_2_LINES = {
                          ids=EXIT_2_LINES.keys())
 def test_exit_2_line_is_pinned(tmp_path, capsys, command, cfg, line):
     err = _assert_exits_2(tmp_path, capsys, command, cfg)
-    assert err == f"nijflow {command}: {line}\n"
+    assert err == f"nijflow {command}: {line}\n" and len(line) <= 200
 
 
 def test_config_numbers_load_as_floats(tmp_path):

@@ -24,14 +24,19 @@ from pathlib import Path
 
 from nijflow import lattice_io
 from nijflow.cli import main
+from nijflow.exactpoly import MAX_NESTING
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # values a substitution puts at a JSON path: non-finite, extreme and signed
 # zero numbers, integers past the float range, digit strings int() would
-# take, a power past the exact layer's bound, and every other JSON type
+# take, a power past the exact layer's bound, spaces str.split and
+# str.strip take (no-break, ideographic, carriage return), an expression
+# nested past the parser's bound, and every other JSON type
 VALUES = (float("nan"), 1e308, -1e308, -0.0, 10 ** 30, 10 ** 400, "1_0",
-          "\u0663", "u1^70000", [], {}, None, True, "")
+          "\u0663", "u1^70000", "\u00a0", "\u3000", "\r",
+          "(" * (MAX_NESTING + 1) + "u1" + ")" * (MAX_NESTING + 1),
+          [], {}, None, True, "")
 # what an insertion puts into a lattice, and what a cell is replaced by
 TOKENS = (b"nan", b"inf", b"-", b"+", b"e", b".", b",", b"\n", b"\r", b" ",
           b"\t", b"_", b"0x1p3", b"1e400", b"\x00", b"\xc3\xa9", b"\xef\xbb\xbf",

@@ -26,7 +26,7 @@ from nijflow.pde import PDEError, compare_grids, direct_solve, grid_residual
 from support import (convergence_orders, random_polynomial,
                      reference_compare_grids, reference_grid_residual,
                      reference_operator_product, same_bits,
-                     sigma_constant, sigma_curved, u_from_eigenvalues)
+                     sigma_constant, sigma_curved, u_from_eigenvalues, upoly)
 from test_bench_configs import _cases
 
 U2 = ["u1", "u2"]
@@ -243,23 +243,76 @@ def test_operator_product_is_bit_identical_to_evaluate_and_einsum(n):
             stacks = [(u, v), (u[..., ::2, :], v[..., ::2, :])]
             with np.errstate(all="ignore"):
                 for a, b in stacks:
-                    assert same_bits(product(a, b),
+                    assert same_bits(product(a, b, np.empty(a.shape)),
                                       reference_operator_product(A, a, b))
 
 
 def _einsum_product(monkeypatch):
-    monkeypatch.setattr(pde, "operator_product", lambda A: functools.partial(
-        reference_operator_product, A))
+    def product(A, u, v, out):
+        out[...] = reference_operator_product(A, u, v)
+        return out
+
+    monkeypatch.setattr(pde, "operator_product",
+                        lambda A: functools.partial(product, A))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("seed, step", [(np.nan, 1), (3.0, 5)],
-                         ids=["nan", "spike"])
-def test_direct_solve_fails_at_the_einsum_products_step(monkeypatch, n, seed,
-                                                       step):
-    A = CompanionModel(sigma_curved(n)).killing[1]
+def _random2(seed):
+    rng = random.Random(seed)
+    return OperatorField([[random_polynomial(rng, 2, max_degree=4)
+                           for _ in range(2)] for _ in range(2)])
+
+
+# the operators the solver is checked on against the einsum product, by
+# id: the curved family's A_1 at n = 2, 3 and 4, then n = 2 operators for
+# each branch of the in-place n = 2 product: constant entries 0, 1 and 3/7,
+# a unit coefficient on one variable, a product of both variables, and
+# random entries of degree up to 4 (powers through the float power)
+EINSUM_CASES = {
+    **{str(n): functools.partial(
+        lambda n: CompanionModel(sigma_curved(n)).killing[1], n)
+       for n in (2, 3, 4)},
+    "constant": lambda: OperatorField([[0, 0], [Fraction(3, 7), 1]]),
+    "monomial": lambda: OperatorField([[upoly("u1", 2), Fraction(3, 7)],
+                                       [upoly("u1*u2", 2), 0]]),
+    **{f"random{s}": functools.partial(_random2, s) for s in range(3)},
+}
+
+
+def _with_special_values(u0, xs):
+    """At n = 2, u0 with -x on both components around x = 0, where it is
+    -0.0, signed zeros and the least subnormal at two nodes, and a run of
+    40 zeros of seeded signs."""
+    if u0.shape[1] == 2:
+        mid = len(u0) // 2
+        assert xs[mid] == 0.0
+        u0[mid - 12:mid + 13] = -xs[mid - 12:mid + 13, None]
+        u0[mid - 40], u0[mid - 39] = (-0.0, 5e-324), (5e-324, -0.0)
+        signs = np.random.default_rng(40).choice([-1.0, 1.0], (40, 2))
+        u0[mid + 20:mid + 60] = np.copysign(0.0, signs)
+        u0[mid + 40] = (5e-324, -5e-324)
+    return u0
+
+
+# (operator, the value at the middle node, the step the solve fails at)
+FAILURES = {
+    **{f"{kind}-{n}": (str(n), seed, step) for kind, seed, step in (
+        ("nan", np.nan, 1), ("spike", 3.0, 5)) for n in (2, 3, 4)},
+    **{f"nan-{case}": (case, np.nan, 1) for case in list(EINSUM_CASES)[3:]},
+    **{f"huge-{case}": (case, 1e150, 1)
+       for case in ("monomial", "random0", "random1", "random2")},
+    "spike-monomial": ("monomial", 3.0, 10),
+    "spike-random1": ("random1", 3.0, 2),
+}
+
+
+@pytest.mark.parametrize("case, seed, step", FAILURES.values(),
+                         ids=FAILURES.keys())
+def test_direct_solve_fails_at_the_einsum_products_step(monkeypatch, case,
+                                                       seed, step):
+    A = EINSUM_CASES[case]()
     xs = np.linspace(-1.0, 1.0, 801)
-    u0 = np.outer(0.1 * np.sin(7.0 * xs), np.ones(n))
+    u0 = _with_special_values(np.outer(0.1 * np.sin(7.0 * xs),
+                                       np.ones(A.n)), xs)
     u0[400] = seed
 
     def failure():
@@ -273,21 +326,23 @@ def test_direct_solve_fails_at_the_einsum_products_step(monkeypatch, n, seed,
     assert failure() == message
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_direct_solve_and_residual_match_the_einsum_product(monkeypatch, n):
-    A = CompanionModel(sigma_curved(n)).killing[1]
+@pytest.mark.parametrize("case", EINSUM_CASES)
+def test_direct_solve_and_residual_match_the_einsum_product(monkeypatch, case):
+    A = EINSUM_CASES[case]()
+    n = A.n
     xs = np.linspace(-0.5, 0.5, 161)
-    u0 = np.array(u_from_eigenvalues((-0.8, 0.3, 1.2, 1.9)[:n])) + np.outer(
-        0.05 * np.sin(3.0 * xs), np.arange(1, n + 1))
+    u0 = _with_special_values(np.array(u_from_eigenvalues(
+        (-0.8, 0.3, 1.2, 1.9)[:n])) + np.outer(0.05 * np.sin(3.0 * xs),
+                                               np.arange(1, n + 1)), xs)
 
     def outputs():
         grid = direct_solve(A, xs, u0, 0.02)
-        return grid.u, grid_residual(grid, [A]).per_axis
+        return grid.u, np.array(grid_residual(grid, [A]).per_axis)
 
     u, residual = outputs()
     _einsum_product(monkeypatch)
     expected_u, expected_residual = outputs()
-    assert same_bits(u, expected_u) and residual == expected_residual
+    assert same_bits(u, expected_u) and same_bits(residual, expected_residual)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -758,13 +813,19 @@ def test_compare_scratch_is_one_slab():
 
 
 def test_direct_step_holds_the_stages_and_one_block_of_a():
-    # one step at n = 7 on 16,001 nodes, each array over the window 0.9 MB:
-    # the Runge-Kutta stages hold at most seven of them at once, A one
-    # block; with A over the whole window the step took 13.4 MB
-    n, m = 7, 16001
-    A = companion_second([ExactPolynomial.variable(n, i) for i in range(n)])
-    xs = np.linspace(-0.5, 0.5, m)
-    u0 = 0.1 * np.outer(np.sin(3.0 * xs), np.arange(1, n + 1))
-    grid, peak = _traced_peak(direct_solve, A, xs, u0, 0.4 * (xs[1] - xs[0]))
-    assert grid.meta["steps"] == 1
-    assert peak - grid.u.nbytes < 7 * u0.nbytes + 2 * MB
+    # one step on 16,001 nodes, each array over the window as large as u0:
+    # seven stage buffers (u_x, the stage state and the next y, the four
+    # slopes), and at n = 7 one block of A (with A over the whole window
+    # the step took 13.4 MB); at n = 2 A's scratch, four arrays of one
+    # component, and the finiteness mask, an eighth of u0
+    m = 16001
+    for n, extra in ((7, 2 * MB), (2, 0.0)):
+        A = companion_second([ExactPolynomial.variable(n, i)
+                              for i in range(n)])
+        xs = np.linspace(-0.5, 0.5, m)
+        u0 = 0.1 * np.outer(np.sin(3.0 * xs), np.arange(1, n + 1))
+        grid, peak = _traced_peak(direct_solve, A, xs, u0,
+                                  0.4 * (xs[1] - xs[0]))
+        assert grid.meta["steps"] == 1
+        buffers = 7 if n > 2 else 7 + 2 + 0.25
+        assert peak - grid.u.nbytes < buffers * u0.nbytes + extra
