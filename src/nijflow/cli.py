@@ -29,8 +29,8 @@ from .exactpoly import (PolynomialError, base_names, evaluate_table_array,
                         format_polynomial, parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                     SolutionGrid, orbit_grid)
-from .lattice_io import (MAX_LATTICE_NODES, ConfigError, _replacing,
-                         make_axis, read_grid_csv, write_grid_csv,
+from .lattice_io import (MAX_LATTICE_NODES, ConfigError, make_axis,
+                         read_grid_csv, replacing, write_grid_csv,
                          write_svg_plot)
 from .metric import MetricError
 from .model import CompanionModel
@@ -209,7 +209,7 @@ def _emit_report(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if output:
-        with _replacing(output) as f:
+        with replacing(output) as f:
             f.write((text + "\n").encode())
 
 

@@ -257,7 +257,7 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
 
     Rows are formatted a block of ``_BLOCK_CELLS`` values at a time into one
     reused buffer of fixed-width cells, and every axis value is formatted
-    once, all axes in one call, into a file ``_replacing`` the old one."""
+    once, all axes in one call, into a file ``replacing`` the old one."""
     n = grid.n
     k = len(grid.axes)
     names = [a.name for a in grid.axes]
@@ -288,7 +288,7 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
     step = max(1, _BLOCK_CELLS // width)
     cells = np.empty((min(rows, step), len(names), _CELL_WORDS), _U64)
     values = np.empty((len(cells), width))
-    with _replacing(path) as f:
+    with replacing(path) as f:
         f.write((",".join(names) + "\n").encode())
         for start in range(0, rows, step):
             stop = min(rows, start + step)
@@ -303,7 +303,7 @@ def write_grid_csv(grid: SolutionGrid, path: str) -> None:
 
 
 @contextlib.contextmanager
-def _replacing(path: str):
+def replacing(path: str):
     """A binary file renamed over ``path``, with the old file's mode, once
     written whole, so a failed or killed write leaves the old file as it
     was.  A path that is not a regular file (``/dev/null``) is written to."""
@@ -681,5 +681,5 @@ def write_svg_plot(grid: SolutionGrid, slices: Sequence[int] | None,
         parts.append(_svg_text(right - 124, y, label, anchor="start",
                                size=11))
     parts.append("</svg>")
-    with _replacing(path) as f:
+    with replacing(path) as f:
         f.write(("\n".join(parts) + "\n").encode())

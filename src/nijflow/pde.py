@@ -7,7 +7,8 @@ gives up two nodes on each side, eight per side a step, so every reported
 value is determined by the initial data alone, which keeps the comparison
 with the flow-composed solution honest.  A solve allocates its stage
 buffers once and forms every stage in them; the n = 2 product A(u) v
-writes its rows in place, bit for bit the sums it had as temporaries.
+writes its rows in place from entries evaluated by ``evaluate_float_form``,
+bit for bit the ``np.einsum`` it stands in for.
 
 The module also measures discrete residuals of solution lattices (by
 second-order differences, so the residual of an exact solution shrinks
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactpoly import _float_power
+from .exactpoly import evaluate_float_form
 from .flows import AxisSpec, SolutionGrid
 from .operators import OperatorField
 
@@ -67,35 +68,12 @@ def _check_uniform(x_values: np.ndarray) -> float:
     return dx
 
 
-def _times(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a x in ``out``, or x itself when a is the float 1.0 (it is exact)."""
-    return x if type(a) is float and a == 1.0 else np.multiply(a, x, out)
-
-
-def _form_into(form, columns, total, term, square):
-    """``evaluate_float_form(form, columns)``, in order, in ``total`` (a float
-    if constant), less its products by 1.0; terms in ``term``, squares in
-    ``square``."""
-    for j, (coeff, powers) in enumerate(form):
-        if not powers:  # the constant term, last in grlex order
-            return np.add(total, coeff, total) if j else 0.0 + coeff
-        v = coeff
-        for i, e in powers:
-            x = columns[i]
-            if e == 2:
-                x = np.multiply(x, x, term if v is coeff else square)
-            elif e >= 3:
-                x = _float_power(x, e)
-            v = _times(v, x, term)
-        np.add(total if j else 0.0, v, total)
-    return total if form else 0.0
-
-
 def operator_product(A: OperatorField):
     """(u, v, out) -> A(u) v over stacks (..., n) in ``out`` (C-contiguous,
     apart from u and v): ``np.einsum`` of ``A.evaluate_at(u)`` and v, a block
     of nodes at a time; at n = 2, bit for bit the same, each row summed left
-    to right, from two entries evaluated into the product's own scratch."""
+    to right from 0 in ``out``, its two entries evaluated on u's columns by
+    ``evaluate_float_form``.  Nothing is kept between calls."""
     if A.n != 2:
         def blocked(u: np.ndarray, v: np.ndarray, out: np.ndarray):
             step = _BLOCK_VALUES // A.n
@@ -105,24 +83,13 @@ def operator_product(A: OperatorField):
                           vs[b:b + step], out=outs[b:b + step])
             return out
         return blocked
-    f00, f01, f10, f11 = (e.float_form() for row in A.entries for e in row)
-    # four arrays, not one block four times as large, which glibc would map
-    # and unmap, raising its mmap threshold for the rest of the process
-    scratch = [np.empty(0)] * 4
+    forms = [[e.float_form() for e in row] for row in A.entries]
 
     def product(u: np.ndarray, v: np.ndarray, out: np.ndarray):
-        nonlocal scratch
         columns = u[..., 0], u[..., 1]
-        if scratch[0].size < columns[0].size:
-            scratch = [np.empty(columns[0].size) for _ in range(4)]
-        first, second, term, square = (s[:columns[0].size].reshape(
-            columns[0].shape) for s in scratch)
-        v0, v1 = v[..., 0], v[..., 1]
-        for f0, f1, row in ((f00, f01, out[..., 0]), (f10, f11, out[..., 1])):
-            a0 = _form_into(f0, columns, first, term, square)
-            a1 = _form_into(f1, columns, second, term, square)
-            np.add(0.0, _times(a0, v0, row), row)
-            np.add(row, _times(a1, v1, second), row)
+        for (f0, f1), row in zip(forms, (out[..., 0], out[..., 1])):
+            np.add(0.0, evaluate_float_form(f0, columns) * v[..., 0], row)
+            np.add(row, evaluate_float_form(f1, columns) * v[..., 1], row)
         return out
 
     return product

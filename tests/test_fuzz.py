@@ -1,20 +1,26 @@
 """A seeded malformed-input fuzzer, run in process through ``cli.main``.
 
-Three campaigns with fixed case counts: JSON-aware substitutions in the
+Four campaigns with fixed case counts: JSON-aware substitutions in the
 shipped configs, run through the exact-layer commands; byte-level changes
 to a small ``evolve`` lattice, run through ``plot`` and ``residual
---input``; and those again with the lattice reader's blocks made small, so
-that the changes straddle its block boundaries.
+--input``; those again with the lattice reader's blocks made small, so
+that the changes straddle its block boundaries; and token-level changes to
+a valid command line of each of the eight subcommands.
 
 The oracle, for every case: the exit code is 0, 1 or 2, and exit 2 prints
-exactly one stderr line, ``nijflow <command>: ...``, with no traceback.  An
-exception out of ``main`` breaks it as the traceback would.
+exactly one stderr line, with no traceback: ``nijflow <command>: ...`` from
+a command, and from the argument parser ``nijflow: error: ...`` or
+``nijflow <command>: error: ...``.  An exception out of ``main`` breaks it
+as the traceback would.
 
-The flow commands (``evolve``, ``solve-direct``, ``compare``, and
-``residual`` without ``--input``) are left out.  A mutated axis can send a
-flow as far as ``flows.MAX_STEPS`` steps: bounded, but seconds of work
-(``evolve`` on nijenhuis4 with ``grid.t[2].start`` = -1e308 takes about
-6 s to its "step budget exhausted"), thousands of times a case here.
+The config substitutions leave the flow commands (``evolve``,
+``solve-direct``, ``compare``, and ``residual`` without ``--input``) out.
+A mutated axis can send a flow as far as ``flows.MAX_STEPS`` steps:
+bounded, but seconds of work (``evolve`` on nijenhuis4 with
+``grid.t[2].start`` = -1e308 takes about 6 s to its "step budget
+exhausted"), thousands of times a case here.  The command-line campaign
+runs them on the shipped configs with axis counts capped at 9, which no
+token change can lengthen.
 """
 
 import copy
@@ -101,8 +107,9 @@ def _mutated(text: bytes, rng: random.Random) -> bytes:
     return b"\n".join(lines)
 
 
-def _violation(argv, capsys):
-    """None if the command keeps the oracle, else what it did."""
+def _violation(argv, capsys, prefix=None):
+    """None if the command keeps the oracle, else what it did; exit 2's
+    line starts with ``prefix``, by default ``nijflow <argv[0]>: ``."""
     try:
         code = main(argv)
     except Exception as exc:
@@ -110,8 +117,10 @@ def _violation(argv, capsys):
     err = capsys.readouterr().err
     if code not in (0, 1, 2):
         return f"exit {code}"
+    if prefix is None:
+        prefix = f"nijflow {argv[0]}: "
     if code == 2 and not (err.count("\n") == 1 and err.endswith("\n")
-                          and err.startswith(f"nijflow {argv[0]}: ")
+                          and err.startswith(prefix)
                           and "Traceback" not in err):
         return f"exit 2 with stderr {err!r}"
     return None
@@ -137,16 +146,22 @@ def test_config_substitutions_keep_the_exit_contract(tmp_path, capsys):
     assert violations == []
 
 
+def _small_lattice(tmp_path):
+    """The nijenhuis2 config with a 7 x 5 lattice, and the bytes of the
+    lattice ``evolve`` writes for it."""
+    config = json.loads((CONFIGS / "nijenhuis2.json").read_text())
+    config["grid"]["x"]["count"], config["grid"]["t"][0]["count"] = 7, 5
+    cfg, base = tmp_path / "nijenhuis2.json", tmp_path / "base.csv"
+    cfg.write_text(json.dumps(config))
+    assert main(["evolve", str(cfg), "--output", str(base)]) == 0
+    return cfg, base.read_bytes()
+
+
 def _lattice_cases(tmp_path, capsys, seed: int, count: int):
     """count seeded changes to a 7 x 5 evolve lattice, each run through
     plot or residual --input; the cases that break the oracle."""
-    config = json.loads((CONFIGS / "nijenhuis2.json").read_text())
-    config["grid"]["x"]["count"], config["grid"]["t"][0]["count"] = 7, 5
-    cfg = tmp_path / "nijenhuis2.json"
-    cfg.write_text(json.dumps(config))
-    base, case = tmp_path / "base.csv", tmp_path / "case.csv"
-    assert main(["evolve", str(cfg), "--output", str(base)]) == 0
-    text = base.read_bytes()
+    cfg, text = _small_lattice(tmp_path)
+    case = tmp_path / "case.csv"
     commands = (["plot", str(case), "--output", str(tmp_path / "case.svg")],
                 ["residual", str(cfg), "--input", str(case)])
     rng = random.Random(seed)
@@ -171,3 +186,57 @@ def test_lattice_mutations_across_small_read_blocks(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr(lattice_io, "_READ_BLOCK", 64)
     assert _lattice_cases(tmp_path, capsys, 2041, 150) == []
+
+
+def _argv_mutated(argv: list, extras: tuple, rng: random.Random) -> list:
+    """argv with one token dropped, duplicated, swapped with another or
+    replaced by one of extras, or one of extras inserted."""
+    argv, at = list(argv), rng.randrange(len(argv))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del argv[at]
+    elif kind == 1:
+        argv.insert(at, argv[at])
+    elif kind == 2:
+        other = rng.randrange(len(argv))
+        argv[at], argv[other] = argv[other], argv[at]
+    elif kind == 3:
+        argv[at] = rng.choice(extras)
+    else:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(extras))
+    return argv
+
+
+def test_argv_mutations_keep_the_exit_contract(tmp_path, capsys,
+                                               monkeypatch):
+    # a token moved after --output, such as "0,2", names a relative path
+    monkeypatch.chdir(tmp_path)
+    _, text = _small_lattice(tmp_path)
+    bases = [json.dumps(_capped(json.loads(path.read_text())))
+             for path in sorted(CONFIGS.glob("*.json"))]
+    cfg, lattice, out = (str(tmp_path / name)
+                         for name in ("case.json", "case.csv", "out"))
+    extras = ("--bogus", "--output", "--slices", "-h", "--", "",
+              str(tmp_path), "/dev/null", str(tmp_path / "absent" / "file"),
+              "--slices=1", f"--output={out}")
+    valid = [["verify", cfg, "--output", f"{out}.json"],
+             ["build-metric", cfg],
+             ["hierarchy", cfg],
+             ["evolve", cfg, "--output", f"{out}.csv"],
+             ["solve-direct", cfg, "--output", f"{out}.csv"],
+             ["residual", cfg, "--input", lattice],
+             ["compare", cfg, "--output", f"{out}.json"],
+             ["plot", lattice, "--output", f"{out}.svg", "--slices", "0,2"]]
+    rng = random.Random(20261022)
+    violations = []
+    for k in range(300 * len(valid)):
+        # a changed command line may write over an input: write both afresh
+        Path(cfg).write_text(rng.choice(bases))
+        Path(lattice).write_bytes(text)
+        argv = valid[k % len(valid)]
+        for _ in range(rng.randint(1, 2)):
+            argv = _argv_mutated(argv, extras, rng)
+        found = _violation(argv, capsys, prefix="nijflow")
+        if found:
+            violations.append((argv, found))
+    assert violations == []

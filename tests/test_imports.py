@@ -18,7 +18,8 @@ in ``tests/support.py``, beside the other oracles.
 
 A private definition (a module-level function or class, or a method that is
 not dunder, whose name starts with ``_``) is referred to by some module of
-the package, by name or attribute, outside its own body.
+the package, by name or attribute, outside its own body.  A private name
+has one owner: no module imports one from another module of the package.
 
 No class defines ``__setattr__``, and ``object.__setattr__`` is called only
 in the ``__post_init__`` of a frozen dataclass.  ``ExactPolynomial`` is
@@ -328,6 +329,28 @@ def test_the_guard_finds_planted_private_definitions():
                              "    return _planted(k - 1) if k else 0\n")
     assert unreferenced_private(planted) == [
         ("operators", "OperatorField._stray"), ("operators", "_planted")]
+
+
+def private_imports(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Each private name a module of ``sources`` (module -> text) imports
+    from a sibling, as (module, "sibling.name"), in module order."""
+    return [(m, f"{sibling}.{name}") for m, text in sources.items()
+            for sibling, name in _relative_imports(ast.parse(text)).values()
+            if _is_private(name)]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports(SOURCES) == []
+
+
+def test_the_guard_finds_planted_private_imports():
+    # an aliased import is caught by its imported name; a dunder is public
+    planted = dict(SOURCES)
+    planted["flows"] += "\nfrom .exactpoly import _float_power\n"
+    planted["pde"] += ("\nfrom .lattice_io import (__doc__, _blocks as "
+                       "blocks,\n                         make_axis)\n")
+    assert private_imports(planted) == [("flows", "exactpoly._float_power"),
+                                        ("pde", "lattice_io._blocks")]
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
