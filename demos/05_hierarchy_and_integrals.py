@@ -18,8 +18,7 @@ from pathlib import Path
 
 from nijflow import (base_names, build_h_family, companion_second,
                      first_integrals, gram_matrix, killing_operators,
-                     nijenhuis_torsion, parse_expression,
-                     verify_commuting_integrals)
+                     nijenhuis_torsion, pairwise_poisson, parse_expression)
 
 # the test suite's oracles, imported from the repository's tests/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -50,7 +49,7 @@ for i, F in enumerate(integrals):
     print(f"  F_{i} = {F}")
 print(f"  F_i = 1/2 h_(i+1) for every i: "
       f"{all(F == h * Fraction(1, 2) for F, h in zip(integrals, family))}")
-pairs = verify_commuting_integrals(integrals)
+pairs = pairwise_poisson(integrals)
 print(f"  pairwise Poisson brackets vanish exactly: "
       f"{all(b.is_zero() for _, _, b in pairs)}")
 
@@ -72,7 +71,7 @@ bad_family = build_h_family(bad_sigma)
 bad_F = first_integrals(gram_matrix(bad_family[0]), bad_hier)
 print(f"  and so is F_i = 1/2 h_(i+1): "
       f"{all(F == h * Fraction(1, 2) for F, h in zip(bad_F, bad_family))}")
-first_bad = next((i, j, b) for i, j, b in verify_commuting_integrals(bad_F)
+first_bad = next((i, j, b) for i, j, b in pairwise_poisson(bad_F)
                  if not b.is_zero())
 print(f"  but the integrals stop commuting: "
       f"{{F_{first_bad[0] - 1}, F_{first_bad[1] - 1}}} = {first_bad[2]}")

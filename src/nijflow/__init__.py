@@ -35,11 +35,6 @@ from .flows import (
     orbit_grid,
     polynomial_flow,
 )
-from .hierarchy import (
-    first_integrals,
-    killing_operators,
-    verify_commuting_integrals,
-)
 from .metric import (
     CovariantMetricAt,
     GramMatrix,
@@ -49,6 +44,7 @@ from .metric import (
     check_gram_normal_form,
     covariant_at,
     differential_shift_residuals,
+    first_integrals,
     gram_matrix,
     pairwise_poisson,
     poisson_bracket,
@@ -63,6 +59,7 @@ from .operators import (
     companion_second,
     guiding_bracket,
     is_symmetry,
+    killing_operators,
     nijenhuis_torsion,
     torsion_of_pair,
 )
@@ -125,7 +122,6 @@ __all__ = [
     "polynomial_flow",
     "symmetry_metric",
     "torsion_of_pair",
-    "verify_commuting_integrals",
 ]
 
 __version__ = "0.1.0"

@@ -38,12 +38,12 @@ from .operators import OperatorError
 from .pde import PDEError, compare_grids, direct_solve, grid_residual
 from .verify import verify_model
 
-# Unused here: bench/spans.py wraps the verify checks by these names in this
-# module (pinned by tests/test_span_targets.py) until ROADMAP item 10.
+# Unused: bench/spans.py wraps the verify checks by these names here, one of
+# them twice (pinned by tests/test_span_targets.py) until ROADMAP item 10.
 from .compat import benenti_residual, coordinate_form_residual_at  # noqa: F401
-from .hierarchy import verify_commuting_integrals  # noqa: F401
 from .metric import (check_gram_normal_form, covariant_at,  # noqa: F401
-                     differential_shift_residuals, pairwise_poisson)
+                     differential_shift_residuals, pairwise_poisson,
+                     pairwise_poisson as verify_commuting_integrals)
 from .operators import nijenhuis_torsion  # noqa: F401
 
 

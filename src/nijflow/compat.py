@@ -51,7 +51,7 @@ def benenti_residual(model: "CompanionModel") -> PhaseFunction:
     n, h = model.n, model.family
     trace = PhaseFunction(n, model.sigma[0].with_appended_vars(n))
     # L h1 = (h1 L^T)^T has the quadratic form of h1 L^T, and
-    # A_1 h1 = L h1 - sigma_1 h1 is the Gram matrix of h_2 (hierarchy.py)
+    # A_1 h1 = L h1 - sigma_1 h1 is the Gram matrix of h_2 (first_integrals)
     F = h[0].poly * trace.poly
     if n > 1:
         F = F + h[1].poly

@@ -14,7 +14,8 @@ the contravariant metric of the construction.
 
 ``build_h_family`` reads the Gram entries off the powers of L expanded in
 the basis Id, L, ..., L^(n-1); the tests compare it to the square of the
-pencil itself (first row only).
+pencil itself (first row only).  ``first_integrals`` lifts A_i h1, for the
+Killing operators A_i, to F_i = 1/2 h_(i+1), the family halved.
 
 The canonical Poisson bracket used throughout is
 
@@ -208,6 +209,16 @@ def gram_matrix(h: PhaseFunction) -> GramMatrix:
         else:
             rows[a][b] = rows[b][a] = coeff * Fraction(1, 2)
     return GramMatrix(rows)
+
+
+def first_integrals(h1: GramMatrix,
+                    family: Sequence[OperatorField]) -> list[PhaseFunction]:
+    """Quadratic integrals F_i = 1/2 h1^(ab) (A_i)^s_a p_s p_b: the lift of
+    the matrix product A_i h1 to the momenta."""
+    n = h1.n
+    if any(A.n != n for A in family):
+        raise MetricError("hierarchy and metric sizes differ")
+    return [quadratic_phase((A @ h1).entries) * Fraction(1, 2) for A in family]
 
 
 def check_gram_normal_form(gram: GramMatrix) -> tuple[str, ...]:

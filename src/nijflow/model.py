@@ -2,8 +2,8 @@
 
 The characteristic coefficients sigma are the bundle's one field.  The
 companion operator, the quadratic family h_i and its Gram matrix, the
-operator hierarchy and the integrals F_i = 1/2 h_(i+1) are derived from it,
-exactly, each on its first read, so a command builds only what it uses.
+Killing operators A_i and the integrals F_i = 1/2 h_(i+1) are derived from
+it, exactly, each on its first read, so a command builds only what it uses.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from typing import Sequence
 from .exactpoly import (ExactPolynomial, PolynomialError, base_names,
                         parse_expression)
 # first_integrals, gram_matrix: unused; bench/spans.py patches these names
-from .hierarchy import first_integrals, killing_operators  # noqa: F401
 from .metric import (GramMatrix, PhaseFunction, build_h_family,  # noqa: F401
-                     gram_matrix, reduced_power_coefficients)
-from .operators import OperatorField, companion_second
+                     first_integrals, gram_matrix, reduced_power_coefficients)
+from .operators import OperatorField, companion_second, killing_operators
 
 # Largest sigma ``from_expressions`` accepts, in terms times total degree
 # summed over its entries: the curved torsion-free sigma of n = 7 has size

@@ -1,7 +1,8 @@
 """Polynomial operator fields on the base coordinates u^1..u^n.
 
 An operator field is an n-by-n matrix of :class:`ExactPolynomial` entries in
-the n base variables.  The module provides the two companion normal forms,
+the n base variables.  The module provides the two companion normal forms
+and the Killing operators of the second one, read from one index table,
 the compatibility bracket <L, M> for commuting pairs, the Nijenhuis torsion
 as -<L, L> and in closed form for a companion operator, the symmetry test,
 and characteristic polynomial coefficients by the trace recursion.
@@ -175,6 +176,26 @@ def companion_first(sigma: Sequence) -> OperatorField:
     """First companion form: the anti-diagonal transpose of the second one,
     with the coefficients (sigma_1, ..., sigma_n) down the first column."""
     return companion_second(sigma).antitranspose()
+
+
+def killing_operators(sigma: Sequence[ExactPolynomial]) -> list[OperatorField]:
+    """The operators A_0, ..., A_(n-1) of the adjugate recursion A_0 = Id,
+    A_i = L A_(i-1) - sigma_i Id, for L = ``companion_second(sigma)``, whose
+    terminating identity (lambda^(n-1) A_0 + ... + A_(n-1)) (lambda Id - L)
+    = (lambda^n - sigma_1 lambda^(n-1) - ... - sigma_n) Id holds for every L.
+    Read from their index table, of one -sigma_j per j (the tests keep the
+    recursion and check the identity): from column i, row i < n - k of A_k
+    is -sigma_k, ..., -sigma_1, 1; from column r, row n - k + r is sigma_n,
+    ..., sigma_(k+1); every other entry is 0."""
+    last = _sigma_list(sigma)[::-1]  # L's bottom row, sigma_n, ..., sigma_1
+    n = len(last)
+    zero = ExactPolynomial.constant(n, 0)
+    band = [-s for s in last[1:]] + [ExactPolynomial.constant(n, 1)]
+    return [OperatorField(  # band[n-1-k:] is -sigma_k, ..., -sigma_1, 1
+        [[zero] * i + band[n - 1 - k:] + [zero] * (n - k - 1 - i)
+         for i in range(n - k)]
+        + [[zero] * r + last[:n - k] + [zero] * (k - r) for r in range(k)])
+        for k in range(n)]
 
 
 def nijenhuis_torsion(L: OperatorField) -> tuple[OperatorField, ...]:

@@ -706,7 +706,7 @@ def h_family_from_pencil(sigma: Sequence[ExactPolynomial]) -> list[PhaseFunction
 
 def reference_killing_operators(sigma: Sequence[ExactPolynomial]
                                 ) -> list[OperatorField]:
-    """Oracle for ``hierarchy.killing_operators``: the adjugate recursion
+    """Oracle for ``operators.killing_operators``: the adjugate recursion
     A_0 = Id, A_k = L A_(k-1) - sigma_k Id by operator products."""
     L = companion_second(sigma)
     ident = OperatorField.identity(L.n)

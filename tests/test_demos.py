@@ -1,9 +1,10 @@
 """Smoke tests: every script in demos/, and README's Quick start block, run
 to completion against src/; each demo prints nothing on stderr and the
-stdout its digest pins."""
+stdout its digest pins.  README's Package tour has one row per module."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +58,28 @@ def test_readme_quick_start_runs(tmp_path):
     proc = run_python(["-c", block], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "(101, 51, 2)"
+
+
+def tour_rows(readme: str) -> list[str]:
+    """The module of each "| `nijflow.<name>` |" row of README's Package
+    tour, in order."""
+    tour = readme.split("## Package tour", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `nijflow\.(\w+)` \|", tour, re.M)
+
+
+MODULES = sorted(p.stem for p in (REPO / "src" / "nijflow").glob("*.py")
+                 if p.stem not in ("__init__", "__main__"))
+
+
+def test_readme_package_tour_names_every_module_once():
+    assert sorted(tour_rows((REPO / "README.md").read_text())) == MODULES
+
+
+def test_the_tour_guard_finds_a_missing_a_repeated_and_a_stray_row():
+    readme = (REPO / "README.md").read_text()
+    row = next(line for line in readme.splitlines()
+               if line.startswith("| `nijflow.pde` |"))
+    for planted in (readme.replace(row + "\n", ""),
+                    readme.replace(row, row + "\n" + row),
+                    readme.replace(row, row + "\n| `nijflow.hierarchy` | |")):
+        assert sorted(tour_rows(planted)) != MODULES

@@ -19,9 +19,10 @@ from nijflow.exactpoly import (ExactPolynomial, compile_float_forms,
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
                            HamiltonianField, SolutionGrid, integrate_flow,
                            integrate_flow_path, orbit_grid, polynomial_flow)
-from nijflow.hierarchy import first_integrals, killing_operators
-from nijflow.metric import PhaseFunction, build_h_family, gram_matrix
+from nijflow.metric import (PhaseFunction, build_h_family, first_integrals,
+                            gram_matrix)
 from nijflow.model import CompanionModel
+from nijflow.operators import killing_operators
 from nijflow.pde import grid_residual
 
 from support import (convergence_orders, geodesic_from,

@@ -1,17 +1,21 @@
 """A seeded malformed-input fuzzer, run in process through ``cli.main``.
 
-Four campaigns with fixed case counts: JSON-aware substitutions in the
+Five campaigns with fixed case counts: JSON-aware substitutions in the
 shipped configs, run through the exact-layer commands; byte-level changes
 to a small ``evolve`` lattice, run through ``plot`` and ``residual
 --input``; those again with the lattice reader's blocks made small, so
-that the changes straddle its block boundaries; and token-level changes to
-a valid command line of each of the eight subcommands.
+that the changes straddle its block boundaries; token-level changes to a
+valid command line of each of the eight subcommands; and, exhaustively,
+every axis of every shipped config given 0 to 3 nodes, run through the
+flow commands.
 
 The oracle, for every case: the exit code is 0, 1 or 2, and exit 2 prints
 exactly one stderr line, with no traceback: ``nijflow <command>: ...`` from
 a command, and from the argument parser ``nijflow: error: ...`` or
 ``nijflow <command>: error: ...``.  An exception out of ``main`` breaks it
-as the traceback would.
+as the traceback would.  In the last campaign, a lattice that ``evolve``
+or ``solve-direct`` writes must also read back, ``evolve``'s with the
+config's axis counts.
 
 The config substitutions leave the flow commands (``evolve``,
 ``solve-direct``, ``compare``, and ``residual`` without ``--input``) out.
@@ -20,7 +24,7 @@ bounded, but seconds of work (``evolve`` on nijenhuis4 with
 ``grid.t[2].start`` = -1e308 takes about 6 s to its "step budget
 exhausted"), thousands of times a case here.  The command-line campaign
 runs them on the shipped configs with axis counts capped at 9, which no
-token change can lengthen.
+token change can lengthen, and the last campaign on those configs too.
 """
 
 import copy
@@ -107,13 +111,16 @@ def _mutated(text: bytes, rng: random.Random) -> bytes:
     return b"\n".join(lines)
 
 
-def _violation(argv, capsys, prefix=None):
+def _violation(argv, capsys, prefix=None, codes=None):
     """None if the command keeps the oracle, else what it did; exit 2's
-    line starts with ``prefix``, by default ``nijflow <argv[0]>: ``."""
+    line starts with ``prefix``, by default ``nijflow <argv[0]>: ``.  The
+    exit code is appended to the list ``codes`` when one is given."""
     try:
         code = main(argv)
     except Exception as exc:
         return f"raised {exc!r}"
+    if codes is not None:
+        codes.append(code)
     err = capsys.readouterr().err
     if code not in (0, 1, 2):
         return f"exit {code}"
@@ -240,3 +247,51 @@ def test_argv_mutations_keep_the_exit_contract(tmp_path, capsys,
         if found:
             violations.append((argv, found))
     assert violations == []
+
+
+def _axis_cases():
+    """Each shipped config with axis counts capped at 9 (a config with a
+    ``pde`` block keeps its x count, so that the direct solver is reached),
+    and then one axis, x or a time axis, given 0, 1, 2 or 3 nodes."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        shipped = json.loads(path.read_text())
+        base = _capped(copy.deepcopy(shipped))
+        if "pde" in shipped:
+            base["grid"]["x"]["count"] = shipped["grid"]["x"]["count"]
+        for axis in range(1 + len(base["grid"].get("t", []))):
+            for count in range(4):
+                config = copy.deepcopy(base)
+                grid = config["grid"]
+                [grid["x"], *grid.get("t", [])][axis]["count"] = count
+                yield config
+
+
+def test_short_axes_through_the_flow_commands(tmp_path, capsys):
+    # the exit contract, and every lattice a command writes reads back,
+    # evolve's with the config's axis counts
+    case, out = tmp_path / "case.json", tmp_path / "out.csv"
+    violations, cases, read_back = [], 0, 0
+    for config in _axis_cases():
+        case.write_text(json.dumps(config))
+        counts = [config["grid"]["x"]["count"],
+                  *(t["count"] for t in config["grid"].get("t", []))]
+        for argv in (["evolve", str(case), "--output", str(out)],
+                     ["solve-direct", str(case), "--output", str(out)],
+                     ["compare", str(case)], ["residual", str(case)]):
+            cases, codes = cases + 1, []
+            out.unlink(missing_ok=True)
+            found = _violation(argv, capsys, codes=codes)
+            if not found and codes == [0] and "--output" in argv:
+                try:
+                    grid = lattice_io.read_grid_csv(str(out))
+                except Exception as exc:
+                    found = f"wrote a lattice that reads back as {exc!r}"
+                else:
+                    read_back += 1
+                    if (argv[0] == "evolve"
+                            and [a.count for a in grid.axes] != counts):
+                        found = f"wrote axis counts {grid.axes}"
+            if found:
+                violations.append((argv[0], config, found))
+    assert (cases, violations) == (336, [])
+    assert read_back > 0

@@ -24,16 +24,11 @@ from support import (
 )
 
 from nijflow.exactpoly import ExactPolynomial, parse_expression
-from nijflow.hierarchy import (
-    first_integrals,
-    killing_operators,
-    verify_commuting_integrals,
-)
-from nijflow.metric import (PhaseFunction, build_h_family, gram_matrix,
-                            pairwise_poisson, poisson_bracket)
+from nijflow.metric import (PhaseFunction, build_h_family, first_integrals,
+                            gram_matrix, pairwise_poisson, poisson_bracket)
 from nijflow.model import CompanionModel
 from nijflow.operators import (OperatorField, char_coefficients, commutator,
-                               companion_second)
+                               companion_second, killing_operators)
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
                  .glob("*.json"))
@@ -151,7 +146,7 @@ class TestFirstIntegrals:
         sig = sigma_torsion_free2()
         F = first_integrals(gram_matrix(build_h_family(sig)[0]),
                             killing_operators(sig))
-        assert all(b.is_zero() for _, _, b in verify_commuting_integrals(F))
+        assert all(b.is_zero() for _, _, b in pairwise_poisson(F))
 
     def test_integrals_commute_constant(self):
         for n in (2, 3, 4):
@@ -159,13 +154,13 @@ class TestFirstIntegrals:
             F = first_integrals(gram_matrix(build_h_family(sig)[0]),
                                 killing_operators(sig))
             assert all(b.is_zero()
-                       for _, _, b in verify_commuting_integrals(F))
+                       for _, _, b in pairwise_poisson(F))
 
     def test_coordinate_pair_fails_to_commute(self):
         sig = sigma_coordinates2()
         F = first_integrals(gram_matrix(build_h_family(sig)[0]),
                             killing_operators(sig))
-        pairs = verify_commuting_integrals(F)
+        pairs = pairwise_poisson(F)
         assert not all(b.is_zero() for _, _, b in pairs)
         assert pairs[0][2].poly == parse_expression(
             "1/2*u1*p2^3", upnames(2))
@@ -205,7 +200,7 @@ class TestCompanionModel:
         # verify reports integral_commutation as 1/4 of the h-pair brackets;
         # the brackets of the integrals themselves are the oracle
         model = CompanionModel(sig)
-        integral_pairs = verify_commuting_integrals(model.integrals)
+        integral_pairs = pairwise_poisson(model.integrals)
         h_pairs = pairwise_poisson(model.family)
         assert (all(b.is_zero() for _, _, b in integral_pairs)
                 == all(b.is_zero() for _, _, b in h_pairs))

@@ -29,6 +29,10 @@ augmented or deleted, whole or item by item, edited by a dict method, or
 named to ``setattr`` or ``delattr`` only in ``ExactPolynomial._store``,
 ``.partial`` and ``.float_form``.  The rule reads attribute names, not
 types or aliases.
+
+No function or method only forwards its arguments: its body, docstring
+aside, is not one ``return f(...)`` that passes its own parameters on
+unchanged and in order.  A second name for a function is an import alias.
 """
 
 import ast
@@ -48,8 +52,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = "bench patch point"
 LIBRARY = "README library API"
 ALLOWED = {
-    ("hierarchy", "first_integrals"): BENCH,
-    ("hierarchy", "verify_commuting_integrals"): BENCH,
+    ("metric", "first_integrals"): BENCH,
     ("compat", "benenti_residual"): BENCH,
     ("metric", "gram_matrix"): BENCH,
     ("flows", "integrate_flow"): BENCH,
@@ -478,3 +481,80 @@ def test_the_guard_finds_each_way_of_writing_a_slot(statement, found):
     planted = dict(SOURCES)
     planted["metric"] += f"\n\ndef planted(p, q, key):\n    {statement}\n"
     assert immutability_plumbing(planted) == [("metric", "planted")] * found
+
+
+def _passed(arguments: ast.arguments) -> list[str]:
+    """A function's parameters, written as a call that passes each one on
+    unchanged: ``a``, ``*rest``, ``k=k``, ``**options``."""
+    return ([a.arg for a in arguments.posonlyargs + arguments.args]
+            + [f"*{a.arg}" for a in [arguments.vararg] if a]
+            + [f"{a.arg}={a.arg}" for a in arguments.kwonlyargs]
+            + [f"**{a.arg}" for a in [arguments.kwarg] if a])
+
+
+def _call_arguments(call: ast.Call) -> list:
+    """The arguments of a call, written as ``_passed`` writes parameters;
+    None for one that is not a plain name."""
+    def name(node):
+        return getattr(node, "id", None)
+    return ([name(a.value) and f"*{name(a.value)}"
+             if isinstance(a, ast.Starred) else name(a) for a in call.args]
+            + [f"{k.arg}={name(k.value)}" if k.arg
+               else f"**{name(k.value)}" for k in call.keywords])
+
+
+def forwards(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Each function or method of ``sources`` (module -> text) whose body,
+    docstring aside, is one ``return f(...)`` that passes the function's own
+    parameters on unchanged and in order, as (module, its name) with a
+    method named "Class.method", in module order."""
+    found = []
+    for m, text in sources.items():
+        tree = ast.parse(text)
+        owners = {child: f"{node.name}." for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[ast.get_docstring(node) is not None:]
+            call = (body[0].value if len(body) == 1
+                    and isinstance(body[0], ast.Return) else None)
+            if (isinstance(call, ast.Call)
+                    and _call_arguments(call) == _passed(node.args)):
+                found.append((m, owners.get(node, "") + node.name))
+    return found
+
+
+def test_no_function_only_forwards_its_arguments():
+    assert forwards(SOURCES) == []
+
+
+def test_the_guard_finds_planted_forwards():
+    # a plain forward, one under a docstring, one of every kind of
+    # parameter, and near misses that reorder, drop or add an argument,
+    # change one, pass a parameter but not self, or have no call at all
+    planted = dict(SOURCES)
+    slots = '    __slots__ = ("n", "entries")\n'
+    assert slots in planted["operators"]
+    planted["operators"] = planted["operators"].replace(
+        slots, slots + "\n    def planted(self, other):\n"
+        "        return commutator(self, other)\n"
+        "\n    def near(self, other):\n        return self._check(other)\n")
+    planted["metric"] += (
+        "\n\ndef planted(a, b):\n    return poisson_bracket(a, b)\n"
+        "\n\ndef only_docs():\n    '''Docs.'''\n"
+        "\n\ndef documented(a, b):\n    '''Docs.'''\n"
+        "    return poisson_bracket(a, b)\n"
+        "\n\ndef every_kind(a, /, b, *rest, k, **options):\n"
+        "    return f(a, b, *rest, k=k, **options)\n"
+        "\n\ndef reordered(a, b):\n    return poisson_bracket(b, a)\n"
+        "\n\ndef dropped(a, b):\n    return poisson_bracket(a)\n"
+        "\n\ndef added(a, b):\n    return poisson_bracket(a, b, 1)\n"
+        "\n\ndef changed(a, b):\n    return poisson_bracket(a, -b)\n"
+        "\n\ndef keyword(a, b):\n    return poisson_bracket(a, b=b)\n"
+        "\n\ndef starred(a, *rest):\n    return f(a, rest)\n"
+        "\n\ndef two_statements(a, b):\n    a = a\n"
+        "    return poisson_bracket(a, b)\n")
+    assert forwards(planted) == [
+        ("metric", "planted"), ("metric", "documented"),
+        ("metric", "every_kind"), ("operators", "OperatorField.planted")]

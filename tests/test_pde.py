@@ -17,10 +17,10 @@ from nijflow.exactpoly import (ExactPolynomial, base_names,
                                format_polynomial, parse_expression)
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings, SolutionGrid,
                            orbit_grid)
-from nijflow.hierarchy import first_integrals, killing_operators
-from nijflow.metric import build_h_family, gram_matrix
+from nijflow.metric import build_h_family, first_integrals, gram_matrix
 from nijflow.model import CompanionModel
-from nijflow.operators import OperatorField, companion_first, companion_second
+from nijflow.operators import (OperatorField, companion_first, companion_second,
+                               killing_operators)
 from nijflow.pde import PDEError, compare_grids, direct_solve, grid_residual
 
 from support import (convergence_orders, random_polynomial,

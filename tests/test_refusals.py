@@ -11,10 +11,9 @@ from nijflow.compat import (CompatError, coordinate_form_residual_at,
 from nijflow.exactpoly import (ExactPolynomial, PolynomialError,
                                evaluate_table_array, format_polynomial)
 from nijflow.flows import AxisSpec, SolutionGrid
-from nijflow.hierarchy import first_integrals
 from nijflow.metric import (CovariantMetricAt, GramMatrix, MetricError,
-                            PhaseFunction)
-from nijflow.operators import OperatorError, OperatorField
+                            PhaseFunction, first_integrals)
+from nijflow.operators import OperatorError, OperatorField, killing_operators
 from nijflow.pde import PDEError, compare_grids, direct_solve
 
 # the Euclidean metric of the plane at its origin, and operators of size 3
@@ -49,6 +48,15 @@ REFUSALS = {
     "first_integrals sizes": (
         lambda: first_integrals(GramMatrix([[1, 0], [0, 1]]), [I3]),
         MetricError, "hierarchy and metric sizes differ"),
+    "killing_operators empty": (
+        lambda: killing_operators([]),
+        OperatorError, "at least one coefficient is required"),
+    "killing_operators variable count": (
+        lambda: killing_operators([ExactPolynomial.variable(1, 0), 1]),
+        OperatorError, "entry has 1 variables, expected 2"),
+    "killing_operators float entry": (
+        lambda: killing_operators([1.5, 2]),
+        OperatorError, "not a polynomial entry: 1.5"),
     "power negative": (
         lambda: I3.power(-1),
         OperatorError, "operator powers must be non-negative"),
