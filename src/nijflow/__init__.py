@@ -8,12 +8,6 @@ their finite-dimensional reduction to commuting Hamiltonian flows, with an
 independent finite-difference solver as a cross-check.
 """
 
-from .compat import (
-    CompatError,
-    benenti_residual,
-    coordinate_form_residual_at,
-    symmetry_metric,
-)
 from .exactpoly import (
     ExactPolynomial,
     ParseError,
@@ -36,18 +30,22 @@ from .flows import (
     polynomial_flow,
 )
 from .metric import (
+    CompatError,
     CovariantMetricAt,
     GramMatrix,
     MetricError,
     PhaseFunction,
+    benenti_residual,
     build_h_family,
     check_gram_normal_form,
+    coordinate_form_residual_at,
     covariant_at,
     differential_shift_residuals,
     first_integrals,
     gram_matrix,
     pairwise_poisson,
     poisson_bracket,
+    symmetry_metric,
 )
 from .model import CompanionModel
 from .operators import (

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .compat import CompatError
 from .exactpoly import (PolynomialError, base_names, evaluate_table_array,
                         format_polynomial, parse_expression)
 from .flows import (AxisSpec, CotangentPoint, FlowError, FlowSettings,
@@ -40,8 +39,8 @@ from .verify import verify_model
 
 # Unused: bench/spans.py wraps the verify checks by these names here, one of
 # them twice (pinned by tests/test_span_targets.py) until ROADMAP item 10.
-from .compat import benenti_residual, coordinate_form_residual_at  # noqa: F401
-from .metric import (check_gram_normal_form, covariant_at,  # noqa: F401
+from .metric import (benenti_residual, check_gram_normal_form,  # noqa: F401
+                     coordinate_form_residual_at, covariant_at,
                      differential_shift_residuals, pairwise_poisson,
                      pairwise_poisson as verify_commuting_integrals)
 from .operators import nijenhuis_torsion  # noqa: F401
@@ -406,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ConfigError, PolynomialError, MetricError, OperatorError,
-            CompatError, FlowError, PDEError, OSError) as exc:
+            FlowError, PDEError, OSError) as exc:
         print(f"nijflow {args.command}: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -187,13 +187,16 @@ def _rk45_segment(f: Callable[[State], State], y: State, t_span: float,
                     for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
             k6 = f([a + w61 * c1 + w62 * c2 + w63 * c3 + w64 * c4 + w65 * c5
                     for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
-            y5 = [a + dh * sum((b1 * c1, b3 * c3, b4 * c4, b5 * c5, b6 * c6))
+            # sums run left to right from 0.0, not through sum(), whose
+            # float algorithm changed in Python 3.12
+            y5 = [a + dh * (0.0 + b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5
+                            + b6 * c6)
                   for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
         except OverflowError:
             raise FlowError("state blew up during a step",
                             CotangentPoint.from_state(y)) from None
-        errs = [abs(dh * sum((e1 * c1, e2 * c2, e3 * c3, e4 * c4, e5 * c5,
-                              e6 * c6)))
+        errs = [abs(dh * (0.0 + e1 * c1 + e2 * c2 + e3 * c3 + e4 * c4
+                          + e5 * c5 + e6 * c6))
                 / (atol + rtol * max(abs(a), abs(b)))
                 for a, b, c1, c2, c3, c4, c5, c6
                 in zip(y, y5, k1, k2, k3, k4, k5, k6)]

@@ -8,7 +8,7 @@ largest absolute coefficient among them; ``differential_shift`` takes the
 u-part alone, the p-part being the h family's own recurrence (proof in
 ``metric.differential_shift_residuals``); ``integral_commutation`` reads a
 quarter of the ``h_poisson_pairs`` one, as F_i = h_(i+1)/2, and ``benenti``
-half of the first bracket {h_1, h_2}, which ``compat.benenti_residual``
+half of the first bracket {h_1, h_2}, which ``metric.benenti_residual``
 equals by the Leibniz rule; ``gram_normal_form`` passes when it finds no
 departure from the normal form, and its residual is their count."""
 
@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compat import coordinate_form_residual_at
-from .metric import (check_gram_normal_form, covariant_at,
-                     differential_shift_residuals, pairwise_poisson)
+from .metric import (check_gram_normal_form, coordinate_form_residual_at,
+                     covariant_at, differential_shift_residuals,
+                     pairwise_poisson)
 from .model import CompanionModel
 from .operators import companion_torsion
 

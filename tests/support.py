@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 
 from nijflow.cli import ConfigError
-from nijflow.compat import CompatError
 from nijflow.exactpoly import (ExactPolynomial, evaluate_table_array,
                                parse_expression, signed_sum)
 from nijflow.flows import (MAX_STEPS, MIN_STEP, _RK45_A, _RK45_B4, _RK45_B5,
                            AxisSpec, CotangentPoint, FlowError, FlowSettings,
                            HamiltonianField, SolutionGrid, _advance,
                            integrate_flow)
-from nijflow.metric import (CovariantMetricAt, GramMatrix, PhaseFunction,
-                            differential_shift_residuals, gram_matrix,
-                            poisson_bracket, quadratic_phase)
+from nijflow.metric import (CompatError, CovariantMetricAt, GramMatrix,
+                            PhaseFunction, differential_shift_residuals,
+                            gram_matrix, poisson_bracket, quadratic_phase)
 from nijflow.operators import (OperatorError, OperatorField,
                                char_coefficients, companion_second)
 from nijflow.pde import UNIFORM_RTOL, PDEError
@@ -512,6 +511,15 @@ def reference_rk4_segment(f, y, t_span, settings):
     return y
 
 
+def left_sum(values) -> float:
+    """The floats ``values`` added left to right from 0.0: builtin ``sum()``
+    before Python 3.12, which compensates its float sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_rk45_segment(f, y, t_span, settings):
     if t_span == 0.0:
         return list(y)
@@ -537,16 +545,16 @@ def reference_rk45_segment(f, y, t_span, settings):
                         for i in range(m):
                             z[i] += ha * k[i]
                 ks.append(f(z))
-            y5 = [y[i] + direction * h * sum(b * ks[s][i]
-                                             for s, b in enumerate(_RK45_B5) if b)
+            y5 = [y[i] + direction * h * left_sum(
+                      b * ks[s][i] for s, b in enumerate(_RK45_B5) if b)
                   for i in range(m)]
         except OverflowError:
             raise FlowError("state blew up during a step",
                             CotangentPoint.from_state(y)) from None
         err = 0.0
         for i in range(m):
-            e4 = sum((b5 - b4) * ks[s][i]
-                     for s, (b5, b4) in enumerate(zip(_RK45_B5, _RK45_B4)))
+            e4 = left_sum((b5 - b4) * ks[s][i]
+                          for s, (b5, b4) in enumerate(zip(_RK45_B5, _RK45_B4)))
             scale = atol + rtol * max(abs(y[i]), abs(y5[i]))
             e = abs(direction * h * e4) / scale
             # max() drops a nan: a non-finite trial is an infinite error,
@@ -717,7 +725,7 @@ def reference_killing_operators(sigma: Sequence[ExactPolynomial]
 
 
 def reference_benenti_residual(model) -> PhaseFunction:
-    """Oracle for ``compat.benenti_residual``: {H, F} - 2 H G with
+    """Oracle for ``metric.benenti_residual``: {H, F} - 2 H G with
     F = (h1 L^T)^(kj) p_k p_j lifted from the product h1 L^T, and G from
     the derivatives of tr L."""
     n, L, h1 = model.n, model.operator, model.gram

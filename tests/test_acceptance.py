@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from nijflow.cli import main
-from nijflow.compat import (benenti_residual, coordinate_form_residual_at,
-                            symmetry_metric)
 from nijflow.flows import (AxisSpec, CotangentPoint, FlowSettings,
                            integrate_flow_path, orbit_grid)
-from nijflow.metric import (build_h_family, check_gram_normal_form,
-                            covariant_at, gram_matrix, pairwise_poisson)
+from nijflow.metric import (benenti_residual, build_h_family,
+                            check_gram_normal_form,
+                            coordinate_form_residual_at, covariant_at,
+                            gram_matrix, pairwise_poisson, symmetry_metric)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second, \
     killing_operators, nijenhuis_torsion

@@ -13,8 +13,10 @@ the shipped configs.  ``bench/cases.py`` is read without changing it:
 compiled in memory, so no bytecode cache is written next to it.
 """
 
+import builtins
 import hashlib
 import json
+import math
 import sys
 import types
 from pathlib import Path
@@ -25,6 +27,7 @@ from support import check_shift_record, counted, sigma_curved
 
 import nijflow.cli as cli
 import nijflow.exactpoly as exactpoly
+import nijflow.flows as flows
 from nijflow.cli import load_config, main
 from nijflow.exactpoly import ExactPolynomial, base_names, format_polynomial
 from nijflow.flows import HamiltonianField
@@ -135,6 +138,43 @@ def test_lattice_csvs_are_pinned(name, tmp_path):
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LATTICE_DIGESTS[name]
     assert rhs == RHS_COUNTS[name]
+
+
+def compensated_sum(values):
+    """``sum()`` as Python 3.12 and later add floats: Neumaier's compensated
+    sum, taken for all-float input; any other input goes to the builtin."""
+    values = list(values)
+    if not values or any(type(v) is not float for v in values):
+        return builtins.sum(values)
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        compensation += ((total - t) + v if abs(total) >= abs(v)
+                         else (v - t) + total)
+        total = t
+    if compensation and math.isfinite(compensation):
+        return total + compensation
+    return total
+
+
+def test_compensated_sum_is_not_the_left_to_right_sum():
+    values = (0.1, 1e16, -1e16, 0.2, 3e-17)
+    assert compensated_sum(values) == 0.30000000000000004
+    assert 0.0 + 0.1 + 1e16 - 1e16 + 0.2 + 3e-17 == 0.20000000000000004
+    assert compensated_sum([1, 2]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_DIGESTS))
+def test_lattice_csvs_do_not_depend_on_the_float_sum(name, tmp_path,
+                                                     monkeypatch):
+    # a flows.sum shadows the builtin for flows alone, as a Python 3.12
+    # interpreter would change it
+    monkeypatch.setattr(flows, "sum", compensated_sum, raising=False)
+    _cases.write_configs(_cases.make_workload("lattice", 1), tmp_path)
+    path = tmp_path / f"{name}.csv"
+    assert main(["evolve", str(tmp_path / f"{name}.json"),
+                 "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LATTICE_DIGESTS[name]
 
 
 # Node-steps (input x-nodes times time steps) of the direct solver, as the

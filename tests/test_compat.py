@@ -26,14 +26,9 @@ from support import (
 )
 
 from nijflow.exactpoly import ExactPolynomial, parse_expression
-from nijflow.compat import (
-    CompatError,
-    benenti_residual,
-    coordinate_form_residual_at,
-    symmetry_metric,
-)
-from nijflow.metric import (build_h_family, covariant_at, gram_matrix,
-                            pairwise_poisson)
+from nijflow.metric import (CompatError, benenti_residual, build_h_family,
+                            coordinate_form_residual_at, covariant_at,
+                            gram_matrix, pairwise_poisson, symmetry_metric)
 from nijflow.model import CompanionModel
 from nijflow.operators import OperatorField, companion_second
 

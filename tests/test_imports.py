@@ -33,10 +33,16 @@ types or aliases.
 No function or method only forwards its arguments: its body, docstring
 aside, is not one ``return f(...)`` that passes its own parameters on
 unchanged and in order.  A second name for a function is an import alias.
+
+Every exception class of the package derives from a type that an
+``except`` clause of ``cli.main`` names, so a command that raises it exits
+2 with one line on stderr.  Bases are followed through the package's
+classes and relative imports; any other name is looked up in its module.
 """
 
 import ast
 import functools
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -53,7 +59,7 @@ BENCH = "bench patch point"
 LIBRARY = "README library API"
 ALLOWED = {
     ("metric", "first_integrals"): BENCH,
-    ("compat", "benenti_residual"): BENCH,
+    ("metric", "benenti_residual"): BENCH,
     ("metric", "gram_matrix"): BENCH,
     ("flows", "integrate_flow"): BENCH,
     ("flows", "integrate_flow_path"): BENCH,
@@ -62,7 +68,7 @@ ALLOWED = {
     ("operators", "guiding_bracket"):
         "paper API: the bracket <L, M> of commuting operator fields",
     ("operators", "is_symmetry"): "paper API: symmetries M of L",
-    ("compat", "symmetry_metric"):
+    ("metric", "symmetry_metric"):
         "paper API: the compatible metric gM of a symmetry M",
     ("operators", "companion_first"): "paper API: the first companion form",
     ("operators", "char_coefficients"):
@@ -558,3 +564,66 @@ def test_the_guard_finds_planted_forwards():
     assert forwards(planted) == [
         ("metric", "planted"), ("metric", "documented"),
         ("metric", "every_kind"), ("operators", "OperatorField.planted")]
+
+
+def _caught_in_main(tree: ast.Module) -> list[str]:
+    """The names the ``except`` clauses of the module's ``main`` catch."""
+    main = next(node for node in tree.body
+                if getattr(node, "name", None) == "main")
+    return [ast.unparse(kind) for node in ast.walk(main)
+            if isinstance(node, ast.ExceptHandler) and node.type
+            for kind in getattr(node.type, "elts", [node.type])]
+
+
+def uncaught_errors(sources: dict[str, str]) -> tuple[list, list]:
+    """The exception classes of ``sources`` (module -> text), as (module,
+    name) in module order, and those of them that derive from no type
+    ``cli.main`` catches."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    classes = {m: {node.name: node for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
+               for m, tree in trees.items()}
+    imports = {m: _relative_imports(tree) for m, tree in trees.items()}
+
+    def resolve(module, name):
+        """A class of ``sources`` as (module, name); else the object the
+        expression ``name`` gives in the imported module."""
+        while name not in classes[module] and name in imports[module]:
+            module, name = imports[module][name]
+        if name in classes[module]:
+            return module, name
+        return eval(name, vars(importlib.import_module(f"nijflow.{module}")))
+
+    def ancestry(key) -> set:
+        if not isinstance(key, tuple):
+            return set(getattr(key, "__mro__", ()))
+        module, name = key
+        return {key}.union(*(ancestry(resolve(module, ast.unparse(base)))
+                             for base in classes[module][name].bases))
+
+    caught = {resolve("cli", name) for name in _caught_in_main(trees["cli"])}
+    errors = [(m, name) for m, names in classes.items() for name in names
+              if Exception in ancestry((m, name))]
+    return errors, [key for key in errors if not ancestry(key) & caught]
+
+
+def test_every_error_class_exits_2():
+    errors, uncaught = uncaught_errors(SOURCES)
+    assert sorted(name for _, name in errors) == [
+        "CompatError", "ConfigError", "FlowError", "MetricError",
+        "OperatorError", "PDEError", "ParseError", "PolynomialError",
+        "SingularMetricError"]
+    assert uncaught == []
+
+
+def test_the_guard_finds_a_planted_uncaught_error():
+    # a subclass of a caught package error or of a caught builtin is caught
+    planted = dict(SOURCES)
+    planted["flows"] += ("\n\nclass StrayError(RuntimeError):\n    pass\n"
+                         "\n\nclass Caught(FlowError):\n    pass\n"
+                         "\n\nclass CaughtOS(FileNotFoundError):\n    pass\n")
+    planted["pde"] += "\n\nclass Both(OperatorField, PDEError):\n    pass\n"
+    errors, uncaught = uncaught_errors(planted)
+    assert {("flows", "Caught"), ("flows", "CaughtOS"),
+            ("pde", "Both")} <= set(errors)
+    assert uncaught == [("flows", "StrayError")]

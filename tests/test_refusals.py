@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from nijflow.compat import (CompatError, coordinate_form_residual_at,
-                            symmetry_metric)
 from nijflow.exactpoly import (ExactPolynomial, PolynomialError,
                                evaluate_table_array, format_polynomial)
 from nijflow.flows import AxisSpec, SolutionGrid
-from nijflow.metric import (CovariantMetricAt, GramMatrix, MetricError,
-                            PhaseFunction, first_integrals)
+from nijflow.metric import (CompatError, CovariantMetricAt, GramMatrix,
+                            MetricError, PhaseFunction,
+                            coordinate_form_residual_at, first_integrals,
+                            symmetry_metric)
 from nijflow.operators import OperatorError, OperatorField, killing_operators
 from nijflow.pde import PDEError, compare_grids, direct_solve
 
@@ -31,6 +31,20 @@ REFUSALS = {
     "symmetry_metric not self-adjoint": (
         lambda: symmetry_metric(G2, OperatorField([[0, 1], [0, 0]])),
         CompatError, "M is not metric-self-adjoint at the point"),
+    "symmetry_metric stack": (
+        lambda: symmetry_metric(
+            CovariantMetricAt(np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1)),
+                              np.zeros((3, 2, 2, 2))),
+            OperatorField.identity(2)),
+        CompatError, "the metric must be taken at a single point"),
+    "symmetry_metric not a symmetry": (
+        lambda: symmetry_metric(
+            G2, OperatorField([[1, 0], [0, 2]]),
+            check_against=OperatorField([[0, 1], [0, 0]])),
+        CompatError, "M is not a symmetry of the given operator"),
+    "symmetry_metric singular": (
+        lambda: symmetry_metric(G2, OperatorField([[1, 0], [0, 0]])),
+        CompatError, "transformed metric is singular at the point"),
     "coordinate_form_residual_at sizes": (
         lambda: coordinate_form_residual_at(G2, I3),
         CompatError, "metric and operator sizes differ"),
@@ -111,6 +125,11 @@ REFUSALS = {
 def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_compat_error_is_a_metric_error():
+    # so cli.main, which catches MetricError, exits 2 on it
+    assert issubclass(CompatError, MetricError)
 
 
 # statements that no other test runs and that refuse nothing: the reflected
